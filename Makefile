@@ -9,6 +9,23 @@ tier1:
 	$(GO) vet ./...
 	$(GO) test ./...
 
+# benchmark runs the end-to-end benchmark BENCHMARK.json declares: four
+# workloads through the whole pipeline, end-to-end metrics untraced and
+# per-layer attribution from a traced pass (see benchmark/README.md).
+# `go run ./benchmark -workload cad-tick` is the tick engine's
+# performance surface.
+.PHONY: benchmark
+benchmark:
+	sh benchmark/run.sh
+
+# benchmark-smoke runs every workload for a fixed 1024 rounds — the
+# smallest count the benchmark takes, cad-tick's segment — with the
+# traced pass, so the output checks run and the traced pass must
+# reproduce the untraced pass's exact counts. About fifteen seconds.
+.PHONY: benchmark-smoke
+benchmark-smoke:
+	$(GO) run ./benchmark -rounds 1024 -trace 1
+
 # bench runs the certification-core benchmark families (the optimized
 # Monitor and BuildGraph against their retained reference
 # implementations, plus the sharded-monitor family) and records the
@@ -167,7 +184,7 @@ test:
 
 # check is the CI gate: static analysis plus the full test suite under
 # the race detector (the sharded monitor paths, the lifecycle
-# commit/compact paths, and the engine's abort/restart goroutine
+# commit/compact paths, and the engines' abort/restart and worker
 # handoffs are the concurrency-sensitive code), then the
 # concurrency-sensitive packages again at pinned GOMAXPROCS=1 and
 # GOMAXPROCS=8 — the former serializes every interleaving (catching
@@ -177,10 +194,11 @@ test:
 # (TestCompactDifferential, TestShardedCompactConcurrent), which are
 # not -short-gated; -short on the race passes skips only the 1M-op
 # soak (that lives in `make soak` and in the un-raced tier-1 suite).
-# The final leg re-runs the TestZeroAlloc* pins without the race
-# detector (whose instrumentation allocates, so the pins self-skip
-# under -race): an allocation regression on the steady-state
-# Observe/Admissible hot path fails CI here, not just benchmarks.
+# The final leg re-runs the TestZeroAlloc* and TestTickEngineAllocs
+# pins without the race detector (whose instrumentation allocates, so
+# the pins self-skip under -race): an allocation regression on the
+# steady-state Observe/Admissible hot path or the tick engine's grant
+# path fails CI here, not just benchmarks.
 # The chaos smoke (a fixed 40-seed band of the ROBUST1 fault
 # differential, deterministic by construction) also rides in the raced
 # `./...` pass; the full randomized matrix lives in `make chaos`.
@@ -190,7 +208,7 @@ check:
 	$(GO) test -race -short ./...
 	GOMAXPROCS=1 $(GO) test -race -short -count=1 ./internal/core ./internal/sched ./internal/exec ./internal/wal
 	GOMAXPROCS=8 $(GO) test -race -short -count=1 ./internal/core ./internal/sched ./internal/exec ./internal/wal
-	$(GO) test -run 'TestZeroAlloc' -count=1 ./internal/core
+	$(GO) test -run 'TestZeroAlloc|TestTickEngineAllocs' -count=1 ./internal/core
 
 # soak is the long-run bounded-memory test: ≥ 1M operations through a
 # single OptimisticCertify gate with the transaction lifecycle on,

@@ -169,15 +169,19 @@ func (m *Monitor) Compact() int {
 	m.txnConjuncts = newTxnConjuncts
 	// The direct-index translation references the old dense ids:
 	// rebuild it for the survivors (reclaimed originals fall back to
-	// "unseen", which is exactly the forgotten-transaction contract).
-	clear(m.txnDirect)
+	// "unseen", which is exactly the forgotten-transaction contract),
+	// re-based on the smallest surviving id — or just past the
+	// watermark when nothing survives — so that under a persistent gate
+	// its length follows the live id window instead of the ids.
+	m.txnDirect = m.txnDirect[:0]
+	m.txnBase = m.compactWM + 1
 	for d := int32(0); int(d) < newTxns.Len(); d++ {
-		if orig := newTxns.Orig(d); orig >= 0 && orig < txnDirectMax {
-			for orig >= len(m.txnDirect) {
-				m.txnDirect = append(m.txnDirect, 0)
-			}
-			m.txnDirect[orig] = d + 1
+		if orig := newTxns.Orig(d); d == 0 || orig < m.txnBase {
+			m.txnBase = orig
 		}
+	}
+	for d := int32(0); int(d) < newTxns.Len(); d++ {
+		m.setDirect(newTxns.Orig(d), d)
 	}
 	for _, g := range m.graphs {
 		g.remapDense(remap, newTxns)

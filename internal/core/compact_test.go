@@ -529,3 +529,46 @@ func TestAutoCompactPreservesVerdicts(t *testing.T) {
 		t.Fatalf("only %d violating trials; coverage too thin", violations)
 	}
 }
+
+// TestDirectTableTracksLiveWindow pins the direct-index translation
+// table's re-basing: 10^5 ascending transaction ids through an
+// auto-compacting monitor — a persistent gate's stream, a sliding
+// window of them in flight — leave the table as long as the window of
+// ids compaction has not yet reclaimed, not as long as the largest id.
+// Ids the window has moved past still resolve, through the interner.
+func TestDirectTableTracksLiveWindow(t *testing.T) {
+	const ids, inFlight, every = 100_000, 32, 64
+	m := core.NewMonitor([]state.ItemSet{state.NewItemSet("x", "y")})
+	m.SetAutoCompact(every)
+	straggler := 7 // observed early, commits last: below every later base
+	longest := 0
+	for id := 1; id <= ids; id++ {
+		if v := m.Observe(txn.R(id, "x", 0)); v != nil {
+			t.Fatalf("T%d: %v", id, v)
+		}
+		if done := id - inFlight; done >= 1 && done != straggler {
+			m.Commit(done)
+		}
+		if id == ids/2 {
+			m.Commit(straggler)
+			m.Compact()
+		}
+		if id > ids/2 {
+			longest = max(longest, m.DirectTableLen())
+		}
+	}
+	if bound := 2 * (inFlight + every); longest > bound {
+		t.Fatalf("direct table reached %d entries over %d ascending ids, want at most %d (the live window)", longest, ids, bound)
+	}
+	// A late operation by an id far below the base interns through the
+	// fallback and keeps resolving.
+	if v := m.Observe(txn.R(3, "y", 0)); v != nil {
+		t.Fatal(v)
+	}
+	if !m.Admissible(txn.R(3, "x", 0)) {
+		t.Fatal("an id below the table's base stopped resolving")
+	}
+	if got := m.DirectTableLen(); got > 2*(inFlight+every) {
+		t.Fatalf("an id below the base stretched the table to %d entries", got)
+	}
+}

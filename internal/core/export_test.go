@@ -33,3 +33,7 @@ func SetShardedEpochSize(n int) int {
 	shardedEpochSize = n
 	return old
 }
+
+// DirectTableLen reports the length of the monitor's direct-index
+// transaction translation table.
+func (m *Monitor) DirectTableLen() int { return len(m.txnDirect) }

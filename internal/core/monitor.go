@@ -33,9 +33,9 @@ func (v *Violation) Error() string {
 var observeParallelThreshold = 4096
 
 // txnDirectMax bounds the direct-index transaction translation table:
-// original ids in [0, txnDirectMax) resolve with one slice read instead
-// of a map lookup (ids outside the range still work through the
-// interner's map).
+// original ids in [txnBase, txnBase+txnDirectMax) resolve with one
+// slice read instead of a map lookup (ids outside the window still work
+// through the interner's map).
 const txnDirectMax = 1 << 20
 
 // Monitor checks PWSR online: feed it the schedule one operation at a
@@ -80,10 +80,12 @@ type Monitor struct {
 	ops       int
 
 	// txns interns original transaction ids to dense monitor-level
-	// ids; txnDirect short-circuits the interner's map for small
-	// nonnegative originals (entry = dense+1, 0 = unseen). The
-	// parallel slices below are indexed by the dense ids. opsBy counts
-	// surviving observed operations; resident marks transactions whose
+	// ids; txnDirect short-circuits the interner's map for originals
+	// in the window starting at txnBase (entry txnDirect[orig-txnBase]
+	// = dense+1, 0 = unseen), which compaction re-bases on the smallest
+	// surviving id so the table spans the live ids, not every id ever
+	// seen. The parallel slices below are indexed by the dense ids.
+	// opsBy counts surviving observed operations; resident marks transactions whose
 	// operations are (still) in the monitor — liveTxns is the resident
 	// count, what LiveTxns reports; committedB marks transactions whose
 	// lifecycle ended (Commit): they issue no further operations and
@@ -91,6 +93,7 @@ type Monitor struct {
 	// the interner around the survivors.
 	txns       *intern.IDs
 	txnDirect  []int32
+	txnBase    int
 	opsBy      []int
 	resident   []bool
 	committedB []bool
@@ -185,8 +188,8 @@ func (m *Monitor) conjunctsOf(item int32) []int32 {
 // txnID interns the original transaction id, growing the dense per-txn
 // tables to cover it.
 func (m *Monitor) txnID(orig int) int32 {
-	if orig >= 0 && orig < len(m.txnDirect) {
-		if d := m.txnDirect[orig]; d > 0 {
+	if i := orig - m.txnBase; i >= 0 && i < len(m.txnDirect) {
+		if d := m.txnDirect[i]; d > 0 {
 			return d - 1
 		}
 	}
@@ -198,23 +201,34 @@ func (m *Monitor) txnID(orig int) int32 {
 		m.committedB = append(m.committedB, false)
 		m.txnConjuncts = append(m.txnConjuncts, nil)
 	}
-	if orig >= 0 && orig < txnDirectMax {
-		for orig >= len(m.txnDirect) {
-			m.txnDirect = append(m.txnDirect, 0)
-		}
-		m.txnDirect[orig] = d + 1
-	}
+	m.setDirect(orig, d)
 	return d
+}
+
+// setDirect enters orig → d in the direct-index table when orig lies in
+// its window. Every interned id in the window is entered — on interning
+// and again when compaction moves the window — so a miss there means
+// unseen.
+func (m *Monitor) setDirect(orig int, d int32) {
+	i := orig - m.txnBase
+	if i < 0 || i >= txnDirectMax {
+		return
+	}
+	for i >= len(m.txnDirect) {
+		m.txnDirect = append(m.txnDirect, 0)
+	}
+	m.txnDirect[i] = d + 1
 }
 
 // txnLookup resolves an original transaction id without interning it.
 func (m *Monitor) txnLookup(orig int) (int32, bool) {
-	if orig >= 0 && orig < len(m.txnDirect) {
-		d := m.txnDirect[orig]
+	i := orig - m.txnBase
+	if i >= 0 && i < len(m.txnDirect) {
+		d := m.txnDirect[i]
 		return d - 1, d > 0
 	}
-	if orig >= 0 && orig < txnDirectMax {
-		return -1, false // in direct range but never grown: unseen
+	if i >= 0 && i < txnDirectMax {
+		return -1, false // in the window but never grown: unseen
 	}
 	return m.txns.Lookup(orig)
 }

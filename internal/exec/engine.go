@@ -6,10 +6,26 @@
 // virtual-clock metrics (waits, turnaround) used by the performance
 // experiments.
 //
-// Every program goroutine blocks after requesting an operation until the
-// engine grants it, and the engine waits until every live program has a
-// pending request before asking the policy to pick. Execution is
-// therefore deterministic for deterministic policies.
+// # Transport
+//
+// Each program attempt is a pull-coroutine (iter.Pull over the
+// interpreter): its accessor fills the attempt's one Request, yields it
+// to the engine and parks; the engine stores the reply in the accessor
+// and resumes it when the policy grants the request. The engine asks
+// the policy to pick only when every live program is parked on a
+// request, so after the first round exactly one program is ever
+// runnable — the one just granted — and running programs on the
+// engine's own goroutine, one at a time, loses no parallelism while it
+// saves two scheduler hand-offs per operation. The runnable attempts
+// are resumed in ascending transaction id order, so execution is
+// deterministic for deterministic policies, including the order of
+// completion notifications: programs that finish in the same gather
+// report TxnFinished in ascending id order. Unwinding an attempt — a
+// victim, a cancelled transaction, a run that failed elsewhere — is
+// stopping its coroutine: the parked accessor call returns errRestart
+// and the interpreter returns. RunCtx stops every coroutine it started
+// before it returns, on every path; a program panic surfaces on the
+// caller's stack.
 //
 // # Abort and restart semantics
 //
@@ -22,10 +38,10 @@
 //
 //   - the attempt's granted operations are expunged from the recorded
 //     schedule (positions are reassigned, metrics count them as wasted);
-//   - its writes are undone through per-item write histories: an item
-//     whose latest surviving write belongs to another transaction keeps
-//     that value, otherwise the value (and LastWriter) roll back to the
-//     previous surviving writer or the initial state;
+//   - its writes are undone from the schedule itself, which is every
+//     item's write history: an item the attempt wrote takes the value
+//     (and LastWriter) of its latest surviving write, or of the initial
+//     state when none survives;
 //   - any live transaction that read one of the victim's written values
 //     is aborted with it (cascading), recursively, since its execution
 //     consumed state that is being erased;
@@ -34,7 +50,7 @@
 //     and cannot be cascaded — so such a victim is ineligible
 //     (View.AbortClosure reports eligibility).
 //
-// After the erasure every aborted program restarts as a fresh goroutine
+// After the erasure every aborted program restarts as a fresh coroutine
 // with a fresh access-discipline cache: it re-reads current values and
 // may take different branches than its aborted attempt. The recorded
 // schedule therefore contains exactly the operations of surviving
@@ -46,6 +62,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"reflect"
 	"runtime"
 	"slices"
@@ -61,21 +78,20 @@ import (
 // (a deadlock under blocking policies such as the delayed-read gate).
 var ErrStall = errors.New("exec: no grantable request (stall)")
 
-// errAborted is delivered to program goroutines whose run is being
-// cancelled after a stall or a failure elsewhere.
-var errAborted = errors.New("exec: transaction aborted")
-
-// errRestart is delivered to a victim's pending request to unwind its
-// goroutine before the engine expunges the attempt and respawns it.
+// errRestart is what a stopped attempt's parked accessor call returns,
+// unwinding its interpreter: the attempt was a victim, was cancelled, or
+// the run failed elsewhere.
 var errRestart = errors.New("exec: transaction restarting")
 
-// Request is a pending operation request from a program.
+// Request is a pending operation request from a program: the operation
+// its attempt is parked on until the policy grants it. Every attempt
+// owns exactly one Request, refilled for each operation; the pointer a
+// policy sees is only meaningful during the Pick or Victim call.
 type Request struct {
 	TxnID  int
 	Action txn.Action
 	Entity string
 	Value  state.Value // proposed value, for writes
-	reply  chan replyMsg
 }
 
 // String renders the request like an operation without a value for
@@ -85,11 +101,6 @@ func (r *Request) String() string {
 		return fmt.Sprintf("r%d(%s, ?)", r.TxnID, r.Entity)
 	}
 	return fmt.Sprintf("w%d(%s, %s)", r.TxnID, r.Entity, r.Value)
-}
-
-type replyMsg struct {
-	value state.Value
-	err   error
 }
 
 // AccessDecl declares the items a transaction may read and write, used
@@ -169,18 +180,48 @@ type View struct {
 	// LastWriter maps each item to the transaction that last wrote it
 	// (0 = initial state). Used by the delayed-read gate.
 	LastWriter map[string]int
-	// Access is the declared access set per transaction (may be empty
-	// for policies that do not need it).
-	Access map[int]AccessDecl
 	// DataSets is the conjunct partition d1, …, dl (for predicate-wise
 	// policies; may be nil).
 	DataSets []state.ItemSet
 	// Clock is the number of operations granted so far.
 	Clock int
 
-	// readersOf maps a writer to the transactions that read one of its
-	// written values (the wrote-to relation abort cascades follow).
-	readersOf map[int]map[int]bool
+	// procs is the run's per-transaction state, ascending by id.
+	procs []proc
+	// programs and declared are what AccessOf derives declarations from
+	// (Config.Programs and Config.Access); access caches its answers.
+	programs map[int]*program.Program
+	declared map[int]AccessDecl
+	access   map[int]AccessDecl
+}
+
+// proc returns the run state of transaction id, or nil for an id the
+// tick loop does not run.
+func (v *View) proc(id int) *proc {
+	i := sort.Search(len(v.procs), func(i int) bool { return v.procs[i].id >= id })
+	if i == len(v.procs) || v.procs[i].id != id {
+		return nil
+	}
+	return &v.procs[i]
+}
+
+// AccessOf returns transaction id's declared access set: the Config's
+// override when it has one, otherwise the declaration DeclareAccess
+// derives from the program, computed on first use — only conservative
+// locking policies ask.
+func (v *View) AccessOf(id int) AccessDecl {
+	if a, ok := v.access[id]; ok {
+		return a
+	}
+	a, ok := v.declared[id]
+	if p := v.programs[id]; !ok && p != nil {
+		a = DeclareAccess(p)
+	}
+	if v.access == nil {
+		v.access = make(map[int]AccessDecl)
+	}
+	v.access[id] = a
+	return a
 }
 
 // AbortClosure returns the set of transactions (sorted, id included)
@@ -189,22 +230,28 @@ type View struct {
 // The second result is false when id is not live or when some member's
 // written value was read by a finished transaction (finished
 // transactions are durable, so such a victim is pinned and ineligible).
+// Callers must not modify the returned slice.
 func (v *View) AbortClosure(id int) ([]int, bool) {
 	if !v.Live[id] {
 		return nil, false
 	}
+	p := v.proc(id)
+	if len(p.readers) == 0 {
+		// Nobody read from id — every closure under a delayed-read gate —
+		// so a victim search over the whole pending list allocates nothing.
+		p.self[0] = id
+		return p.self[:], true
+	}
 	closure := []int{id}
-	seen := map[int]bool{id: true}
 	for i := 0; i < len(closure); i++ {
-		for r := range v.readersOf[closure[i]] {
-			if seen[r] {
+		for _, r := range v.proc(closure[i]).readers {
+			if slices.Contains(closure, r.id) {
 				continue
 			}
-			if v.Finished[r] {
+			if v.Finished[r.id] {
 				return nil, false
 			}
-			seen[r] = true
-			closure = append(closure, r)
+			closure = append(closure, r.id)
 		}
 	}
 	sort.Ints(closure)
@@ -219,6 +266,11 @@ const PassTick = -2
 
 // maxConsecutivePasses bounds runaway PassTick loops.
 const maxConsecutivePasses = 1 << 20
+
+// opsPerProgramHint sizes a run's schedule buffer up front, so a round
+// of short transactions does not grow it from nil one doubling at a
+// time.
+const opsPerProgramHint = 8
 
 // Policy decides the interleaving: given the pending requests (one per
 // live transaction, sorted by transaction id), it returns the index of
@@ -437,7 +489,8 @@ type Config struct {
 	// DataSets optionally supplies the conjunct partition to policies.
 	DataSets []state.ItemSet
 	// Access optionally overrides the per-transaction access
-	// declarations; missing entries are derived with DeclareAccess.
+	// declarations View.AccessOf reports; missing entries are derived
+	// with DeclareAccess when a policy first asks.
 	Access map[int]AccessDecl
 	// MaxAborts bounds the total aborted attempts of a run before the
 	// engine gives up with ErrStall (a livelock backstop for Restarter
@@ -477,56 +530,62 @@ type Result struct {
 	Metrics Metrics
 }
 
-type event struct {
-	req  *Request
-	done bool
+// proc is the engine's per-run state of one transaction and the
+// program.Accessor of its current attempt. The attempt runs as a
+// pull-coroutine: Read and Write fill req, yield it and park; the
+// engine applies the granted operation, stores a read's value in val
+// and resumes the attempt with next. The engine is done with req before
+// it resumes (the request has left the pending list, and policies must
+// not retain the list across calls), so one Request serves the whole
+// attempt and the admission round trip allocates nothing.
+type proc struct {
 	id   int
-	err  error
+	prog *program.Program
+	tm   *TxnMetrics
+
+	next  func() (*Request, bool)
+	stop  func()
+	yield func(*Request) bool
+	req   Request
+	val   state.Value // the engine's reply to a granted read
+	err   error       // the interpreter's result, once next reports the end
+
+	// parkedAt is the clock at which req parked: the transaction has
+	// waited Clock − parkedAt ticks when req leaves the pending list.
+	parkedAt int
+	// readFrom are the transactions whose written values the attempt
+	// read and readers the transactions that read one of its own (the
+	// wrote-to relation abort cascades follow).
+	readFrom []*proc
+	readers  []*proc
+	self     [1]int // backs the singleton AbortClosure
 }
 
-// writeRec is one layer of an item's write history: who wrote the value
-// (writer 0 marks the pre-first-write layer) and whether the item
-// existed at all (had=false only on an initial layer of an item absent
-// from the initial state). Aborts peel a transaction's layers out and
-// restore the surviving top.
-type writeRec struct {
-	writer int
-	val    state.Value
-	had    bool
-}
-
-// chanAccessor adapts the engine's request channel to the program
-// Accessor interface. Each program goroutine owns one request struct
-// and one reply channel for its whole attempt: the engine is done with
-// a request before it replies (it is removed from the pending set
-// first, and policies must not retain the pending slice across Pick
-// calls), so the next operation can safely reuse them — the admission
-// round trip allocates nothing in steady state.
-type chanAccessor struct {
-	id     int
-	events chan<- event
-	req    Request
-	reply  chan replyMsg
-}
-
-func newChanAccessor(id int, events chan<- event) *chanAccessor {
-	return &chanAccessor{id: id, events: events, reply: make(chan replyMsg)}
+// start launches a fresh attempt of p's program; it runs when the
+// engine first calls next.
+func (p *proc) start(interp *program.Interp) {
+	p.next, p.stop = iter.Pull(func(yield func(*Request) bool) {
+		p.yield = yield
+		p.err = interp.Run(p.prog, p)
+	})
 }
 
 // Read implements program.Accessor.
-func (c *chanAccessor) Read(item string) (state.Value, error) {
-	c.req = Request{TxnID: c.id, Action: txn.ActionRead, Entity: item, reply: c.reply}
-	c.events <- event{req: &c.req}
-	rep := <-c.reply
-	return rep.value, rep.err
+func (p *proc) Read(item string) (state.Value, error) {
+	p.req = Request{TxnID: p.id, Action: txn.ActionRead, Entity: item}
+	if !p.yield(&p.req) {
+		return state.Value{}, errRestart
+	}
+	return p.val, nil
 }
 
 // Write implements program.Accessor.
-func (c *chanAccessor) Write(item string, v state.Value) error {
-	c.req = Request{TxnID: c.id, Action: txn.ActionWrite, Entity: item, Value: v, reply: c.reply}
-	c.events <- event{req: &c.req}
-	rep := <-c.reply
-	return rep.err
+func (p *proc) Write(item string, v state.Value) error {
+	p.req = Request{TxnID: p.id, Action: txn.ActionWrite, Entity: item, Value: v}
+	if !p.yield(&p.req) {
+		return errRestart
+	}
+	return nil
 }
 
 // Run executes the configured programs concurrently and returns the
@@ -536,17 +595,23 @@ func Run(cfg Config) (*Result, error) {
 	return RunCtx(context.Background(), cfg)
 }
 
-// RunCtx is Run with cancellation and deadline support. When ctx ends
-// mid-run the engine settles instead of killing the run: transactions
-// in flight are aborted through the same erasure machinery a policy
-// victim uses — their attempts are expunged from the schedule, their
-// writes undone, and the policy notified through Canceler.TxnCanceled
-// (falling back to Restarter.TxnAborted), so a certifying gate
-// retracts and journals each one exactly as a completed run that
-// aborted them would. The rare transaction whose written value a
-// finished transaction already consumed cannot be erased (see the
-// package comment on pinning; the cascadeless gates never produce
-// one) and is retired as committed with its partial prefix instead.
+// RunCtx is Run with cancellation and deadline support. It runs every
+// program attempt as a pull-coroutine on the calling goroutine (see the
+// package comment on the transport): it resumes the runnable attempts
+// in ascending id order until each parks on a request or finishes, asks
+// the policy to pick among the parked requests, applies the granted
+// operation and resumes its program. No goroutine outlives the call.
+//
+// When ctx ends mid-run the engine settles instead of killing the run:
+// transactions in flight are aborted through the same erasure machinery
+// a policy victim uses — their attempts are expunged from the schedule,
+// their writes undone, and the policy notified through
+// Canceler.TxnCanceled (falling back to Restarter.TxnAborted), so a
+// certifying gate retracts and journals each one exactly as a completed
+// run that aborted them would. The rare transaction whose written value
+// a finished transaction already consumed cannot be erased (see the
+// package comment on pinning; the cascadeless gates never produce one)
+// and is retired as committed with its partial prefix instead.
 //
 // RunCtx then returns the partial Result — the committed schedule that
 // survives, replayable against Initial — alongside a typed
@@ -574,71 +639,67 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	isRO := make(map[int]bool, len(roList))
-	for _, id := range roList {
-		isRO[id] = true
-	}
-
-	access := make(map[int]AccessDecl, len(cfg.Programs))
-	for id, p := range cfg.Programs {
-		if a, ok := cfg.Access[id]; ok {
-			access[id] = a
-		} else {
-			access[id] = DeclareAccess(p)
-		}
-	}
-
-	v := &View{
-		Store:      cfg.Initial.Clone(),
-		Live:       make(map[int]bool, len(cfg.Programs)),
-		Finished:   make(map[int]bool, len(cfg.Programs)),
-		LastWriter: make(map[string]int),
-		Access:     access,
-		DataSets:   cfg.DataSets,
-		readersOf:  make(map[int]map[int]bool),
-	}
-
-	events := make(chan event)
-	spawn := func(id int) {
-		go func(id int, p *program.Program) {
-			err := interp.Run(p, newChanAccessor(id, events))
-			events <- event{done: true, id: id, err: err}
-		}(id, cfg.Programs[id])
-	}
 	ids := make([]int, 0, len(cfg.Programs))
 	for id := range cfg.Programs {
-		if isRO[id] {
+		if cfg.ReadOnly[id] {
 			continue // served from snapshots, never ticked
 		}
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	for _, id := range ids {
+
+	// Per-transaction state lives in slabs indexed by a dense slot —
+	// tick transactions in ascending id order, then the readers — so
+	// the grant path follows pointers instead of hashing ids; the
+	// exported maps are filled once, here.
+	procs := make([]proc, len(ids))
+	tms := make([]TxnMetrics, len(ids)+len(roList))
+	metrics := Metrics{PerTxn: make(map[int]*TxnMetrics, len(tms))}
+	v := &View{
+		Store:      cfg.Initial.Clone(),
+		Live:       make(map[int]bool, len(ids)),
+		Finished:   make(map[int]bool, len(ids)),
+		LastWriter: make(map[string]int),
+		DataSets:   cfg.DataSets,
+		procs:      procs,
+		programs:   cfg.Programs,
+		declared:   cfg.Access,
+	}
+	// runnable are the attempts to resume at the next gather, ascending
+	// by id: every program at first, then the one just granted or the
+	// closure just restarted. parked are the attempts waiting on a
+	// request, ascending by id, and list their requests — the pending
+	// view handed to the policy, valid only during the call.
+	runnable := make([]*proc, 0, len(ids))
+	parked := make([]*proc, 0, len(ids))
+	list := make([]*Request, 0, len(ids))
+	for i := range tms {
+		tms[i].Start = -1
+	}
+	for i, id := range ids {
+		metrics.PerTxn[id] = &tms[i]
+		procs[i] = proc{id: id, prog: cfg.Programs[id], tm: &tms[i]}
+		procs[i].start(interp)
 		v.Live[id] = true
-		spawn(id)
+		runnable = append(runnable, &procs[i])
 	}
+	// Every coroutine is stopped before RunCtx returns, whatever the
+	// path: a parked attempt unwinds; for one that finished, or never
+	// ran, stopping is a no-op.
+	defer func() {
+		for i := range procs {
+			procs[i].stop()
+		}
+	}()
+	for i, id := range roList {
+		metrics.PerTxn[id] = &tms[len(ids)+i]
+	}
+	ops := make([]txn.Op, 0, opsPerProgramHint*len(ids))
 
-	metrics := Metrics{PerTxn: make(map[int]*TxnMetrics, len(cfg.Programs))}
-	for _, id := range ids {
-		metrics.PerTxn[id] = &TxnMetrics{Start: -1}
-	}
-	for _, id := range roList {
-		metrics.PerTxn[id] = &TxnMetrics{Start: -1}
-	}
-	pending := make(map[int]*Request, len(ids))
-	var ops []txn.Op
-	var runErr error
-
-	// Abort-support state: per-item write histories (bottom entry is the
-	// pre-first-write value, writer 0), the reads-from relation, and the
-	// items each transaction wrote.
 	maxAborts := cfg.MaxAborts
 	if maxAborts <= 0 {
 		maxAborts = 1 << 16
 	}
-	writeHist := make(map[string][]writeRec)
-	readsFrom := make(map[int]map[int]bool)
-	writesOf := make(map[int][]string)
 
 	// Multiversion read-path state (allocated only when read-only
 	// transactions are declared): mv is the snapshot source, mvQ the
@@ -652,7 +713,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	var mv *VersionedStore
 	var mvQ int
 	var roResults []roResult
-	roServed := make(map[int]bool, len(roList))
+	var roServed map[int]bool
 	// lastPos maps each transaction to its newest operation's position
 	// in ops. It is maintained incrementally — updated as operations
 	// are appended and rebuilt when an abort expunges and renumbers the
@@ -660,6 +721,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	var lastPos map[int]int
 	if len(roList) > 0 {
 		mv = NewVersionedStore(cfg.Initial)
+		roServed = make(map[int]bool, len(roList))
 		lastPos = make(map[int]int, len(cfg.Programs))
 	}
 
@@ -733,26 +795,50 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		return nil
 	}
 
-	// abort cancels all outstanding work after an error: pending
-	// requests get error replies; remaining events are drained until
-	// every live transaction reports done.
-	abort := func() {
-		for len(v.Live) > 0 {
-			for id, r := range pending {
-				r.reply <- replyMsg{err: errAborted}
-				delete(pending, id)
+	// park files p's freshly yielded request in the pending list.
+	park := func(p *proc) {
+		i := sort.Search(len(parked), func(i int) bool { return parked[i].id > p.id })
+		parked = slices.Insert(parked, i, p)
+		list = slices.Insert(list, i, &p.req)
+		p.parkedAt = v.Clock
+	}
+	// unpark removes pending entry i — granted, erased or retired — and
+	// settles its wait: one tick for every clock step it sat through,
+	// the same total a per-tick walk over the pending list would count.
+	unpark := func(i int) *proc {
+		p := parked[i]
+		parked = slices.Delete(parked, i, i+1)
+		list = slices.Delete(list, i, i+1)
+		p.tm.Waits += v.Clock - p.parkedAt
+		metrics.Waits += v.Clock - p.parkedAt
+		return p
+	}
+	// finish retires p as committed.
+	finish := func(p *proc) {
+		delete(v.Live, p.id)
+		v.Finished[p.id] = true
+		p.tm.End = v.Clock
+		cfg.Policy.TxnFinished(p.id, v)
+	}
+	// gather resumes the runnable attempts, in ascending id order, until
+	// each parks on its next request or finishes. A program error fails
+	// the run.
+	gather := func() error {
+		for _, p := range runnable {
+			if _, more := p.next(); more {
+				park(p)
+			} else if p.err != nil {
+				return fmt.Errorf("exec: T%d: %w", p.id, p.err)
+			} else {
+				finish(p)
 			}
-			ev := <-events
-			if ev.done {
-				delete(v.Live, ev.id)
-				continue
-			}
-			pending[ev.req.TxnID] = ev.req
 		}
+		runnable = runnable[:0]
+		return nil
 	}
 
 	// eraseAttempts erases the closure members' attempts per the
-	// package's abort semantics: unwind their goroutines, expunge their
+	// package's abort semantics: unwind their coroutines, expunge their
 	// operations from the schedule, undo their writes, drop their
 	// reads-from bookkeeping, and notify the policy. It must only be
 	// called when every live transaction is parked on a pending request.
@@ -760,41 +846,25 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	// Canceler.TxnCanceled when implemented (the transactions are gone,
 	// not retried); otherwise through Restarter.TxnAborted.
 	eraseAttempts := func(closure []int, byCancel bool) {
-		in := make(map[int]bool, len(closure))
+		in := make(map[int]*proc, len(closure))
 		for _, id := range closure {
-			in[id] = true
+			p := v.proc(id)
+			in[id] = p
+			p.stop()
+			unpark(slices.Index(parked, p))
 		}
-		// Unwind the members' goroutines. Everyone else is parked, so
-		// until the members exit only they produce events.
-		for _, id := range closure {
-			r := pending[id]
-			delete(pending, id)
-			r.reply <- replyMsg{err: errRestart}
-		}
-		await := len(closure)
-		for await > 0 {
-			ev := <-events
-			// Nothing but the members can emit while everyone else is
-			// parked; handle stray events defensively all the same.
-			switch {
-			case ev.done && in[ev.id]:
-				await--
-			case ev.done:
-				delete(v.Live, ev.id)
-				v.Finished[ev.id] = true
-				metrics.PerTxn[ev.id].End = v.Clock
-				cfg.Policy.TxnFinished(ev.id, v)
-			default:
-				pending[ev.req.TxnID] = ev.req
-			}
-		}
-		// Expunge the members' operations from the recorded schedule.
+		// Expunge the members' operations from the recorded schedule,
+		// noting the items they wrote.
+		var undo []string
 		kept := ops[:0]
 		for _, o := range ops {
-			if in[o.Txn] {
+			if p := in[o.Txn]; p != nil {
 				metrics.WastedOps++
-				metrics.PerTxn[o.Txn].WastedOps++
-				metrics.PerTxn[o.Txn].Ops--
+				p.tm.WastedOps++
+				p.tm.Ops--
+				if o.Action == txn.ActionWrite {
+					undo = append(undo, o.Entity)
+				}
 				continue
 			}
 			o.Pos = len(kept)
@@ -802,6 +872,25 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		ops = kept
 		v.Ops = ops
+		// Undo their store effects: each such item falls back to its
+		// latest surviving write, or to the initial state.
+		for _, item := range undo {
+			i := len(ops) - 1
+			for i >= 0 && (ops[i].Action != txn.ActionWrite || ops[i].Entity != item) {
+				i--
+			}
+			if i >= 0 {
+				v.Store.Set(item, ops[i].Value)
+				v.LastWriter[item] = ops[i].Txn
+				continue
+			}
+			if val, had := cfg.Initial.Get(item); had {
+				v.Store.Set(item, val)
+			} else {
+				delete(v.Store, item)
+			}
+			v.LastWriter[item] = 0
+		}
 		// The expunge renumbered every surviving operation at or beyond
 		// the victims' positions; rebuild the last-position index (the
 		// abort already paid an O(n) schedule rewrite).
@@ -811,41 +900,20 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 				lastPos[o.Txn] = i
 			}
 		}
-		// Undo their store effects: peel their write-history layers and
-		// restore each touched item's surviving top.
-		for _, id := range closure {
-			for _, item := range writesOf[id] {
-				hist := writeHist[item]
-				filtered := hist[:0]
-				for _, rec := range hist {
-					if !in[rec.writer] {
-						filtered = append(filtered, rec)
-					}
-				}
-				writeHist[item] = filtered
-				top := filtered[len(filtered)-1] // the writer-0 bottom always survives
-				if top.had {
-					v.Store.Set(item, top.val)
-				} else {
-					delete(v.Store, item)
-				}
-				v.LastWriter[item] = top.writer
+		// Drop the reads-from bookkeeping. A member's own readers are all
+		// members too: the closure holds every live one and a finished
+		// one would have pinned it.
+		for _, p := range in {
+			for _, w := range p.readFrom {
+				w.readers = slices.DeleteFunc(w.readers, func(r *proc) bool { return r == p })
 			}
-			delete(writesOf, id)
-		}
-		// Drop the members' reads-from bookkeeping.
-		for _, id := range closure {
-			for w := range readsFrom[id] {
-				delete(v.readersOf[w], id)
-			}
-			delete(readsFrom, id)
-			delete(v.readersOf, id)
+			p.readFrom, p.readers = p.readFrom[:0], p.readers[:0]
 		}
 		ra, _ := cfg.Policy.(Restarter)
 		cc, _ := cfg.Policy.(Canceler)
 		for _, id := range closure {
 			metrics.Aborts++
-			metrics.PerTxn[id].Aborts++
+			in[id].tm.Aborts++
 			switch {
 			case byCancel && cc != nil:
 				cc.TxnCanceled(id, v)
@@ -856,7 +924,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	// abortAndRestart erases the victim's attempt (and its cascade
-	// closure) per the package's abort semantics and respawns the
+	// closure) per the package's abort semantics and restarts the
 	// programs. It must only be called at a stall, when every live
 	// transaction is parked on a pending request.
 	abortAndRestart := func(victim int) error {
@@ -866,7 +934,9 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		eraseAttempts(closure, false)
 		for _, id := range closure {
-			spawn(id)
+			p := v.proc(id)
+			p.start(interp)
+			runnable = append(runnable, p)
 			metrics.Restarts++
 		}
 		return nil
@@ -875,51 +945,27 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	// cancelRun settles a cancelled run. It is called between
 	// scheduling steps; transactions that complete while the remaining
 	// parks are gathered commit normally (a program error still wins
-	// and takes the usual abort path). Every erasable live transaction
-	// — one whose abort closure holds — is erased like a policy victim
-	// but not respawned; a pinned one (its written value was consumed
-	// by a finished transaction) is retired as committed with its
-	// partial prefix. The surviving schedule plus the served read-only
-	// results form the partial Result returned with the typed error.
+	// and fails the run). Every erasable live transaction — one whose
+	// abort closure holds — is erased like a policy victim but not
+	// restarted; a pinned one (its written value was consumed by a
+	// finished transaction) is retired as committed with its partial
+	// prefix. The surviving schedule plus the served read-only results
+	// form the partial Result returned with the typed error.
 	cancelRun := func() (*Result, error) {
-		for len(pending) < len(v.Live) {
-			ev := <-events
-			if ev.done {
-				if ev.err != nil {
-					runErr = fmt.Errorf("exec: T%d: %w", ev.id, ev.err)
-					delete(v.Live, ev.id)
-					abort()
-					return nil, runErr
-				}
-				delete(v.Live, ev.id)
-				v.Finished[ev.id] = true
-				metrics.PerTxn[ev.id].End = v.Clock
-				cfg.Policy.TxnFinished(ev.id, v)
-				continue
-			}
-			pending[ev.req.TxnID] = ev.req
+		if err := gather(); err != nil {
+			return nil, err
 		}
-		liveIDs := make([]int, 0, len(v.Live))
-		for id := range v.Live {
-			liveIDs = append(liveIDs, id)
-		}
-		sort.Ints(liveIDs)
 		// The erasable set is closed under cascade: every live reader of
 		// an erasable transaction's write belongs to its closure, so the
 		// union of the successful closures erases cleanly in one pass.
-		erasable := make([]int, 0, len(liveIDs))
-		inErase := make(map[int]bool, len(liveIDs))
-		for _, id := range liveIDs {
-			if inErase[id] {
+		var erasable []int
+		for _, p := range parked {
+			if slices.Contains(erasable, p.id) {
 				continue
 			}
-			closure, ok := v.AbortClosure(id)
-			if !ok {
-				continue
-			}
+			closure, _ := v.AbortClosure(p.id)
 			for _, m := range closure {
-				if !inErase[m] {
-					inErase[m] = true
+				if !slices.Contains(erasable, m) {
 					erasable = append(erasable, m)
 				}
 			}
@@ -935,29 +981,8 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		// Force-retire the pinned remainder: finished transactions
 		// already consumed their writes, so erasure is unsound and the
 		// only consistent terminal state is committed-with-prefix.
-		pinned := make([]int, 0, len(v.Live))
-		for id := range v.Live {
-			pinned = append(pinned, id)
-		}
-		sort.Ints(pinned)
-		for _, id := range pinned {
-			r := pending[id]
-			delete(pending, id)
-			r.reply <- replyMsg{err: errAborted}
-		}
-		for await := len(pinned); await > 0; {
-			ev := <-events
-			if ev.done {
-				await--
-				continue
-			}
-			pending[ev.req.TxnID] = ev.req // defensive; everyone is parked
-		}
-		for _, id := range pinned {
-			delete(v.Live, id)
-			v.Finished[id] = true
-			metrics.PerTxn[id].End = v.Clock
-			cfg.Policy.TxnFinished(id, v)
+		for len(parked) > 0 {
+			finish(unpark(0))
 		}
 		cancelErr := CancelError(ctx)
 		v.Ops = ops
@@ -973,12 +998,6 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		}, cancelErr
 	}
 
-	// Per-tick scratch, reused across scheduling steps: the sorted
-	// pending-request view handed to the policy. The slices are only
-	// valid during the Pick call (policies must not retain them).
-	list := make([]*Request, 0, len(ids))
-	pids := make([]int, 0, len(ids))
-
 	for len(v.Live) > 0 {
 		// Cancellation is detected here, between scheduling steps: every
 		// grant issued so far is complete and journaled, so settling now
@@ -990,27 +1009,11 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		// snapshot the sealed committed prefix and complete without
 		// entering the pending set or the policy.
 		if err := serveDueROs(false); err != nil {
-			runErr = err
-			abort()
-			return nil, runErr
+			return nil, err
 		}
-		// Gather one request per live transaction.
-		for len(pending) < len(v.Live) {
-			ev := <-events
-			if ev.done {
-				if ev.err != nil {
-					runErr = fmt.Errorf("exec: T%d: %w", ev.id, ev.err)
-					delete(v.Live, ev.id)
-					abort()
-					return nil, runErr
-				}
-				delete(v.Live, ev.id)
-				v.Finished[ev.id] = true
-				metrics.PerTxn[ev.id].End = v.Clock
-				cfg.Policy.TxnFinished(ev.id, v)
-				continue
-			}
-			pending[ev.req.TxnID] = ev.req
+		// One request per live transaction before the policy picks.
+		if err := gather(); err != nil {
+			return nil, err
 		}
 		if len(v.Live) == 0 {
 			break
@@ -1019,30 +1022,17 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 			return cancelRun()
 		}
 
-		list, pids = list[:0], pids[:0]
-		for id := range pending {
-			pids = append(pids, id)
-		}
-		slices.Sort(pids)
-		for _, id := range pids {
-			list = append(list, pending[id])
-		}
-
 		v.Ops = ops
 		passes := 0
 		choice := cfg.Policy.Pick(list, v)
 		for choice == PassTick {
+			// Everything pending waits through a passed tick; unpark
+			// counts it from the clock.
 			v.Clock++
 			metrics.Ticks++
-			for _, id := range pids {
-				metrics.PerTxn[id].Waits++
-				metrics.Waits++
-			}
 			passes++
 			if passes > maxConsecutivePasses {
-				runErr = stallCause(cfg.Policy, fmt.Errorf("%w: policy passed %d consecutive ticks", ErrStall, passes))
-				abort()
-				return nil, runErr
+				return nil, stallCause(cfg.Policy, fmt.Errorf("%w: policy passed %d consecutive ticks", ErrStall, passes))
 			}
 			if ctx.Err() != nil {
 				return cancelRun()
@@ -1056,68 +1046,43 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 			if ra, isRestarter := cfg.Policy.(Restarter); isRestarter {
 				if vi := ra.Victim(list, v); vi >= 0 && vi < len(list) {
 					if metrics.Aborts >= maxAborts {
-						runErr = stallCause(cfg.Policy, fmt.Errorf("%w: abort budget (%d) exhausted", ErrStall, maxAborts))
-						abort()
-						return nil, runErr
+						return nil, stallCause(cfg.Policy, fmt.Errorf("%w: abort budget (%d) exhausted", ErrStall, maxAborts))
 					}
 					if err := abortAndRestart(list[vi].TxnID); err != nil {
-						runErr = stallCause(cfg.Policy, fmt.Errorf("%w: %v", ErrStall, err))
-						abort()
-						return nil, runErr
+						return nil, stallCause(cfg.Policy, fmt.Errorf("%w: %v", ErrStall, err))
 					}
 					continue
 				}
 			}
-			runErr = stallCause(cfg.Policy, fmt.Errorf("%w: pending %v", ErrStall, list))
-			abort()
-			return nil, runErr
+			return nil, stallCause(cfg.Policy, fmt.Errorf("%w: pending %v", ErrStall, list))
 		}
-		granted := list[choice]
-		delete(pending, granted.TxnID)
 
-		// Apply the operation.
-		tm := metrics.PerTxn[granted.TxnID]
-		if tm.Start < 0 {
-			tm.Start = v.Clock
+		// Apply the granted operation and make its program runnable.
+		p := unpark(choice)
+		if p.tm.Start < 0 {
+			p.tm.Start = v.Clock
 		}
-		tm.Ops++
-		var rep replyMsg
-		op := txn.Op{Txn: granted.TxnID, Action: granted.Action, Entity: granted.Entity, Pos: len(ops)}
-		switch granted.Action {
+		p.tm.Ops++
+		op := txn.Op{Txn: p.id, Action: p.req.Action, Entity: p.req.Entity, Pos: len(ops)}
+		switch op.Action {
 		case txn.ActionRead:
-			val, ok := v.Store.Get(granted.Entity)
+			val, ok := v.Store.Get(op.Entity)
 			if !ok {
-				rep.err = fmt.Errorf("exec: data item %q has no value", granted.Entity)
-				granted.reply <- rep
-				runErr = rep.err
-				abort()
-				return nil, runErr
+				return nil, fmt.Errorf("exec: data item %q has no value", op.Entity)
 			}
 			// Record reads-from so aborts can cascade to transactions
 			// that consumed a victim's written value.
-			if w := v.LastWriter[granted.Entity]; w != 0 && w != granted.TxnID {
-				if readsFrom[granted.TxnID] == nil {
-					readsFrom[granted.TxnID] = make(map[int]bool)
+			if w := v.LastWriter[op.Entity]; w != 0 && w != p.id {
+				if wp := v.proc(w); !slices.Contains(p.readFrom, wp) {
+					p.readFrom = append(p.readFrom, wp)
+					wp.readers = append(wp.readers, p)
 				}
-				readsFrom[granted.TxnID][w] = true
-				if v.readersOf[w] == nil {
-					v.readersOf[w] = make(map[int]bool)
-				}
-				v.readersOf[w][granted.TxnID] = true
 			}
-			op.Value = val
-			rep.value = val
+			op.Value, p.val = val, val
 		case txn.ActionWrite:
-			hist := writeHist[granted.Entity]
-			if len(hist) == 0 {
-				old, had := v.Store.Get(granted.Entity)
-				hist = append(hist, writeRec{writer: 0, val: old, had: had})
-			}
-			writeHist[granted.Entity] = append(hist, writeRec{writer: granted.TxnID, val: granted.Value, had: true})
-			writesOf[granted.TxnID] = append(writesOf[granted.TxnID], granted.Entity)
-			v.Store.Set(granted.Entity, granted.Value)
-			v.LastWriter[granted.Entity] = granted.TxnID
-			op.Value = granted.Value
+			v.Store.Set(op.Entity, p.req.Value)
+			v.LastWriter[op.Entity] = p.id
+			op.Value = p.req.Value
 		}
 		if mv != nil {
 			lastPos[op.Txn] = len(ops)
@@ -1125,14 +1090,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		ops = append(ops, op)
 		v.Clock++
 		metrics.Ticks++
-		for _, id := range pids {
-			if id == granted.TxnID {
-				continue
-			}
-			metrics.PerTxn[id].Waits++
-			metrics.Waits++
-		}
-		granted.reply <- rep
+		runnable = append(runnable, p)
 	}
 
 	// Readers whose begin tick lies beyond the run snapshot the full

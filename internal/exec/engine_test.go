@@ -1,9 +1,13 @@
 package exec_test
 
 import (
+	"context"
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 
+	"pwsr/internal/constraint"
 	"pwsr/internal/exec"
 	"pwsr/internal/paper"
 	"pwsr/internal/program"
@@ -300,5 +304,156 @@ func TestEnginePassTick(t *testing.T) {
 	}
 	if res.Schedule.Len() != 1 {
 		t.Fatalf("ops = %d", res.Schedule.Len())
+	}
+}
+
+// settledGoroutines polls runtime.NumGoroutine until it drops to want
+// (an exiting goroutine may lag its last observable action) and returns
+// the final reading.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 200 && n > want; i++ {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// errAny marks a test case that must fail, with whatever error.
+var errAny = errors.New("any error")
+
+// neverGrant is a blocking policy that grants nothing: a hard stall.
+type neverGrant struct{}
+
+func (neverGrant) Pick([]*exec.Request, *exec.View) int { return -1 }
+func (neverGrant) TxnFinished(int, *exec.View)          {}
+
+// cancelAfter fires cancel while picking the n-th grant, so the engine
+// finds the context dead at its next scheduling step.
+type cancelAfter struct {
+	exec.Policy
+	n      int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfter) Pick(pending []*exec.Request, v *exec.View) int {
+	if c.n--; c.n == 0 {
+		c.cancel()
+	}
+	return c.Policy.Pick(pending, v)
+}
+
+// TestRunLeavesNoCoroutines pins the invariant the coroutine transport
+// must enforce explicitly: every attempt RunCtx started has returned by
+// the time RunCtx does, on every exit path. A pull-coroutine is a
+// goroutine until its interpreter returns, and stopping one waits for
+// exactly that, so the goroutine count returning to its pre-call value
+// is the interpreter-returned count; the canary write at the end of
+// every unwound program must never reach the store.
+func TestRunLeavesNoCoroutines(t *testing.T) {
+	parse := func(srcs ...string) map[int]*program.Program {
+		m := make(map[int]*program.Program, len(srcs))
+		for i, src := range srcs {
+			m[i+1] = program.MustParse(src)
+		}
+		return m
+	}
+	initial := state.Ints(map[string]int64{"x": 1, "y": 0, "z": 0, "q": 0, "canary": 0})
+	parked := `program P { q := q + 1; canary := 1; }` // left parked when the run ends
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	cases := []struct {
+		name     string
+		ctx      context.Context
+		programs map[int]*program.Program
+		policy   exec.Policy
+		budget   int
+		wantErr  error // nil: success; errAny: any failure
+		check    func(t *testing.T, res *exec.Result)
+	}{
+		{name: "clean finish", programs: parse(`program A { x := x + 1; }`, `program B { y := y + 1; }`),
+			policy: &sched.RoundRobin{}},
+		{name: "program error", programs: parse(`program A { x := 1; x := 2; canary := 1; }`, parked),
+			policy: &sched.RoundRobin{}, wantErr: errAny},
+		{name: "hard stall", programs: parse(`program A { x := x + 1; canary := 1; }`, parked),
+			policy: neverGrant{}, wantErr: exec.ErrStall},
+		{name: "abort budget", programs: parse(`program A { x := x + 1; canary := 1; }`, parked),
+			policy: &alwaysAbort{}, budget: 8, wantErr: exec.ErrStall},
+		{name: "missing item", programs: parse(`program A { x := nosuch; canary := 1; }`, parked),
+			policy: &sched.RoundRobin{}, wantErr: errAny},
+		// w1(x), r2(x), w2(y) — T2 finishes having read T1's write, so T1
+		// is pinned — then r3(q), whose grant fires the cancel: T3 is
+		// erased, T1 retired with its prefix.
+		{name: "cancel with an erasable and a pinned transaction", ctx: ctx,
+			programs: parse(`program A { x := 5; z := z + 1; canary := 1; }`, `program B { y := x; }`, parked),
+			policy:   &cancelAfter{Policy: sched.NewScript(1, 2, 2, 3), n: 4, cancel: cancel}, wantErr: exec.ErrCanceled,
+			check: func(t *testing.T, res *exec.Result) {
+				if res == nil {
+					t.Fatal("cancelled run returned no partial result")
+				}
+				if got, want := res.Schedule.Ops().String(), "w1(x, 5), r2(x, 5), w2(y, 5)"; got != want {
+					t.Fatalf("surviving schedule = %s, want %s", got, want)
+				}
+				if m := res.Metrics; m.Aborts != 1 || m.PerTxn[3].Aborts != 1 || m.WastedOps != 1 {
+					t.Fatalf("metrics = %+v, want T3's one operation erased", m)
+				}
+				if res.Final.MustGet("canary").AsInt() != 0 {
+					t.Fatalf("an unwound program ran on to its canary write: %s", res.Schedule)
+				}
+			}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if c.ctx == nil {
+				c.ctx = context.Background()
+			}
+			before := runtime.NumGoroutine()
+			res, err := exec.RunCtx(c.ctx, exec.Config{Programs: c.programs, Initial: initial, Policy: c.policy, MaxAborts: c.budget})
+			if after := settledGoroutines(before); after != before {
+				t.Fatalf("goroutines: %d before, %d after: an attempt was left unstopped", before, after)
+			}
+			switch {
+			case c.wantErr == nil && err != nil:
+				t.Fatal(err)
+			case c.wantErr != nil && err == nil:
+				t.Fatal("run succeeded, want an error")
+			case c.wantErr != nil && c.wantErr != errAny && !errors.Is(err, c.wantErr):
+				t.Fatalf("err = %v, want %v", err, c.wantErr)
+			}
+			if c.check != nil {
+				c.check(t, res)
+			}
+		})
+	}
+}
+
+// TestProgramPanicSurfacesOnCaller: a panic inside a program unwinds
+// through RunCtx onto the caller's stack, where the caller can recover
+// it, and takes the other attempts down with it — not the process, as a
+// panic on a detached program goroutine would.
+func TestProgramPanicSurfacesOnCaller(t *testing.T) {
+	bad := program.MustParse(`program A { x := x + 1; }`)
+	// A typed-nil variable node: evaluating it dereferences nil.
+	bad.Body = append(bad.Body, &program.Assign{Target: "y", Expr: (*constraint.Var)(nil)})
+	programs := map[int]*program.Program{
+		1: bad,
+		2: program.MustParse(`program B { z := z + 1; q := q + 1; }`),
+	}
+	before := runtime.NumGoroutine()
+	recovered := func() (r any) {
+		defer func() { r = recover() }()
+		exec.Run(exec.Config{
+			Programs: programs,
+			Initial:  state.Ints(map[string]int64{"x": 0, "y": 0, "z": 0, "q": 0}),
+			Policy:   &sched.RoundRobin{},
+		})
+		return nil
+	}()
+	if recovered == nil {
+		t.Fatal("the program's panic did not reach the caller")
+	}
+	if after := settledGoroutines(before); after != before {
+		t.Fatalf("goroutines: %d before, %d after the recovered panic", before, after)
 	}
 }

@@ -1,14 +1,20 @@
 package exec_test
 
 import (
+	"bytes"
 	"errors"
+	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"pwsr/internal/exec"
+	"pwsr/internal/gen"
 	"pwsr/internal/program"
 	"pwsr/internal/sched"
 	"pwsr/internal/state"
+	"pwsr/internal/txn"
 )
 
 // forcedRestart wraps an inner policy and forces exactly one stall
@@ -89,6 +95,31 @@ func TestEngineAbortUndoesWrites(t *testing.T) {
 	// Exactly one attempt of each transaction survives.
 	if res.Schedule.Len() != 6 {
 		t.Fatalf("schedule = %s", res.Schedule)
+	}
+}
+
+// TestEngineAbortRestoresSurvivingWrite aborts a transaction that
+// overwrote a finished transaction's value: the item must fall back to
+// that surviving write — found in the schedule, not the initial state.
+func TestEngineAbortRestoresSurvivingWrite(t *testing.T) {
+	programs := map[int]*program.Program{
+		1: program.MustParse(`program A { x := 5; }`),
+		2: program.MustParse(`program B { x := 7; q := q + 1; }`),
+		3: program.MustParse(`program C { y := x; }`),
+	}
+	initial := state.Ints(map[string]int64{"x": 1, "y": 0, "q": 0})
+	// w1(x,5) finishes T1, w2(x,7); the forced stall aborts T2; T3 then
+	// reads x and must see T1's 5 before T2's second attempt runs.
+	pol := &forcedRestart{Policy: sched.NewScript(1, 2, 3, 3, 2, 2, 2), victim: 2, after: 2}
+	res, err := exec.Run(exec.Config{Programs: programs, Initial: initial, Policy: pol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Final.MustGet("y"); got.AsInt() != 5 {
+		t.Fatalf("final y = %s, want 5 (x rolled back to T1's surviving write)\n%s", got, res.Schedule)
+	}
+	if err := res.Schedule.ConsistentValues(initial); err != nil {
+		t.Fatalf("schedule does not replay: %v\n%s", err, res.Schedule)
 	}
 }
 
@@ -205,3 +236,115 @@ func (a *alwaysAbort) Pick(pending []*exec.Request, v *exec.View) int   { return
 func (a *alwaysAbort) TxnFinished(id int, v *exec.View)                 {}
 func (a *alwaysAbort) Victim(pending []*exec.Request, v *exec.View) int { return 0 }
 func (a *alwaysAbort) TxnAborted(id int, v *exec.View)                  {}
+
+// waitLedger is the reference the engine's O(1) wait accounting is
+// pinned against: the per-tick walk over the pending list the engine
+// used to make — every pending transaction but the granted one waits a
+// tick — kept here. It wraps the restarting policy under test, passes
+// every passEvery-th tick on its own, and records completion order.
+type waitLedger struct {
+	inner     exec.Restarter
+	passEvery int
+	picks     int
+	waits     map[int]int
+	finished  []int
+}
+
+func (l *waitLedger) Pick(pending []*exec.Request, v *exec.View) int {
+	l.picks++
+	choice := exec.PassTick
+	if l.picks%l.passEvery != 0 {
+		choice = l.inner.Pick(pending, v)
+	}
+	if choice == exec.PassTick || (choice >= 0 && choice < len(pending)) {
+		for i, r := range pending {
+			if i != choice {
+				l.waits[r.TxnID]++
+			}
+		}
+	}
+	return choice
+}
+
+func (l *waitLedger) Victim(pending []*exec.Request, v *exec.View) int {
+	return l.inner.Victim(pending, v)
+}
+func (l *waitLedger) TxnAborted(id int, v *exec.View) { l.inner.TxnAborted(id, v) }
+func (l *waitLedger) TxnFinished(id int, v *exec.View) {
+	l.finished = append(l.finished, id)
+	l.inner.TxnFinished(id, v)
+}
+
+// TestEngineIdenticalAcrossRunsAndProcs is the transport's identity
+// differential: one Config — an optimistic gate that restarts victims,
+// under a wrapper that also passes ticks — run 50 times each at
+// GOMAXPROCS 1 and 8 yields the byte-identical history, DeepEqual
+// Metrics and the same TxnFinished order every time; the Waits in those
+// Metrics equal the reference ledger's per-tick count; and programs
+// finishing in the same gather (the two without operations) report in
+// ascending id order.
+func TestEngineIdenticalAcrossRunsAndProcs(t *testing.T) {
+	w := gen.MustGenerate(gen.Config{Conjuncts: 2, Programs: 10, MovesPerProgram: 3, Seed: 11})
+	programs := make(map[int]*program.Program, len(w.Programs)+2)
+	for id, p := range w.Programs {
+		programs[id] = p
+	}
+	idle := program.MustParse(`program Idle { let a := 1; }`)
+	programs[101], programs[102] = idle, idle
+
+	type outcome struct {
+		history  []byte
+		metrics  exec.Metrics
+		finished []int
+	}
+	run := func() outcome {
+		ledger := &waitLedger{
+			inner:     sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(5), nil),
+			passEvery: 7,
+			waits:     make(map[int]int),
+		}
+		res, err := exec.Run(exec.Config{Programs: programs, Initial: w.Initial, Policy: ledger, DataSets: w.DataSets})
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		for id, tm := range res.Metrics.PerTxn {
+			if tm.Waits != ledger.waits[id] {
+				t.Fatalf("T%d Waits = %d, the per-tick reference counts %d", id, tm.Waits, ledger.waits[id])
+			}
+			total += tm.Waits
+		}
+		if res.Metrics.Waits != total {
+			t.Fatalf("Metrics.Waits = %d, per-transaction sum %d", res.Metrics.Waits, total)
+		}
+		history, err := txn.EncodeHistory(w.Initial, res.Schedule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outcome{history: history, metrics: res.Metrics, finished: ledger.finished}
+	}
+
+	want := run()
+	if m := want.metrics; m.Aborts == 0 || m.Waits == 0 {
+		t.Fatalf("the workload exercises no victim restart or no wait: %+v", m)
+	}
+	if len(want.finished) != len(programs) || want.finished[0] != 101 || want.finished[1] != 102 {
+		t.Fatalf("TxnFinished order = %v, want the idle programs first, ascending", want.finished)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 8} {
+		runtime.GOMAXPROCS(procs)
+		for i := 0; i < 50; i++ {
+			got := run()
+			if !bytes.Equal(got.history, want.history) {
+				t.Fatalf("GOMAXPROCS %d run %d: history differs:\n%s\nwant\n%s", procs, i, got.history, want.history)
+			}
+			if !reflect.DeepEqual(got.metrics, want.metrics) {
+				t.Fatalf("GOMAXPROCS %d run %d: metrics = %+v, want %+v", procs, i, got.metrics, want.metrics)
+			}
+			if !slices.Equal(got.finished, want.finished) {
+				t.Fatalf("GOMAXPROCS %d run %d: TxnFinished order = %v, want %v", procs, i, got.finished, want.finished)
+			}
+		}
+	}
+}

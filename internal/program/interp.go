@@ -10,9 +10,9 @@ import (
 )
 
 // Accessor is the interface through which an executing program touches
-// the database. The concurrent execution engine implements it with
-// channel-mediated requests; RunInIsolation implements it over a private
-// store.
+// the database. The concurrent execution engine implements it with a
+// coroutine that parks on each request until the interleaving policy
+// grants it; RunInIsolation implements it over a private store.
 type Accessor interface {
 	// Read returns the current value of item.
 	Read(item string) (state.Value, error)
@@ -35,8 +35,10 @@ var ErrDiscipline = errors.New("program: access discipline violation")
 // after the program wrote it see the written value without emitting an
 // operation; a second write is an error in strict mode.
 type Discipline struct {
-	inner   Accessor
-	strict  bool
+	inner  Accessor
+	strict bool
+	// read and written are allocated by the first read and the first
+	// write: an attempt that is aborted early fills neither.
 	read    map[string]state.Value
 	written map[string]state.Value
 }
@@ -45,12 +47,7 @@ type Discipline struct {
 // ErrDiscipline errors; with strict false they pass through to the
 // underlying accessor (producing schedules the validators will flag).
 func NewDiscipline(acc Accessor, strict bool) *Discipline {
-	return &Discipline{
-		inner:   acc,
-		strict:  strict,
-		read:    make(map[string]state.Value),
-		written: make(map[string]state.Value),
-	}
+	return &Discipline{inner: acc, strict: strict}
 }
 
 // Read implements Accessor with read-once caching.
@@ -65,6 +62,9 @@ func (d *Discipline) Read(item string) (state.Value, error) {
 	if err != nil {
 		return state.Value{}, err
 	}
+	if d.read == nil {
+		d.read = make(map[string]state.Value)
+	}
 	d.read[item] = v
 	return v, nil
 }
@@ -76,6 +76,9 @@ func (d *Discipline) Write(item string, v state.Value) error {
 	}
 	if err := d.inner.Write(item, v); err != nil {
 		return err
+	}
+	if d.written == nil {
+		d.written = make(map[string]state.Value)
 	}
 	d.written[item] = v
 	return nil
@@ -106,13 +109,13 @@ func (in *Interp) maxSteps() int {
 // sees exactly the operations of the resulting transaction, in order.
 func (in *Interp) Run(p *Program, acc Accessor) error {
 	d := NewDiscipline(acc, in.Strict)
-	env := &env{locals: map[string]state.Value{}, acc: d}
+	env := &env{acc: d}
 	steps := in.maxSteps()
 	return execStmts(p.Body, env, &steps)
 }
 
-// env is the interpreter's runtime environment: program locals plus the
-// disciplined accessor.
+// env is the interpreter's runtime environment: program locals (allocated
+// by the first let) plus the disciplined accessor.
 type env struct {
 	locals map[string]state.Value
 	acc    Accessor
@@ -137,6 +140,9 @@ func execStmts(stmts []Stmt, e *env, steps *int) error {
 			v, err := constraint.EvalExpr(n.Expr, e.lookup)
 			if err != nil {
 				return fmt.Errorf("let %s: %w", n.Name, err)
+			}
+			if e.locals == nil {
+				e.locals = make(map[string]state.Value)
 			}
 			e.locals[n.Name] = v
 		case *Assign:

@@ -44,7 +44,7 @@ func (c *C2PL) coordDebt(id int, v *exec.View) int {
 	if c.CoordCostPerExtraSet <= 0 || len(v.DataSets) == 0 {
 		return 0
 	}
-	a := v.Access[id]
+	a := v.AccessOf(id)
 	spanned := map[int]bool{}
 	for it := range a.Reads.Union(a.Writes) {
 		spanned[setOf(v, it)] = true
@@ -71,7 +71,7 @@ func (c *C2PL) Pick(pending []*exec.Request, v *exec.View) int {
 	for k := 0; k < n; k++ {
 		i := (c.rr + k) % n
 		r := pending[i]
-		a := v.Access[r.TxnID]
+		a := v.AccessOf(r.TxnID)
 		if c.table.CanAcquire(r.TxnID, a.Reads, a.Writes) {
 			// Charge the coordination latency for a multi-set
 			// acquisition before it takes effect.
@@ -172,7 +172,7 @@ func (p *PW2PL) grantable(r *exec.Request, v *exec.View) bool {
 // setAccess returns txn id's declared reads and writes within set k
 // (k = -1 collects the items outside every set).
 func (p *PW2PL) setAccess(id, k int, v *exec.View) (reads, writes state.ItemSet) {
-	a := v.Access[id]
+	a := v.AccessOf(id)
 	in := func(item string) bool {
 		if k == -1 {
 			return setOf(v, item) == -1
@@ -211,7 +211,7 @@ func (p *PW2PL) grant(r *exec.Request, v *exec.View) {
 	}
 
 	// Spend the item when this is its final possible operation.
-	a := v.Access[id]
+	a := v.AccessOf(id)
 	spent := r.Action == txn.ActionWrite || !a.Writes.Contains(r.Entity)
 	if spent {
 		rem := p.remaining[id][k]
