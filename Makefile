@@ -13,7 +13,7 @@ tier1:
 # workloads through the whole pipeline, end-to-end metrics untraced and
 # per-layer attribution from a traced pass (see benchmark/README.md).
 # `go run ./benchmark -workload cad-tick` is the tick engine's
-# performance surface.
+# performance surface, `-workload hot-tick` the gate's.
 .PHONY: benchmark
 benchmark:
 	sh benchmark/run.sh
@@ -194,11 +194,17 @@ test:
 # (TestCompactDifferential, TestShardedCompactConcurrent), which are
 # not -short-gated; -short on the race passes skips only the 1M-op
 # soak (that lives in `make soak` and in the un-raced tier-1 suite).
+# The raced sched legs include the verdict memo's soundness
+# differential (TestVerdictMemoMatchesFreshMask: the memoized mask
+# against a from-scratch recomputation at every Pick, the sharded
+# gate's concurrent probes included).
 # The final leg re-runs the TestZeroAlloc* and TestTickEngineAllocs
 # pins without the race detector (whose instrumentation allocates, so
 # the pins self-skip under -race): an allocation regression on the
-# steady-state Observe/Admissible hot path or the tick engine's grant
-# path fails CI here, not just benchmarks.
+# steady-state Observe/Admissible hot path, a gate tick
+# (TestZeroAllocGatePick, TestZeroAllocDelayedReadPick), victim
+# selection (TestZeroAllocVictim) or the tick engine's grant path fails
+# CI here, not just benchmarks.
 # The chaos smoke (a fixed 40-seed band of the ROBUST1 fault
 # differential, deterministic by construction) also rides in the raced
 # `./...` pass; the full randomized matrix lives in `make chaos`.

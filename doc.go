@@ -103,13 +103,30 @@
 // monitor interns transactions once into dense tables, keeps edge
 // reference counts in an open-addressing table, pools every search and
 // replay scratch buffer, and memoizes Admissible verdicts in a
-// generation-invalidated probe cache (a denied pending request
-// re-probed each scheduler tick costs a hash lookup until the
-// certification state it depends on actually moves; the soundness rule
-// and its monotonicity argument are in the core package comment). The
-// certification gates reuse their per-tick candidate buffers and the
-// engine surfaces the cache counters through
-// Metrics.ProbeHits/ProbeMisses/ProbeInvalidations. Monitor
+// generation-invalidated probe cache (a repeated probe costs a hash
+// lookup until the certification state it depends on actually moves;
+// the soundness rule and its monotonicity argument are in the core
+// package comment). The engine surfaces the cache counters through
+// Metrics.ProbeHits/ProbeMisses/ProbeInvalidations.
+//
+// The certification gates tick incrementally: a tick costs what changed
+// since the last one, not what is pending. Each gate carries its
+// pending requests' verdicts from tick to tick and re-decides one only
+// when a per-conjunct epoch under it moved — a grant moves the epochs of
+// the granted item's conjuncts, an abort, cancel or commit those of the
+// conjuncts the transaction was granted in, and whatever reaches the
+// certifier without naming a conjunct (batch admission, a compaction
+// pass, a drain, a caller handed Monitor()) moves a global one. The rule
+// is exact, not a heuristic, because PWSR is predicate-wise: Definition
+// 2 certifies each conjunct's projection on its own, so nothing that
+// happens inside conjunct e′ can change the admissibility of a request
+// on an item of conjunct e (the sched package comment states the rule in
+// full; TestVerdictMemoMatchesFreshMask recomputes the whole mask at
+// every tick and requires equality). The engine does its share: it
+// maintains each attempt's first schedule position and operation count
+// (View.FirstOp, View.OpCount), so choosing a victim is O(pending), and
+// an abort rewrites only the schedule suffix from the victim's first
+// operation on. EXPERIMENTS.md PERF13 records the effect. Monitor
 // inspection accessors such as ConflictEdges allocate per call and are
 // for differential tests and post-run analysis, not the admission
 // path.

@@ -137,7 +137,7 @@ func TestZeroAllocGateTick(t *testing.T) {
 // engine in allocations, the run's set-up and result included: a fixed
 // 12-program round under a plain round-robin policy, so neither a
 // gate's bookkeeping nor an abort's is in the count. The coroutine
-// transport reaches 2.69 allocs/op here — 285 a run, of which 108 are
+// transport reaches 2.71 allocs/op here — 287 a run, of which 108 are
 // iter.Pull's nine per attempt — where the goroutine-and-channel
 // transport it replaced took 4.37 (eager access declarations, three
 // maps per attempt, per-item write histories, a schedule buffer grown
@@ -162,5 +162,106 @@ func TestTickEngineAllocs(t *testing.T) {
 	t.Logf("%.0f allocs over %d granted operations: %.2f allocs/op", allocs, ops, perOp)
 	if perOp > 3.0 {
 		t.Fatalf("tick engine allocates %.2f allocs per granted operation, want at most 3.0", perOp)
+	}
+}
+
+// passPolicy burns every tick, so a gate above it decides the pending
+// set and grants nothing.
+type passPolicy struct{}
+
+func (passPolicy) Pick([]*exec.Request, *exec.View) int { return exec.PassTick }
+func (passPolicy) TxnFinished(int, *exec.View)          {}
+
+// TestZeroAllocGatePick is TestZeroAllocGateTick one layer up: a real
+// gate re-deciding an unchanged pending set every tick allocates
+// nothing, and — its verdict memo standing — asks the monitor nothing
+// after the first tick.
+func TestZeroAllocGatePick(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is unreliable under -race")
+	}
+	m, _ := zeroAllocMonitor(t)
+	gate := sched.NewOptimisticCertifyOver(m, passPolicy{}, nil)
+	v := &exec.View{
+		Live:       map[int]bool{1: true, 2: true, 3: true},
+		Finished:   map[int]bool{},
+		LastWriter: map[string]int{"x": 1, "y": 1, "u": 1, "v": 1},
+	}
+	pending := []*exec.Request{
+		{TxnID: 1, Action: txn.ActionWrite, Entity: "y"},
+		{TxnID: 2, Action: txn.ActionRead, Entity: "x"}, // delayed: T1 wrote x and is live
+		{TxnID: 3, Action: txn.ActionWrite, Entity: "u"},
+	}
+	gate.Pick(pending, v)
+	before := m.ProbeStats()
+	allocs := testing.AllocsPerRun(500, func() { gate.Pick(pending, v) })
+	if allocs > 0 {
+		t.Fatalf("re-deciding a pending set allocates %.2f allocs/tick, want 0", allocs)
+	}
+	if after := m.ProbeStats(); after != before {
+		t.Fatalf("an unchanged pending set re-probed the monitor: %+v -> %+v", before, after)
+	}
+}
+
+// TestZeroAllocDelayedReadPick pins the delayed-read gate's tick at 0
+// allocs/op: its candidate buffers are reused scratch.
+func TestZeroAllocDelayedReadPick(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is unreliable under -race")
+	}
+	gate := &sched.DelayedRead{Inner: &sched.RoundRobin{}}
+	v := &exec.View{Finished: map[int]bool{}, LastWriter: map[string]int{"x": 1}}
+	pending := []*exec.Request{
+		{TxnID: 1, Action: txn.ActionWrite, Entity: "y"},
+		{TxnID: 2, Action: txn.ActionRead, Entity: "x"}, // delayed
+		{TxnID: 3, Action: txn.ActionRead, Entity: "u"},
+	}
+	allocs := testing.AllocsPerRun(500, func() {
+		if i := gate.Pick(pending, v); i != 0 && i != 2 {
+			t.Fatalf("Pick = %d, want an undelayed request", i)
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("DelayedRead.Pick allocates %.2f allocs/tick, want 0", allocs)
+	}
+}
+
+// victimAllocs measures what the gate's Victim allocates at every stall
+// of a real run (Victim changes nothing, so repeating the call is
+// harmless).
+type victimAllocs struct {
+	*sched.OptimisticCertify
+	calls int
+	worst float64
+}
+
+func (p *victimAllocs) Victim(pending []*exec.Request, v *exec.View) int {
+	p.calls++
+	if a := testing.AllocsPerRun(10, func() { p.OptimisticCertify.Victim(pending, v) }); a > p.worst {
+		p.worst = a
+	}
+	return p.OptimisticCertify.Victim(pending, v)
+}
+
+// TestZeroAllocVictim pins victim selection at 0 allocs/op under both
+// victim policies: the candidate list is gate scratch and the policies
+// read the engine's per-transaction op index instead of building maps
+// over the schedule.
+func TestZeroAllocVictim(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is unreliable under -race")
+	}
+	w := gen.MustGenerate(gen.Config{Conjuncts: 2, Programs: 12, MovesPerProgram: 2, Seed: 3})
+	for name, policy := range map[string]sched.VictimPolicy{"youngest": sched.VictimYoungest, "fewest-ops": sched.VictimFewestOps} {
+		p := &victimAllocs{OptimisticCertify: sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(1), policy)}
+		if _, err := exec.Run(exec.Config{Programs: w.Programs, Initial: w.Initial, Policy: p, DataSets: w.DataSets}); err != nil {
+			t.Fatal(err)
+		}
+		if p.calls == 0 {
+			t.Fatalf("%s: vacuous, the run never stalled", name)
+		}
+		if p.worst > 0 {
+			t.Fatalf("%s: Victim allocates %.2f allocs/call over %d stalls, want 0", name, p.worst, p.calls)
+		}
 	}
 }

@@ -155,6 +155,10 @@ func (sys *System) NewMonitor() *Monitor {
 	return NewMonitor(sys.Partition())
 }
 
+// Partition returns the conjunct partition the monitor certifies over.
+// Callers must not modify it.
+func (m *Monitor) Partition() []state.ItemSet { return m.partition }
+
 // Ops returns the number of operations observed.
 func (m *Monitor) Ops() int { return m.ops }
 
@@ -305,10 +309,14 @@ func (m *Monitor) admit(o *txn.Op) *Violation {
 // violation nothing is admissible.
 //
 // Verdicts are memoized per (transaction, item, read/write) in a
-// generation-invalidated probe cache, so a denied pending request
-// re-probed every scheduler tick costs a hash lookup instead of a
-// reachability search until certification state it depends on actually
-// moves. The invalidation rule is monotone and exact — see the package
+// generation-invalidated probe cache, so a repeated probe costs a hash
+// lookup instead of a reachability search until certification state it
+// depends on actually moves. The sched gates keep their own verdict
+// memo in front of this one and re-probe a pending request only when
+// something moved in its item's conjuncts, so from a gate the cache
+// sees just those probes: it absorbs the ones a finer-grained move
+// (another item of the same conjunct) left unchanged. The invalidation
+// rule is monotone and exact — see the package
 // comment's soundness paragraph and probe.go; TestProbeCacheDifferential
 // replays cached against uncached verdicts over random
 // Observe/Retract/Commit/Compact interleavings.

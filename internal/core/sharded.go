@@ -219,6 +219,10 @@ func NewShardedMonitor(partition []state.ItemSet, shards int) *ShardedMonitor {
 // Shards returns the number of shards.
 func (m *ShardedMonitor) Shards() int { return len(m.shards) }
 
+// Partition returns the conjunct partition the monitor certifies over.
+// Callers must not modify it.
+func (m *ShardedMonitor) Partition() []state.ItemSet { return m.partition }
+
 // Ops returns the number of operations observed (minus retracted
 // transactions' operations).
 func (m *ShardedMonitor) Ops() int {

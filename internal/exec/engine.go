@@ -205,6 +205,24 @@ func (v *View) proc(id int) *proc {
 	return &v.procs[i]
 }
 
+// FirstOp returns the position in Ops of transaction id's first
+// surviving operation; started is false while it has none. The engine
+// maintains it, so victim policies need not scan Ops.
+func (v *View) FirstOp(id int) (pos int, started bool) {
+	if p := v.proc(id); p != nil && p.tm.Ops > 0 {
+		return p.first, true
+	}
+	return 0, false
+}
+
+// OpCount returns how many of Ops belong to transaction id.
+func (v *View) OpCount(id int) int {
+	if p := v.proc(id); p != nil {
+		return p.tm.Ops
+	}
+	return 0
+}
+
 // AccessOf returns transaction id's declared access set: the Config's
 // override when it has one, otherwise the declaration DeclareAccess
 // derives from the program, computed on first use — only conservative
@@ -553,6 +571,11 @@ type proc struct {
 	// parkedAt is the clock at which req parked: the transaction has
 	// waited Clock − parkedAt ticks when req leaves the pending list.
 	parkedAt int
+	// first is the schedule position of the attempt's first surviving
+	// operation while tm.Ops > 0; erasing marks the abort closure's
+	// members during an erasure.
+	first   int
+	erasing bool
 	// readFrom are the transactions whose written values the attempt
 	// read and readers the transactions that read one of its own (the
 	// wrote-to relation abort cascades follow).
@@ -694,7 +717,9 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	for i, id := range roList {
 		metrics.PerTxn[id] = &tms[len(ids)+i]
 	}
+	// owners[i] is the attempt ops[i] was granted to.
 	ops := make([]txn.Op, 0, opsPerProgramHint*len(ids))
+	owners := make([]*proc, 0, cap(ops))
 
 	maxAborts := cfg.MaxAborts
 	if maxAborts <= 0 {
@@ -837,6 +862,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		return nil
 	}
 
+	var undo []string // eraseAttempts' scratch: the items the erased attempts wrote
 	// eraseAttempts erases the closure members' attempts per the
 	// package's abort semantics: unwind their coroutines, expunge their
 	// operations from the schedule, undo their writes, drop their
@@ -846,19 +872,26 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	// Canceler.TxnCanceled when implemented (the transactions are gone,
 	// not retried); otherwise through Restarter.TxnAborted.
 	eraseAttempts := func(closure []int, byCancel bool) {
-		in := make(map[int]*proc, len(closure))
+		// Nothing before the members' earliest operation moves: a victim
+		// that started late rewrites a short suffix.
+		from := len(ops)
 		for _, id := range closure {
 			p := v.proc(id)
-			in[id] = p
+			p.erasing = true
+			if p.tm.Ops > 0 && p.first < from {
+				from = p.first
+			}
 			p.stop()
-			unpark(slices.Index(parked, p))
+			i, _ := slices.BinarySearchFunc(parked, id, func(q *proc, id int) int { return q.id - id })
+			unpark(i)
 		}
 		// Expunge the members' operations from the recorded schedule,
-		// noting the items they wrote.
-		var undo []string
-		kept := ops[:0]
-		for _, o := range ops {
-			if p := in[o.Txn]; p != nil {
+		// noting the items they wrote and renumbering what follows.
+		undo = undo[:0]
+		kept, keptBy := ops[:from], owners[:from]
+		for i := from; i < len(ops); i++ {
+			o, p := ops[i], owners[i]
+			if p.erasing {
 				metrics.WastedOps++
 				p.tm.WastedOps++
 				p.tm.Ops--
@@ -867,10 +900,16 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 				}
 				continue
 			}
+			if p.first == i {
+				p.first = len(kept)
+			}
+			if mv != nil {
+				lastPos[o.Txn] = len(kept)
+			}
 			o.Pos = len(kept)
-			kept = append(kept, o)
+			kept, keptBy = append(kept, o), append(keptBy, p)
 		}
-		ops = kept
+		ops, owners = kept, keptBy
 		v.Ops = ops
 		// Undo their store effects: each such item falls back to its
 		// latest surviving write, or to the initial state.
@@ -891,19 +930,15 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 			}
 			v.LastWriter[item] = 0
 		}
-		// The expunge renumbered every surviving operation at or beyond
-		// the victims' positions; rebuild the last-position index (the
-		// abort already paid an O(n) schedule rewrite).
-		if mv != nil {
-			clear(lastPos)
-			for i, o := range ops {
-				lastPos[o.Txn] = i
-			}
-		}
 		// Drop the reads-from bookkeeping. A member's own readers are all
 		// members too: the closure holds every live one and a finished
 		// one would have pinned it.
-		for _, p := range in {
+		for _, id := range closure {
+			p := v.proc(id)
+			p.erasing = false
+			if mv != nil {
+				delete(lastPos, id)
+			}
 			for _, w := range p.readFrom {
 				w.readers = slices.DeleteFunc(w.readers, func(r *proc) bool { return r == p })
 			}
@@ -913,7 +948,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		cc, _ := cfg.Policy.(Canceler)
 		for _, id := range closure {
 			metrics.Aborts++
-			in[id].tm.Aborts++
+			v.proc(id).tm.Aborts++
 			switch {
 			case byCancel && cc != nil:
 				cc.TxnCanceled(id, v)
@@ -1062,6 +1097,9 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		if p.tm.Start < 0 {
 			p.tm.Start = v.Clock
 		}
+		if p.tm.Ops == 0 {
+			p.first = len(ops)
+		}
 		p.tm.Ops++
 		op := txn.Op{Txn: p.id, Action: p.req.Action, Entity: p.req.Entity, Pos: len(ops)}
 		switch op.Action {
@@ -1087,7 +1125,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		if mv != nil {
 			lastPos[op.Txn] = len(ops)
 		}
-		ops = append(ops, op)
+		ops, owners = append(ops, op), append(owners, p)
 		v.Clock++
 		metrics.Ticks++
 		runnable = append(runnable, p)

@@ -26,9 +26,44 @@ type forcedRestart struct {
 	after   int
 	granted int
 	aborted []int
+	// t, when set, audits the view's per-transaction op index after
+	// every abort and at every Pick (see checkOpIndex).
+	t *testing.T
+}
+
+// checkOpIndex requires View.FirstOp and View.OpCount, which the engine
+// maintains incrementally, to equal a from-scratch recomputation over
+// v.Ops for every transaction of the run, and the schedule to be
+// numbered densely.
+func checkOpIndex(t *testing.T, v *exec.View) {
+	t.Helper()
+	first, count := make(map[int]int), make(map[int]int)
+	for i, o := range v.Ops {
+		if o.Pos != i {
+			t.Fatalf("Ops[%d].Pos = %d", i, o.Pos)
+		}
+		if _, ok := first[o.Txn]; !ok {
+			first[o.Txn] = i
+		}
+		count[o.Txn]++
+	}
+	for _, ids := range []map[int]bool{v.Live, v.Finished} {
+		for id := range ids {
+			wantPos, wantStarted := first[id]
+			if pos, started := v.FirstOp(id); pos != wantPos || started != wantStarted {
+				t.Fatalf("FirstOp(%d) = %d, %v; the schedule says %d, %v\n%v", id, pos, started, wantPos, wantStarted, v.Ops)
+			}
+			if n := v.OpCount(id); n != count[id] {
+				t.Fatalf("OpCount(%d) = %d; the schedule holds %d\n%v", id, n, count[id], v.Ops)
+			}
+		}
+	}
 }
 
 func (f *forcedRestart) Pick(pending []*exec.Request, v *exec.View) int {
+	if f.t != nil {
+		checkOpIndex(f.t, v)
+	}
 	if f.granted == f.after && len(f.aborted) == 0 {
 		return -1
 	}
@@ -48,7 +83,12 @@ func (f *forcedRestart) Victim(pending []*exec.Request, v *exec.View) int {
 	return -1
 }
 
-func (f *forcedRestart) TxnAborted(id int, v *exec.View) { f.aborted = append(f.aborted, id) }
+func (f *forcedRestart) TxnAborted(id int, v *exec.View) {
+	f.aborted = append(f.aborted, id)
+	if f.t != nil {
+		checkOpIndex(f.t, v)
+	}
+}
 
 // TestEngineAbortUndoesWrites aborts a transaction that already wrote:
 // its operations must leave the schedule, the store must roll back, and
@@ -110,7 +150,7 @@ func TestEngineAbortRestoresSurvivingWrite(t *testing.T) {
 	initial := state.Ints(map[string]int64{"x": 1, "y": 0, "q": 0})
 	// w1(x,5) finishes T1, w2(x,7); the forced stall aborts T2; T3 then
 	// reads x and must see T1's 5 before T2's second attempt runs.
-	pol := &forcedRestart{Policy: sched.NewScript(1, 2, 3, 3, 2, 2, 2), victim: 2, after: 2}
+	pol := &forcedRestart{Policy: sched.NewScript(1, 2, 3, 3, 2, 2, 2), victim: 2, after: 2, t: t}
 	res, err := exec.Run(exec.Config{Programs: programs, Initial: initial, Policy: pol})
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +174,7 @@ func TestEngineAbortCascades(t *testing.T) {
 	initial := state.Ints(map[string]int64{"x": 1, "y": 0, "z": 0})
 	// Round-robin grants w1(x,5), r2(x,5); aborting T1 must cascade to
 	// T2, which read the erased 5.
-	pol := &forcedRestart{Policy: &sched.RoundRobin{}, victim: 1, after: 2}
+	pol := &forcedRestart{Policy: &sched.RoundRobin{}, victim: 1, after: 2, t: t}
 	res, err := exec.Run(exec.Config{Programs: programs, Initial: initial, Policy: pol})
 	if err != nil {
 		t.Fatal(err)
@@ -243,6 +283,7 @@ func (a *alwaysAbort) TxnAborted(id int, v *exec.View)                  {}
 // tick — kept here. It wraps the restarting policy under test, passes
 // every passEvery-th tick on its own, and records completion order.
 type waitLedger struct {
+	t         *testing.T
 	inner     exec.Restarter
 	passEvery int
 	picks     int
@@ -251,6 +292,7 @@ type waitLedger struct {
 }
 
 func (l *waitLedger) Pick(pending []*exec.Request, v *exec.View) int {
+	checkOpIndex(l.t, v)
 	l.picks++
 	choice := exec.PassTick
 	if l.picks%l.passEvery != 0 {
@@ -269,7 +311,10 @@ func (l *waitLedger) Pick(pending []*exec.Request, v *exec.View) int {
 func (l *waitLedger) Victim(pending []*exec.Request, v *exec.View) int {
 	return l.inner.Victim(pending, v)
 }
-func (l *waitLedger) TxnAborted(id int, v *exec.View) { l.inner.TxnAborted(id, v) }
+func (l *waitLedger) TxnAborted(id int, v *exec.View) {
+	checkOpIndex(l.t, v)
+	l.inner.TxnAborted(id, v)
+}
 func (l *waitLedger) TxnFinished(id int, v *exec.View) {
 	l.finished = append(l.finished, id)
 	l.inner.TxnFinished(id, v)
@@ -299,6 +344,7 @@ func TestEngineIdenticalAcrossRunsAndProcs(t *testing.T) {
 	}
 	run := func() outcome {
 		ledger := &waitLedger{
+			t:         t,
 			inner:     sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(5), nil),
 			passEvery: 7,
 			waits:     make(map[int]int),

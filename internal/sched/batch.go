@@ -19,8 +19,10 @@ var (
 // admitTxn is the shared body of the gates' AdmitTxn: certify the
 // whole sequence atomically, then commit the transaction, barriering
 // the journal (when one is attached) before acknowledging — the same
-// write-ahead discipline the tick path applies per grant.
-func admitTxn(mon Certifier, jn *journaled, lc *lifecycle, ops []txn.Op) error {
+// write-ahead discipline the tick path applies per grant. The sequence
+// names no conjunct to the memo, so it moves the global epoch.
+func admitTxn(memo *verdictMemo, jn *journaled, lc *lifecycle, ops []txn.Op) error {
+	mon := memo.mon
 	if lc.closed {
 		return fmt.Errorf("sched: batch admission refused: %w", exec.ErrGateClosed)
 	}
@@ -35,6 +37,7 @@ func admitTxn(mon Certifier, jn *journaled, lc *lifecycle, ops []txn.Op) error {
 	if len(ops) == 0 {
 		return nil
 	}
+	memo.global++
 	ok, v := mon.AdmitSequence(ops)
 	if v != nil {
 		return fmt.Errorf("sched: batch admission on a violated certifier: %v", v)
@@ -59,7 +62,7 @@ func admitTxn(mon Certifier, jn *journaled, lc *lifecycle, ops []txn.Op) error {
 func (c *Certify) AdmitTxn(ops []txn.Op) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return admitTxn(c.mon, &c.jn, &c.lc, ops)
+	return admitTxn(&c.memo, &c.jn, &c.lc, ops)
 }
 
 // AdmitTxnCtx is AdmitTxn bounded by a context: a cancelled or expired
@@ -73,7 +76,7 @@ func (c *Certify) AdmitTxnCtx(ctx context.Context, ops []txn.Op) error {
 	if err := exec.CancelError(ctx); err != nil {
 		return err
 	}
-	return admitTxn(c.mon, &c.jn, &c.lc, ops)
+	return admitTxn(&c.memo, &c.jn, &c.lc, ops)
 }
 
 // AdmitTxn implements exec.BatchGate on the abort-capable gate (and,
@@ -85,7 +88,7 @@ func (c *Certify) AdmitTxnCtx(ctx context.Context, ops []txn.Op) error {
 func (c *OptimisticCertify) AdmitTxn(ops []txn.Op) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return admitTxn(c.mon, &c.jn, &c.lc, ops)
+	return admitTxn(&c.memo, &c.jn, &c.lc, ops)
 }
 
 // AdmitTxnCtx is AdmitTxn bounded by a context, with
@@ -97,5 +100,5 @@ func (c *OptimisticCertify) AdmitTxnCtx(ctx context.Context, ops []txn.Op) error
 	if err := exec.CancelError(ctx); err != nil {
 		return err
 	}
-	return admitTxn(c.mon, &c.jn, &c.lc, ops)
+	return admitTxn(&c.memo, &c.jn, &c.lc, ops)
 }

@@ -55,71 +55,44 @@ type Certify struct {
 	// and a closed gate grants nothing.
 	lc lifecycle
 
-	// Per-tick scratch, reused across Pick calls so the steady-state
-	// admission loop allocates nothing: the hoisted requestOp
-	// conversions plus the admissible-candidate buffers.
-	ops     []txn.Op
-	allowed []*exec.Request
-	idx     []int
+	// memo carries the admissibility verdicts from tick to tick and
+	// holds the per-tick scratch (see verdictMemo).
+	memo verdictMemo
 }
 
 // NewCertify returns a certifying gate over the conjunct partition
 // wrapping the inner policy.
 func NewCertify(partition []state.ItemSet, inner exec.Policy) *Certify {
-	return &Certify{Inner: inner, mon: core.NewMonitor(partition), partition: partition}
+	mon := core.NewMonitor(partition)
+	return &Certify{Inner: inner, mon: mon, partition: partition, memo: verdictMemo{mon: mon}}
 }
 
-// Monitor exposes the gate's certifier (for inspection after a run).
-func (c *Certify) Monitor() *core.Monitor { return c.mon }
+// Monitor exposes the gate's certifier, with OptimisticCertify.Monitor's
+// contract.
+func (c *Certify) Monitor() *core.Monitor {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.memo.global++
+	return c.mon
+}
 
 // Pick implements exec.Policy: filter the pending requests through the
 // certifier, let the inner policy choose among the admissible ones, and
-// commit the choice to the monitor. The conversions and candidate
-// buffers are hoisted into reused scratch; a request denied on a
-// previous tick re-probes through the monitor's generation-invalidated
-// cache, so the steady-state tick costs hash lookups rather than
-// reachability searches.
+// commit the choice to the monitor. A request denied on a previous tick
+// keeps its memoized verdict until something moves in its item's
+// conjuncts, so the steady-state tick costs integer compares rather
+// than reachability searches.
 func (c *Certify) Pick(pending []*exec.Request, v *exec.View) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.tinj.tick() {
 		return exec.PassTick // injected tick fault: skip, re-pick next tick
 	}
-	if c.jn.frozen() {
-		return -1 // journal fail-stop or shed: certify nothing further
+	if c.jn.frozen() || c.lc.closed {
+		return -1 // journal fail-stop or shed, or closed gate: certify nothing further
 	}
-	if c.lc.closed {
-		return -1 // closed gate: certify nothing further
-	}
-	c.ops = c.ops[:0]
-	c.allowed = c.allowed[:0]
-	c.idx = c.idx[:0]
-	for i, r := range pending {
-		c.ops = append(c.ops, requestOp(r))
-		if c.lc.blocked(r.TxnID) {
-			continue // draining: only drain-start residents proceed
-		}
-		if c.mon.Admissible(c.ops[i]) {
-			c.allowed = append(c.allowed, r)
-			c.idx = append(c.idx, i)
-		}
-	}
-	if len(c.allowed) == 0 {
-		return -1
-	}
-	inner := c.Inner.Pick(c.allowed, v)
-	if inner == exec.PassTick {
-		return exec.PassTick
-	}
-	if inner < 0 || inner >= len(c.allowed) {
-		return -1
-	}
-	pick := c.idx[inner]
-	c.mon.Observe(c.ops[pick])
-	if !c.jn.ack() {
-		return -1 // grant not durable: refuse it and freeze the gate
-	}
-	return pick
+	c.memo.mask(pending, v, &c.lc, 0, false, false)
+	return c.memo.grant(pending, v, c.Inner, &c.jn)
 }
 
 // TxnFinished implements exec.Policy: the finished transaction is
@@ -131,7 +104,7 @@ func (c *Certify) Pick(pending []*exec.Request, v *exec.View) int {
 func (c *Certify) TxnFinished(id int, v *exec.View) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.mon.Commit(id)
+	c.memo.commit(id)
 	c.jn.ack()
 	c.Inner.TxnFinished(id, v)
 }

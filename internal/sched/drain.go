@@ -67,9 +67,10 @@ func (lc *lifecycle) blocked(txnID int) bool {
 // sequence, and on expiry the unfinished remainder is retracted — the
 // same monitor state a completed run that aborted them would leave —
 // and the typed cancellation error is returned.
-func drainGate(ctx context.Context, mu *sync.Mutex, mon Certifier, jn *journaled, lc *lifecycle, tinj *tickInjector) error {
+func drainGate(ctx context.Context, mu *sync.Mutex, memo *verdictMemo, jn *journaled, lc *lifecycle, tinj *tickInjector) error {
 	mu.Lock()
 	defer mu.Unlock()
+	mon := memo.mon
 	if lc.closed {
 		return fmt.Errorf("sched: drain: %w", exec.ErrGateClosed)
 	}
@@ -89,6 +90,8 @@ func drainGate(ctx context.Context, mu *sync.Mutex, mon Certifier, jn *journaled
 				continue // committed or violated: nothing to roll back
 			}
 			n++
+			memo.settle(id)
+			memo.global++ // it may hold operations no tick granted
 			jn.ack()
 			delete(lc.allowed, id)
 		}
@@ -123,6 +126,7 @@ func drainGate(ctx context.Context, mu *sync.Mutex, mon Certifier, jn *journaled
 		drainErr = err
 	}
 	mon.Compact()
+	memo.global++
 	jn.ack()
 	if drainErr == nil && !jn.frozen() && jn.journal != nil {
 		if cutter, ok := jn.journal.(SnapshotCutter); ok {
@@ -180,7 +184,7 @@ func (c *Certify) SetDrainPolicy(p DrainPolicy) {
 // exec.ErrGateClosed. The gate stays usable for reads (Health,
 // Monitor) after a drain; call Close to release the journal.
 func (c *Certify) Drain(ctx context.Context) error {
-	return drainGate(ctx, &c.mu, c.mon, &c.jn, &c.lc, &c.tinj)
+	return drainGate(ctx, &c.mu, &c.memo, &c.jn, &c.lc, &c.tinj)
 }
 
 // Close latches the terminal posture — every further admission is
@@ -199,6 +203,7 @@ func (c *Certify) TxnCanceled(id int, v *exec.View) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.mon.Retract(id)
+	c.memo.settle(id)
 	c.jn.ack()
 	if cc, ok := c.Inner.(exec.Canceler); ok {
 		cc.TxnCanceled(id, v)
@@ -218,7 +223,7 @@ func (c *OptimisticCertify) SetDrainPolicy(p DrainPolicy) {
 // Drain implements exec.Drainer on the abort-capable gate (and, by
 // embedding, on ParallelCertify), with Certify.Drain's contract.
 func (c *OptimisticCertify) Drain(ctx context.Context) error {
-	return drainGate(ctx, &c.mu, c.mon, &c.jn, &c.lc, &c.tinj)
+	return drainGate(ctx, &c.mu, &c.memo, &c.jn, &c.lc, &c.tinj)
 }
 
 // Close latches the terminal posture and closes the attached journal,
@@ -235,6 +240,7 @@ func (c *OptimisticCertify) TxnCanceled(id int, v *exec.View) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.mon.Retract(id)
+	c.memo.settle(id)
 	c.jn.ack()
 	delete(c.aborts, id)
 	delete(c.phase, id)

@@ -606,7 +606,7 @@ func (c *OptimisticCertify) Health() exec.Health {
 // wal.Resume, then gate new traffic over it with the resumed journal
 // attached.
 func NewCertifyOver(mon *core.Monitor, inner exec.Policy) *Certify {
-	return &Certify{Inner: inner, mon: mon}
+	return &Certify{Inner: inner, mon: mon, memo: verdictMemo{mon: mon}}
 }
 
 // NewOptimisticCertifyOver returns the abort-capable certification

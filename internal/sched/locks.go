@@ -35,6 +35,28 @@
 // distinction: a committed transaction stays monitor-resident until a
 // compaction reclaims it, but it is not in-flight — Drain waits on
 // (and deadline-retracts) Certifier.InFlightTxnIDs only.
+//
+// # Incremental ticks
+//
+// A certification gate decides every pending request at every tick but
+// re-decides only what moved. A verdict — the delayed-read rule, then
+// Certifier.Admissible — reads only the conflict graphs of the conjuncts
+// its item belongs to and, in the view, that item's last writer and
+// whether it finished. PWSR is predicate-wise (Definition 2: each
+// conjunct's projection is certified on its own), so a grant, abort or
+// commit inside other conjuncts cannot change it, and the rule is exact:
+// every conjunct has a monotone epoch (items outside every conjunct
+// share one more), a verdict is stamped with the sum over its item's
+// conjuncts and reused while the sum stands. A grant moves the epochs of
+// the granted item's conjuncts; an abort, cancel or commit those of
+// every conjunct the transaction was granted in (a commit changes no
+// graph but frees the readers its writes delayed). What reaches the
+// certifier without naming a conjunct — batch admission, a compaction
+// pass, a drain's retractions, a caller handed Monitor(), a new run's
+// view — moves a global epoch under every stamp. The lifecycle posture,
+// solo exclusivity and the journal's freeze are integer compares,
+// evaluated every tick and not memoized. The memo is the gates' only
+// tick path: no option turns it off.
 package sched
 
 import (

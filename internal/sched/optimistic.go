@@ -1,12 +1,12 @@
 package sched
 
 import (
+	"slices"
 	"sync"
 
 	"pwsr/internal/core"
 	"pwsr/internal/exec"
 	"pwsr/internal/state"
-	"pwsr/internal/txn"
 )
 
 // VictimPolicy selects which transaction an optimistic certifier
@@ -21,15 +21,9 @@ type VictimPolicy func(pending []*exec.Request, candidates []int, v *exec.View) 
 // id). Sacrificing the youngest wastes the least sunk work and lets
 // older transactions age toward completion — the wound-wait intuition.
 func VictimYoungest(pending []*exec.Request, candidates []int, v *exec.View) int {
-	first := firstOpIndex(v)
 	best, bestKey := -1, -1
 	for _, c := range candidates {
-		id := pending[c].TxnID
-		key, started := first[id]
-		if !started {
-			key = len(v.Ops) + id // never started: youngest, higher id youngest-most
-		}
-		if key > bestKey {
+		if key := startKey(v, pending[c].TxnID); key > bestKey {
 			best, bestKey = c, key
 		}
 	}
@@ -40,19 +34,10 @@ func VictimYoungest(pending []*exec.Request, candidates []int, v *exec.View) int
 // operations in the current schedule — the cheapest attempt to throw
 // away by wasted-work count (ties go to the youngest).
 func VictimFewestOps(pending []*exec.Request, candidates []int, v *exec.View) int {
-	counts := make(map[int]int, len(candidates))
-	for _, o := range v.Ops {
-		counts[o.Txn]++
-	}
-	first := firstOpIndex(v)
 	best, bestOps, bestAge := -1, -1, -1
 	for _, c := range candidates {
 		id := pending[c].TxnID
-		n := counts[id]
-		age, started := first[id]
-		if !started {
-			age = len(v.Ops) + id
-		}
+		n, age := v.OpCount(id), startKey(v, id)
 		if best == -1 || n < bestOps || (n == bestOps && age > bestAge) {
 			best, bestOps, bestAge = c, n, age
 		}
@@ -60,16 +45,14 @@ func VictimFewestOps(pending []*exec.Request, candidates []int, v *exec.View) in
 	return best
 }
 
-// firstOpIndex maps each transaction to the schedule position of its
-// first surviving operation.
-func firstOpIndex(v *exec.View) map[int]int {
-	first := make(map[int]int)
-	for i, o := range v.Ops {
-		if _, ok := first[o.Txn]; !ok {
-			first[o.Txn] = i
-		}
+// startKey orders transactions by when their current attempt started:
+// the schedule position of its first surviving operation, or past the
+// schedule's end for one with none yet (higher id youngest-most).
+func startKey(v *exec.View, id int) int {
+	if pos, started := v.FirstOp(id); started {
+		return pos
 	}
-	return first
+	return len(v.Ops) + id
 }
 
 // OptimisticCertify is the abort-capable reading of the certification
@@ -156,18 +139,16 @@ type OptimisticCertify struct {
 	// built over an external certifier, which are not cloneable.
 	partition []state.ItemSet
 
-	// Per-tick scratch, reused across Pick calls so the steady-state
-	// admission loop allocates nothing: the hoisted requestOp
-	// conversions, the admissibility mask, and the candidate buffers.
-	// A request denied on a previous tick stays in the pending set and
-	// is re-probed every tick; the monitor's generation-invalidated
-	// probe cache makes that re-probe a hash lookup until some item
-	// generation it depends on actually moves — the cache is the
-	// gate's denied-set.
-	ops     []txn.Op
-	adm     []bool
-	allowed []*exec.Request
-	idx     []int
+	// fan lets a tick run its stale probes concurrently; set over a
+	// certifier that allows it (see ParallelCertify).
+	fan bool
+
+	// memo carries the admissibility verdicts from tick to tick. A
+	// request denied on a previous tick stays pending and is re-decided
+	// only once something moved in its item's conjuncts — the memo is
+	// the gate's denied-set, and the monitor's probe cache behind it
+	// sees only the probes whose inputs moved.
+	memo verdictMemo
 }
 
 // NewOptimisticCertify returns an abort-capable certification gate over
@@ -186,13 +167,22 @@ func newOptimisticCertify(mon Certifier, inner exec.Policy, victim VictimPolicy)
 		Inner:        inner,
 		VictimSelect: victim,
 		mon:          mon,
+		memo:         verdictMemo{mon: mon},
 		aborts:       make(map[int]int),
 		phase:        make(map[int]bool),
 	}
 }
 
-// Monitor exposes the gate's certifier (for inspection after a run).
-func (c *OptimisticCertify) Monitor() Certifier { return c.mon }
+// Monitor exposes the gate's certifier, for inspection after a run. To
+// change certification state through it while a run is ticking, fetch it
+// anew before each change: handing the certifier out is what invalidates
+// the verdicts the gate carries between ticks.
+func (c *OptimisticCertify) Monitor() Certifier {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.memo.global++
+	return c.mon
+}
 
 // Aborts returns how many times each still-live transaction has been
 // sacrificed. A finished transaction's counter is dropped with the
@@ -200,23 +190,6 @@ func (c *OptimisticCertify) Monitor() Certifier { return c.mon }
 // inspection use the engine's Metrics.PerTxn[id].Aborts, which the
 // engine accumulates durably.
 func (c *OptimisticCertify) Aborts() map[int]int { return c.aborts }
-
-// prepareTick sizes the per-tick scratch for the pending set and
-// hoists the requestOp conversions (shared with ParallelCertify's
-// fanned-out Pick).
-func (c *OptimisticCertify) prepareTick(pending []*exec.Request) {
-	c.ops = c.ops[:0]
-	for _, r := range pending {
-		c.ops = append(c.ops, requestOp(r))
-	}
-	if cap(c.adm) < len(pending) {
-		c.adm = make([]bool, len(pending))
-	}
-	c.adm = c.adm[:len(pending)]
-	for i := range c.adm {
-		c.adm[i] = false
-	}
-}
 
 // Pick implements exec.Policy like Certify.Pick, with the cascadeless
 // discipline layered in: a request must pass both the delayed-read
@@ -228,77 +201,15 @@ func (c *OptimisticCertify) Pick(pending []*exec.Request, v *exec.View) int {
 	if c.tinj.tick() {
 		return exec.PassTick // injected tick fault: skip, re-pick next tick
 	}
-	c.prepareTick(pending)
-	for i, r := range pending {
-		c.adm[i] = c.gateable(r, v) && c.mon.Admissible(c.ops[i])
+	if c.jn.frozen() || c.lc.closed {
+		return -1 // journal fail-stop or shed, or closed gate: certify nothing further
 	}
-	return c.pickAdmitted(pending, v)
-}
-
-// gateable applies the gates that precede certification: the
-// lifecycle posture, solo exclusivity, and the delayed-read
-// discipline.
-func (c *OptimisticCertify) gateable(r *exec.Request, v *exec.View) bool {
-	if c.lc.blocked(r.TxnID) {
-		return false // draining or closed: no new admissions
-	}
-	if c.solo != 0 && r.TxnID != c.solo {
-		return false // an escalated transaction runs alone
-	}
-	return !delayedReadBlocked(r, v)
-}
-
-// pickAdmitted lets the inner policy choose among the requests the
-// admissibility mask (c.adm, filled by the caller) passed, and commits
-// the choice to the monitor. Split from Pick so ParallelCertify can
-// compute the mask with concurrent probes and share the rest of the
-// gate.
-func (c *OptimisticCertify) pickAdmitted(pending []*exec.Request, v *exec.View) int {
-	if c.jn.frozen() {
-		return -1 // journal fail-stop or shed: certify nothing further
-	}
-	if c.lc.closed {
-		return -1 // closed gate: certify nothing further
-	}
-	c.allowed = c.allowed[:0]
-	c.idx = c.idx[:0]
-	for i, r := range pending {
-		if c.adm[i] {
-			c.allowed = append(c.allowed, r)
-			c.idx = append(c.idx, i)
-		}
-	}
-	if len(c.allowed) == 0 {
-		return -1
-	}
-	inner := c.Inner.Pick(c.allowed, v)
-	if inner == exec.PassTick {
-		return exec.PassTick
-	}
-	if inner < 0 || inner >= len(c.allowed) {
-		return -1
-	}
-	pick := c.idx[inner]
-	c.mon.Observe(c.ops[pick])
-	if !c.jn.ack() {
-		return -1 // grant not durable: refuse it and freeze the gate
-	}
-	// A grant ends the current sacrifice phase.
-	for id := range c.phase {
-		delete(c.phase, id)
+	c.memo.mask(pending, v, &c.lc, c.solo, true, c.fan)
+	pick := c.memo.grant(pending, v, c.Inner, &c.jn)
+	if pick >= 0 {
+		clear(c.phase) // a grant ends the current sacrifice phase
 	}
 	return pick
-}
-
-// pickVictim runs the configured selection over the eligible
-// candidates; split out so Victim (the exec.Restarter hook) stays
-// readable.
-func (c *OptimisticCertify) pickVictim(pending []*exec.Request, v *exec.View, candidates []int) int {
-	policy := c.VictimSelect
-	if policy == nil {
-		policy = VictimYoungest
-	}
-	return policy(pending, candidates, v)
 }
 
 // Victim implements exec.Restarter: choose a sacrifice among the
@@ -311,68 +222,62 @@ func (c *OptimisticCertify) Victim(pending []*exec.Request, v *exec.View) int {
 	if c.jn.frozen() {
 		return -1 // journal fail-stop or shed: no sacrifice can be made durable
 	}
-	immune := c.immune(v)
-	pick := func(includePhase bool) int {
-		candidates := make([]int, 0, len(pending))
-		immuneIdx := -1
-		for i, r := range pending {
-			if !includePhase && c.phase[r.TxnID] {
-				continue // already sacrificed this phase
-			}
-			closure, ok := v.AbortClosure(r.TxnID)
-			if !ok {
-				continue // pinned by a finished reader (non-DR inner use)
-			}
-			// A victim whose cascade would take the immune transaction
-			// down with it defeats the aging scheme; treat it like the
-			// immune transaction itself. (Under the gate's own
-			// delayed-read discipline every closure is a singleton.)
-			cascadesImmune := false
-			for _, id := range closure {
-				if id == immune && r.TxnID != immune {
-					cascadesImmune = true
-					break
-				}
-			}
-			switch {
-			case r.TxnID == immune || cascadesImmune:
-				if immuneIdx < 0 {
-					immuneIdx = i
-				}
-			default:
-				candidates = append(candidates, i)
-			}
-		}
-		if len(candidates) > 0 {
-			return c.pickVictim(pending, v, candidates)
-		}
-		return immuneIdx
-	}
-	if i := pick(false); i >= 0 {
+	immune := c.immune(pending, v)
+	if i := c.victimAmong(pending, v, immune, false); i >= 0 {
 		return i
 	}
 	// Defensive: every abortable transaction was already sacrificed
 	// this phase (cannot arise under the gate's own discipline — a
 	// fully refreshed population always has an admissible request);
 	// start a fresh phase rather than stall.
-	for id := range c.phase {
-		delete(c.phase, id)
-	}
-	return pick(true)
+	clear(c.phase)
+	return c.victimAmong(pending, v, immune, true)
 }
 
-// immune returns the live transaction spared from victim selection:
-// the solo transaction while one is escalated, otherwise the
-// most-aborted (ties: lowest id).
-func (c *OptimisticCertify) immune(v *exec.View) int {
+// victimAmong runs the victim policy over the abortable pending
+// transactions (those sacrificed this phase too when includePhase is
+// set), falling back to the first immune one when no other is left.
+func (c *OptimisticCertify) victimAmong(pending []*exec.Request, v *exec.View, immune int, includePhase bool) int {
+	candidates, immuneIdx := c.memo.idx[:0], -1
+	for i, r := range pending {
+		if !includePhase && c.phase[r.TxnID] {
+			continue // already sacrificed this phase
+		}
+		closure, ok := v.AbortClosure(r.TxnID)
+		if !ok {
+			continue // pinned by a finished reader (non-DR inner use)
+		}
+		// A victim whose cascade would take the immune transaction down
+		// with it defeats the aging scheme; treat it like the immune
+		// transaction itself. (Under the gate's own delayed-read
+		// discipline every closure is a singleton.)
+		if r.TxnID != immune && !slices.Contains(closure, immune) {
+			candidates = append(candidates, i)
+		} else if immuneIdx < 0 {
+			immuneIdx = i
+		}
+	}
+	c.memo.idx = candidates
+	if len(candidates) == 0 {
+		return immuneIdx
+	}
+	if c.VictimSelect != nil {
+		return c.VictimSelect(pending, candidates, v)
+	}
+	return VictimYoungest(pending, candidates, v)
+}
+
+// immune returns the transaction spared from victim selection: the solo
+// transaction while one is escalated, otherwise the most-aborted pending
+// one (ties: lowest id) — at a stall every live transaction is pending.
+func (c *OptimisticCertify) immune(pending []*exec.Request, v *exec.View) int {
 	if c.solo != 0 && v.Live[c.solo] {
 		return c.solo
 	}
 	immune, best := -1, -1
-	for id := range v.Live {
-		n := c.aborts[id]
-		if n > best || (n == best && (immune < 0 || id < immune)) {
-			immune, best = id, n
+	for _, r := range pending {
+		if n := c.aborts[r.TxnID]; n > best || (n == best && r.TxnID < immune) {
+			immune, best = r.TxnID, n
 		}
 	}
 	return immune
@@ -385,6 +290,7 @@ func (c *OptimisticCertify) TxnAborted(id int, v *exec.View) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.mon.Retract(id)
+	c.memo.settle(id)
 	c.jn.ack()
 	c.aborts[id]++
 	c.phase[id] = true
@@ -412,7 +318,7 @@ func (c *OptimisticCertify) TxnFinished(id int, v *exec.View) {
 	if id == c.solo {
 		c.solo = 0
 	}
-	c.mon.Commit(id)
+	c.memo.commit(id)
 	c.jn.ack()
 	delete(c.aborts, id)
 	delete(c.phase, id)

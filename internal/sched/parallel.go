@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"sync"
-
 	"pwsr/internal/core"
 	"pwsr/internal/exec"
 	"pwsr/internal/state"
@@ -43,6 +41,9 @@ type Certifier interface {
 	// SetAutoCompact sets the automatic compaction threshold (passes
 	// per n commits; n ≤ 0 disables), returning the previous value.
 	SetAutoCompact(n int) int
+	// Partition returns the conjunct partition certified over; the gates
+	// learn from it which conjuncts an item's verdicts depend on.
+	Partition() []state.ItemSet
 	// ProbeStats snapshots the Admissible probe-cache counters.
 	ProbeStats() core.ProbeStats
 	// SetProbeCache enables or disables the Admissible probe cache,
@@ -90,8 +91,10 @@ var (
 // rotation, solo escalation, and cascadeless delayed-read discipline,
 // so its schedules are PWSR ∧ DR by construction and runs do not
 // stall) backed by a core.ShardedMonitor instead of the single
-// monitor, with the admission preflight fanned out: each Pick probes
-// every pending request's admissibility on its own goroutine.
+// monitor, with the admission preflight fanned out: over more than one
+// shard, each Pick runs the probes its verdict memo could not answer on
+// their own goroutines (unless they are too few, see
+// parallelProbeThreshold).
 //
 // Requests whose items route to disjoint monitor shards certify fully
 // in parallel; requests contending for a shard order through the
@@ -124,6 +127,7 @@ func NewParallelCertify(partition []state.ItemSet, shards int, inner exec.Policy
 	smon := core.NewShardedMonitor(partition, shards)
 	oc := newOptimisticCertify(smon, inner, victim)
 	oc.partition = partition
+	oc.fan = smon.Shards() > 1
 	return &ParallelCertify{
 		OptimisticCertify: oc,
 		smon:              smon,
@@ -131,8 +135,12 @@ func NewParallelCertify(partition []state.ItemSet, shards int, inner exec.Policy
 	}
 }
 
-// ShardedMonitor exposes the gate's sharded certifier.
-func (c *ParallelCertify) ShardedMonitor() *core.ShardedMonitor { return c.smon }
+// ShardedMonitor exposes the gate's sharded certifier, with
+// OptimisticCertify.Monitor's contract.
+func (c *ParallelCertify) ShardedMonitor() *core.ShardedMonitor {
+	c.Monitor()
+	return c.smon
+}
 
 // ShardStats implements exec.ShardReporter: per-shard admission
 // counters, surfaced in the engine's run metrics.
@@ -149,47 +157,4 @@ func (c *ParallelCertify) ShardStats() []exec.ShardStat {
 		}
 	}
 	return out
-}
-
-// parallelProbeThreshold is the pending-set size below which Pick
-// probes inline: a probe costs tens of nanoseconds (one shard lock, a
-// frontier lookup, an order comparison) while a goroutine spawn plus
-// WaitGroup round trip costs on the order of a microsecond, so the
-// fan-out only pays for itself once enough probes can overlap on
-// disjoint shards.
-const parallelProbeThreshold = 4
-
-// Pick implements exec.Policy: compute the admissibility mask with one
-// concurrent probe per pending request (the sharded monitor is safe
-// for concurrent probes; disjoint-shard probes run in parallel, and
-// each shard's inner monitor answers re-probes from its
-// generation-invalidated cache under the shard lock), then run the
-// shared gate logic on the mask. Small pending sets probe inline —
-// see parallelProbeThreshold.
-func (c *ParallelCertify) Pick(pending []*exec.Request, v *exec.View) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.tinj.tick() {
-		return exec.PassTick // injected tick fault: skip, re-pick next tick
-	}
-	c.prepareTick(pending)
-	if len(pending) >= parallelProbeThreshold && c.smon.Shards() > 1 {
-		var wg sync.WaitGroup
-		for i, r := range pending {
-			if !c.gateable(r, v) {
-				continue
-			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				c.adm[i] = c.smon.Admissible(c.ops[i])
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i, r := range pending {
-			c.adm[i] = c.gateable(r, v) && c.smon.Admissible(c.ops[i])
-		}
-	}
-	return c.pickAdmitted(pending, v)
 }

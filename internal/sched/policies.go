@@ -130,6 +130,10 @@ func (s *Serial) TxnFinished(id int, v *exec.View) {
 type DelayedRead struct {
 	// Inner picks among the unblocked requests.
 	Inner exec.Policy
+
+	// Per-tick scratch, reused across Pick calls.
+	allowed []*exec.Request
+	idx     []int
 }
 
 // delayedReadBlocked reports the DR gate's rule: a read of an item
@@ -145,23 +149,22 @@ func delayedReadBlocked(r *exec.Request, v *exec.View) bool {
 
 // Pick implements exec.Policy.
 func (d *DelayedRead) Pick(pending []*exec.Request, v *exec.View) int {
-	allowed := make([]*exec.Request, 0, len(pending))
-	idx := make([]int, 0, len(pending))
+	d.allowed, d.idx = d.allowed[:0], d.idx[:0]
 	for i, r := range pending {
 		if delayedReadBlocked(r, v) {
 			continue
 		}
-		allowed = append(allowed, r)
-		idx = append(idx, i)
+		d.allowed = append(d.allowed, r)
+		d.idx = append(d.idx, i)
 	}
-	if len(allowed) == 0 {
+	if len(d.allowed) == 0 {
 		return -1
 	}
-	inner := d.Inner.Pick(allowed, v)
-	if inner < 0 || inner >= len(allowed) {
+	inner := d.Inner.Pick(d.allowed, v)
+	if inner < 0 || inner >= len(d.allowed) {
 		return -1
 	}
-	return idx[inner]
+	return d.idx[inner]
 }
 
 // TxnFinished implements exec.Policy.
