@@ -28,7 +28,8 @@ benchmark-smoke:
 
 # bench runs the certification-core benchmark families (the optimized
 # Monitor and BuildGraph against their retained reference
-# implementations, plus the sharded-monitor family) and records the
+# implementations, plus the sharded-monitor and whole-transaction
+# admission families) and records the
 # raw test2json stream in BENCH_monitor.json, then regenerates the
 # machine-readable PERF6 trajectory BENCH_sharded.json via pwsrbench.
 # Both JSON files are checked in so perf regressions stay diffable PR
@@ -38,7 +39,7 @@ benchmark-smoke:
 .PHONY: bench
 bench:
 	$(GO) test . -run '^$$' \
-		-bench 'BenchmarkMonitorThroughput|BenchmarkBuildGraphScaling|BenchmarkCheckPWSRWidePartition|BenchmarkShardedMonitor' \
+		-bench 'BenchmarkMonitorThroughput|BenchmarkBuildGraphScaling|BenchmarkCheckPWSRWidePartition|BenchmarkShardedMonitor|BenchmarkShardedAdmitSequence' \
 		-benchmem -count=6 -json | tee BENCH_monitor.json
 	$(GO) run ./cmd/pwsrbench -section sharded -cpu 1,2,4,8 -benchout BENCH_sharded.json
 	$(GO) run ./cmd/pwsrbench -section compact -compactout BENCH_compact.json
@@ -173,6 +174,17 @@ bench-cpu:
 	$(GO) test ./internal/intern -run '^$$' -bench 'BenchmarkSharedLookupParallel' -benchmem -cpu 1,2,4,8
 	$(GO) run ./cmd/pwsrbench -section sharded -cpu 1,2,4,8 -benchout BENCH_sharded.json
 
+# profile-batch writes a CPU profile of whole-transaction admission
+# (PERF14's family: AdmitSequence + Commit on batch-rw's partition
+# shape, single monitor and sharded) to admit.prof, with the test binary
+# beside it; read it with
+#   go tool pprof -top -focus 'ShardedMonitor' pwsr.test admit.prof
+# The benchmark binary itself has no -cpuprofile flag yet (ROADMAP,
+# telemetry item), so this is how batch-rw's serial section is profiled.
+.PHONY: profile-batch
+profile-batch:
+	$(GO) test . -run '^$$' -bench 'BenchmarkShardedAdmitSequence' -benchmem -cpuprofile admit.prof -o pwsr.test
+
 # bench-all runs every benchmark in the repository once.
 .PHONY: bench-all
 bench-all:
@@ -204,7 +216,11 @@ test:
 # steady-state Observe/Admissible hot path, a gate tick
 # (TestZeroAllocGatePick, TestZeroAllocDelayedReadPick), victim
 # selection (TestZeroAllocVictim) or the tick engine's grant path fails
-# CI here, not just benchmarks.
+# CI here, not just benchmarks. That leg also carries the sharded
+# monitor's cost-shape pin (TestZeroAllocShardedAdmitLiveSetIndependent:
+# whole-transaction admission allocates the same with 16 and with 4096
+# resident transactions), and the last line runs the PERF14 benchmark
+# family once so it cannot rot.
 # The chaos smoke (a fixed 40-seed band of the ROBUST1 fault
 # differential, deterministic by construction) also rides in the raced
 # `./...` pass; the full randomized matrix lives in `make chaos`.
@@ -215,6 +231,7 @@ check:
 	GOMAXPROCS=1 $(GO) test -race -short -count=1 ./internal/core ./internal/sched ./internal/exec ./internal/wal
 	GOMAXPROCS=8 $(GO) test -race -short -count=1 ./internal/core ./internal/sched ./internal/exec ./internal/wal
 	$(GO) test -run 'TestZeroAlloc|TestTickEngineAllocs' -count=1 ./internal/core
+	$(GO) test . -run '^$$' -bench 'BenchmarkShardedAdmitSequence' -benchtime=1x
 
 # soak is the long-run bounded-memory test: ≥ 1M operations through a
 # single OptimisticCertify gate with the transaction lifecycle on,

@@ -715,6 +715,85 @@ func BenchmarkShardedMonitor(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
+// PERF14: whole-transaction admission — AdmitSequence + Commit on the
+// benchmark's batch-rw shape (eight private conjuncts over 768 items
+// plus the one-item hot conjunct, ascending ids, a Compact pass every
+// 192 commits), the single monitor against the sharded one, with
+// `resident` live uncommitted transactions parked in the certifier
+// beforehand. A parked transaction holds one read of an item outside
+// every conjunct under an id above the stream's: it fills the
+// per-transaction tables (ShardedMonitor's transaction table, Monitor's
+// dense ones) and adds no conflict-graph state, so the family isolates
+// what a transaction's admission pays for the transactions beside it.
+// Admission is footprint-sized when ns/op and B/op do not move with
+// `resident`.
+// ---------------------------------------------------------------------
+
+func BenchmarkShardedAdmitSequence(b *testing.B) {
+	const privateConjuncts, privateItems, compactEvery, hotPct = 8, 768, 192, 20
+	partition := make([]state.ItemSet, privateConjuncts, privateConjuncts+1)
+	for e := range partition {
+		partition[e] = state.NewItemSet()
+	}
+	for i := 0; i < privateItems; i++ {
+		partition[i%privateConjuncts].Add(fmt.Sprintf("x%d", i))
+	}
+	partition = append(partition, state.NewItemSet("h"))
+
+	// The stream: a read-modify-write of one private item, a fifth of
+	// the transactions also incrementing the hot item.
+	rng := rand.New(rand.NewSource(29))
+	shapes := make([][]txn.Op, 1024)
+	for j := range shapes {
+		x := fmt.Sprintf("x%d", rng.Intn(privateItems))
+		shapes[j] = []txn.Op{txn.R(0, x, 0), txn.W(0, x, 1)}
+		if rng.Intn(100) < hotPct {
+			shapes[j] = append(shapes[j], txn.R(0, "h", 0), txn.W(0, "h", 1))
+		}
+	}
+
+	type admitter interface {
+		AdmitSequence([]txn.Op) (bool, *core.Violation)
+		Commit(int)
+		SetAutoCompact(int) int
+	}
+	variants := []struct {
+		name string
+		mk   func() admitter
+	}{
+		{"monitor", func() admitter { return core.NewMonitor(partition) }},
+		{"shards=1", func() admitter { return core.NewShardedMonitor(partition, 1) }},
+		{"shards=2", func() admitter { return core.NewShardedMonitor(partition, 2) }},
+		{"shards=gomaxprocs", func() admitter { return core.NewShardedMonitor(partition, 0) }},
+	}
+	for _, v := range variants {
+		for _, resident := range []int{0, 192, 4096} {
+			b.Run(fmt.Sprintf("%s/resident=%d", v.name, resident), func(b *testing.B) {
+				m := v.mk()
+				m.SetAutoCompact(compactEvery)
+				for k := 0; k < resident; k++ {
+					if ok, vio := m.AdmitSequence([]txn.Op{txn.R(1<<40+k, "unconstrained", 0)}); !ok || vio != nil {
+						b.Fatalf("parking %d: ok=%v, violation %v", k, ok, vio)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for id := 1; id <= b.N; id++ {
+					seq := shapes[id%len(shapes)]
+					for k := range seq {
+						seq[k].Txn = id
+					}
+					if ok, vio := m.AdmitSequence(seq); !ok || vio != nil {
+						b.Fatalf("T%d: ok=%v, violation %v", id, ok, vio)
+					}
+					m.Commit(id)
+				}
+			})
+		}
+	}
+}
+
+// ---------------------------------------------------------------------
 // BASE1: setwise serializability baseline.
 // ---------------------------------------------------------------------
 

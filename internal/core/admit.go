@@ -1,10 +1,6 @@
 package core
 
-import (
-	"slices"
-
-	"pwsr/internal/txn"
-)
+import "pwsr/internal/txn"
 
 // AdmitSequence atomically admits one transaction's whole operation
 // sequence: each operation is probed with Admissible and, if the probe
@@ -97,14 +93,18 @@ func (m *Monitor) admitSequence(ops []txn.Op) (applied int, ok bool, v *Violatio
 // AdmitSequence atomically admits one transaction's whole operation
 // sequence with Monitor.AdmitSequence's contract, safe for concurrent
 // callers — and cheaper than an Admissible/Observe loop through the
-// public entry points: the routes of all operations are resolved
-// first, then the union of routed shards is locked once in ascending
-// order for the whole sequence (one lock round per shard per
-// transaction instead of per operation), and the probe-then-observe
-// loop runs against the already-locked shards. Sequences routed to
-// disjoint shard sets certify fully in parallel; the ascending lock
-// order makes overlapping unions deadlock-free against each other and
-// against the single-lock paths.
+// public entry points: one transaction-table visit checks the
+// fresh-transaction contract and opens the entry, the routes of all
+// operations are resolved, then the union of routed shards is locked
+// once in ascending order for the whole sequence (one lock round per
+// shard per transaction instead of per operation), and the
+// probe-then-observe loop runs against the already-locked shards. The
+// cost is the sequence's footprint — its operations and the shards
+// they route to — whatever the shard count and however many
+// transactions are live. Sequences routed to disjoint shard sets
+// certify fully in parallel; the ascending lock order makes
+// overlapping unions deadlock-free against each other and against the
+// single-lock paths.
 func (m *ShardedMonitor) AdmitSequence(ops []txn.Op) (bool, *Violation) {
 	if v := m.violation.Load(); v != nil {
 		return false, v
@@ -136,42 +136,37 @@ func (m *ShardedMonitor) AdmitSequence(ops []txn.Op) (bool, *Violation) {
 		return ok, nil
 	}
 
-	m.routeMu.Lock()
-	committed := m.committed[id]
-	m.routeMu.Unlock()
-	if committed {
-		panic(&LifecycleError{Verb: "AdmitSequence", Txn: id, Reason: "operation for a committed transaction"})
-	}
-	if c, seen := (*m.txnOps.Load())[id]; seen && c.ops.Load() > 0 {
+	c := m.openTxn("AdmitSequence", id)
+	if c.ops.Load() > 0 {
 		panic(&LifecycleError{Verb: "AdmitSequence", Txn: id, Reason: "transaction already holds observed operations"})
 	}
 
 	// Resolve every operation's route before taking any shard lock
-	// (routing may take routeMu on first sight of an entity), and
-	// collect the ascending union of routed shards.
-	routes := make([]routeShards, len(ops))
-	var union []int32
-	for i, o := range ops {
-		routes[i] = m.routeFor(o.Entity)
-		union = append(union, routes[i]...)
+	// (routing may take routeMu on first sight of an entity); their
+	// union is the sequence's footprint.
+	var buf [8]shardSet
+	routes := buf[:0]
+	var union shardSet
+	for _, o := range ops {
+		r := m.routeFor(o.Entity)
+		routes = append(routes, r)
+		union |= r
 	}
-	slices.Sort(union)
-	union = slices.Compact(union)
-
-	for _, s := range union {
-		m.shards[s].mu.Lock()
+	for r := union; r != 0; r &= r - 1 {
+		m.shards[r.lowest()].mu.Lock()
 	}
-	// observed marks the shards holding at least one observed operation
-	// of this transaction (the rollback fan-out on denial).
-	observed := make([]bool, len(m.shards))
+	// observed is the set of shards holding an observed operation of
+	// this transaction: the rollback fan-out on denial, and the shards
+	// a later Commit must reach either way.
+	var observed shardSet
 	applied := 0
 	denied := false
 	var vio *Violation
 	var vsh *monitorShard
 admit:
 	for i := range ops {
-		for _, s := range routes[i] {
-			sh := m.shards[s]
+		for r := routes[i]; r != 0; r &= r - 1 {
+			sh := m.shards[r.lowest()]
 			sh.probes++
 			if !sh.mon.Admissible(ops[i]) {
 				sh.denials++
@@ -179,10 +174,10 @@ admit:
 				break admit
 			}
 		}
-		for _, s := range routes[i] {
-			sh := m.shards[s]
+		observed |= routes[i]
+		for r := routes[i]; r != 0; r &= r - 1 {
+			sh := m.shards[r.lowest()]
 			sh.observes++
-			observed[s] = true
 			if v := sh.mon.Observe(ops[i]); v != nil {
 				// Unreachable while Admissible is exact (the shard is
 				// locked between probe and observe).
@@ -194,57 +189,36 @@ admit:
 		applied++
 	}
 	if denied {
-		for _, s := range union {
-			if observed[s] {
-				m.shards[s].mon.Retract(id)
-			}
+		for r := observed; r != 0; r &= r - 1 {
+			m.shards[r.lowest()].mon.Retract(id)
 		}
 	}
-	for i := len(union) - 1; i >= 0; i-- {
-		m.shards[union[i]].mu.Unlock()
+	for r := union; r != 0; r &= r - 1 {
+		m.shards[r.lowest()].mu.Unlock()
 	}
 
-	if vio != nil {
-		// Count the observed prefix like Observe would (up to and
-		// including the violating operation).
-		c := m.txnCounter(id)
-		m.ops.Add(int64(applied))
-		c.ops.Add(int64(applied))
-		for i := 0; i < applied; i++ {
-			c.orShards(routes[i], len(m.shards))
-		}
-		gv := m.globalViolation(vsh, vio)
-		if m.sink != nil {
-			for i := 0; i < applied; i++ {
-				m.sink.LogObserve(ops[i])
-			}
-		}
-		return false, gv
-	}
 	if denied {
-		// Net zero: the prefix was rolled back under the locks and never
-		// counted, so the sink sees the same observes-then-retract
-		// stream a Monitor-backed denial emits.
-		if m.sink != nil {
-			for i := 0; i < applied; i++ {
-				m.sink.LogObserve(ops[i])
-			}
-			if applied > 0 {
-				m.sink.LogRetract(id)
-			}
-		}
-		return false, nil
+		// Net zero: the prefix was rolled back under the locks and is
+		// never counted; the entry only remembers which shards hold its
+		// emptied nodes.
+		c.shards.Or(uint64(observed))
+	} else {
+		// The whole sequence or, on a violation, the observed prefix up
+		// to and including the violating operation, like Observe.
+		m.count(c, applied, observed)
 	}
-	c := m.txnCounter(id)
-	m.ops.Add(int64(len(ops)))
-	c.ops.Add(int64(len(ops)))
-	for i := range ops {
-		c.orShards(routes[i], len(m.shards))
-	}
+	// The sink sees what a Monitor-backed admission emits: the observed
+	// prefix, then on a denial its retraction.
 	if m.sink != nil {
-		for _, o := range ops {
+		for _, o := range ops[:applied] {
 			m.sink.LogObserve(o)
 		}
+		if denied && applied > 0 {
+			m.sink.LogRetract(id)
+		}
 	}
-	return true, nil
+	if vio != nil {
+		return false, m.globalViolation(vsh, vio)
+	}
+	return !denied, nil
 }

@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"pwsr/internal/core"
@@ -262,6 +264,107 @@ func TestZeroAllocVictim(t *testing.T) {
 		}
 		if p.worst > 0 {
 			t.Fatalf("%s: Victim allocates %.2f allocs/call over %d stalls, want 0", name, p.worst, p.calls)
+		}
+	}
+}
+
+// TestZeroAllocShardedAdmitLiveSetIndependent pins the cost shape of
+// whole-transaction admission on the sharded monitor at 2 and 8 shards:
+// AdmitSequence + Commit of a fresh transaction allocates the same
+// number of objects and the same number of bytes with 16 resident
+// transactions as with 4096 — what a transaction pays does not depend
+// on the transactions beside it — and, against the single Monitor, one
+// object more for its transaction-table entry plus one per shard its
+// footprint spans beyond the first (that shard's monitor keeps its own
+// conjunct list for the transaction). Each resident is a live
+// uncommitted reader in a private conjunct, so it sits in the
+// transaction table and in a shard's graphs. Bytes are compared as the
+// most frequent per-call figure, which drops the calls on which an
+// amortized table grew (those depend on the table's size, not on the
+// admission).
+func TestZeroAllocShardedAdmitLiveSetIndependent(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is unreliable under -race")
+	}
+	const conjuncts, small, large, runs = 8, 16, 4096, 256
+	const pool = 2*runs + 1 // one private item per measured call
+	partition := make([]state.ItemSet, conjuncts, conjuncts+1)
+	for e := range partition {
+		partition[e] = state.NewItemSet(fmt.Sprintf("p%d", e))
+	}
+	for i := 0; i < pool; i++ {
+		partition[0].Add(fmt.Sprintf("x%d", i)) // shard 0 at every shard count
+	}
+	partition = append(partition, state.NewItemSet("h")) // the last shard
+
+	type admitter interface {
+		AdmitSequence([]txn.Op) (bool, *core.Violation)
+		Commit(int)
+		SetAutoCompact(int) int
+	}
+	// measure returns allocs and bytes per AdmitSequence+Commit of a
+	// read-modify-write of one private item, with or without one of the
+	// hot item. A first round over the pool gives every private item the
+	// same history, so every measured call does the same work.
+	measure := func(m admitter, resident int, hot bool) (allocs float64, bytes uint64) {
+		m.SetAutoCompact(0)
+		for k := 0; k < resident; k++ {
+			if ok, v := m.AdmitSequence([]txn.Op{txn.R(1+k, fmt.Sprintf("p%d", k%conjuncts), 0)}); !ok || v != nil {
+				t.Fatalf("resident T%d: ok=%v, violation %v", 1+k, ok, v)
+			}
+		}
+		i := 0
+		buf := make([]txn.Op, 4)
+		admit := func() {
+			id, x := large+1+i, fmt.Sprintf("x%d", i%pool)
+			i++
+			seq := append(buf[:0], txn.R(id, x, 0), txn.W(id, x, 1))
+			if hot {
+				seq = append(seq, txn.R(id, "h", 0), txn.W(id, "h", 1))
+			}
+			if ok, v := m.AdmitSequence(seq); !ok || v != nil {
+				t.Fatalf("T%d: ok=%v, violation %v", id, ok, v)
+			}
+			m.Commit(id)
+		}
+		for i < pool {
+			admit()
+		}
+		allocs = testing.AllocsPerRun(runs, admit)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		count := make(map[uint64]int)
+		var before, after runtime.MemStats
+		for r := 0; r < runs; r++ {
+			runtime.ReadMemStats(&before)
+			admit()
+			runtime.ReadMemStats(&after)
+			count[after.TotalAlloc-before.TotalAlloc]++
+		}
+		for b, n := range count {
+			if n > count[bytes] {
+				bytes = b
+			}
+		}
+		if count[bytes] < runs/2 {
+			t.Fatalf("no steady per-call byte count: %v", count)
+		}
+		return allocs, bytes
+	}
+
+	for footprint := 1; footprint <= 2; footprint++ {
+		hot := footprint == 2
+		monAllocs, _ := measure(core.NewMonitor(partition), small, hot)
+		for _, shards := range []int{2, 8} {
+			a16, b16 := measure(core.NewShardedMonitor(partition, shards), small, hot)
+			a4k, b4k := measure(core.NewShardedMonitor(partition, shards), large, hot)
+			if a16 != a4k || b16 != b4k {
+				t.Errorf("shards=%d footprint=%d: %v allocs/%d B per admission with %d residents, %v allocs/%d B with %d",
+					shards, footprint, a16, b16, small, a4k, b4k, large)
+			}
+			if a4k > monAllocs+float64(footprint) {
+				t.Errorf("shards=%d footprint=%d: %v allocs per admission, Monitor %v: want at most %d more",
+					shards, footprint, a4k, monAllocs, footprint)
+			}
 		}
 	}
 }

@@ -37,3 +37,16 @@ func SetShardedEpochSize(n int) int {
 // DirectTableLen reports the length of the monitor's direct-index
 // transaction translation table.
 func (m *Monitor) DirectTableLen() int { return len(m.txnDirect) }
+
+// InternedTxns sums the transactions the shards' monitors hold interned
+// — resident or rolled back to an emptied node — so a test can tell
+// that nothing is left behind once every transaction is reclaimed.
+func (m *ShardedMonitor) InternedTxns() int {
+	n := 0
+	for _, sh := range m.shards {
+		sh.mu.Lock()
+		n += sh.mon.txns.Len()
+		sh.mu.Unlock()
+	}
+	return n
+}

@@ -80,9 +80,8 @@ func (m *ShardedMonitor) committedTxn(txnID int) bool {
 		d, ok := sh.mon.txnLookup(txnID)
 		return ok && sh.mon.committedB[d]
 	}
-	m.routeMu.Lock()
-	defer m.routeMu.Unlock()
-	return m.committed[txnID]
+	_, committed := m.lookupTxn(txnID)
+	return committed
 }
 
 // CheckedObserve mirrors Monitor.CheckedObserve on the sharded
@@ -154,17 +153,13 @@ func (m *ShardedMonitor) LiveTxnIDs() []int {
 		defer sh.mu.Unlock()
 		return sh.mon.LiveTxnIDs()
 	}
-	cur := *m.txnOps.Load()
-	out := make([]int, 0, len(cur))
-	for id := range cur {
-		out = append(out, id)
-	}
-	slices.Sort(out)
-	return out
+	return m.residentIDs(true)
 }
 
 // InFlightTxnIDs mirrors Monitor.InFlightTxnIDs on the sharded
-// certifier: the tracked transactions not yet marked committed.
+// certifier: the resident transactions not yet marked committed, read
+// in one critical section of the transaction table so a commit or a
+// reclamation is seen whole.
 func (m *ShardedMonitor) InFlightTxnIDs() []int {
 	if m.single {
 		sh := m.shards[0]
@@ -172,15 +167,20 @@ func (m *ShardedMonitor) InFlightTxnIDs() []int {
 		defer sh.mu.Unlock()
 		return sh.mon.InFlightTxnIDs()
 	}
-	cur := *m.txnOps.Load()
-	m.routeMu.Lock()
-	out := make([]int, 0, len(cur))
-	for id := range cur {
-		if !m.committed[id] {
+	return m.residentIDs(false)
+}
+
+// residentIDs lists the transaction table's resident entries, sorted,
+// with or without the committed ones.
+func (m *ShardedMonitor) residentIDs(committed bool) []int {
+	m.txnMu.RLock()
+	out := make([]int, 0, m.live.Load())
+	for id, c := range m.txns {
+		if c.ops.Load() > 0 && (committed || !c.committed) {
 			out = append(out, id)
 		}
 	}
-	m.routeMu.Unlock()
+	m.txnMu.RUnlock()
 	slices.Sort(out)
 	return out
 }

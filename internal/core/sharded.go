@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -27,14 +28,15 @@ import (
 // Concurrency model. Observe, Admissible, ObserveAll, and Retract are
 // safe for concurrent use. An operation is routed through a shared
 // lock-free table (intern.Shared plus a copy-on-write route slice) to
-// the shards whose conjuncts mention its item; each routed shard is
-// then visited in ascending order under its lock. Operations touching
-// disjoint shards therefore certify fully in parallel, while
-// operations contending for a shard order through its lock — the
-// shard lock is the fence that serializes genuinely conflicting
-// admissions. Verdicts merge through a single sticky violation slot
-// (first CAS wins); once any shard trips, the monitor as a whole is
-// violated, mirroring Monitor's stickiness.
+// the shards whose conjuncts mention its item, and counted against its
+// transaction's entry in the transaction table (a read-locked map hit);
+// each routed shard is then visited in ascending order under its lock.
+// Operations touching disjoint shards therefore certify fully in
+// parallel, while operations contending for a shard order through its
+// lock — the shard lock is the fence that serializes genuinely
+// conflicting admissions. Verdicts merge through a single sticky
+// violation slot (first CAS wins); once any shard trips, the monitor as
+// a whole is violated, mirroring Monitor's stickiness.
 //
 // Fed from a single goroutine, a ShardedMonitor is observationally
 // identical to Monitor over the same partition — same verdicts, same
@@ -50,33 +52,38 @@ type ShardedMonitor struct {
 	// matches Monitor exactly.
 	shardOf []int32
 
-	// router interns entities and routes[id] lists the shards whose
+	// router interns entities and routes[id] is the set of shards whose
 	// conjuncts mention the entity. Both structures are copy-on-write
-	// with lock-free readers: this shared table is the only structure
-	// every shard touches on every operation, so it must not
-	// serialize them (the monitor-side consumer intern.Shared exists
-	// for).
+	// (writers under routeMu) with lock-free readers: the item working
+	// set saturates, so misses stop and every later operation is a hit
+	// that must not serialize the shards (the consumer intern.Shared
+	// exists for).
 	router  *intern.Shared
-	routes  atomic.Pointer[[]routeShards]
+	routes  atomic.Pointer[[]shardSet]
 	routeMu sync.Mutex
 
 	violation atomic.Pointer[Violation]
 	ops       atomic.Int64
-	// txnOps counts observed operations per transaction so Retract
-	// keeps Ops() equal to the surviving operation count, mirroring
-	// Monitor's dense per-txn counters, and records the set of shards
-	// the transaction's operations routed to so Retract visits only
-	// those shards. Copy-on-write like the route table: the per-op hit
-	// path is one atomic load plus a map lookup, only a first-seen
-	// transaction takes routeMu.
-	txnOps atomic.Pointer[map[int]*shardedTxn]
-	// Lifecycle state for the multi-shard mode (the single-shard fast
-	// path delegates wholly to the inner monitor's lifecycle).
-	// committed, commitsSince, and autoEvery are guarded by routeMu;
-	// compactMu serializes Compact passes; watermark is the highest
-	// committed transaction id (CAS-maxed, monotone); compactions and
+	// txns is the transaction table of the multi-shard mode (the
+	// single-shard fast path delegates wholly to the inner monitor):
+	// one entry per transaction the sharded level has seen and not yet
+	// reclaimed, the counterpart of Monitor's dense per-txn tables. It
+	// is updated in place under txnMu — every transaction is a miss
+	// once, so unlike the routes a copy per miss would cost O(live
+	// transactions) per transaction. The per-op hit path holds the read
+	// lock for one map load; inserts (first sight, Commit of an unseen
+	// id) and deletes (Compact) hold the write lock for one map
+	// operation each. live counts the resident entries (ops > 0), and
+	// pending queues the committed ids no pass has reclaimed yet, in
+	// commit order, so a pass visits its candidates, not the table.
+	txnMu   sync.RWMutex
+	txns    map[int]*shardedTxn
+	live    atomic.Int64
+	pending []int
+	// commitsSince and autoEvery are guarded by txnMu; compactMu
+	// serializes Compact passes; watermark is the highest committed
+	// transaction id (CAS-maxed, monotone); compactions and
 	// reclaimedTxns are the sharded-level lifecycle counters.
-	committed     map[int]bool
 	commitsSince  int
 	autoEvery     int
 	compactMu     sync.Mutex
@@ -100,35 +107,34 @@ type ShardedMonitor struct {
 	single bool
 }
 
-// routeShards is the ascending shard list an interned entity routes to
-// (empty for items outside every conjunct, which are ignored per
-// Definition 2).
-type routeShards []int32
+// maxShards bounds the shard count so that a set of shards is one
+// machine word.
+const maxShards = 64
 
-// shardedTxn is one transaction's global bookkeeping: its surviving
-// operation count and the bitmask of shards its operations routed to
-// (meaningful only while the shard count fits in 64 bits; wider
-// configurations fall back to full fan-out on Retract).
+// shardSet is a set of shard indices, bit s for shard s: the route of
+// an interned entity (empty for items outside every conjunct, which are
+// ignored per Definition 2) or the footprint of a transaction.
+type shardSet uint64
+
+// lowest returns the lowest shard of a non-empty set, so
+// `for r := set; r != 0; r &= r - 1 { … r.lowest() … }` visits the
+// shards in ascending order — the lock order.
+func (r shardSet) lowest() int { return bits.TrailingZeros64(uint64(r)) }
+
+// shardedTxn is one transaction's entry in the transaction table: its
+// surviving operation count (resident while positive), the set of
+// shards its operations ever routed to, and the commit mark. Like
+// Monitor's per-txn state the entry survives Retract — the shards keep
+// the transaction's emptied nodes, and a later Commit must still reach
+// them — and is deleted when a Compact pass reclaims the committed
+// transaction. ops and shards are atomics updated through the entry
+// pointer with no table lock held (only committed entries are ever
+// deleted, and a committed transaction takes no operations); committed
+// is guarded by the table lock.
 type shardedTxn struct {
-	ops    atomic.Int64
-	shards atomic.Uint64
-}
-
-// orShards folds the route's shard bits into the transaction's mask.
-func (c *shardedTxn) orShards(r routeShards, shardCount int) {
-	if shardCount > 64 || len(r) == 0 {
-		return
-	}
-	var mask uint64
-	for _, s := range r {
-		mask |= 1 << uint(s)
-	}
-	for {
-		old := c.shards.Load()
-		if old&mask == mask || c.shards.CompareAndSwap(old, old|mask) {
-			return
-		}
-	}
+	ops       atomic.Int64
+	shards    atomic.Uint64
+	committed bool
 }
 
 // monitorShard is one block of conjuncts behind its own lock, with
@@ -170,29 +176,22 @@ var shardedEpochSize = 8192
 // NewShardedMonitor builds a sharded monitor over the conjunct
 // partition. shards ≤ 0 selects GOMAXPROCS; the count is clamped to
 // the number of conjuncts (a shard without conjuncts would never
-// receive work) and to a minimum of one.
+// receive work), to maxShards, and to a minimum of one.
 func NewShardedMonitor(partition []state.ItemSet, shards int) *ShardedMonitor {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	if shards > len(partition) {
-		shards = len(partition)
-	}
-	if shards < 1 {
-		shards = 1
-	}
+	shards = max(1, min(shards, len(partition), maxShards))
 	m := &ShardedMonitor{
 		partition: partition,
 		router:    intern.NewShared(),
 		shardOf:   make([]int32, len(partition)),
 		single:    shards == 1,
-		committed: make(map[int]bool),
+		txns:      make(map[int]*shardedTxn),
 		autoEvery: DefaultAutoCompactEvery,
 	}
-	empty := make([]routeShards, 0)
+	empty := make([]shardSet, 0)
 	m.routes.Store(&empty)
-	counters := make(map[int]*shardedTxn)
-	m.txnOps.Store(&counters)
 	l := len(partition)
 	for s := 0; s < shards; s++ {
 		lo, hi := s*l/shards, (s+1)*l/shards
@@ -207,7 +206,7 @@ func NewShardedMonitor(partition []state.ItemSet, shards int) *ShardedMonitor {
 	}
 	if !m.single {
 		// The sharded level owns the compaction cadence: per-shard
-		// passes must be paired with the global counter pruning below,
+		// passes must be paired with the transaction table's pruning,
 		// so the inner monitors' own automatic triggers are disabled.
 		for _, sh := range m.shards {
 			sh.mon.SetAutoCompact(0)
@@ -241,41 +240,60 @@ func (m *ShardedMonitor) PWSR() bool { return m.violation.Load() == nil }
 // Violation returns the first violation, or nil.
 func (m *ShardedMonitor) Violation() *Violation { return m.violation.Load() }
 
-// countOp records one observed operation in the global counters and
-// returns the transaction's bookkeeping record (so callers can fold in
-// the route's shard bits once the route is known).
-func (m *ShardedMonitor) countOp(o txn.Op) *shardedTxn {
-	m.ops.Add(1)
-	c := m.txnCounter(o.Txn)
-	c.ops.Add(1)
+// lookupTxn returns the transaction's table entry (nil when the
+// sharded level holds none) and whether it is marked committed.
+func (m *ShardedMonitor) lookupTxn(txnID int) (c *shardedTxn, committed bool) {
+	m.txnMu.RLock()
+	defer m.txnMu.RUnlock()
+	c = m.txns[txnID]
+	return c, c != nil && c.committed
+}
+
+// openTxn returns the table entry new operations of the transaction
+// count against, inserting it on first sight, and raises the
+// op-after-commit lifecycle error for verb: shards outside a committed
+// transaction's footprint never learn of the commit, so the contract is
+// enforced here rather than by the inner monitors.
+func (m *ShardedMonitor) openTxn(verb string, txnID int) *shardedTxn {
+	c, committed := m.lookupTxn(txnID)
+	if c == nil {
+		m.txnMu.Lock()
+		c = m.entryLocked(txnID)
+		committed = c.committed
+		m.txnMu.Unlock()
+	}
+	if committed {
+		panic(&LifecycleError{Verb: verb, Txn: txnID, Reason: "operation for a committed transaction"})
+	}
 	return c
 }
 
-// txnCounter returns the transaction's bookkeeping record, creating it
-// (under routeMu, publishing a fresh snapshot) on first use.
-func (m *ShardedMonitor) txnCounter(txnID int) *shardedTxn {
-	if c, ok := (*m.txnOps.Load())[txnID]; ok {
-		return c
+// entryLocked returns the transaction's table entry, inserting an empty
+// one when there is none. The caller holds the table's write lock.
+func (m *ShardedMonitor) entryLocked(txnID int) *shardedTxn {
+	c := m.txns[txnID]
+	if c == nil {
+		c = new(shardedTxn)
+		m.txns[txnID] = c
 	}
-	m.routeMu.Lock()
-	defer m.routeMu.Unlock()
-	cur := *m.txnOps.Load()
-	if c, ok := cur[txnID]; ok {
-		return c
-	}
-	next := make(map[int]*shardedTxn, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
-	}
-	c := new(shardedTxn)
-	next[txnID] = c
-	m.txnOps.Store(&next)
 	return c
+}
+
+// count records n observed operations routed to the shards r against
+// the entry and the global operation count.
+func (m *ShardedMonitor) count(c *shardedTxn, n int, r shardSet) {
+	m.ops.Add(int64(n))
+	if c.ops.Add(int64(n)) == int64(n) {
+		m.live.Add(1)
+	}
+	if uint64(r)&^c.shards.Load() != 0 {
+		c.shards.Or(uint64(r))
+	}
 }
 
 // routeFor returns the entity's shard route, interning the entity and
 // computing its conjunct membership on first sight.
-func (m *ShardedMonitor) routeFor(entity string) routeShards {
+func (m *ShardedMonitor) routeFor(entity string) shardSet {
 	if id, ok := m.router.Lookup(entity); ok {
 		if rs := *m.routes.Load(); int(id) < len(rs) {
 			return rs[id]
@@ -288,15 +306,13 @@ func (m *ShardedMonitor) routeFor(entity string) routeShards {
 	if int(id) < len(rs) {
 		return rs[id]
 	}
-	var r routeShards
+	var r shardSet
 	for e, d := range m.partition {
 		if d.Contains(entity) {
-			if s := m.shardOf[e]; len(r) == 0 || r[len(r)-1] != s {
-				r = append(r, s)
-			}
+			r |= 1 << m.shardOf[e]
 		}
 	}
-	next := make([]routeShards, len(rs)+1)
+	next := make([]shardSet, len(rs)+1)
 	copy(next, rs)
 	next[id] = r
 	m.routes.Store(&next)
@@ -307,10 +323,10 @@ func (m *ShardedMonitor) routeFor(entity string) routeShards {
 // router hit whose route is still being published (the router and the
 // route slice are updated in one critical section, but readers load
 // them separately) waits on the route mutex.
-func (m *ShardedMonitor) lookupRoute(entity string) (routeShards, bool) {
+func (m *ShardedMonitor) lookupRoute(entity string) (shardSet, bool) {
 	id, ok := m.router.Lookup(entity)
 	if !ok {
-		return nil, false
+		return 0, false
 	}
 	if rs := *m.routes.Load(); int(id) < len(rs) {
 		return rs[id], true
@@ -346,32 +362,29 @@ func (m *ShardedMonitor) Observe(o txn.Op) *Violation {
 		}
 		return nil
 	}
-	c := m.countOp(o)
-	if v := m.violation.Load(); v != nil {
-		if m.sink != nil {
-			m.sink.LogObserve(o)
-		}
-		return v
+	c := m.openTxn("Observe", o.Txn)
+	// The sticky monitor counts a post-violation observation but no
+	// longer certifies it.
+	v := m.violation.Load()
+	var route shardSet
+	if v == nil {
+		route = m.routeFor(o.Entity)
 	}
-	r := m.routeFor(o.Entity)
-	c.orShards(r, len(m.shards))
-	for _, s := range r {
-		sh := m.shards[s]
+	m.count(c, 1, route)
+	for r := route; r != 0 && v == nil; r &= r - 1 {
+		sh := m.shards[r.lowest()]
 		sh.mu.Lock()
 		sh.observes++
-		v := sh.mon.Observe(o)
+		sv := sh.mon.Observe(o)
 		sh.mu.Unlock()
-		if v != nil {
-			if m.sink != nil {
-				m.sink.LogObserve(o)
-			}
-			return m.globalViolation(sh, v)
+		if sv != nil {
+			v = m.globalViolation(sh, sv)
 		}
 	}
 	if m.sink != nil {
 		m.sink.LogObserve(o)
 	}
-	return nil
+	return v
 }
 
 // Admissible reports whether admitting o now would keep every
@@ -398,8 +411,8 @@ func (m *ShardedMonitor) Admissible(o txn.Op) bool {
 	if !ok {
 		return true // never-seen item: no shard has state on it
 	}
-	for _, s := range r {
-		sh := m.shards[s]
+	for ; r != 0; r &= r - 1 {
+		sh := m.shards[r.lowest()]
 		sh.mu.Lock()
 		sh.probes++
 		ok := sh.mon.Admissible(o)
@@ -416,13 +429,13 @@ func (m *ShardedMonitor) Admissible(o txn.Op) bool {
 
 // Retract removes every observed operation of the transaction with
 // Monitor.Retract's contract: each shard the transaction's operations
-// routed to (tracked as a bitmask on its counter record) rolls the
-// transaction out of its graphs under its lock — shards it never
-// touched are not visited, so the rollback fan-out scales with the
-// transaction's footprint rather than the shard count — and the global
-// operation count is repaired from the transaction's counter. Panics
-// after a violation and for a committed transaction, like
-// Monitor.Retract.
+// routed to (the shard set on its table entry) rolls the transaction
+// out of its graphs under its lock — shards it never touched are not
+// visited, so the rollback fan-out scales with the transaction's
+// footprint rather than the shard count — and the global operation
+// count is repaired from the entry's. The entry stays, no longer
+// resident, like Monitor's. Panics after a violation and for a
+// committed transaction, like Monitor.Retract.
 func (m *ShardedMonitor) Retract(txnID int) {
 	if m.violation.Load() != nil {
 		panic(&LifecycleError{Verb: "Retract", Txn: txnID, Reason: "retraction on a violated monitor"})
@@ -434,61 +447,39 @@ func (m *ShardedMonitor) Retract(txnID int) {
 		sh.mu.Unlock()
 		return // the inner monitor's counters are authoritative
 	}
-	m.routeMu.Lock()
-	committed := m.committed[txnID]
-	m.routeMu.Unlock()
+	c, committed := m.lookupTxn(txnID)
 	if committed {
 		panic(&LifecycleError{Verb: "Retract", Txn: txnID, Reason: "retraction of a committed transaction"})
 	}
-	cur := *m.txnOps.Load()
-	c, ok := cur[txnID]
-	if !ok {
-		return // never observed: nothing to roll back anywhere
+	if c == nil {
+		return // never seen: nothing to roll back anywhere
 	}
-	defer func() {
-		if m.sink != nil {
-			m.sink.LogRetract(txnID)
-		}
-	}()
-	mask := c.shards.Load()
-	if len(m.shards) > 64 {
-		mask = ^uint64(0)
-	}
-	for s, sh := range m.shards {
-		if len(m.shards) <= 64 && mask&(1<<uint(s)) == 0 {
-			continue
-		}
+	for r := shardSet(c.shards.Load()); r != 0; r &= r - 1 {
+		sh := m.shards[r.lowest()]
 		sh.mu.Lock()
 		sh.mon.Retract(txnID)
 		sh.mu.Unlock()
 	}
-	m.routeMu.Lock()
-	defer m.routeMu.Unlock()
-	cur = *m.txnOps.Load()
-	c, ok = cur[txnID]
-	if !ok {
-		return
+	if n := c.ops.Swap(0); n > 0 {
+		m.ops.Add(-n)
+		m.live.Add(-1)
 	}
-	m.ops.Add(-c.ops.Load())
-	next := make(map[int]*shardedTxn, len(cur)-1)
-	for k, v := range cur {
-		if k != txnID {
-			next[k] = v
-		}
+	if m.sink != nil {
+		m.sink.LogRetract(txnID)
 	}
-	m.txnOps.Store(&next)
 }
 
 // Commit marks the transaction finished with Monitor.Commit's
 // contract, safe for concurrent callers: the global watermark is
-// CAS-maxed, every shard's monitor marks the transaction under its
-// lock (a shard that never saw the transaction records the commit so
-// its next compaction can discard the mark), and once the configured
-// number of commits accumulates a sharded Compact pass runs. Marking
-// every shard costs one lock round per shard per commit — a bounded,
-// deliberate trade: commits are one call per transaction against many
-// ops, and routing state does not record which shards a transaction
-// touched.
+// CAS-maxed, the transaction's table entry is marked (inserted first
+// for an unseen id, which the next pass reclaims), the monitors of the
+// shards in the entry's shard set — the only ones holding a node of
+// the transaction, emptied or not — mark it under their locks, and
+// once the configured number of commits accumulates a sharded Compact
+// pass runs. A commit therefore costs one table visit plus one lock
+// round per shard of the transaction's footprint, not per shard; the
+// other shards never learn of the transaction, and the op-after-commit
+// contract is raised from the table instead (see openTxn).
 func (m *ShardedMonitor) Commit(txnID int) {
 	if m.violation.Load() != nil {
 		// The commit is a no-op everywhere, so the watermark should
@@ -510,26 +501,29 @@ func (m *ShardedMonitor) Commit(txnID int) {
 		sh.mu.Unlock()
 		return
 	}
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		sh.mon.Commit(txnID)
-		sh.mu.Unlock()
+	m.txnMu.Lock()
+	c := m.entryLocked(txnID)
+	if c.committed {
+		m.txnMu.Unlock()
+		return // a double commit is a no-op, like Monitor.Commit's
 	}
-	m.routeMu.Lock()
-	first := !m.committed[txnID]
-	if first {
-		m.committed[txnID] = true
-		m.commitsSince++
-	}
+	c.committed = true
+	m.pending = append(m.pending, txnID)
+	m.commitsSince++
 	trigger := m.autoEvery > 0 && m.commitsSince >= m.autoEvery
 	if trigger {
 		m.commitsSince = 0
 	}
-	m.routeMu.Unlock()
-	// Only the effective (first) commit is reported, mirroring
-	// Monitor.Commit's no-op on a double commit — and before any
-	// compaction the commit triggers, preserving stream order.
-	if first && m.sink != nil {
+	m.txnMu.Unlock()
+	for r := shardSet(c.shards.Load()); r != 0; r &= r - 1 {
+		sh := m.shards[r.lowest()]
+		sh.mu.Lock()
+		sh.mon.Commit(txnID)
+		sh.mu.Unlock()
+	}
+	// The commit is reported before any compaction it triggers,
+	// preserving stream order.
+	if m.sink != nil {
 		m.sink.LogCommit(txnID)
 	}
 	if trigger {
@@ -538,10 +532,10 @@ func (m *ShardedMonitor) Commit(txnID int) {
 }
 
 // Compact runs Monitor.Compact on every shard under its lock, then
-// prunes the global per-transaction counters of committed transactions
-// no shard still holds — the sharded reading of the low-watermark
-// reclamation (see Monitor.Compact for the soundness argument; it
-// applies shard by shard because shards share no conflict edges).
+// deletes the table entries of committed transactions no shard still
+// holds — the sharded reading of the low-watermark reclamation (see
+// Monitor.Compact for the soundness argument; it applies shard by
+// shard because shards share no conflict edges).
 // Passes are serialized against each other but run concurrently with
 // Observe/Admissible/Retract traffic: each shard compacts atomically
 // under its own lock. Returns the number of transactions fully
@@ -564,50 +558,54 @@ func (m *ShardedMonitor) Compact() int {
 		sh.mon.Compact()
 		sh.mu.Unlock()
 	}
-	m.routeMu.Lock()
+	m.txnMu.Lock()
 	// A manual pass defers the next automatic one by a full interval,
 	// mirroring Monitor.Compact's cadence.
 	m.commitsSince = 0
-	ids := make([]int, 0, len(m.committed))
-	for id := range m.committed {
-		ids = append(ids, id)
+	// The committed transactions are the reclamation candidates, each
+	// with the shards that may still hold it.
+	ids := m.pending
+	m.pending = nil
+	held := make([]shardSet, len(ids))
+	for i, id := range ids {
+		held[i] = shardSet(m.txns[id].shards.Load())
 	}
-	m.routeMu.Unlock()
-	// One locked pass per shard tests every candidate id — not one
-	// lock round per (id, shard) pair — so the residency scan costs at
-	// most len(shards) acquisitions against the admission traffic.
-	resident := make(map[int]bool, len(ids))
-	for _, sh := range m.shards {
+	m.txnMu.Unlock()
+	// One locked pass per shard tests every candidate routed to it —
+	// not one lock round per (id, shard) pair — so the residency scan
+	// costs at most len(shards) acquisitions against the admission
+	// traffic. A candidate is gone once no shard of its set holds it.
+	for s, sh := range m.shards {
 		sh.mu.Lock()
-		for _, id := range ids {
-			if !resident[id] && sh.mon.liveTxn(id) {
-				resident[id] = true
+		for i, id := range ids {
+			if bit := shardSet(1) << s; held[i]&bit != 0 && !sh.mon.liveTxn(id) {
+				held[i] &^= bit
 			}
 		}
 		sh.mu.Unlock()
 	}
 	var gone []int
-	for _, id := range ids {
-		if !resident[id] {
+	kept := ids[:0]
+	for i, id := range ids {
+		if held[i] == 0 {
 			gone = append(gone, id)
+		} else {
+			kept = append(kept, id)
 		}
 	}
-	// ids came from map iteration; a deterministic reclamation order
-	// keeps the emitted lifecycle stream byte-stable across runs.
+	// Ascending ids, whatever the commit order: the reclamation order
+	// of the emitted lifecycle stream.
 	slices.Sort(gone)
+	m.txnMu.Lock()
+	m.pending = append(kept, m.pending...)
+	for _, id := range gone {
+		if m.txns[id].ops.Load() > 0 {
+			m.live.Add(-1)
+		}
+		delete(m.txns, id)
+	}
+	m.txnMu.Unlock()
 	if len(gone) > 0 {
-		m.routeMu.Lock()
-		cur := *m.txnOps.Load()
-		next := make(map[int]*shardedTxn, len(cur))
-		for k, v := range cur {
-			next[k] = v
-		}
-		for _, id := range gone {
-			delete(next, id)
-			delete(m.committed, id)
-		}
-		m.txnOps.Store(&next)
-		m.routeMu.Unlock()
 		m.reclaimedTxns.Add(int64(len(gone)))
 		// gone is sorted, so its last element is the pass's highest
 		// reclaimed id; Compact passes are serialized by compactMu, so
@@ -631,7 +629,7 @@ func (m *ShardedMonitor) LiveTxns() int {
 		defer sh.mu.Unlock()
 		return sh.mon.LiveTxns()
 	}
-	return len(*m.txnOps.Load())
+	return int(m.live.Load())
 }
 
 // CompactStats snapshots the lifecycle counters: the sharded-level
@@ -647,7 +645,7 @@ func (m *ShardedMonitor) CompactStats() CompactStats {
 	st := CompactStats{
 		Compactions:   int(m.compactions.Load()),
 		ReclaimedTxns: int(m.reclaimedTxns.Load()),
-		LiveTxns:      len(*m.txnOps.Load()),
+		LiveTxns:      int(m.live.Load()),
 	}
 	for _, sh := range m.shards {
 		sh.mu.Lock()
@@ -667,8 +665,8 @@ func (m *ShardedMonitor) SetAutoCompact(n int) int {
 		defer sh.mu.Unlock()
 		return sh.mon.SetAutoCompact(n)
 	}
-	m.routeMu.Lock()
-	defer m.routeMu.Unlock()
+	m.txnMu.Lock()
+	defer m.txnMu.Unlock()
 	old := m.autoEvery
 	m.autoEvery = n
 	return old
@@ -781,11 +779,10 @@ type epochViolation struct {
 func (m *ShardedMonitor) observeEpoch(ops txn.Seq) *Violation {
 	buckets := make([][]shardedOp, len(m.shards))
 	for i, o := range ops {
-		c := m.countOp(o)
-		r := m.routeFor(o.Entity)
-		c.orShards(r, len(m.shards))
-		for _, s := range r {
-			buckets[s] = append(buckets[s], shardedOp{op: o, idx: i})
+		route := m.routeFor(o.Entity)
+		m.count(m.openTxn("Observe", o.Txn), 1, route)
+		for r := route; r != 0; r &= r - 1 {
+			buckets[r.lowest()] = append(buckets[r.lowest()], shardedOp{op: o, idx: i})
 		}
 	}
 	found := make([]*epochViolation, len(m.shards))

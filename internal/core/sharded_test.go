@@ -5,10 +5,12 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"pwsr/internal/core"
 	"pwsr/internal/experiments"
+	"pwsr/internal/state"
 	"pwsr/internal/txn"
 )
 
@@ -41,12 +43,59 @@ func sameEdges(t *testing.T, trial, conjuncts int, sm *core.ShardedMonitor, m *c
 	}
 }
 
+// lifecycleTape records a LifecycleSink stream as text, one line per
+// record.
+type lifecycleTape struct{ lines []string }
+
+func (r *lifecycleTape) LogObserve(o txn.Op) { r.lines = append(r.lines, "observe "+o.String()) }
+func (r *lifecycleTape) LogCommit(id int)    { r.lines = append(r.lines, fmt.Sprint("commit ", id)) }
+func (r *lifecycleTape) LogRetract(id int)   { r.lines = append(r.lines, fmt.Sprint("retract ", id)) }
+func (r *lifecycleTape) LogCompact(reclaimed []int, st core.CompactStats, ops int) {
+	r.lines = append(r.lines, fmt.Sprintf("compact %v %+v ops=%d", reclaimed, st, ops))
+}
+
+// sameLifecycle asserts the sharded monitor and the single monitor
+// agree on everything the lifecycle exposes: surviving op count,
+// resident and in-flight transaction ids, lifecycle counters,
+// compaction watermark, and the emitted sink streams record for record.
+func sameLifecycle(t *testing.T, trial int, sm *core.ShardedMonitor, m *core.Monitor, smTape, mTape *lifecycleTape) {
+	t.Helper()
+	if got, want := sm.Ops(), m.Ops(); got != want {
+		t.Fatalf("trial %d shards=%d: ops %d vs monitor %d", trial, sm.Shards(), got, want)
+	}
+	if got, want := sm.LiveTxnIDs(), m.LiveTxnIDs(); !slices.Equal(got, want) {
+		t.Fatalf("trial %d shards=%d: live ids %v vs monitor %v", trial, sm.Shards(), got, want)
+	}
+	if got, want := sm.InFlightTxnIDs(), m.InFlightTxnIDs(); !slices.Equal(got, want) {
+		t.Fatalf("trial %d shards=%d: in-flight ids %v vs monitor %v", trial, sm.Shards(), got, want)
+	}
+	if got, want := sm.LiveTxns(), m.LiveTxns(); got != want {
+		t.Fatalf("trial %d shards=%d: %d live vs monitor %d", trial, sm.Shards(), got, want)
+	}
+	if got, want := sm.CompactStats(), m.CompactStats(); got != want {
+		t.Fatalf("trial %d shards=%d: stats %+v vs monitor %+v", trial, sm.Shards(), got, want)
+	}
+	if got, want := sm.CompactWatermark(), m.CompactWatermark(); got != want {
+		t.Fatalf("trial %d shards=%d: compaction watermark %d vs monitor %d", trial, sm.Shards(), got, want)
+	}
+	if !slices.Equal(smTape.lines, mTape.lines) {
+		for i := range min(len(smTape.lines), len(mTape.lines)) {
+			if smTape.lines[i] != mTape.lines[i] {
+				t.Fatalf("trial %d shards=%d: sink record %d is %q, monitor's %q", trial, sm.Shards(), i, smTape.lines[i], mTape.lines[i])
+			}
+		}
+		t.Fatalf("trial %d shards=%d: %d sink records vs monitor's %d (sharded tail %q, monitor tail %q)", trial, sm.Shards(),
+			len(smTape.lines), len(mTape.lines), smTape.lines[max(0, len(smTape.lines)-2):], mTape.lines[max(0, len(mTape.lines)-2):])
+	}
+}
+
 // TestShardedMonitorDifferential is the sharding refactor's safety
 // net: fed from one goroutine, a ShardedMonitor at every shard count
 // 1..8 must agree with Monitor operation for operation across random
 // Observe/Retract interleavings — verdicts, flagged operations,
-// witness cycles, Admissible probes, op counts, and per-conjunct
-// conflict edges.
+// witness cycles, Admissible probes, op counts, per-conjunct conflict
+// edges, resident and in-flight transaction ids, and the emitted
+// LifecycleSink stream record for record.
 func TestShardedMonitorDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	violations := 0
@@ -62,6 +111,9 @@ func TestShardedMonitorDifferential(t *testing.T) {
 
 		mon := core.NewMonitor(partition)
 		sm := core.NewShardedMonitor(partition, shards)
+		monTape, smTape := &lifecycleTape{}, &lifecycleTape{}
+		mon.SetSink(monTape)
+		sm.SetSink(smTape)
 		for _, o := range s.Ops() {
 			// Probe a few candidates before admitting: Admissible must
 			// agree and must not perturb either monitor.
@@ -77,22 +129,19 @@ func TestShardedMonitorDifferential(t *testing.T) {
 			vGot := sm.Observe(o)
 			vWant := mon.Observe(o)
 			sameViolation(t, trial, vGot, vWant)
-			if sm.Ops() != mon.Ops() {
-				t.Fatalf("trial %d: ops %d (sharded) vs %d (monitor)", trial, sm.Ops(), mon.Ops())
-			}
+			sameLifecycle(t, trial, sm, mon, smTape, monTape)
 			if vWant != nil {
 				violations++
 				break
 			}
-			// Occasionally retract a transaction that has run, then
-			// compare the repaired states.
+			// Occasionally retract a transaction — one that has run, one
+			// already rolled back, or one never seen — then compare the
+			// repaired states.
 			if rng.Intn(8) == 0 {
 				victim := 1 + rng.Intn(6)
 				sm.Retract(victim)
 				mon.Retract(victim)
-				if sm.Ops() != mon.Ops() {
-					t.Fatalf("trial %d: post-retract ops %d vs %d", trial, sm.Ops(), mon.Ops())
-				}
+				sameLifecycle(t, trial, sm, mon, smTape, monTape)
 				sameEdges(t, trial, len(partition), sm, mon)
 			}
 		}
@@ -247,5 +296,55 @@ func TestShardedMonitorConcurrent(t *testing.T) {
 		if total == 0 {
 			t.Fatalf("shards=%d: no observes recorded in shard stats", shards)
 		}
+	}
+}
+
+// TestShardedInFlightNeverReportsCommitted races Commit and the Compact
+// passes it triggers against InFlightTxnIDs: an id whose Commit had
+// returned before the call began must never be reported in flight,
+// reclaimed in the meantime or not. (The list was once assembled from a
+// snapshot of the live table taken before, and commit marks read after,
+// a pass could delete both — so Drain was handed finished work.)
+func TestShardedInFlightNeverReportsCommitted(t *testing.T) {
+	items := []string{"a", "b", "c", "d"}
+	partition := make([]state.ItemSet, len(items))
+	for e, it := range items {
+		partition[e] = state.NewItemSet(it)
+	}
+	for _, shards := range []int{2, 4} {
+		sm := core.NewShardedMonitor(partition, shards)
+		sm.SetAutoCompact(4)
+		var committed atomic.Int64 // every id at or below it has been committed
+		stop := make(chan struct{})
+		var readers sync.WaitGroup
+		for r := 0; r < 4; r++ {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					done := committed.Load()
+					for _, id := range sm.InFlightTxnIDs() {
+						if int64(id) <= done {
+							t.Errorf("shards=%d: T%d reported in flight after its Commit returned", shards, id)
+							return
+						}
+					}
+				}
+			}()
+		}
+		for id := 1; id <= 8000 && !t.Failed(); id++ {
+			if v := sm.Observe(txn.W(id, items[id%len(items)], 0)); v != nil {
+				t.Fatalf("shards=%d: %v", shards, v)
+			}
+			sm.Commit(id)
+			committed.Store(int64(id))
+		}
+		close(stop)
+		readers.Wait()
 	}
 }

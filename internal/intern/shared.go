@@ -13,7 +13,12 @@ import (
 // intern table. Only a miss takes the mutex, copies the table with the
 // new entry, and publishes the next snapshot — the right trade for an
 // intern table, whose working set stops growing once the workload's
-// items have all been seen, leaving a write-free steady state.
+// items have all been seen, leaving a write-free steady state. It is the
+// wrong trade for a table whose keys keep arriving: a miss costs a copy
+// of the whole table, so a table of live transactions — every
+// transaction is a miss once, and leaves again — pays O(live) per
+// transaction and O(n²) on a feed that never retires one. That table
+// (core.ShardedMonitor's) is a lock-guarded map updated in place.
 //
 // The zero value is not usable; call NewShared.
 type Shared struct {

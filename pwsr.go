@@ -220,7 +220,7 @@ type ShardedMonitor = core.ShardedMonitor
 
 // NewShardedMonitor builds a sharded monitor over a conjunct
 // partition; shards ≤ 0 selects GOMAXPROCS (clamped to the conjunct
-// count).
+// count and to 64).
 func NewShardedMonitor(partition []ItemSet, shards int) *ShardedMonitor {
 	return core.NewShardedMonitor(partition, shards)
 }
