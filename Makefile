@@ -28,8 +28,8 @@ benchmark-smoke:
 
 # bench runs the certification-core benchmark families (the optimized
 # Monitor and BuildGraph against their retained reference
-# implementations, plus the sharded-monitor and whole-transaction
-# admission families) and records the
+# implementations, plus the sharded-monitor, whole-transaction
+# admission and interpreter families) and records the
 # raw test2json stream in BENCH_monitor.json, then regenerates the
 # machine-readable PERF6 trajectory BENCH_sharded.json via pwsrbench.
 # Both JSON files are checked in so perf regressions stay diffable PR
@@ -39,7 +39,7 @@ benchmark-smoke:
 .PHONY: bench
 bench:
 	$(GO) test . -run '^$$' \
-		-bench 'BenchmarkMonitorThroughput|BenchmarkBuildGraphScaling|BenchmarkCheckPWSRWidePartition|BenchmarkShardedMonitor|BenchmarkShardedAdmitSequence' \
+		-bench 'BenchmarkMonitorThroughput|BenchmarkBuildGraphScaling|BenchmarkCheckPWSRWidePartition|BenchmarkShardedMonitor|BenchmarkShardedAdmitSequence|BenchmarkInterpRun' \
 		-benchmem -count=6 -json | tee BENCH_monitor.json
 	$(GO) run ./cmd/pwsrbench -section sharded -cpu 1,2,4,8 -benchout BENCH_sharded.json
 	$(GO) run ./cmd/pwsrbench -section compact -compactout BENCH_compact.json
@@ -210,17 +210,19 @@ test:
 # differential (TestVerdictMemoMatchesFreshMask: the memoized mask
 # against a from-scratch recomputation at every Pick, the sharded
 # gate's concurrent probes included).
-# The final leg re-runs the TestZeroAlloc* and TestTickEngineAllocs
-# pins without the race detector (whose instrumentation allocates, so
-# the pins self-skip under -race): an allocation regression on the
-# steady-state Observe/Admissible hot path, a gate tick
+# The final leg re-runs the TestZeroAlloc*, TestTickEngineAllocs and
+# TestInterpRunAllocs pins without the race detector (whose
+# instrumentation allocates, so the pins self-skip under -race): an
+# allocation regression on the steady-state Observe/Admissible hot
+# path, a gate tick
 # (TestZeroAllocGatePick, TestZeroAllocDelayedReadPick), victim
-# selection (TestZeroAllocVictim) or the tick engine's grant path fails
+# selection (TestZeroAllocVictim), the tick engine's grant path or the
+# interpreter's one-frame-per-attempt state (TestInterpRunAllocs) fails
 # CI here, not just benchmarks. That leg also carries the sharded
 # monitor's cost-shape pin (TestZeroAllocShardedAdmitLiveSetIndependent:
 # whole-transaction admission allocates the same with 16 and with 4096
-# resident transactions), and the last line runs the PERF14 benchmark
-# family once so it cannot rot.
+# resident transactions), and the last line runs the PERF14 and PERF15
+# benchmark families once so they cannot rot.
 # The chaos smoke (a fixed 40-seed band of the ROBUST1 fault
 # differential, deterministic by construction) also rides in the raced
 # `./...` pass; the full randomized matrix lives in `make chaos`.
@@ -230,8 +232,8 @@ check:
 	$(GO) test -race -short ./...
 	GOMAXPROCS=1 $(GO) test -race -short -count=1 ./internal/core ./internal/sched ./internal/exec ./internal/wal
 	GOMAXPROCS=8 $(GO) test -race -short -count=1 ./internal/core ./internal/sched ./internal/exec ./internal/wal
-	$(GO) test -run 'TestZeroAlloc|TestTickEngineAllocs' -count=1 ./internal/core
-	$(GO) test . -run '^$$' -bench 'BenchmarkShardedAdmitSequence' -benchtime=1x
+	$(GO) test -run 'TestZeroAlloc|TestTickEngineAllocs|TestInterpRunAllocs' -count=1 ./internal/core
+	$(GO) test . -run '^$$' -bench 'BenchmarkShardedAdmitSequence|BenchmarkInterpRun' -benchtime=1x
 
 # soak is the long-run bounded-memory test: ≥ 1M operations through a
 # single OptimisticCertify gate with the transaction lifecycle on,

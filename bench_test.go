@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -790,6 +791,51 @@ func BenchmarkShardedAdmitSequence(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// ---------------------------------------------------------------------
+// PERF15: the interpreter alone. The three template shapes of the
+// end-to-end benchmark — batch-rw's writer (a spin loop over a local
+// between its read and its write) and reader (a scan into locals), and
+// a 16-statement tick program of read-modify-write fixes — run against
+// an accessor that does nothing, so ns/op and allocs/op are what the
+// interpreter adds to every attempt of every workload.
+// ---------------------------------------------------------------------
+
+type nullAccessor struct{}
+
+func (nullAccessor) Read(string) (state.Value, error) { return state.Int(7), nil }
+func (nullAccessor) Write(string, state.Value) error  { return nil }
+
+func BenchmarkInterpRun(b *testing.B) {
+	var reader, fix strings.Builder
+	reader.WriteString("program R {\n  let a := h;\n")
+	for i := 0; i < 8; i++ {
+		fmt.Fprintf(&reader, "  let v%d := x%d;\n", i, 97*i)
+	}
+	reader.WriteString("}\n")
+	fix.WriteString("program Long {\n")
+	for i := 0; i < 16; i++ {
+		fmt.Fprintf(&fix, "  d%dc%d := abs(d%dc%d) %% 89 + %d;\n", i/4, i%4, i/4, i%4, 1+i%3)
+	}
+	fix.WriteString("}\n")
+	shapes := []struct{ name, src string }{
+		{"writer-spin50", "program W {\n  let v := x1;\n  let spin := 50;\n  while (spin > 0) { spin := spin - 1; }\n  x1 := v + 1;\n  h := h + 1;\n}\n"},
+		{"reader-scan8", reader.String()},
+		{"tick-fix16", fix.String()},
+	}
+	in := program.NewInterp()
+	for _, sh := range shapes {
+		p := program.MustParse(sh.src)
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := in.Run(p, nullAccessor{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

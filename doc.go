@@ -131,6 +131,29 @@
 // for differential tests and post-run analysis, not the admission
 // path.
 //
+// A transaction program resolves its names once, when it is built:
+// program.Parse, Clone and Balance number every name in the program —
+// data item or local alike — 1, 2, … in its own dense numbering, stored
+// on the variable nodes and the let/assignment statements, and an
+// attempt runs against one frame indexed by that number: per name a
+// value and whether the attempt declared it a local, cached its read or
+// wrote it. That is the whole run-time state of an attempt — one
+// allocation, nothing hashed, nothing per executed statement — and it
+// dies with the attempt, so a restarted victim sees nothing of the
+// erased one (Kuznetsov and Peri's non-interference). Only the slot is
+// static; what a name means is still decided as the program runs, as §2.2
+// has it: a name is a data item until a let of it executes and a local
+// from then on, so a let in a branch not taken leaves it an item. Because
+// the number lives on the node, a program owns its nodes: Clone copies
+// them, and is how statements assembled by hand or borrowed from another
+// program become a program of their own (the interpreter clones a
+// hand-built literal privately on every Run). The frame also carries the
+// §2.2 access discipline — an item reaches the program.Accessor's Read
+// at most once and never after the program's own Write — so the engines'
+// accessors keep no repeat-read bookkeeping. EXPERIMENTS.md PERF15
+// records the effect; TestInterpDifferential holds the frame to the
+// name-keyed reference interpreter it replaced.
+//
 // Benchmarks for the certification hot path and the scheduling-policy
 // studies live in bench_test.go (run `make bench`, and see
 // BenchmarkCertifyPolicies/BenchmarkMonitorRetract for the PERF5

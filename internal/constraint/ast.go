@@ -13,8 +13,8 @@ type Expr interface {
 	exprNode()
 	// String renders the expression in parseable source form.
 	String() string
-	// addVars accumulates the variables appearing in the expression.
-	addVars(into state.ItemSet)
+	// eachVar calls fn on every variable leaf, left to right.
+	eachVar(fn func(*Var))
 }
 
 // IntLit is an integer constant.
@@ -25,7 +25,12 @@ type StrLit struct{ Value string }
 
 // Var is a variable reference; in integrity constraints the variables
 // are data items, in transaction programs they may also be locals.
-type Var struct{ Name string }
+// Slot is set only in a transaction program: the number of Name in the
+// numbering of the one program that owns the node (see Names), else 0.
+type Var struct {
+	Name string
+	Slot int32
+}
 
 // Neg is arithmetic negation.
 type Neg struct{ X Expr }
@@ -113,35 +118,41 @@ func parenExpr(e Expr) string {
 	}
 }
 
-func (e *IntLit) addVars(state.ItemSet) {}
-func (e *StrLit) addVars(state.ItemSet) {}
-func (e *Var) addVars(into state.ItemSet) {
-	into.Add(e.Name)
+func (e *IntLit) eachVar(func(*Var)) {}
+func (e *StrLit) eachVar(func(*Var)) {}
+func (e *Var) eachVar(fn func(*Var)) { fn(e) }
+func (e *Neg) eachVar(fn func(*Var)) { e.X.eachVar(fn) }
+func (e *Arith) eachVar(fn func(*Var)) {
+	e.L.eachVar(fn)
+	e.R.eachVar(fn)
 }
-func (e *Neg) addVars(into state.ItemSet) { e.X.addVars(into) }
-func (e *Arith) addVars(into state.ItemSet) {
-	e.L.addVars(into)
-	e.R.addVars(into)
-}
-func (e *Call) addVars(into state.ItemSet) {
+func (e *Call) eachVar(fn func(*Var)) {
 	for _, a := range e.Args {
-		a.addVars(into)
+		a.eachVar(fn)
 	}
 }
 
-// ExprVars returns the set of variables appearing in e.
-func ExprVars(e Expr) state.ItemSet {
+// Node is an Expr or a Formula.
+type Node interface{ eachVar(fn func(*Var)) }
+
+// EachVar calls fn on every variable leaf of n, left to right.
+func EachVar(n Node, fn func(*Var)) { n.eachVar(fn) }
+
+func varNames(n Node) state.ItemSet {
 	s := state.NewItemSet()
-	e.addVars(s)
+	n.eachVar(func(v *Var) { s.Add(v.Name) })
 	return s
 }
+
+// ExprVars returns the set of variables appearing in e.
+func ExprVars(e Expr) state.ItemSet { return varNames(e) }
 
 // Formula is a quantifier-free first-order formula over Exprs.
 type Formula interface {
 	formulaNode()
 	// String renders the formula in parseable source form.
 	String() string
-	addVars(into state.ItemSet)
+	eachVar(fn func(*Var))
 }
 
 // BoolLit is the constant true or false.
@@ -253,34 +264,72 @@ func parenFormula(f Formula) string {
 	}
 }
 
-func (f *BoolLit) addVars(state.ItemSet) {}
-func (f *Cmp) addVars(into state.ItemSet) {
-	f.L.addVars(into)
-	f.R.addVars(into)
+func (f *BoolLit) eachVar(func(*Var)) {}
+func (f *Cmp) eachVar(fn func(*Var)) {
+	f.L.eachVar(fn)
+	f.R.eachVar(fn)
 }
-func (f *Not) addVars(into state.ItemSet) { f.X.addVars(into) }
-func (f *And) addVars(into state.ItemSet) {
-	f.L.addVars(into)
-	f.R.addVars(into)
+func (f *Not) eachVar(fn func(*Var)) { f.X.eachVar(fn) }
+func (f *And) eachVar(fn func(*Var)) {
+	f.L.eachVar(fn)
+	f.R.eachVar(fn)
 }
-func (f *Or) addVars(into state.ItemSet) {
-	f.L.addVars(into)
-	f.R.addVars(into)
+func (f *Or) eachVar(fn func(*Var)) {
+	f.L.eachVar(fn)
+	f.R.eachVar(fn)
 }
-func (f *Implies) addVars(into state.ItemSet) {
-	f.L.addVars(into)
-	f.R.addVars(into)
+func (f *Implies) eachVar(fn func(*Var)) {
+	f.L.eachVar(fn)
+	f.R.eachVar(fn)
 }
-func (f *Iff) addVars(into state.ItemSet) {
-	f.L.addVars(into)
-	f.R.addVars(into)
+func (f *Iff) eachVar(fn func(*Var)) {
+	f.L.eachVar(fn)
+	f.R.eachVar(fn)
 }
 
 // FormulaVars returns the set of variables (data items) appearing in f.
-func FormulaVars(f Formula) state.ItemSet {
-	s := state.NewItemSet()
-	f.addVars(s)
-	return s
+func FormulaVars(f Formula) state.ItemSet { return varNames(f) }
+
+// CopyExpr returns a copy of e that shares no variable node with it:
+// every Var leaf is a fresh node numbered by names (literals, which are
+// immutable and carry no number, are shared).
+func CopyExpr(e Expr, names *Names) Expr {
+	switch n := e.(type) {
+	case *Var:
+		return names.Var(n.Name)
+	case *Neg:
+		return &Neg{X: CopyExpr(n.X, names)}
+	case *Arith:
+		return &Arith{Op: n.Op, L: CopyExpr(n.L, names), R: CopyExpr(n.R, names)}
+	case *Call:
+		args := make([]Expr, len(n.Args))
+		for i, a := range n.Args {
+			args[i] = CopyExpr(a, names)
+		}
+		return &Call{Fn: n.Fn, Args: args}
+	default:
+		return e
+	}
+}
+
+// CopyFormula is CopyExpr for a formula.
+func CopyFormula(f Formula, names *Names) Formula {
+	switch n := f.(type) {
+	case *Cmp:
+		return &Cmp{Op: n.Op, L: CopyExpr(n.L, names), R: CopyExpr(n.R, names)}
+	case *Not:
+		return &Not{X: CopyFormula(n.X, names)}
+	case *And:
+		return &And{L: CopyFormula(n.L, names), R: CopyFormula(n.R, names)}
+	case *Or:
+		return &Or{L: CopyFormula(n.L, names), R: CopyFormula(n.R, names)}
+	case *Implies:
+		return &Implies{L: CopyFormula(n.L, names), R: CopyFormula(n.R, names)}
+	case *Iff:
+		return &Iff{L: CopyFormula(n.L, names), R: CopyFormula(n.R, names)}
+	default:
+		return f
+	}
 }
 
 // SplitConjuncts flattens the top-level conjunction structure of f,

@@ -7,10 +7,12 @@ import (
 	"pwsr/internal/state"
 )
 
-// Lookup resolves a variable name to a value during evaluation. A lookup
-// that cannot resolve the name should return ErrUnbound (possibly
+// Lookup resolves a variable to a value during evaluation. It receives
+// the node, not just the name, so a transaction program can index by the
+// node's Slot; constraint evaluation keys by its Name. A lookup that
+// cannot resolve the variable should return ErrUnbound (possibly
 // wrapped); any other error aborts evaluation.
-type Lookup func(name string) (state.Value, error)
+type Lookup func(v *Var) (state.Value, error)
 
 // ErrUnbound is returned by evaluation when a variable has no value
 // under the given lookup.
@@ -26,11 +28,11 @@ var ErrDivZero = errors.New("constraint: division by zero")
 // DBLookup adapts a database state to a Lookup; missing items yield
 // ErrUnbound.
 func DBLookup(db state.DB) Lookup {
-	return func(name string) (state.Value, error) {
-		if v, ok := db.Get(name); ok {
-			return v, nil
+	return func(v *Var) (state.Value, error) {
+		if val, ok := db.Get(v.Name); ok {
+			return val, nil
 		}
-		return state.Value{}, fmt.Errorf("%w: %s", ErrUnbound, name)
+		return state.Value{}, fmt.Errorf("%w: %s", ErrUnbound, v.Name)
 	}
 }
 
@@ -43,7 +45,7 @@ func EvalExpr(e Expr, look Lookup) (state.Value, error) {
 	case *StrLit:
 		return state.Str(n.Value), nil
 	case *Var:
-		return look(n.Name)
+		return look(n)
 	case *Neg:
 		v, err := EvalExpr(n.X, look)
 		if err != nil {
@@ -64,7 +66,10 @@ func EvalExpr(e Expr, look Lookup) (state.Value, error) {
 		}
 		return applyArith(n.Op, l, r)
 	case *Call:
-		args := make([]state.Value, len(n.Args))
+		var args [2]state.Value // no known function takes more
+		if len(n.Args) > len(args) {
+			return state.Value{}, fmt.Errorf("constraint: %s applied to %d arguments", n.Fn, len(n.Args))
+		}
 		for i, a := range n.Args {
 			v, err := EvalExpr(a, look)
 			if err != nil {
@@ -72,7 +77,7 @@ func EvalExpr(e Expr, look Lookup) (state.Value, error) {
 			}
 			args[i] = v
 		}
-		return applyCall(n.Fn, args)
+		return applyCall(n.Fn, args[:len(n.Args)])
 	default:
 		return state.Value{}, fmt.Errorf("constraint: unknown expression node %T", e)
 	}
@@ -105,11 +110,30 @@ func applyArith(op BinOp, l, r state.Value) (state.Value, error) {
 	}
 }
 
+// callArity returns the canonical spelling of a known function — a
+// constant, so that a parsed Call does not keep its source text alive —
+// and its arity; 0 for an unknown name.
+func callArity(fn string) (string, int) {
+	switch fn {
+	case "abs":
+		return "abs", 1
+	case "min":
+		return "min", 2
+	case "max":
+		return "max", 2
+	default:
+		return fn, 0
+	}
+}
+
 func applyCall(fn string, args []state.Value) (state.Value, error) {
 	for _, a := range args {
 		if !a.IsInt() {
 			return state.Value{}, fmt.Errorf("%w: %s over %s", ErrType, fn, a)
 		}
+	}
+	if _, want := callArity(fn); want != 0 && want != len(args) {
+		return state.Value{}, fmt.Errorf("constraint: %s takes %d argument(s), got %d", fn, want, len(args))
 	}
 	switch fn {
 	case "abs":

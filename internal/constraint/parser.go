@@ -24,6 +24,9 @@ import (
 type Parser struct {
 	toks []Token
 	pos  int
+	// names numbers the variables as they are built; nil (constraint
+	// formulas) leaves every Slot 0.
+	names *Names
 }
 
 // NewParser returns a parser over the tokens of src.
@@ -40,6 +43,12 @@ func NewParser(src string) (*Parser, error) {
 func NewParserFromTokens(toks []Token) *Parser {
 	return &Parser{toks: toks}
 }
+
+// NumberVars makes the parser number every variable it builds from now
+// on by names — how the program-language parser, which numbers its let
+// names and assignment targets by the same Names, resolves a program
+// while it parses, with no second walk over the tree.
+func (p *Parser) NumberVars(names *Names) { p.names = names }
 
 // Peek returns the current token without consuming it.
 func (p *Parser) Peek() Token { return p.toks[p.pos] }
@@ -385,21 +394,17 @@ func (p *Parser) factor() (Expr, error) {
 			}
 			return call, nil
 		}
-		return &Var{Name: t.Text}, nil
+		return p.names.Var(t.Text), nil
 	}
 	return nil, errAt(t.Line, t.Col, "expected a term, found %s", describe(t))
 }
 
 func checkCallArity(c *Call, at Token) error {
-	var want int
-	switch c.Fn {
-	case "abs":
-		want = 1
-	case "min", "max":
-		want = 2
-	default:
+	fn, want := callArity(c.Fn)
+	if want == 0 {
 		return errAt(at.Line, at.Col, "unknown function %q (known: abs, min, max)", c.Fn)
 	}
+	c.Fn = fn
 	if len(c.Args) != want {
 		return errAt(at.Line, at.Col, "%s takes %d argument(s), got %d", c.Fn, want, len(c.Args))
 	}

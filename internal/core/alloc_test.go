@@ -8,6 +8,7 @@ import (
 	"pwsr/internal/core"
 	"pwsr/internal/exec"
 	"pwsr/internal/gen"
+	"pwsr/internal/program"
 	"pwsr/internal/sched"
 	"pwsr/internal/state"
 	"pwsr/internal/txn"
@@ -162,8 +163,51 @@ func TestTickEngineAllocs(t *testing.T) {
 	})
 	perOp := allocs / float64(ops)
 	t.Logf("%.0f allocs over %d granted operations: %.2f allocs/op", allocs, ops, perOp)
-	if perOp > 3.0 {
-		t.Fatalf("tick engine allocates %.2f allocs per granted operation, want at most 3.0", perOp)
+	// 2.08 since the interpreter's per-attempt maps became one frame.
+	if perOp > 2.3 {
+		t.Fatalf("tick engine allocates %.2f allocs per granted operation, want at most 2.3", perOp)
+	}
+}
+
+// discardAccessor answers every read with a constant and drops writes.
+type discardAccessor struct{}
+
+func (discardAccessor) Read(string) (state.Value, error) { return state.Int(7), nil }
+func (discardAccessor) Write(string, state.Value) error  { return nil }
+
+// TestInterpRunAllocs pins what an attempt pays the interpreter in
+// allocations: its whole run-time state — locals, cached reads, written
+// marks — is one frame, so one allocation per Run whatever the program's
+// vocabulary, and nothing per executed statement (the spin loop runs a
+// thousand statements for the same one allocation as ten).
+func TestInterpRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is unreliable under -race")
+	}
+	writer := func(spin int) string {
+		return fmt.Sprintf("program W {\n  let v := x1;\n  let spin := %d;\n  while (spin > 0) { spin := spin - 1; }\n  x1 := v + 1;\n  h := h + 1;\n}\n", spin)
+	}
+	reader, fix := "program R {\n  let a := h;\n", "program Long {\n"
+	for i := 0; i < 8; i++ {
+		reader += fmt.Sprintf("  let v%d := x%d;\n", i, 97*i)
+	}
+	for i := 0; i < 16; i++ {
+		fix += fmt.Sprintf("  d%dc%d := abs(d%dc%d) %% 89 + %d;\n", i/4, i%4, i/4, i%4, 1+i%3)
+	}
+	in := program.NewInterp()
+	for name, src := range map[string]string{
+		"writer, spin 10": writer(10), "writer, spin 1000": writer(1000),
+		"reader, scan 8": reader + "}\n", "tick program, 16 fixes": fix + "}\n",
+	} {
+		p := program.MustParse(src)
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := in.Run(p, discardAccessor{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("%s: Run allocates %.1f times, want at most once (the frame)", name, allocs)
+		}
 	}
 }
 

@@ -582,41 +582,27 @@ func (e *ParallelEngine) execute(id int, p *program.Program) *attempt {
 // one speculative execution: reads record the version stamp they saw
 // (the validation set), writes buffer locally, and every access is
 // appended to the operation sequence the transaction will submit at
-// commit. Interp.Run wraps it in a program.Discipline, which serves
-// repeat reads and read-after-own-write from its cache — so each item
-// reaches Read at most once and before any write, exactly the
-// first-read/first-write stream the schedule records.
+// commit. It relies on program.Accessor's guarantee — each item reaches
+// Read at most once and never after the program's own Write — so what it
+// records is exactly the first-read/first-write stream of the schedule.
 type versionedAccessor struct {
 	store  *VersionedStore
 	id     int
 	ops    []txn.Op
 	reads  map[string]uint64
-	vals   map[string]state.Value
 	writes map[string]state.Value
 }
 
 // Read implements program.Accessor.
 func (a *versionedAccessor) Read(item string) (state.Value, error) {
-	// Own-write and repeat-read fallbacks keep a bare accessor coherent
-	// even though the Discipline cache makes them unreachable in Run.
-	if v, ok := a.writes[item]; ok {
-		a.ops = append(a.ops, txn.Op{Txn: a.id, Action: txn.ActionRead, Entity: item, Value: v, Pos: -1})
-		return v, nil
-	}
-	if v, ok := a.vals[item]; ok {
-		a.ops = append(a.ops, txn.Op{Txn: a.id, Action: txn.ActionRead, Entity: item, Value: v, Pos: -1})
-		return v, nil
-	}
 	val, ver, ok := a.store.Get(item)
 	if !ok {
 		return state.Value{}, fmt.Errorf("exec: data item %q has no value", item)
 	}
 	if a.reads == nil {
 		a.reads = make(map[string]uint64)
-		a.vals = make(map[string]state.Value)
 	}
 	a.reads[item] = ver
-	a.vals[item] = val
 	a.ops = append(a.ops, txn.Op{Txn: a.id, Action: txn.ActionRead, Entity: item, Value: val, Pos: -1})
 	return val, nil
 }

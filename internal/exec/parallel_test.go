@@ -163,6 +163,35 @@ func TestParallelEngineProgramError(t *testing.T) {
 	}
 }
 
+// TestParallelEngineSubmitsFirstAccessesOnly pins what the speculative
+// accessor relies on instead of keeping its own repeat-read bookkeeping
+// (program.Accessor's guarantee): however often a program uses an item,
+// before or after writing it, the transaction it submits reads the item
+// at most once and never after its own write — and the version it
+// validates is the one that single read saw.
+func TestParallelEngineSubmitsFirstAccessesOnly(t *testing.T) {
+	programs := map[int]*program.Program{
+		1: program.MustParse("program T1 {\n  let t := a + a;\n  b := a + t;\n  c := b + a;\n  a := c + b + a;\n  d := a;\n}\n"),
+	}
+	partition := []state.ItemSet{state.NewItemSet("a", "b", "c", "d")}
+	gate := sched.NewParallelCertify(partition, 1, &sched.Serial{}, nil)
+	eng := exec.NewParallelEngine(exec.ParallelConfig{
+		Initial: state.Ints(map[string]int64{"a": 1, "b": 0, "c": 0, "d": 0}),
+		Gate:    gate,
+		Workers: 2,
+	})
+	res, err := eng.ExecuteBatch(programs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Schedule.Txn(1).Ops.String(); got != "r1(a, 1), w1(b, 3), w1(c, 4), w1(a, 8), w1(d, 8)" {
+		t.Fatalf("submitted transaction = %s", got)
+	}
+	if err := res.Schedule.Txn(1).ValidateDiscipline(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestParallelEngineCommitInjection pins the commit-turn injection
 // point's contract: injected commit faults (lost speculative attempts
 // and latency) cost only retries — the injected run produces the exact

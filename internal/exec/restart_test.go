@@ -90,6 +90,36 @@ func (f *forcedRestart) TxnAborted(id int, v *exec.View) {
 	}
 }
 
+// TestRestartSeesNothingOfErasedAttempt is non-interference through the
+// engine: a victim stopped mid-attempt holds a local, a cached read and a
+// written mark in its interpreter frame, and the item it read changes
+// before it restarts. The restarted attempt must read the item again and
+// see the new value, rebuild the local from it, and write the item it had
+// already written once without tripping the strict double-write check.
+func TestRestartSeesNothingOfErasedAttempt(t *testing.T) {
+	programs := map[int]*program.Program{
+		1: program.MustParse(`program A { let t := x; y := t + 1; z := z + x; }`),
+		2: program.MustParse(`program B { x := 100; }`),
+	}
+	initial := state.Ints(map[string]int64{"x": 0, "y": 0, "z": 0})
+	// Round-robin grants r1(x, 0), w2(x, 100), w1(y, 1); the forced
+	// stall then aborts T1, parked on r1(z).
+	pol := &forcedRestart{Policy: &sched.RoundRobin{}, victim: 1, after: 3, t: t}
+	res, err := exec.Run(exec.Config{Programs: programs, Initial: initial, Policy: pol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Metrics.Aborts; got != 1 {
+		t.Fatalf("Aborts = %d, want 1\n%s", got, res.Schedule)
+	}
+	if got := res.Schedule.Txn(1).Ops.String(); got != "r1(x, 100), w1(y, 101), r1(z, 0), w1(z, 100)" {
+		t.Fatalf("restarted attempt = %s", got)
+	}
+	if err := res.Schedule.ConsistentValues(initial); err != nil {
+		t.Fatalf("schedule does not replay: %v\n%s", err, res.Schedule)
+	}
+}
+
 // TestEngineAbortUndoesWrites aborts a transaction that already wrote:
 // its operations must leave the schedule, the store must roll back, and
 // the restarted attempt must rerun against the restored value.

@@ -71,11 +71,11 @@ func traceExpr(e constraint.Expr, locals map[string]symLocal, st *symState, trac
 // constLookup builds a Lookup over known-constant locals only; data
 // items and tainted locals are unbound.
 func constLookup(locals map[string]symLocal) constraint.Lookup {
-	return func(name string) (state.Value, error) {
-		if l, ok := locals[name]; ok && l.known {
+	return func(v *constraint.Var) (state.Value, error) {
+		if l, ok := locals[v.Name]; ok && l.known {
 			return l.val, nil
 		}
-		return state.Value{}, fmt.Errorf("%w: %s", constraint.ErrUnbound, name)
+		return state.Value{}, fmt.Errorf("%w: %s", constraint.ErrUnbound, v.Name)
 	}
 }
 

@@ -10,6 +10,33 @@
 // 3.1: static and dynamic fixed-structure checks (Definition 3) and the
 // TP1 → TP1' balancing transformation that pads conditionals so the
 // emitted structure is state independent.
+//
+// # Names: static slots, dynamic meaning
+//
+// What does not depend on the database state is decided once, from the
+// program text. When a program is built (Parse, Clone, Balance) every
+// name in it — variable leaves, let names, assignment targets; data item
+// or local alike — gets a slot, its number in the program's own dense
+// numbering (constraint.Names), stored on the node, and Interp.Run
+// executes against one frame of that many slots instead of hashing names
+// into maps. constraint.EvalExpr and EvalFormula stay the only evaluator:
+// they hand the *Var to the Lookup, the interpreter indexes by its slot,
+// constraint evaluation and StaticTrace key by its name.
+//
+// Only the slot is static. Whether a name denotes a data item or a local
+// is a fact of the run: it is an item until a let of it executes and a
+// local for the rest of the attempt, so a let in a branch not taken
+// changes nothing, and an item read or written before its let keeps the
+// operations it emitted. A slot holds one value and three marks
+// (declared local, read cached, written) and so subsumes the locals and
+// the §2.2 access discipline (see Accessor).
+//
+// A variable node carries the number its name has in one program, so
+// programs do not share nodes: Clone copies them and numbers the copy,
+// and whatever derives a program from another finishes with it. A
+// Program literal assembled by hand is unresolved; Run resolves a
+// private copy each time, which keeps a literal shared by goroutines
+// race-free without a lock — Clone it once to pay that once.
 package program
 
 import (
@@ -32,6 +59,7 @@ type Stmt interface {
 type Assign struct {
 	Target string
 	Expr   constraint.Expr
+	slot   int32 // Target's number in the owning program
 }
 
 // Let declares (or re-binds) a program-local variable. Locals are not
@@ -39,6 +67,7 @@ type Assign struct {
 type Let struct {
 	Name string
 	Expr constraint.Expr
+	slot int32 // Name's number in the owning program
 }
 
 // If is a conditional with an optional else branch.
@@ -60,10 +89,16 @@ func (*Let) stmtNode()    {}
 func (*If) stmtNode()     {}
 func (*While) stmtNode()  {}
 
-// Program is a named transaction program TPi.
+// Program is a named transaction program TPi. One built by Parse, Clone
+// or Balance is resolved (see the package comment) and immutable: to
+// change it, assemble the new statements and Clone them. A hand-built
+// literal is unresolved and is cloned privately by every Run.
 type Program struct {
 	Name string
 	Body []Stmt
+
+	slots    int32 // how many names the numbering has
+	resolved bool
 }
 
 func indent(b *strings.Builder, depth int) {
@@ -176,24 +211,28 @@ func (p *Program) IsStraightLine() bool {
 	return true
 }
 
-// Clone returns a deep copy of the program (expressions are immutable
-// and shared).
+// Clone returns a resolved deep copy of the program that shares no
+// statement or variable node with it. It is also how statements
+// assembled by hand, or borrowed from other programs, become a program
+// of their own.
 func (p *Program) Clone() *Program {
-	return &Program{Name: p.Name, Body: cloneStmts(p.Body)}
+	var names constraint.Names
+	body := cloneStmts(p.Body, &names)
+	return &Program{Name: p.Name, Body: body, slots: int32(names.Len()), resolved: true}
 }
 
-func cloneStmts(stmts []Stmt) []Stmt {
+func cloneStmts(stmts []Stmt, names *constraint.Names) []Stmt {
 	out := make([]Stmt, len(stmts))
 	for i, st := range stmts {
 		switch n := st.(type) {
 		case *Assign:
-			out[i] = &Assign{Target: n.Target, Expr: n.Expr}
+			out[i] = &Assign{Target: n.Target, Expr: constraint.CopyExpr(n.Expr, names), slot: names.Slot(n.Target)}
 		case *Let:
-			out[i] = &Let{Name: n.Name, Expr: n.Expr}
+			out[i] = &Let{Name: n.Name, Expr: constraint.CopyExpr(n.Expr, names), slot: names.Slot(n.Name)}
 		case *If:
-			out[i] = &If{Cond: n.Cond, Then: cloneStmts(n.Then), Else: cloneStmts(n.Else)}
+			out[i] = &If{Cond: constraint.CopyFormula(n.Cond, names), Then: cloneStmts(n.Then, names), Else: cloneStmts(n.Else, names)}
 		case *While:
-			out[i] = &While{Cond: n.Cond, Body: cloneStmts(n.Body)}
+			out[i] = &While{Cond: constraint.CopyFormula(n.Cond, names), Body: cloneStmts(n.Body, names)}
 		}
 	}
 	return out

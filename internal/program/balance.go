@@ -102,7 +102,7 @@ func Balance(p *Program) (*Program, error) {
 			} else {
 				locals[n.Name] = symLocal{known: false}
 			}
-			out.Body = append(out.Body, &Let{Name: n.Name, Expr: n.Expr})
+			out.Body = append(out.Body, n)
 		case *Assign:
 			var tr txn.Structure
 			traceExpr(n.Expr, locals, st, &tr)
@@ -115,7 +115,7 @@ func Balance(p *Program) (*Program, error) {
 			} else {
 				st.written.Add(n.Target)
 			}
-			out.Body = append(out.Body, &Assign{Target: n.Target, Expr: n.Expr})
+			out.Body = append(out.Body, n)
 		case *If:
 			hoists, balanced, after, err := balanceIf(n, locals, st, &pad)
 			if err != nil {
@@ -144,7 +144,9 @@ func Balance(p *Program) (*Program, error) {
 			return nil, fmt.Errorf("%w: unsupported statement %T", ErrCannotBalance, s)
 		}
 	}
-	return out, nil
+	// out so far borrows p's statements and expressions; the clone owns
+	// its nodes and numbers the padding names with the rest.
+	return out.Clone(), nil
 }
 
 // branchTrace computes the access structure a straight-line branch emits
@@ -212,7 +214,7 @@ func balanceIf(n *If, locals map[string]symLocal, st *symState, pad *int) (hoist
 			return nil, nil, nil, fmt.Errorf("%w: branch structures differ (%s vs %s)",
 				ErrCannotBalance, thenTrace, elseTrace)
 		}
-		return nil, &If{Cond: n.Cond, Then: cloneStmts(n.Then), Else: cloneStmts(n.Else)}, afterThen, nil
+		return nil, n, afterThen, nil
 	}
 
 	// First pass: find items the then-branch writes without ever
@@ -275,5 +277,5 @@ func balanceIf(n *If, locals map[string]symLocal, st *symState, pad *int) (hoist
 			sim.written.Add(ev.Entity)
 		}
 	}
-	return hoists, &If{Cond: n.Cond, Then: cloneStmts(n.Then), Else: elseStmts}, afterThen, nil
+	return hoists, &If{Cond: n.Cond, Then: n.Then, Else: elseStmts}, afterThen, nil
 }

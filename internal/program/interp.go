@@ -13,6 +13,15 @@ import (
 // the database. The concurrent execution engine implements it with a
 // coroutine that parks on each request until the interleaving policy
 // grants it; RunInIsolation implements it over a private store.
+//
+// The interpreter enforces the paper's §2.2 access assumptions before a
+// call reaches the accessor: each item reaches Read at most once, and
+// never after the program's own Write of it — repeated uses of an item,
+// and uses after the program wrote it, are served from the attempt's
+// frame without an operation. Under a strict interpreter each item also
+// reaches Write at most once. An implementation therefore sees exactly
+// the operations of the resulting transaction, in order, and needs no
+// repeat-read bookkeeping of its own.
 type Accessor interface {
 	// Read returns the current value of item.
 	Read(item string) (state.Value, error)
@@ -25,64 +34,8 @@ type Accessor interface {
 var ErrSteps = errors.New("program: step budget exhausted")
 
 // ErrDiscipline is returned in strict mode when a program violates the
-// §2.2 access discipline (double read, double write).
+// §2.2 access discipline (double write).
 var ErrDiscipline = errors.New("program: access discipline violation")
-
-// Discipline enforces the paper's §2.2 access assumptions on top of an
-// Accessor: each data item is read at most once and written at most
-// once, and a read never follows the program's own write. Repeated reads
-// are served from cache without emitting an operation; uses of an item
-// after the program wrote it see the written value without emitting an
-// operation; a second write is an error in strict mode.
-type Discipline struct {
-	inner  Accessor
-	strict bool
-	// read and written are allocated by the first read and the first
-	// write: an attempt that is aborted early fills neither.
-	read    map[string]state.Value
-	written map[string]state.Value
-}
-
-// NewDiscipline wraps acc. With strict true, double writes are
-// ErrDiscipline errors; with strict false they pass through to the
-// underlying accessor (producing schedules the validators will flag).
-func NewDiscipline(acc Accessor, strict bool) *Discipline {
-	return &Discipline{inner: acc, strict: strict}
-}
-
-// Read implements Accessor with read-once caching.
-func (d *Discipline) Read(item string) (state.Value, error) {
-	if v, ok := d.written[item]; ok {
-		return v, nil
-	}
-	if v, ok := d.read[item]; ok {
-		return v, nil
-	}
-	v, err := d.inner.Read(item)
-	if err != nil {
-		return state.Value{}, err
-	}
-	if d.read == nil {
-		d.read = make(map[string]state.Value)
-	}
-	d.read[item] = v
-	return v, nil
-}
-
-// Write implements Accessor with write-once enforcement.
-func (d *Discipline) Write(item string, v state.Value) error {
-	if _, ok := d.written[item]; ok && d.strict {
-		return fmt.Errorf("%w: item %q written twice", ErrDiscipline, item)
-	}
-	if err := d.inner.Write(item, v); err != nil {
-		return err
-	}
-	if d.written == nil {
-		d.written = make(map[string]state.Value)
-	}
-	d.written[item] = v
-	return nil
-}
 
 // Interp executes TPL programs.
 type Interp struct {
@@ -90,7 +43,9 @@ type Interp struct {
 	// default of 100000.
 	MaxSteps int
 	// Strict enables strict access-discipline enforcement (default in
-	// NewInterp).
+	// NewInterp): a second write of an item is an ErrDiscipline error.
+	// With Strict false it passes through to the accessor (producing
+	// schedules the validators will flag).
 	Strict bool
 }
 
@@ -105,60 +60,109 @@ func (in *Interp) maxSteps() int {
 	return 100000
 }
 
-// Run executes p against acc (wrapped in a Discipline). The accessor
-// sees exactly the operations of the resulting transaction, in order.
-func (in *Interp) Run(p *Program, acc Accessor) error {
-	d := NewDiscipline(acc, in.Strict)
-	env := &env{acc: d}
-	steps := in.maxSteps()
-	return execStmts(p.Body, env, &steps)
+// slot is the run-time state of one name during one attempt. Which
+// slot a name has is static, decided when the program was built; what
+// the name means is not: it is a data item until a let of it executes
+// and a local from then on, so a let in a branch not taken leaves it an
+// item. One value suffices, because a local shadows the item for the
+// rest of the attempt and a written value shadows the one read.
+type slot struct {
+	val   state.Value
+	state uint8
 }
 
-// env is the interpreter's runtime environment: program locals (allocated
-// by the first let) plus the disciplined accessor.
-type env struct {
-	locals map[string]state.Value
+// Slot states; zero is an item the attempt has not touched.
+const (
+	slotLocal   uint8 = 1 << iota // declared by an executed let
+	slotRead                      // item whose read value is cached
+	slotWritten                   // item the attempt wrote
+)
+
+// frame is the state of one attempt: a slot per name of the program,
+// the accessor and the step budget. It starts zeroed and dies with the
+// attempt, so a restarted transaction sees nothing of the erased one.
+type frame struct {
+	slots  []slot
 	acc    Accessor
+	strict bool
+	steps  int
 }
 
-// lookup resolves a variable: locals shadow data items.
-func (e *env) lookup(name string) (state.Value, error) {
-	if v, ok := e.locals[name]; ok {
-		return v, nil
+// Run executes p against acc, which sees exactly the operations of the
+// resulting transaction, in order (see Accessor).
+func (in *Interp) Run(p *Program, acc Accessor) error {
+	if !p.resolved {
+		p = p.Clone()
 	}
-	return e.acc.Read(name)
+	f := frame{slots: make([]slot, p.slots), acc: acc, strict: in.Strict, steps: in.maxSteps()}
+	return f.exec(p.Body)
 }
 
-func execStmts(stmts []Stmt, e *env, steps *int) error {
+// at returns the slot numbered i, for name. A number outside the frame
+// means the statement was not built with the program running it.
+func (f *frame) at(i int32, name string) (*slot, error) {
+	if uint(i-1) >= uint(len(f.slots)) {
+		return nil, fmt.Errorf("program: %q is not a name of the running program (statement added after it was built; Clone resolves it)", name)
+	}
+	return &f.slots[i-1], nil
+}
+
+// lookup resolves a variable: a local, else the value the attempt
+// wrote or read, else a read through the accessor, cached.
+func (f *frame) lookup(v *constraint.Var) (state.Value, error) {
+	s, err := f.at(v.Slot, v.Name)
+	if err != nil {
+		return state.Value{}, err
+	}
+	if s.state == 0 {
+		val, err := f.acc.Read(v.Name)
+		if err != nil {
+			return state.Value{}, err
+		}
+		s.val, s.state = val, slotRead
+	}
+	return s.val, nil
+}
+
+func (f *frame) exec(stmts []Stmt) error {
 	for _, st := range stmts {
-		if *steps <= 0 {
+		if f.steps <= 0 {
 			return ErrSteps
 		}
-		*steps--
+		f.steps--
 		switch n := st.(type) {
 		case *Let:
-			v, err := constraint.EvalExpr(n.Expr, e.lookup)
+			v, err := constraint.EvalExpr(n.Expr, f.lookup)
 			if err != nil {
 				return fmt.Errorf("let %s: %w", n.Name, err)
 			}
-			if e.locals == nil {
-				e.locals = make(map[string]state.Value)
+			s, err := f.at(n.slot, n.Name)
+			if err != nil {
+				return err
 			}
-			e.locals[n.Name] = v
+			s.val, s.state = v, s.state|slotLocal
 		case *Assign:
-			v, err := constraint.EvalExpr(n.Expr, e.lookup)
+			v, err := constraint.EvalExpr(n.Expr, f.lookup)
 			if err != nil {
 				return fmt.Errorf("%s := …: %w", n.Target, err)
 			}
-			if _, isLocal := e.locals[n.Target]; isLocal {
-				e.locals[n.Target] = v
-				continue
-			}
-			if err := e.acc.Write(n.Target, v); err != nil {
+			s, err := f.at(n.slot, n.Target)
+			if err != nil {
 				return err
 			}
+			if s.state&slotLocal != 0 {
+				s.val = v
+				continue
+			}
+			if s.state&slotWritten != 0 && f.strict {
+				return fmt.Errorf("%w: item %q written twice", ErrDiscipline, n.Target)
+			}
+			if err := f.acc.Write(n.Target, v); err != nil {
+				return err
+			}
+			s.val, s.state = v, s.state|slotWritten
 		case *If:
-			c, err := constraint.EvalFormula(n.Cond, e.lookup)
+			c, err := constraint.EvalFormula(n.Cond, f.lookup)
 			if err != nil {
 				return fmt.Errorf("if (%s): %w", n.Cond.String(), err)
 			}
@@ -166,22 +170,22 @@ func execStmts(stmts []Stmt, e *env, steps *int) error {
 			if !c {
 				branch = n.Else
 			}
-			if err := execStmts(branch, e, steps); err != nil {
+			if err := f.exec(branch); err != nil {
 				return err
 			}
 		case *While:
 			for {
-				if *steps <= 0 {
+				if f.steps <= 0 {
 					return ErrSteps
 				}
-				c, err := constraint.EvalFormula(n.Cond, e.lookup)
+				c, err := constraint.EvalFormula(n.Cond, f.lookup)
 				if err != nil {
 					return fmt.Errorf("while (%s): %w", n.Cond.String(), err)
 				}
 				if !c {
 					break
 				}
-				if err := execStmts(n.Body, e, steps); err != nil {
+				if err := f.exec(n.Body); err != nil {
 					return err
 				}
 			}

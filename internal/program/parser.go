@@ -2,9 +2,29 @@ package program
 
 import (
 	"fmt"
+	"slices"
 
 	"pwsr/internal/constraint"
 )
+
+// parser layers statement syntax on the constraint-language parser and
+// owns the scratch of one parse, all of it in the one allocation.
+type parser struct {
+	constraint.Parser
+	// names numbers the program's names as the parser meets them.
+	names constraint.Names
+	// stmts stacks the statements of the blocks still open; a block
+	// that closes is copied off the top at its exact length.
+	stmts []Stmt
+	small [16]Stmt // backs stmts until the open blocks hold more
+}
+
+func newParser(toks []constraint.Token) *parser {
+	p := &parser{Parser: *constraint.NewParserFromTokens(toks)}
+	p.stmts = p.small[:0]
+	p.NumberVars(&p.names)
+	return p
+}
 
 // Parse parses TPL source of the form
 //
@@ -21,7 +41,7 @@ func Parse(src string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := constraint.NewParserFromTokens(toks)
+	p := newParser(toks)
 	if _, err := p.ExpectIdent("program"); err != nil {
 		return nil, err
 	}
@@ -32,7 +52,7 @@ func Parse(src string) (*Program, error) {
 	if _, err := p.Expect(constraint.TokLBrace); err != nil {
 		return nil, err
 	}
-	body, err := parseBlockBody(p)
+	body, err := p.blockBody()
 	if err != nil {
 		return nil, err
 	}
@@ -40,7 +60,34 @@ func Parse(src string) (*Program, error) {
 		t := p.Peek()
 		return nil, fmt.Errorf("%d:%d: unexpected trailing input after program body", t.Line, t.Col)
 	}
-	return &Program{Name: nameTok.Text, Body: body}, nil
+	// Every identifier so far is a substring of src and would keep all
+	// of it alive for as long as the program lives.
+	names := &p.names
+	prog := &Program{Name: names.Intern(nameTok.Text), Body: body, slots: int32(names.Len()), resolved: true}
+	internNames(body, names, func(v *constraint.Var) { v.Name = names.At(v.Slot) })
+	return prog, nil
+}
+
+// internNames re-spells every name under stmts from names, by its slot
+// (leaf does it for a variable).
+func internNames(stmts []Stmt, names *constraint.Names, leaf func(*constraint.Var)) {
+	for _, st := range stmts {
+		switch n := st.(type) {
+		case *Let:
+			n.Name = names.At(n.slot)
+			constraint.EachVar(n.Expr, leaf)
+		case *Assign:
+			n.Target = names.At(n.slot)
+			constraint.EachVar(n.Expr, leaf)
+		case *If:
+			constraint.EachVar(n.Cond, leaf)
+			internNames(n.Then, names, leaf)
+			internNames(n.Else, names, leaf)
+		case *While:
+			constraint.EachVar(n.Cond, leaf)
+			internNames(n.Body, names, leaf)
+		}
+	}
 }
 
 // MustParse is Parse that panics on error, for fixtures and tests.
@@ -59,49 +106,58 @@ func ParseStmts(src string) ([]Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := constraint.NewParserFromTokens(toks)
-	var out []Stmt
+	p := newParser(toks)
 	for !p.AtEOF() {
-		st, err := parseStmt(p)
+		st, err := p.stmt()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, st)
+		p.stmts = append(p.stmts, st)
 	}
-	return out, nil
+	return p.pop(0), nil
 }
 
-// parseBlockBody parses statements until the closing brace, consuming
-// it.
-func parseBlockBody(p *constraint.Parser) ([]Stmt, error) {
-	var out []Stmt
+// pop takes the statements pushed since mark off the stack, as a list of
+// exactly their number (nil for none).
+func (p *parser) pop(mark int) []Stmt {
+	if mark == len(p.stmts) {
+		return nil
+	}
+	out := slices.Clone(p.stmts[mark:])
+	p.stmts = p.stmts[:mark]
+	return out
+}
+
+// blockBody parses statements until the closing brace, consuming it.
+func (p *parser) blockBody() ([]Stmt, error) {
+	mark := len(p.stmts)
 	for {
 		t := p.Peek()
 		if t.Kind == constraint.TokRBrace {
 			p.Next()
-			return out, nil
+			return p.pop(mark), nil
 		}
 		if t.Kind == constraint.TokEOF {
 			return nil, fmt.Errorf("%d:%d: missing closing brace", t.Line, t.Col)
 		}
-		st, err := parseStmt(p)
+		st, err := p.stmt()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, st)
+		p.stmts = append(p.stmts, st)
 	}
 }
 
-func parseStmt(p *constraint.Parser) (Stmt, error) {
+func (p *parser) stmt() (Stmt, error) {
 	t := p.Peek()
 	if t.Kind != constraint.TokIdent {
 		return nil, fmt.Errorf("%d:%d: expected a statement", t.Line, t.Col)
 	}
 	switch t.Text {
 	case "if":
-		return parseIf(p)
+		return p.ifStmt()
 	case "while":
-		return parseWhile(p)
+		return p.whileStmt()
 	case "let":
 		p.Next()
 		name, err := p.Expect(constraint.TokIdent)
@@ -118,7 +174,7 @@ func parseStmt(p *constraint.Parser) (Stmt, error) {
 		if _, err := p.Expect(constraint.TokSemi); err != nil {
 			return nil, err
 		}
-		return &Let{Name: name.Text, Expr: e}, nil
+		return &Let{Name: name.Text, Expr: e, slot: p.names.Slot(name.Text)}, nil
 	default:
 		p.Next()
 		if _, err := p.Expect(constraint.TokAssign); err != nil {
@@ -131,11 +187,11 @@ func parseStmt(p *constraint.Parser) (Stmt, error) {
 		if _, err := p.Expect(constraint.TokSemi); err != nil {
 			return nil, err
 		}
-		return &Assign{Target: t.Text, Expr: e}, nil
+		return &Assign{Target: t.Text, Expr: e, slot: p.names.Slot(t.Text)}, nil
 	}
 }
 
-func parseIf(p *constraint.Parser) (Stmt, error) {
+func (p *parser) ifStmt() (Stmt, error) {
 	if _, err := p.ExpectIdent("if"); err != nil {
 		return nil, err
 	}
@@ -149,7 +205,7 @@ func parseIf(p *constraint.Parser) (Stmt, error) {
 	if _, err := p.Expect(constraint.TokRParen); err != nil {
 		return nil, err
 	}
-	thenBody, err := parseBranch(p)
+	thenBody, err := p.branch()
 	if err != nil {
 		return nil, err
 	}
@@ -157,13 +213,13 @@ func parseIf(p *constraint.Parser) (Stmt, error) {
 	if t := p.Peek(); t.Kind == constraint.TokIdent && t.Text == "else" {
 		p.Next()
 		if t2 := p.Peek(); t2.Kind == constraint.TokIdent && t2.Text == "if" {
-			nested, err := parseIf(p)
+			nested, err := p.ifStmt()
 			if err != nil {
 				return nil, err
 			}
 			elseBody = []Stmt{nested}
 		} else {
-			elseBody, err = parseBranch(p)
+			elseBody, err = p.branch()
 			if err != nil {
 				return nil, err
 			}
@@ -172,7 +228,7 @@ func parseIf(p *constraint.Parser) (Stmt, error) {
 	return &If{Cond: cond, Then: thenBody, Else: elseBody}, nil
 }
 
-func parseWhile(p *constraint.Parser) (Stmt, error) {
+func (p *parser) whileStmt() (Stmt, error) {
 	if _, err := p.ExpectIdent("while"); err != nil {
 		return nil, err
 	}
@@ -186,20 +242,20 @@ func parseWhile(p *constraint.Parser) (Stmt, error) {
 	if _, err := p.Expect(constraint.TokRParen); err != nil {
 		return nil, err
 	}
-	body, err := parseBranch(p)
+	body, err := p.branch()
 	if err != nil {
 		return nil, err
 	}
 	return &While{Cond: cond, Body: body}, nil
 }
 
-// parseBranch parses either a braced block or a single statement.
-func parseBranch(p *constraint.Parser) ([]Stmt, error) {
+// branch parses either a braced block or a single statement.
+func (p *parser) branch() ([]Stmt, error) {
 	if p.Peek().Kind == constraint.TokLBrace {
 		p.Next()
-		return parseBlockBody(p)
+		return p.blockBody()
 	}
-	st, err := parseStmt(p)
+	st, err := p.stmt()
 	if err != nil {
 		return nil, err
 	}

@@ -111,7 +111,7 @@ func Decompose(p *program.Program, partition []state.ItemSet) (*Saga, error) {
 			}
 			localSet[n.Name] = es
 			if es != constSet {
-				emit(es, &program.Let{Name: n.Name, Expr: n.Expr})
+				emit(es, n)
 			} else {
 				// Constant locals ride along with the next step that
 				// uses them; emit into the current step when one is
@@ -119,9 +119,9 @@ func Decompose(p *program.Program, partition []state.ItemSet) (*Saga, error) {
 				// simplicity: attach to current step if open, else
 				// remember as pending.
 				if cur != nil {
-					cur.Program.Body = append(cur.Program.Body, &program.Let{Name: n.Name, Expr: n.Expr})
+					cur.Program.Body = append(cur.Program.Body, n)
 				} else {
-					emit(-1, &program.Let{Name: n.Name, Expr: n.Expr})
+					emit(-1, n)
 				}
 			}
 		case *program.Assign:
@@ -141,7 +141,7 @@ func Decompose(p *program.Program, partition []state.ItemSet) (*Saga, error) {
 				if set == constSet {
 					set = -1
 				}
-				emit(set, &program.Assign{Target: n.Target, Expr: n.Expr})
+				emit(set, n)
 				continue
 			}
 			ts := setOf(n.Target)
@@ -153,10 +153,15 @@ func Decompose(p *program.Program, partition []state.ItemSet) (*Saga, error) {
 				return nil, fmt.Errorf("saga: assignment %s := %s crosses data sets %d and %d",
 					n.Target, n.Expr.String(), ts, es)
 			}
-			emit(ts, &program.Assign{Target: n.Target, Expr: n.Expr})
+			emit(ts, n)
 		default:
 			return nil, fmt.Errorf("saga: unsupported statement %T", st)
 		}
+	}
+	// The steps so far borrow p's statements; a clone owns its nodes and
+	// numbers its names for the interpreter.
+	for i := range s.Steps {
+		s.Steps[i].Program = s.Steps[i].Program.Clone()
 	}
 	return s, nil
 }
