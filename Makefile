@@ -185,6 +185,15 @@ bench-cpu:
 profile-batch:
 	$(GO) test . -run '^$$' -bench 'BenchmarkShardedAdmitSequence' -benchmem -cpuprofile admit.prof -o pwsr.test
 
+# profile-tick writes a CPU profile of the tick engine under abort and
+# restart (PERF16's family: hot-tick's shape through OptimisticCertify
+# with VictimYoungest) to tick.prof, with the test binary beside it;
+# read it with
+#   go tool pprof -top -focus 'exec.RunCtx' pwsr.test tick.prof
+.PHONY: profile-tick
+profile-tick:
+	$(GO) test . -run '^$$' -bench 'BenchmarkTickAbortRestart' -benchmem -benchtime=3000x -cpuprofile tick.prof -o pwsr.test
+
 # bench-all runs every benchmark in the repository once.
 .PHONY: bench-all
 bench-all:
@@ -216,13 +225,15 @@ test:
 # allocation regression on the steady-state Observe/Admissible hot
 # path, a gate tick
 # (TestZeroAllocGatePick, TestZeroAllocDelayedReadPick), victim
-# selection (TestZeroAllocVictim), the tick engine's grant path or the
-# interpreter's one-frame-per-attempt state (TestInterpRunAllocs) fails
+# selection (TestZeroAllocVictim), the tick engine's grant path
+# (TestTickEngineAllocs), a victim's abort, restart and re-park
+# (TestZeroAllocTickRestart) or the interpreter's
+# one-slot-array-per-Run state (TestInterpRunAllocs) fails
 # CI here, not just benchmarks. That leg also carries the sharded
 # monitor's cost-shape pin (TestZeroAllocShardedAdmitLiveSetIndependent:
 # whole-transaction admission allocates the same with 16 and with 4096
-# resident transactions), and the last line runs the PERF14 and PERF15
-# benchmark families once so they cannot rot.
+# resident transactions), and the last line runs the PERF14, PERF15 and
+# PERF16 benchmark families once so they cannot rot.
 # The chaos smoke (a fixed 40-seed band of the ROBUST1 fault
 # differential, deterministic by construction) also rides in the raced
 # `./...` pass; the full randomized matrix lives in `make chaos`.
@@ -233,7 +244,7 @@ check:
 	GOMAXPROCS=1 $(GO) test -race -short -count=1 ./internal/core ./internal/sched ./internal/exec ./internal/wal
 	GOMAXPROCS=8 $(GO) test -race -short -count=1 ./internal/core ./internal/sched ./internal/exec ./internal/wal
 	$(GO) test -run 'TestZeroAlloc|TestTickEngineAllocs|TestInterpRunAllocs' -count=1 ./internal/core
-	$(GO) test . -run '^$$' -bench 'BenchmarkShardedAdmitSequence|BenchmarkInterpRun' -benchtime=1x
+	$(GO) test . -run '^$$' -bench 'BenchmarkShardedAdmitSequence|BenchmarkInterpRun|BenchmarkTickAbortRestart' -benchtime=1x
 
 # soak is the long-run bounded-memory test: ≥ 1M operations through a
 # single OptimisticCertify gate with the transaction lifecycle on,

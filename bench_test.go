@@ -840,6 +840,77 @@ func BenchmarkInterpRun(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
+// PERF16: abort and restart on the tick engine. hot-tick's shape — 48
+// short read-modify-write programs a round over six conjuncts of four
+// items, a fifth of them forced onto one conjunct — through a persistent
+// OptimisticCertify gate that sacrifices the youngest victim, so most
+// commits are preceded by an erased attempt or two. A round is one
+// exec.Run; ns/txn and allocs/txn are per committed transaction, what a
+// restart costs included.
+// ---------------------------------------------------------------------
+
+func BenchmarkTickAbortRestart(b *testing.B) {
+	const conjuncts, itemsPer, window, hotPct, pool = 6, 4, 48, 20, 1024
+	item := func(c, j int) string { return fmt.Sprintf("d%dc%d", c, j) }
+	rng := rand.New(rand.NewSource(2))
+	db := state.NewDB()
+	partition := make([]state.ItemSet, conjuncts)
+	for c := range partition {
+		partition[c] = state.NewItemSet()
+		for j := 0; j < itemsPer; j++ {
+			partition[c].Add(item(c, j))
+			db.Set(item(c, j), state.Int(int64(1+rng.Intn(5))))
+		}
+	}
+	templates := make([]*program.Program, pool)
+	for k := range templates {
+		var src strings.Builder
+		fmt.Fprintf(&src, "program Short%d {\n", k)
+		c := rng.Intn(conjuncts)
+		if rng.Intn(100) < hotPct {
+			c = 0
+		}
+		for i, j := range rng.Perm(itemsPer)[:1+rng.Intn(3)] {
+			if rng.Intn(10) < 3 {
+				fmt.Fprintf(&src, "let q%d := %s;\n", i, item(c, j))
+			} else {
+				fmt.Fprintf(&src, "%s := abs(%s) %% 89 + %d;\n", item(c, j), item(c, j), 1+rng.Intn(3))
+			}
+		}
+		src.WriteString("}\n")
+		templates[k] = program.MustParse(src.String())
+	}
+	mon := core.NewMonitor(partition)
+	mon.SetAutoCompact(4 * window)
+	gate := sched.NewOptimisticCertifyOver(mon, sched.NewRandom(1), sched.VictimYoungest)
+
+	var before, after runtime.MemStats
+	aborts, id := 0, 0
+	b.ReportAllocs()
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		programs := make(map[int]*program.Program, window)
+		for j := 0; j < window; j++ {
+			id++
+			programs[id] = templates[rng.Intn(pool)]
+		}
+		res, err := exec.Run(exec.Config{Programs: programs, Initial: db, Policy: gate, DataSets: partition})
+		if err != nil {
+			b.Fatal(err)
+		}
+		db = res.Final
+		aborts += res.Metrics.Aborts
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	txns := float64(b.N * window)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/txns, "ns/txn")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/txns, "allocs/txn")
+	b.ReportMetric(float64(aborts)/txns, "aborts/txn")
+}
+
+// ---------------------------------------------------------------------
 // BASE1: setwise serializability baseline.
 // ---------------------------------------------------------------------
 

@@ -135,24 +135,37 @@
 // program.Parse, Clone and Balance number every name in the program —
 // data item or local alike — 1, 2, … in its own dense numbering, stored
 // on the variable nodes and the let/assignment statements, and an
-// attempt runs against one frame indexed by that number: per name a
-// value and whether the attempt declared it a local, cached its read or
-// wrote it. That is the whole run-time state of an attempt — one
-// allocation, nothing hashed, nothing per executed statement — and it
-// dies with the attempt, so a restarted victim sees nothing of the
-// erased one (Kuznetsov and Peri's non-interference). Only the slot is
-// static; what a name means is still decided as the program runs, as §2.2
-// has it: a name is a data item until a let of it executes and a local
-// from then on, so a let in a branch not taken leaves it an item. Because
-// the number lives on the node, a program owns its nodes: Clone copies
-// them, and is how statements assembled by hand or borrowed from another
-// program become a program of their own (the interpreter clones a
-// hand-built literal privately on every Run). The frame also carries the
-// §2.2 access discipline — an item reaches the program.Accessor's Read
-// at most once and never after the program's own Write — so the engines'
-// accessors keep no repeat-read bookkeeping. EXPERIMENTS.md PERF15
-// records the effect; TestInterpDifferential holds the frame to the
-// name-keyed reference interpreter it replaced.
+// attempt runs against one array of slots indexed by that number: per
+// name a value and whether the attempt declared it a local, cached its
+// read or wrote it. With the step budget and a short control stack that
+// is the whole run-time state of an attempt — nothing hashed, nothing
+// allocated per executed statement. Only the slot is static; what a name
+// means is still decided as the program runs, as §2.2 has it: a name is
+// a data item until a let of it executes and a local from then on, so a
+// let in a branch not taken leaves it an item. Because the number lives
+// on the node, a program owns its nodes: Clone copies them, and is how
+// statements assembled by hand or borrowed from another program become a
+// program of their own (Run clones a hand-built literal privately; the
+// tick engine resolves one once per run). The slots also carry the §2.2
+// access discipline — an item is read at most once and never after the
+// program's own write — so nothing downstream keeps repeat-read
+// bookkeeping. EXPERIMENTS.md PERF15 records the effect.
+//
+// That state is a value, program.Machine, and it is the only interpreter:
+// Step runs an attempt to its next operation or its end. Driven through
+// Interp.Run it calls a program.Accessor at each operation and never
+// stops (the batch engine, RunInIsolation, snapshot readers). The tick
+// engine holds one Machine per transaction and steps it on its own
+// stack: the Machine suspends at each operation — at a read in the
+// middle of the statement, which is evaluated again once the value is
+// delivered, exactly, because evaluation has no effect but cached reads
+// — and waits, as a value, for the policy's grant. So there is no
+// transport between engine and programs, no goroutine or coroutine per
+// attempt, and a victim's restart is Reset: the slots zeroed in place,
+// nothing allocated, nothing of the erased attempt left for the new one
+// to see (Kuznetsov and Peri's non-interference). EXPERIMENTS.md PERF16
+// records the effect; TestInterpDifferential holds both ways of driving
+// the Machine, and Reset, to the name-keyed reference interpreter.
 //
 // Benchmarks for the certification hot path and the scheduling-policy
 // studies live in bench_test.go (run `make bench`, and see

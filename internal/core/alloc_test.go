@@ -139,13 +139,15 @@ func TestZeroAllocGateTick(t *testing.T) {
 // TestTickEngineAllocs pins what one granted operation costs the tick
 // engine in allocations, the run's set-up and result included: a fixed
 // 12-program round under a plain round-robin policy, so neither a
-// gate's bookkeeping nor an abort's is in the count. The coroutine
-// transport reaches 2.71 allocs/op here — 287 a run, of which 108 are
-// iter.Pull's nine per attempt — where the goroutine-and-channel
-// transport it replaced took 4.37 (eager access declarations, three
-// maps per attempt, per-item write histories, a schedule buffer grown
-// from nil). The bound leaves room for the runtime to change how a map
-// grows, not for a new per-operation or per-attempt allocation.
+// gate's bookkeeping nor an abort's is in the count. An attempt is a
+// program.Machine inside the engine's per-transaction slab, stepped on
+// the engine's own stack, so what remains is per run (the view's maps,
+// the slabs, the schedule, which the result adopts without a copy) and
+// one slot array per transaction: 62 allocations over 106 granted
+// operations, 0.58. The pull-coroutine transport this replaced took 220,
+// 2.08 — thirteen per attempt for the coroutine and its frame. The bound
+// leaves room for the runtime to change how a map grows, not for a new
+// per-operation or per-attempt allocation.
 func TestTickEngineAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is unreliable under -race")
@@ -163,9 +165,66 @@ func TestTickEngineAllocs(t *testing.T) {
 	})
 	perOp := allocs / float64(ops)
 	t.Logf("%.0f allocs over %d granted operations: %.2f allocs/op", allocs, ops, perOp)
-	// 2.08 since the interpreter's per-attempt maps became one frame.
-	if perOp > 2.3 {
-		t.Fatalf("tick engine allocates %.2f allocs per granted operation, want at most 2.3", perOp)
+	if perOp > 0.8 {
+		t.Fatalf("tick engine allocates %.2f allocs per granted operation, want at most 0.8", perOp)
+	}
+}
+
+// restartFirst grants the lowest pending transaction, always, except
+// that it stalls whenever transaction 1 holds two granted operations and
+// restarts are left: the engine then aborts transaction 1, resets its
+// Machine and parks it again on its first request.
+type restartFirst struct{ left int }
+
+func (r *restartFirst) Pick(_ []*exec.Request, v *exec.View) int {
+	if r.left > 0 && v.OpCount(1) == 2 {
+		return -1
+	}
+	return 0
+}
+func (r *restartFirst) TxnFinished(int, *exec.View)            {}
+func (r *restartFirst) Victim([]*exec.Request, *exec.View) int { return 0 }
+func (r *restartFirst) TxnAborted(int, *exec.View)             { r.left-- }
+
+// TestZeroAllocTickRestart pins what a restart costs the engine and the
+// interpreter in allocations: nothing. Aborting a victim that holds a
+// cached read, a local, a written mark and a nested control stack,
+// resetting its Machine and parking it again reuses everything the first
+// attempt used, so a run with 34 restarts allocates exactly what the same
+// run with 2 does (the first restart grows the engine's undo scratch; it
+// is in both). The victim is a hand-built literal program: were it
+// resolved per attempt rather than once per run, each restart would
+// allocate a Clone.
+func TestZeroAllocTickRestart(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is unreliable under -race")
+	}
+	victim := program.MustParse(`program V { let t := x; if (t >= 0) { while (t < 1) { y := t + 1; t := t + z; } } z := y; }`)
+	cfg := exec.Config{
+		Programs: map[int]*program.Program{
+			1: {Name: "V", Body: victim.Body},
+			2: program.MustParse(`program B { u := u + 1; }`),
+			3: program.MustParse(`program C { w := w + u; }`),
+		},
+		Initial: state.Ints(map[string]int64{"x": 0, "y": 0, "z": 1, "u": 0, "w": 0}),
+	}
+	run := func(restarts int) float64 {
+		return testing.AllocsPerRun(50, func() {
+			cfg.Policy = &restartFirst{left: restarts}
+			res, err := exec.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// r1(x) w1(y) — erased on every restart — then r1(z) w1(z).
+			if m := res.Metrics; m.Aborts != restarts || m.WastedOps != 2*restarts || res.Schedule.Len() != 9 {
+				t.Fatalf("%d restarts asked for: %d aborts, %d wasted operations, schedule %s", restarts, m.Aborts, m.WastedOps, res.Schedule)
+			}
+		})
+	}
+	few, many := run(2), run(34)
+	t.Logf("%.0f allocations with 2 restarts, %.0f with 34", few, many)
+	if many != few {
+		t.Fatalf("32 more restarts allocate %.0f more times, want 0", many-few)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package exec implements the concurrent execution engine: a set of
-// transaction programs run as coroutines against a shared store, with a
+// transaction programs run interleaved against a shared store, with a
 // pluggable interleaving policy deciding which program's next operation
 // is granted at each step. The engine records the resulting schedule
 // with values — the object the paper's theory studies — along with
@@ -8,24 +8,24 @@
 //
 // # Transport
 //
-// Each program attempt is a pull-coroutine (iter.Pull over the
-// interpreter): its accessor fills the attempt's one Request, yields it
-// to the engine and parks; the engine stores the reply in the accessor
-// and resumes it when the policy grants the request. The engine asks
-// the policy to pick only when every live program is parked on a
-// request, so after the first round exactly one program is ever
-// runnable — the one just granted — and running programs on the
-// engine's own goroutine, one at a time, loses no parallelism while it
-// saves two scheduler hand-offs per operation. The runnable attempts
-// are resumed in ascending transaction id order, so execution is
-// deterministic for deterministic policies, including the order of
-// completion notifications: programs that finish in the same gather
-// report TxnFinished in ascending id order. Unwinding an attempt — a
-// victim, a cancelled transaction, a run that failed elsewhere — is
-// stopping its coroutine: the parked accessor call returns errRestart
-// and the interpreter returns. RunCtx stops every coroutine it started
-// before it returns, on every path; a program panic surfaces on the
-// caller's stack.
+// There is none. Each program attempt is a program.Machine held in the
+// engine's per-transaction state: stepping it runs the interpreter, on
+// the engine's own stack, up to the attempt's next operation, which
+// becomes the attempt's one Request, parked until the policy grants it.
+// A granted read is applied and its value delivered to the Machine; a
+// granted write is applied, the Machine having already moved past it.
+// The engine asks the policy to pick only when every live program is
+// parked on a request, so after the first round exactly one program has
+// anything to do — the one just granted — and stepping programs one at a
+// time loses no parallelism. The runnable attempts are stepped in
+// ascending transaction id order, so execution is deterministic for
+// deterministic policies, including the order of completion
+// notifications: programs that finish in the same gather report
+// TxnFinished in ascending id order. An attempt that must go — a victim,
+// a cancelled transaction, a run that failed elsewhere — needs no
+// unwinding: a suspended Machine is a value, holding no stack and no
+// goroutine. RunCtx starts nothing, so there is nothing for it to stop;
+// a program panic happens on the caller's stack.
 //
 // # Abort and restart semantics
 //
@@ -50,19 +50,21 @@
 //     and cannot be cascaded — so such a victim is ineligible
 //     (View.AbortClosure reports eligibility).
 //
-// After the erasure every aborted program restarts as a fresh coroutine
-// with a fresh access-discipline cache: it re-reads current values and
-// may take different branches than its aborted attempt. The recorded
-// schedule therefore contains exactly the operations of surviving
-// attempts and replays value-consistently against the initial state, as
-// if the aborted attempts had never run.
+// After the erasure every aborted program restarts by resetting its
+// Machine: slots zeroed in place, control back at the first statement,
+// the step budget whole. Nothing of the erased attempt — no cached read,
+// no local, no written mark — is left for the new one to see, and
+// nothing is allocated: it re-reads current values and may take
+// different branches than its aborted attempt. The recorded schedule
+// therefore contains exactly the operations of surviving attempts and
+// replays value-consistently against the initial state, as if the
+// aborted attempts had never run.
 package exec
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"iter"
 	"reflect"
 	"runtime"
 	"slices"
@@ -77,11 +79,6 @@ import (
 // ErrStall is returned when the policy cannot grant any pending request
 // (a deadlock under blocking policies such as the delayed-read gate).
 var ErrStall = errors.New("exec: no grantable request (stall)")
-
-// errRestart is what a stopped attempt's parked accessor call returns,
-// unwinding its interpreter: the attempt was a victim, was cancelled, or
-// the run failed elsewhere.
-var errRestart = errors.New("exec: transaction restarting")
 
 // Request is a pending operation request from a program: the operation
 // its attempt is parked on until the policy grants it. Every attempt
@@ -548,25 +545,18 @@ type Result struct {
 	Metrics Metrics
 }
 
-// proc is the engine's per-run state of one transaction and the
-// program.Accessor of its current attempt. The attempt runs as a
-// pull-coroutine: Read and Write fill req, yield it and park; the
-// engine applies the granted operation, stores a read's value in val
-// and resumes the attempt with next. The engine is done with req before
-// it resumes (the request has left the pending list, and policies must
-// not retain the list across calls), so one Request serves the whole
-// attempt and the admission round trip allocates nothing.
+// proc is the engine's per-run state of one transaction: the Machine
+// that interprets its current attempt and the one Request the attempt
+// is parked on. step fills req from the operation the Machine stopped
+// at; the engine is done with req before it steps the Machine again (the
+// request has left the pending list, and policies must not retain the
+// list across calls), so one Request serves every attempt and the
+// admission round trip allocates nothing.
 type proc struct {
-	id   int
-	prog *program.Program
-	tm   *TxnMetrics
-
-	next  func() (*Request, bool)
-	stop  func()
-	yield func(*Request) bool
-	req   Request
-	val   state.Value // the engine's reply to a granted read
-	err   error       // the interpreter's result, once next reports the end
+	id  int
+	m   program.Machine
+	tm  *TxnMetrics
+	req Request
 
 	// parkedAt is the clock at which req parked: the transaction has
 	// waited Clock − parkedAt ticks when req leaves the pending list.
@@ -584,31 +574,16 @@ type proc struct {
 	self     [1]int // backs the singleton AbortClosure
 }
 
-// start launches a fresh attempt of p's program; it runs when the
-// engine first calls next.
-func (p *proc) start(interp *program.Interp) {
-	p.next, p.stop = iter.Pull(func(yield func(*Request) bool) {
-		p.yield = yield
-		p.err = interp.Run(p.prog, p)
-	})
-}
-
-// Read implements program.Accessor.
-func (p *proc) Read(item string) (state.Value, error) {
-	p.req = Request{TxnID: p.id, Action: txn.ActionRead, Entity: item}
-	if !p.yield(&p.req) {
-		return state.Value{}, errRestart
+// step runs p's attempt to its next operation, filed in req, and
+// reports whether there is one; false with a nil error is the end of the
+// program.
+func (p *proc) step() (bool, error) {
+	r, err := p.m.Step()
+	if r == nil {
+		return false, err
 	}
-	return p.val, nil
-}
-
-// Write implements program.Accessor.
-func (p *proc) Write(item string, v state.Value) error {
-	p.req = Request{TxnID: p.id, Action: txn.ActionWrite, Entity: item, Value: v}
-	if !p.yield(&p.req) {
-		return errRestart
-	}
-	return nil
+	p.req = Request{TxnID: p.id, Action: r.Action, Entity: r.Item, Value: r.Value}
+	return true, nil
 }
 
 // Run executes the configured programs concurrently and returns the
@@ -618,12 +593,12 @@ func Run(cfg Config) (*Result, error) {
 	return RunCtx(context.Background(), cfg)
 }
 
-// RunCtx is Run with cancellation and deadline support. It runs every
-// program attempt as a pull-coroutine on the calling goroutine (see the
-// package comment on the transport): it resumes the runnable attempts
-// in ascending id order until each parks on a request or finishes, asks
-// the policy to pick among the parked requests, applies the granted
-// operation and resumes its program. No goroutine outlives the call.
+// RunCtx is Run with cancellation and deadline support. It is one loop
+// on the calling goroutine (see the package comment on the transport):
+// it steps the runnable attempts in ascending id order until each parks
+// on a request or finishes, asks the policy to pick among the parked
+// requests, applies the granted operation and makes its program
+// runnable. It starts no goroutine.
 //
 // When ctx ends mid-run the engine settles instead of killing the run:
 // transactions in flight are aborted through the same erasure machinery
@@ -701,19 +676,11 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	for i, id := range ids {
 		metrics.PerTxn[id] = &tms[i]
-		procs[i] = proc{id: id, prog: cfg.Programs[id], tm: &tms[i]}
-		procs[i].start(interp)
+		procs[i].id, procs[i].tm = id, &tms[i]
+		procs[i].m.Init(interp, cfg.Programs[id])
 		v.Live[id] = true
 		runnable = append(runnable, &procs[i])
 	}
-	// Every coroutine is stopped before RunCtx returns, whatever the
-	// path: a parked attempt unwinds; for one that finished, or never
-	// ran, stopping is a no-op.
-	defer func() {
-		for i := range procs {
-			procs[i].stop()
-		}
-	}()
 	for i, id := range roList {
 		metrics.PerTxn[id] = &tms[len(ids)+i]
 	}
@@ -845,15 +812,15 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		p.tm.End = v.Clock
 		cfg.Policy.TxnFinished(p.id, v)
 	}
-	// gather resumes the runnable attempts, in ascending id order, until
-	// each parks on its next request or finishes. A program error fails
-	// the run.
+	// gather steps the runnable attempts, in ascending id order, each to
+	// its next request, where it parks, or to its end. A program error
+	// fails the run.
 	gather := func() error {
 		for _, p := range runnable {
-			if _, more := p.next(); more {
+			if more, err := p.step(); err != nil {
+				return fmt.Errorf("exec: T%d: %w", p.id, err)
+			} else if more {
 				park(p)
-			} else if p.err != nil {
-				return fmt.Errorf("exec: T%d: %w", p.id, p.err)
 			} else {
 				finish(p)
 			}
@@ -864,13 +831,15 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 
 	var undo []string // eraseAttempts' scratch: the items the erased attempts wrote
 	// eraseAttempts erases the closure members' attempts per the
-	// package's abort semantics: unwind their coroutines, expunge their
-	// operations from the schedule, undo their writes, drop their
-	// reads-from bookkeeping, and notify the policy. It must only be
-	// called when every live transaction is parked on a pending request.
-	// With byCancel set the policy is notified through
-	// Canceler.TxnCanceled when implemented (the transactions are gone,
-	// not retried); otherwise through Restarter.TxnAborted.
+	// package's abort semantics: expunge their operations from the
+	// schedule, undo their writes, drop their reads-from bookkeeping, and
+	// notify the policy. The attempts themselves need no unwinding: each
+	// is a suspended Machine, which a restart resets and a cancelled run
+	// simply drops. It must only be called when every live transaction is
+	// parked on a pending request. With byCancel set the policy is
+	// notified through Canceler.TxnCanceled when implemented (the
+	// transactions are gone, not retried); otherwise through
+	// Restarter.TxnAborted.
 	eraseAttempts := func(closure []int, byCancel bool) {
 		// Nothing before the members' earliest operation moves: a victim
 		// that started late rewrites a short suffix.
@@ -881,7 +850,6 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 			if p.tm.Ops > 0 && p.first < from {
 				from = p.first
 			}
-			p.stop()
 			i, _ := slices.BinarySearchFunc(parked, id, func(q *proc, id int) int { return q.id - id })
 			unpark(i)
 		}
@@ -970,7 +938,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		eraseAttempts(closure, false)
 		for _, id := range closure {
 			p := v.proc(id)
-			p.start(interp)
+			p.m.Reset()
 			runnable = append(runnable, p)
 			metrics.Restarts++
 		}
@@ -1027,7 +995,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		harvestReporters(cfg.Policy, &metrics)
 		return &Result{
-			Schedule: txn.NewSchedule(ops...),
+			Schedule: txn.AdoptSchedule(ops),
 			Final:    v.Store,
 			Metrics:  metrics,
 		}, cancelErr
@@ -1116,7 +1084,8 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 					wp.readers = append(wp.readers, p)
 				}
 			}
-			op.Value, p.val = val, val
+			op.Value = val
+			p.m.Deliver(val, nil)
 		case txn.ActionWrite:
 			v.Store.Set(op.Entity, p.req.Value)
 			v.LastWriter[op.Entity] = p.id
@@ -1144,7 +1113,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 
 	harvestReporters(cfg.Policy, &metrics)
 	return &Result{
-		Schedule: txn.NewSchedule(ops...),
+		Schedule: txn.AdoptSchedule(ops),
 		Final:    v.Store,
 		Metrics:  metrics,
 	}, nil

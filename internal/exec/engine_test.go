@@ -4,8 +4,9 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"runtime/debug"
+	"strings"
 	"testing"
-	"time"
 
 	"pwsr/internal/constraint"
 	"pwsr/internal/exec"
@@ -307,16 +308,54 @@ func TestEnginePassTick(t *testing.T) {
 	}
 }
 
-// settledGoroutines polls runtime.NumGoroutine until it drops to want
-// (an exiting goroutine may lag its last observable action) and returns
-// the final reading.
-func settledGoroutines(want int) int {
-	n := runtime.NumGoroutine()
-	for i := 0; i < 200 && n > want; i++ {
-		time.Sleep(time.Millisecond)
-		n = runtime.NumGoroutine()
+// goroutineWatch forwards to a policy and records the highest goroutine
+// count seen from inside its callbacks, that is, while RunCtx is running.
+type goroutineWatch struct {
+	exec.Policy
+	peak int
+}
+
+func (w *goroutineWatch) look() {
+	if n := runtime.NumGoroutine(); n > w.peak {
+		w.peak = n
 	}
-	return n
+}
+
+func (w *goroutineWatch) Pick(pending []*exec.Request, v *exec.View) int {
+	w.look()
+	return w.Policy.Pick(pending, v)
+}
+
+func (w *goroutineWatch) TxnFinished(id int, v *exec.View) {
+	w.look()
+	w.Policy.TxnFinished(id, v)
+}
+
+// restarterWatch is goroutineWatch over a policy that restarts victims.
+type restarterWatch struct {
+	goroutineWatch
+	inner exec.Restarter
+}
+
+func (w *restarterWatch) Victim(pending []*exec.Request, v *exec.View) int {
+	w.look()
+	return w.inner.Victim(pending, v)
+}
+
+func (w *restarterWatch) TxnAborted(id int, v *exec.View) {
+	w.look()
+	w.inner.TxnAborted(id, v)
+}
+
+// watchGoroutines wraps pol, keeping it a Restarter when it is one, and
+// returns the watch to read the peak from.
+func watchGoroutines(pol exec.Policy) (exec.Policy, *goroutineWatch) {
+	if ra, ok := pol.(exec.Restarter); ok {
+		w := &restarterWatch{goroutineWatch: goroutineWatch{Policy: pol}, inner: ra}
+		return w, &w.goroutineWatch
+	}
+	w := &goroutineWatch{Policy: pol}
+	return w, w
 }
 
 // errAny marks a test case that must fail, with whatever error.
@@ -343,13 +382,13 @@ func (c *cancelAfter) Pick(pending []*exec.Request, v *exec.View) int {
 	return c.Policy.Pick(pending, v)
 }
 
-// TestRunLeavesNoCoroutines pins the invariant the coroutine transport
-// must enforce explicitly: every attempt RunCtx started has returned by
-// the time RunCtx does, on every exit path. A pull-coroutine is a
-// goroutine until its interpreter returns, and stopping one waits for
-// exactly that, so the goroutine count returning to its pre-call value
-// is the interpreter-returned count; the canary write at the end of
-// every unwound program must never reach the store.
+// TestRunLeavesNoCoroutines pins that the tick engine starts nothing: an
+// attempt is a program.Machine stepped on RunCtx's own stack, so the
+// goroutine count never rises above its pre-call value, neither while
+// the run is in progress (read from inside every policy callback) nor
+// after it, on any exit path. An attempt left suspended when the run
+// ends is simply dropped; the canary write at the end of every such
+// program must never reach the store.
 func TestRunLeavesNoCoroutines(t *testing.T) {
 	parse := func(srcs ...string) map[int]*program.Program {
 		m := make(map[int]*program.Program, len(srcs))
@@ -395,6 +434,7 @@ func TestRunLeavesNoCoroutines(t *testing.T) {
 				if got, want := res.Schedule.Ops().String(), "w1(x, 5), r2(x, 5), w2(y, 5)"; got != want {
 					t.Fatalf("surviving schedule = %s, want %s", got, want)
 				}
+				checkSchedulePositions(t, res.Schedule)
 				if m := res.Metrics; m.Aborts != 1 || m.PerTxn[3].Aborts != 1 || m.WastedOps != 1 {
 					t.Fatalf("metrics = %+v, want T3's one operation erased", m)
 				}
@@ -408,10 +448,14 @@ func TestRunLeavesNoCoroutines(t *testing.T) {
 			if c.ctx == nil {
 				c.ctx = context.Background()
 			}
+			policy, watch := watchGoroutines(c.policy)
 			before := runtime.NumGoroutine()
-			res, err := exec.RunCtx(c.ctx, exec.Config{Programs: c.programs, Initial: initial, Policy: c.policy, MaxAborts: c.budget})
-			if after := settledGoroutines(before); after != before {
-				t.Fatalf("goroutines: %d before, %d after: an attempt was left unstopped", before, after)
+			res, err := exec.RunCtx(c.ctx, exec.Config{Programs: c.programs, Initial: initial, Policy: policy, MaxAborts: c.budget})
+			if after := runtime.NumGoroutine(); after > before || watch.peak > before {
+				t.Fatalf("goroutines: %d before, at most %d during, %d after: the engine started one", before, watch.peak, after)
+			}
+			if watch.peak == 0 {
+				t.Fatal("the policy was never consulted: nothing was watched")
 			}
 			switch {
 			case c.wantErr == nil && err != nil:
@@ -428,10 +472,10 @@ func TestRunLeavesNoCoroutines(t *testing.T) {
 	}
 }
 
-// TestProgramPanicSurfacesOnCaller: a panic inside a program unwinds
-// through RunCtx onto the caller's stack, where the caller can recover
-// it, and takes the other attempts down with it — not the process, as a
-// panic on a detached program goroutine would.
+// TestProgramPanicSurfacesOnCaller: a panic inside a program happens on
+// the caller's own stack — RunCtx is in the panicking goroutine's call
+// chain, the caller can recover it, and there is no other attempt's
+// goroutine to take down or leave behind.
 func TestProgramPanicSurfacesOnCaller(t *testing.T) {
 	bad := program.MustParse(`program A { x := x + 1; }`)
 	// A typed-nil variable node: evaluating it dereferences nil.
@@ -440,20 +484,29 @@ func TestProgramPanicSurfacesOnCaller(t *testing.T) {
 		1: bad,
 		2: program.MustParse(`program B { z := z + 1; q := q + 1; }`),
 	}
+	policy, watch := watchGoroutines(&sched.RoundRobin{})
 	before := runtime.NumGoroutine()
+	var stack string
 	recovered := func() (r any) {
-		defer func() { r = recover() }()
+		defer func() {
+			if r = recover(); r != nil {
+				stack = string(debug.Stack())
+			}
+		}()
 		exec.Run(exec.Config{
 			Programs: programs,
 			Initial:  state.Ints(map[string]int64{"x": 0, "y": 0, "z": 0, "q": 0}),
-			Policy:   &sched.RoundRobin{},
+			Policy:   policy,
 		})
 		return nil
 	}()
 	if recovered == nil {
 		t.Fatal("the program's panic did not reach the caller")
 	}
-	if after := settledGoroutines(before); after != before {
-		t.Fatalf("goroutines: %d before, %d after the recovered panic", before, after)
+	if !strings.Contains(stack, "exec.RunCtx") || !strings.Contains(stack, "program.(*Machine).Step") {
+		t.Fatalf("the panic did not unwind through RunCtx from the interpreter:\n%s", stack)
+	}
+	if after := runtime.NumGoroutine(); after > before || watch.peak > before {
+		t.Fatalf("goroutines: %d before, at most %d during, %d after the recovered panic", before, watch.peak, after)
 	}
 }

@@ -160,6 +160,8 @@ func TestMVReadDifferentialTick(t *testing.T) {
 			}
 
 			requireReadersUntouched(t, ctx, resA, ro)
+			checkSchedulePositions(t, resA.Schedule) // spliced readers renumber what follows
+			checkSchedulePositions(t, resB.Schedule)
 			if got, want := rwProjection(resA.Schedule, ro).String(), resB.Schedule.String(); got != want {
 				t.Fatalf("%s: readers perturbed the RW schedule\nmixed RW: %s\nrw-only:  %s", ctx, got, want)
 			}

@@ -60,6 +60,22 @@ func checkOpIndex(t *testing.T, v *exec.View) {
 	}
 }
 
+// checkSchedulePositions requires a Result's schedule — which adopts the
+// engine's own operation slice instead of renumbering a copy — to be
+// numbered densely from 0 and clipped to its length.
+func checkSchedulePositions(t *testing.T, s *txn.Schedule) {
+	t.Helper()
+	ops := s.Ops()
+	for i, o := range ops {
+		if o.Pos != i {
+			t.Fatalf("schedule op %d (%s) carries position %d\n%s", i, o, o.Pos, s)
+		}
+	}
+	if cap(ops) != len(ops) {
+		t.Fatalf("schedule of %d operations exposes capacity %d of the engine's buffer", len(ops), cap(ops))
+	}
+}
+
 func (f *forcedRestart) Pick(pending []*exec.Request, v *exec.View) int {
 	if f.t != nil {
 		checkOpIndex(f.t, v)
@@ -112,6 +128,7 @@ func TestRestartSeesNothingOfErasedAttempt(t *testing.T) {
 	if got := res.Metrics.Aborts; got != 1 {
 		t.Fatalf("Aborts = %d, want 1\n%s", got, res.Schedule)
 	}
+	checkSchedulePositions(t, res.Schedule)
 	if got := res.Schedule.Txn(1).Ops.String(); got != "r1(x, 100), w1(y, 101), r1(z, 0), w1(z, 100)" {
 		t.Fatalf("restarted attempt = %s", got)
 	}
@@ -393,6 +410,7 @@ func TestEngineIdenticalAcrossRunsAndProcs(t *testing.T) {
 		if res.Metrics.Waits != total {
 			t.Fatalf("Metrics.Waits = %d, per-transaction sum %d", res.Metrics.Waits, total)
 		}
+		checkSchedulePositions(t, res.Schedule)
 		history, err := txn.EncodeHistory(w.Initial, res.Schedule)
 		if err != nil {
 			t.Fatal(err)

@@ -17,9 +17,9 @@
 // program text. When a program is built (Parse, Clone, Balance) every
 // name in it — variable leaves, let names, assignment targets; data item
 // or local alike — gets a slot, its number in the program's own dense
-// numbering (constraint.Names), stored on the node, and Interp.Run
-// executes against one frame of that many slots instead of hashing names
-// into maps. constraint.EvalExpr and EvalFormula stay the only evaluator:
+// numbering (constraint.Names), stored on the node, and a Machine — the
+// interpreter, however it is driven — executes against that many slots
+// instead of hashing names into maps. constraint.EvalExpr and EvalFormula stay the only evaluator:
 // they hand the *Var to the Lookup, the interpreter indexes by its slot,
 // constraint evaluation and StaticTrace key by its name.
 //
@@ -35,8 +35,9 @@
 // programs do not share nodes: Clone copies them and numbers the copy,
 // and whatever derives a program from another finishes with it. A
 // Program literal assembled by hand is unresolved; Run resolves a
-// private copy each time, which keeps a literal shared by goroutines
-// race-free without a lock — Clone it once to pay that once.
+// private copy each time, and Machine.Init one for all the attempts it
+// will start, which keeps a literal shared by goroutines race-free
+// without a lock — Clone it once to pay that once.
 package program
 
 import (
@@ -92,7 +93,8 @@ func (*While) stmtNode()  {}
 // Program is a named transaction program TPi. One built by Parse, Clone
 // or Balance is resolved (see the package comment) and immutable: to
 // change it, assemble the new statements and Clone them. A hand-built
-// literal is unresolved and is cloned privately by every Run.
+// literal is unresolved and is cloned privately by every Run and every
+// Machine.Init.
 type Program struct {
 	Name string
 	Body []Stmt

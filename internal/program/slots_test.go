@@ -11,6 +11,7 @@ import (
 
 	"pwsr/internal/constraint"
 	"pwsr/internal/state"
+	"pwsr/internal/txn"
 )
 
 // guardAccessor fails the attempt if the interpreter breaks the
@@ -73,6 +74,61 @@ func runSlots(in *Interp, p *Program, ds state.DB) outcome {
 	g := newGuard(ds)
 	err := in.Run(p, g)
 	return outcome{ops: g.ops.String(), final: g.db, err: err}
+}
+
+// drive steps a suspending Machine the way the tick engine does,
+// answering each request from acc, until the program ends, fails, or
+// limit operations have been delivered (limit < 0: no limit). It
+// returns how many were.
+func drive(m *Machine, acc Accessor, limit int) (int, error) {
+	for n := 0; ; n++ {
+		r, err := m.Step()
+		if r == nil || n == limit {
+			return n, err
+		}
+		if r.Action == txn.ActionRead {
+			m.Deliver(acc.Read(r.Item))
+		} else if err := acc.Write(r.Item, r.Value); err != nil {
+			return n, err
+		}
+	}
+}
+
+// runSuspended is runSlots through a Machine that suspends at every
+// operation.
+func runSuspended(in *Interp, p *Program, ds state.DB) outcome {
+	g := newGuard(ds)
+	var m Machine
+	m.Init(in, p)
+	_, err := drive(&m, g, -1)
+	return outcome{ops: g.ops.String(), final: g.db, err: err}
+}
+
+// pristine reports what, if anything, distinguishes m from a Machine
+// fresh out of Init: a slot, a mark, a stack entry, a pending request.
+func pristine(m *Machine) error {
+	for i, s := range m.slots {
+		if s != (slot{}) {
+			return fmt.Errorf("slot %d holds %+v", i+1, s)
+		}
+	}
+	want := [inlineDepth]block{{stmts: m.prog.Body}}
+	for i := range m.inline {
+		if b, w := m.inline[i], want[i]; len(b.stmts) != len(w.stmts) || b.pc != 0 || b.loop != nil ||
+			(len(b.stmts) > 0 && &b.stmts[0] != &w.stmts[0]) {
+			return fmt.Errorf("stack entry %d is %+v", i, b)
+		}
+	}
+	for i, b := range m.spill[:cap(m.spill)] {
+		if b.stmts != nil || b.pc != 0 || b.loop != nil {
+			return fmt.Errorf("spilled stack entry %d is %+v", i, b)
+		}
+	}
+	if m.depth != 1 || len(m.spill) != 0 || m.steps != m.budget || m.wait != 0 || m.failed != nil || m.req != (Request{}) {
+		return fmt.Errorf("depth %d, spill %d, steps %d of %d, wait %d, failed %v, req %+v",
+			m.depth, len(m.spill), m.steps, m.budget, m.wait, m.failed, m.req)
+	}
+	return nil
 }
 
 func runReference(in *Interp, p *Program, ds state.DB) outcome {
@@ -141,10 +197,10 @@ func (g *progGen) stmts(depth, n int) {
 			fmt.Fprintf(&g.b, "%s := %s;\n", g.name(), g.expr(2))
 		case k < 9:
 			fmt.Fprintf(&g.b, "if (%s) {\n", g.cond(1))
-			g.stmts(depth-1, 1+g.rng.Intn(3))
+			g.stmts(depth-1, g.rng.Intn(4)) // sometimes empty
 			if g.rng.Intn(2) == 0 {
 				g.b.WriteString("} else {\n")
-				g.stmts(depth-1, 1+g.rng.Intn(3))
+				g.stmts(depth-1, g.rng.Intn(4))
 			}
 			g.b.WriteString("}\n")
 		default:
@@ -169,27 +225,35 @@ func (g *progGen) source() string {
 	return g.b.String()
 }
 
-// TestInterpDifferential quick-checks the slot-indexed interpreter
-// against the name-keyed reference on generated programs, strict and
-// non-strict: identical operations, values, final state and error. The
-// slot side also runs under guardAccessor, and each program runs a
-// second time as a Clone and as a hand-built literal borrowing the
-// parsed program's statements.
+// TestInterpDifferential quick-checks the interpreter against the
+// name-keyed reference on generated programs, strict and non-strict:
+// identical operations, values, final state and error. Every program
+// runs both ways the one core is driven — synchronously through Run and
+// as a Machine suspended at each operation with values delivered from a
+// store — under guardAccessor, and as parsed, as a Clone and as a
+// hand-built literal borrowing the parsed program's statements. Then a
+// Machine is stopped after k delivered operations of a run from one
+// state and Reset: it must be indistinguishable from a fresh one, by
+// inspection and by running it from another state.
 func TestInterpDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	g := &progGen{rng: rng, names: []string{"a", "b", "c", "d", "s"}}
 	var clean, steps, discipline, otherErr, passedDouble int
+	var suspendedReads, readErrs, resets, resetAtRead, resetNested, resetDirty int
 	for trial := 0; trial < 3000; trial++ {
 		src := g.source()
 		p, err := Parse(src)
 		if err != nil {
 			t.Fatalf("generated program does not parse: %v\n%s", err, src)
 		}
-		ds := state.NewDB()
-		for _, n := range g.names {
-			ds.Set(n, state.Int(int64(rng.Intn(7)-2)))
-			ds.Set("out_"+n, state.Int(0))
+		states := [2]state.DB{state.NewDB(), state.NewDB()}
+		for _, ds := range states {
+			for _, n := range g.names {
+				ds.Set(n, state.Int(int64(rng.Intn(7)-2)))
+				ds.Set("out_"+n, state.Int(0))
+			}
 		}
+		ds, other := states[0], states[1]
 		switch rng.Intn(10) {
 		case 0:
 			ds.Set("s", state.Str("text")) // type errors
@@ -207,7 +271,47 @@ func TestInterpDifferential(t *testing.T) {
 					t.Fatalf("trial %d (%s, strict=%v) diverges from the reference\n%s\nfrom %v\n got %v\nwant %v",
 						trial, how, in.Strict, src, ds, got, want)
 				}
+				if got := runSuspended(in, q, ds); !same(got, want) {
+					t.Fatalf("trial %d (%s, strict=%v) suspended diverges from the reference\n%s\nfrom %v\n got %v\nwant %v",
+						trial, how, in.Strict, src, ds, got, want)
+				}
 			}
+			nops := strings.Count(want.ops, "(")
+			suspendedReads += strings.Count(want.ops, "r1(")
+			if want.err != nil && strings.Contains(want.err.Error(), "has no value") {
+				readErrs++
+			}
+
+			// Reset after k delivered operations ≡ a fresh Machine.
+			var m Machine
+			m.Init(in, p)
+			k := rng.Intn(nops + 1)
+			if n, err := drive(&m, newGuard(ds), k); n == k && err == nil {
+				resets++
+				if m.wait != 0 {
+					resetAtRead++
+				}
+				if m.depth > 1 {
+					resetNested++
+				}
+				for _, sl := range m.slots {
+					if sl != (slot{}) {
+						resetDirty++
+						break
+					}
+				}
+			}
+			m.Reset()
+			if err := pristine(&m); err != nil {
+				t.Fatalf("trial %d (strict=%v): after %d operations and Reset, %v\n%s", trial, in.Strict, k, err, src)
+			}
+			again := newGuard(other)
+			_, err := drive(&m, again, -1)
+			if got, fresh := (outcome{ops: again.ops.String(), final: again.db, err: err}), runReference(in, p, other); !same(got, fresh) {
+				t.Fatalf("trial %d (strict=%v): a Machine reset after %d operations diverges from a first run\n%s\nfrom %v\n got %v\nwant %v",
+					trial, in.Strict, k, src, other, got, fresh)
+			}
+
 			switch {
 			case want.err == nil:
 				clean++
@@ -234,8 +338,12 @@ func TestInterpDifferential(t *testing.T) {
 	}
 	t.Logf("clean %d, ErrSteps %d, ErrDiscipline %d, other errors %d, non-strict double writes passed %d",
 		clean, steps, discipline, otherErr, passedDouble)
+	t.Logf("suspended at %d reads, %d failed reads delivered; %d mid-run resets: %d at a read, %d inside a block, %d with marked slots",
+		suspendedReads, readErrs, resets, resetAtRead, resetNested, resetDirty)
 	for name, n := range map[string]int{"clean": clean, "ErrSteps": steps, "ErrDiscipline": discipline,
-		"other errors": otherErr, "passed double writes": passedDouble} {
+		"other errors": otherErr, "passed double writes": passedDouble,
+		"reads suspended on": suspendedReads, "read errors delivered": readErrs, "mid-run resets": resets,
+		"resets at a read": resetAtRead, "resets inside a block": resetNested, "resets with marked slots": resetDirty} {
 		if n < 20 {
 			t.Errorf("the generator reached regime %q only %d times: the comparison is vacuous there", name, n)
 		}
@@ -322,6 +430,145 @@ func TestInterpNamedHazards(t *testing.T) {
 		if want := runReference(&c.in, p, c.ds); !same(got, want) {
 			t.Errorf("%s: diverges from the reference\n got %v\nwant %v", c.name, got, want)
 		}
+		if susp := runSuspended(&c.in, p, c.ds); !same(susp, got) {
+			t.Errorf("%s: suspended at its operations it diverges from Run\n got %v\nwant %v", c.name, susp, got)
+		}
+	}
+}
+
+// failingAccessor fails the read or the write of one item.
+type failingAccessor struct {
+	storeAccessor
+	item string
+}
+
+var errBoom = errors.New("boom")
+
+func (f *failingAccessor) Read(item string) (state.Value, error) {
+	if item == f.item {
+		return state.Value{}, errBoom
+	}
+	return f.storeAccessor.Read(item)
+}
+
+func (f *failingAccessor) Write(item string, v state.Value) error {
+	if item == f.item {
+		return errBoom
+	}
+	return f.storeAccessor.Write(item, v)
+}
+
+// TestAccessorErrorText pins where an accessor's own error surfaces: a
+// failed read inside the statement that asked for it, wrapped like any
+// other evaluation error of that statement; a failed write bare. Run and
+// a suspended Machine that is delivered the same error agree to the
+// byte, and neither emits an operation past the failure.
+func TestAccessorErrorText(t *testing.T) {
+	cases := []struct{ src, fail, wantOps, wantErr string }{
+		{`program T { let v := a + bad; }`, "bad", "r1(a, 1)", "let v: boom"},
+		{`program T { b := a + bad; }`, "bad", "r1(a, 1)", "b := …: boom"},
+		{`program T { if (a > 0 & bad > 0) { b := 1; } }`, "bad", "r1(a, 1)", "if (a > 0 & bad > 0): boom"},
+		{`program T { let i := 1; while (i > 0 & bad > i) { i := i - 1; } }`, "bad", "ε", "while (i > 0 & bad > i): boom"},
+		{`program T { b := a; bad := a + 1; c := 2; }`, "bad", "r1(a, 1), w1(b, 1)", "boom"},
+	}
+	in := NewInterp()
+	ds := state.Ints(map[string]int64{"a": 1, "b": 0, "c": 0, "bad": 5})
+	for _, c := range cases {
+		p := MustParse(c.src)
+		sync := &failingAccessor{storeAccessor: storeAccessor{db: ds.Clone(), id: 1}, item: c.fail}
+		err := in.Run(p, sync)
+		susp := &failingAccessor{storeAccessor: storeAccessor{db: ds.Clone(), id: 1}, item: c.fail}
+		var m Machine
+		m.Init(in, p)
+		_, serr := drive(&m, susp, -1)
+		for how, got := range map[string]outcome{"Run": {sync.ops.String(), sync.db, err}, "suspended": {susp.ops.String(), susp.db, serr}} {
+			if got.ops != c.wantOps || errText(got.err) != c.wantErr || !errors.Is(got.err, errBoom) {
+				t.Errorf("%s, %s:\n got ops [%s] err %q\nwant ops [%s] err %q", c.src, how, got.ops, errText(got.err), c.wantOps, c.wantErr)
+			}
+		}
+	}
+}
+
+// TestStepBudgetSweep runs each program under every budget from one
+// statement up to more than it needs, so the budget runs out at every
+// statement boundary in turn: the reference, Run and a suspended Machine
+// must stop at the same one, having emitted the same operations. The
+// programs are the places a resumable core could count differently — a
+// statement evaluated twice because a read suspended it, a loop head
+// reached again, a block entered and left without executing anything.
+func TestStepBudgetSweep(t *testing.T) {
+	srcs := []string{
+		// reads in a while condition, one of them new on a later iteration
+		`program T { let i := 0; while (i < n & (i < 1 | m > 0)) { i := i + 1; } out := i; }`,
+		// a read that suspends a let, an assignment and an if in a loop body
+		`program T { let i := 2; while (i > 0) { let v := a + i; if (b > v) { c := v; } else { let w := d; } i := i - 1; } }`,
+		// empty bodies: a loop never entered, empty branches taken and not
+		`program T { while (a > 9) { } if (a > 0) { } else { b := 1; } if (a < 0) { } else { } c := a; if (a < 0) { d := 1; } while (b > 9) { } b := c; }`,
+		// nested if in while in if, and a loop that is the last statement of a branch
+		`program T { if (a > 0) { let i := 3; while (i > 0) { if (i > 2) { if (b > 0) { c := i; } } i := i - 1; } } d := 1; }`,
+		// nothing but loop heads: the body is one while that never runs
+		`program T { let i := 3; while (i > 0) { i := i - 1; while (b > 9) { } } }`,
+	}
+	ds := state.Ints(map[string]int64{"a": 1, "b": 2, "c": 0, "d": 4, "n": 3, "m": 1, "out": 0})
+	for _, src := range srcs {
+		p := MustParse(src)
+		exhausted, finished := 0, 0
+		for budget := 1; budget <= 30; budget++ {
+			in := &Interp{MaxSteps: budget, Strict: true}
+			want := runReference(in, p, ds)
+			if got := runSlots(in, p, ds); !same(got, want) {
+				t.Fatalf("budget %d: Run diverges from the reference\n%s\n got %v\nwant %v", budget, src, got, want)
+			}
+			if got := runSuspended(in, p, ds); !same(got, want) {
+				t.Fatalf("budget %d: a suspended Machine diverges from the reference\n%s\n got %v\nwant %v", budget, src, got, want)
+			}
+			if errors.Is(want.err, ErrSteps) {
+				exhausted++
+			} else if want.err == nil {
+				finished++
+			} else {
+				t.Fatalf("budget %d: %v\n%s", budget, want.err, src)
+			}
+		}
+		if exhausted < 4 || finished < 4 {
+			t.Fatalf("%d budgets ran out and %d sufficed: the sweep does not straddle the program's length\n%s", exhausted, finished, src)
+		}
+	}
+}
+
+// TestMachineResolvesLiteralOnce: a hand-built literal is cloned when the
+// Machine is bound to it, not when an attempt starts: every restart runs
+// the one resolved copy. (core's TestZeroAllocTickRestart pins the same
+// through the engine by allocation count, where a Clone would show.)
+func TestMachineResolvesLiteralOnce(t *testing.T) {
+	parsed := MustParse(`program L { let t := a; if (t > 0) { b := t + c; } c := b + 1; }`)
+	literal := &Program{Name: "L", Body: parsed.Body}
+	ds := state.Ints(map[string]int64{"a": 2, "b": 0, "c": 5})
+	in := NewInterp()
+	var m Machine
+	m.Init(in, literal)
+	resolved := m.prog
+	if resolved == literal || !resolved.resolved {
+		t.Fatalf("Init left the literal unresolved")
+	}
+	want := runReference(in, literal, ds)
+	acc := &storeAccessor{db: ds.Clone(), id: 1}
+	attempt := func() {
+		m.Reset()
+		acc.db, acc.ops = acc.db.Clone(), acc.ops[:0]
+		if _, err := drive(&m, acc, -1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	attempt()
+	if got := (outcome{ops: acc.ops.String(), final: acc.db}); !same(got, want) {
+		t.Fatalf("restarted literal: got %v, want %v", got, want)
+	}
+	for i := 0; i < 5; i++ {
+		attempt()
+	}
+	if m.prog != resolved {
+		t.Fatal("a restart resolved the literal again")
 	}
 }
 

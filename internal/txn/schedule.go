@@ -25,6 +25,16 @@ func NewSchedule(ops ...Op) *Schedule {
 	return s
 }
 
+// AdoptSchedule makes a schedule of ops without copying them: the caller
+// gives the slice up, and every operation must already carry its index
+// as its position — what a recorder that numbers operations as it
+// appends them holds when it is done. The slice is clipped to its
+// length, so no append through the schedule reaches the caller's spare
+// capacity.
+func AdoptSchedule(ops []Op) *Schedule {
+	return &Schedule{ops: ops[:len(ops):len(ops)]}
+}
+
 // FromSeq builds a schedule from a Seq, reassigning positions.
 func FromSeq(ops Seq) *Schedule { return NewSchedule(ops...) }
 

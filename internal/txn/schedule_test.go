@@ -336,3 +336,29 @@ func TestRestrictSharingIsReadOnlySafe(t *testing.T) {
 		t.Fatal("original schedule mutated through shared restriction")
 	}
 }
+
+// TestAdoptSchedule: the schedule is the caller's slice, not a copy, for
+// a recorder that numbered its operations as it appended them, and is
+// clipped so that appending through Ops cannot reach the recorder's
+// spare capacity.
+func TestAdoptSchedule(t *testing.T) {
+	buf := make([]Op, 0, 8)
+	for i, o := range []Op{R(1, "a", 0), W(2, "a", 1), W(1, "b", 2)} {
+		o.Pos = i
+		buf = append(buf, o)
+	}
+	s := AdoptSchedule(buf)
+	if got, want := s.String(), NewSchedule(buf...).String(); got != want {
+		t.Fatalf("adopted schedule = %s, want %s", got, want)
+	}
+	ops := s.Ops()
+	if &ops[0] != &buf[0] {
+		t.Fatal("AdoptSchedule copied the operations")
+	}
+	if len(ops) != 3 || cap(ops) != 3 {
+		t.Fatalf("adopted %d operations with capacity %d, want 3 and 3", len(ops), cap(ops))
+	}
+	if grown := append(ops, R(3, "c", 0)); &grown[0] == &buf[0] {
+		t.Fatal("an append through the schedule wrote into the recorder's buffer")
+	}
+}
