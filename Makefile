@@ -185,6 +185,15 @@ bench-cpu:
 profile-batch:
 	$(GO) test . -run '^$$' -bench 'BenchmarkShardedAdmitSequence' -benchmem -cpuprofile admit.prof -o pwsr.test
 
+# profile-batch-round writes a CPU profile of a whole batch round on the
+# block-parallel engine (PERF17's family: batch-rw's shape — speculation,
+# validation, commit, snapshot readers and admission through the gate)
+# to batch.prof, with the test binary beside it; read it with
+#   go tool pprof -top -focus 'ExecuteBatchCtx' pwsr.test batch.prof
+.PHONY: profile-batch-round
+profile-batch-round:
+	$(GO) test . -run '^$$' -bench 'BenchmarkBatchRound' -benchmem -benchtime=3000x -cpuprofile batch.prof -o pwsr.test
+
 # profile-tick writes a CPU profile of the tick engine under abort and
 # restart (PERF16's family: hot-tick's shape through OptimisticCertify
 # with VictimYoungest) to tick.prof, with the test binary beside it;
@@ -219,21 +228,23 @@ test:
 # differential (TestVerdictMemoMatchesFreshMask: the memoized mask
 # against a from-scratch recomputation at every Pick, the sharded
 # gate's concurrent probes included).
-# The final leg re-runs the TestZeroAlloc*, TestTickEngineAllocs and
-# TestInterpRunAllocs pins without the race detector (whose
-# instrumentation allocates, so the pins self-skip under -race): an
+# The final leg re-runs the TestZeroAlloc*, TestTickEngineAllocs,
+# TestBatchEngineAllocs and TestInterpRunAllocs pins without the race
+# detector (whose instrumentation allocates, so the pins self-skip
+# under -race): an
 # allocation regression on the steady-state Observe/Admissible hot
 # path, a gate tick
 # (TestZeroAllocGatePick, TestZeroAllocDelayedReadPick), victim
 # selection (TestZeroAllocVictim), the tick engine's grant path
 # (TestTickEngineAllocs), a victim's abort, restart and re-park
-# (TestZeroAllocTickRestart) or the interpreter's
+# (TestZeroAllocTickRestart), a batch round's per-transaction cost
+# (TestBatchEngineAllocs: nothing per operation) or the interpreter's
 # one-slot-array-per-Run state (TestInterpRunAllocs) fails
 # CI here, not just benchmarks. That leg also carries the sharded
 # monitor's cost-shape pin (TestZeroAllocShardedAdmitLiveSetIndependent:
 # whole-transaction admission allocates the same with 16 and with 4096
-# resident transactions), and the last line runs the PERF14, PERF15 and
-# PERF16 benchmark families once so they cannot rot.
+# resident transactions), and the last line runs the PERF14–PERF17
+# benchmark families once so they cannot rot.
 # The chaos smoke (a fixed 40-seed band of the ROBUST1 fault
 # differential, deterministic by construction) also rides in the raced
 # `./...` pass; the full randomized matrix lives in `make chaos`.
@@ -243,8 +254,8 @@ check:
 	$(GO) test -race -short ./...
 	GOMAXPROCS=1 $(GO) test -race -short -count=1 ./internal/core ./internal/sched ./internal/exec ./internal/wal
 	GOMAXPROCS=8 $(GO) test -race -short -count=1 ./internal/core ./internal/sched ./internal/exec ./internal/wal
-	$(GO) test -run 'TestZeroAlloc|TestTickEngineAllocs|TestInterpRunAllocs' -count=1 ./internal/core
-	$(GO) test . -run '^$$' -bench 'BenchmarkShardedAdmitSequence|BenchmarkInterpRun|BenchmarkTickAbortRestart' -benchtime=1x
+	$(GO) test -run 'TestZeroAlloc|TestTickEngineAllocs|TestBatchEngineAllocs|TestInterpRunAllocs' -count=1 ./internal/core
+	$(GO) test . -run '^$$' -bench 'BenchmarkShardedAdmitSequence|BenchmarkInterpRun|BenchmarkTickAbortRestart|BenchmarkBatchRound' -benchtime=1x
 
 # soak is the long-run bounded-memory test: ≥ 1M operations through a
 # single OptimisticCertify gate with the transaction lifecycle on,

@@ -911,6 +911,96 @@ func BenchmarkTickAbortRestart(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
+// PERF17: one batch round on the block-parallel engine. batch-rw's
+// shape — 48 writers a round, each a spin-50 read-modify-write of one
+// of 768 private items (a fifth also incrementing the hot item), beside
+// 48 declared readers scanning the hot item and eight private items —
+// through one persistent ParallelEngine over a ShardedMonitor gate, so
+// the store, the gate and the reader declarations persist across rounds
+// as they do in the benchmark. ns/txn and allocs/txn are per committed
+// transaction, readers included.
+// ---------------------------------------------------------------------
+
+func BenchmarkBatchRound(b *testing.B) {
+	const writers, readers, groups, scan, hotPct, privateConjuncts = 48, 48, 16, 8, 20, 8
+	rng := rand.New(rand.NewSource(2))
+	n := writers * groups
+	db := state.NewDB()
+	partition := make([]state.ItemSet, privateConjuncts, privateConjuncts+1)
+	for e := range partition {
+		partition[e] = state.NewItemSet()
+	}
+	for i := 0; i < n; i++ {
+		partition[i%privateConjuncts].Add(fmt.Sprintf("x%d", i))
+		db.Set(fmt.Sprintf("x%d", i), state.Int(int64(i)))
+	}
+	db.Set("h", state.Int(0))
+	partition = append(partition, state.NewItemSet("h"))
+	writer := make([][2]*program.Program, n)
+	for i := range writer {
+		for hot := range writer[i] {
+			tail := ""
+			if hot == 1 {
+				tail = "  h := h + 1;\n"
+			}
+			writer[i][hot] = program.MustParse(fmt.Sprintf(
+				"program W%d_%d {\n  let v := x%d;\n  let spin := 50;\n  while (spin > 0) { spin := spin - 1; }\n  x%d := v + 1;\n%s}\n",
+				i, hot, i, i, tail))
+		}
+	}
+	reader := make([]*program.Program, 256)
+	for k := range reader {
+		var src strings.Builder
+		fmt.Fprintf(&src, "program R%d {\n  let a := h;\n", k)
+		for i, j := range rng.Perm(n)[:scan] {
+			fmt.Fprintf(&src, "  let v%d := x%d;\n", i, j)
+		}
+		src.WriteString("}\n")
+		reader[k] = program.MustParse(src.String())
+	}
+
+	mon := core.NewShardedMonitor(partition, runtime.GOMAXPROCS(0))
+	mon.SetAutoCompact(4 * writers)
+	ro := make(map[int]bool, readers)
+	for j := 1; j <= readers; j++ {
+		ro[j] = true
+	}
+	eng := exec.NewParallelEngine(exec.ParallelConfig{
+		Initial:  db,
+		Gate:     sched.NewOptimisticCertifyOver(mon, sched.NewRandom(1), sched.VictimYoungest),
+		ReadOnly: ro,
+	})
+
+	var before, after runtime.MemStats
+	id := readers
+	b.ReportAllocs()
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		programs := make(map[int]*program.Program, writers+readers)
+		for j := 0; j < writers; j++ {
+			id++
+			hot := 0
+			if rng.Intn(100) < hotPct {
+				hot = 1
+			}
+			programs[id] = writer[j*groups+rng.Intn(groups)][hot]
+		}
+		for j := 1; j <= readers; j++ {
+			programs[j] = reader[rng.Intn(len(reader))]
+		}
+		if _, err := eng.ExecuteBatch(programs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	txns := float64(b.N * (writers + readers))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/txns, "ns/txn")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/txns, "allocs/txn")
+}
+
+// ---------------------------------------------------------------------
 // BASE1: setwise serializability baseline.
 // ---------------------------------------------------------------------
 

@@ -97,7 +97,14 @@
 // admitted as a whole transaction through the certification gate
 // (sched's AdmitTxn over the sharded monitor's AdmitSequence), making
 // the committed schedule PWSR by construction; EXPERIMENTS.md PERF10
-// records the per-core scaling study and its CI regression gate.
+// records the per-core scaling study and its CI regression gate. A
+// batch costs what is in it (PERF17): attempts and readers record their
+// operations, and reads their stamps, in arenas their worker keeps
+// across batches; the commit applies the write operations themselves;
+// a declared reader's program was judged read-only when it was built
+// (program.ReadOnly); and the store's accounting and floor moves visit
+// what was written, not every item. Copying the final state into
+// Result.Final is the one step proportional to the store.
 //
 // The admission hot path is allocation-free in steady state: the
 // monitor interns transactions once into dense tables, keeps edge

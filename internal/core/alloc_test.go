@@ -170,6 +170,67 @@ func TestTickEngineAllocs(t *testing.T) {
 	}
 }
 
+// TestBatchEngineAllocs pins what a batch round costs the batch engine
+// in allocations once its engine is warm: one slot array per program
+// run (the interpreter's frame) and a constant per batch — the batch's
+// attempt and metrics slabs, the schedule and its splice, the final
+// state's copy, the worker goroutines — and nothing per operation. The
+// workers' operation arenas live with the engine, reads are stamped in
+// a slice beside the operations, the commit applies the write
+// operations themselves, readers pin the store without a StoreSnapshot,
+// and a reader's declaration was judged when its program was built; so
+// readers scanning four times as many items cost the same allocations.
+// batch-rw's shape without the gate (its certifier's allocations are
+// core's own pins): writers on private items, so no speculation is lost
+// and every program runs once: 123 allocations per batch of 96, 1.28
+// per transaction, at either scan width. The parent took 10.0 at scan 8
+// and 14.5 at scan 32 — maps of read stamps and writes per attempt, an
+// operation slice grown per attempt and per reader, a text walk per
+// declared reader per batch. The bound leaves room for the runtime to
+// change how a map grows, not for an allocation per transaction.
+func TestBatchEngineAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is unreliable under -race")
+	}
+	const writers, readers = 48, 48
+	perTxn := map[int]float64{}
+	for _, scan := range []int{8, 32} {
+		db := state.NewDB()
+		programs := make(map[int]*program.Program, writers+readers)
+		ro := make(map[int]bool, readers)
+		for i := 0; i < writers; i++ {
+			db.Set(fmt.Sprintf("x%d", i), state.Int(int64(i)))
+			programs[1+i] = program.MustParse(fmt.Sprintf(
+				"program W%d {\n  let v := x%d;\n  let spin := 10;\n  while (spin > 0) { spin := spin - 1; }\n  x%d := v + 1;\n}\n", i, i, i))
+		}
+		for j := 0; j < readers; j++ {
+			src := fmt.Sprintf("program R%d {\n", j)
+			for k := 0; k < scan; k++ {
+				src += fmt.Sprintf("  let v%d := x%d;\n", k, (j+k)%writers)
+			}
+			programs[1000+j], ro[1000+j] = program.MustParse(src+"}\n"), true
+		}
+		eng := exec.NewParallelEngine(exec.ParallelConfig{Initial: db, Workers: 2, ReadOnly: ro})
+		allocs := testing.AllocsPerRun(50, func() {
+			res, err := eng.ExecuteBatch(programs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Metrics.Retries != 0 || res.Metrics.ROOps != readers*scan {
+				t.Fatalf("scan %d: %d retries, %d reader operations", scan, res.Metrics.Retries, res.Metrics.ROOps)
+			}
+		})
+		perTxn[scan] = allocs / (writers + readers)
+		t.Logf("scan %d: %.0f allocations per batch of %d transactions, %.2f per transaction", scan, allocs, writers+readers, perTxn[scan])
+	}
+	if perTxn[8] > 1.4 {
+		t.Errorf("a batch allocates %.2f times per transaction, want at most 1.4", perTxn[8])
+	}
+	if perTxn[32] > perTxn[8]+0.05 {
+		t.Errorf("readers scanning 32 items allocate %.2f per transaction against %.2f at 8: an allocation per operation", perTxn[32], perTxn[8])
+	}
+}
+
 // restartFirst grants the lowest pending transaction, always, except
 // that it stalls whenever transaction 1 holds two granted operations and
 // restarts are left: the engine then aborts transaction 1, resets its

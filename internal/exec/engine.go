@@ -112,33 +112,8 @@ type AccessDecl struct {
 // read.
 func DeclareAccess(p *program.Program) AccessDecl {
 	all := p.DataItems()
-	writes := writeTargets(p)
+	writes := p.WriteTargets()
 	return AccessDecl{Reads: all.Diff(writes), Writes: writes}
-}
-
-func writeTargets(p *program.Program) state.ItemSet {
-	writes := state.NewItemSet()
-	locals := state.NewItemSet()
-	var visit func(stmts []program.Stmt)
-	visit = func(stmts []program.Stmt) {
-		for _, s := range stmts {
-			switch n := s.(type) {
-			case *program.Let:
-				locals.Add(n.Name)
-			case *program.Assign:
-				if !locals.Contains(n.Target) {
-					writes.Add(n.Target)
-				}
-			case *program.If:
-				visit(n.Then)
-				visit(n.Else)
-			case *program.While:
-				visit(n.Body)
-			}
-		}
-	}
-	visit(p.Body)
-	return writes
 }
 
 // Restarter is an optional Policy extension: a policy that resolves
@@ -633,8 +608,13 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		interp = program.NewInterp()
 	}
 
-	roList, err := roIDs(cfg.ReadOnly, cfg.Programs)
-	if err != nil {
+	roList := make([]int, 0, len(cfg.ReadOnly))
+	for id, on := range cfg.ReadOnly {
+		if on {
+			roList = append(roList, id)
+		}
+	}
+	if err := checkReaders(roList, cfg.Programs); err != nil {
 		return nil, err
 	}
 	ids := make([]int, 0, len(cfg.Programs))
@@ -701,8 +681,9 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	// finished transactions are never aborted (View.AbortClosure pins
 	// them), and expunging a live transaction's operations can only
 	// touch positions at or beyond mvQ — a live transaction's first
-	// operation bounds every seal.
+	// operation bounds every seal. ro serves every reader over mv.
 	var mv *VersionedStore
+	var ro *snapshotAccessor
 	var mvQ int
 	var roResults []roResult
 	var roServed map[int]bool
@@ -713,6 +694,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	var lastPos map[int]int
 	if len(roList) > 0 {
 		mv = NewVersionedStore(cfg.Initial)
+		ro = &snapshotAccessor{store: mv}
 		roServed = make(map[int]bool, len(roList))
 		lastPos = make(map[int]int, len(cfg.Programs))
 	}
@@ -739,13 +721,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		if cut == mvQ {
 			return
 		}
-		writes := make(map[string]state.Value)
-		for _, o := range ops[mvQ:cut] {
-			if o.Action == txn.ActionWrite {
-				writes[o.Entity] = o.Value
-			}
-		}
-		mv.commit(writes)
+		mv.commit(ops[mvQ:cut])
 		mvQ = cut
 	}
 
@@ -754,18 +730,17 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	// the snapshot is a consistent committed state.
 	serveRO := func(id int) error {
 		advanceMV()
-		sn := mv.Acquire()
-		acc := &snapshotAccessor{sn: sn, id: id}
-		err := interp.Run(cfg.Programs[id], acc)
-		sn.Release()
+		stamp := mv.pin()
+		rops, err := ro.read(interp, id, stamp, cfg.Programs[id])
+		mv.unpin(stamp)
 		if err != nil {
 			return fmt.Errorf("exec: T%d: %w", id, err)
 		}
-		roResults = append(roResults, roResult{id: id, anchor: mvQ, order: len(roResults), ops: acc.ops})
+		roResults = append(roResults, roResult{id: id, anchor: mvQ, order: len(roResults), ops: rops})
 		tm := metrics.PerTxn[id]
-		tm.Start, tm.End, tm.Ops = v.Clock, v.Clock, len(acc.ops)
+		tm.Start, tm.End, tm.Ops = v.Clock, v.Clock, len(rops)
 		metrics.ROTxns++
-		metrics.ROOps += len(acc.ops)
+		metrics.ROOps += len(rops)
 		return nil
 	}
 

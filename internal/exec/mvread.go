@@ -74,20 +74,34 @@ type WatermarkReporter interface {
 	CompactWatermark() int
 }
 
-// snapshotAccessor adapts a pinned StoreSnapshot to program.Accessor
-// for one declared read-only execution: reads are served from the
-// frozen view and recorded as schedule operations; writes fail with
-// ErrReadOnlyWrite (the engines also reject writing programs before
-// running them — this is the dynamic backstop).
+// snapshotAccessor adapts a pinned stamp of a VersionedStore to
+// program.Accessor for declared read-only executions: reads are served
+// from the frozen view and recorded as schedule operations; writes fail
+// with ErrReadOnlyWrite (the engines also reject writing programs before
+// running them — this is the dynamic backstop). One accessor serves
+// many readers in turn, and ops is their shared arena (see read).
 type snapshotAccessor struct {
-	sn  *StoreSnapshot
-	id  int
-	ops []txn.Op
+	store *VersionedStore
+	stamp uint64
+	id    int
+	ops   []txn.Op
+}
+
+// read runs declared reader id against the snapshot the caller pinned
+// at stamp and returns the reader's operations. They are appended to
+// a.ops and returned as a range of it, clipped: when the arena outgrows
+// its array it moves, and ranges handed out earlier stay where they
+// were, unchanged.
+func (a *snapshotAccessor) read(in *program.Interp, id int, stamp uint64, p *program.Program) ([]txn.Op, error) {
+	a.id, a.stamp = id, stamp
+	start := len(a.ops)
+	err := in.Run(p, a)
+	return a.ops[start:len(a.ops):len(a.ops)], err
 }
 
 // Read implements program.Accessor.
 func (a *snapshotAccessor) Read(item string) (state.Value, error) {
-	v, ok := a.sn.Get(item)
+	v, ok := a.store.GetAt(item, a.stamp)
 	if !ok {
 		return state.Value{}, fmt.Errorf("exec: data item %q has no value in snapshot", item)
 	}
@@ -150,25 +164,20 @@ func spliceRO(base []txn.Op, ros []roResult) []txn.Op {
 	return merged
 }
 
-// roIDs returns the declared read-only transaction ids, sorted, after
-// rejecting declarations whose program text writes a shared item or
-// that name no program.
-func roIDs(readOnly map[int]bool, programs map[int]*program.Program) ([]int, error) {
-	ids := make([]int, 0, len(readOnly))
-	for id, on := range readOnly {
-		if on {
-			ids = append(ids, id)
-		}
-	}
+// checkReaders sorts the declared read-only transaction ids in place
+// and rejects a declaration that names no program or whose program's
+// text writes a shared item. The text was judged once, when the program
+// was built (program.ReadOnly), so a check costs a lookup per reader.
+func checkReaders(ids []int, programs map[int]*program.Program) error {
 	slices.Sort(ids)
 	for _, id := range ids {
 		p, ok := programs[id]
 		if !ok {
-			return nil, fmt.Errorf("exec: read-only transaction T%d has no program", id)
+			return fmt.Errorf("exec: read-only transaction T%d has no program", id)
 		}
-		if w := writeTargets(p); !w.Empty() {
-			return nil, fmt.Errorf("%w: T%d writes %s", ErrReadOnlyWrite, id, w)
+		if !p.ReadOnly() {
+			return fmt.Errorf("%w: T%d writes %s", ErrReadOnlyWrite, id, p.WriteTargets())
 		}
 	}
-	return ids, nil
+	return nil
 }

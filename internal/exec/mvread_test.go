@@ -24,7 +24,7 @@ import (
 )
 
 // roProgram builds a pure-reader program over the given items (reads
-// land in locals, so writeTargets is empty and the declaration is
+// land in locals, so the program is ReadOnly and the declaration is
 // accepted).
 func roProgram(id int, items []string) *program.Program {
 	var b strings.Builder
@@ -370,6 +370,30 @@ func TestMVReadRejectsWriters(t *testing.T) {
 	if !errors.Is(err, exec.ErrReadOnlyWrite) {
 		t.Fatalf("RunParallel with writing reader: err = %v, want ErrReadOnlyWrite", err)
 	}
+
+	// The text check is decided when a program is built; a hand-built
+	// literal is judged from its text at each batch. A let whose branch
+	// is not taken leaves its name an item, so a program the text check
+	// passes can still write: the dynamic check catches it at the write.
+	literal := &program.Program{Name: "W", Body: writer.Body}
+	sneaky := program.MustParse("program S {\n  if (x > 5) { let x := 0; }\n  x := 1;\n}\n")
+	if !sneaky.ReadOnly() {
+		t.Fatal("the text check was expected to pass S (its let precedes the assignment)")
+	}
+	for name, p := range map[string]*program.Program{"literal writer": literal, "write behind an untaken let": sneaky} {
+		_, err = exec.Run(exec.Config{
+			Programs: map[int]*program.Program{1: p}, Initial: initial, Policy: &sched.Serial{}, ReadOnly: map[int]bool{1: true},
+		})
+		if !errors.Is(err, exec.ErrReadOnlyWrite) {
+			t.Errorf("Run, %s: err = %v, want ErrReadOnlyWrite", name, err)
+		}
+		_, err = exec.RunParallel(exec.ParallelConfig{
+			Initial: initial, Gate: sched.NewParallelCertify(partition, 1, &sched.Serial{}, nil), ReadOnly: map[int]bool{1: true},
+		}, map[int]*program.Program{1: p})
+		if !errors.Is(err, exec.ErrReadOnlyWrite) {
+			t.Errorf("RunParallel, %s: err = %v, want ErrReadOnlyWrite", name, err)
+		}
+	}
 }
 
 // TestMVReadDifferentialParallel is the batch-engine lockstep
@@ -400,6 +424,7 @@ func TestMVReadDifferentialParallel(t *testing.T) {
 			}
 
 			requireReadersUntouched(t, ctx, res, ro)
+			checkBatchSpans(t, ctx, res)
 			if got := rwProjection(res.Schedule, ro).String(); got != want.Schedule.String() {
 				t.Fatalf("%s: RW schedule diverged from serial reference\nmixed RW: %s\nserial:   %s",
 					ctx, got, want.Schedule)

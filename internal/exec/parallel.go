@@ -99,7 +99,6 @@ type ParallelConfig struct {
 type ParallelEngine struct {
 	store      *VersionedStore
 	gate       BatchGate
-	workers    int
 	maxRetries int
 	interp     *program.Interp
 	readOnly   map[int]bool
@@ -133,6 +132,13 @@ type ParallelEngine struct {
 	// prefix, like any failed validation).
 	inj     *fault.Injector
 	injSite string
+
+	// pool holds what each of the pool's worker goroutines runs
+	// programs through (see worker); its length is the pool's size.
+	// opsHint is the previous batch's committed operation count, the
+	// initial capacity of the next one's schedule.
+	pool    []worker
+	opsHint int
 }
 
 // SetFaultInjector registers the deterministic fault injector the
@@ -166,9 +172,13 @@ func NewParallelEngine(cfg ParallelConfig) *ParallelEngine {
 	e := &ParallelEngine{
 		store:      NewVersionedStore(cfg.Initial),
 		gate:       cfg.Gate,
-		workers:    workers,
 		maxRetries: retries,
 		interp:     in,
+		pool:       make([]worker, workers),
+	}
+	for k := range e.pool {
+		e.pool[k].rw.store = e.store
+		e.pool[k].ro.store = e.store
 	}
 	if len(cfg.ReadOnly) > 0 {
 		e.readOnly = make(map[int]bool, len(cfg.ReadOnly))
@@ -210,22 +220,50 @@ func RunParallelCtx(ctx context.Context, cfg ParallelConfig, programs map[int]*p
 	return NewParallelEngine(cfg).ExecuteBatchCtx(ctx, programs)
 }
 
-// attempt is one completed speculative execution of a program: the
-// operation sequence it would contribute to the schedule, the version
-// stamps it read (the validation set), and the write set it would
-// apply.
+// attempt is a transaction's latest execution in a batch: the operations
+// it would contribute to the schedule — its writes among them, which is
+// all the commit step applies — the stamp each read saw (vers[k] for a
+// read ops[k]: the validation set), and how it ended. ops and vers are
+// ranges of the executing worker's arenas. Until ready is set the
+// attempt belongs to the worker executing it, from then on to whichever
+// worker holds the commit lock.
 type attempt struct {
-	ops    []txn.Op
-	reads  map[string]uint64
-	writes map[string]state.Value
-	err    error
+	ops   []txn.Op
+	vers  []uint64
+	err   error
+	ready atomic.Bool
+}
+
+// worker is what one goroutine of a batch's pool runs programs through:
+// rw for read-write attempts, ro for declared readers. Each keeps its
+// operations in an arena it appends to, every run taking its range (see
+// snapshotAccessor.read): an arena that outgrows its array moves, and
+// the ranges already taken stay where they were, unchanged, so a
+// deposited attempt is readable by the commit step while its worker
+// goes on. The arenas live as long as the engine and are emptied when a
+// batch starts; nothing a batch returns points into them (committed
+// operations are copied into the schedule), so a batch allocates no
+// operation storage per transaction.
+type worker struct {
+	rw versionedAccessor
+	ro snapshotAccessor
+}
+
+// reset empties the arenas for a new batch.
+func (w *worker) reset() {
+	clear(w.rw.ops)
+	clear(w.ro.ops)
+	w.rw.ops, w.rw.vers, w.ro.ops = w.rw.ops[:0], w.rw.vers[:0], w.ro.ops[:0]
 }
 
 // batchState is the commit pipeline's shared state, guarded by mu.
 type batchState struct {
-	mu     sync.Mutex
-	next   int // index into ids of the next transaction to commit
-	ops    []txn.Op
+	mu   sync.Mutex
+	next int // index into ids of the next transaction to commit
+	ops  []txn.Op
+	// tms holds every transaction's metrics, indexed like the tasks
+	// (ids, then the readers); perTxn points into it.
+	tms    []TxnMetrics
 	perTxn map[int]*TxnMetrics
 	err    error
 	failed atomic.Bool // lock-free mirror of err != nil for worker bail-out
@@ -288,11 +326,11 @@ func (e *ParallelEngine) ExecuteBatchCtx(ctx context.Context, programs map[int]*
 	e.batchMu.Lock()
 	defer e.batchMu.Unlock()
 
-	batchRO := make(map[int]bool)
 	ids := make([]int, 0, len(programs))
+	roList := make([]int, 0, min(len(e.readOnly), len(programs)))
 	for id := range programs {
 		if e.readOnly[id] {
-			batchRO[id] = true
+			roList = append(roList, id)
 			continue
 		}
 		ids = append(ids, id)
@@ -311,19 +349,25 @@ func (e *ParallelEngine) ExecuteBatchCtx(ctx context.Context, programs map[int]*
 		e.wmMaxID = ids[len(ids)-1]
 		e.wmIDSeen = true
 	}
-	roList, err := roIDs(batchRO, programs)
-	if err != nil {
+	if err := checkReaders(roList, programs); err != nil {
 		return nil, err
 	}
 
-	bs := &batchState{perTxn: make(map[int]*TxnMetrics, len(programs))}
-	slots := make([]atomic.Pointer[attempt], len(ids))
-	var claim, retries, conflicts atomic.Int64
 	tasks := len(ids) + len(roList)
+	bs := &batchState{
+		ops:    make([]txn.Op, 0, e.opsHint),
+		tms:    make([]TxnMetrics, tasks),
+		perTxn: make(map[int]*TxnMetrics, tasks),
+		ro:     make([]roResult, 0, len(roList)),
+	}
+	attempts := make([]attempt, len(ids))
+	var claim, retries, conflicts atomic.Int64
 
-	workers := min(e.workers, tasks)
+	workers := min(len(e.pool), tasks)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for k := 0; k < workers; k++ {
+		w := &e.pool[k]
+		w.reset()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -336,18 +380,18 @@ func (e *ParallelEngine) ExecuteBatchCtx(ctx context.Context, programs map[int]*
 					return
 				}
 				if i >= len(ids) {
-					e.executeRO(bs, roList[i-len(ids)], programs)
+					e.executeRO(w, bs, i, roList[i-len(ids)], programs)
 					continue
 				}
-				id := ids[i]
-				a := e.execute(id, programs[id])
+				id, a := ids[i], &attempts[i]
+				e.execute(w, id, programs[id], a)
 				// Speculative retry loop: re-execute on a program error or
 				// stale reads, within budget. Errors here are not yet
 				// authoritative — a torn cross-item read can make a program
 				// fail spuriously; the commit turn re-executes against a
 				// frozen store before believing any error.
 				for r := 0; r < e.maxRetries; r++ {
-					if a.err == nil && e.store.validate(a.reads) {
+					if a.err == nil && e.store.validate(a.ops, a.vers) {
 						break
 					}
 					if a.err == nil {
@@ -357,14 +401,14 @@ func (e *ParallelEngine) ExecuteBatchCtx(ctx context.Context, programs map[int]*
 					if bs.failed.Load() || ctx.Err() != nil {
 						return
 					}
-					a = e.execute(id, programs[id])
+					e.execute(w, id, programs[id], a)
 				}
-				slots[i].Store(a)
+				a.ready.Store(true)
 				// Drain after every deposit: the worker that deposits the
 				// transaction at the commit frontier advances it, so by the
 				// time the pool drains, every deposited attempt has been
 				// committed or discarded.
-				e.drain(ctx, bs, slots, ids, programs, &retries, &conflicts)
+				e.drain(ctx, w, bs, attempts, ids, programs, &retries, &conflicts)
 			}
 		}()
 	}
@@ -373,6 +417,7 @@ func (e *ParallelEngine) ExecuteBatchCtx(ctx context.Context, programs map[int]*
 	if bs.err != nil {
 		return nil, bs.err
 	}
+	e.opsHint = len(bs.ops)
 	roOps := 0
 	for _, r := range bs.ro {
 		roOps += len(r.ops)
@@ -381,13 +426,13 @@ func (e *ParallelEngine) ExecuteBatchCtx(ctx context.Context, programs map[int]*
 	if len(bs.ro) > 0 {
 		// Re-derive per-transaction spans in merged-schedule
 		// coordinates (the splice shifts read-write positions past
-		// each insertion). Transactions without operations keep their
-		// deposit-time spans.
-		seen := make(map[int]bool, len(bs.perTxn))
-		for _, o := range merged {
+		// each insertion). A transaction's operations are contiguous —
+		// readers are spliced in between transactions — so its first
+		// is the one whose predecessor belongs to another. Transactions
+		// without operations keep their deposit-time spans.
+		for k, o := range merged {
 			tm := bs.perTxn[o.Txn]
-			if !seen[o.Txn] {
-				seen[o.Txn] = true
+			if k == 0 || merged[k-1].Txn != o.Txn {
 				tm.Start = o.Pos
 			}
 			tm.End = o.Pos + 1
@@ -406,7 +451,7 @@ func (e *ParallelEngine) ExecuteBatchCtx(ctx context.Context, programs map[int]*
 	// A cancelled batch still returns the committed prefix; CancelError
 	// is nil on the normal path.
 	return &Result{
-		Schedule: txn.NewSchedule(merged...),
+		Schedule: txn.AdoptSchedule(merged),
 		Final:    e.store.Snapshot(),
 		Metrics:  m,
 	}, CancelError(ctx)
@@ -418,18 +463,18 @@ func (e *ParallelEngine) ExecuteBatchCtx(ctx context.Context, programs map[int]*
 // the snapshot captures), run the program against the frozen view off
 // the lock, and deposit the result for the end-of-batch splice. A
 // program error is authoritative — the snapshot is a consistent
-// committed state, so a serial run fails identically.
-func (e *ParallelEngine) executeRO(bs *batchState, id int, programs map[int]*program.Program) {
+// committed state, so a serial run fails identically. task is the
+// reader's index among the batch's tasks.
+func (e *ParallelEngine) executeRO(w *worker, bs *batchState, task, id int, programs map[int]*program.Program) {
 	bs.mu.Lock()
-	sn := e.store.Acquire()
+	stamp := e.store.pin()
 	anchor := len(bs.ops)
 	order := bs.roSeq
 	bs.roSeq++
 	bs.mu.Unlock()
 
-	acc := &snapshotAccessor{sn: sn, id: id}
-	err := e.interp.Run(programs[id], acc)
-	sn.Release()
+	ops, err := w.ro.read(e.interp, id, stamp, programs[id])
+	e.store.unpin(stamp)
 
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
@@ -437,8 +482,10 @@ func (e *ParallelEngine) executeRO(bs *batchState, id int, programs map[int]*pro
 		bs.fail(fmt.Errorf("exec: T%d: %w", id, err))
 		return
 	}
-	bs.ro = append(bs.ro, roResult{id: id, anchor: anchor, order: order, ops: acc.ops})
-	bs.perTxn[id] = &TxnMetrics{Start: anchor, End: anchor, Ops: len(acc.ops)}
+	bs.ro = append(bs.ro, roResult{id: id, anchor: anchor, order: order, ops: ops})
+	tm := &bs.tms[task]
+	*tm = TxnMetrics{Start: anchor, End: anchor, Ops: len(ops)}
+	bs.perTxn[id] = tm
 }
 
 // drain advances the commit frontier: while the next transaction in id
@@ -447,16 +494,17 @@ func (e *ParallelEngine) executeRO(bs *batchState, id int, programs map[int]*pro
 // bs.mu is held — commits happen nowhere else — so the re-execution
 // observes exactly the committed prefix and cannot conflict; this is
 // what bounds retry livelock), certify the final sequence through the
-// gate, and apply the writes.
-func (e *ParallelEngine) drain(ctx context.Context, bs *batchState, slots []atomic.Pointer[attempt], ids []int, programs map[int]*program.Program, retries, conflicts *atomic.Int64) {
+// gate, and apply the writes. A re-execution runs through w, the
+// draining worker.
+func (e *ParallelEngine) drain(ctx context.Context, w *worker, bs *batchState, attempts []attempt, ids []int, programs map[int]*program.Program, retries, conflicts *atomic.Int64) {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
 	for bs.err == nil && bs.next < len(ids) {
 		if ctx.Err() != nil {
 			return
 		}
-		a := slots[bs.next].Load()
-		if a == nil {
+		a := &attempts[bs.next]
+		if !a.ready.Load() {
 			return
 		}
 		id := ids[bs.next]
@@ -474,34 +522,39 @@ func (e *ParallelEngine) drain(ctx context.Context, bs *batchState, slots []atom
 		if ctx.Err() != nil {
 			return
 		}
-		if forced || a.err != nil || !e.store.validate(a.reads) {
+		if forced || a.err != nil || !e.store.validate(a.ops, a.vers) {
 			if !forced && a.err == nil {
 				conflicts.Add(1)
 			}
 			retries.Add(1)
-			a = e.execute(id, programs[id])
+			e.execute(w, id, programs[id], a)
 			if a.err != nil {
 				// Authoritative: the program failed against the exact
 				// serial-prefix state, so a serial run fails here too.
-				bs.err = fmt.Errorf("exec: T%d: %w", id, a.err)
-				bs.failed.Store(true)
+				bs.fail(fmt.Errorf("exec: T%d: %w", id, a.err))
 				return
 			}
 		}
+		// The sequence is stamped with its schedule positions in the
+		// schedule itself: the attempt's operations stay in the
+		// executing worker's arena, which that worker may be copying.
 		base := len(bs.ops)
-		for k := range a.ops {
-			a.ops[k].Pos = base + k
+		bs.ops = append(bs.ops, a.ops...)
+		seq := bs.ops[base:len(bs.ops):len(bs.ops)]
+		for k := range seq {
+			seq[k].Pos = base + k
 		}
 		if e.gate != nil {
-			if err := e.gate.AdmitTxn(a.ops); err != nil {
-				bs.err = fmt.Errorf("exec: T%d: %w", id, err)
-				bs.failed.Store(true)
+			if err := e.gate.AdmitTxn(seq); err != nil {
+				bs.ops = bs.ops[:base]
+				bs.fail(fmt.Errorf("exec: T%d: %w", id, err))
 				return
 			}
 		}
-		e.store.commit(a.writes)
-		bs.ops = append(bs.ops, a.ops...)
-		bs.perTxn[id] = &TxnMetrics{Start: base, End: base + len(a.ops), Ops: len(a.ops)}
+		e.store.commit(seq)
+		tm := &bs.tms[bs.next]
+		*tm = TxnMetrics{Start: base, End: len(bs.ops), Ops: len(seq)}
+		bs.perTxn[id] = tm
 		bs.next++
 		e.advanceFloor(id)
 	}
@@ -519,6 +572,12 @@ func (e *ParallelEngine) advanceFloor(id int) {
 		return
 	}
 	e.wmQueue = append(e.wmQueue, txnStamp{txn: id, stamp: e.store.Stamp()})
+	e.syncFloor()
+}
+
+// syncFloor drains the watermark queue up to the gate's Compact
+// watermark and raises the retention floor to the last drained stamp.
+func (e *ParallelEngine) syncFloor() {
 	w := e.wmr.CompactWatermark()
 	var floor uint64
 	drop := 0
@@ -551,46 +610,37 @@ func (e *ParallelEngine) Drain(ctx context.Context) error {
 	if d, ok := e.gate.(Drainer); ok {
 		err = d.Drain(ctx)
 	}
-	if e.wmr != nil && len(e.wmQueue) > 0 {
-		w := e.wmr.CompactWatermark()
-		var floor uint64
-		drop := 0
-		for _, ts := range e.wmQueue {
-			if ts.txn > w {
-				break
-			}
-			floor = ts.stamp
-			drop++
-		}
-		if drop > 0 {
-			e.wmQueue = append(e.wmQueue[:0], e.wmQueue[drop:]...)
-			e.store.SetRetainFloor(floor)
-		}
+	if e.wmr != nil {
+		e.syncFloor()
 	}
 	return err
 }
 
-// execute runs one program speculatively against the current store and
-// packages the outcome as an attempt.
-func (e *ParallelEngine) execute(id int, p *program.Program) *attempt {
-	acc := &versionedAccessor{store: e.store, id: id}
-	err := e.interp.Run(p, acc)
-	return &attempt{ops: acc.ops, reads: acc.reads, writes: acc.writes, err: err}
+// execute runs transaction id speculatively against the current store
+// through w and makes a its outcome.
+func (e *ParallelEngine) execute(w *worker, id int, p *program.Program, a *attempt) {
+	acc := &w.rw
+	acc.id = id
+	start := len(acc.ops)
+	a.err = e.interp.Run(p, acc)
+	end := len(acc.ops)
+	a.ops, a.vers = acc.ops[start:end:end], acc.vers[start:end:end]
 }
 
 // versionedAccessor adapts a VersionedStore to program.Accessor for
-// one speculative execution: reads record the version stamp they saw
-// (the validation set), writes buffer locally, and every access is
-// appended to the operation sequence the transaction will submit at
-// commit. It relies on program.Accessor's guarantee — each item reaches
-// Read at most once and never after the program's own Write — so what it
-// records is exactly the first-read/first-write stream of the schedule.
+// speculative executions: every access is appended to ops, the
+// operation sequence the transaction will submit at commit, and every
+// read's version stamp to vers at the same index (the validation set;
+// a write's entry is 0). ops and vers are a worker's arenas (see
+// worker). It relies on program.Accessor's guarantee — each item
+// reaches Read at most once and never after the program's own Write —
+// so what it records is exactly the first-read/first-write stream of the
+// schedule, and the writes among it are what the commit applies.
 type versionedAccessor struct {
-	store  *VersionedStore
-	id     int
-	ops    []txn.Op
-	reads  map[string]uint64
-	writes map[string]state.Value
+	store *VersionedStore
+	id    int
+	ops   []txn.Op
+	vers  []uint64
 }
 
 // Read implements program.Accessor.
@@ -599,20 +649,14 @@ func (a *versionedAccessor) Read(item string) (state.Value, error) {
 	if !ok {
 		return state.Value{}, fmt.Errorf("exec: data item %q has no value", item)
 	}
-	if a.reads == nil {
-		a.reads = make(map[string]uint64)
-	}
-	a.reads[item] = ver
 	a.ops = append(a.ops, txn.Op{Txn: a.id, Action: txn.ActionRead, Entity: item, Value: val, Pos: -1})
+	a.vers = append(a.vers, ver)
 	return val, nil
 }
 
 // Write implements program.Accessor.
 func (a *versionedAccessor) Write(item string, v state.Value) error {
-	if a.writes == nil {
-		a.writes = make(map[string]state.Value)
-	}
-	a.writes[item] = v
 	a.ops = append(a.ops, txn.Op{Txn: a.id, Action: txn.ActionWrite, Entity: item, Value: v, Pos: -1})
+	a.vers = append(a.vers, 0)
 	return nil
 }

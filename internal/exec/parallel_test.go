@@ -82,6 +82,76 @@ func TestParallelEngineDifferential(t *testing.T) {
 	}
 }
 
+// checkBatchSpans requires every transaction's PerTxn span to be where
+// its operations are in the result schedule — the batch engine stamps
+// spans at commit and re-derives them after splicing readers in.
+func checkBatchSpans(t *testing.T, ctx string, res *exec.Result) {
+	t.Helper()
+	type span struct{ start, end, ops int }
+	seen := map[int]*span{}
+	for _, o := range res.Schedule.Ops() {
+		sp := seen[o.Txn]
+		if sp == nil {
+			sp = &span{start: o.Pos}
+			seen[o.Txn] = sp
+		}
+		sp.end, sp.ops = o.Pos+1, sp.ops+1
+	}
+	for id, sp := range seen {
+		tm := res.Metrics.PerTxn[id]
+		if tm == nil || tm.Start != sp.start || tm.End != sp.end || tm.Ops != sp.ops || sp.end-sp.start != sp.ops {
+			t.Fatalf("%s: T%d spans [%d, %d) with %d operations in the schedule, metrics say %+v", ctx, id, sp.start, sp.end, sp.ops, tm)
+		}
+	}
+}
+
+// TestParallelEngineBatchesOwnTheirResults pins what reusing one engine
+// across batches must not break. The workers' operation arenas live with
+// the engine and are emptied and refilled by every batch, so a Result an
+// earlier batch returned must own its schedule — read again after five
+// more batches, it is unchanged — and every batch must match a fresh
+// engine's run of the same programs from the same state. Mixed writers
+// and declared readers at four workers; make check runs it raced.
+func TestParallelEngineBatchesOwnTheirResults(t *testing.T) {
+	w := gen.MustGenerate(gen.Config{Conjuncts: 3, Programs: 8, MovesPerProgram: 3, Style: gen.StyleFixed, Seed: 4242})
+	mixed, ro := withReaders(w.Programs, sortedItems(w.Initial), 4)
+	eng := exec.NewParallelEngine(exec.ParallelConfig{Initial: w.Initial, Workers: 4, ReadOnly: ro})
+	var results []*exec.Result
+	var printed []string
+	initial := w.Initial
+	for batch := 0; batch < 6; batch++ {
+		ctx := fmt.Sprintf("batch %d", batch)
+		res, err := eng.ExecuteBatch(mixed)
+		if err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		fresh, err := exec.RunParallel(exec.ParallelConfig{Initial: initial, Workers: 4, ReadOnly: ro}, mixed)
+		if err != nil {
+			t.Fatalf("%s: fresh engine: %v", ctx, err)
+		}
+		if got, want := rwProjection(res.Schedule, ro).String(), rwProjection(fresh.Schedule, ro).String(); got != want {
+			t.Fatalf("%s: reused engine's RW schedule differs from a fresh engine's\nreused: %s\nfresh:  %s", ctx, got, want)
+		}
+		if !res.Final.Equal(fresh.Final) {
+			t.Fatalf("%s: final state differs from a fresh engine's", ctx)
+		}
+		if err := res.Schedule.ConsistentValues(initial); err != nil {
+			t.Fatalf("%s: schedule does not replay from the batch's initial state: %v", ctx, err)
+		}
+		requireReadersUntouched(t, ctx, res, ro)
+		checkSchedulePositions(t, res.Schedule)
+		checkBatchSpans(t, ctx, res)
+		results = append(results, res)
+		printed = append(printed, res.Schedule.String())
+		initial = res.Final
+	}
+	for k, res := range results {
+		if got := res.Schedule.String(); got != printed[k] {
+			t.Fatalf("batch %d's schedule changed after later batches ran\nthen: %s\nnow:  %s", k, printed[k], got)
+		}
+	}
+}
+
 // TestParallelEngineRetryExhaustion is the bounded-livelock regression:
 // a maximally conflicting batch (every program read-modify-writes the
 // same item) must terminate at every speculative-retry budget — the

@@ -3,9 +3,11 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"pwsr/internal/state"
+	"pwsr/internal/txn"
 )
 
 // ErrSnapshotRetired is returned by AcquireAt for a stamp below the
@@ -46,9 +48,15 @@ var ErrSnapshotRetired = errors.New("exec: snapshot stamp below the retention fl
 // conflict cycle can reach it, the store retains a committed version
 // until no snapshot — current or future — can observe it, and the two
 // watermarks advance together.
+//
+// Nothing a commit, a floor move or the accounting does visits the
+// whole store: a commit touches the chains it writes, a floor move the
+// chains written since the one before (the history list), and
+// VersionStats reads counters. Only Snapshot and SnapshotAt, which copy
+// the store out, are proportional to it.
 type VersionedStore struct {
 	mu    sync.RWMutex
-	items map[string][]versionedItem
+	items map[string]*chain
 	// stamp is the monotone version source: each committing
 	// transaction's writes share one fresh stamp, so a stamp identifies
 	// the commit that produced the value.
@@ -61,40 +69,60 @@ type VersionedStore struct {
 	// pins refcounts the stamps of live snapshots; pinned stamps stay
 	// readable below the floor until released.
 	pins map[uint64]int
-	// pruned counts versions garbage-collected so far.
-	pruned uint64
+	// history lists the chains a prune may shorten: every chain holding
+	// more than one version is on it (some listed chains may be back to
+	// one).
+	history []*chain
+	// versions, npins and pruned count retained versions, live snapshots
+	// and versions garbage-collected so far.
+	versions, npins int
+	pruned          uint64
 }
 
 // versionedItem is one committed version of an item: the value and the
-// stamp of the commit that wrote it (0 = initial state). A chain is
-// ordered by ascending stamp.
+// stamp of the commit that wrote it (0 = initial state).
 type versionedItem struct {
 	val state.Value
 	ver uint64
 }
 
+// chain is one item's retained versions, ascending by stamp, never
+// empty; listed records that it is on the store's history list.
+type chain struct {
+	versions []versionedItem
+	listed   bool
+}
+
+func (c *chain) newest() versionedItem { return c.versions[len(c.versions)-1] }
+
 // NewVersionedStore returns a store initialized from ds (copied; the
 // caller's DB is not retained). Initial values carry version 0.
 func NewVersionedStore(ds state.DB) *VersionedStore {
-	items := make(map[string][]versionedItem, len(ds))
+	items := make(map[string]*chain, len(ds))
+	chains := make([]chain, len(ds))
+	initial := make([]versionedItem, len(ds))
+	i := 0
 	for k, v := range ds {
-		items[k] = []versionedItem{{val: v}}
+		initial[i].val = v
+		chains[i].versions = initial[i : i+1 : i+1]
+		items[k] = &chains[i]
+		i++
 	}
-	return &VersionedStore{items: items, autoFloor: true, pins: make(map[uint64]int)}
+	return &VersionedStore{items: items, autoFloor: true, pins: make(map[uint64]int), versions: len(ds)}
 }
 
 // Get returns the item's newest value and version stamp. The element
-// is copied before the lock is released: pruneChainLocked compacts
-// chains in place, so the backing array may be rewritten by a
-// concurrent commit the moment the lock drops.
+// is copied before the lock is released: prune compacts chains in
+// place, so the backing array may be rewritten by a concurrent commit
+// the moment the lock drops.
 func (s *VersionedStore) Get(item string) (state.Value, uint64, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	chain := s.items[item]
-	if len(chain) == 0 {
+	c := s.items[item]
+	if c == nil {
 		return state.Value{}, 0, false
 	}
-	it := chain[len(chain)-1]
+	it := c.newest()
 	return it.val, it.ver, true
 }
 
@@ -110,10 +138,13 @@ func (s *VersionedStore) GetAt(item string, stamp uint64) (state.Value, bool) {
 }
 
 func (s *VersionedStore) getAtLocked(item string, stamp uint64) (state.Value, bool) {
-	chain := s.items[item]
-	for i := len(chain) - 1; i >= 0; i-- {
-		if chain[i].ver <= stamp {
-			return chain[i].val, true
+	c := s.items[item]
+	if c == nil {
+		return state.Value{}, false
+	}
+	for i := len(c.versions) - 1; i >= 0; i-- {
+		if c.versions[i].ver <= stamp {
+			return c.versions[i].val, true
 		}
 	}
 	return state.Value{}, false
@@ -124,10 +155,8 @@ func (s *VersionedStore) Snapshot() state.DB {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	db := make(state.DB, len(s.items))
-	for k, chain := range s.items {
-		if len(chain) > 0 {
-			db[k] = chain[len(chain)-1].val
-		}
+	for k, c := range s.items {
+		db[k] = c.newest().val
 	}
 	return db
 }
@@ -162,31 +191,34 @@ func (s *VersionedStore) Floor() uint64 {
 	return s.floor
 }
 
-// validate reports whether every read stamp still matches the store —
-// no conflicting commit has overwritten an item this execution read.
-func (s *VersionedStore) validate(reads map[string]uint64) bool {
+// validate reports whether every read among ops still sees the newest
+// version — vers[k] is the stamp the read ops[k] saw — so no
+// conflicting commit has overwritten an item this execution read.
+func (s *VersionedStore) validate(ops []txn.Op, vers []uint64) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for item, ver := range reads {
-		chain := s.items[item]
-		if len(chain) == 0 || chain[len(chain)-1].ver != ver {
+	for k, o := range ops {
+		if o.Action != txn.ActionRead {
+			continue
+		}
+		if c := s.items[o.Entity]; c == nil || c.newest().ver != vers[k] {
 			return false
 		}
 	}
 	return true
 }
 
-// commit applies one transaction's write set under a single fresh
-// stamp, appending one version per item. Only an engine's serialized
-// commit step calls it, so stamps are assigned in commit order and the
-// store's history is exactly the serial history of the committed
-// prefix. Superseded versions of the written items that no pinned
-// snapshot and no stamp at or above the floor can observe are pruned
-// in the same step (release/SetRetainFloor prune the rest lazily on
-// the next write or floor move — garbage is bounded by the write
-// traffic since the floor).
-func (s *VersionedStore) commit(writes map[string]state.Value) {
-	if len(writes) == 0 {
+// commit applies the writes among ops, in order, under a single fresh
+// stamp: one new version per item written, holding the item's last
+// write. Only an engine's serialized commit step calls it, so stamps are
+// assigned in commit order and the store's history is exactly the serial
+// history of the committed prefix. Superseded versions of the written
+// items that no pinned snapshot and no stamp at or above the floor can
+// observe are pruned in the same step (release/SetRetainFloor prune the
+// rest lazily on the next write or floor move — garbage is bounded by
+// the write traffic since the floor).
+func (s *VersionedStore) commit(ops []txn.Op) {
+	if !slices.ContainsFunc(ops, func(o txn.Op) bool { return o.Action == txn.ActionWrite }) {
 		return
 	}
 	s.mu.Lock()
@@ -196,9 +228,22 @@ func (s *VersionedStore) commit(writes map[string]state.Value) {
 		s.floor = s.stamp
 	}
 	keep := s.keepFromLocked()
-	for item, v := range writes {
-		chain := append(s.items[item], versionedItem{val: v, ver: s.stamp})
-		s.items[item] = s.pruneChainLocked(chain, keep)
+	for _, o := range ops {
+		if o.Action != txn.ActionWrite {
+			continue
+		}
+		c := s.items[o.Entity]
+		switch {
+		case c == nil:
+			c = &chain{}
+			s.items[o.Entity] = c
+		case c.newest().ver == s.stamp:
+			c.versions[len(c.versions)-1].val = o.Value
+			continue
+		}
+		c.versions = append(c.versions, versionedItem{val: o.Value, ver: s.stamp})
+		s.versions++
+		s.prune(c, keep)
 	}
 }
 
@@ -214,19 +259,24 @@ func (s *VersionedStore) keepFromLocked() uint64 {
 	return keep
 }
 
-// pruneChainLocked drops the chain prefix no anchor ≥ keep can
-// observe: version i is garbage exactly when version i+1 exists and
-// has ver ≤ keep (every surviving anchor already sees i+1 or newer).
-func (s *VersionedStore) pruneChainLocked(chain []versionedItem, keep uint64) []versionedItem {
+// prune drops the prefix of c no anchor ≥ keep can observe: version i
+// is garbage exactly when version i+1 exists and has ver ≤ keep (every
+// surviving anchor already sees i+1 or newer). A chain left holding
+// more than one version goes on the history list.
+func (s *VersionedStore) prune(c *chain, keep uint64) {
 	drop := 0
-	for drop < len(chain)-1 && chain[drop+1].ver <= keep {
+	for drop < len(c.versions)-1 && c.versions[drop+1].ver <= keep {
 		drop++
 	}
-	if drop == 0 {
-		return chain
+	if drop > 0 {
+		s.pruned += uint64(drop)
+		s.versions -= drop
+		c.versions = append(c.versions[:0], c.versions[drop:]...)
 	}
-	s.pruned += uint64(drop)
-	return append(chain[:0], chain[drop:]...)
+	if len(c.versions) > 1 && !c.listed {
+		c.listed = true
+		s.history = append(s.history, c)
+	}
 }
 
 // SetRetainFloor raises the retention floor to stamp (clamped to the
@@ -235,7 +285,7 @@ func (s *VersionedStore) pruneChainLocked(chain []versionedItem, keep uint64) []
 // on their own, and versions are retained back to the floor — the
 // engine wires this to the certifying gate's Compact watermark so
 // version GC and certifier GC follow the same low-watermark argument.
-// A full prune pass runs under the floor move.
+// A prune pass over the history list runs under the floor move.
 func (s *VersionedStore) SetRetainFloor(stamp uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -247,18 +297,44 @@ func (s *VersionedStore) SetRetainFloor(stamp uint64) {
 		s.floor = stamp
 	}
 	keep := s.keepFromLocked()
-	for item, chain := range s.items {
-		s.items[item] = s.pruneChainLocked(chain, keep)
+	kept := s.history[:0]
+	for _, c := range s.history {
+		s.prune(c, keep)
+		if len(c.versions) > 1 {
+			kept = append(kept, c)
+		} else {
+			c.listed = false
+		}
 	}
+	clear(s.history[len(kept):])
+	s.history = kept
 }
 
 // Acquire pins a snapshot at the newest committed stamp. Acquisition
 // is never denied; release promptly so version GC can advance.
 func (s *VersionedStore) Acquire() *StoreSnapshot {
+	return &StoreSnapshot{store: s, stamp: s.pin()}
+}
+
+// pin pins the newest committed stamp and returns it: Acquire without
+// the StoreSnapshot, for the engines' readers. unpin releases it.
+func (s *VersionedStore) pin() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.pins[s.stamp]++
-	return &StoreSnapshot{store: s, stamp: s.stamp}
+	s.npins++
+	return s.stamp
+}
+
+func (s *VersionedStore) unpin(stamp uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := s.pins[stamp]; n > 1 {
+		s.pins[stamp] = n - 1
+	} else {
+		delete(s.pins, stamp)
+	}
+	s.npins--
 }
 
 // AcquireAt pins a snapshot at an explicit stamp — any anchor back to
@@ -276,6 +352,7 @@ func (s *VersionedStore) AcquireAt(stamp uint64) (*StoreSnapshot, error) {
 		return nil, fmt.Errorf("%w: stamp %d < floor %d", ErrSnapshotRetired, stamp, s.floor)
 	}
 	s.pins[stamp]++
+	s.npins++
 	return &StoreSnapshot{store: s, stamp: stamp}, nil
 }
 
@@ -297,14 +374,7 @@ type VersionStats struct {
 func (s *VersionedStore) VersionStats() VersionStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	st := VersionStats{Stamp: s.stamp, Floor: s.floor, Pruned: s.pruned}
-	for _, chain := range s.items {
-		st.Versions += len(chain)
-	}
-	for _, n := range s.pins {
-		st.Pins += n
-	}
-	return st
+	return VersionStats{Stamp: s.stamp, Floor: s.floor, Versions: s.versions, Pruned: s.pruned, Pins: s.npins}
 }
 
 // StoreSnapshot is a pinned, immutable view of the store at one
@@ -344,12 +414,5 @@ func (sn *StoreSnapshot) Release() {
 		return
 	}
 	sn.released = true
-	s := sn.store
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n := s.pins[sn.stamp]; n > 1 {
-		s.pins[sn.stamp] = n - 1
-	} else {
-		delete(s.pins, sn.stamp)
-	}
+	sn.store.unpin(sn.stamp)
 }

@@ -92,6 +92,39 @@ func TestStaticTraceMatchesExecution(t *testing.T) {
 	}
 }
 
+// TestReadOnlyDecidedWhenBuilt pins that a built program answers
+// ReadOnly from what it decided when it was built — Parse, Clone and
+// Balance agree with the table and with WriteTargets, and answering
+// allocates nothing — while a hand-built literal is resolved again on
+// every call.
+func TestReadOnlyDecidedWhenBuilt(t *testing.T) {
+	for src, want := range map[string]bool{
+		`program R { let a := x; let b := a + y; }`:                 true,
+		`program L { let t := 0; while (t < x) { t := t + 1; } }`:   true,
+		`program W { let a := x; y := a + 1; }`:                     false,
+		`program B { t := 1; let t := 2; }`:                         false, // assigned before its let
+		`program I { if (x > 0) { y := 1; } else { let z := 2; } }`: false,
+	} {
+		p := MustParse(src)
+		literal := &Program{Name: p.Name, Body: p.Body}
+		balanced, err := Balance(p)
+		if err != nil {
+			balanced = p.Clone() // loops do not balance; Clone is the other builder
+		}
+		for name, q := range map[string]*Program{"parsed": p, "cloned": p.Clone(), "balanced": balanced, "literal": literal} {
+			if got := q.ReadOnly(); got != want || got != q.WriteTargets().Empty() {
+				t.Errorf("%s %s: ReadOnly = %v, WriteTargets = %v, want read-only %v", name, p.Name, got, q.WriteTargets(), want)
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, func() { p.ReadOnly() }); allocs != 0 {
+			t.Errorf("%s: a built program's ReadOnly allocates %.0f times, want 0", p.Name, allocs)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { literal.ReadOnly() }); allocs == 0 {
+			t.Errorf("%s: a literal's ReadOnly was not resolved again", p.Name)
+		}
+	}
+}
+
 func TestCheckFixedStructureStatic(t *testing.T) {
 	p := MustParse(`program T { d := a; }`)
 	rep, err := CheckFixedStructure(p, state.UniformInts(-2, 2, "a", "d"), 0, 1)

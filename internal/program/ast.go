@@ -14,7 +14,9 @@
 // # Names: static slots, dynamic meaning
 //
 // What does not depend on the database state is decided once, from the
-// program text. When a program is built (Parse, Clone, Balance) every
+// program text: whether the text assigns a data item at all (ReadOnly,
+// which the engines ask of every declared reader of every batch), and
+// the names. When a program is built (Parse, Clone, Balance) every
 // name in it — variable leaves, let names, assignment targets; data item
 // or local alike — gets a slot, its number in the program's own dense
 // numbering (constraint.Names), stored on the node, and a Machine — the
@@ -101,6 +103,14 @@ type Program struct {
 
 	slots    int32 // how many names the numbering has
 	resolved bool
+	writes   bool // WriteTargets is not empty; decided when built
+}
+
+// built finishes a program whose statements are numbered by names.
+func built(name string, body []Stmt, names *constraint.Names) *Program {
+	p := &Program{Name: name, Body: body, slots: int32(names.Len()), resolved: true}
+	p.writes = !eachWrite(body, make([]bool, p.slots+1), func(*Assign) bool { return false })
+	return p
 }
 
 func indent(b *strings.Builder, depth int) {
@@ -199,6 +209,59 @@ func (p *Program) DataItems() state.ItemSet {
 	return items
 }
 
+// WriteTargets returns the data items the program's text assigns: every
+// assignment target not declared by a let earlier in the text. A let in
+// a branch a run does not take leaves its name an item for that run (see
+// the package comment), so such a run can write a name this omits; the
+// engines back their read-only check with a dynamic one.
+func (p *Program) WriteTargets() state.ItemSet {
+	if !p.resolved {
+		p = p.Clone()
+	}
+	writes := state.NewItemSet()
+	eachWrite(p.Body, make([]bool, p.slots+1), func(a *Assign) bool {
+		writes.Add(a.Target)
+		return true
+	})
+	return writes
+}
+
+// eachWrite calls f, in text order, with every assignment among stmts
+// whose target no earlier let declared, and reports whether f let it
+// finish. local marks the lets met so far, by slot.
+func eachWrite(stmts []Stmt, local []bool, f func(*Assign) bool) bool {
+	for _, s := range stmts {
+		switch n := s.(type) {
+		case *Let:
+			local[n.slot] = true
+		case *Assign:
+			if !local[n.slot] && !f(n) {
+				return false
+			}
+		case *If:
+			if !eachWrite(n.Then, local, f) || !eachWrite(n.Else, local, f) {
+				return false
+			}
+		case *While:
+			if !eachWrite(n.Body, local, f) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// ReadOnly reports whether WriteTargets is empty, so that no run of the
+// program writes a data item. A program built by Parse, Clone or Balance
+// decided it from its text when it was built; a literal is resolved
+// (cloned) on every call.
+func (p *Program) ReadOnly() bool {
+	if !p.resolved {
+		p = p.Clone()
+	}
+	return !p.writes
+}
+
 // IsStraightLine reports whether the program contains no conditionals
 // and no loops — the "straight line" transaction programs of Sha et al.
 // [14] that Section 3.1 contrasts with fixed-structure programs.
@@ -219,8 +282,7 @@ func (p *Program) IsStraightLine() bool {
 // of their own.
 func (p *Program) Clone() *Program {
 	var names constraint.Names
-	body := cloneStmts(p.Body, &names)
-	return &Program{Name: p.Name, Body: body, slots: int32(names.Len()), resolved: true}
+	return built(p.Name, cloneStmts(p.Body, &names), &names)
 }
 
 func cloneStmts(stmts []Stmt, names *constraint.Names) []Stmt {

@@ -63,9 +63,9 @@ func Parse(src string) (*Program, error) {
 	// Every identifier so far is a substring of src and would keep all
 	// of it alive for as long as the program lives.
 	names := &p.names
-	prog := &Program{Name: names.Intern(nameTok.Text), Body: body, slots: int32(names.Len()), resolved: true}
+	name := names.Intern(nameTok.Text)
 	internNames(body, names, func(v *constraint.Var) { v.Name = names.At(v.Slot) })
-	return prog, nil
+	return built(name, body, names), nil
 }
 
 // internNames re-spells every name under stmts from names, by its slot
