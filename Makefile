@@ -86,8 +86,10 @@ check-parallel:
 
 # crash-matrix is the durability differential: the wal package's
 # crash-recovery tests — TestCrashMatrix kills the log at every byte
-# offset and recovers each prefix — under the race detector at pinned
-# GOMAXPROCS=1 and 8, plus the journaled-gate tests in sched.
+# offset and recovers each prefix, TestGroupFlushFaults fails group
+# flushes at GroupEvery 2 and 16 with and without a standby — under the
+# race detector at pinned GOMAXPROCS=1 and 8, plus the journaled-gate
+# tests in sched.
 .PHONY: crash-matrix
 crash-matrix:
 	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/wal
@@ -203,6 +205,15 @@ profile-batch-round:
 profile-tick:
 	$(GO) test . -run '^$$' -bench 'BenchmarkTickAbortRestart' -benchmem -benchtime=3000x -cpuprofile tick.prof -o pwsr.test
 
+# profile-wal writes a CPU profile of the journal's append path
+# (PERF18's family: steady observe/commit/compact records through
+# wal.Writer on the memory and file backends at GroupEvery 1 and 16) to
+# wal.prof, with the test binary beside it; read it with
+#   go tool pprof -top -focus 'wal.\(\*Writer\)' wal.test wal.prof
+.PHONY: profile-wal
+profile-wal:
+	$(GO) test ./internal/wal -run '^$$' -bench 'BenchmarkWriterAppend' -benchmem -cpuprofile wal.prof -o wal.test
+
 # bench-all runs every benchmark in the repository once.
 .PHONY: bench-all
 bench-all:
@@ -243,8 +254,10 @@ test:
 # CI here, not just benchmarks. That leg also carries the sharded
 # monitor's cost-shape pin (TestZeroAllocShardedAdmitLiveSetIndependent:
 # whole-transaction admission allocates the same with 16 and with 4096
-# resident transactions), and the last line runs the PERF14–PERF17
-# benchmark families once so they cannot rot.
+# resident transactions) and the journal's append path
+# (TestZeroAllocWriterAppend: under 0.1 allocations per record), and the
+# last two lines run the PERF14–PERF18 benchmark families once so they
+# cannot rot.
 # The chaos smoke (a fixed 40-seed band of the ROBUST1 fault
 # differential, deterministic by construction) also rides in the raced
 # `./...` pass; the full randomized matrix lives in `make chaos`.
@@ -254,8 +267,9 @@ check:
 	$(GO) test -race -short ./...
 	GOMAXPROCS=1 $(GO) test -race -short -count=1 ./internal/core ./internal/sched ./internal/exec ./internal/wal
 	GOMAXPROCS=8 $(GO) test -race -short -count=1 ./internal/core ./internal/sched ./internal/exec ./internal/wal
-	$(GO) test -run 'TestZeroAlloc|TestTickEngineAllocs|TestBatchEngineAllocs|TestInterpRunAllocs' -count=1 ./internal/core
+	$(GO) test -run 'TestZeroAlloc|TestTickEngineAllocs|TestBatchEngineAllocs|TestInterpRunAllocs' -count=1 ./internal/core ./internal/wal
 	$(GO) test . -run '^$$' -bench 'BenchmarkShardedAdmitSequence|BenchmarkInterpRun|BenchmarkTickAbortRestart|BenchmarkBatchRound' -benchtime=1x
+	$(GO) test ./internal/wal -run '^$$' -bench 'BenchmarkWriterAppend' -benchtime=1x
 
 # soak is the long-run bounded-memory test: ≥ 1M operations through a
 # single OptimisticCertify gate with the transaction lifecycle on,

@@ -30,13 +30,13 @@ type Journal interface {
 var _ Journal = (*wal.Writer)(nil)
 
 // Healer is the optional Journal extension the buffered degradation
-// mode drains through: Heal attempts to clear the journal's fail-stop
-// (e.g. by rebuilding the active segment on a recovered or promoted
-// backend), and LoggedSeq reports the last event the journal has
-// absorbed — the probe the gate uses to decide whether an emission
-// that barriered with an error still made it into the journal's
-// replay image. wal.Writer implements it; a journal without Heal
-// buffers conservatively and can only trip to shed, never drain.
+// mode drains through: Heal clears the journal's fail-stop (rebuilding
+// the active segment on a recovered or promoted backend), and
+// LoggedSeq, the last absorbed event, tells the gate whether an
+// emission that barriered with an error is in the replay image.
+// wal.Writer absorbs every event emitted while healthy (even one whose
+// group flush failed) and none while fail-stopped. A journal without
+// Heal buffers conservatively and can only trip to shed, never drain.
 type Healer interface {
 	// Heal attempts to clear the journal's fail-stop; nil means the
 	// journal accepts traffic again.

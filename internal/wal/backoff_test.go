@@ -47,10 +47,10 @@ func TestRetryBackoffJitterCapped(t *testing.T) {
 // hold Close behind the remaining jittered sleeps (five retries at a
 // 2s base would otherwise stall shutdown for tens of seconds).
 func TestCloseInterruptsBackoff(t *testing.T) {
-	// From 2: write #1 is the genesis header — the device dies right
-	// after construction, before the first record flush.
+	// From 1: the device dies right after construction, so the first
+	// flush (genesis header plus the first record) never lands.
 	inj := fault.NewInjector(fault.Plan{Rules: []fault.Rule{
-		{Site: "wal/dev", Op: fault.OpWrite, From: 2, Count: 0, Kind: fault.KindError, Msg: "device dead"},
+		{Site: "wal/dev", Op: fault.OpWrite, From: 1, Count: 0, Kind: fault.KindError, Msg: "device dead"},
 	}})
 	b := NewInjectBackend(NewMemBackend(), inj, "wal/dev")
 	w, err := NewWriter(b, Options{

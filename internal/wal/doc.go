@@ -27,18 +27,24 @@
 // # Write-ahead contract and group commit
 //
 // The Writer is a core.LifecycleSink: each lifecycle event is framed
-// and appended as the monitor applies it. Durability is established
-// by Sync barriers, not by append order: a certification gate calls
-// Barrier after observing a granted operation and before
-// acknowledging the grant (see sched.AttachJournal), which is the
-// write-ahead contract for a volatile state machine — the in-memory
-// mutation may precede the log write because a crash loses the memory
-// anyway; what matters is that no grant is externally acknowledged
-// before its record is durable. With Options.GroupEvery = n the
-// writer fsyncs once per n records (group commit), trading a bounded
-// durability lag (at most n−1 acknowledged grants can be lost to a
-// crash) for amortizing the fsync across the group; Barrier reports
-// only backend failure, it does not force an early sync.
+// as the monitor applies it, and appending is a memory copy — the
+// frame goes into the writer's mirror of the active segment, which is
+// also its write buffer, and nothing reaches the backend. The only
+// writes to the active segment are the group flush (once per
+// Options.GroupEvery records, or when Options.GroupWindow expires),
+// Sync, Close, a snapshot cut and a failover or Heal rebase; each
+// flush hands the backend everything buffered since the last one in
+// one write and then syncs it. A certification gate calls Barrier
+// after observing a granted operation and before acknowledging the
+// grant (see sched.AttachJournal). Barrier reports backend failure
+// only: it neither writes nor syncs, so with GroupEvery = n up to
+// n−1 acknowledged records are in memory alone, and a process crash
+// and a machine crash alike can lose at most those n−1 records — the
+// trade group commit makes for one write and one fsync per group. A
+// record's bookkeeping (the surviving stream, the snapshot counters,
+// the cut cadence) is applied before its flush, so an absorbed record
+// is in the mirror and in the next snapshot whatever the flush
+// returns; a fail-stopped writer absorbs nothing further.
 //
 // # Snapshots and retention
 //
@@ -129,17 +135,21 @@
 // Barrier has a context-bounded form, BarrierCtx, that gives up the
 // wait with the typed exec.ErrCanceled/exec.ErrDeadline when the
 // context dies first — durability is not rolled back, only the wait
-// abandoned. Close interrupts a retry backoff in progress: the
+// abandoned. Close interrupts a retry backoff that is sleeping: the
 // stalled operation fails fast wrapping ErrWriterClosing instead of
-// holding shutdown behind the remaining jittered sleeps, and the
+// holding shutdown behind the remaining jittered sleeps (a zero
+// RetryBackoff never sleeps, so Close's own final flush keeps its
+// whole retry budget against a torn write), and the
 // sticky fail-stop error keeps ErrWriterClosing in its chain so a
 // close-interrupted outage is errors.Is-distinguishable from one that
 // exhausted its retries. CutSnapshot forces a segment rotation whose
 // snapshot captures the current replay state; a draining gate calls
 // it last, so recovery after a clean drain collapses to the snapshot
 // alone. Because the write-ahead contract acknowledges no grant
-// before its record is logged, a cancellation at any point leaves the
-// log holding exactly the acknowledged prefix: Resume rebuilds a
+// before its record is absorbed, a cancellation at any point leaves
+// the log (flushed by Close) holding exactly the acknowledged prefix,
+// and a crash a prefix short of it by at most GroupEvery−1 records:
+// Resume rebuilds a
 // verdict-identical monitor whether the run completed, was cancelled,
 // or crashed (the cancel matrix, `make cancel-matrix`, sweeps
 // deterministic cancel points across admissions, barriers, commit

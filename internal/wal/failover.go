@@ -116,23 +116,23 @@ func (b *FailoverBackend) Events() []FailoverEvent {
 // segment is re-established on it (rebaseLocked) and the writer
 // continues; a standby that itself fails during the resync is promoted
 // past in turn. Only when the backend has no Promoter, or the chain is
-// exhausted, does the writer latch the sticky fail-stop. Returns true
-// when a promoted target took over. Callers hold opMu and mu.
-func (w *Writer) failoverLocked(cause error) bool {
+// exhausted, does the writer latch the sticky fail-stop. Callers hold
+// opMu and mu.
+func (w *Writer) failoverLocked(cause error) {
 	p, ok := w.b.(Promoter)
 	if !ok {
 		w.failLocked(cause)
-		return false
+		return
 	}
 	for {
 		if perr := p.Promote(cause); perr != nil {
 			w.failLocked(fmt.Errorf("%w; failover: %v", cause, perr))
-			return false
+			return
 		}
 		err := w.rebaseLocked()
 		if err == nil {
 			w.stats.Failovers++
-			return true
+			return
 		}
 		cause = fmt.Errorf("resync after failover: %w", err)
 	}
@@ -156,28 +156,17 @@ func (w *Writer) rebaseLocked() error {
 	if err != nil {
 		return err
 	}
-	if err := w.writeAllTo(f, w.mirror); err != nil {
+	err = w.writeAllTo(f, w.mirror)
+	if err == nil {
+		err = w.syncTo(f)
+	}
+	if err != nil {
 		f.Close()
 		return err
 	}
-	for attempt := 0; ; attempt++ {
-		err := f.Sync()
-		if err == nil {
-			break
-		}
-		if attempt >= w.opts.maxRetries() {
-			f.Close()
-			return err
-		}
-		w.stats.Retries++
-		if w.backoff(attempt) {
-			f.Close()
-			return fmt.Errorf("%w (%w)", err, ErrWriterClosing)
-		}
-	}
 	w.seg = f
-	w.stats.Fsyncs++
 	w.stats.LogBytes += int64(len(w.mirror))
+	w.flushed = len(w.mirror)
 	w.pending = 0
 	w.lastSync = time.Now()
 	return nil
@@ -185,12 +174,13 @@ func (w *Writer) rebaseLocked() error {
 
 // Heal attempts to clear a fail-stop after the backend recovered
 // (e.g. a transient outage that outlasted the retry budget): the
-// active segment is rebuilt on the current target from the mirror, and
-// on success the sticky error is cleared and the sequence counter
-// rolls back to LoggedSeq — an event whose append never landed was
-// never acknowledged, and the caller (sched's buffered degradation
-// mode) re-feeds it. Healing a healthy writer is a no-op; a target
-// that is still failing leaves the fail-stop in place and returns it.
+// active segment is rebuilt on the current target from the mirror,
+// which holds every event the writer absorbed, and on success the
+// sticky error is cleared. Events emitted while fail-stopped were not
+// absorbed and did not advance the sequence, so the caller (sched's
+// buffered degradation mode) re-feeds them and the log has no gap.
+// Healing a healthy writer is a no-op; a target that is still failing
+// leaves the fail-stop in place and returns it.
 func (w *Writer) Heal() error {
 	w.opMu.Lock()
 	defer w.opMu.Unlock()
@@ -202,7 +192,6 @@ func (w *Writer) Heal() error {
 	if err := w.rebaseLocked(); err != nil {
 		return w.err
 	}
-	w.seq = w.mirrorSeq
 	w.err = nil
 	w.stats.Heals++
 	return nil
@@ -210,12 +199,8 @@ func (w *Writer) Heal() error {
 
 // LoggedSeq returns the sequence number of the last event absorbed
 // into the active segment's mirror: everything up to it is either
-// durable or will be made durable by the next successful sync,
-// failover rebase, or Heal. During a fail-stop it can trail Seq by the
-// event whose append failed — the gap a buffering caller must re-feed
-// after a successful Heal.
-func (w *Writer) LoggedSeq() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.mirrorSeq
-}
+// durable or will be made durable by the next successful flush,
+// failover rebase, or Heal. Every append is absorbed — a record is in
+// the mirror before any backend I/O can fail — so LoggedSeq equals
+// Seq; an event emitted during a fail-stop advances neither.
+func (w *Writer) LoggedSeq() uint64 { return w.Seq() }

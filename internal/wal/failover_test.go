@@ -150,10 +150,10 @@ func TestFailoverChainExhausted(t *testing.T) {
 }
 
 // TestHealAfterTransientOutage pins Heal on the sync-failure shape:
-// the failing event was absorbed into the mirror (its write landed;
-// only the fsync died), so after the outage passes one or two Heal
-// calls rebuild the segment, the sequence counter stays put, and the
-// log continues and recovers in full.
+// the failing event was absorbed into the mirror before its flush, so
+// after the outage passes one or two Heal calls rebuild the segment,
+// the sequence counter stays put, and the log continues and recovers
+// in full.
 func TestHealAfterTransientOutage(t *testing.T) {
 	mem, b, _ := injected(fault.Rule{Op: fault.OpSync, From: 1, Count: 3, Kind: fault.KindError, Msg: "controller reset"})
 	w, err := wal.NewWriter(b, wal.Options{GroupEvery: 1, SnapshotEvery: -1, MaxRetries: 1})
@@ -165,7 +165,7 @@ func TestHealAfterTransientOutage(t *testing.T) {
 		t.Fatal("outage under MaxRetries=1 should have latched fail-stop")
 	}
 	if got, want := w.LoggedSeq(), uint64(1); got != want {
-		t.Fatalf("LoggedSeq=%d, want %d (the write landed; only the sync failed)", got, want)
+		t.Fatalf("LoggedSeq=%d, want %d (the record is in the mirror; only the sync failed)", got, want)
 	}
 	healed := false
 	for i := 0; i < 3 && !healed; i++ {
@@ -198,12 +198,13 @@ func TestHealAfterTransientOutage(t *testing.T) {
 	compareMonitors(t, "heal", rec, ref, 1)
 }
 
-// TestHealRollsBackUnabsorbedSeq pins Heal on the write-failure shape:
-// the failing event never reached the mirror, so the sequence counter
-// must roll back to LoggedSeq and the caller re-feeds the event —
-// otherwise the log would hold a silent gap.
-func TestHealRollsBackUnabsorbedSeq(t *testing.T) {
-	mem, b, _ := injected(fault.Rule{Op: fault.OpWrite, From: 2, Count: 2, Kind: fault.KindError, Msg: "disk offline"})
+// TestHealRefeedLeavesNoGap pins Heal on the write-failure shape: the
+// event whose flush failed is in the mirror all the same, so it counts
+// in LoggedSeq and Heal writes it. An event emitted while fail-stopped
+// is not absorbed — Seq and LoggedSeq stay put — and once Heal clears
+// the fail-stop the caller's re-feed continues the log without a gap.
+func TestHealRefeedLeavesNoGap(t *testing.T) {
+	mem, b, _ := injected(fault.Rule{Op: fault.OpWrite, From: 1, Count: 2, Kind: fault.KindError, Msg: "disk offline"})
 	w, err := wal.NewWriter(b, wal.Options{GroupEvery: 1, SnapshotEvery: -1, MaxRetries: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -212,19 +213,20 @@ func TestHealRollsBackUnabsorbedSeq(t *testing.T) {
 	if w.Err() == nil {
 		t.Fatal("write outage under MaxRetries=1 should have latched fail-stop")
 	}
-	if got := w.Seq(); got != 1 {
-		t.Fatalf("Seq=%d during fail-stop, want 1", got)
+	if got := w.LoggedSeq(); got != 1 {
+		t.Fatalf("LoggedSeq=%d, want 1 (appending only copies into the mirror)", got)
 	}
-	if got := w.LoggedSeq(); got != 0 {
-		t.Fatalf("LoggedSeq=%d, want 0 (the append never landed)", got)
+	w.LogObserve(txn.W(1, "x1", 1)) // emitted while fail-stopped
+	if s, l := w.Seq(), w.LoggedSeq(); s != 1 || l != 1 {
+		t.Fatalf("Seq=%d LoggedSeq=%d after an emission during fail-stop, want 1 and 1", s, l)
 	}
 	if err := w.Heal(); err != nil {
 		t.Fatalf("heal: %v", err)
 	}
-	if got := w.Seq(); got != 0 {
-		t.Fatalf("Seq=%d after heal, want rollback to 0", got)
+	if got := w.Seq(); got != 1 {
+		t.Fatalf("Seq=%d after heal, want 1", got)
 	}
-	w.LogObserve(txn.W(1, "x0", 1)) // the caller's re-feed
+	w.LogObserve(txn.W(1, "x1", 1)) // the caller's re-feed
 	w.LogCommit(1)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -233,14 +235,15 @@ func TestHealRollsBackUnabsorbedSeq(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.LastSeq != 2 {
-		t.Fatalf("LastSeq=%d, want 2", info.LastSeq)
+	if info.LastSeq != 3 || info.Torn {
+		t.Fatalf("LastSeq=%d torn=%v, want 3 and a clean log", info.LastSeq, info.Torn)
 	}
 	ref := core.NewMonitor(walPartition())
 	ref.SetAutoCompact(0)
 	ref.Observe(txn.W(1, "x0", 1))
+	ref.Observe(txn.W(1, "x1", 1))
 	ref.Commit(1)
-	compareMonitors(t, "heal rollback", rec, ref, 1)
+	compareMonitors(t, "heal re-feed", rec, ref, 1)
 }
 
 // corruptibleLog runs a snapshot-cutting workload with every segment

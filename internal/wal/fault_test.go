@@ -2,6 +2,7 @@ package wal_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -202,6 +203,186 @@ func TestSnapshotCutFailureContinues(t *testing.T) {
 		t.Fatalf("LastSeq=%d, want %d", info.LastSeq, len(applied))
 	}
 	compareMonitors(t, "cut failure", rec, m, 4)
+}
+
+// TestGroupFlushFaults runs the fault shapes at group sizes above one,
+// where a fault lands on a flush that carries a whole group: a write
+// error, a torn write and a sync error, each transient (inside the
+// retry budget) or persistent (past it), with and without a standby.
+// A run that ends healthy must close durable in full; a fail-stopped
+// one must recover a prefix verdict-identical to the absorbed stream,
+// short of it by at most the one group whose flush failed.
+func TestGroupFlushFaults(t *testing.T) {
+	shapes := []struct {
+		name string
+		op   fault.Op
+		kind fault.Kind
+	}{
+		{"write_error", fault.OpWrite, fault.KindError},
+		{"torn_write", fault.OpWrite, fault.KindTorn},
+		{"sync_error", fault.OpSync, fault.KindError},
+	}
+	for _, group := range []int{2, 16} {
+		for _, sh := range shapes {
+			for _, persistent := range []bool{false, true} {
+				for _, standby := range []bool{false, true} {
+					name := fmt.Sprintf("g%d/%s/persistent=%v/standby=%v", group, sh.name, persistent, standby)
+					t.Run(name, func(t *testing.T) {
+						count := int64(2) // MaxRetries 2 absorbs two failures
+						if persistent {
+							count = 0
+						}
+						inj := fault.NewInjector(fault.Plan{Rules: []fault.Rule{
+							{Site: "wal/primary", Op: sh.op, From: 3, Count: count, Kind: sh.kind, Msg: "device fault"},
+						}})
+						primary, spare := wal.NewMemBackend(), wal.NewMemBackend()
+						var b wal.Backend = wal.NewInjectBackend(primary, inj, "wal/primary")
+						if standby {
+							b = wal.NewFailoverBackend(b, spare)
+						}
+						w, err := wal.NewWriter(b, wal.Options{GroupEvery: group, SnapshotEvery: -1, MaxRetries: 2})
+						if err != nil {
+							t.Fatal(err)
+						}
+						m := core.NewMonitor(walPartition())
+						applied := runWorkload(t, m, w, workloadCfg{
+							seed: 61, nTxns: 4, steps: 240, gated: true, commitPct: 12, retractPct: 5, compactEvery: 10,
+						})
+						if inj.Fired() == 0 {
+							t.Fatal("the fault never fired; retune the workload")
+						}
+						st := w.Stats()
+						if persistent && !standby {
+							if w.Err() == nil {
+								t.Fatal("a persistent fault without a standby did not fail-stop")
+							}
+							if err := w.Close(); err == nil {
+								t.Fatal("Close of a fail-stopped writer reported success")
+							}
+							absorbed := applied[:w.Seq()]
+							rec, info, err := wal.Recover(primary, walPartition())
+							if err != nil {
+								t.Fatalf("recover after fail-stop: %v", err)
+							}
+							if info.LastSeq > uint64(len(absorbed)) || len(absorbed)-int(info.LastSeq) > group {
+								t.Fatalf("LastSeq=%d for %d absorbed events, group %d", info.LastSeq, len(absorbed), group)
+							}
+							compareMonitors(t, "fail-stop prefix", rec, newReference(absorbed).at(int(info.LastSeq)), 4)
+							return
+						}
+						if err := w.Err(); err != nil {
+							t.Fatalf("fault was not absorbed: %v", err)
+						}
+						survivor := primary
+						switch {
+						case persistent:
+							if st.Failovers != 1 {
+								t.Fatalf("Failovers=%d, want 1", st.Failovers)
+							}
+							survivor = spare
+						case st.Retries < 2:
+							t.Fatalf("Retries=%d, want >= 2", st.Retries)
+						}
+						if err := w.Close(); err != nil {
+							t.Fatal(err)
+						}
+						rec, info, err := wal.Recover(survivor, walPartition())
+						if err != nil {
+							t.Fatal(err)
+						}
+						if info.LastSeq != uint64(len(applied)) || info.Torn {
+							t.Fatalf("LastSeq=%d torn=%v, want %d and a clean log", info.LastSeq, info.Torn, len(applied))
+						}
+						compareMonitors(t, "closed", rec, m, 4)
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestFailedFlushKeepsSnapshotStream is the regression test for a
+// group flush that fails past the retry bound with no standby. The
+// record that closed the group is in the mirror (LoggedSeq counts it,
+// Heal writes it), so its bookkeeping — the surviving stream, and for
+// a compact record the counter block and the cut cadence — must be
+// applied too; otherwise the first snapshot cut after Heal writes a
+// stream that disagrees with the log. Each variant fails the flush
+// that a different record kind closes. The recovered monitor must
+// match the live one, and keep matching through one more compaction
+// pass (a commit missing from the snapshot shows only there).
+func TestFailedFlushKeepsSnapshotStream(t *testing.T) {
+	type step struct {
+		kind byte // 'o' observe W(txn, item), 'c' commit, 'r' retract, 'k' compact, 's' cut, 'h' heal
+		txn  int
+		item string
+	}
+	o := func(id int, item string) step { return step{kind: 'o', txn: id, item: item} }
+	c := func(id int) step { return step{kind: 'c', txn: id} }
+	r := func(id int) step { return step{kind: 'r', txn: id} }
+	k, s, h := step{kind: 'k'}, step{kind: 's'}, step{kind: 'h'}
+	for _, v := range []struct {
+		name string
+		from int64 // first failing sync; it fails twice, past MaxRetries 1
+		plan []step
+	}{
+		{"observe", 1, []step{o(1, "x0"), o(2, "x0"), h, c(1), k}},
+		{"commit", 2, []step{o(2, "x0"), o(1, "x0"), o(3, "x1"), c(1), h, k, c(2)}},
+		{"retract", 1, []step{o(1, "x0"), r(1), h, o(2, "x1"), c(2), k}},
+		{"compact", 2, []step{o(1, "x0"), c(1), o(2, "x1"), k, h, s}},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			mem, b, _ := injected(fault.Rule{Op: fault.OpSync, From: v.from, Count: 2, Kind: fault.KindError, Msg: "controller reset"})
+			w, err := wal.NewWriter(b, wal.Options{GroupEvery: 2, SnapshotEvery: 1, MaxRetries: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := core.NewMonitor(walPartition())
+			m.SetAutoCompact(0)
+			m.SetSink(w)
+			for _, st := range v.plan {
+				switch st.kind {
+				case 'o':
+					m.Observe(txn.W(st.txn, st.item, 1))
+				case 'c':
+					m.Commit(st.txn)
+				case 'r':
+					m.Retract(st.txn)
+				case 'k':
+					m.Compact()
+				case 's':
+					if err := w.CutSnapshot(); err != nil {
+						t.Fatalf("cut: %v", err)
+					}
+				case 'h':
+					if w.Err() == nil {
+						t.Fatal("the failing group flush did not fail-stop")
+					}
+					if err := w.Heal(); err != nil {
+						t.Fatalf("heal: %v", err)
+					}
+				}
+			}
+			m.SetSink(nil)
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if st := w.Stats(); st.Heals != 1 || st.Snapshots == 0 {
+				t.Fatalf("Heals=%d Snapshots=%d, want one heal and a cut after it", st.Heals, st.Snapshots)
+			}
+			rec, info, err := wal.Recover(mem, walPartition())
+			if err != nil {
+				t.Fatalf("recover: %v", err)
+			}
+			if info.LastSeq != w.Seq() {
+				t.Fatalf("LastSeq=%d, want %d", info.LastSeq, w.Seq())
+			}
+			compareMonitors(t, "recovered", rec, m, 3)
+			rec.Compact()
+			m.Compact()
+			compareMonitors(t, "after one more pass", rec, m, 3)
+		})
+	}
 }
 
 // TestBackoffDoesNotBlockInspection is the regression test for the

@@ -28,14 +28,15 @@ func segName(idx int) string { return fmt.Sprintf("%08d%s", idx, segSuffix) }
 // sync on every record, snapshot at every compaction pass, three
 // bounded retries, delete superseded segments.
 type Options struct {
-	// GroupEvery is the group-commit window: the writer fsyncs once
-	// per this many appended records (≤ 1 syncs every record). A
-	// larger window amortizes the fsync at the cost of a bounded
-	// durability lag — a crash can lose up to GroupEvery−1 acknowledged
-	// grants.
+	// GroupEvery is the group-commit window: appends only copy into
+	// memory, and once per this many records the writer hands the
+	// group to the backend in one write and fsyncs it (≤ 1 flushes
+	// every record). A larger window amortizes the write and the fsync
+	// at the cost of a bounded durability lag — a process or machine
+	// crash can lose up to GroupEvery−1 acknowledged records.
 	GroupEvery int
 	// GroupWindow, when positive, bounds the group-commit latency: an
-	// append also syncs when this much time passed since the last
+	// append also flushes when this much time passed since the last
 	// sync, so a quiet stream does not hold records unsynced
 	// indefinitely.
 	GroupWindow time.Duration
@@ -151,7 +152,7 @@ func eventTxn(ev core.Event) int {
 
 // Writer is the durable lifecycle sink: attach it to a monitor with
 // SetSink (or a gate with sched.AttachJournal) and every lifecycle
-// event is framed, CRC'd, and appended to the backend, with group
+// event is framed, CRC'd, and buffered for the backend, with group
 // commit, snapshot cuts at the compaction low watermark, bounded
 // retry, and fail-stop degradation as described in the package
 // comment. Methods are safe for concurrent use, but the lifecycle
@@ -189,20 +190,18 @@ type Writer struct {
 	// compactsSinceCut drives the SnapshotEvery cadence.
 	compactsSinceCut int
 
-	// mirror is the byte-exact in-memory image of the active segment:
-	// the genesis header or surviving snapshot it begins with, plus
-	// every frame appended since. Failover replays it onto a promoted
-	// standby, and Heal onto a recovered backend — the re-established
-	// segment is byte-identical to the one the failed target was
-	// supposed to hold, so every recovery invariant (compact-point
-	// cuts, strict sequence continuity) carries over unchanged. Its
-	// size is bounded by the snapshot cadence, like live.
-	mirror []byte
-	// mirrorSeq is the sequence number of the last event reflected in
-	// mirror (what LoggedSeq reports); Heal rolls the writer's seq back
-	// to it, since an event whose append never landed was never
-	// acknowledged.
-	mirrorSeq uint64
+	// mirror is the byte-exact in-memory image of the active segment
+	// and its write buffer: the genesis header or surviving snapshot it
+	// begins with, plus every frame appended since. Appending frames a
+	// record here; mirror[flushed:] is what the next flush writes.
+	// Failover replays the whole mirror onto a promoted standby, and
+	// Heal onto a recovered backend — the re-established segment is
+	// byte-identical to the one the failed target was supposed to hold,
+	// so every recovery invariant (compact-point cuts, strict sequence
+	// continuity) carries over unchanged. Its size is bounded by the
+	// snapshot cadence, like live.
+	mirror  []byte
+	flushed int
 	// rng is the splitmix64 state behind backoff jitter (timing-only;
 	// a fixed seed keeps the writer allocation-free and deterministic
 	// to construct).
@@ -214,14 +213,14 @@ type Writer struct {
 	stopc    chan struct{}
 	stopOnce sync.Once
 
-	// payload/frame are encoding scratch, reused across records.
+	// payload is encoding scratch, reused across records.
 	payload []byte
-	frame   []byte
 }
 
 // NewWriter creates a fresh log on the backend and returns its
 // writer. The backend must hold no segments (recover an existing log
-// with Resume).
+// with Resume). The genesis header is buffered like a record and
+// reaches the segment with the first flush.
 func NewWriter(b Backend, opts Options) (*Writer, error) {
 	names, err := b.List()
 	if err != nil {
@@ -230,24 +229,11 @@ func NewWriter(b Backend, opts Options) (*Writer, error) {
 	if len(names) > 0 {
 		return nil, fmt.Errorf("wal: backend already holds %d segment(s); use Resume", len(names))
 	}
-	w := &Writer{b: b, opts: opts, segIndex: -1, lastSync: time.Now(), stopc: make(chan struct{})}
 	f, err := b.Create(segName(0))
 	if err != nil {
 		return nil, fmt.Errorf("wal: create genesis segment: %w", err)
 	}
-	// writeAllTo's backoff drops and reacquires mu, so mu must be held
-	// even though the writer has not escaped yet.
-	w.mu.Lock()
-	werr := w.writeAllTo(f, []byte(segMagic))
-	w.mu.Unlock()
-	if werr != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: write genesis header: %w", werr)
-	}
-	w.seg = f
-	w.segIndex = 0
-	w.mirror = append(w.mirror, segMagic...)
-	return w, nil
+	return &Writer{b: b, opts: opts, seg: f, lastSync: time.Now(), stopc: make(chan struct{}), mirror: []byte(segMagic)}, nil
 }
 
 // Err returns the sticky fail-stop error, or nil.
@@ -283,9 +269,8 @@ func (w *Writer) LogObserve(o txn.Op) {
 	w.seq++
 	w.payload = appendObserve(w.payload[:0], w.seq, o)
 	w.appendLocked(w.payload)
-	if w.err == nil {
-		w.live = append(w.live, liveEvent{seq: w.seq, ev: core.Event{Kind: core.EventObserve, Op: o}})
-	}
+	w.live = append(w.live, liveEvent{seq: w.seq, ev: core.Event{Kind: core.EventObserve, Op: o}})
+	w.groupLocked()
 }
 
 // LogCommit implements core.LifecycleSink.
@@ -309,9 +294,6 @@ func (w *Writer) logTxn(kind byte, evKind core.EventKind, txnID int) {
 	w.seq++
 	w.payload = appendTxnRecord(w.payload[:0], kind, w.seq, txnID)
 	w.appendLocked(w.payload)
-	if w.err != nil {
-		return
-	}
 	if evKind == core.EventRetract {
 		// A retracted transaction's history is as if it never ran: its
 		// events leave the surviving stream (only observes — a
@@ -320,12 +302,16 @@ func (w *Writer) logTxn(kind byte, evKind core.EventKind, txnID int) {
 	} else {
 		w.live = append(w.live, liveEvent{seq: w.seq, ev: core.Event{Kind: evKind, Txn: txnID}})
 	}
+	w.groupLocked()
 }
 
 // LogCompact implements core.LifecycleSink: the pass is logged, the
 // reclaimed transactions leave the surviving stream, the counter
 // block is latched for the next snapshot header, and — on the
-// SnapshotEvery cadence — a snapshot segment is cut.
+// SnapshotEvery cadence — a snapshot segment is cut. The stream, the
+// counters and the cadence are updated before the group flush, so the
+// record is in the mirror and in the next snapshot whatever the flush
+// returns; the cut follows the flush.
 func (w *Writer) LogCompact(reclaimed []int, stats core.CompactStats, ops int) {
 	w.opMu.Lock()
 	defer w.opMu.Unlock()
@@ -337,9 +323,6 @@ func (w *Writer) LogCompact(reclaimed []int, stats core.CompactStats, ops int) {
 	w.seq++
 	w.payload = appendCompact(w.payload[:0], w.seq, reclaimed)
 	w.appendLocked(w.payload)
-	if w.err != nil {
-		return
-	}
 	if len(reclaimed) > 0 {
 		gone := make(map[int]bool, len(reclaimed))
 		for _, id := range reclaimed {
@@ -358,7 +341,8 @@ func (w *Writer) LogCompact(reclaimed []int, stats core.CompactStats, ops int) {
 	if every == 0 {
 		every = 1
 	}
-	if every > 0 && w.compactsSinceCut >= every {
+	w.groupLocked()
+	if every > 0 && w.compactsSinceCut >= every && w.err == nil {
 		w.cutLocked()
 	}
 }
@@ -378,15 +362,18 @@ func (w *Writer) dropLive(gone func(txnID int) bool) {
 // Barrier reports whether everything acknowledged so far can still be
 // made durable: nil while the writer is healthy, the sticky
 // fail-stop error once the backend has failed past the retry bound.
-// It does not force a sync — group commit's bounded durability lag is
-// the configured trade (use Sync for a hard flush point).
+// It neither writes nor syncs: up to GroupEvery−1 records acknowledged
+// under a nil Barrier may still be only in memory — group commit's
+// bounded durability lag is the configured trade (use Sync for a hard
+// flush point).
 func (w *Writer) Barrier() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.err
 }
 
-// Sync forces the pending group to the backend now.
+// Sync forces the pending group to the backend now: one write and a
+// sync.
 func (w *Writer) Sync() error {
 	w.opMu.Lock()
 	defer w.opMu.Unlock()
@@ -395,7 +382,7 @@ func (w *Writer) Sync() error {
 	if w.err != nil {
 		return w.err
 	}
-	w.syncLocked()
+	w.flushLocked()
 	return w.err
 }
 
@@ -450,7 +437,7 @@ func (w *Writer) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err == nil {
-		w.syncLocked()
+		w.flushLocked()
 	}
 	err := w.err
 	if w.seg != nil {
@@ -462,71 +449,73 @@ func (w *Writer) Close() error {
 	return err
 }
 
-// appendLocked frames the payload and appends it to the active
-// segment, applying the group-commit policy. A write that fails past
-// the retry bound attempts a failover (the frame is re-appended on the
-// promoted target after the mirror resync); only when no standby can
-// take over does the writer go fail-stop (w.err set).
+// appendLocked frames the payload into the mirror. It does no backend
+// I/O: the record reaches the active segment with the next flush.
 func (w *Writer) appendLocked(payload []byte) {
-	w.frame = appendFrame(w.frame[:0], payload)
-	for {
-		err := w.writeAllTo(w.seg, w.frame)
-		if err == nil {
-			break
-		}
-		if !w.failoverLocked(fmt.Errorf("append record: %w", err)) {
-			return
-		}
-	}
-	w.mirror = append(w.mirror, w.frame...)
-	w.mirrorSeq = w.seq
+	n := len(w.mirror)
+	w.mirror = appendFrame(w.mirror, payload)
 	w.stats.Records++
-	w.stats.LogBytes += int64(len(w.frame))
+	w.stats.LogBytes += int64(len(w.mirror) - n)
 	w.pending++
+}
+
+// groupLocked applies the group-commit policy after an append's
+// bookkeeping: a full group (or an expired GroupWindow) is flushed.
+func (w *Writer) groupLocked() {
 	if w.pending >= w.opts.groupEvery() ||
 		(w.opts.GroupWindow > 0 && time.Since(w.lastSync) >= w.opts.GroupWindow) {
-		w.syncLocked()
+		w.flushLocked()
 	}
 }
 
-// syncLocked syncs the active segment with bounded retries; on
-// exhaustion it attempts a failover — the mirror already holds every
-// pending frame, so a successful rebase writes and syncs them on the
-// promoted target and there is nothing left to flush — and goes
-// fail-stop only when that too is impossible.
-func (w *Writer) syncLocked() {
+// flushLocked writes the buffered tail of the mirror to the active
+// segment in one backend write and syncs it, each with bounded
+// retries. On exhaustion it attempts a failover — a successful rebase
+// writes and syncs the whole mirror on the promoted target, so there
+// is nothing left to flush — and goes fail-stop only when that too is
+// impossible.
+func (w *Writer) flushLocked() {
+	if err := w.writeAllTo(w.seg, w.mirror[w.flushed:]); err != nil {
+		w.failoverLocked(fmt.Errorf("write: %w", err))
+		return
+	}
+	w.flushed = len(w.mirror)
+	if err := w.syncTo(w.seg); err != nil {
+		w.failoverLocked(fmt.Errorf("sync: %w", err))
+		return
+	}
+	w.pending = 0
+	w.lastSync = time.Now()
+}
+
+// syncTo syncs f, retrying a failed sync with bounded backoff.
+func (w *Writer) syncTo(f File) error {
 	for attempt := 0; ; attempt++ {
-		err := w.seg.Sync()
+		err := f.Sync()
 		if err == nil {
 			w.stats.Fsyncs++
-			w.pending = 0
-			w.lastSync = time.Now()
-			return
+			return nil
 		}
 		if attempt >= w.opts.maxRetries() {
-			w.failoverLocked(fmt.Errorf("sync: %w", err))
-			return
+			return err
 		}
 		w.stats.Retries++
 		if w.backoff(attempt) {
-			w.failoverLocked(fmt.Errorf("sync: %w (%w)", err, ErrWriterClosing))
-			return
+			return fmt.Errorf("%w (%w)", err, ErrWriterClosing)
 		}
 	}
 }
 
 // writeAllTo writes p to f completely, retrying the remainder of a
-// short or failed write with bounded backoff. A final failure can
-// leave a torn tail on f — exactly the state recovery tolerates.
+// short or failed write with bounded backoff; an empty p writes
+// nothing. A final failure can leave a torn tail on f — exactly the
+// state recovery tolerates.
 func (w *Writer) writeAllTo(f File, p []byte) error {
-	for attempt := 0; ; attempt++ {
+	for attempt := 0; len(p) > 0; attempt++ {
 		n, err := f.Write(p)
-		if n < 0 {
-			n = 0
-		}
-		p = p[n:]
+		p = p[max(n, 0):]
 		if len(p) == 0 {
-			return nil
+			break
 		}
 		if err == nil {
 			err = fmt.Errorf("short write (%d bytes left)", len(p))
@@ -539,6 +528,7 @@ func (w *Writer) writeAllTo(f File, p []byte) error {
 			return fmt.Errorf("%w (%w)", err, ErrWriterClosing)
 		}
 	}
+	return nil
 }
 
 // backoff sleeps between retry attempts: linear in the attempt
@@ -555,16 +545,11 @@ func (w *Writer) writeAllTo(f File, p []byte) error {
 // The sleep is interruptible: Close closes stopc before queuing on the
 // operation lock, and backoff returns true the moment it fires — the
 // caller abandons the retry (fail fast, wrapping ErrWriterClosing)
-// instead of making Close wait out the capped jittered schedule.
+// instead of making Close wait out the capped jittered schedule. A
+// zero RetryBackoff does not sleep, so there is nothing to interrupt:
+// the retry budget holds, Close's own final flush included.
 func (w *Writer) backoff(attempt int) (interrupted bool) {
 	if w.opts.RetryBackoff <= 0 {
-		if w.stopc != nil {
-			select {
-			case <-w.stopc:
-				return true
-			default:
-			}
-		}
 		return false
 	}
 	d := w.opts.RetryBackoff * time.Duration(attempt+1)
@@ -608,7 +593,7 @@ func (w *Writer) failLocked(err error) {
 	}
 }
 
-// cutLocked cuts a snapshot: the active segment is synced (the cut
+// cutLocked cuts a snapshot: the active segment is flushed (the cut
 // boundary must be durable before anything supersedes it), the next
 // segment is created and seeded with the surviving stream between
 // snapshot-begin/end records, synced, and the superseded segments are
@@ -619,7 +604,7 @@ func (w *Writer) failLocked(err error) {
 func (w *Writer) cutLocked() {
 	w.compactsSinceCut = 0
 	if w.seg != nil {
-		w.syncLocked()
+		w.flushLocked()
 		if w.err != nil {
 			return
 		}
@@ -668,7 +653,7 @@ func (w *Writer) cutLocked() {
 	}
 	w.seg = f
 	w.mirror = buf
-	w.mirrorSeq = w.seq
+	w.flushed = len(buf)
 	oldIdx := w.segIndex
 	w.segIndex = newIdx
 	w.pending = 0
