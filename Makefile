@@ -190,11 +190,13 @@ profile-batch:
 # profile-batch-round writes a CPU profile of a whole batch round on the
 # block-parallel engine (PERF17's family: batch-rw's shape — speculation,
 # validation, commit, snapshot readers and admission through the gate)
-# to batch.prof, with the test binary beside it; read it with
+# to batch.prof and its allocation profile to batch.mem, with the test
+# binary beside them; read them with
 #   go tool pprof -top -focus 'ExecuteBatchCtx' pwsr.test batch.prof
+#   go tool pprof -sample_index=alloc_objects -top pwsr.test batch.mem
 .PHONY: profile-batch-round
 profile-batch-round:
-	$(GO) test . -run '^$$' -bench 'BenchmarkBatchRound' -benchmem -benchtime=3000x -cpuprofile batch.prof -o pwsr.test
+	$(GO) test . -run '^$$' -bench 'BenchmarkBatchRound' -benchmem -benchtime=3000x -cpuprofile batch.prof -memprofile batch.mem -o pwsr.test
 
 # profile-tick writes a CPU profile of the tick engine under abort and
 # restart (PERF16's family: hot-tick's shape through OptimisticCertify
@@ -248,8 +250,11 @@ test:
 # (TestZeroAllocGatePick, TestZeroAllocDelayedReadPick), victim
 # selection (TestZeroAllocVictim), the tick engine's grant path
 # (TestTickEngineAllocs), a victim's abort, restart and re-park
-# (TestZeroAllocTickRestart), a batch round's per-transaction cost
-# (TestBatchEngineAllocs: nothing per operation) or the interpreter's
+# (TestZeroAllocTickRestart), a batch round's cost (TestBatchEngineAllocs:
+# a constant per batch, nothing per transaction or operation, with and
+# without a sharded gate compacting inside the window), whole-transaction
+# admission with its compaction passes (TestZeroAllocFreshAdmission: at
+# most 0.25 per transaction) or the interpreter's
 # one-slot-array-per-Run state (TestInterpRunAllocs) fails
 # CI here, not just benchmarks. That leg also carries the sharded
 # monitor's cost-shape pin (TestZeroAllocShardedAdmitLiveSetIndependent:

@@ -97,13 +97,21 @@
 // admitted as a whole transaction through the certification gate
 // (sched's AdmitTxn over the sharded monitor's AdmitSequence), making
 // the committed schedule PWSR by construction; EXPERIMENTS.md PERF10
-// records the per-core scaling study and its CI regression gate. A
-// batch costs what is in it (PERF17): attempts and readers record their
-// operations, and reads their stamps, in arenas their worker keeps
-// across batches; the commit applies the write operations themselves;
-// a declared reader's program was judged read-only when it was built
-// (program.ReadOnly); and the store's accounting and floor moves visit
-// what was written, not every item. Copying the final state into
+// records the per-core scaling study and its CI regression gate.
+// Admission is the observe loop alone: a fresh transaction admitted
+// whole gains conflict edges only into itself, so it can close no cycle
+// and is never probed, never denied, never rolled back
+// (core.Monitor.AdmitSequence; TestFreshSequenceNeverDenied). A batch
+// costs what is in it (PERF17) and allocates only what its Result owns
+// — the schedule, Final and the metrics (PERF19): attempts and readers
+// record their operations, and reads their stamps, in arenas their
+// worker keeps across batches, and run on the worker's one
+// program.Machine; the engine keeps its id lists, attempt slab and
+// committed-operation buffer; the commit applies the write operations
+// themselves; a declared reader's program was judged read-only when it
+// was built (program.ReadOnly); the store's accounting and floor moves
+// visit what was written, not every item; and the certifier recycles
+// what a compaction pass reclaims. Copying the final state into
 // Result.Final is the one step proportional to the store.
 //
 // The admission hot path is allocation-free in steady state: the
@@ -114,7 +122,13 @@
 // lookup until the certification state it depends on actually moves;
 // the soundness rule and its monotonicity argument are in the core
 // package comment). The engine surfaces the cache counters through
-// Metrics.ProbeHits/ProbeMisses/ProbeInvalidations.
+// Metrics.ProbeHits/ProbeMisses/ProbeInvalidations. Compaction keeps
+// it so: a pass filters every table in place, keeping its capacity, and
+// hands a reclaimed transaction's node slots, lists and table entries
+// to the next fresh ones, so a steady commit stream allocates nothing
+// per transaction either (TestZeroAllocFreshAdmission). What a
+// certifier retains is bounded by the largest population it held
+// between two passes (the core package comment states the bound).
 //
 // The certification gates tick incrementally: a tick costs what changed
 // since the last one, not what is pending. Each gate carries its

@@ -12,10 +12,12 @@ import (
 	"pwsr/internal/txn"
 )
 
-// admitSequenceRef is the reference semantics of AdmitSequence,
+// admitSequenceRef is what AdmitSequence must be equivalent to,
 // expressed through the public per-op entry points on an independent
 // certifier: probe each operation, observe it on success, and on the
-// first denial retract the observed prefix.
+// first denial retract the observed prefix. AdmitSequence itself does
+// not probe, since a fresh sequence is never denied; the test fails if
+// this reference ever denies one.
 func admitSequenceRef(m *core.Monitor, ops []txn.Op) (bool, *core.Violation) {
 	if v := m.Violation(); v != nil {
 		return false, v
@@ -53,10 +55,14 @@ func admitSequenceRef(m *core.Monitor, ops []txn.Op) (bool, *core.Violation) {
 // AdmitSequence doc), so the interleaved per-op traffic is what
 // supplies violations; once one trips, the sequence path must surface
 // the sticky verdict on every certifier. The test asserts every regime
-// actually occurred.
+// actually occurred, and that the passes reclaimed enough for fresh
+// sequences to be handed recycled node slots, conjunct lists and
+// transaction-table entries often (a Spares or FreeEntries count that
+// falls across an admission).
 func TestAdmitSequenceDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	accepts, stickyDenials, reclaims, partialRetracts, readmits, reretracts := 0, 0, 0, 0, 0, 0
+	reusedSlots, reusedShardSlots, reusedEntries := 0, 0, 0
 	for trial := 0; trial < 150; trial++ {
 		nItems := 2 + rng.Intn(6)
 		wide := trial%2 == 1
@@ -189,13 +195,24 @@ func TestAdmitSequenceDifferential(t *testing.T) {
 					seq[i] = randOp(id)
 				}
 				wantOK, wantV := admitSequenceRef(ref, seq)
+				spares := mon.Spares()
 				gotOK, gotV := mon.AdmitSequence(seq)
+				if mon.Spares() < spares {
+					reusedSlots++
+				}
 				if gotOK != wantOK {
 					t.Fatalf("trial %d T%d: Monitor.AdmitSequence %v, reference %v", trial, id, gotOK, wantOK)
 				}
 				sameViolation(t, trial, gotV, wantV)
 				for _, sm := range sharded {
+					spares, free := sm.Spares(), sm.FreeEntries()
 					smOK, smV := sm.AdmitSequence(seq)
+					if sm.Shards() > 1 && sm.Spares() < spares {
+						reusedShardSlots++
+					}
+					if sm.FreeEntries() < free {
+						reusedEntries++
+					}
 					if smOK != wantOK {
 						t.Fatalf("trial %d T%d shards=%d: sharded %v, reference %v", trial, id, sm.Shards(), smOK, wantOK)
 					}
@@ -310,6 +327,200 @@ func TestAdmitSequenceDifferential(t *testing.T) {
 	if accepts == 0 || stickyDenials == 0 || reclaims == 0 || partialRetracts == 0 || readmits == 0 || reretracts == 0 {
 		t.Fatalf("differential missed a regime: %d sequence accepts, %d sticky-verdict denials, %d reclaiming passes, %d partial-footprint retractions, %d re-admissions, %d repeated retractions",
 			accepts, stickyDenials, reclaims, partialRetracts, readmits, reretracts)
+	}
+	t.Logf("recycled slots handed out: %d by Monitor, %d by multi-shard monitors; %d table entries", reusedSlots, reusedShardSlots, reusedEntries)
+	if reusedSlots < 100 || reusedShardSlots < 100 || reusedEntries < 100 {
+		t.Fatalf("recycling too thin: %d recycled slots handed out by Monitor, %d by multi-shard monitors, %d table entries", reusedSlots, reusedShardSlots, reusedEntries)
+	}
+}
+
+// TestFreshSequenceNeverDenied tests the theorem that lets AdmitSequence
+// skip the probe: a fresh transaction's operations, observed in order,
+// are each admissible when they arrive, whatever state the certifier is
+// in. Random fresh sequences — new ids, and ids of aborted tick
+// transactions admitted again — are probed operation by operation with
+// Admissible, then observed, on Monitor and on ShardedMonitor at 1..8
+// shards, between steps of in-flight tick traffic: per-operation
+// observations gated the way a certifying scheduler gates them (a
+// denied requester is aborted, so the certifiers stay healthy),
+// retractions, commits and compaction passes. Every probe of a fresh
+// sequence must pass on every certifier. The test counts, for each
+// regime, the sequences that met it — tick transactions in flight, a
+// retraction, a commit, a reclaiming pass since the previous sequence,
+// a re-admitted id, an edge drawn into the fresh transaction — and
+// fails as vacuous unless each occurred.
+func TestFreshSequenceNeverDenied(t *testing.T) {
+	type certifier interface {
+		Observe(txn.Op) *core.Violation
+		Admissible(txn.Op) bool
+		Retract(int)
+		Commit(int)
+		Compact() int
+		SetAutoCompact(int) int
+		PWSR() bool
+	}
+	rng := rand.New(rand.NewSource(113))
+	probes := 0
+	var inFlight, afterRetract, afterCommit, afterPass, readmitted, edgesInto int
+	for trial := 0; trial < 120; trial++ {
+		items := make([]string, 2+rng.Intn(6))
+		for i := range items {
+			items[i] = fmt.Sprintf("x%d", i)
+		}
+		partition := randomPartition(rng, items, trial%3 == 0)
+		if trial%2 == 1 {
+			partition = make([]state.ItemSet, 8+rng.Intn(3))
+			for e := range partition {
+				partition[e] = state.NewItemSet()
+			}
+			for _, it := range items {
+				partition[rng.Intn(len(partition))].Add(it)
+			}
+		}
+		mon := core.NewMonitor(partition)
+		certs := []certifier{mon}
+		for shards := 1; shards <= 8; shards++ {
+			certs = append(certs, core.NewShardedMonitor(partition, shards))
+		}
+		autoEvery := []int{0, 3}[trial%2]
+		for _, c := range certs {
+			c.SetAutoCompact(autoEvery)
+		}
+		randOp := func(id int) txn.Op {
+			if rng.Intn(2) == 0 {
+				return txn.R(id, items[rng.Intn(len(items))], 0)
+			}
+			return txn.W(id, items[rng.Intn(len(items))], 1)
+		}
+		admissible := func(o txn.Op) bool {
+			want := mon.Admissible(o)
+			for _, c := range certs[1:] {
+				if got := c.Admissible(o); got != want {
+					t.Fatalf("trial %d: Admissible(%v) = %v on a sharded monitor, %v on Monitor", trial, o, got, want)
+				}
+			}
+			return want
+		}
+		observe := func(o txn.Op) {
+			for _, c := range certs {
+				if v := c.Observe(o); v != nil {
+					t.Fatalf("trial %d: observing admissible %v violated: %v", trial, o, v)
+				}
+			}
+		}
+		each := func(f func(certifier)) {
+			for _, c := range certs {
+				f(c)
+			}
+		}
+
+		nextID := 1
+		tick := make([]int, 3)         // in-flight tick transactions (0: idle slot)
+		resident := make(map[int]bool) // tick transactions holding operations
+		var aborted, uncommitted []int // aborted tick ids; sequences not yet committed
+		retracted, committed, reclaimed := false, false, false
+		for step := 0; step < 60; step++ {
+			switch r := rng.Intn(100); {
+			case r < 40:
+				k := rng.Intn(len(tick))
+				if tick[k] == 0 {
+					tick[k] = nextID
+					nextID++
+				}
+				o := randOp(tick[k])
+				if admissible(o) {
+					observe(o)
+					resident[o.Txn] = true
+					continue
+				}
+				// The scheduler aborts the denied requester.
+				each(func(c certifier) { c.Retract(o.Txn) })
+				delete(resident, o.Txn)
+				aborted = append(aborted, o.Txn)
+				tick[k] = 0
+				retracted = true
+			case r < 70:
+				id := nextID
+				readmit := len(aborted) > 0 && rng.Intn(3) == 0
+				if readmit {
+					id, aborted = aborted[0], aborted[1:]
+					readmitted++
+				} else {
+					nextID++
+				}
+				if len(resident) > 0 {
+					inFlight++
+				}
+				if retracted {
+					afterRetract++
+				}
+				if committed {
+					afterCommit++
+				}
+				if reclaimed {
+					afterPass++
+				}
+				retracted, committed, reclaimed = false, false, false
+				for n := 1 + rng.Intn(6); n > 0; n-- {
+					o := randOp(id)
+					probes++
+					if !admissible(o) {
+						t.Fatalf("trial %d: operation %v of fresh transaction T%d denied", trial, o, id)
+					}
+					observe(o)
+				}
+				for e := range partition {
+					if slices.ContainsFunc(mon.ConflictEdges(e), func(edge [2]int) bool { return edge[1] == id }) {
+						edgesInto++
+						break
+					}
+				}
+				uncommitted = append(uncommitted, id)
+			case r < 85:
+				// Commit a sequence or an in-flight tick transaction.
+				if len(uncommitted) > 0 && rng.Intn(2) == 0 {
+					id := uncommitted[0]
+					uncommitted = uncommitted[1:]
+					each(func(c certifier) { c.Commit(id) })
+					committed = true
+				} else if k := rng.Intn(len(tick)); tick[k] != 0 {
+					id := tick[k]
+					each(func(c certifier) { c.Commit(id) })
+					delete(resident, id)
+					tick[k] = 0
+					committed = true
+				}
+			case r < 93:
+				if k := rng.Intn(len(tick)); tick[k] != 0 {
+					id := tick[k]
+					each(func(c certifier) { c.Retract(id) })
+					delete(resident, id)
+					aborted = append(aborted, id)
+					tick[k] = 0
+					retracted = true
+				}
+			default:
+				want := mon.Compact()
+				for _, c := range certs[1:] {
+					if got := c.Compact(); got != want {
+						t.Fatalf("trial %d: a sharded monitor reclaimed %d, Monitor %d", trial, got, want)
+					}
+				}
+				if want > 0 {
+					reclaimed = true
+				}
+			}
+		}
+		for _, c := range certs {
+			if !c.PWSR() {
+				t.Fatalf("trial %d: a gated stream violated", trial)
+			}
+		}
+	}
+	t.Logf("%d probes; sequences with tick transactions in flight %d, after a retraction %d, after a commit %d, after a reclaiming pass %d, re-admitted %d, drawing an edge into themselves %d",
+		probes, inFlight, afterRetract, afterCommit, afterPass, readmitted, edgesInto)
+	if inFlight == 0 || afterRetract == 0 || afterCommit == 0 || afterPass == 0 || readmitted == 0 || edgesInto == 0 {
+		t.Fatal("a regime never occurred")
 	}
 }
 

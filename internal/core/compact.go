@@ -3,7 +3,6 @@ package core
 import (
 	"slices"
 
-	"pwsr/internal/intern"
 	"pwsr/internal/txn"
 )
 
@@ -90,15 +89,25 @@ func (m *Monitor) Commit(txnID int) {
 // transaction with a live ancestor is retained: it can still appear on
 // a cycle a live transaction closes.
 //
-// A pass rebuilds the monitor-level transaction interner around the
-// survivors and prunes the probe cache instead of dropping it:
-// entries of committed transactions are discarded (their nodes may
-// have left individual graphs, and a reclaimed dense id must never
-// alias a fresh transaction), while entries of live transactions are
-// rekeyed through the same dense-id remap the interner rebuild uses —
-// see pruneProbe for why the surviving verdicts remain exact. A
-// snapshot+recover cycle therefore resumes with the live working
-// set's verdicts warm (TestProbeCacheWarmAcrossCompact).
+// A pass filters the monitor-level transaction interner and the dense
+// per-transaction tables in place around the survivors and prunes the
+// probe cache instead of dropping it: entries of committed
+// transactions are discarded (their nodes may have left individual
+// graphs, and a reclaimed dense id must never alias a fresh
+// transaction), while entries of live transactions are rekeyed through
+// the same dense-id remap the interner uses — see pruneProbe for why
+// the surviving verdicts remain exact. A snapshot+recover cycle
+// therefore resumes with the live working set's verdicts warm
+// (TestProbeCacheWarmAcrossCompact).
+//
+// Nothing a pass reclaims is freed: the tables keep their capacity and
+// a reclaimed transaction's lists are handed to the next fresh ones
+// (txnID, incGraph.node), so a steady commit stream allocates nothing
+// per transaction. What the monitor retains is therefore bounded by
+// the largest population it held between two passes: per-transaction
+// tables and node slots at that population, a vacated node slot's
+// lists at spareListMax entries each, and every other list at
+// max(listMin, 2×len) (see shrink).
 //
 // Compaction is idempotent between commits and runs automatically
 // every SetAutoCompact commits. After a violation it is a no-op — the
@@ -114,12 +123,17 @@ func (m *Monitor) Compact() int {
 	}
 
 	// A committed transaction gone from every graph is reclaimed at
-	// the monitor level too.
+	// the monitor level too; the survivors keep their order.
 	n := m.txns.Len()
+	remap := resize(m.remap, n)
+	m.remap = remap
 	removed := 0
 	for d := int32(0); int(d) < n; d++ {
 		if m.committedB[d] && !m.inAnyGraph(d) {
+			remap[d] = -1
 			removed++
+		} else {
+			remap[d] = d - int32(removed)
 		}
 	}
 	if removed == 0 {
@@ -129,44 +143,39 @@ func (m *Monitor) Compact() int {
 		}
 		return 0
 	}
-	// Rebuild the interner and the dense per-txn tables around the
-	// survivors, and remap every graph's id translation.
-	newTxns := intern.NewIDs()
-	remap := make([]int32, n)
-	newOpsBy := make([]int, 0, n-removed)
-	newResident := make([]bool, 0, n-removed)
-	newCommitted := make([]bool, 0, n-removed)
-	newTxnConjuncts := make([][]int32, 0, n-removed)
 	var reclaimedIDs []int
 	if m.sink != nil {
 		reclaimedIDs = make([]int, 0, removed)
 	}
 	for d := int32(0); int(d) < n; d++ {
-		if m.committedB[d] && !m.inAnyGraph(d) {
-			remap[d] = -1
-			if orig := m.txns.Orig(d); orig > m.compactWM {
-				m.compactWM = orig
-			}
-			if m.sink != nil {
-				reclaimedIDs = append(reclaimedIDs, m.txns.Orig(d))
-			}
-			if m.resident[d] {
-				m.liveTxns--
-			}
+		if remap[d] >= 0 {
 			continue
 		}
-		remap[d] = newTxns.ID(m.txns.Orig(d))
-		newOpsBy = append(newOpsBy, m.opsBy[d])
-		newResident = append(newResident, m.resident[d])
-		newCommitted = append(newCommitted, m.committedB[d])
-		newTxnConjuncts = append(newTxnConjuncts, m.txnConjuncts[d])
+		orig := m.txns.Orig(d)
+		m.compactWM = max(m.compactWM, orig)
+		if m.sink != nil {
+			reclaimedIDs = append(reclaimedIDs, orig)
+		}
+		if m.resident[d] {
+			m.liveTxns--
+		}
 	}
-	// Rekey the probe cache before the dense tables are replaced: the
+	// Rekey the probe cache before the dense tables are filtered: the
 	// prune consults the pre-compaction committed marks.
 	m.pruneProbe(remap)
-	m.txns = newTxns
-	m.opsBy, m.resident, m.committedB = newOpsBy, newResident, newCommitted
-	m.txnConjuncts = newTxnConjuncts
+	// Filter the dense tables in place. The conjunct lists are swapped,
+	// not copied, so the reclaimed transactions' lists end up past the
+	// survivors, each held by exactly one slot, for txnID to reuse.
+	for d, nd := range remap {
+		if nd < 0 {
+			continue
+		}
+		m.opsBy[nd], m.resident[nd], m.committedB[nd] = m.opsBy[d], m.resident[d], m.committedB[d]
+		m.txnConjuncts[nd], m.txnConjuncts[d] = m.txnConjuncts[d], m.txnConjuncts[nd]
+	}
+	k := n - removed
+	m.opsBy, m.resident, m.committedB, m.txnConjuncts = m.opsBy[:k], m.resident[:k], m.committedB[:k], m.txnConjuncts[:k]
+	m.txns.Remap(remap)
 	// The direct-index translation references the old dense ids:
 	// rebuild it for the survivors (reclaimed originals fall back to
 	// "unseen", which is exactly the forgotten-transaction contract),
@@ -175,16 +184,16 @@ func (m *Monitor) Compact() int {
 	// its length follows the live id window instead of the ids.
 	m.txnDirect = m.txnDirect[:0]
 	m.txnBase = m.compactWM + 1
-	for d := int32(0); int(d) < newTxns.Len(); d++ {
-		if orig := newTxns.Orig(d); d == 0 || orig < m.txnBase {
+	for d := int32(0); int(d) < k; d++ {
+		if orig := m.txns.Orig(d); d == 0 || orig < m.txnBase {
 			m.txnBase = orig
 		}
 	}
-	for d := int32(0); int(d) < newTxns.Len(); d++ {
-		m.setDirect(newTxns.Orig(d), d)
+	for d := int32(0); int(d) < k; d++ {
+		m.setDirect(m.txns.Orig(d), d)
 	}
 	for _, g := range m.graphs {
-		g.remapDense(remap, newTxns)
+		g.remapDense(remap, k)
 	}
 	m.reclaimedTxns += removed
 	if m.sink != nil {
@@ -289,11 +298,13 @@ func (m *Monitor) liveTxn(txnID int) bool {
 
 // compact removes every reclaimable node from the graph — committed,
 // with every ancestor committed — and returns the number of access-log
-// entries reclaimed. The survivors are rebuilt into fresh dense
-// tables: filtered adjacency, a compressed order preserving the
-// survivors' relative topological positions, filtered per-item
-// logs/frontiers/edge contributions, remapped edge reference counts,
-// and a rewritten dense-id translation (nodeOf/denseOf).
+// entries reclaimed. The survivors are renumbered in place, keeping
+// every table's capacity: filtered adjacency, a compressed order
+// preserving the survivors' relative topological positions, filtered
+// per-item logs/frontiers/edge contributions, remapped edge reference
+// counts rehashed into the same table, and a rewritten dense-id
+// translation (nodeOf). The reclaimed nodes' slots move past the
+// survivors with their lists, which node hands to the next fresh nodes.
 //
 // Two invariants make the rebuild a pure filter. First, every
 // in-neighbor of a removed node is removed (that is the fixpoint), so
@@ -312,11 +323,12 @@ func (g *incGraph) compact() int {
 	// One ascending pass over the maintained topological order decides
 	// removability: in-edges always come from earlier positions, so
 	// every ancestor is decided before its descendants.
-	byOrd := make([]int32, n)
+	byOrd := resize(g.byOrd, n)
 	for u := int32(0); u < int32(n); u++ {
 		byOrd[g.ord[u]] = u
 	}
-	removable := make([]bool, n)
+	removable := resize(g.removable, n)
+	g.byOrd, g.removable = byOrd, removable
 	removed := 0
 	for _, u := range byOrd {
 		if !g.nodes[u].committed {
@@ -338,62 +350,73 @@ func (g *incGraph) compact() int {
 		return 0
 	}
 
-	// Remap survivors to fresh node ids (old id order) and compress
-	// the topological order.
-	remap := make([]int32, n)
-	newNodes := make([]nodeState, 0, n-removed)
+	// Renumber the survivors in old id order.
+	remap := resize(g.remap, n)
+	g.remap = remap
+	k := int32(0)
 	for u := 0; u < n; u++ {
 		if removable[u] {
 			remap[u] = -1
 			g.nodeOf[g.nodes[u].dense] = -1
 		} else {
-			remap[u] = int32(len(newNodes))
-			g.nodeOf[g.nodes[u].dense] = remap[u]
-			newNodes = append(newNodes, nodeState{
-				items:     g.nodes[u].items,
-				dense:     g.nodes[u].dense,
-				committed: g.nodes[u].committed,
-			})
+			remap[u] = k
+			g.nodeOf[g.nodes[u].dense] = k
+			k++
 		}
 	}
-	k := len(newNodes)
-	// Adjacency is remapped in a second pass: a neighbor can have a
-	// higher old id than its source, so the full remap table must
-	// exist first.
-	i := 0
-	for u := 0; u < n; u++ {
-		if remap[u] < 0 {
+	// Move the survivors down, remapping their adjacency (a neighbor can
+	// have a higher old id than its source, so the whole remap table had
+	// to exist first). Slots are swapped, not copied: the reclaimed
+	// nodes' slots end up past the survivors, each list held by exactly
+	// one slot, and a list longer than spareListMax is let go so a
+	// vacated slot keeps at most that much.
+	for u := range n {
+		nu := remap[u]
+		if nu < 0 {
 			continue
 		}
-		newNodes[i].out = remapNodes(g.nodes[u].out, remap)
-		newNodes[i].in = remapNodes(g.nodes[u].in, remap)
-		i++
+		g.nodes[nu], g.nodes[u] = g.nodes[u], g.nodes[nu]
+		ns := &g.nodes[nu]
+		ns.out = remapNodes(ns.out, remap)
+		ns.in = remapNodes(ns.in, remap)
 	}
-	newOrd := make([]int32, k)
+	for u := k; int(u) < n; u++ {
+		ns := &g.nodes[u]
+		ns.out, ns.in, ns.items = spare(ns.out), spare(ns.in), spare(ns.items)
+	}
+	g.nodes = g.nodes[:k]
+	// Compress the order in place (byOrd holds the old one), and cut
+	// the search scratch back: every stale mark is below the next
+	// search's generation.
 	pos := int32(0)
 	for _, u := range byOrd {
 		if nu := remap[u]; nu >= 0 {
-			newOrd[nu] = pos
+			g.ord[nu] = pos
 			pos++
 		}
 	}
-	var newEdges edgeTable
-	for idx, key := range g.edges.keys {
-		if key == 0 {
-			continue
-		}
+	g.ord, g.mark, g.parent = g.ord[:k], g.mark[:k], g.parent[:k]
+	// Both endpoints of a kept edge survive, so every item contributing
+	// the edge keeps contributing it: the count carries over.
+	g.edgeBuf = g.edges.rekey(func(key uint64) uint64 {
 		x, y := unpackEdgeKey(key)
 		if nx, ny := remap[x], remap[y]; nx >= 0 && ny >= 0 {
-			// Both endpoints survive, so every item contributing the
-			// edge keeps contributing it: the count carries over.
-			newEdges.set(edgeKey(nx, ny), g.edges.vals[idx])
+			return edgeKey(nx, ny)
 		}
-	}
+		return 0
+	}, g.edgeBuf)
 
-	// Filter and remap the per-item state.
+	// Filter and remap the per-item state. An item whose log is already
+	// empty was not accessed since the last pass (its frontier and
+	// contributions are empty too): its lists are let go, so only the
+	// items of the last interval keep arrays for the next one.
 	reclaimed := 0
 	for item := range g.item {
 		it := &g.item[item]
+		if len(it.log) == 0 {
+			it.log, it.readers, it.edges, it.edgeSet = nil, nil, nil, nil
+			continue
+		}
 		lg := it.log[:0]
 		for _, a := range it.log {
 			if na := remap[a.node()]; na >= 0 {
@@ -406,7 +429,7 @@ func (g *incGraph) compact() int {
 				reclaimed++
 			}
 		}
-		it.log = shrinkAccesses(lg)
+		it.log = shrink(lg)
 		if it.lastWriter >= 0 {
 			it.lastWriter = remap[it.lastWriter]
 		}
@@ -426,34 +449,27 @@ func (g *incGraph) compact() int {
 		}
 		it.edges = edges
 		if len(edges) > itemEdgeSetThreshold {
-			set := make(map[uint64]struct{}, len(edges))
-			for _, key := range edges {
-				set[key] = struct{}{}
+			if it.edgeSet == nil {
+				it.edgeSet = make(map[uint64]struct{}, len(edges))
 			}
-			it.edgeSet = set
+			clear(it.edgeSet)
+			for _, key := range edges {
+				it.edgeSet[key] = struct{}{}
+			}
 		} else {
 			it.edgeSet = nil
 		}
 	}
-
-	g.nodes = newNodes
-	g.ord = newOrd
-	g.edges = newEdges
-	g.mark = make([]int64, k)
-	g.parent = make([]int32, k)
-	g.markGen = 0
-	g.stack, g.visF, g.visB, g.slots = nil, nil, nil, nil
-	g.replayEdges, g.replayReaders = nil, nil
 	return reclaimed
 }
 
 // remapDense rewrites the graph's dense-id translation after the
-// monitor rebuilt its transaction interner: every surviving node's
-// dense id is rewritten through the monitor's remap table and nodeOf
-// is rebuilt at the new interner's size.
-func (g *incGraph) remapDense(remap []int32, mtxns *intern.IDs) {
-	g.mtxns = mtxns
-	g.nodeOf = make([]int32, mtxns.Len())
+// monitor filtered its transaction interner down to k transactions:
+// every surviving node's dense id is rewritten through the monitor's
+// remap table, and nodeOf is rewritten in place for the survivors (it
+// covers at most k ids; node extends it on demand).
+func (g *incGraph) remapDense(remap []int32, k int) {
+	g.nodeOf = g.nodeOf[:min(len(g.nodeOf), k)]
 	for i := range g.nodeOf {
 		g.nodeOf[i] = -1
 	}
@@ -473,28 +489,42 @@ func remapNodes(nodes []int32, remap []int32) []int32 {
 			out = append(out, nx)
 		}
 	}
-	return shrinkNodes(out)
+	return shrink(out)
 }
 
-// shrinkNodes reallocates a slice whose filter left most of its
-// backing array dead, so compaction actually returns memory.
-func shrinkNodes(xs []int32) []int32 {
-	if len(xs) == 0 {
+// shrink reallocates a list whose filter left most of its backing array
+// dead, so compaction actually returns memory. A list keeps at most
+// max(listMin, 2×len) of capacity: below that it keeps its array for
+// the entries to come.
+func shrink[T any](xs []T) []T {
+	switch {
+	case cap(xs) <= max(listMin, 2*len(xs)):
+		return xs
+	case len(xs) == 0:
 		return nil
 	}
-	if cap(xs) > 2*len(xs) {
-		return slices.Clone(xs)
-	}
-	return xs
+	return slices.Clone(xs)
 }
 
-// shrinkAccesses is shrinkNodes for access logs.
-func shrinkAccesses(xs []access) []access {
-	if len(xs) == 0 {
+// spareListMax is the longest list a vacated node slot keeps for the
+// next fresh node (a list a hub node grew past it is let go).
+const spareListMax = 4 * listMin
+
+// spare empties a reclaimed node's list for reuse, or lets it go.
+func spare(xs []int32) []int32 {
+	if cap(xs) > spareListMax {
 		return nil
 	}
-	if cap(xs) > 2*len(xs) {
-		return slices.Clone(xs)
+	return xs[:0]
+}
+
+// resize returns a zeroed slice of length n, reusing xs's array when it
+// is large enough.
+func resize[T any](xs []T, n int) []T {
+	if cap(xs) < n {
+		return make([]T, n)
 	}
+	xs = xs[:n]
+	clear(xs)
 	return xs
 }

@@ -141,39 +141,50 @@ type lifeStep struct {
 
 // randomLifecycle generates a random Observe/Commit/Retract/Compact
 // interleaving that respects the lifecycle contract: committed
-// transactions never operate and are never retracted.
-func randomLifecycle(rng *rand.Rand, steps, txns int, items []string) []lifeStep {
-	committed := make([]bool, txns+1)
+// transactions never operate and are never retracted. txns ids are
+// active at a time; rolling replaces each committed one with a fresh
+// id, so the stream keeps going and compaction keeps reclaiming what
+// later transactions reuse, where otherwise the script ends once all
+// txns have committed.
+func randomLifecycle(rng *rand.Rand, steps, txns int, items []string, rolling bool) []lifeStep {
+	pool := make([]int, txns) // the active ids, 0 once committed
+	for k := range pool {
+		pool[k] = k + 1
+	}
+	next := txns + 1
 	active := func() int {
 		for tries := 0; tries < 4*txns; tries++ {
-			if id := 1 + rng.Intn(txns); !committed[id] {
-				return id
+			if k := rng.Intn(txns); pool[k] != 0 {
+				return k
 			}
 		}
-		return 0
+		return -1
 	}
 	var script []lifeStep
 	for len(script) < steps {
 		switch r := rng.Intn(100); {
 		case r < 68:
-			id := active()
-			if id == 0 {
+			k := active()
+			if k < 0 {
 				return script // everything committed
 			}
 			val := int64(rng.Intn(8))
-			o := txn.R(id, items[rng.Intn(len(items))], val)
+			o := txn.R(pool[k], items[rng.Intn(len(items))], val)
 			if rng.Intn(2) == 0 {
 				o = txn.W(o.Txn, o.Entity, val)
 			}
 			script = append(script, lifeStep{kind: "observe", op: o})
 		case r < 80:
-			if id := active(); id != 0 {
-				committed[id] = true
-				script = append(script, lifeStep{kind: "commit", txn: id})
+			if k := active(); k >= 0 {
+				script = append(script, lifeStep{kind: "commit", txn: pool[k]})
+				pool[k] = 0
+				if rolling {
+					pool[k], next = next, next+1
+				}
 			}
 		case r < 88:
-			if id := active(); id != 0 {
-				script = append(script, lifeStep{kind: "retract", txn: id})
+			if k := active(); k >= 0 {
+				script = append(script, lifeStep{kind: "retract", txn: pool[k]})
 			}
 		default:
 			script = append(script, lifeStep{kind: "compact"})
@@ -199,10 +210,17 @@ func sameStats(t *testing.T, trial int, label string, got, want core.CompactStat
 // per-conjunct live-edge sets — while an uncompacted Monitor fed the
 // same operations and retractions (commits ignored) must reach the
 // same verdict at every step, with its extra edges all incident to
-// committed transactions.
+// committed transactions. Every other trial is a long rolling stream
+// of fresh transactions, gated like a certifier's (a denied requester
+// is aborted), so what a pass reclaims — node slots with their lists,
+// conjunct lists, transaction-table entries — is handed out again to
+// later transactions; the test counts those hand-outs (a Spares or
+// FreeEntries count that falls across an observation) and fails as
+// vacuous unless each kind occurred often.
 func TestCompactDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	violations, reclaims := 0, 0
+	reusedSlots, reusedShardSlots, reusedEntries := 0, 0, 0
 	for trial := 0; trial < 160; trial++ {
 		nItems := 1 + rng.Intn(6)
 		items := make([]string, nItems)
@@ -211,7 +229,12 @@ func TestCompactDifferential(t *testing.T) {
 		}
 		partition := randomPartition(rng, items, trial%3 == 0)
 		txns := 2 + rng.Intn(5)
-		script := randomLifecycle(rng, 20+rng.Intn(80), txns, items)
+		rolling := trial%2 == 1
+		steps := 20 + rng.Intn(80)
+		if rolling {
+			steps *= 4
+		}
+		script := randomLifecycle(rng, steps, txns, items, rolling)
 
 		cm := core.NewMonitor(partition)
 		cm.SetAutoCompact(0)
@@ -231,6 +254,18 @@ func TestCompactDifferential(t *testing.T) {
 		violated := false
 	stepLoop:
 		for _, st := range script {
+			if st.kind == "observe" {
+				// Probe parity first: a certifier would preflight. A
+				// rolling stream is gated like a certifier's: a denied
+				// requester is aborted, so the stream runs to its end.
+				ok := cm.Admissible(st.op)
+				if want := un.Admissible(st.op); ok != want {
+					t.Fatalf("trial %d: Admissible(%v) = %v (compacting) vs %v (uncompacted)", trial, st.op, ok, want)
+				}
+				if rolling && !ok {
+					st = lifeStep{kind: "retract", txn: st.op.Txn}
+				}
+			}
 			switch st.kind {
 			case "observe":
 				trace = append(trace, st.op.String())
@@ -241,11 +276,11 @@ func TestCompactDifferential(t *testing.T) {
 			}
 			switch st.kind {
 			case "observe":
-				// Probe parity first: a certifier would preflight.
-				if got, want := cm.Admissible(st.op), un.Admissible(st.op); got != want {
-					t.Fatalf("trial %d: Admissible(%v) = %v (compacting) vs %v (uncompacted)", trial, st.op, got, want)
-				}
+				spares := cm.Spares()
 				vCm := cm.Observe(st.op)
+				if cm.Spares() < spares {
+					reusedSlots++
+				}
 				vRef := ref.Observe(st.op)
 				vUn := un.Observe(st.op)
 				if (vCm == nil) != (vRef == nil) || (vCm == nil) != (vUn == nil) {
@@ -253,7 +288,14 @@ func TestCompactDifferential(t *testing.T) {
 						trial, st.op, vCm, vRef, vUn)
 				}
 				for si, sm := range sms {
+					spares, free := sm.Spares(), sm.FreeEntries()
 					vSm := sm.Observe(st.op)
+					if sm.Shards() > 1 && sm.Spares() < spares {
+						reusedShardSlots++
+					}
+					if sm.FreeEntries() < free {
+						reusedEntries++
+					}
 					if (vSm == nil) != (vCm == nil) {
 						t.Fatalf("trial %d: shards=%d verdict %v vs monitor %v", trial, si+1, vSm, vCm)
 					}
@@ -347,6 +389,9 @@ func TestCompactDifferential(t *testing.T) {
 				if sm.LiveTxns() != cm.LiveTxns() {
 					t.Fatalf("trial %d: shards=%d live %d vs monitor %d", trial, si+1, sm.LiveTxns(), cm.LiveTxns())
 				}
+				if got, want := sm.InFlightTxnIDs(), cm.InFlightTxnIDs(); !slices.Equal(got, want) {
+					t.Fatalf("trial %d: shards=%d in-flight %v vs monitor %v", trial, si+1, got, want)
+				}
 				sameStats(t, trial, fmt.Sprintf("shards=%d", si+1), sm.CompactStats(), cm.CompactStats())
 				for e := range partition {
 					if got, want := sm.ConflictEdges(e), cm.ConflictEdges(e); !slices.Equal(got, want) {
@@ -373,6 +418,10 @@ func TestCompactDifferential(t *testing.T) {
 	if reclaims < 30 {
 		t.Fatalf("only %d reclaiming compactions; differential coverage too thin", reclaims)
 	}
+	if reusedSlots < 100 || reusedShardSlots < 100 || reusedEntries < 100 {
+		t.Fatalf("recycling too thin: %d recycled slots handed out by Monitor, %d by multi-shard monitors, %d table entries", reusedSlots, reusedShardSlots, reusedEntries)
+	}
+	t.Logf("%d violating trials, %d reclaiming passes; recycled slots handed out: %d by Monitor, %d by multi-shard monitors; %d table entries", violations, reclaims, reusedSlots, reusedShardSlots, reusedEntries)
 }
 
 // validLifecycleCycle checks a reported witness cycle against the
@@ -493,7 +542,7 @@ func TestAutoCompactPreservesVerdicts(t *testing.T) {
 		}
 		partition := randomPartition(rng, items, trial%2 == 0)
 		txns := 2 + rng.Intn(5)
-		script := randomLifecycle(rng, 30+rng.Intn(60), txns, items)
+		script := randomLifecycle(rng, 30+rng.Intn(60), txns, items, false)
 
 		auto := core.NewMonitor(partition)
 		auto.SetAutoCompact(1)

@@ -104,6 +104,33 @@ func (t *edgeTable) del(key uint64) {
 	}
 }
 
+// edgeCount is one entry of an edgeTable.
+type edgeCount struct {
+	key uint64
+	n   int32
+}
+
+// rekey rewrites every key through f (0 drops the entry) and rehashes
+// the survivors into the table's own arrays. buf is scratch for the
+// survivors; it is returned for the next call.
+func (t *edgeTable) rekey(f func(uint64) uint64, buf []edgeCount) []edgeCount {
+	buf = buf[:0]
+	for i, k := range t.keys {
+		if k == 0 {
+			continue
+		}
+		if nk := f(k); nk != 0 {
+			buf = append(buf, edgeCount{key: nk, n: t.vals[i]})
+		}
+	}
+	clear(t.keys)
+	t.used = 0
+	for _, e := range buf {
+		t.set(e.key, e.n)
+	}
+	return buf
+}
+
 // grow doubles the table (or allocates the initial one) and rehashes.
 func (t *edgeTable) grow() {
 	oldKeys, oldVals := t.keys, t.vals

@@ -89,8 +89,8 @@ type Monitor struct {
 	// operations are (still) in the monitor — liveTxns is the resident
 	// count, what LiveTxns reports; committedB marks transactions whose
 	// lifecycle ended (Commit): they issue no further operations and
-	// cannot be retracted. Entries leave at compaction, which rebuilds
-	// the interner around the survivors.
+	// cannot be retracted. Entries leave at compaction, which filters
+	// the interner and the tables in place around the survivors.
 	txns       *intern.IDs
 	txnDirect  []int32
 	txnBase    int
@@ -100,8 +100,12 @@ type Monitor struct {
 	liveTxns   int
 	// txnConjuncts[d] lists the conjuncts transaction d has touched
 	// (deduplicated), so Retract repairs only the graphs that actually
-	// saw the transaction instead of visiting every conjunct.
+	// saw the transaction instead of visiting every conjunct. Compaction
+	// moves a reclaimed transaction's list past the end, where the next
+	// fresh transaction finds it (see txnID).
 	txnConjuncts [][]int32
+	// remap is Compact's dense-id translation, kept between passes.
+	remap []int32
 
 	// Probe cache state — see Admissible and probe.go.
 	probeOn            bool
@@ -203,7 +207,7 @@ func (m *Monitor) txnID(orig int) int32 {
 		m.opsBy = append(m.opsBy, 0)
 		m.resident = append(m.resident, false)
 		m.committedB = append(m.committedB, false)
-		m.txnConjuncts = append(m.txnConjuncts, nil)
+		m.txnConjuncts = appendSpare(m.txnConjuncts)
 	}
 	m.setDirect(orig, d)
 	return d
@@ -575,11 +579,28 @@ func (m *Monitor) observeSharded(ops txn.Seq) *Violation {
 // keeps the append inlineable and cuts the growth allocations ~3×.
 func growAppend[T any](xs []T, x T) []T {
 	if len(xs) == cap(xs) {
-		next := make([]T, len(xs), max(16, 2*cap(xs)))
+		next := make([]T, len(xs), max(listMin, 2*cap(xs)))
 		copy(next, xs)
 		xs = next
 	}
 	return append(xs, x)
+}
+
+// listMin is growAppend's first backing-array size. Compaction leaves a
+// list at most max(listMin, 2×len) of capacity (see shrink).
+const listMin = 16
+
+// appendSpare extends a table of lists by one empty list. Inside the
+// table's capacity it reuses the list a compaction pass left in that
+// slot, so a fresh entry allocates nothing.
+func appendSpare[T any](xs [][]T) [][]T {
+	n := len(xs)
+	if n == cap(xs) {
+		return append(xs, nil)
+	}
+	xs = xs[:n+1]
+	xs[n] = xs[n][:0]
+	return xs
 }
 
 // access is one recorded operation of an item's history, packed as
@@ -680,6 +701,11 @@ type incGraph struct {
 	// Retraction replay scratch, reused across repaired items.
 	replayEdges   []uint64
 	replayReaders []int32
+	// Compaction scratch, reused across passes (see compact).
+	byOrd     []int32
+	removable []bool
+	remap     []int32
+	edgeBuf   []edgeCount
 }
 
 func newIncGraph(mtxns *intern.IDs) *incGraph {
@@ -691,7 +717,11 @@ func (g *incGraph) orig(n int32) int { return g.mtxns.Orig(g.nodes[n].dense) }
 
 // node translates a monitor-dense transaction id to this graph's node,
 // allocating the node at the end of the maintained topological order on
-// first sight.
+// first sight. The end of the order is its top: ord is a permutation of
+// the node ids, so the new node's position exceeds every other, and the
+// edges a fresh transaction's operations draw into it agree with the
+// order without a search. A node slot compaction vacated hands its
+// lists to the new node.
 func (g *incGraph) node(dense int32) int32 {
 	for int(dense) >= len(g.nodeOf) {
 		g.nodeOf = append(g.nodeOf, -1)
@@ -701,7 +731,13 @@ func (g *incGraph) node(dense int32) int32 {
 	}
 	n := int32(len(g.nodes))
 	g.nodeOf[dense] = n
-	g.nodes = append(g.nodes, nodeState{dense: dense})
+	if int(n) < cap(g.nodes) {
+		g.nodes = g.nodes[:n+1]
+		ns := &g.nodes[n]
+		*ns = nodeState{out: ns.out[:0], in: ns.in[:0], items: ns.items[:0], dense: dense}
+	} else {
+		g.nodes = append(g.nodes, nodeState{dense: dense})
+	}
 	g.ord = append(g.ord, n)
 	g.mark = append(g.mark, 0)
 	g.parent = append(g.parent, -1)

@@ -75,18 +75,24 @@ type ShardedMonitor struct {
 	// id) and deletes (Compact) hold the write lock for one map
 	// operation each. live counts the resident entries (ops > 0), and
 	// pending queues the committed ids no pass has reclaimed yet, in
-	// commit order, so a pass visits its candidates, not the table.
+	// commit order, so a pass visits its candidates, not the table. free
+	// holds the entries passes reclaimed, for entryLocked to hand out
+	// again: entries ever allocated are the table's peak population.
 	txnMu   sync.RWMutex
 	txns    map[int]*shardedTxn
 	live    atomic.Int64
 	pending []int
+	free    []*shardedTxn
 	// commitsSince and autoEvery are guarded by txnMu; compactMu
-	// serializes Compact passes; watermark is the highest committed
-	// transaction id (CAS-maxed, monotone); compactions and
-	// reclaimedTxns are the sharded-level lifecycle counters.
+	// serializes Compact passes and guards their scratch (held, gone);
+	// watermark is the highest committed transaction id (CAS-maxed,
+	// monotone); compactions and reclaimedTxns are the sharded-level
+	// lifecycle counters.
 	commitsSince  int
 	autoEvery     int
 	compactMu     sync.Mutex
+	held          []shardSet
+	gone          []int
 	watermark     atomic.Int64
 	compactWM     atomic.Int64
 	compactions   atomic.Int64
@@ -127,10 +133,11 @@ func (r shardSet) lowest() int { return bits.TrailingZeros64(uint64(r)) }
 // Monitor's per-txn state the entry survives Retract — the shards keep
 // the transaction's emptied nodes, and a later Commit must still reach
 // them — and is deleted when a Compact pass reclaims the committed
-// transaction. ops and shards are atomics updated through the entry
-// pointer with no table lock held (only committed entries are ever
-// deleted, and a committed transaction takes no operations); committed
-// is guarded by the table lock.
+// transaction, which zeroes it for reuse by a later transaction. ops
+// and shards are atomics updated through the entry pointer with no
+// table lock held (only committed entries are ever deleted, and a
+// committed transaction takes no operations; Commit reads the shard set
+// before it lets the lock go); committed is guarded by the table lock.
 type shardedTxn struct {
 	ops       atomic.Int64
 	shards    atomic.Uint64
@@ -269,11 +276,16 @@ func (m *ShardedMonitor) openTxn(verb string, txnID int) *shardedTxn {
 }
 
 // entryLocked returns the transaction's table entry, inserting an empty
-// one when there is none. The caller holds the table's write lock.
+// one — a reclaimed entry when a pass left one — when there is none.
+// The caller holds the table's write lock.
 func (m *ShardedMonitor) entryLocked(txnID int) *shardedTxn {
 	c := m.txns[txnID]
 	if c == nil {
-		c = new(shardedTxn)
+		if n := len(m.free); n > 0 {
+			c, m.free = m.free[n-1], m.free[:n-1]
+		} else {
+			c = new(shardedTxn)
+		}
 		m.txns[txnID] = c
 	}
 	return c
@@ -508,6 +520,9 @@ func (m *ShardedMonitor) Commit(txnID int) {
 		return // a double commit is a no-op, like Monitor.Commit's
 	}
 	c.committed = true
+	// Once the lock is let go a pass may reclaim the entry and hand it
+	// to another transaction.
+	footprint := shardSet(c.shards.Load())
 	m.pending = append(m.pending, txnID)
 	m.commitsSince++
 	trigger := m.autoEvery > 0 && m.commitsSince >= m.autoEvery
@@ -515,7 +530,7 @@ func (m *ShardedMonitor) Commit(txnID int) {
 		m.commitsSince = 0
 	}
 	m.txnMu.Unlock()
-	for r := shardSet(c.shards.Load()); r != 0; r &= r - 1 {
+	for r := footprint; r != 0; r &= r - 1 {
 		sh := m.shards[r.lowest()]
 		sh.mu.Lock()
 		sh.mon.Commit(txnID)
@@ -566,10 +581,11 @@ func (m *ShardedMonitor) Compact() int {
 	// with the shards that may still hold it.
 	ids := m.pending
 	m.pending = nil
-	held := make([]shardSet, len(ids))
-	for i, id := range ids {
-		held[i] = shardSet(m.txns[id].shards.Load())
+	held := m.held[:0]
+	for _, id := range ids {
+		held = append(held, shardSet(m.txns[id].shards.Load()))
 	}
+	m.held = held
 	m.txnMu.Unlock()
 	// One locked pass per shard tests every candidate routed to it —
 	// not one lock round per (id, shard) pair — so the residency scan
@@ -584,7 +600,7 @@ func (m *ShardedMonitor) Compact() int {
 		}
 		sh.mu.Unlock()
 	}
-	var gone []int
+	gone := m.gone[:0]
 	kept := ids[:0]
 	for i, id := range ids {
 		if held[i] == 0 {
@@ -593,16 +609,22 @@ func (m *ShardedMonitor) Compact() int {
 			kept = append(kept, id)
 		}
 	}
+	m.gone = gone
 	// Ascending ids, whatever the commit order: the reclamation order
 	// of the emitted lifecycle stream.
 	slices.Sort(gone)
 	m.txnMu.Lock()
 	m.pending = append(kept, m.pending...)
 	for _, id := range gone {
-		if m.txns[id].ops.Load() > 0 {
+		c := m.txns[id]
+		if c.ops.Load() > 0 {
 			m.live.Add(-1)
 		}
 		delete(m.txns, id)
+		c.ops.Store(0)
+		c.shards.Store(0)
+		c.committed = false
+		m.free = append(m.free, c)
 	}
 	m.txnMu.Unlock()
 	if len(gone) > 0 {
@@ -615,7 +637,8 @@ func (m *ShardedMonitor) Compact() int {
 		}
 	}
 	if m.sink != nil {
-		m.sink.LogCompact(gone, m.CompactStats(), m.Ops())
+		// A sink may keep the list; the scratch is the next pass's.
+		m.sink.LogCompact(slices.Clone(gone), m.CompactStats(), m.Ops())
 	}
 	return len(gone)
 }

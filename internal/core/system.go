@@ -47,6 +47,30 @@
 // (TestCompactDifferential, pwsrfuzz -mode compact, FuzzCommitCompact)
 // replay against.
 //
+// The same observation makes whole-transaction admission unconditional.
+// A fresh transaction — holding no observed operation — has no
+// outgoing edge, and its own operations only add edges into it, so no
+// cycle can pass through it while its sequence is observed:
+// AdmitSequence is the contract check plus the observe loop, with no
+// probe and no rollback (TestFreshSequenceNeverDenied probes anyway,
+// and finds nothing denied).
+//
+// What a pass reclaims is recycled, not freed. The transaction interner
+// and the dense per-transaction tables are filtered in place; each
+// graph's nodes, order, search marks and id translation are filtered in
+// place and its edge table is rehashed into its own arrays; a reclaimed
+// node's slot keeps its adjacency and item lists (up to spareListMax
+// entries each) for the next fresh node, a reclaimed transaction's
+// conjunct list goes to the next fresh transaction, and a
+// ShardedMonitor's reclaimed table entry to the next new one. The items
+// accessed since the previous pass keep their lists, at most
+// max(listMin, 2×len) of capacity each; the lists of an item untouched
+// for a whole interval are let go. So a steady commit stream allocates
+// nothing per transaction (TestZeroAllocFreshAdmission), and what a
+// certifier retains is bounded by the largest population it held
+// between two passes: tables and node slots for that many
+// transactions, and lists for the items of one interval.
+//
 // A consequence callers of the inspection surface must respect:
 // residency outlasts commitment. A committed transaction stays in
 // LiveTxnIDs until a Compact pass reclaims it; InFlightTxnIDs is the

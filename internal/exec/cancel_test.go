@@ -29,7 +29,7 @@ func TestCancelErrorTyped(t *testing.T) {
 	if !errors.Is(cerr, exec.ErrCanceled) || !errors.Is(cerr, context.Canceled) {
 		t.Fatalf("cancel mapped to %v", cerr)
 	}
-	if errors.Is(cerr, exec.ErrDeadline) || errors.Is(cerr, exec.ErrGateDenied) {
+	if errors.Is(cerr, exec.ErrDeadline) {
 		t.Fatalf("cancel not distinguishable: %v", cerr)
 	}
 
@@ -39,7 +39,7 @@ func TestCancelErrorTyped(t *testing.T) {
 	if !errors.Is(derr, exec.ErrDeadline) || !errors.Is(derr, context.DeadlineExceeded) {
 		t.Fatalf("deadline mapped to %v", derr)
 	}
-	if errors.Is(derr, exec.ErrCanceled) || errors.Is(derr, exec.ErrGateDenied) {
+	if errors.Is(derr, exec.ErrCanceled) {
 		t.Fatalf("deadline not distinguishable: %v", derr)
 	}
 }
@@ -92,7 +92,7 @@ func TestRunCtxMidRunCancel(t *testing.T) {
 	if !errors.Is(err, exec.ErrCanceled) {
 		t.Fatalf("mid-run cancel = %v, want ErrCanceled", err)
 	}
-	if errors.Is(err, exec.ErrDeadline) || errors.Is(err, exec.ErrGateDenied) {
+	if errors.Is(err, exec.ErrDeadline) {
 		t.Fatalf("cancel not distinguishable: %v", err)
 	}
 	if live := gate.Monitor().InFlightTxnIDs(); len(live) != 0 {
@@ -142,9 +142,6 @@ func TestExecuteBatchCtxDeadline(t *testing.T) {
 	_, err := eng.ExecuteBatchCtx(ctx, w.Programs)
 	if !errors.Is(err, exec.ErrDeadline) {
 		t.Fatalf("expired batch = %v, want ErrDeadline", err)
-	}
-	if errors.Is(err, exec.ErrGateDenied) {
-		t.Fatalf("deadline confused with a denial: %v", err)
 	}
 	if live := gate.ShardedMonitor().InFlightTxnIDs(); len(live) != 0 {
 		t.Fatalf("expired batch left in-flight transactions: %v", live)

@@ -59,6 +59,21 @@
 // therefore contains exactly the operations of surviving attempts and
 // replays value-consistently against the initial state, as if the
 // aborted attempts had never run.
+//
+// # What a batch allocates
+//
+// ParallelEngine allocates per batch only what the Result it returns
+// owns: the schedule, Final and the metrics. Everything else lives
+// with the engine and is emptied when a batch starts: each pool worker
+// runs every program on one program.Machine, whose slot array outlives
+// the run, and records operations and read stamps in arenas; the
+// engine keeps its id lists, attempt slab, committed-operation buffer
+// and reader results. A Result never points into any of them — the
+// schedule is always a fresh array, even with no reader to splice in —
+// so a later batch cannot change an earlier Result. Batch admission
+// has no denial outcome: a fresh transaction admitted whole cannot
+// close a cycle (core.Monitor.AdmitSequence), so BatchGate.AdmitTxn
+// fails only on gate state the batch stops on.
 package exec
 
 import (
@@ -681,9 +696,11 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	// finished transactions are never aborted (View.AbortClosure pins
 	// them), and expunging a live transaction's operations can only
 	// touch positions at or beyond mvQ — a live transaction's first
-	// operation bounds every seal. ro serves every reader over mv.
+	// operation bounds every seal. ro serves every reader over mv, each
+	// run on roM.
 	var mv *VersionedStore
 	var ro *snapshotAccessor
+	var roM *program.Machine
 	var mvQ int
 	var roResults []roResult
 	var roServed map[int]bool
@@ -694,7 +711,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	var lastPos map[int]int
 	if len(roList) > 0 {
 		mv = NewVersionedStore(cfg.Initial)
-		ro = &snapshotAccessor{store: mv}
+		ro, roM = &snapshotAccessor{store: mv}, new(program.Machine)
 		roServed = make(map[int]bool, len(roList))
 		lastPos = make(map[int]int, len(cfg.Programs))
 	}
@@ -731,7 +748,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	serveRO := func(id int) error {
 		advanceMV()
 		stamp := mv.pin()
-		rops, err := ro.read(interp, id, stamp, cfg.Programs[id])
+		rops, err := ro.read(roM, interp, id, stamp, cfg.Programs[id])
 		mv.unpin(stamp)
 		if err != nil {
 			return fmt.Errorf("exec: T%d: %w", id, err)

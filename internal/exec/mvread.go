@@ -87,15 +87,15 @@ type snapshotAccessor struct {
 	ops   []txn.Op
 }
 
-// read runs declared reader id against the snapshot the caller pinned
-// at stamp and returns the reader's operations. They are appended to
-// a.ops and returned as a range of it, clipped: when the arena outgrows
-// its array it moves, and ranges handed out earlier stay where they
-// were, unchanged.
-func (a *snapshotAccessor) read(in *program.Interp, id int, stamp uint64, p *program.Program) ([]txn.Op, error) {
+// read runs declared reader id on m against the snapshot the caller
+// pinned at stamp and returns the reader's operations. They are
+// appended to a.ops and returned as a range of it, clipped: when the
+// arena outgrows its array it moves, and ranges handed out earlier stay
+// where they were, unchanged.
+func (a *snapshotAccessor) read(m *program.Machine, in *program.Interp, id int, stamp uint64, p *program.Program) ([]txn.Op, error) {
 	a.id, a.stamp = id, stamp
 	start := len(a.ops)
-	err := in.Run(p, a)
+	err := m.Run(in, p, a)
 	return a.ops[start:len(a.ops):len(a.ops)], err
 }
 
@@ -128,12 +128,10 @@ type roResult struct {
 
 // spliceRO merges the read-only results into the read-write operation
 // sequence, inserting each reader's operations immediately after its
-// anchor prefix, and re-stamps positions. base and the results' op
-// slices are consumed.
+// anchor prefix, and re-stamps positions. The merged sequence is always
+// a new array, so the caller may reuse base and the readers' arenas
+// (without readers it is a copy of base). ros is sorted in place.
 func spliceRO(base []txn.Op, ros []roResult) []txn.Op {
-	if len(ros) == 0 {
-		return base
-	}
 	slices.SortStableFunc(ros, func(a, b roResult) int {
 		if a.anchor != b.anchor {
 			return a.anchor - b.anchor

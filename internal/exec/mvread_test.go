@@ -563,3 +563,35 @@ func TestMVReadCrossBatchIDDiscipline(t *testing.T) {
 		t.Fatalf("x = %v, want 6 (three batches of increments)", v)
 	}
 }
+
+// TestRejectedReaderKeepsBatchIDs is the regression test for a batch
+// rejected up front by its reader declarations on a watermark-anchored
+// engine: nothing ran, so its ids were never used, and the corrected
+// batch resubmitted under the same ids must run. The engine used to
+// record the batch's highest id before it checked the readers, and
+// refused the resubmission as "not above prior batch maximum".
+func TestRejectedReaderKeepsBatchIDs(t *testing.T) {
+	partition := []state.ItemSet{state.NewItemSet("x")}
+	eng := exec.NewParallelEngine(exec.ParallelConfig{
+		Initial:  state.Ints(map[string]int64{"x": 0}),
+		Gate:     sched.NewCertify(partition, &sched.Serial{}),
+		ReadOnly: map[int]bool{100: true},
+	})
+	batch := func(reader string) map[int]*program.Program {
+		return map[int]*program.Program{
+			1:   program.MustParse("program T1 {\n  x := x + 1;\n}\n"),
+			2:   program.MustParse("program T2 {\n  x := x + 1;\n}\n"),
+			100: program.MustParse(reader),
+		}
+	}
+	if _, err := eng.ExecuteBatch(batch("program R {\n  x := x;\n}\n")); !errors.Is(err, exec.ErrReadOnlyWrite) {
+		t.Fatalf("a declared reader that writes: err = %v, want ErrReadOnlyWrite", err)
+	}
+	res, err := eng.ExecuteBatch(batch("program R {\n  let v := x;\n}\n"))
+	if err != nil {
+		t.Fatalf("the corrected batch under the same ids: %v", err)
+	}
+	if v, _ := res.Final.Get("x"); v.AsInt() != 2 {
+		t.Fatalf("x = %v, want 2", v)
+	}
+}

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -16,27 +15,21 @@ import (
 	"pwsr/internal/txn"
 )
 
-// ErrGateDenied reports that a batch gate refused a transaction's
-// operation sequence. For an engine-owned gate this is unreachable —
-// AdmitSequence of a fresh transaction cannot be denied (see
-// core.Monitor.AdmitSequence) — so seeing it means the gate is shared
-// with traffic that violated the fresh-transaction contract.
-var ErrGateDenied = errors.New("exec: batch admission denied by the certification gate")
-
 // BatchGate is the admission interface the block-parallel batch
 // executor drives: one call certifies and commits a finished
 // transaction's whole operation sequence atomically. The sched gates
 // implement it (Certify, OptimisticCertify, ParallelCertify) over
 // core.Monitor / core.ShardedMonitor, so a batch admitted through a
 // gate carries the same PWSR proof obligation as a ticked schedule.
+// A fresh transaction admitted whole cannot be denied (see
+// core.Monitor.AdmitSequence), so there is no denial outcome.
 type BatchGate interface {
-	// AdmitTxn atomically certifies one transaction's complete,
-	// position-stamped operation sequence and commits the transaction
-	// on success. A nil error means the sequence is certified, durable
-	// (if a journal is attached), and committed. ErrGateDenied (or an
-	// error wrapping it) means the admission was refused and rolled
-	// back. Any other error is fatal gate state: a certifier violation
-	// or journal fail-stop.
+	// AdmitTxn certifies one transaction's complete, position-stamped
+	// operation sequence and commits the transaction. A nil error means
+	// the sequence is certified, durable (if a journal is attached),
+	// and committed. An error is gate state the batch stops on: a
+	// closed or draining gate, a certifier violation, a journal
+	// fail-stop, or a cancelled context.
 	AdmitTxn(ops []txn.Op) error
 }
 
@@ -135,10 +128,16 @@ type ParallelEngine struct {
 
 	// pool holds what each of the pool's worker goroutines runs
 	// programs through (see worker); its length is the pool's size.
-	// opsHint is the previous batch's committed operation count, the
-	// initial capacity of the next one's schedule.
-	pool    []worker
-	opsHint int
+	pool []worker
+	// What a batch needs and its Result does not own is kept from one
+	// batch to the next, emptied when a batch starts: the sorted
+	// read-write and reader ids, the attempt slab, the committed
+	// operations in commit order, and the readers' results.
+	ids      []int
+	roList   []int
+	attempts []attempt
+	ops      []txn.Op
+	ro       []roResult
 }
 
 // SetFaultInjector registers the deterministic fault injector the
@@ -235,16 +234,19 @@ type attempt struct {
 }
 
 // worker is what one goroutine of a batch's pool runs programs through:
-// rw for read-write attempts, ro for declared readers. Each keeps its
-// operations in an arena it appends to, every run taking its range (see
-// snapshotAccessor.read): an arena that outgrows its array moves, and
-// the ranges already taken stay where they were, unchanged, so a
-// deposited attempt is readable by the commit step while its worker
-// goes on. The arenas live as long as the engine and are emptied when a
-// batch starts; nothing a batch returns points into them (committed
-// operations are copied into the schedule), so a batch allocates no
-// operation storage per transaction.
+// m, the interpreter state every run reuses, and the accessors it runs
+// against — rw for read-write attempts, ro for declared readers. Each
+// accessor keeps its operations in an arena it appends to, every run
+// taking its range (see snapshotAccessor.read): an arena that outgrows
+// its array moves, and the ranges already taken stay where they were,
+// unchanged, so a deposited attempt is readable by the commit step
+// while its worker goes on. The arenas live as long as the engine and
+// are emptied when a batch starts; nothing a batch returns points into
+// them (committed operations are copied into the schedule), so a batch
+// allocates no operation storage per transaction and no interpreter
+// state per run.
 type worker struct {
+	m  program.Machine
 	rw versionedAccessor
 	ro snapshotAccessor
 }
@@ -256,7 +258,8 @@ func (w *worker) reset() {
 	w.rw.ops, w.rw.vers, w.ro.ops = w.rw.ops[:0], w.rw.vers[:0], w.ro.ops[:0]
 }
 
-// batchState is the commit pipeline's shared state, guarded by mu.
+// batchState is the commit pipeline's shared state, guarded by mu
+// except for the atomics.
 type batchState struct {
 	mu   sync.Mutex
 	next int // index into ids of the next transaction to commit
@@ -267,6 +270,10 @@ type batchState struct {
 	perTxn map[int]*TxnMetrics
 	err    error
 	failed atomic.Bool // lock-free mirror of err != nil for worker bail-out
+
+	// claim hands out task indices; retries and conflicts count the
+	// speculation cost (Metrics.Retries, Metrics.Conflicts).
+	claim, retries, conflicts atomic.Int64
 
 	// Read-only bypass state: completed reader results awaiting the
 	// end-of-batch splice, and the begin-order counter that breaks
@@ -318,7 +325,9 @@ func (e *ParallelEngine) ExecuteBatch(programs map[int]*program.Program) (*Resul
 // alongside a typed ErrCanceled- or ErrDeadline-wrapped error. On a
 // watermark-anchored engine the batch's id window stays consumed: a
 // later batch must still use higher ids, exactly as if the cancelled
-// transactions had been aborted.
+// transactions had been aborted. A batch rejected before anything runs
+// (a reader declaration it breaks, ids not above the prior batches')
+// consumes no ids.
 func (e *ParallelEngine) ExecuteBatchCtx(ctx context.Context, programs map[int]*program.Program) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -326,8 +335,7 @@ func (e *ParallelEngine) ExecuteBatchCtx(ctx context.Context, programs map[int]*
 	e.batchMu.Lock()
 	defer e.batchMu.Unlock()
 
-	ids := make([]int, 0, len(programs))
-	roList := make([]int, 0, min(len(e.readOnly), len(programs)))
+	ids, roList := e.ids[:0], e.roList[:0]
 	for id := range programs {
 		if e.readOnly[id] {
 			roList = append(roList, id)
@@ -335,13 +343,18 @@ func (e *ParallelEngine) ExecuteBatchCtx(ctx context.Context, programs map[int]*
 		}
 		ids = append(ids, id)
 	}
+	e.ids, e.roList = ids, roList
 	slices.Sort(ids)
+	if err := checkReaders(roList, programs); err != nil {
+		return nil, err
+	}
 	// Enforce the cross-batch id discipline the watermark queue relies
 	// on: advanceFloor compares raw transaction ids against the gate's
 	// CompactWatermark, so a later batch reusing lower ids would drain
 	// stale queue entries and advance the retention floor past versions
 	// the certifier has not reclaimed, breaking AcquireAt's
-	// never-denied-above-watermark contract.
+	// never-denied-above-watermark contract. Only a batch that passed
+	// every up-front check uses up its ids.
 	if e.wmr != nil && len(ids) > 0 {
 		if e.wmIDSeen && ids[0] <= e.wmMaxID {
 			return nil, fmt.Errorf("exec: batch transaction id %d not above prior batch maximum %d: a watermark-anchored engine requires globally ascending ids across batches", ids[0], e.wmMaxID)
@@ -349,19 +362,21 @@ func (e *ParallelEngine) ExecuteBatchCtx(ctx context.Context, programs map[int]*
 		e.wmMaxID = ids[len(ids)-1]
 		e.wmIDSeen = true
 	}
-	if err := checkReaders(roList, programs); err != nil {
-		return nil, err
-	}
 
 	tasks := len(ids) + len(roList)
+	clear(e.ops)
+	clear(e.ro)
 	bs := &batchState{
-		ops:    make([]txn.Op, 0, e.opsHint),
+		ops:    e.ops[:0],
 		tms:    make([]TxnMetrics, tasks),
 		perTxn: make(map[int]*TxnMetrics, tasks),
-		ro:     make([]roResult, 0, len(roList)),
+		ro:     e.ro[:0],
 	}
-	attempts := make([]attempt, len(ids))
-	var claim, retries, conflicts atomic.Int64
+	if cap(e.attempts) < len(ids) {
+		e.attempts = make([]attempt, len(ids))
+	}
+	attempts := e.attempts[:len(ids)]
+	clear(attempts)
 
 	workers := min(len(e.pool), tasks)
 	var wg sync.WaitGroup
@@ -375,7 +390,7 @@ func (e *ParallelEngine) ExecuteBatchCtx(ctx context.Context, programs map[int]*
 				if bs.failed.Load() || ctx.Err() != nil {
 					return
 				}
-				i := int(claim.Add(1)) - 1
+				i := int(bs.claim.Add(1)) - 1
 				if i >= tasks {
 					return
 				}
@@ -395,9 +410,9 @@ func (e *ParallelEngine) ExecuteBatchCtx(ctx context.Context, programs map[int]*
 						break
 					}
 					if a.err == nil {
-						conflicts.Add(1)
+						bs.conflicts.Add(1)
 					}
-					retries.Add(1)
+					bs.retries.Add(1)
 					if bs.failed.Load() || ctx.Err() != nil {
 						return
 					}
@@ -408,16 +423,16 @@ func (e *ParallelEngine) ExecuteBatchCtx(ctx context.Context, programs map[int]*
 				// transaction at the commit frontier advances it, so by the
 				// time the pool drains, every deposited attempt has been
 				// committed or discarded.
-				e.drain(ctx, w, bs, attempts, ids, programs, &retries, &conflicts)
+				e.drain(ctx, w, bs, attempts, ids, programs)
 			}
 		}()
 	}
 	wg.Wait()
+	e.ops, e.ro = bs.ops, bs.ro
 
 	if bs.err != nil {
 		return nil, bs.err
 	}
-	e.opsHint = len(bs.ops)
 	roOps := 0
 	for _, r := range bs.ro {
 		roOps += len(r.ops)
@@ -441,8 +456,8 @@ func (e *ParallelEngine) ExecuteBatchCtx(ctx context.Context, programs map[int]*
 	m := Metrics{
 		Ticks:     len(bs.ops),
 		PerTxn:    bs.perTxn,
-		Retries:   int(retries.Load()),
-		Conflicts: int(conflicts.Load()),
+		Retries:   int(bs.retries.Load()),
+		Conflicts: int(bs.conflicts.Load()),
 		ROTxns:    len(bs.ro),
 		ROOps:     roOps,
 		MV:        e.store.VersionStats(),
@@ -473,7 +488,7 @@ func (e *ParallelEngine) executeRO(w *worker, bs *batchState, task, id int, prog
 	bs.roSeq++
 	bs.mu.Unlock()
 
-	ops, err := w.ro.read(e.interp, id, stamp, programs[id])
+	ops, err := w.ro.read(&w.m, e.interp, id, stamp, programs[id])
 	e.store.unpin(stamp)
 
 	bs.mu.Lock()
@@ -496,7 +511,7 @@ func (e *ParallelEngine) executeRO(w *worker, bs *batchState, task, id int, prog
 // what bounds retry livelock), certify the final sequence through the
 // gate, and apply the writes. A re-execution runs through w, the
 // draining worker.
-func (e *ParallelEngine) drain(ctx context.Context, w *worker, bs *batchState, attempts []attempt, ids []int, programs map[int]*program.Program, retries, conflicts *atomic.Int64) {
+func (e *ParallelEngine) drain(ctx context.Context, w *worker, bs *batchState, attempts []attempt, ids []int, programs map[int]*program.Program) {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
 	for bs.err == nil && bs.next < len(ids) {
@@ -524,9 +539,9 @@ func (e *ParallelEngine) drain(ctx context.Context, w *worker, bs *batchState, a
 		}
 		if forced || a.err != nil || !e.store.validate(a.ops, a.vers) {
 			if !forced && a.err == nil {
-				conflicts.Add(1)
+				bs.conflicts.Add(1)
 			}
-			retries.Add(1)
+			bs.retries.Add(1)
 			e.execute(w, id, programs[id], a)
 			if a.err != nil {
 				// Authoritative: the program failed against the exact
@@ -622,7 +637,7 @@ func (e *ParallelEngine) execute(w *worker, id int, p *program.Program, a *attem
 	acc := &w.rw
 	acc.id = id
 	start := len(acc.ops)
-	a.err = e.interp.Run(p, acc)
+	a.err = w.m.Run(e.interp, p, acc)
 	end := len(acc.ops)
 	a.ops, a.vers = acc.ops[start:end:end], acc.vers[start:end:end]
 }

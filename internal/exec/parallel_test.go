@@ -106,26 +106,43 @@ func checkBatchSpans(t *testing.T, ctx string, res *exec.Result) {
 }
 
 // TestParallelEngineBatchesOwnTheirResults pins what reusing one engine
-// across batches must not break. The workers' operation arenas live with
-// the engine and are emptied and refilled by every batch, so a Result an
-// earlier batch returned must own its schedule — read again after five
-// more batches, it is unchanged — and every batch must match a fresh
+// across batches must not break. The workers' operation arenas, the
+// committed-operation buffer and the attempt slab live with the engine
+// and are emptied and refilled by every batch, so a Result an earlier
+// batch returned must own its schedule — read again after five more
+// batches, it is unchanged — and every batch must match a fresh
 // engine's run of the same programs from the same state. Mixed writers
 // and declared readers at four workers; make check runs it raced.
 func TestParallelEngineBatchesOwnTheirResults(t *testing.T) {
 	w := gen.MustGenerate(gen.Config{Conjuncts: 3, Programs: 8, MovesPerProgram: 3, Style: gen.StyleFixed, Seed: 4242})
 	mixed, ro := withReaders(w.Programs, sortedItems(w.Initial), 4)
-	eng := exec.NewParallelEngine(exec.ParallelConfig{Initial: w.Initial, Workers: 4, ReadOnly: ro})
+	batchesOwnTheirResults(t, w.Initial, mixed, ro)
+}
+
+// TestParallelEngineBatchesOwnTheirResultsWithoutReaders is the same
+// obligation with no declared reader, where there is nothing to splice:
+// the schedule must still be a copy, not the engine's
+// committed-operation buffer, which the next batch refills.
+func TestParallelEngineBatchesOwnTheirResultsWithoutReaders(t *testing.T) {
+	w := gen.MustGenerate(gen.Config{Conjuncts: 3, Programs: 8, MovesPerProgram: 3, Style: gen.StyleFixed, Seed: 4243})
+	batchesOwnTheirResults(t, w.Initial, w.Programs, nil)
+}
+
+// batchesOwnTheirResults runs six batches of programs on one engine and
+// checks each against a fresh engine, then every earlier Result against
+// what it printed when it was returned.
+func batchesOwnTheirResults(t *testing.T, initial state.DB, programs map[int]*program.Program, ro map[int]bool) {
+	t.Helper()
+	eng := exec.NewParallelEngine(exec.ParallelConfig{Initial: initial, Workers: 4, ReadOnly: ro})
 	var results []*exec.Result
 	var printed []string
-	initial := w.Initial
 	for batch := 0; batch < 6; batch++ {
 		ctx := fmt.Sprintf("batch %d", batch)
-		res, err := eng.ExecuteBatch(mixed)
+		res, err := eng.ExecuteBatch(programs)
 		if err != nil {
 			t.Fatalf("%s: %v", ctx, err)
 		}
-		fresh, err := exec.RunParallel(exec.ParallelConfig{Initial: initial, Workers: 4, ReadOnly: ro}, mixed)
+		fresh, err := exec.RunParallel(exec.ParallelConfig{Initial: initial, Workers: 4, ReadOnly: ro}, programs)
 		if err != nil {
 			t.Fatalf("%s: fresh engine: %v", ctx, err)
 		}

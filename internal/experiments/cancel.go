@@ -162,14 +162,10 @@ func RunCancelTrial(seed int64) (CancelRecord, error) {
 func ReplayCancelCase(c CancelCase) (CancelRecord, error) { return RunCancelCase(c) }
 
 // cancelTypedErr checks the cancellation error contract: nil, or an
-// error that is exec.ErrCanceled/exec.ErrDeadline and is NOT a
-// certification denial.
+// error that is exec.ErrCanceled/exec.ErrDeadline.
 func cancelTypedErr(err error) error {
 	if err == nil {
 		return nil
-	}
-	if errors.Is(err, exec.ErrGateDenied) {
-		return fmt.Errorf("cancellation confused with a certification denial: %v", err)
 	}
 	if !errors.Is(err, exec.ErrCanceled) && !errors.Is(err, exec.ErrDeadline) {
 		return fmt.Errorf("untyped cancellation error: %v", err)

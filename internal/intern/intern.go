@@ -137,6 +137,25 @@ func (t *IDs) Lookup(orig int) (int32, bool) {
 	return id, ok
 }
 
+// Remap renumbers the interned keys in place: remap[d] is the new dense
+// id of the key interned as d, or -1 to forget it. The survivors' new
+// ids must be their ranks among the survivors (a stable filter). The
+// map and the key slice keep their capacity, so keys interned later
+// reuse it.
+func (t *IDs) Remap(remap []int32) {
+	n := 0
+	for d, orig := range t.orig {
+		if nd := remap[d]; nd < 0 {
+			delete(t.dense, orig)
+		} else {
+			t.dense[orig] = nd
+			t.orig[nd] = orig
+			n++
+		}
+	}
+	t.orig = t.orig[:n]
+}
+
 // Orig returns the original key interned as the dense id.
 func (t *IDs) Orig(id int32) int { return t.orig[id] }
 

@@ -58,3 +58,33 @@ func TestIDs(t *testing.T) {
 		t.Fatal("Lookup of unseen id succeeded")
 	}
 }
+
+// TestIDsRemap pins the in-place filter: forgotten keys are unseen,
+// survivors keep their order under consecutive ids, and keys interned
+// afterwards continue the numbering.
+func TestIDsRemap(t *testing.T) {
+	s := NewIDs()
+	for _, orig := range []int{10, 20, 30, 40, 50} {
+		s.ID(orig)
+	}
+	s.Remap([]int32{-1, 0, -1, 1, 2})
+	if s.Len() != 3 {
+		t.Fatalf("Len = %d, want 3", s.Len())
+	}
+	for d, orig := range []int{20, 40, 50} {
+		if got := s.Orig(int32(d)); got != orig {
+			t.Fatalf("Orig(%d) = %d, want %d", d, got, orig)
+		}
+		if id, ok := s.Lookup(orig); !ok || id != int32(d) {
+			t.Fatalf("Lookup(%d) = %d, %v, want %d", orig, id, ok, d)
+		}
+	}
+	for _, orig := range []int{10, 30} {
+		if _, ok := s.Lookup(orig); ok {
+			t.Fatalf("forgotten key %d still resolves", orig)
+		}
+	}
+	if got := s.ID(30); got != 3 {
+		t.Fatalf("re-interned 30 = %d, want 3", got)
+	}
+}

@@ -115,7 +115,9 @@ const inlineDepth = 8
 // interpreter of TPL: Step runs the attempt up to its next operation or
 // its end.
 //
-// A Machine started by Init has no accessor and suspends at operations.
+// Run drives a Machine through an Accessor to the end of the program in
+// one call. A Machine started by Init has no accessor and suspends at
+// operations.
 // At a read it stops in the middle of a statement and Step returns the
 // request; Deliver hands it what Accessor.Read would have returned, and
 // the next Step evaluates the statement again from its beginning. That
@@ -151,14 +153,18 @@ type Machine struct {
 	spill  []block
 }
 
-// bind points a zero Machine at the start of p, under in's configuration
-// and driven through acc. An unresolved program is resolved here.
+// bind points m at the start of p, under in's configuration and driven
+// through acc, reusing m's slot array when it is large enough. An
+// unresolved program is resolved here.
 func (m *Machine) bind(in *Interp, p *Program, acc Accessor) {
 	if !p.resolved {
 		p = p.Clone()
 	}
-	m.prog, m.slots, m.acc, m.strict, m.budget = p, make([]slot, p.slots), acc, in.Strict, in.maxSteps()
-	m.steps, m.depth, m.inline[0].stmts = m.budget, 1, p.Body
+	if cap(m.slots) < int(p.slots) {
+		m.slots = make([]slot, p.slots)
+	}
+	m.prog, m.slots, m.acc, m.strict, m.budget = p, m.slots[:p.slots], acc, in.Strict, in.maxSteps()
+	m.Reset()
 }
 
 // Init makes m a suspending Machine at the start of p under in's
@@ -193,6 +199,13 @@ func (m *Machine) Deliver(v state.Value, err error) {
 // resulting transaction, in order (see Accessor).
 func (in *Interp) Run(p *Program, acc Accessor) error {
 	var m Machine // stays on this stack
+	return m.Run(in, p, acc)
+}
+
+// Run executes p against acc on m, as Interp.Run does, and leaves m
+// ready for another run: a Machine that runs program after program
+// allocates its slot array once, for the largest program it ran.
+func (m *Machine) Run(in *Interp, p *Program, acc Accessor) error {
 	m.bind(in, p, acc)
 	_, err := m.Step() // with an accessor nothing suspends
 	return err

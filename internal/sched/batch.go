@@ -16,11 +16,13 @@ var (
 	_ exec.BatchGate = (*ParallelCertify)(nil)
 )
 
-// admitTxn is the shared body of the gates' AdmitTxn: certify the
-// whole sequence atomically, then commit the transaction, barriering
-// the journal (when one is attached) before acknowledging — the same
-// write-ahead discipline the tick path applies per grant. The sequence
-// names no conjunct to the memo, so it moves the global epoch.
+// admitTxn is the shared body of the gates' AdmitTxn: admit the whole
+// sequence, then commit the transaction, barriering the journal (when
+// one is attached) before acknowledging — the same write-ahead
+// discipline the tick path applies per grant. A fresh transaction's
+// sequence cannot be denied (core.Monitor.AdmitSequence), so the only
+// refusal the certifier can give is a violation. The sequence names no
+// conjunct to the memo, so it moves the global epoch.
 func admitTxn(memo *verdictMemo, jn *journaled, lc *lifecycle, ops []txn.Op) error {
 	mon := memo.mon
 	if lc.closed {
@@ -38,13 +40,8 @@ func admitTxn(memo *verdictMemo, jn *journaled, lc *lifecycle, ops []txn.Op) err
 		return nil
 	}
 	memo.global++
-	ok, v := mon.AdmitSequence(ops)
-	if v != nil {
+	if _, v := mon.AdmitSequence(ops); v != nil {
 		return fmt.Errorf("sched: batch admission on a violated certifier: %v", v)
-	}
-	if !ok {
-		jn.ack() // flush the net-zero observe/retract prefix
-		return exec.ErrGateDenied
 	}
 	mon.Commit(ops[0].Txn)
 	if !jn.ack() {
@@ -56,9 +53,9 @@ func admitTxn(memo *verdictMemo, jn *journaled, lc *lifecycle, ops []txn.Op) err
 // AdmitTxn implements exec.BatchGate on the blocking gate: certify and
 // commit one finished transaction's whole operation sequence
 // atomically. The sequence must follow core.Monitor.AdmitSequence's
-// fresh-transaction contract; under it a denial cannot arise on a
-// healthy certifier, so a non-nil error means a violated certifier,
-// a journal fail-stop, or a caller outside the contract.
+// fresh-transaction contract; under it a denial cannot arise, so a
+// non-nil error means a closed or draining gate, a violated certifier
+// or a journal fail-stop.
 func (c *Certify) AdmitTxn(ops []txn.Op) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

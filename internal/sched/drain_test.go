@@ -107,9 +107,6 @@ func TestDrainDeadlineTyped(t *testing.T) {
 	if !errors.Is(err, exec.ErrDeadline) {
 		t.Fatalf("drain error = %v, want exec.ErrDeadline", err)
 	}
-	if errors.Is(err, exec.ErrGateDenied) {
-		t.Fatalf("drain deadline confused with a denial: %v", err)
-	}
 	if live := gate.Monitor().InFlightTxnIDs(); len(live) != 0 {
 		t.Fatalf("deadline drain left in-flight transactions: %v", live)
 	}

@@ -17,10 +17,10 @@ type Certifier interface {
 	// Admissible reports whether admitting o now would keep every
 	// conjunct's projection serializable, without recording it.
 	Admissible(o txn.Op) bool
-	// AdmitSequence atomically admits one fresh transaction's whole
-	// operation sequence — all observed or none (see
-	// core.Monitor.AdmitSequence for the contract and the
-	// commit-order serial-equivalence argument).
+	// AdmitSequence admits one fresh transaction's whole operation
+	// sequence, which cannot be denied: false comes only with a
+	// violation (see core.Monitor.AdmitSequence for the contract and
+	// the commit-order serial-equivalence argument).
 	AdmitSequence(ops []txn.Op) (bool, *core.Violation)
 	// Retract rolls every observed operation of the transaction out of
 	// certification state.
