@@ -200,12 +200,13 @@ profile-batch-round:
 
 # profile-tick writes a CPU profile of the tick engine under abort and
 # restart (PERF16's family: hot-tick's shape through OptimisticCertify
-# with VictimYoungest) to tick.prof, with the test binary beside it;
-# read it with
+# with VictimYoungest) to tick.prof and its allocation profile to
+# tick.mem, with the test binary beside them; read them with
 #   go tool pprof -top -focus 'exec.RunCtx' pwsr.test tick.prof
+#   go tool pprof -sample_index=alloc_space -top pwsr.test tick.mem
 .PHONY: profile-tick
 profile-tick:
-	$(GO) test . -run '^$$' -bench 'BenchmarkTickAbortRestart' -benchmem -benchtime=3000x -cpuprofile tick.prof -o pwsr.test
+	$(GO) test . -run '^$$' -bench 'BenchmarkTickAbortRestart' -benchmem -benchtime=3000x -cpuprofile tick.prof -memprofile tick.mem -o pwsr.test
 
 # profile-wal writes a CPU profile of the journal's append path
 # (PERF18's family: steady observe/commit/compact records through
@@ -261,8 +262,8 @@ test:
 # whole-transaction admission allocates the same with 16 and with 4096
 # resident transactions) and the journal's append path
 # (TestZeroAllocWriterAppend: under 0.1 allocations per record), and the
-# last two lines run the PERF14–PERF18 benchmark families once so they
-# cannot rot.
+# last two lines run the PERF14–PERF18 and PERF20 benchmark families once
+# so they cannot rot.
 # The chaos smoke (a fixed 40-seed band of the ROBUST1 fault
 # differential, deterministic by construction) also rides in the raced
 # `./...` pass; the full randomized matrix lives in `make chaos`.
@@ -273,7 +274,7 @@ check:
 	GOMAXPROCS=1 $(GO) test -race -short -count=1 ./internal/core ./internal/sched ./internal/exec ./internal/wal
 	GOMAXPROCS=8 $(GO) test -race -short -count=1 ./internal/core ./internal/sched ./internal/exec ./internal/wal
 	$(GO) test -run 'TestZeroAlloc|TestTickEngineAllocs|TestBatchEngineAllocs|TestInterpRunAllocs' -count=1 ./internal/core ./internal/wal
-	$(GO) test . -run '^$$' -bench 'BenchmarkShardedAdmitSequence|BenchmarkInterpRun|BenchmarkTickAbortRestart|BenchmarkBatchRound' -benchtime=1x
+	$(GO) test . -run '^$$' -bench 'BenchmarkShardedAdmitSequence|BenchmarkInterpRun|BenchmarkTickAbortRestart|BenchmarkTickRound|BenchmarkBatchRound' -benchtime=1x
 	$(GO) test ./internal/wal -run '^$$' -bench 'BenchmarkWriterAppend' -benchtime=1x
 
 # soak is the long-run bounded-memory test: ≥ 1M operations through a

@@ -911,6 +911,85 @@ func BenchmarkTickAbortRestart(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
+// PERF20: one tick round in cad-tick's shape — 12 programs a round over
+// sixteen conjuncts of four items, two of them sweeping four whole
+// conjuncts and the rest touching one to three items of one — through a
+// persistent OptimisticCertify gate compacting every 48 commits, with
+// each round's Final the next round's initial state, as the benchmark
+// chains them. A round is one exec.Run; B/op and allocs/op are per
+// round: what the Result owns plus the gate's amortized growth.
+// ---------------------------------------------------------------------
+
+func BenchmarkTickRound(b *testing.B) {
+	const conjuncts, itemsPer, window, long, span, pool = 16, 4, 12, 2, 4, 1024
+	item := func(c, j int) string { return fmt.Sprintf("d%dc%d", c, j) }
+	rng := rand.New(rand.NewSource(2))
+	db := state.NewDB()
+	partition := make([]state.ItemSet, conjuncts)
+	for c := range partition {
+		partition[c] = state.NewItemSet()
+		for j := 0; j < itemsPer; j++ {
+			partition[c].Add(item(c, j))
+			db.Set(item(c, j), state.Int(int64(1+rng.Intn(5))))
+		}
+	}
+	fix := func(src *strings.Builder, c, j int) {
+		fmt.Fprintf(src, "%s := abs(%s) %% 89 + %d;\n", item(c, j), item(c, j), 1+rng.Intn(3))
+	}
+	longs, shorts := make([]*program.Program, pool/8), make([]*program.Program, pool)
+	for k := range longs {
+		var src strings.Builder
+		fmt.Fprintf(&src, "program Long%d {\n", k)
+		start := rng.Intn(conjuncts - span + 1)
+		for c := start; c < start+span; c++ {
+			for j := 0; j < itemsPer; j++ {
+				fix(&src, c, j)
+			}
+		}
+		src.WriteString("}\n")
+		longs[k] = program.MustParse(src.String())
+	}
+	for k := range shorts {
+		var src strings.Builder
+		fmt.Fprintf(&src, "program Short%d {\n", k)
+		c := rng.Intn(conjuncts)
+		for i, j := range rng.Perm(itemsPer)[:1+rng.Intn(3)] {
+			if rng.Intn(10) < 3 {
+				fmt.Fprintf(&src, "let q%d := %s;\n", i, item(c, j))
+			} else {
+				fix(&src, c, j)
+			}
+		}
+		src.WriteString("}\n")
+		shorts[k] = program.MustParse(src.String())
+	}
+	mon := core.NewMonitor(partition)
+	mon.SetAutoCompact(4 * window)
+	gate := sched.NewOptimisticCertifyOver(mon, sched.NewRandom(1), sched.VictimYoungest)
+
+	id := 0
+	programs := make(map[int]*program.Program, window) // refilled every round
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clear(programs)
+		for j := 0; j < window; j++ {
+			id++
+			if j < long {
+				programs[id] = longs[rng.Intn(len(longs))]
+			} else {
+				programs[id] = shorts[rng.Intn(len(shorts))]
+			}
+		}
+		res, err := exec.Run(exec.Config{Programs: programs, Initial: db, Policy: gate, DataSets: partition})
+		if err != nil {
+			b.Fatal(err)
+		}
+		db = res.Final
+	}
+}
+
+// ---------------------------------------------------------------------
 // PERF17: one batch round on the block-parallel engine. batch-rw's
 // shape — 48 writers a round, each a spin-50 read-modify-write of one
 // of 768 private items (a fifth also incrementing the hot item), beside

@@ -186,7 +186,15 @@
 // nothing allocated, nothing of the erased attempt left for the new one
 // to see (Kuznetsov and Peri's non-interference). EXPERIMENTS.md PERF16
 // records the effect; TestInterpDifferential holds both ways of driving
-// the Machine, and Reset, to the name-keyed reference interpreter.
+// the Machine, and Reset, to the name-keyed reference interpreter. Like a
+// batch, a tick round allocates only what its Result owns — the
+// schedule, Final and the metrics — and its View, whose identity tells a
+// gate a new run has begun (PERF20): the per-transaction slab with its
+// Machines, which keep their slot arrays from program to program, the
+// schedule arena, the engine's lists and the View's maps come from one
+// pool of run states that RunCtx calls share, and the Result's schedule
+// is copied out of the arena, so a later round cannot change an earlier
+// Result (TestTickRunsOwnTheirResults).
 //
 // Benchmarks for the certification hot path and the scheduling-policy
 // studies live in bench_test.go (run `make bench`, and see

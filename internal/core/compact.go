@@ -225,9 +225,11 @@ func (m *Monitor) pruneProbe(remap []int32) {
 	if len(m.probe) == 0 {
 		return
 	}
-	old := m.probe
-	m.probe = make(map[uint64]probeEntry, len(old))
-	for key, ent := range old {
+	if m.probeSpare == nil {
+		m.probeSpare = make(map[uint64]probeEntry, len(m.probe))
+	}
+	kept := m.probeSpare
+	for key, ent := range m.probe {
 		d := int32(key >> 33)
 		if m.committedB[d] {
 			continue
@@ -236,8 +238,10 @@ func (m *Monitor) pruneProbe(remap []int32) {
 		if remap != nil {
 			nd = remap[d]
 		}
-		m.probe[uint64(uint32(nd))<<33|key&(1<<33-1)] = ent
+		kept[uint64(uint32(nd))<<33|key&(1<<33-1)] = ent
 	}
+	clear(m.probe)
+	m.probe, m.probeSpare = kept, m.probe
 }
 
 // inAnyGraph reports whether the dense transaction id still has a node

@@ -110,6 +110,7 @@ type Monitor struct {
 	// Probe cache state — see Admissible and probe.go.
 	probeOn            bool
 	probe              map[uint64]probeEntry
+	probeSpare         map[uint64]probeEntry // pruneProbe rekeys into it, then swaps
 	probeHits          int64
 	probeMisses        int64
 	probeInvalidations int64
@@ -978,7 +979,6 @@ func (g *incGraph) retract(dense int32) {
 		return
 	}
 	touched := g.nodes[t].items
-	g.nodes[t].items = nil
 	for idx, item := range touched {
 		if slices.Contains(touched[:idx], item) {
 			continue // already repaired
@@ -995,9 +995,26 @@ func (g *incGraph) retract(dense int32) {
 		// Recompute the item's frontier and edge contribution from the
 		// surviving history (into reused replay scratch).
 		newEdges, lw, readers := g.replayItem(lg)
+		// A hot item's map is refilled in place with the new contribution
+		// and answers the old-edge diff.
+		if it.edgeSet != nil || len(newEdges) > itemEdgeSetThreshold {
+			if it.edgeSet == nil {
+				it.edgeSet = make(map[uint64]struct{}, len(newEdges))
+			}
+			clear(it.edgeSet)
+			for _, k := range newEdges {
+				it.edgeSet[k] = struct{}{}
+			}
+		}
 		old := it.edges
 		for _, k := range old {
-			if !slices.Contains(newEdges, k) {
+			kept := false
+			if it.edgeSet != nil {
+				_, kept = it.edgeSet[k]
+			} else {
+				kept = slices.Contains(newEdges, k)
+			}
+			if !kept {
 				g.dropEdge(k)
 			}
 		}
@@ -1007,13 +1024,6 @@ func (g *incGraph) retract(dense int32) {
 			}
 		}
 		it.edges = append(it.edges[:0], newEdges...)
-		if it.edgeSet != nil || len(newEdges) > itemEdgeSetThreshold {
-			set := make(map[uint64]struct{}, len(newEdges))
-			for _, k := range newEdges {
-				set[k] = struct{}{}
-			}
-			it.edgeSet = set
-		}
 		it.lastWriter = lw
 		it.readers = append(it.readers[:0], readers...)
 		it.readerBits = 0
@@ -1024,6 +1034,8 @@ func (g *incGraph) retract(dense int32) {
 		}
 		it.gen++
 	}
+	// The emptied node keeps its item list's array for the next attempt.
+	g.nodes[t].items = touched[:0]
 }
 
 // replayItem recomputes an item's edge contribution and final frontier

@@ -74,6 +74,23 @@
 // has no denial outcome: a fresh transaction admitted whole cannot
 // close a cycle (core.Monitor.AdmitSequence), so BatchGate.AdmitTxn
 // fails only on gate state the batch stops on.
+//
+// # What a round allocates
+//
+// RunCtx allocates per round only what the Result it returns owns: the
+// schedule, copied out of the run's arena at its exact length, Final
+// (the clone of Initial the run updates in place) and the metrics slab
+// and map — and the round's View, fresh every run because a policy tells
+// runs apart by the View's identity. Everything else comes from one
+// package-level pool of run states (runState): the per-transaction slab,
+// each Machine keeping its slot array; the schedule arena and its
+// owners; the id, runnable, parked and pending lists; the erasure
+// scratch; and the View's Live, Finished and LastWriter maps. A run
+// resets everything it takes before using it and relies on nothing
+// having been cleaned up after the run before, so a state a panicking
+// program abandoned is as good as any. A Result never points into a run
+// state, so a later round cannot change an earlier Result. Declared
+// read-only transactions still build their multiversion store per run.
 package exec
 
 import (
@@ -154,7 +171,12 @@ type Restarter interface {
 	TxnAborted(id int, v *View)
 }
 
-// View is the engine state a policy may consult when picking.
+// View is the engine state a policy may consult when picking. A View,
+// and everything reachable from it — Ops, the maps, the slices
+// AbortClosure returns — is valid only during the run's policy
+// callbacks: the engine recycles that memory for later runs. Every run
+// gets a View of its own, so a policy may keep the pointer to tell runs
+// apart, but must not read through it once the run has returned.
 type View struct {
 	// Store is the current database state. Policies must not mutate it.
 	Store state.DB
@@ -271,11 +293,6 @@ const PassTick = -2
 
 // maxConsecutivePasses bounds runaway PassTick loops.
 const maxConsecutivePasses = 1 << 20
-
-// opsPerProgramHint sizes a run's schedule buffer up front, so a round
-// of short transactions does not grow it from nil one doubling at a
-// time.
-const opsPerProgramHint = 8
 
 // Policy decides the interleaving: given the pending requests (one per
 // live transaction, sorted by transaction id), it returns the index of
@@ -576,6 +593,29 @@ func (p *proc) step() (bool, error) {
 	return true, nil
 }
 
+// runState is what a tick run builds and its Result does not own (see
+// the package comment on what a round allocates): the per-transaction
+// slab, the schedule arena with each operation's owner, the id,
+// runnable, parked and pending lists, eraseAttempts' undo scratch, and
+// the maps behind the View. RunCtx takes one from runStates for the
+// length of a run.
+type runState struct {
+	ids              []int
+	procs            []proc
+	runnable, parked []*proc
+	list             []*Request
+	ops              []txn.Op
+	owners           []*proc
+	undo             []string
+	live, finished   map[int]bool
+	lastWriter       map[string]int
+}
+
+// runStates recycles run states across RunCtx calls, which the
+// benchmark's rounds make one after another and RunManyCtx makes
+// concurrently.
+var runStates = sync.Pool{New: func() any { return new(runState) }}
+
 // Run executes the configured programs concurrently and returns the
 // recorded schedule, final state, and metrics. It is RunCtx without a
 // cancellation point.
@@ -609,6 +649,13 @@ func Run(cfg Config) (*Result, error) {
 // grants journaled before the detection point are kept: never a
 // partial one.
 func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
+	rs := runStates.Get().(*runState)
+	defer runStates.Put(rs)
+	return rs.run(ctx, cfg)
+}
+
+// run is RunCtx on the run state rs, which it resets before use.
+func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -632,7 +679,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	if err := checkReaders(roList, cfg.Programs); err != nil {
 		return nil, err
 	}
-	ids := make([]int, 0, len(cfg.Programs))
+	ids := rs.ids[:0]
 	for id := range cfg.Programs {
 		if cfg.ReadOnly[id] {
 			continue // served from snapshots, never ticked
@@ -640,19 +687,29 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
+	rs.ids = ids
 
 	// Per-transaction state lives in slabs indexed by a dense slot —
 	// tick transactions in ascending id order, then the readers — so
 	// the grant path follows pointers instead of hashing ids; the
-	// exported maps are filled once, here.
-	procs := make([]proc, len(ids))
+	// exported maps are filled once, here. The metrics slab is the
+	// Result's; the proc slab and everything else below comes from rs
+	// and is reset before use, whatever the run before left in it.
+	rs.procs = slices.Grow(rs.procs[:0], len(ids))[:len(ids)]
+	procs := rs.procs
 	tms := make([]TxnMetrics, len(ids)+len(roList))
 	metrics := Metrics{PerTxn: make(map[int]*TxnMetrics, len(tms))}
+	if rs.live == nil {
+		rs.live, rs.finished, rs.lastWriter = make(map[int]bool), make(map[int]bool), make(map[string]int)
+	}
+	clear(rs.live)
+	clear(rs.finished)
+	clear(rs.lastWriter)
 	v := &View{
 		Store:      cfg.Initial.Clone(),
-		Live:       make(map[int]bool, len(ids)),
-		Finished:   make(map[int]bool, len(ids)),
-		LastWriter: make(map[string]int),
+		Live:       rs.live,
+		Finished:   rs.finished,
+		LastWriter: rs.lastWriter,
 		DataSets:   cfg.DataSets,
 		procs:      procs,
 		programs:   cfg.Programs,
@@ -663,25 +720,31 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	// closure just restarted. parked are the attempts waiting on a
 	// request, ascending by id, and list their requests — the pending
 	// view handed to the policy, valid only during the call.
-	runnable := make([]*proc, 0, len(ids))
-	parked := make([]*proc, 0, len(ids))
-	list := make([]*Request, 0, len(ids))
+	runnable, parked, list := rs.runnable[:0], rs.parked[:0], rs.list[:0]
 	for i := range tms {
 		tms[i].Start = -1
 	}
 	for i, id := range ids {
 		metrics.PerTxn[id] = &tms[i]
-		procs[i].id, procs[i].tm = id, &tms[i]
-		procs[i].m.Init(interp, cfg.Programs[id])
+		p := &procs[i]
+		p.id, p.tm, p.parkedAt, p.first, p.erasing = id, &tms[i], 0, 0, false
+		p.readFrom, p.readers = p.readFrom[:0], p.readers[:0]
+		p.m.Init(interp, cfg.Programs[id])
 		v.Live[id] = true
-		runnable = append(runnable, &procs[i])
+		runnable = append(runnable, p)
 	}
 	for i, id := range roList {
 		metrics.PerTxn[id] = &tms[len(ids)+i]
 	}
-	// owners[i] is the attempt ops[i] was granted to.
-	ops := make([]txn.Op, 0, opsPerProgramHint*len(ids))
-	owners := make([]*proc, 0, cap(ops))
+	// ops is the schedule arena, copied out into the Result; owners[i]
+	// is the attempt ops[i] was granted to.
+	ops, owners := rs.ops[:0], rs.owners[:0]
+	undo := rs.undo[:0] // eraseAttempts' scratch: the items the erased attempts wrote
+	// The lists grow inside the run; whatever they grew to is kept.
+	defer func() {
+		rs.runnable, rs.parked, rs.list = runnable, parked, list
+		rs.ops, rs.owners, rs.undo = ops, owners, undo
+	}()
 
 	maxAborts := cfg.MaxAborts
 	if maxAborts <= 0 {
@@ -821,7 +884,6 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		return nil
 	}
 
-	var undo []string // eraseAttempts' scratch: the items the erased attempts wrote
 	// eraseAttempts erases the closure members' attempts per the
 	// package's abort semantics: expunge their operations from the
 	// schedule, undo their writes, drop their reads-from bookkeeping, and
@@ -937,6 +999,26 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		return nil
 	}
 
+	// result hands the recorded schedule to a Result as a fresh array —
+	// spliced with the served readers' operations when there are any,
+	// copied out of the arena otherwise — beside the policy's counters.
+	result := func() *Result {
+		var schedule []txn.Op
+		if mv != nil {
+			schedule = spliceRO(ops, roResults)
+			metrics.MV = mv.VersionStats()
+		} else {
+			schedule = make([]txn.Op, len(ops))
+			copy(schedule, ops)
+		}
+		harvestReporters(cfg.Policy, &metrics)
+		return &Result{
+			Schedule: txn.AdoptSchedule(schedule),
+			Final:    v.Store,
+			Metrics:  metrics,
+		}
+	}
+
 	// cancelRun settles a cancelled run. It is called between
 	// scheduling steps; transactions that complete while the remaining
 	// parks are gathered commit normally (a program error still wins
@@ -979,18 +1061,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		for len(parked) > 0 {
 			finish(unpark(0))
 		}
-		cancelErr := CancelError(ctx)
-		v.Ops = ops
-		if mv != nil {
-			ops = spliceRO(ops, roResults)
-			metrics.MV = mv.VersionStats()
-		}
-		harvestReporters(cfg.Policy, &metrics)
-		return &Result{
-			Schedule: txn.AdoptSchedule(ops),
-			Final:    v.Store,
-			Metrics:  metrics,
-		}, cancelErr
+		return result(), CancelError(ctx)
 	}
 
 	for len(v.Live) > 0 {
@@ -1098,17 +1169,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	if err := serveDueROs(true); err != nil {
 		return nil, err
 	}
-	if mv != nil {
-		ops = spliceRO(ops, roResults)
-		metrics.MV = mv.VersionStats()
-	}
-
-	harvestReporters(cfg.Policy, &metrics)
-	return &Result{
-		Schedule: txn.AdoptSchedule(ops),
-		Final:    v.Store,
-		Metrics:  metrics,
-	}, nil
+	return result(), nil
 }
 
 // harvestReporters copies the optional reporter extensions' counters

@@ -60,8 +60,8 @@ func checkOpIndex(t *testing.T, v *exec.View) {
 	}
 }
 
-// checkSchedulePositions requires a Result's schedule — which adopts the
-// engine's own operation slice instead of renumbering a copy — to be
+// checkSchedulePositions requires a Result's schedule — copied out of
+// the engine's recycled arena as it stands, not renumbered — to be
 // numbered densely from 0 and clipped to its length.
 func checkSchedulePositions(t *testing.T, s *txn.Schedule) {
 	t.Helper()

@@ -168,10 +168,11 @@ func (m *Machine) bind(in *Interp, p *Program, acc Accessor) {
 }
 
 // Init makes m a suspending Machine at the start of p under in's
-// configuration. An unresolved program is resolved once, for all the
-// attempts Reset will start.
+// configuration, keeping m's slot array as Run does: a Machine
+// initialised for program after program allocates it once, for the
+// largest. An unresolved program is resolved once, for all the attempts
+// Reset will start.
 func (m *Machine) Init(in *Interp, p *Program) {
-	*m = Machine{}
 	m.bind(in, p, nil)
 }
 

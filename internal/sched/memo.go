@@ -17,7 +17,8 @@ type verdictMemo struct {
 	epoch  []uint64           // one per conjunct, then the outside-every-conjunct slot
 	global uint64             // part of every stamp; ≥ 1 once in use, so stamp 0 means undecided
 	passes int                // the certifier's compaction passes as of the last commit
-	slots  map[string][]int32 // item → the epoch slots its verdicts depend on
+	slots  map[string][]int32 // partition item → the epoch slots its verdicts depend on, built once
+	other  []int32            // the slots of every other item: the outside slot alone
 	// touched maps a transaction to the slots of its granted items;
 	// spare recycles the lists.
 	touched map[int][]int32
@@ -58,8 +59,15 @@ const parallelProbeThreshold = 4
 // the certifier, concurrently when fan is set.
 func (m *verdictMemo) mask(pending []*exec.Request, v *exec.View, lc *lifecycle, solo int, delayedRead, fan bool) {
 	if m.epoch == nil {
-		m.epoch = make([]uint64, len(m.mon.Partition())+1)
+		partition := m.mon.Partition()
+		m.epoch = make([]uint64, len(partition)+1)
 		m.slots = make(map[string][]int32)
+		for e, d := range partition {
+			for item := range d {
+				m.slots[item] = append(m.slots[item], int32(e))
+			}
+		}
+		m.other = []int32{int32(len(partition))}
 		m.touched = make(map[int][]int32)
 		m.global++
 	}
@@ -122,19 +130,10 @@ func (m *verdictMemo) probe(pending []*exec.Request, i int) {
 // slotsOf returns the epoch slots an item's verdicts depend on: its
 // conjuncts, or the shared outside slot.
 func (m *verdictMemo) slotsOf(item string) []int32 {
-	s, ok := m.slots[item]
-	if !ok {
-		for e, d := range m.mon.Partition() {
-			if d.Contains(item) {
-				s = append(s, int32(e))
-			}
-		}
-		if s == nil {
-			s = []int32{int32(len(m.epoch) - 1)}
-		}
-		m.slots[item] = s
+	if s, ok := m.slots[item]; ok {
+		return s
 	}
-	return s
+	return m.other
 }
 
 // grant lets inner choose among the requests the mask passed and commits

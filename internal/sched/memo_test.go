@@ -332,3 +332,30 @@ func TestVerdictMemoNewView(t *testing.T) {
 		t.Fatalf("Pick = %d under a view without T7's write, want 0", got)
 	}
 }
+
+// TestVerdictMemoOutsideItemsBounded: the memo's item table holds the
+// partition's items and nothing else — every item outside the partition
+// shares one epoch slot — so a gate fed a stream of fresh item names
+// outside every conjunct does not grow it.
+func TestVerdictMemoOutsideItemsBounded(t *testing.T) {
+	partition := []state.ItemSet{state.NewItemSet("a1", "a2"), state.NewItemSet("a2", "b1")}
+	gate := NewOptimisticCertify(partition, &RoundRobin{}, nil)
+	v := &exec.View{Live: map[int]bool{}, Finished: map[int]bool{}, LastWriter: map[string]int{}}
+	const fresh = 1000
+	for i := 1; i <= fresh; i++ {
+		v.Live[i] = true
+		pending := []*exec.Request{{TxnID: i, Action: txn.ActionRead, Entity: fmt.Sprintf("o%d", i)}}
+		if got := gate.Pick(pending, v); got != 0 {
+			t.Fatalf("Pick = %d for a read outside every conjunct, want 0", got)
+		}
+	}
+	if got := len(gate.memo.slots); got != 3 {
+		t.Fatalf("item table holds %d entries after %d fresh outside items, want the partition's 3", got, fresh)
+	}
+	if got := gate.memo.slotsOf("a2"); !slices.Equal(got, []int32{0, 1}) {
+		t.Fatalf("slots of a2 = %v, want both conjuncts [0 1]", got)
+	}
+	if a, b := gate.memo.slotsOf("o1"), gate.memo.slotsOf("o2"); &a[0] != &b[0] || a[0] != 2 {
+		t.Fatalf("outside items use slots %v and %v, want one shared slice of the outside slot 2", a, b)
+	}
+}
