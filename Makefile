@@ -119,7 +119,7 @@ chaos:
 cancel-matrix:
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestCancel|TestDrain|TestSnapshotPinnedAcrossDrain' ./internal/experiments
 	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'TestCancel|TestDrain|TestSnapshotPinnedAcrossDrain' ./internal/experiments
-	$(GO) test -race -count=1 -run 'TestDrain|TestClose|TestAdmitTxnCtx' ./internal/sched
+	$(GO) test -race -count=1 -run 'TestDrain|TestClose|TestGateSharedByTickAndBatchEngines' ./internal/sched
 	$(GO) test -race -count=1 -run 'TestCancel|TestRunCtx|TestRunManyCtx|TestExecuteBatchCtx' ./internal/exec
 	$(GO) test -race -count=1 -run 'TestCloseInterruptsBackoff' ./internal/wal
 	$(GO) run ./cmd/pwsrfuzz -mode cancel -trials 60 -seed 7
@@ -221,6 +221,16 @@ profile-wal:
 .PHONY: bench-all
 bench-all:
 	$(GO) test . -run '^$$' -bench . -benchmem
+
+# loc prints the non-test Go line counts of the packages CHANGES.md and
+# ROADMAP.md track, plus the facade, and their total.
+.PHONY: loc
+loc:
+	@for f in internal/sched internal/exec internal/core internal/wal internal/program pwsr.go; do \
+		find $$f -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l | xargs printf '%-18s %6d\n' $$f; \
+	done
+	@find internal/sched internal/exec internal/core internal/wal internal/program pwsr.go -maxdepth 1 \
+		-name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l | xargs printf '%-18s %6d\n' total
 
 .PHONY: test
 test:

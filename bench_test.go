@@ -10,6 +10,7 @@
 package pwsr_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -58,7 +59,7 @@ func BenchmarkExample2Violation(b *testing.B) {
 	sys := core.NewSystem(e.IC, e.Schema)
 	programs := map[int]*program.Program{1: e.Programs[0], 2: e.Programs[1]}
 	for i := 0; i < b.N; i++ {
-		res, err := exec.Run(exec.Config{
+		res, err := exec.RunCtx(context.Background(), exec.Config{
 			Programs: programs,
 			Initial:  e.Initial,
 			Policy:   sched.NewScript(e.Script...),
@@ -339,7 +340,7 @@ func BenchmarkCheckerScaling(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := exec.Run(exec.Config{
+		res, err := exec.RunCtx(context.Background(), exec.Config{
 			Programs: w.Programs,
 			Initial:  w.Initial,
 			Policy:   sched.NewPW2PL(),
@@ -557,7 +558,7 @@ func BenchmarkCertifyPolicies(b *testing.B) {
 			var stalls, aborts, wasted int
 			for i := 0; i < b.N; i++ {
 				for j, w := range ws {
-					res, err := exec.Run(exec.Config{
+					res, err := exec.RunCtx(context.Background(), exec.Config{
 						Programs: w.Programs,
 						Initial:  w.Initial,
 						Policy:   c.mk(w, int64(j)),
@@ -845,7 +846,7 @@ func BenchmarkInterpRun(b *testing.B) {
 // items, a fifth of them forced onto one conjunct — through a persistent
 // OptimisticCertify gate that sacrifices the youngest victim, so most
 // commits are preceded by an erased attempt or two. A round is one
-// exec.Run; ns/txn and allocs/txn are per committed transaction, what a
+// exec.RunCtx; ns/txn and allocs/txn are per committed transaction, what a
 // restart costs included.
 // ---------------------------------------------------------------------
 
@@ -895,7 +896,7 @@ func BenchmarkTickAbortRestart(b *testing.B) {
 			id++
 			programs[id] = templates[rng.Intn(pool)]
 		}
-		res, err := exec.Run(exec.Config{Programs: programs, Initial: db, Policy: gate, DataSets: partition})
+		res, err := exec.RunCtx(context.Background(), exec.Config{Programs: programs, Initial: db, Policy: gate, DataSets: partition})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -916,7 +917,7 @@ func BenchmarkTickAbortRestart(b *testing.B) {
 // conjuncts and the rest touching one to three items of one — through a
 // persistent OptimisticCertify gate compacting every 48 commits, with
 // each round's Final the next round's initial state, as the benchmark
-// chains them. A round is one exec.Run; B/op and allocs/op are per
+// chains them. A round is one exec.RunCtx; B/op and allocs/op are per
 // round: what the Result owns plus the gate's amortized growth.
 // ---------------------------------------------------------------------
 
@@ -981,7 +982,7 @@ func BenchmarkTickRound(b *testing.B) {
 				programs[id] = shorts[rng.Intn(len(shorts))]
 			}
 		}
-		res, err := exec.Run(exec.Config{Programs: programs, Initial: db, Policy: gate, DataSets: partition})
+		res, err := exec.RunCtx(context.Background(), exec.Config{Programs: programs, Initial: db, Policy: gate, DataSets: partition})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1068,7 +1069,7 @@ func BenchmarkBatchRound(b *testing.B) {
 		for j := 1; j <= readers; j++ {
 			programs[j] = reader[rng.Intn(len(reader))]
 		}
-		if _, err := eng.ExecuteBatch(programs); err != nil {
+		if _, err := eng.ExecuteBatchCtx(context.Background(), programs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1085,7 +1086,7 @@ func BenchmarkBatchRound(b *testing.B) {
 
 func BenchmarkSetwiseVsPWSR(b *testing.B) {
 	w := gen.MustGenerate(gen.Config{Conjuncts: 3, Programs: 3, Style: gen.StyleFixed, Seed: 9})
-	res, err := exec.Run(exec.Config{
+	res, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: w.Programs,
 		Initial:  w.Initial,
 		Policy:   sched.NewRandom(9),
@@ -1118,7 +1119,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := exec.Run(exec.Config{
+		res, err := exec.RunCtx(context.Background(), exec.Config{
 			Programs: w.Programs,
 			Initial:  w.Initial,
 			Policy:   sched.NewRandom(int64(i)),

@@ -66,6 +66,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -352,7 +353,7 @@ type outcome struct {
 }
 
 func trial(w *gen.Workload, policy exec.Policy) (*outcome, error) {
-	res, err := exec.Run(exec.Config{
+	res, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: w.Programs,
 		Initial:  w.Initial,
 		Policy:   policy,

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -154,7 +155,7 @@ func mvreadDifferential(c *mvreadCase) (string, error) {
 	}
 
 	// Reader-free reference run.
-	ref, err := exec.Run(exec.Config{
+	ref, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: w.Programs,
 		Initial:  w.Initial,
 		Policy:   gate(),
@@ -182,7 +183,7 @@ func mvreadDifferential(c *mvreadCase) (string, error) {
 		readOnly[id] = true
 		roBegin[id] = begin
 	}
-	res, err := exec.Run(exec.Config{
+	res, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: programs,
 		Initial:  w.Initial,
 		Policy:   gate(),

@@ -252,10 +252,8 @@
 //
 // # Lifecycle: cancellation, deadlines, and drain
 //
-// Every public entry point has a context-bounded form —
-// RunWithContext, RunManyWithContext, RunParallelWithContext, the
-// gates' AdmitTxnCtx, wal.Writer.BarrierCtx — and termination always
-// surfaces as one of two typed errors: ErrCanceled (explicit cancel)
+// Every run entry point takes a context — Run, RunMany, RunParallel —
+// and termination always surfaces as one of two typed errors: ErrCanceled (explicit cancel)
 // or ErrDeadline (deadline expiry), errors.Is-distinguishable from
 // each other and never confused with a certification denial or a
 // storage failure. Two invariants govern what cancellation can leave

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -50,7 +51,7 @@ func main() {
 	programs := map[int]*pwsr.Program{1: designer, 2: short1, 3: short2}
 
 	run := func(name string, policy pwsr.Policy) {
-		res, err := pwsr.Run(pwsr.RunConfig{
+		res, err := pwsr.Run(context.Background(), pwsr.RunConfig{
 			Programs: programs,
 			Initial:  initial,
 			Policy:   policy,

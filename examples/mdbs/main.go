@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -53,7 +54,7 @@ func main() {
 	// conflict cycle. This scripted run reproduces that arrival order;
 	// sched-level autonomy (per-site locking) produces such orders by
 	// itself.
-	res, err := pwsr.Run(pwsr.RunConfig{
+	res, err := pwsr.Run(context.Background(), pwsr.RunConfig{
 		Programs: programs,
 		Initial:  initial,
 		// Global1's site-1 transfer, then Global2 runs both of its

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,7 +23,7 @@ func main() {
 	}`)
 	initial := pwsr.Ints(map[string]int64{"a": 0, "b": 10, "c": 5, "d": 10})
 
-	res, err := pwsr.Run(pwsr.RunConfig{
+	res, err := pwsr.Run(context.Background(), pwsr.RunConfig{
 		Programs: map[int]*pwsr.Program{1: tp1, 2: tp2},
 		Initial:  initial,
 		Policy:   pwsr.NewScript(2, 1, 2, 1, 1),
@@ -56,7 +57,7 @@ func main() {
 	}`)
 	start := pwsr.Ints(map[string]int64{"a": -1, "b": -1, "c": 1})
 
-	res2, err := pwsr.Run(pwsr.RunConfig{
+	res2, err := pwsr.Run(context.Background(), pwsr.RunConfig{
 		Programs: map[int]*pwsr.Program{1: ex2tp1, 2: ex2tp2},
 		Initial:  start,
 		Policy:   pwsr.NewScript(1, 2, 2, 2, 1),
@@ -103,7 +104,7 @@ func main() {
 	fmt.Println("Balanced TP1 (the paper's TP1'):")
 	fmt.Print(fixed)
 
-	res3, err := pwsr.Run(pwsr.RunConfig{
+	res3, err := pwsr.Run(context.Background(), pwsr.RunConfig{
 		Programs: map[int]*pwsr.Program{1: fixed, 2: ex2tp2},
 		Initial:  start,
 		Policy:   pwsr.NewScript(1, 2, 2, 2, 1, 1, 1),

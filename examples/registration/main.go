@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -80,7 +81,7 @@ func main() {
 		2, 2, 2, 2, 2, 2, // Jim: r/w cs101, r/w cs303, r/w hJim
 		3, 3, 3, 3, // Bob: r/w cs303, r/w hBob
 	}
-	res, err := pwsr.Run(pwsr.RunConfig{
+	res, err := pwsr.Run(context.Background(), pwsr.RunConfig{
 		Programs: programs,
 		Initial:  initial,
 		Policy:   pwsr.NewScript(script...),

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -159,7 +160,7 @@ func TestTickEngineAllocs(t *testing.T) {
 	ops := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		cfg.Policy = &sched.RoundRobin{}
-		res, err := exec.Run(cfg)
+		res, err := exec.RunCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +246,7 @@ func TestBatchEngineAllocs(t *testing.T) {
 		}
 		eng := exec.NewParallelEngine(cfg)
 		run := func() {
-			res, err := eng.ExecuteBatch(batches[0])
+			res, err := eng.ExecuteBatchCtx(context.Background(), batches[0])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -372,7 +373,7 @@ func TestZeroAllocTickRestart(t *testing.T) {
 					pol.mon = c.mon()
 				}
 				c.cfg.Policy = pol
-				res, err := exec.Run(c.cfg)
+				res, err := exec.RunCtx(context.Background(), c.cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -520,7 +521,7 @@ func TestZeroAllocVictim(t *testing.T) {
 	w := gen.MustGenerate(gen.Config{Conjuncts: 2, Programs: 12, MovesPerProgram: 2, Seed: 3})
 	for name, policy := range map[string]sched.VictimPolicy{"youngest": sched.VictimYoungest, "fewest-ops": sched.VictimFewestOps} {
 		p := &victimAllocs{OptimisticCertify: sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(1), policy)}
-		if _, err := exec.Run(exec.Config{Programs: w.Programs, Initial: w.Initial, Policy: p, DataSets: w.DataSets}); err != nil {
+		if _, err := exec.RunCtx(context.Background(), exec.Config{Programs: w.Programs, Initial: w.Initial, Policy: p, DataSets: w.DataSets}); err != nil {
 			t.Fatal(err)
 		}
 		if p.calls == 0 {

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -87,7 +88,7 @@ func TestMonitorAgreesWithBatchChecker(t *testing.T) {
 		w := gen.MustGenerate(gen.Config{
 			Conjuncts: 2, Programs: 3, Style: gen.StyleFixed, Seed: rng.Int63(),
 		})
-		res, err := exec.Run(exec.Config{
+		res, err := exec.RunCtx(context.Background(), exec.Config{
 			Programs: w.Programs,
 			Initial:  w.Initial,
 			Policy:   sched.NewRandom(rng.Int63()),

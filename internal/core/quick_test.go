@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -22,7 +23,7 @@ func TestViewSetProperties(t *testing.T) {
 		w := gen.MustGenerate(gen.Config{
 			Conjuncts: 2, Programs: 3, Style: gen.StyleFixed, Seed: rng.Int63(),
 		})
-		res, err := exec.Run(exec.Config{
+		res, err := exec.RunCtx(context.Background(), exec.Config{
 			Programs: w.Programs,
 			Initial:  w.Initial,
 			Policy:   sched.NewRandom(rng.Int63()),
@@ -67,7 +68,7 @@ func TestTxnStateProperties(t *testing.T) {
 		w := gen.MustGenerate(gen.Config{
 			Conjuncts: 2, Programs: 3, Style: gen.StyleFixed, Seed: rng.Int63(),
 		})
-		res, err := exec.Run(exec.Config{
+		res, err := exec.RunCtx(context.Background(), exec.Config{
 			Programs: w.Programs,
 			Initial:  w.Initial,
 			Policy:   sched.NewRandom(rng.Int63()),
@@ -107,7 +108,7 @@ func TestSerializableImpliesStronglyCorrect(t *testing.T) {
 		w := gen.MustGenerate(gen.Config{
 			Conjuncts: 2, Programs: 3, Style: style, Seed: rng.Int63(),
 		})
-		res, err := exec.Run(exec.Config{
+		res, err := exec.RunCtx(context.Background(), exec.Config{
 			Programs: w.Programs,
 			Initial:  w.Initial,
 			Policy:   sched.NewC2PL(),
@@ -140,7 +141,7 @@ func TestLemma2OnRandomizedExecutions(t *testing.T) {
 		w := gen.MustGenerate(gen.Config{
 			Conjuncts: 2, Programs: 2, Style: gen.Style(trial % 3), Seed: rng.Int63(),
 		})
-		res, err := exec.Run(exec.Config{
+		res, err := exec.RunCtx(context.Background(), exec.Config{
 			Programs: w.Programs,
 			Initial:  w.Initial,
 			Policy:   sched.NewRandom(rng.Int63()),
@@ -173,7 +174,7 @@ func TestLemma6OnGatedExecutions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := exec.Run(exec.Config{
+		res, err := exec.RunCtx(context.Background(), exec.Config{
 			Programs: w.Programs,
 			Initial:  w.Initial,
 			Policy:   &sched.DelayedRead{Inner: sched.NewRandom(rng.Int63())},
@@ -212,7 +213,7 @@ func TestAnalyzeOnBalancedExample2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := exec.Run(exec.Config{
+	res, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: map[int]*program.Program{1: tp1p, 2: tp2p},
 		Initial:  e.Initial,
 		Policy:   sched.NewRandom(3),

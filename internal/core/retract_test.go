@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -261,7 +262,7 @@ func TestRetractUnderCertifiedExecution(t *testing.T) {
 			Conjuncts: 3, Programs: 3, Style: gen.StyleFixed, Seed: rng.Int63(),
 		})
 		gate := sched.NewCertify(w.DataSets, sched.NewRandom(rng.Int63()))
-		res, err := exec.Run(exec.Config{
+		res, err := exec.RunCtx(context.Background(), exec.Config{
 			Programs: w.Programs,
 			Initial:  w.Initial,
 			Policy:   gate,

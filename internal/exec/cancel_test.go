@@ -11,6 +11,7 @@ import (
 	"pwsr/internal/fault"
 	"pwsr/internal/gen"
 	"pwsr/internal/sched"
+	"pwsr/internal/wal"
 )
 
 // TestCancelErrorTyped pins the ctx-to-typed-error mapping: a live
@@ -129,21 +130,64 @@ func TestRunManyCtxCanceled(t *testing.T) {
 	}
 }
 
-// TestExecuteBatchCtxDeadline pins the batch path: an expired deadline
-// surfaces as a typed ErrDeadline and the partial result (committed
-// batches only) stays consistent.
+// TestExecuteBatchCtxDeadline pins the batch path's cancel contract: a
+// batch whose context is cancelled, expired, or cancelled at its first
+// commit turn surfaces the typed ErrCanceled or ErrDeadline — the two
+// never confused — and admits nothing: the gate's certifier holds no
+// operation, the result's schedule is empty, and the attached journal
+// holds no record. The commit turn's context checks are what keep the
+// last case from admitting its first transaction.
 func TestExecuteBatchCtxDeadline(t *testing.T) {
 	w := gen.MustGenerate(gen.Config{Conjuncts: 2, Programs: 4, MovesPerProgram: 2, Seed: 9})
-	gate := sched.NewParallelCertify(w.DataSets, 2, &sched.Serial{}, nil)
-	eng := exec.NewParallelEngine(exec.ParallelConfig{Initial: w.Initial, Gate: gate, Workers: 2})
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	for _, tc := range []struct {
+		name      string
+		ctx       func(*fault.Injector) context.Context
+		want, not error
+		turns     int64 // commit turns the batch reaches
+	}{
+		{"canceled", func(*fault.Injector) context.Context { return canceled }, exec.ErrCanceled, exec.ErrDeadline, 0},
+		{"expired", func(*fault.Injector) context.Context { return expired }, exec.ErrDeadline, exec.ErrCanceled, 0},
+		{"canceled at the commit turn", func(inj *fault.Injector) context.Context {
+			ctx, cancel := context.WithCancel(context.Background())
+			inj.SetCancel(cancel)
+			return ctx
+		}, exec.ErrCanceled, exec.ErrDeadline, 1},
+	} {
+		gate := sched.NewParallelCertify(w.DataSets, 2, &sched.Serial{}, nil)
+		journal, err := wal.NewWriter(wal.NewMemBackend(), wal.Options{GroupEvery: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gate.AttachJournal(journal)
+		eng := exec.NewParallelEngine(exec.ParallelConfig{Initial: w.Initial, Gate: gate, Workers: 2})
+		inj := fault.NewInjector(fault.Plan{Rules: []fault.Rule{{
+			Site: "engine", Op: fault.OpCommit, From: 1, Count: 1, Kind: fault.KindCancel,
+		}}})
+		eng.SetFaultInjector(inj, "engine")
 
-	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-	defer cancel()
-	_, err := eng.ExecuteBatchCtx(ctx, w.Programs)
-	if !errors.Is(err, exec.ErrDeadline) {
-		t.Fatalf("expired batch = %v, want ErrDeadline", err)
-	}
-	if live := gate.ShardedMonitor().InFlightTxnIDs(); len(live) != 0 {
-		t.Fatalf("expired batch left in-flight transactions: %v", live)
+		res, err := eng.ExecuteBatchCtx(tc.ctx(inj), w.Programs)
+		if !errors.Is(err, tc.want) || errors.Is(err, tc.not) {
+			t.Fatalf("%s batch = %v, want %v and not %v", tc.name, err, tc.want, tc.not)
+		}
+		if got := inj.FiredCancels("engine", fault.OpCommit); got != tc.turns {
+			t.Fatalf("%s batch reached %d commit turns, want %d", tc.name, got, tc.turns)
+		}
+		if res != nil && res.Schedule.Len() != 0 {
+			t.Fatalf("%s batch committed %v", tc.name, res.Schedule)
+		}
+		mon := gate.ShardedMonitor()
+		if ops := mon.Ops(); ops != 0 {
+			t.Fatalf("%s batch left %d observed operations", tc.name, ops)
+		}
+		if live := mon.InFlightTxnIDs(); len(live) != 0 {
+			t.Fatalf("%s batch left in-flight transactions: %v", tc.name, live)
+		}
+		if n := journal.Stats().Records; n != 0 {
+			t.Fatalf("%s batch journaled %d records", tc.name, n)
+		}
 	}
 }

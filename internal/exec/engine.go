@@ -323,15 +323,6 @@ type ShardStat struct {
 	Denials int64
 }
 
-// ShardReporter is an optional Policy extension: a policy whose
-// certifier is sharded reports per-shard admission counters, which the
-// engine copies into Metrics.Shards at the end of a run.
-type ShardReporter interface {
-	Policy
-	// ShardStats snapshots the per-shard counters.
-	ShardStats() []ShardStat
-}
-
 // CompactStats is a certifying policy's transaction-lifecycle
 // counters, as reported by a policy whose certifier commits finished
 // transactions and compacts them away (the sched certification gates
@@ -349,15 +340,6 @@ type CompactStats struct {
 	LiveTxns int
 }
 
-// CompactionReporter is an optional Policy extension: a certifying
-// policy with transaction lifecycle reports its compaction counters,
-// which the engine copies into Metrics at the end of a run.
-type CompactionReporter interface {
-	Policy
-	// CompactionStats snapshots the lifecycle counters.
-	CompactionStats() CompactStats
-}
-
 // ProbeStats is a certifying policy's admission probe-cache counters:
 // Hits are Admissible probes answered from a still-valid memoized
 // verdict, Misses are first-time probes, and Invalidations are probes
@@ -367,15 +349,6 @@ type ProbeStats struct {
 	Hits          int64
 	Misses        int64
 	Invalidations int64
-}
-
-// ProbeReporter is an optional Policy extension: a certifying policy
-// whose monitor memoizes Admissible verdicts reports the cache
-// counters, which the engine copies into Metrics at the end of a run.
-type ProbeReporter interface {
-	Policy
-	// ProbeStats snapshots the probe-cache counters.
-	ProbeStats() ProbeStats
 }
 
 // LogStats is a journaled certifying policy's durability counters, as
@@ -398,13 +371,27 @@ type LogStats struct {
 	RecoveryReplays int64
 }
 
-// LogReporter is an optional Policy extension: a certifying policy
-// with an attached write-ahead journal reports its durability
-// counters, which the engine copies into Metrics at the end of a run.
-type LogReporter interface {
-	Policy
-	// LogStats snapshots the durability counters.
-	LogStats() LogStats
+// GateStats is one snapshot of a certifying gate's counters: per-shard
+// admission counters (nil unless the gate fans its probes out over a
+// sharded certifier, sched.ParallelCertify), the certifier's lifecycle
+// and probe-cache counters, the journal's counters, and the gate's
+// health.
+type GateStats struct {
+	Shards  []ShardStat
+	Compact CompactStats
+	Probe   ProbeStats
+	Log     LogStats
+	Health  Health
+}
+
+// StatsReporter is an optional Policy and BatchGate extension: a
+// certifying gate reports its counters as one snapshot, which the
+// engines copy into Metrics at the end of a run and batch, and which
+// the tick engine consults to attribute a stall to a storage outage or
+// the gate's lifecycle posture.
+type StatsReporter interface {
+	// Stats snapshots the gate's counters.
+	Stats() GateStats
 }
 
 // Metrics aggregates virtual-clock measurements of a run. The clock
@@ -425,12 +412,15 @@ type Metrics struct {
 	WastedOps int
 	// PerTxn maps transaction id to its metrics.
 	PerTxn map[int]*TxnMetrics
-	// Shards holds per-shard certification counters when the policy
-	// implements ShardReporter; nil otherwise.
+	// The fields from Shards to Log are copied from the policy's (or
+	// batch gate's) Stats at the end of the run when it implements
+	// StatsReporter; they stay zero otherwise.
+	//
+	// Shards holds per-shard certification counters; nil unless the gate
+	// fans its probes out over a sharded certifier.
 	Shards []ShardStat
 	// Compactions, ReclaimedTxns, ReclaimedOps, and LiveTxns report the
-	// certifier's transaction-lifecycle counters at the end of the run
-	// when the policy implements CompactionReporter; zero otherwise.
+	// certifier's transaction-lifecycle counters (GateStats.Compact).
 	// LiveTxns is the certifier's residual population — for a policy
 	// reused across sequential runs it measures what the stream's
 	// history still costs, the number the compactor keeps bounded.
@@ -439,40 +429,37 @@ type Metrics struct {
 	ReclaimedOps  int
 	LiveTxns      int
 	// ProbeHits, ProbeMisses, and ProbeInvalidations report the
-	// certifier's admission probe-cache counters at the end of the run
-	// when the policy implements ProbeReporter; zero otherwise. The
+	// certifier's admission probe-cache counters (GateStats.Probe). The
 	// hit fraction is the share of scheduler-tick re-probes the cache
 	// absorbed.
 	ProbeHits          int64
 	ProbeMisses        int64
 	ProbeInvalidations int64
-	// Health reports the gate's degradation/failover state at the end
-	// of the run when the policy implements HealthReporter; zero
-	// otherwise.
+	// Health reports the gate's degradation/failover state
+	// (GateStats.Health).
 	Health Health
-	// Log reports the certifier's write-ahead journal counters at the
-	// end of the run when the policy implements LogReporter; zero
-	// otherwise (including a journaled gate with no journal attached).
+	// Log reports the certifier's write-ahead journal counters
+	// (GateStats.Log); zero for a gate with no journal attached.
 	Log LogStats
 	// Retries counts program re-executions in a ParallelEngine batch:
 	// speculative retries after failed version validations plus the
 	// at-most-one authoritative re-execution at each commit turn.
-	// Always zero under Run.
+	// Always zero under RunCtx.
 	Retries int
 	// Conflicts counts failed version validations in a ParallelEngine
 	// batch — each one is a conflicting commit the optimistic check
-	// caught. Always zero under Run.
+	// caught. Always zero under RunCtx.
 	Conflicts int
 	// ROTxns counts declared read-only transactions served from
 	// multiversion snapshots (never denied, never aborted); ROOps
 	// counts the snapshot reads they performed. Snapshot reads do not
 	// consume clock ticks: Ticks keeps counting read-write grants (and
-	// passed ticks under Run) only.
+	// passed ticks under RunCtx) only.
 	ROTxns int
 	ROOps  int
 	// MV is the multiversion store's retention accounting at the end
 	// of the run, populated by the engines that run one (ParallelEngine
-	// always, Run when read-only transactions are declared).
+	// always, RunCtx when read-only transactions are declared).
 	MV VersionStats
 }
 
@@ -616,14 +603,8 @@ type runState struct {
 // concurrently.
 var runStates = sync.Pool{New: func() any { return new(runState) }}
 
-// Run executes the configured programs concurrently and returns the
-// recorded schedule, final state, and metrics. It is RunCtx without a
-// cancellation point.
-func Run(cfg Config) (*Result, error) {
-	return RunCtx(context.Background(), cfg)
-}
-
-// RunCtx is Run with cancellation and deadline support. It is one loop
+// RunCtx executes the configured programs concurrently and returns the
+// recorded schedule, final state, and metrics. It is one loop
 // on the calling goroutine (see the package comment on the transport):
 // it steps the runnable attempts in ascending id order until each parks
 // on a request or finishes, asks the policy to pick among the parked
@@ -1011,7 +992,7 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 			schedule = make([]txn.Op, len(ops))
 			copy(schedule, ops)
 		}
-		harvestReporters(cfg.Policy, &metrics)
+		harvestStats(cfg.Policy, &metrics)
 		return &Result{
 			Schedule: txn.AdoptSchedule(schedule),
 			Final:    v.Store,
@@ -1172,33 +1153,24 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 	return result(), nil
 }
 
-// harvestReporters copies the optional reporter extensions' counters
-// from a policy or batch gate into m. The reporter interfaces embed
-// Policy, so only certifying policies match; a nil or plain value
-// leaves m untouched.
-func harvestReporters(p any, m *Metrics) {
-	if sr, ok := p.(ShardReporter); ok {
-		m.Shards = sr.ShardStats()
+// harvestStats copies a certifying gate's Stats snapshot from a policy
+// or batch gate into m; a nil or plain value leaves m untouched.
+func harvestStats(p any, m *Metrics) {
+	sr, ok := p.(StatsReporter)
+	if !ok {
+		return
 	}
-	if cr, ok := p.(CompactionReporter); ok {
-		st := cr.CompactionStats()
-		m.Compactions = st.Compactions
-		m.ReclaimedTxns = st.ReclaimedTxns
-		m.ReclaimedOps = st.ReclaimedOps
-		m.LiveTxns = st.LiveTxns
-	}
-	if pr, ok := p.(ProbeReporter); ok {
-		st := pr.ProbeStats()
-		m.ProbeHits = st.Hits
-		m.ProbeMisses = st.Misses
-		m.ProbeInvalidations = st.Invalidations
-	}
-	if lr, ok := p.(LogReporter); ok {
-		m.Log = lr.LogStats()
-	}
-	if hr, ok := p.(HealthReporter); ok {
-		m.Health = hr.Health()
-	}
+	s := sr.Stats()
+	m.Shards = s.Shards
+	m.Compactions = s.Compact.Compactions
+	m.ReclaimedTxns = s.Compact.ReclaimedTxns
+	m.ReclaimedOps = s.Compact.ReclaimedOps
+	m.LiveTxns = s.Compact.LiveTxns
+	m.ProbeHits = s.Probe.Hits
+	m.ProbeMisses = s.Probe.Misses
+	m.ProbeInvalidations = s.Probe.Invalidations
+	m.Log = s.Log
+	m.Health = s.Health
 }
 
 // PolicyCloner is an optional Policy extension: a policy that can
@@ -1208,7 +1180,7 @@ func harvestReporters(p any, m *Metrics) {
 // reset, and nothing mutable is shared with the original. ClonePolicy
 // returns nil when this particular value cannot be cloned (say, a
 // wrapper whose inner policy is not cloneable, or a gate resumed over
-// an external certifier); RunMany then falls back to aliasing
+// an external certifier); RunManyCtx then falls back to aliasing
 // detection. The sched policies and certification gates implement it.
 type PolicyCloner interface {
 	Policy
@@ -1231,35 +1203,30 @@ func TryClonePolicy(p Policy) (Policy, bool) {
 }
 
 // ErrSharedPolicy reports that one non-cloneable Policy value was
-// handed to more than one Config of a RunMany call. Policies are
+// handed to more than one Config of a RunManyCtx call. Policies are
 // stateful; sharing one across concurrent runs silently corrupts every
 // decision stream involved, so the aliased runs are rejected instead
 // of executed.
 var ErrSharedPolicy = errors.New("exec: Policy instance shared across Configs")
 
-// RunMany executes independently configured runs concurrently, at most
-// workers at a time (workers ≤ 0 selects GOMAXPROCS). Policies are
-// stateful and runs must not share them, so RunMany enforces the rule
+// RunManyCtx executes independently configured runs concurrently, at
+// most workers at a time (workers ≤ 0 selects GOMAXPROCS). Policies are
+// stateful and runs must not share them, so RunManyCtx enforces the rule
 // instead of trusting callers: a policy implementing PolicyCloner is
 // cloned per run (the caller's instance is left untouched, so the same
-// cfgs slice can be passed to RunMany again), and a non-cloneable
+// cfgs slice can be passed to RunManyCtx again), and a non-cloneable
 // policy value appearing in more than one Config fails those runs with
 // ErrSharedPolicy rather than corrupting their decision streams. The
 // configs must still not share other mutable state (give each run its
-// own Initial; Run clones it, but a DB handed to two configs is still
-// read concurrently). Results and errors are indexed like cfgs. This
-// is the engine entry point for driving many admission streams at
+// own Initial; RunCtx clones it, but a DB handed to two configs is
+// still read concurrently). Results and errors are indexed like cfgs.
+// This is the engine entry point for driving many admission streams at
 // once: a fleet of workloads saturating a sharded certifier scales
 // with cores because each run's policy probes only its own monitor
-// shards.
-func RunMany(cfgs []Config, workers int) ([]*Result, []error) {
-	return RunManyCtx(context.Background(), cfgs, workers)
-}
-
-// RunManyCtx is RunMany with cancellation: ctx is threaded into every
-// run (each settles per RunCtx when it ends), and runs that have not
-// yet started when ctx ends are skipped with a typed
-// ErrCanceled/ErrDeadline error instead of being launched.
+// shards. ctx is threaded into every run (each settles per RunCtx when
+// it ends), and runs that have not yet started when ctx ends are
+// skipped with a typed ErrCanceled/ErrDeadline error instead of being
+// launched.
 func RunManyCtx(ctx context.Context, cfgs []Config, workers int) ([]*Result, []error) {
 	if ctx == nil {
 		ctx = context.Background()

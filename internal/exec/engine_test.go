@@ -24,7 +24,7 @@ func runExample(t *testing.T, e *paper.Example) *exec.Result {
 	for i, p := range e.Programs {
 		programs[i+1] = p
 	}
-	res, err := exec.Run(exec.Config{
+	res, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: programs,
 		Initial:  e.Initial,
 		Policy:   sched.NewScript(e.Script...),
@@ -94,7 +94,7 @@ func TestEngineRoundRobin(t *testing.T) {
 		1: program.MustParse(`program A { x := x + 1; }`),
 		2: program.MustParse(`program B { y := y + 1; }`),
 	}
-	res, err := exec.Run(exec.Config{
+	res, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: programs,
 		Initial:  state.Ints(map[string]int64{"x": 0, "y": 0}),
 		Policy:   &sched.RoundRobin{},
@@ -114,7 +114,7 @@ func TestEngineRandomSeeded(t *testing.T) {
 		2: program.MustParse(`program B { y := y + 1; }`),
 	}
 	run := func(seed int64) string {
-		res, err := exec.Run(exec.Config{
+		res, err := exec.RunCtx(context.Background(), exec.Config{
 			Programs: programs,
 			Initial:  state.Ints(map[string]int64{"x": 0, "y": 0}),
 			Policy:   sched.NewRandom(seed),
@@ -134,7 +134,7 @@ func TestEngineSerialPolicy(t *testing.T) {
 		1: program.MustParse(`program A { x := y; }`),
 		2: program.MustParse(`program B { y := x; }`),
 	}
-	res, err := exec.Run(exec.Config{
+	res, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: programs,
 		Initial:  state.Ints(map[string]int64{"x": 1, "y": 2}),
 		Policy:   &sched.Serial{},
@@ -151,7 +151,7 @@ func TestEngineStallIsError(t *testing.T) {
 	programs := map[int]*program.Program{
 		1: program.MustParse(`program A { x := 1; }`),
 	}
-	res, err := exec.Run(exec.Config{
+	res, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: programs,
 		Initial:  state.Ints(map[string]int64{"x": 0}),
 		Policy:   sched.NewScript(2, 2), // wrong ids: nothing grantable
@@ -165,7 +165,7 @@ func TestEngineMissingItem(t *testing.T) {
 	programs := map[int]*program.Program{
 		1: program.MustParse(`program A { x := zz; }`),
 	}
-	_, err := exec.Run(exec.Config{
+	_, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: programs,
 		Initial:  state.NewDB(),
 		Policy:   &sched.RoundRobin{},
@@ -182,7 +182,7 @@ func TestEngineProgramError(t *testing.T) {
 		1: program.MustParse(`program A { x := 1; x := 2; }`),
 		2: program.MustParse(`program B { y := 1; }`),
 	}
-	_, err := exec.Run(exec.Config{
+	_, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: programs,
 		Initial:  state.Ints(map[string]int64{"x": 0, "y": 0}),
 		Policy:   &sched.RoundRobin{},
@@ -193,7 +193,7 @@ func TestEngineProgramError(t *testing.T) {
 }
 
 func TestEngineNoPrograms(t *testing.T) {
-	if _, err := exec.Run(exec.Config{}); err == nil {
+	if _, err := exec.RunCtx(context.Background(), exec.Config{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
 }
@@ -236,7 +236,7 @@ func TestEngineValuesConsistent(t *testing.T) {
 			2: program.MustParse(`program B { y := x + 1; }`),
 			3: program.MustParse(`program C { z := x + y; }`),
 		}
-		res, err := exec.Run(exec.Config{
+		res, err := exec.RunCtx(context.Background(), exec.Config{
 			Programs: programs,
 			Initial:  state.Ints(map[string]int64{"x": 0, "y": 0, "z": 0}),
 			Policy:   sched.NewRandom(seed),
@@ -288,7 +288,7 @@ func TestEnginePassTick(t *testing.T) {
 	programs := map[int]*program.Program{
 		1: program.MustParse(`program A { x := 1; }`),
 	}
-	res, err := exec.Run(exec.Config{
+	res, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: programs,
 		Initial:  state.Ints(map[string]int64{"x": 0}),
 		Policy:   &passingPolicy{passes: 5},
@@ -493,7 +493,7 @@ func TestProgramPanicSurfacesOnCaller(t *testing.T) {
 				stack = string(debug.Stack())
 			}
 		}()
-		exec.Run(exec.Config{
+		exec.RunCtx(context.Background(), exec.Config{
 			Programs: programs,
 			Initial:  state.Ints(map[string]int64{"x": 0, "y": 0, "z": 0, "q": 0}),
 			Policy:   policy,

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -50,7 +51,7 @@ func probe(cfg Config, prefix []int) (options []int, done *Result, err error) {
 	}
 	resCh := make(chan outcome, 1)
 	go func() {
-		res, rerr := Run(cfg)
+		res, rerr := RunCtx(context.TODO(), cfg)
 		resCh <- outcome{res: res, err: rerr}
 	}()
 

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// ErrJournalDown is returned by Run — instead of, and distinguishable
+// ErrJournalDown is returned by RunCtx — instead of, and distinguishable
 // from, ErrStall — when the run stopped because the certifying
 // policy's write-ahead journal latched its fail-stop: the gate froze
 // rather than acknowledge grants it cannot make durable. A stall is a
@@ -15,7 +15,7 @@ import (
 // from the log).
 var ErrJournalDown = errors.New("exec: journal down")
 
-// ErrDegraded is returned by Run when the gate entered its shedding
+// ErrDegraded is returned by RunCtx when the gate entered its shedding
 // degradation mode (sched.DegradeShed, or a buffering gate that
 // tripped): admissions are refused by policy, not by verdict, and the
 // durable log holds a consistent prefix of what the gate admitted.
@@ -97,16 +97,7 @@ type Health struct {
 	Closed bool
 }
 
-// HealthReporter is an optional Policy extension: a journaled gate
-// reports its degradation state, which the engine copies into Metrics
-// and uses to attribute stalls to storage outages.
-type HealthReporter interface {
-	Policy
-	// Health snapshots the gate's durability health.
-	Health() Health
-}
-
-// stallCause reclassifies a stall through the policy's health: a gate
+// stallCause reclassifies a stall through the gate's Stats health: a gate
 // frozen by a journal fail-stop surfaces ErrJournalDown, a shedding
 // gate ErrDegraded — neither wraps ErrStall, so callers can
 // errors.Is-distinguish a storage outage from a scheduling livelock.
@@ -117,11 +108,11 @@ type HealthReporter interface {
 // of a bare stall. A healthy (or health-less) policy keeps the
 // original stall error.
 func stallCause(p Policy, stall error) error {
-	hr, ok := p.(HealthReporter)
+	sr, ok := p.(StatsReporter)
 	if !ok {
 		return stall
 	}
-	h := hr.Health()
+	h := sr.Stats().Health
 	switch h.Mode {
 	case ModeFailStop:
 		return fmt.Errorf("%w: %v", ErrJournalDown, h.JournalErr)

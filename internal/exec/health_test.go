@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -17,7 +18,7 @@ type stalledPolicy struct{ h exec.Health }
 
 func (p *stalledPolicy) Pick(pending []*exec.Request, v *exec.View) int { return -1 }
 func (p *stalledPolicy) TxnFinished(id int, v *exec.View)               {}
-func (p *stalledPolicy) Health() exec.Health                            { return p.h }
+func (p *stalledPolicy) Stats() exec.GateStats                          { return exec.GateStats{Health: p.h} }
 
 // TestStallCarriesBufferingPosture pins the outage-observability fix:
 // a stall while the gate is buffering through a journal outage keeps
@@ -32,7 +33,7 @@ func TestStallCarriesBufferingPosture(t *testing.T) {
 		Queued:     3,
 		OutageAge:  1500 * time.Millisecond,
 	}}
-	_, err := exec.Run(exec.Config{
+	_, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: map[int]*program.Program{1: program.MustParse("program T1 {\n  let v := x;\n}\n")},
 		Initial:  state.Ints(map[string]int64{"x": 0}),
 		Policy:   pol,
@@ -48,7 +49,7 @@ func TestStallCarriesBufferingPosture(t *testing.T) {
 
 	// A healthy gate's stall stays a plain stall.
 	pol.h = exec.Health{Mode: exec.ModeOK}
-	_, err = exec.Run(exec.Config{
+	_, err = exec.RunCtx(context.Background(), exec.Config{
 		Programs: map[int]*program.Program{1: program.MustParse("program T1 {\n  let v := x;\n}\n")},
 		Initial:  state.Ints(map[string]int64{"x": 0}),
 		Policy:   pol,

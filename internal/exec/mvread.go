@@ -15,7 +15,7 @@
 //     stamp IS a commit prefix and the anchor is the prefix's
 //     operation count.
 //
-//   - Run (the tick engine): writes are applied at grant time and live
+//   - RunCtx (the tick engine): writes are applied at grant time and live
 //     transactions can still abort, so the engine seals a
 //     transaction-closed finished prefix of the recorded schedule —
 //     the longest prefix all of whose operations belong to finished

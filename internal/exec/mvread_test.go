@@ -8,6 +8,7 @@ package exec_test
 // 8 by the Makefile's check legs, across gate shard counts 1..8.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -143,7 +144,7 @@ func TestMVReadDifferentialTick(t *testing.T) {
 			ctx := fmt.Sprintf("trial %d shards %d", trial, shards)
 
 			gateB := gateFor()
-			resB, err := exec.Run(exec.Config{
+			resB, err := exec.RunCtx(context.Background(), exec.Config{
 				Programs: w.Programs, Initial: w.Initial, Policy: gateB, DataSets: w.DataSets,
 			})
 			if err != nil {
@@ -151,7 +152,7 @@ func TestMVReadDifferentialTick(t *testing.T) {
 			}
 
 			gateA := gateFor()
-			resA, err := exec.Run(exec.Config{
+			resA, err := exec.RunCtx(context.Background(), exec.Config{
 				Programs: mixed, Initial: w.Initial, Policy: gateA, DataSets: w.DataSets,
 				ReadOnly: ro, ROBegin: begins,
 			})
@@ -187,7 +188,7 @@ func TestMVReadDifferentialTick(t *testing.T) {
 			// final state — readers write nothing — but through the gate
 			// they are ordinary certification traffic.
 			gateC := gateFor()
-			resC, err := exec.Run(exec.Config{
+			resC, err := exec.RunCtx(context.Background(), exec.Config{
 				Programs: mixed, Initial: w.Initial, Policy: gateC, DataSets: w.DataSets,
 			})
 			if err != nil {
@@ -226,7 +227,7 @@ func TestMVReadNeverObservesAbortedWrites(t *testing.T) {
 	}
 
 	gate := sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(0), nil)
-	res, err := exec.Run(exec.Config{
+	res, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: mixed, Initial: w.Initial, Policy: gate, DataSets: w.DataSets,
 		ReadOnly: ro, ROBegin: begins,
 	})
@@ -260,7 +261,7 @@ func TestMVReadNeverObservesAbortedWrites(t *testing.T) {
 	// The gate never saw a reader: its monitor state equals the
 	// reader-free twin's.
 	twin := sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(0), nil)
-	resB, err := exec.Run(exec.Config{
+	resB, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: w.Programs, Initial: w.Initial, Policy: twin, DataSets: w.DataSets,
 	})
 	if err != nil {
@@ -301,7 +302,7 @@ func TestMVReadROBeginSchedulesSnapshots(t *testing.T) {
 		103: roProgram(103, []string{"x"}),
 	}
 	ro := map[int]bool{101: true, 102: true, 103: true}
-	res, err := exec.Run(exec.Config{
+	res, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: programs,
 		Initial:  state.Ints(map[string]int64{"x": 0}),
 		Policy:   &sched.Serial{},
@@ -343,7 +344,7 @@ func TestMVReadRejectsWriters(t *testing.T) {
 	initial := state.Ints(map[string]int64{"x": 0})
 	partition := []state.ItemSet{state.NewItemSet("x")}
 
-	_, err := exec.Run(exec.Config{
+	_, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: map[int]*program.Program{1: writer},
 		Initial:  initial,
 		Policy:   &sched.Serial{},
@@ -353,7 +354,7 @@ func TestMVReadRejectsWriters(t *testing.T) {
 		t.Fatalf("Run with writing reader: err = %v, want ErrReadOnlyWrite", err)
 	}
 
-	_, err = exec.Run(exec.Config{
+	_, err = exec.RunCtx(context.Background(), exec.Config{
 		Programs: map[int]*program.Program{1: writer},
 		Initial:  initial,
 		Policy:   &sched.Serial{},
@@ -364,7 +365,7 @@ func TestMVReadRejectsWriters(t *testing.T) {
 	}
 
 	gate := sched.NewParallelCertify(partition, 1, &sched.Serial{}, nil)
-	_, err = exec.RunParallel(exec.ParallelConfig{
+	_, err = exec.RunParallelCtx(context.Background(), exec.ParallelConfig{
 		Initial: initial, Gate: gate, ReadOnly: map[int]bool{1: true},
 	}, map[int]*program.Program{1: writer})
 	if !errors.Is(err, exec.ErrReadOnlyWrite) {
@@ -381,13 +382,13 @@ func TestMVReadRejectsWriters(t *testing.T) {
 		t.Fatal("the text check was expected to pass S (its let precedes the assignment)")
 	}
 	for name, p := range map[string]*program.Program{"literal writer": literal, "write behind an untaken let": sneaky} {
-		_, err = exec.Run(exec.Config{
+		_, err = exec.RunCtx(context.Background(), exec.Config{
 			Programs: map[int]*program.Program{1: p}, Initial: initial, Policy: &sched.Serial{}, ReadOnly: map[int]bool{1: true},
 		})
 		if !errors.Is(err, exec.ErrReadOnlyWrite) {
 			t.Errorf("Run, %s: err = %v, want ErrReadOnlyWrite", name, err)
 		}
-		_, err = exec.RunParallel(exec.ParallelConfig{
+		_, err = exec.RunParallelCtx(context.Background(), exec.ParallelConfig{
 			Initial: initial, Gate: sched.NewParallelCertify(partition, 1, &sched.Serial{}, nil), ReadOnly: map[int]bool{1: true},
 		}, map[int]*program.Program{1: p})
 		if !errors.Is(err, exec.ErrReadOnlyWrite) {
@@ -416,7 +417,7 @@ func TestMVReadDifferentialParallel(t *testing.T) {
 		for workers := 1; workers <= 8; workers++ {
 			ctx := fmt.Sprintf("trial %d workers %d", trial, workers)
 			gate := sched.NewParallelCertify(w.DataSets, workers, &sched.Serial{}, nil)
-			res, err := exec.RunParallel(exec.ParallelConfig{
+			res, err := exec.RunParallelCtx(context.Background(), exec.ParallelConfig{
 				Initial: w.Initial, Gate: gate, Workers: workers, ReadOnly: ro,
 			}, mixed)
 			if err != nil {
@@ -479,7 +480,7 @@ func TestMVReadRetentionFollowsCompactWatermark(t *testing.T) {
 		Gate:    gate,
 		Workers: 4,
 	})
-	res, err := eng.ExecuteBatch(programs)
+	res, err := eng.ExecuteBatchCtx(context.Background(), programs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,21 +544,21 @@ func TestMVReadCrossBatchIDDiscipline(t *testing.T) {
 		}
 		return ps
 	}
-	if _, err := eng.ExecuteBatch(batch(1, 2, 3)); err != nil {
+	if _, err := eng.ExecuteBatchCtx(context.Background(), batch(1, 2, 3)); err != nil {
 		t.Fatal(err)
 	}
 	// Ascending ids across batches are fine.
-	if _, err := eng.ExecuteBatch(batch(4, 5)); err != nil {
+	if _, err := eng.ExecuteBatchCtx(context.Background(), batch(4, 5)); err != nil {
 		t.Fatal(err)
 	}
 	// A batch whose lowest id does not exceed every prior id is
 	// rejected before anything runs.
-	if _, err := eng.ExecuteBatch(batch(5, 6)); err == nil {
-		t.Fatal("ExecuteBatch accepted a reused transaction id on a watermark-anchored engine")
+	if _, err := eng.ExecuteBatchCtx(context.Background(), batch(5, 6)); err == nil {
+		t.Fatal("ExecuteBatchCtx accepted a reused transaction id on a watermark-anchored engine")
 	}
 	// The rejection leaves the engine usable: the high-water mark was
 	// not advanced by the rejected batch.
-	if res, err := eng.ExecuteBatch(batch(7)); err != nil {
+	if res, err := eng.ExecuteBatchCtx(context.Background(), batch(7)); err != nil {
 		t.Fatalf("batch after rejection: %v", err)
 	} else if v, _ := res.Final.Get("x"); v.AsInt() != 6 {
 		t.Fatalf("x = %v, want 6 (three batches of increments)", v)
@@ -584,10 +585,10 @@ func TestRejectedReaderKeepsBatchIDs(t *testing.T) {
 			100: program.MustParse(reader),
 		}
 	}
-	if _, err := eng.ExecuteBatch(batch("program R {\n  x := x;\n}\n")); !errors.Is(err, exec.ErrReadOnlyWrite) {
+	if _, err := eng.ExecuteBatchCtx(context.Background(), batch("program R {\n  x := x;\n}\n")); !errors.Is(err, exec.ErrReadOnlyWrite) {
 		t.Fatalf("a declared reader that writes: err = %v, want ErrReadOnlyWrite", err)
 	}
-	res, err := eng.ExecuteBatch(batch("program R {\n  let v := x;\n}\n"))
+	res, err := eng.ExecuteBatchCtx(context.Background(), batch("program R {\n  let v := x;\n}\n"))
 	if err != nil {
 		t.Fatalf("the corrected batch under the same ids: %v", err)
 	}

@@ -28,8 +28,9 @@ type BatchGate interface {
 	// operation sequence and commits the transaction. A nil error means
 	// the sequence is certified, durable (if a journal is attached),
 	// and committed. An error is gate state the batch stops on: a
-	// closed or draining gate, a certifier violation, a journal
-	// fail-stop, or a cancelled context.
+	// closed or draining gate, a certifier violation, or a journal
+	// fail-stop. AdmitTxn takes no context: the engine checks its own
+	// before every commit turn, so a cancelled batch never calls it.
 	AdmitTxn(ops []txn.Op) error
 }
 
@@ -83,11 +84,11 @@ type ParallelConfig struct {
 // Speculation only moves work off the critical path; Metrics.Retries
 // and Metrics.Conflicts report how much of it was wasted.
 //
-// An engine is safe for sequential reuse: successive ExecuteBatch
+// An engine is safe for sequential reuse: successive ExecuteBatchCtx
 // calls run against the store state the previous batch left behind
 // (batch transaction ids must remain unique across the engine's
 // lifetime when a gate is attached, and globally ascending when the
-// gate reports a Compact watermark — ExecuteBatch enforces the
+// gate reports a Compact watermark — ExecuteBatchCtx enforces the
 // latter).
 type ParallelEngine struct {
 	store      *VersionedStore
@@ -108,12 +109,12 @@ type ParallelEngine struct {
 	// submitted (valid when wmIDSeen). wmQueue persists across batches
 	// and drains by comparing raw ids against the gate's
 	// CompactWatermark, so the retention floor is only correct when ids
-	// ascend globally across an engine's batches — ExecuteBatch rejects
+	// ascend globally across an engine's batches — ExecuteBatchCtx rejects
 	// a batch that reuses or reorders ids below this high-water mark.
 	wmMaxID  int
 	wmIDSeen bool
 
-	// batchMu serializes ExecuteBatch calls; the worker pool and commit
+	// batchMu serializes ExecuteBatchCtx calls; the worker pool and commit
 	// pipeline inside one batch have their own synchronization.
 	batchMu sync.Mutex
 
@@ -142,7 +143,7 @@ type ParallelEngine struct {
 
 // SetFaultInjector registers the deterministic fault injector the
 // engine consults at each commit turn (site tags the injection point,
-// e.g. "engine"). Call before ExecuteBatch; nil detaches.
+// e.g. "engine"). Call before ExecuteBatchCtx; nil detaches.
 func (e *ParallelEngine) SetFaultInjector(inj *fault.Injector, site string) {
 	e.batchMu.Lock()
 	defer e.batchMu.Unlock()
@@ -207,14 +208,8 @@ type txnStamp struct {
 // Store exposes the engine's versioned store for inspection.
 func (e *ParallelEngine) Store() *VersionedStore { return e.store }
 
-// RunParallel executes one batch of programs on a fresh engine — the
-// batch-mode counterpart of Run.
-func RunParallel(cfg ParallelConfig, programs map[int]*program.Program) (*Result, error) {
-	return NewParallelEngine(cfg).ExecuteBatch(programs)
-}
-
-// RunParallelCtx is RunParallel with cancellation — the batch-mode
-// counterpart of RunCtx.
+// RunParallelCtx executes one batch of programs on a fresh engine — the
+// batch-mode counterpart of RunCtx.
 func RunParallelCtx(ctx context.Context, cfg ParallelConfig, programs map[int]*program.Program) (*Result, error) {
 	return NewParallelEngine(cfg).ExecuteBatchCtx(ctx, programs)
 }
@@ -290,12 +285,12 @@ func (bs *batchState) fail(err error) {
 	}
 }
 
-// ExecuteBatch runs one batch of independent programs to completion
+// ExecuteBatchCtx runs one batch of independent programs to completion
 // and returns the combined result: the schedule in ascending
 // transaction-id (= commit) order, the final store state, and metrics
-// (Ticks counts committed read-write operations as in Run;
-// Retries/Conflicts count the speculation cost; gate reporter
-// counters are harvested as in Run). On a program error or fatal gate
+// (Ticks counts committed read-write operations as in RunCtx;
+// Retries/Conflicts count the speculation cost; the gate's Stats are
+// harvested as in RunCtx). On a program error or fatal gate
 // error the batch stops: the error is returned, transactions already
 // committed stay committed in the store and on the gate, and the rest
 // of the batch is discarded.
@@ -310,14 +305,10 @@ func (bs *batchState) fail(err error) {
 // declared readers the schedule's reader positions (never the
 // read-write sub-schedule, its state, or its verdict) may vary across
 // runs and worker counts.
-func (e *ParallelEngine) ExecuteBatch(programs map[int]*program.Program) (*Result, error) {
-	return e.ExecuteBatchCtx(context.Background(), programs)
-}
-
-// ExecuteBatchCtx is ExecuteBatch with cancellation. When ctx ends
-// mid-batch the commit pipeline stops cold: the commit turn checks the
-// context before every gate admission and store apply, so a
-// transaction is either fully admitted-and-committed or untouched —
+//
+// When ctx ends mid-batch the commit pipeline stops cold: the commit
+// turn checks the context before every gate admission and store apply,
+// so a transaction is either fully admitted-and-committed or untouched —
 // never partially granted. Speculative attempts deposited but not yet
 // at the commit frontier are discarded (they touched neither the gate
 // nor the store), and the call returns the partial Result — the
@@ -462,7 +453,7 @@ func (e *ParallelEngine) ExecuteBatchCtx(ctx context.Context, programs map[int]*
 		ROOps:     roOps,
 		MV:        e.store.VersionStats(),
 	}
-	harvestReporters(e.gate, &m)
+	harvestStats(e.gate, &m)
 	// A cancelled batch still returns the committed prefix; CancelError
 	// is nil on the normal path.
 	return &Result{
@@ -579,7 +570,7 @@ func (e *ParallelEngine) drain(ctx context.Context, w *worker, bs *batchState, a
 // commit: record the committed transaction's stamp, then raise the
 // store's retention floor to the stamp of the last commit at or below
 // the reported watermark. Commits land in ascending id order within a
-// batch and ExecuteBatch rejects batches whose ids are not above every
+// batch and ExecuteBatchCtx rejects batches whose ids are not above every
 // prior batch's, so the watermark is a true prefix bound and the queue
 // drains in order. Called with bs.mu held (the commit step).
 func (e *ParallelEngine) advanceFloor(id int) {

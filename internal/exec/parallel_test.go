@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -20,7 +21,7 @@ import (
 func serialReference(t *testing.T, w *gen.Workload, shards int) (*exec.Result, *sched.ParallelCertify) {
 	t.Helper()
 	gate := sched.NewParallelCertify(w.DataSets, shards, &sched.Serial{}, nil)
-	res, err := exec.Run(exec.Config{
+	res, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: w.Programs,
 		Initial:  w.Initial,
 		Policy:   gate,
@@ -50,7 +51,7 @@ func TestParallelEngineDifferential(t *testing.T) {
 		want, refGate := serialReference(t, w, 4)
 		for workers := 1; workers <= 8; workers++ {
 			gate := sched.NewParallelCertify(w.DataSets, 4, &sched.Serial{}, nil)
-			res, err := exec.RunParallel(exec.ParallelConfig{
+			res, err := exec.RunParallelCtx(context.Background(), exec.ParallelConfig{
 				Initial: w.Initial,
 				Gate:    gate,
 				Workers: workers,
@@ -138,11 +139,11 @@ func batchesOwnTheirResults(t *testing.T, initial state.DB, programs map[int]*pr
 	var printed []string
 	for batch := 0; batch < 6; batch++ {
 		ctx := fmt.Sprintf("batch %d", batch)
-		res, err := eng.ExecuteBatch(programs)
+		res, err := eng.ExecuteBatchCtx(context.Background(), programs)
 		if err != nil {
 			t.Fatalf("%s: %v", ctx, err)
 		}
-		fresh, err := exec.RunParallel(exec.ParallelConfig{Initial: initial, Workers: 4, ReadOnly: ro}, programs)
+		fresh, err := exec.RunParallelCtx(context.Background(), exec.ParallelConfig{Initial: initial, Workers: 4, ReadOnly: ro}, programs)
 		if err != nil {
 			t.Fatalf("%s: fresh engine: %v", ctx, err)
 		}
@@ -191,7 +192,7 @@ func TestParallelEngineRetryExhaustion(t *testing.T) {
 
 	for _, budget := range []int{-1, 1, 5} {
 		gate := sched.NewParallelCertify(partition, 1, &sched.Serial{}, nil)
-		res, err := exec.RunParallel(exec.ParallelConfig{
+		res, err := exec.RunParallelCtx(context.Background(), exec.ParallelConfig{
 			Initial:    initial,
 			Gate:       gate,
 			Workers:    8,
@@ -241,7 +242,7 @@ func TestParallelEngineProgramError(t *testing.T) {
 		Gate:    gate,
 		Workers: 4,
 	})
-	_, err := eng.ExecuteBatch(programs)
+	_, err := eng.ExecuteBatchCtx(context.Background(), programs)
 	if err == nil || !strings.Contains(err.Error(), "exec: T2:") || !strings.Contains(err.Error(), "has no value") {
 		t.Fatalf("batch error = %v, want exec: T2 missing-item error", err)
 	}
@@ -267,7 +268,7 @@ func TestParallelEngineSubmitsFirstAccessesOnly(t *testing.T) {
 		Gate:    gate,
 		Workers: 2,
 	})
-	res, err := eng.ExecuteBatch(programs)
+	res, err := eng.ExecuteBatchCtx(context.Background(), programs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +296,7 @@ func TestParallelEngineCommitInjection(t *testing.T) {
 	gate := sched.NewParallelCertify(w.DataSets, 4, &sched.Serial{}, nil)
 	eng := exec.NewParallelEngine(exec.ParallelConfig{Initial: w.Initial, Gate: gate, Workers: 4})
 	eng.SetFaultInjector(inj, "engine")
-	res, err := eng.ExecuteBatch(w.Programs)
+	res, err := eng.ExecuteBatchCtx(context.Background(), w.Programs)
 	if err != nil {
 		t.Fatal(err)
 	}

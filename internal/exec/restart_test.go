@@ -2,6 +2,7 @@ package exec_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"reflect"
 	"runtime"
@@ -121,7 +122,7 @@ func TestRestartSeesNothingOfErasedAttempt(t *testing.T) {
 	// Round-robin grants r1(x, 0), w2(x, 100), w1(y, 1); the forced
 	// stall then aborts T1, parked on r1(z).
 	pol := &forcedRestart{Policy: &sched.RoundRobin{}, victim: 1, after: 3, t: t}
-	res, err := exec.Run(exec.Config{Programs: programs, Initial: initial, Policy: pol})
+	res, err := exec.RunCtx(context.Background(), exec.Config{Programs: programs, Initial: initial, Policy: pol})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestEngineAbortUndoesWrites(t *testing.T) {
 	// Round-robin grants r1(x), r2(y), w1(x); then the forced stall
 	// aborts T1 (still live: q remains), whose write must be undone.
 	pol := &forcedRestart{Policy: &sched.RoundRobin{}, victim: 1, after: 3}
-	res, err := exec.Run(exec.Config{Programs: programs, Initial: initial, Policy: pol})
+	res, err := exec.RunCtx(context.Background(), exec.Config{Programs: programs, Initial: initial, Policy: pol})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestEngineAbortRestoresSurvivingWrite(t *testing.T) {
 	// w1(x,5) finishes T1, w2(x,7); the forced stall aborts T2; T3 then
 	// reads x and must see T1's 5 before T2's second attempt runs.
 	pol := &forcedRestart{Policy: sched.NewScript(1, 2, 3, 3, 2, 2, 2), victim: 2, after: 2, t: t}
-	res, err := exec.Run(exec.Config{Programs: programs, Initial: initial, Policy: pol})
+	res, err := exec.RunCtx(context.Background(), exec.Config{Programs: programs, Initial: initial, Policy: pol})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestEngineAbortCascades(t *testing.T) {
 	// Round-robin grants w1(x,5), r2(x,5); aborting T1 must cascade to
 	// T2, which read the erased 5.
 	pol := &forcedRestart{Policy: &sched.RoundRobin{}, victim: 1, after: 2, t: t}
-	res, err := exec.Run(exec.Config{Programs: programs, Initial: initial, Policy: pol})
+	res, err := exec.RunCtx(context.Background(), exec.Config{Programs: programs, Initial: initial, Policy: pol})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +254,7 @@ func TestEngineAbortPinnedVictim(t *testing.T) {
 	// Script: w1(x,5), r2(x,5), w2(y,5) — T2 finishes having read T1's
 	// write — then the forced stall names the now-pinned T1.
 	pol := &forcedRestart{Policy: sched.NewScript(1, 2, 2, 1, 1), victim: 1, after: 3}
-	_, err := exec.Run(exec.Config{Programs: programs, Initial: initial, Policy: pol})
+	_, err := exec.RunCtx(context.Background(), exec.Config{Programs: programs, Initial: initial, Policy: pol})
 	if !errors.Is(err, exec.ErrStall) {
 		t.Fatalf("err = %v, want ErrStall", err)
 	}
@@ -279,7 +280,7 @@ func TestEngineAbortClosureView(t *testing.T) {
 			}
 		}
 	}}
-	if _, err := exec.Run(exec.Config{Programs: programs, Initial: initial, Policy: probe}); err != nil {
+	if _, err := exec.RunCtx(context.Background(), exec.Config{Programs: programs, Initial: initial, Policy: probe}); err != nil {
 		t.Fatal(err)
 	}
 	if len(sawClosure) != 2 || sawClosure[0] != 1 || sawClosure[1] != 2 {
@@ -306,7 +307,7 @@ func TestEngineAbortBudget(t *testing.T) {
 	}
 	initial := state.Ints(map[string]int64{"x": 0})
 	pol := &alwaysAbort{}
-	_, err := exec.Run(exec.Config{Programs: programs, Initial: initial, Policy: pol, MaxAborts: 8})
+	_, err := exec.RunCtx(context.Background(), exec.Config{Programs: programs, Initial: initial, Policy: pol, MaxAborts: 8})
 	if !errors.Is(err, exec.ErrStall) {
 		t.Fatalf("err = %v, want ErrStall after the abort budget", err)
 	}
@@ -396,7 +397,7 @@ func TestEngineIdenticalAcrossRunsAndProcs(t *testing.T) {
 			passEvery: 7,
 			waits:     make(map[int]int),
 		}
-		res, err := exec.Run(exec.Config{Programs: programs, Initial: w.Initial, Policy: ledger, DataSets: w.DataSets})
+		res, err := exec.RunCtx(context.Background(), exec.Config{Programs: programs, Initial: w.Initial, Policy: ledger, DataSets: w.DataSets})
 		if err != nil {
 			t.Fatal(err)
 		}

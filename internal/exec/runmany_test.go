@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -36,7 +37,7 @@ func TestRunMany(t *testing.T) {
 	cfgs := make([]exec.Config, fleet)
 	for i := 0; i < fleet; i++ {
 		cfg, _ := mkCfg(i)
-		res, err := exec.Run(cfg)
+		res, err := exec.RunCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("serial run %d: %v", i, err)
 		}
@@ -47,7 +48,7 @@ func TestRunMany(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 4, 0} {
-		results, errs := exec.RunMany(cfgs, workers)
+		results, errs := exec.RunManyCtx(context.Background(), cfgs, workers)
 		if len(results) != fleet || len(errs) != fleet {
 			t.Fatalf("workers=%d: got %d results, %d errs", workers, len(results), len(errs))
 		}
@@ -97,7 +98,7 @@ func TestRunManySharedPolicy(t *testing.T) {
 		mkCfg(1, &opaquePolicy{}),
 		mkCfg(2, shared),
 	}
-	results, errs := exec.RunMany(cfgs, 2)
+	results, errs := exec.RunManyCtx(context.Background(), cfgs, 2)
 	for _, i := range []int{0, 2} {
 		if !errors.Is(errs[i], exec.ErrSharedPolicy) {
 			t.Fatalf("run %d: err = %v, want ErrSharedPolicy", i, errs[i])

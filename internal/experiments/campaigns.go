@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -76,7 +77,7 @@ type trialOutcome struct {
 // runTrial executes the workload under the policy and classifies the
 // schedule.
 func runTrial(w *gen.Workload, policy exec.Policy) (*trialOutcome, error) {
-	res, err := exec.Run(exec.Config{
+	res, err := exec.RunCtx(context.TODO(), exec.Config{
 		Programs: w.Programs,
 		Initial:  w.Initial,
 		Policy:   policy,

@@ -142,7 +142,7 @@ func TestSnapshotPinnedAcrossDrain(t *testing.T) {
 	w := gen.MustGenerate(gen.Config{Conjuncts: 2, Programs: 5, MovesPerProgram: 2, Seed: 11})
 	gate := sched.NewParallelCertify(w.DataSets, 2, &sched.Serial{}, nil)
 	eng := exec.NewParallelEngine(exec.ParallelConfig{Initial: w.Initial, Gate: gate, Workers: 2})
-	if _, err := eng.ExecuteBatch(w.Programs); err != nil {
+	if _, err := eng.ExecuteBatchCtx(context.Background(), w.Programs); err != nil {
 		t.Fatal(err)
 	}
 
@@ -157,7 +157,7 @@ func TestSnapshotPinnedAcrossDrain(t *testing.T) {
 	for id, p := range w.Programs {
 		second[id+10] = p
 	}
-	if _, err := eng.ExecuteBatch(second); err != nil {
+	if _, err := eng.ExecuteBatchCtx(context.Background(), second); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -468,7 +469,7 @@ func RunChaosTrial(seed int64) (ChaosRecord, error) {
 		twinGate := sched.NewParallelCertify(w.DataSets, 2, &sched.Serial{}, nil)
 		twinRes, terr := exec.NewParallelEngine(exec.ParallelConfig{
 			Initial: w.Initial, Gate: twinGate, Workers: 2,
-		}).ExecuteBatch(w.Programs)
+		}).ExecuteBatchCtx(context.TODO(), w.Programs)
 		if terr != nil {
 			return fail("uninjected twin failed: %v", terr)
 		}
@@ -478,7 +479,7 @@ func RunChaosTrial(seed int64) (ChaosRecord, error) {
 			Initial: w.Initial, Gate: gate, Workers: 2 + rng.Intn(3),
 		})
 		eng.SetFaultInjector(inj, "engine")
-		res, rerr := eng.ExecuteBatch(w.Programs)
+		res, rerr := eng.ExecuteBatchCtx(context.TODO(), w.Programs)
 		runErr = rerr
 		gateMon, twinMon = gate.ShardedMonitor(), twinGate.ShardedMonitor()
 		health = gate.Health()
@@ -493,7 +494,7 @@ func RunChaosTrial(seed int64) (ChaosRecord, error) {
 	default:
 		inner := int64(rng.Int31())
 		twinGate := sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(inner), nil)
-		twinRes, terr := exec.Run(exec.Config{
+		twinRes, terr := exec.RunCtx(context.TODO(), exec.Config{
 			Programs: w.Programs, Initial: w.Initial, Policy: twinGate, DataSets: w.DataSets,
 		})
 		if terr != nil {
@@ -502,7 +503,7 @@ func RunChaosTrial(seed int64) (ChaosRecord, error) {
 		gate := sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(inner), nil)
 		gate.AttachJournal(tap, sched.WithDegradeMode(mode), sched.WithBufferCap(bufferCap))
 		gate.SetFaultInjector(inj, "gate")
-		res, rerr := exec.Run(exec.Config{
+		res, rerr := exec.RunCtx(context.TODO(), exec.Config{
 			Programs: w.Programs, Initial: w.Initial, Policy: gate, DataSets: w.DataSets,
 		})
 		runErr = rerr

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -49,7 +50,7 @@ func RunDegree2VsPWSR(trials int, baseSeed int64) (*Degree2Report, error) {
 		sys := core.NewSystem(w.IC, w.Schema)
 
 		run := func(policy exec.Policy) (pwsrOK, dr, sc bool, err error) {
-			res, err := exec.Run(exec.Config{
+			res, err := exec.RunCtx(context.TODO(), exec.Config{
 				Programs: w.Programs,
 				Initial:  w.Initial,
 				Policy:   policy,

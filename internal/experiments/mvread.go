@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -126,7 +127,7 @@ func (w *mvreadWorkload) merged() map[int]*program.Program {
 }
 
 // MVReadStudy runs the PERF11 sweep: a mixed batch of hot-item writers
-// and scan readers through exec.RunParallel, each conflict cell
+// and scan readers through exec.RunParallelCtx, each conflict cell
 // measured with the readers certified through the gate like ordinary
 // transactions and again with the readers declared read-only and
 // served from pinned multiversion snapshots. The study's claim is the
@@ -184,7 +185,7 @@ func MVReadStudy(seed int64, quick bool) (*sim.Table, []MVReadRecord, error) {
 				if mode == "bypass" {
 					cfg.ReadOnly = w.readOnly
 				}
-				r, err := exec.RunParallel(cfg, w.merged())
+				r, err := exec.RunParallelCtx(context.TODO(), cfg, w.merged())
 				if err != nil {
 					panic(fmt.Sprintf("mvread study: mode=%s conflict=%d%%: %v", mode, pct, err))
 				}

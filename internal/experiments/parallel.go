@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -134,7 +135,7 @@ func ParallelScalingStudy(workers []int, seed int64, quick bool) (*sim.Table, []
 	for _, pct := range conflicts {
 		w := newParallelWorkload(txns, spin, pct, seed+int64(pct))
 		serialGate := sched.NewParallelCertify(w.partition, len(w.partition), &sched.Serial{}, nil)
-		want, err := exec.Run(exec.Config{
+		want, err := exec.RunCtx(context.TODO(), exec.Config{
 			Programs: w.programs,
 			Initial:  w.initial,
 			Policy:   serialGate,
@@ -149,7 +150,7 @@ func ParallelScalingStudy(workers []int, seed int64, quick bool) (*sim.Table, []
 			var res *exec.Result
 			d := bestOf(reps, func() {
 				gate := sched.NewParallelCertify(w.partition, len(w.partition), &sched.Serial{}, nil)
-				r, err := exec.RunParallel(exec.ParallelConfig{
+				r, err := exec.RunParallelCtx(context.TODO(), exec.ParallelConfig{
 					Initial: w.initial,
 					Gate:    gate,
 					Workers: width,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -61,7 +62,7 @@ func CertifyPolicyStudy(trials int, baseSeed int64) (*sim.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := exec.Run(exec.Config{
+			res, err := exec.RunCtx(context.TODO(), exec.Config{
 				Programs: w.Programs,
 				Initial:  w.Initial,
 				Policy:   pc.mk(w, seed),

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -35,7 +36,7 @@ func CheckerScaling(designs []int, seed int64) (*sim.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := exec.Run(exec.Config{
+		res, err := exec.RunCtx(context.TODO(), exec.Config{
 			Programs: w.Programs,
 			Initial:  w.Initial,
 			Policy:   sched.NewPW2PL(),

@@ -13,6 +13,7 @@
 package mdbs
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -181,7 +182,7 @@ type Result struct {
 // with no coordination across sites. Policy sched.NewC2PL() models a
 // global lock manager.
 func Run(w *gen.Workload, globalIDs, localIDs []int, policy exec.Policy) (*Result, error) {
-	res, err := exec.Run(exec.Config{
+	res, err := exec.RunCtx(context.TODO(), exec.Config{
 		Programs: w.Programs,
 		Initial:  w.Initial,
 		Policy:   policy,

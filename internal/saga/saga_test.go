@@ -1,6 +1,7 @@
 package saga
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -131,7 +132,7 @@ func TestSagaExecutionIsPWSRAndCorrect(t *testing.T) {
 	}
 
 	for seed := int64(0); seed < 10; seed++ {
-		res, err := exec.Run(exec.Config{
+		res, err := exec.RunCtx(context.Background(), exec.Config{
 			Programs: programs,
 			Initial:  initial,
 			Policy:   sched.NewC2PL(), // step-granularity locking

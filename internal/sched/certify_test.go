@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -22,7 +23,7 @@ func TestCertifySchedulesArePWSR(t *testing.T) {
 			Conjuncts: 2, Programs: 3, Style: gen.StyleFixed, Seed: rng.Int63(),
 		})
 		gate := sched.NewCertify(w.DataSets, sched.NewRandom(rng.Int63()))
-		res, err := exec.Run(exec.Config{
+		res, err := exec.RunCtx(context.Background(), exec.Config{
 			Programs: w.Programs,
 			Initial:  w.Initial,
 			Policy:   gate,
@@ -62,7 +63,7 @@ func TestCertifyBlocksCycleClosingOp(t *testing.T) {
 	done := false
 	for seed := int64(0); seed < 20 && !done; seed++ {
 		gate := sched.NewCertify(w.DataSets, sched.NewRandom(seed))
-		res, err := exec.Run(exec.Config{
+		res, err := exec.RunCtx(context.Background(), exec.Config{
 			Programs: w.Programs,
 			Initial:  w.Initial,
 			Policy:   gate,

@@ -11,7 +11,7 @@ import (
 // equivalent to a freshly constructed one — construction-time
 // configuration (seeds, orders, partitions, shard counts, victim and
 // solo settings, inner policies) carried over, accumulated run state
-// reset, nothing mutable shared. This is what lets exec.RunMany hand
+// reset, nothing mutable shared. This is what lets exec.RunManyCtx hand
 // every run its own policy while the caller's configs stay reusable.
 var (
 	_ exec.PolicyCloner = (*Script)(nil)

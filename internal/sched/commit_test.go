@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -49,7 +50,7 @@ func TestGatesCommitFinishedTxns(t *testing.T) {
 				Conjuncts: 2, Programs: 3, Style: gen.StyleFixed, Seed: 11 + seed,
 			})
 			g := gateMonitors(w.DataSets, seed)[name]
-			_, err := exec.Run(exec.Config{
+			_, err := exec.RunCtx(context.Background(), exec.Config{
 				Programs: w.Programs,
 				Initial:  w.Initial,
 				Policy:   g.policy,
@@ -125,7 +126,7 @@ func TestGateLiveTxnsBoundedAcrossRuns(t *testing.T) {
 			id := b*perBatch + p + 1 // globally unique ids: committed ids must not recur
 			programs[id] = program.MustParse(fmt.Sprintf("program T%d { a := b + 1; b := a + 1; }", id))
 		}
-		res, err := exec.Run(exec.Config{
+		res, err := exec.RunCtx(context.Background(), exec.Config{
 			Programs: programs,
 			Initial:  state.Ints(map[string]int64{"a": 0, "b": 0}),
 			Policy:   gate,

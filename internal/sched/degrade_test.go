@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -38,7 +39,7 @@ func TestDegradeShedSurfacesTyped(t *testing.T) {
 		fault.Rule{Op: fault.OpSync, From: 2, Count: 0, Kind: fault.KindError, Msg: "device gone"})
 	gate := sched.NewCertify(w.DataSets, sched.NewRandom(1))
 	gate.AttachJournal(jw, sched.WithDegradeMode(sched.DegradeShed))
-	_, err := exec.Run(exec.Config{
+	_, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: w.Programs, Initial: w.Initial, Policy: gate, DataSets: w.DataSets,
 	})
 	if !errors.Is(err, exec.ErrDegraded) {
@@ -78,7 +79,7 @@ func TestDegradeBufferBridgesTransientOutage(t *testing.T) {
 		fault.Rule{Op: fault.OpSync, From: 2, Count: 3, Kind: fault.KindError, Msg: "transient outage"})
 	gate := sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(2), nil)
 	gate.AttachJournal(jw, sched.WithDegradeMode(sched.DegradeBuffer), sched.WithBufferCap(16))
-	_, err := exec.Run(exec.Config{
+	_, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: w.Programs, Initial: w.Initial, Policy: gate, DataSets: w.DataSets,
 	})
 	if err != nil {
@@ -117,7 +118,7 @@ func TestDegradeBufferTripsToShed(t *testing.T) {
 		fault.Rule{Op: fault.OpSync, From: 2, Count: 0, Kind: fault.KindError, Msg: "device gone"})
 	gate := sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(2), nil)
 	gate.AttachJournal(jw, sched.WithDegradeMode(sched.DegradeBuffer), sched.WithBufferCap(2))
-	_, err := exec.Run(exec.Config{
+	_, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: w.Programs, Initial: w.Initial, Policy: gate, DataSets: w.DataSets,
 	})
 	if !errors.Is(err, exec.ErrDegraded) {
@@ -154,7 +155,7 @@ func TestTickInjectionPreservesVerdicts(t *testing.T) {
 		if inj != nil {
 			gate.SetFaultInjector(inj, "gate")
 		}
-		res, err := exec.Run(exec.Config{
+		res, err := exec.RunCtx(context.Background(), exec.Config{
 			Programs: w.Programs, Initial: w.Initial, Policy: gate, DataSets: w.DataSets,
 		})
 		if err != nil {

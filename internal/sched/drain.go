@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"pwsr/internal/exec"
@@ -12,7 +11,7 @@ import (
 )
 
 // DrainPolicy selects what Drain does with the transactions still live
-// in the monitor when the drain begins. See Certify.Drain.
+// in the monitor when the drain begins. See the gates' Drain.
 type DrainPolicy int
 
 const (
@@ -37,8 +36,7 @@ type SnapshotCutter interface {
 }
 
 // lifecycle is the admission posture a gate carries once Drain or
-// Close has been called, shared by Certify and OptimisticCertify. All
-// access runs under the owning gate's mutex.
+// Close has been called. All access runs under the gate's mutex.
 type lifecycle struct {
 	// draining: no new transactions; only the allowed set (live at
 	// drain start) may still receive grants.
@@ -59,26 +57,37 @@ func (lc *lifecycle) blocked(txnID int) bool {
 	return lc.closed || (lc.draining && !lc.allowed[txnID])
 }
 
-// drainGate is the shared body of the gates' Drain: stop admitting new
-// transactions, settle the in-flight ones per the drain policy, flush
-// the journal barrier, run a final compact pass, and cut a snapshot.
-// The gate mutex is released while waiting so the engine's tick loop
-// (TxnFinished, Pick) can make progress; ctx bounds the whole
-// sequence, and on expiry the unfinished remainder is retracted — the
-// same monitor state a completed run that aborted them would leave —
-// and the typed cancellation error is returned.
-func drainGate(ctx context.Context, mu *sync.Mutex, memo *verdictMemo, jn *journaled, lc *lifecycle, tinj *tickInjector) error {
-	mu.Lock()
-	defer mu.Unlock()
-	mon := memo.mon
-	if lc.closed {
+// SetDrainPolicy selects what Drain does with in-flight transactions
+// (default DrainWait). Call before Drain.
+func (g *gate) SetDrainPolicy(p DrainPolicy) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.lc.policy = p
+}
+
+// Drain implements exec.Drainer: refuse new transactions, settle the
+// in-flight ones per the drain policy (wait or abort), flush the
+// journal barrier, run a final compact pass, and cut a snapshot. The
+// gate mutex is released while waiting so the engine's tick loop
+// (TxnFinished, Pick) can make progress. ctx bounds the whole sequence:
+// on expiry the unfinished remainder is retracted — the same monitor
+// state a completed run that aborted them would leave — and the
+// returned error wraps exec.ErrDeadline or exec.ErrCanceled. Draining
+// an already-closed gate returns exec.ErrGateClosed. The gate stays
+// usable for reads (Health, Monitor) after a drain; call Close to
+// release the journal.
+func (g *gate) Drain(ctx context.Context) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	mon := g.memo.mon
+	if g.lc.closed {
 		return fmt.Errorf("sched: drain: %w", exec.ErrGateClosed)
 	}
 	live := mon.LiveTxnIDs()
-	lc.draining = true
-	lc.allowed = make(map[int]bool, len(live))
+	g.lc.draining = true
+	g.lc.allowed = make(map[int]bool, len(live))
 	for _, id := range live {
-		lc.allowed[id] = true
+		g.lc.allowed[id] = true
 	}
 	// Only uncommitted residents are retractable: a committed
 	// transaction stays resident until compaction reclaims it, and its
@@ -90,15 +99,15 @@ func drainGate(ctx context.Context, mu *sync.Mutex, memo *verdictMemo, jn *journ
 				continue // committed or violated: nothing to roll back
 			}
 			n++
-			memo.settle(id)
-			memo.global++ // it may hold operations no tick granted
-			jn.ack()
-			delete(lc.allowed, id)
+			g.memo.settle(id)
+			g.memo.global++ // it may hold operations no tick granted
+			g.jn.ack()
+			delete(g.lc.allowed, id)
 		}
 		return n
 	}
 	var drainErr error
-	if lc.policy == DrainAbort {
+	if g.lc.policy == DrainAbort {
 		retract(mon.InFlightTxnIDs())
 	} else {
 		for {
@@ -107,29 +116,29 @@ func drainGate(ctx context.Context, mu *sync.Mutex, memo *verdictMemo, jn *journ
 				drainErr = fmt.Errorf("sched: drain: %d in-flight transaction(s) retracted: %w", n, err)
 				break
 			}
-			tinj.at(fault.OpDrain) // deterministic drain-step fault point
+			g.tinj.at(fault.OpDrain) // deterministic drain-step fault point
 			if len(mon.InFlightTxnIDs()) == 0 {
 				break
 			}
 			// Yield the gate so the engine can finish transactions.
-			mu.Unlock()
+			g.mu.Unlock()
 			t := time.NewTimer(time.Millisecond)
 			select {
 			case <-ctx.Done():
 			case <-t.C:
 			}
 			t.Stop()
-			mu.Lock()
+			g.mu.Lock()
 		}
 	}
-	if err := jn.drainFlush(ctx, mu); err != nil && drainErr == nil {
+	if err := g.jn.drainFlush(ctx, &g.mu); err != nil && drainErr == nil {
 		drainErr = err
 	}
 	mon.Compact()
-	memo.global++
-	jn.ack()
-	if drainErr == nil && !jn.frozen() && jn.journal != nil {
-		if cutter, ok := jn.journal.(SnapshotCutter); ok {
+	g.memo.global++
+	g.jn.ack()
+	if drainErr == nil && !g.jn.frozen() && g.jn.journal != nil {
+		if cutter, ok := g.jn.journal.(SnapshotCutter); ok {
 			if err := cutter.CutSnapshot(); err != nil {
 				drainErr = fmt.Errorf("sched: drain: snapshot cut: %w", err)
 			}
@@ -138,118 +147,22 @@ func drainGate(ctx context.Context, mu *sync.Mutex, memo *verdictMemo, jn *journ
 	return drainErr
 }
 
-// closeGate is the shared body of the gates' Close: latch the terminal
-// posture and close the journal when it owns a Close. Close does not
-// drain — call Drain first for a graceful quiesce; Close alone
-// abandons in-flight transactions where they stand (the journal still
-// holds their durable prefix, so recovery sees them as live and
-// retractable).
-func closeGate(mu *sync.Mutex, jn *journaled, lc *lifecycle) error {
-	mu.Lock()
-	defer mu.Unlock()
-	if lc.closed {
+// Close latches the terminal posture — every further admission is
+// refused with exec.ErrGateClosed — and closes the attached journal
+// when it has a Close. Idempotent. Close does not drain — call Drain
+// first for a graceful quiesce; Close alone abandons in-flight
+// transactions where they stand (the journal still holds their durable
+// prefix, so recovery sees them as live and retractable).
+func (g *gate) Close() error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.lc.closed {
 		return nil
 	}
-	lc.closed = true
-	lc.draining = true
-	if cl, ok := jn.journal.(io.Closer); ok {
+	g.lc.closed = true
+	g.lc.draining = true
+	if cl, ok := g.jn.journal.(io.Closer); ok {
 		return cl.Close()
 	}
 	return nil
-}
-
-// The certification gates implement exec.Drainer and exec.Canceler.
-var (
-	_ exec.Drainer  = (*Certify)(nil)
-	_ exec.Drainer  = (*OptimisticCertify)(nil)
-	_ exec.Drainer  = (*ParallelCertify)(nil)
-	_ exec.Canceler = (*Certify)(nil)
-	_ exec.Canceler = (*OptimisticCertify)(nil)
-)
-
-// SetDrainPolicy selects what Drain does with in-flight transactions
-// (default DrainWait). Call before Drain.
-func (c *Certify) SetDrainPolicy(p DrainPolicy) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.lc.policy = p
-}
-
-// Drain implements exec.Drainer on the blocking gate: refuse new
-// transactions, settle in-flight ones per the drain policy (wait or
-// abort), flush the journal, compact the monitor, and cut a final
-// snapshot. ctx bounds the wait: on expiry the unfinished remainder
-// is retracted and the returned error wraps exec.ErrDeadline or
-// exec.ErrCanceled. Draining an already-closed gate returns
-// exec.ErrGateClosed. The gate stays usable for reads (Health,
-// Monitor) after a drain; call Close to release the journal.
-func (c *Certify) Drain(ctx context.Context) error {
-	return drainGate(ctx, &c.mu, &c.memo, &c.jn, &c.lc, &c.tinj)
-}
-
-// Close latches the terminal posture — every further admission is
-// refused with exec.ErrGateClosed — and closes the attached journal
-// when it has a Close. Idempotent. Close does not drain; call Drain
-// first for a graceful quiesce.
-func (c *Certify) Close() error {
-	return closeGate(&c.mu, &c.jn, &c.lc)
-}
-
-// TxnCanceled implements exec.Canceler: a cancelled engine run aborts
-// the attempt through the same retraction path a policy abort takes,
-// so the monitor and journal end in the state a completed run that
-// aborted the transaction would have left.
-func (c *Certify) TxnCanceled(id int, v *exec.View) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.mon.Retract(id)
-	c.memo.settle(id)
-	c.jn.ack()
-	if cc, ok := c.Inner.(exec.Canceler); ok {
-		cc.TxnCanceled(id, v)
-	} else if ra, ok := c.Inner.(exec.Restarter); ok {
-		ra.TxnAborted(id, v)
-	}
-}
-
-// SetDrainPolicy selects what Drain does with in-flight transactions
-// (default DrainWait). Call before Drain. ParallelCertify inherits.
-func (c *OptimisticCertify) SetDrainPolicy(p DrainPolicy) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.lc.policy = p
-}
-
-// Drain implements exec.Drainer on the abort-capable gate (and, by
-// embedding, on ParallelCertify), with Certify.Drain's contract.
-func (c *OptimisticCertify) Drain(ctx context.Context) error {
-	return drainGate(ctx, &c.mu, &c.memo, &c.jn, &c.lc, &c.tinj)
-}
-
-// Close latches the terminal posture and closes the attached journal,
-// with Certify.Close's contract. Idempotent.
-func (c *OptimisticCertify) Close() error {
-	return closeGate(&c.mu, &c.jn, &c.lc)
-}
-
-// TxnCanceled implements exec.Canceler: the cancelled attempt is
-// retracted exactly as a sacrificed victim would be, and its
-// per-transaction lifecycle state (abort counts, phase marks, solo
-// escalation) is dropped — cancel equals abort, minus the restart.
-func (c *OptimisticCertify) TxnCanceled(id int, v *exec.View) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.mon.Retract(id)
-	c.memo.settle(id)
-	c.jn.ack()
-	delete(c.aborts, id)
-	delete(c.phase, id)
-	if id == c.solo {
-		c.solo = 0
-	}
-	if cc, ok := c.Inner.(exec.Canceler); ok {
-		cc.TxnCanceled(id, v)
-	} else if ra, ok := c.Inner.(exec.Restarter); ok {
-		ra.TxnAborted(id, v)
-	}
 }

@@ -155,39 +155,10 @@ func TestCloseIdempotentAndTerminal(t *testing.T) {
 	if err := gate.AdmitTxn([]txn.Op{txn.W(1, "a", 1)}); !errors.Is(err, exec.ErrGateClosed) {
 		t.Fatalf("post-close admission = %v, want exec.ErrGateClosed", err)
 	}
-	if err := gate.AdmitTxnCtx(context.Background(), []txn.Op{txn.W(2, "a", 1)}); !errors.Is(err, exec.ErrGateClosed) {
-		t.Fatalf("post-close ctx admission = %v, want exec.ErrGateClosed", err)
-	}
 	if err := gate.Drain(context.Background()); !errors.Is(err, exec.ErrGateClosed) {
 		t.Fatalf("post-close drain = %v, want exec.ErrGateClosed", err)
 	}
 	if h := gate.Health(); !h.Closed {
 		t.Fatalf("post-close health does not surface closed: %+v", h)
-	}
-}
-
-// TestAdmitTxnCtxCanceled pins the batch-admission cancel contract: a
-// cancelled context refuses the admission with the typed
-// exec.ErrCanceled before the certifier or journal is touched, so the
-// refusal leaves no trace.
-func TestAdmitTxnCtxCanceled(t *testing.T) {
-	gate := NewOptimisticCertify(drainPartition(), &Serial{}, nil)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	err := gate.AdmitTxnCtx(ctx, []txn.Op{txn.W(1, "a", 1)})
-	if !errors.Is(err, exec.ErrCanceled) {
-		t.Fatalf("cancelled admission = %v, want exec.ErrCanceled", err)
-	}
-	if errors.Is(err, exec.ErrDeadline) {
-		t.Fatalf("cancel surfaced as a deadline: %v", err)
-	}
-	if ops := gate.Monitor().Ops(); ops != 0 {
-		t.Fatalf("refused admission left %d observed ops", ops)
-	}
-
-	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-	defer dcancel()
-	if err := gate.AdmitTxnCtx(dctx, []txn.Op{txn.W(2, "a", 1)}); !errors.Is(err, exec.ErrDeadline) {
-		t.Fatalf("expired admission = %v, want exec.ErrDeadline", err)
 	}
 }

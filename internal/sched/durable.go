@@ -536,68 +536,38 @@ func (j *journaled) logStats() exec.LogStats {
 	}
 }
 
-// AttachJournal wires a write-ahead journal to the blocking gate:
-// every lifecycle event the monitor applies is logged, and a granted
-// operation is acknowledged only after the journal's barrier passes.
-// On journal failure the gate's response is the configured
-// DegradeMode: freeze (default; the run surfaces exec.ErrJournalDown),
-// shed (exec.ErrDegraded), or buffer through a bounded in-memory
-// queue that drains once the journal heals. Attach before the first
-// Pick.
-func (c *Certify) AttachJournal(j Journal, opts ...JournalOption) {
-	c.jn.attach(c.mon, j, opts...)
+// AttachJournal wires a write-ahead journal to the gate: every
+// lifecycle event the certifier applies is logged, and grants,
+// retractions, commits and batch admissions are acknowledged only after
+// the journal's barrier passes. On journal failure the gate's response
+// is the configured DegradeMode: freeze (default; the run surfaces
+// exec.ErrJournalDown), shed (exec.ErrDegraded), or buffer through a
+// bounded in-memory queue that drains once the journal heals. Attach
+// before the first Pick.
+func (g *gate) AttachJournal(j Journal, opts ...JournalOption) {
+	g.jn.attach(g.memo.mon, j, opts...)
 }
 
 // Journal returns the attached journal, or nil (close it when the run
 // is over — the gate barriers but never closes).
-func (c *Certify) Journal() Journal { return c.jn.journal }
+func (g *gate) Journal() Journal { return g.jn.journal }
 
 // JournalErr returns the sticky journal error that froze or degraded
 // the gate, or nil.
-func (c *Certify) JournalErr() error { return c.jn.jerr }
+func (g *gate) JournalErr() error { return g.jn.jerr }
 
-// LogStats implements exec.LogReporter: the journal's durability
-// counters, surfaced in the engine's run metrics.
-func (c *Certify) LogStats() exec.LogStats { return c.jn.logStats() }
-
-// Health implements exec.HealthReporter: the gate's degradation mode,
-// lifecycle posture, and durability counters.
-func (c *Certify) Health() exec.Health {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	h := c.jn.health()
-	h.Draining, h.Closed = c.lc.draining, c.lc.closed
-	return h
+// Health reports the gate's live degradation mode, lifecycle posture,
+// and durability counters (the same value Stats carries).
+func (g *gate) Health() exec.Health {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.health()
 }
 
-// AttachJournal wires a write-ahead journal to the abort-capable gate:
-// grants, retractions, and commits are all logged and barriered before
-// the engine proceeds on them. On journal failure the gate's response
-// is the configured DegradeMode (default: freeze; the run surfaces
-// exec.ErrJournalDown). Attach before the first Pick.
-func (c *OptimisticCertify) AttachJournal(j Journal, opts ...JournalOption) {
-	c.jn.attach(c.mon, j, opts...)
-}
-
-// Journal returns the attached journal, or nil (close it when the run
-// is over — the gate barriers but never closes).
-func (c *OptimisticCertify) Journal() Journal { return c.jn.journal }
-
-// JournalErr returns the sticky journal error that froze or degraded
-// the gate, or nil.
-func (c *OptimisticCertify) JournalErr() error { return c.jn.jerr }
-
-// LogStats implements exec.LogReporter: the journal's durability
-// counters, surfaced in the engine's run metrics.
-func (c *OptimisticCertify) LogStats() exec.LogStats { return c.jn.logStats() }
-
-// Health implements exec.HealthReporter: the gate's degradation mode,
-// lifecycle posture, and durability counters.
-func (c *OptimisticCertify) Health() exec.Health {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	h := c.jn.health()
-	h.Draining, h.Closed = c.lc.draining, c.lc.closed
+// health is Health under the gate mutex.
+func (g *gate) health() exec.Health {
+	h := g.jn.health()
+	h.Draining, h.Closed = g.lc.draining, g.lc.closed
 	return h
 }
 
@@ -606,7 +576,7 @@ func (c *OptimisticCertify) Health() exec.Health {
 // wal.Resume, then gate new traffic over it with the resumed journal
 // attached.
 func NewCertifyOver(mon *core.Monitor, inner exec.Policy) *Certify {
-	return &Certify{Inner: inner, mon: mon, memo: verdictMemo{mon: mon}}
+	return &Certify{gate: gate{Inner: inner, memo: verdictMemo{mon: mon}}}
 }
 
 // NewOptimisticCertifyOver returns the abort-capable certification
@@ -614,7 +584,12 @@ func NewCertifyOver(mon *core.Monitor, inner exec.Policy) *Certify {
 // NewCertifyOver. victim selects the sacrifice policy (nil =
 // VictimYoungest).
 func NewOptimisticCertifyOver(mon Certifier, inner exec.Policy, victim VictimPolicy) *OptimisticCertify {
-	return newOptimisticCertify(mon, inner, victim)
+	return &OptimisticCertify{
+		gate:         gate{Inner: inner, memo: verdictMemo{mon: mon}},
+		VictimSelect: victim,
+		aborts:       make(map[int]int),
+		phase:        make(map[int]bool),
+	}
 }
 
 // ResumeCertify recovers a journaled blocking gate from the log on b:

@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"slices"
@@ -68,7 +69,7 @@ func TestDurableGateJournalsAndRecovers(t *testing.T) {
 		}
 		gate := sched.NewCertify(w.DataSets, sched.NewRandom(seed))
 		gate.AttachJournal(jw)
-		res, err := exec.Run(exec.Config{
+		res, err := exec.RunCtx(context.Background(), exec.Config{
 			Programs: w.Programs,
 			Initial:  w.Initial,
 			Policy:   gate,
@@ -115,7 +116,7 @@ func TestOptimisticDurableGateRecovers(t *testing.T) {
 	}
 	gate := sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(2), nil)
 	gate.AttachJournal(jw)
-	res, err := exec.Run(exec.Config{
+	res, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: w.Programs,
 		Initial:  w.Initial,
 		Policy:   gate,
@@ -156,7 +157,7 @@ func TestResumeCertifyContinues(t *testing.T) {
 		}
 		gate := sched.NewCertify(w.DataSets, sched.NewRandom(seed))
 		gate.AttachJournal(jw)
-		if _, err := exec.Run(exec.Config{
+		if _, err := exec.RunCtx(context.Background(), exec.Config{
 			Programs: w.Programs, Initial: w.Initial, Policy: gate, DataSets: w.DataSets,
 		}); err != nil {
 			if errors.Is(err, exec.ErrStall) {
@@ -184,7 +185,7 @@ func TestResumeCertifyContinues(t *testing.T) {
 		for id, p := range w.Programs {
 			phase2[id+100] = p
 		}
-		if _, err := exec.Run(exec.Config{
+		if _, err := exec.RunCtx(context.Background(), exec.Config{
 			Programs: phase2, Initial: w.Initial, Policy: resumed, DataSets: w.DataSets,
 		}); err != nil {
 			if errors.Is(err, exec.ErrStall) {
@@ -244,7 +245,7 @@ func TestJournalFailStopStalls(t *testing.T) {
 				g.AttachJournal(newBroken(t))
 				gate = g
 			}
-			_, err := exec.Run(exec.Config{
+			_, err := exec.RunCtx(context.Background(), exec.Config{
 				Programs: w.Programs, Initial: w.Initial, Policy: gate, DataSets: w.DataSets,
 			})
 			if !errors.Is(err, exec.ErrJournalDown) {

@@ -1,0 +1,165 @@
+package sched
+
+import (
+	"sync"
+
+	"pwsr/internal/exec"
+	"pwsr/internal/state"
+)
+
+// gate is what the certification gates share, embedded by Certify and
+// OptimisticCertify (and through it ParallelCertify): the inner policy,
+// the mutex serializing the entry points, the verdict memo over the
+// certifier (memo.mon), the journal, the fault hook and the lifecycle
+// posture. The operations every gate offers — journal, fault hook,
+// drain and close, batch admission, the watermark and the stats
+// snapshot — are its methods, written once; each gate type adds only
+// its Pick, its abort bookkeeping and its Monitor.
+type gate struct {
+	// Inner picks among the admissible requests.
+	Inner exec.Policy
+
+	// mu serializes the gate's entry points so batch admissions from a
+	// ParallelEngine's committers interleave safely with an engine's
+	// tick loop, and so a stats snapshot never races either. A
+	// single-engine run takes it uncontended.
+	mu sync.Mutex
+
+	// partition is the construction-time conjunct partition, kept so
+	// ClonePolicy can rebuild an equivalent fresh gate; nil for gates
+	// built over an external certifier (NewCertifyOver,
+	// NewOptimisticCertifyOver, ResumeCertify), which are therefore not
+	// cloneable.
+	partition []state.ItemSet
+
+	// jn carries the optional write-ahead journal (see AttachJournal):
+	// lifecycle events reach it through the certifier's sink, and the
+	// gate barriers before acknowledging grants, retractions, commits
+	// and batch admissions.
+	jn journaled
+
+	// tinj is the optional deterministic fault hook consulted once per
+	// Pick (see SetFaultInjector).
+	tinj tickInjector
+
+	// lc is the gate's lifecycle posture (see Drain and Close): while
+	// draining only transactions live at drain start receive grants,
+	// and a closed gate grants nothing.
+	lc lifecycle
+
+	// memo carries the admissibility verdicts from tick to tick and
+	// holds the per-tick scratch (see verdictMemo). Its certifier is the
+	// gate's.
+	memo verdictMemo
+}
+
+// The certification gates implement the engines' optional extensions
+// through the embedded gate (ParallelCertify overrides Stats to add its
+// shard counters); Canceler comes from each type's TxnCanceled.
+var (
+	_ exec.Drainer           = (*Certify)(nil)
+	_ exec.Drainer           = (*OptimisticCertify)(nil)
+	_ exec.Drainer           = (*ParallelCertify)(nil)
+	_ exec.Canceler          = (*Certify)(nil)
+	_ exec.Canceler          = (*OptimisticCertify)(nil)
+	_ exec.BatchGate         = (*Certify)(nil)
+	_ exec.BatchGate         = (*OptimisticCertify)(nil)
+	_ exec.BatchGate         = (*ParallelCertify)(nil)
+	_ exec.WatermarkReporter = (*Certify)(nil)
+	_ exec.WatermarkReporter = (*OptimisticCertify)(nil)
+	_ exec.WatermarkReporter = (*ParallelCertify)(nil)
+	_ exec.StatsReporter     = (*Certify)(nil)
+	_ exec.StatsReporter     = (*OptimisticCertify)(nil)
+	_ exec.StatsReporter     = (*ParallelCertify)(nil)
+)
+
+// certifier hands out the gate's certifier, moving the global epoch:
+// whatever the caller does through it reaches the certifier without
+// naming a conjunct to the memo.
+func (g *gate) certifier() Certifier {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.memo.global++
+	return g.memo.mon
+}
+
+// pick is the body of the gates' Pick, run under the gate mutex: an
+// injected tick fault passes the tick, a frozen journal or a closed
+// gate grants nothing, and otherwise the memo masks the pending
+// requests — solo exclusivity (0 = none) and the delayed-read rule as
+// the gate applies them, the stale probes fanned out when fan is set —
+// and the inner policy's choice among the admissible ones is committed
+// to the certifier.
+func (g *gate) pick(pending []*exec.Request, v *exec.View, solo int, delayedRead, fan bool) int {
+	if g.tinj.tick() {
+		return exec.PassTick // injected tick fault: skip, re-pick next tick
+	}
+	if g.jn.frozen() || g.lc.closed {
+		return -1 // journal fail-stop or shed, or closed gate: certify nothing further
+	}
+	g.memo.mask(pending, v, &g.lc, solo, delayedRead, fan)
+	return g.memo.grant(pending, v, g.Inner, &g.jn)
+}
+
+// retract rolls transaction id's attempt out of certification state,
+// under the gate mutex, so the certifier again equals a fresh replay of
+// the surviving schedule: retraction, the memo's epochs, the journal
+// barrier, then the inner policy — told of a cancel when canceled is
+// set and it is an exec.Canceler, of an abort otherwise.
+func (g *gate) retract(id int, v *exec.View, canceled bool) {
+	g.memo.mon.Retract(id)
+	g.memo.settle(id)
+	g.jn.ack()
+	if canceled {
+		if cc, ok := g.Inner.(exec.Canceler); ok {
+			cc.TxnCanceled(id, v)
+			return
+		}
+	}
+	if ra, ok := g.Inner.(exec.Restarter); ok {
+		ra.TxnAborted(id, v)
+	}
+}
+
+// finish commits the finished transaction to the certifier, under the
+// gate mutex: it will issue no further operations, so the compactor may
+// reclaim its certification state once no future cycle can reach it
+// (see core.Monitor.Compact). Without this signal the certifier would
+// retain every finished transaction and a long-lived gate's memory
+// would grow with the stream.
+func (g *gate) finish(id int, v *exec.View) {
+	g.memo.commit(id)
+	g.jn.ack()
+	g.Inner.TxnFinished(id, v)
+}
+
+// Stats implements exec.StatsReporter: the certifier's lifecycle and
+// probe-cache counters, the journal's counters and the gate's health,
+// snapshotted under one hold of the gate mutex, so an engine's harvest
+// never races another engine ticking or admitting through the same
+// gate.
+func (g *gate) Stats() exec.GateStats {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.stats()
+}
+
+// stats is Stats under the gate mutex.
+func (g *gate) stats() exec.GateStats {
+	cs, ps := g.memo.mon.CompactStats(), g.memo.mon.ProbeStats()
+	return exec.GateStats{
+		Compact: exec.CompactStats{
+			Compactions:   cs.Compactions,
+			ReclaimedTxns: cs.ReclaimedTxns,
+			ReclaimedOps:  cs.ReclaimedOps,
+			LiveTxns:      cs.LiveTxns,
+		},
+		Probe: exec.ProbeStats{
+			Hits:          ps.Hits,
+			Misses:        ps.Misses,
+			Invalidations: ps.Invalidations,
+		},
+		Log:    g.jn.logStats(),
+		Health: g.health(),
+	}
+}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"testing"
 
 	"pwsr/internal/exec"
@@ -24,7 +25,7 @@ func mustPrograms(t *testing.T) map[int]*program.Program {
 // instance with x in the only data set and u unconstrained.
 func runPW(t *testing.T, p *PW2PL, programs map[int]*program.Program) (*exec.Result, error) {
 	t.Helper()
-	return exec.Run(exec.Config{
+	return exec.RunCtx(context.Background(), exec.Config{
 		Programs: programs,
 		Initial:  state.Ints(map[string]int64{"u": 0, "x": 0}),
 		Policy:   p,

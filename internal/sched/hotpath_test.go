@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -70,7 +71,7 @@ type gateOutcome struct {
 
 func runGate(t *testing.T, w *gen.Workload, p exec.Policy) gateOutcome {
 	t.Helper()
-	res, err := exec.Run(exec.Config{
+	res, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: w.Programs,
 		Initial:  w.Initial,
 		Policy:   p,
@@ -153,7 +154,7 @@ func TestGateProbeMetricsSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := exec.Run(exec.Config{
+	res, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: w.Programs,
 		Initial:  w.Initial,
 		Policy:   sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(1), nil),

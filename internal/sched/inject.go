@@ -37,20 +37,11 @@ func (t *tickInjector) at(op fault.Op) bool {
 	return d.Err != nil
 }
 
-// SetFaultInjector registers the deterministic fault injector the
-// blocking gate consults at each Pick (site tags the injection point,
-// e.g. "gate"). Call before the run; nil detaches.
-func (c *Certify) SetFaultInjector(inj *fault.Injector, site string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.tinj = tickInjector{inj: inj, site: site}
-}
-
-// SetFaultInjector registers the deterministic fault injector the
-// abort-capable gate (and, by embedding, ParallelCertify) consults at
-// each Pick. Call before the run; nil detaches.
-func (c *OptimisticCertify) SetFaultInjector(inj *fault.Injector, site string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.tinj = tickInjector{inj: inj, site: site}
+// SetFaultInjector registers the deterministic fault injector the gate
+// consults at each Pick (site tags the injection point, e.g. "gate").
+// Call before the run; nil detaches.
+func (g *gate) SetFaultInjector(inj *fault.Injector, site string) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.tinj = tickInjector{inj: inj, site: site}
 }

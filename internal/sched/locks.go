@@ -10,11 +10,11 @@
 // # Lifecycle: cancellation, deadlines, and drain
 //
 // The certification gates (Certify, OptimisticCertify,
-// ParallelCertify) are context-aware at every admission boundary and
-// shut down in two stages. AdmitTxnCtx refuses work on a dead context
-// with the typed exec.ErrCanceled/exec.ErrDeadline before the
-// certifier or journal is touched, so a refused admission leaves no
-// trace. Drain stops new transactions (refusals carry
+// ParallelCertify) take no context on their admission paths: the
+// engines check theirs between scheduling steps and before every
+// batch commit turn, so a cancelled run or batch never reaches the
+// gate and a refused admission leaves no trace. The gates shut down in
+// two stages. Drain stops new transactions (refusals carry
 // exec.ErrDraining), settles in-flight ones per the DrainPolicy —
 // DrainWait lets them finish, DrainAbort retracts them immediately —
 // then flushes the journal barrier, runs a final compact pass, and

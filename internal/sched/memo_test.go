@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -218,7 +219,7 @@ func TestVerdictMemoMatchesFreshMask(t *testing.T) {
 					}
 					// A meddled run may stall on what was planted; only the
 					// masks along the way are under test.
-					res, err := exec.Run(exec.Config{
+					res, err := exec.RunCtx(context.Background(), exec.Config{
 						Programs: w.Programs, Initial: w.Initial, Policy: a, DataSets: w.DataSets, MaxAborts: 256,
 					})
 					if err == nil {

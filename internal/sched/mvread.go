@@ -1,7 +1,5 @@
 package sched
 
-import "pwsr/internal/exec"
-
 // The read-only bypass contract.
 //
 // The certification gates never see a declared read-only transaction:
@@ -39,30 +37,11 @@ import "pwsr/internal/exec"
 // so snapshot retention and certification-state retention follow the
 // same low-watermark argument.
 
-// The certification gates implement exec.WatermarkReporter: the
-// certifier's Compact watermark, the retention anchor of the
-// multiversion read path. (ParallelCertify inherits the method from
-// the embedded OptimisticCertify; its certifier is the sharded
-// monitor.)
-var (
-	_ exec.WatermarkReporter = (*Certify)(nil)
-	_ exec.WatermarkReporter = (*OptimisticCertify)(nil)
-	_ exec.WatermarkReporter = (*ParallelCertify)(nil)
-)
-
-// CompactWatermark implements exec.WatermarkReporter on the blocking
-// gate: the highest transaction id the certifier's Compact has
-// physically reclaimed (0 before any pass).
-func (c *Certify) CompactWatermark() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.mon.CompactWatermark()
-}
-
-// CompactWatermark implements exec.WatermarkReporter on the
-// abort-capable gate (and, by embedding, on ParallelCertify).
-func (c *OptimisticCertify) CompactWatermark() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.mon.CompactWatermark()
+// CompactWatermark implements exec.WatermarkReporter: the highest
+// transaction id the certifier's Compact has physically reclaimed (0
+// before any pass), the retention anchor of the multiversion read path.
+func (g *gate) CompactWatermark() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.memo.mon.CompactWatermark()
 }

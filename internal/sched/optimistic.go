@@ -2,7 +2,6 @@ package sched
 
 import (
 	"slices"
-	"sync"
 
 	"pwsr/internal/core"
 	"pwsr/internal/exec"
@@ -95,8 +94,7 @@ func startKey(v *exec.View, id int) int {
 // Runs therefore do not return exec.ErrStall; the engine's abort
 // budget remains as a defensive backstop.
 type OptimisticCertify struct {
-	// Inner picks among the admissible requests.
-	Inner exec.Policy
+	gate
 	// VictimSelect selects the sacrifice at a stall; nil means
 	// VictimYoungest.
 	VictimSelect VictimPolicy
@@ -104,7 +102,6 @@ type OptimisticCertify struct {
 	// to solo mode; 0 means the default of 4.
 	SoloThreshold int
 
-	mon    Certifier
 	aborts map[int]int
 	// phase marks the transactions sacrificed since the last grant;
 	// none is sacrificed twice in one phase.
@@ -113,64 +110,18 @@ type OptimisticCertify struct {
 	// (0 = none).
 	solo int
 
-	// jn carries the optional write-ahead journal (see AttachJournal):
-	// lifecycle events reach it through the certifier's sink, and the
-	// gate barriers before acknowledging grants, retractions, and
-	// commits.
-	jn journaled
-
-	// tinj is the optional deterministic fault hook consulted once per
-	// Pick (see SetFaultInjector).
-	tinj tickInjector
-
-	// lc is the gate's lifecycle posture (see Drain and Close): while
-	// draining only transactions live at drain start receive grants,
-	// and a closed gate grants nothing.
-	lc lifecycle
-
-	// mu serializes the gate's mutating entry points (Pick, Victim,
-	// TxnAborted, TxnFinished, AdmitTxn) so batch admissions from a
-	// ParallelEngine's committers interleave safely with an engine's
-	// tick loop. A single-engine run takes it uncontended.
-	mu sync.Mutex
-
-	// partition is the construction-time conjunct partition, kept so
-	// ClonePolicy can rebuild an equivalent fresh gate; nil for gates
-	// built over an external certifier, which are not cloneable.
-	partition []state.ItemSet
-
 	// fan lets a tick run its stale probes concurrently; set over a
 	// certifier that allows it (see ParallelCertify).
 	fan bool
-
-	// memo carries the admissibility verdicts from tick to tick. A
-	// request denied on a previous tick stays pending and is re-decided
-	// only once something moved in its item's conjuncts — the memo is
-	// the gate's denied-set, and the monitor's probe cache behind it
-	// sees only the probes whose inputs moved.
-	memo verdictMemo
 }
 
 // NewOptimisticCertify returns an abort-capable certification gate over
 // the conjunct partition. victim selects the sacrifice policy (nil =
 // VictimYoungest).
 func NewOptimisticCertify(partition []state.ItemSet, inner exec.Policy, victim VictimPolicy) *OptimisticCertify {
-	c := newOptimisticCertify(core.NewMonitor(partition), inner, victim)
+	c := NewOptimisticCertifyOver(core.NewMonitor(partition), inner, victim)
 	c.partition = partition
 	return c
-}
-
-// newOptimisticCertify builds the gate over an explicit certifier
-// (ParallelCertify supplies a ShardedMonitor).
-func newOptimisticCertify(mon Certifier, inner exec.Policy, victim VictimPolicy) *OptimisticCertify {
-	return &OptimisticCertify{
-		Inner:        inner,
-		VictimSelect: victim,
-		mon:          mon,
-		memo:         verdictMemo{mon: mon},
-		aborts:       make(map[int]int),
-		phase:        make(map[int]bool),
-	}
 }
 
 // Monitor exposes the gate's certifier, for inspection after a run. To
@@ -178,18 +129,8 @@ func newOptimisticCertify(mon Certifier, inner exec.Policy, victim VictimPolicy)
 // anew before each change: handing the certifier out is what invalidates
 // the verdicts the gate carries between ticks.
 func (c *OptimisticCertify) Monitor() Certifier {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.memo.global++
-	return c.mon
+	return c.certifier()
 }
-
-// Aborts returns how many times each still-live transaction has been
-// sacrificed. A finished transaction's counter is dropped with the
-// rest of its lifecycle state (see TxnFinished), so for post-run
-// inspection use the engine's Metrics.PerTxn[id].Aborts, which the
-// engine accumulates durably.
-func (c *OptimisticCertify) Aborts() map[int]int { return c.aborts }
 
 // Pick implements exec.Policy like Certify.Pick, with the cascadeless
 // discipline layered in: a request must pass both the delayed-read
@@ -198,14 +139,7 @@ func (c *OptimisticCertify) Aborts() map[int]int { return c.aborts }
 func (c *OptimisticCertify) Pick(pending []*exec.Request, v *exec.View) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.tinj.tick() {
-		return exec.PassTick // injected tick fault: skip, re-pick next tick
-	}
-	if c.jn.frozen() || c.lc.closed {
-		return -1 // journal fail-stop or shed, or closed gate: certify nothing further
-	}
-	c.memo.mask(pending, v, &c.lc, c.solo, true, c.fan)
-	pick := c.memo.grant(pending, v, c.Inner, &c.jn)
+	pick := c.pick(pending, v, c.solo, true, c.fan)
 	if pick >= 0 {
 		clear(c.phase) // a grant ends the current sacrifice phase
 	}
@@ -285,13 +219,11 @@ func (c *OptimisticCertify) immune(pending []*exec.Request, v *exec.View) int {
 
 // TxnAborted implements exec.Restarter: roll the sacrificed attempt out
 // of certification state so the monitor again equals a fresh replay of
-// the surviving schedule.
+// the surviving schedule, and count the sacrifice toward solo
+// escalation.
 func (c *OptimisticCertify) TxnAborted(id int, v *exec.View) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.mon.Retract(id)
-	c.memo.settle(id)
-	c.jn.ack()
 	c.aborts[id]++
 	c.phase[id] = true
 	threshold := c.SoloThreshold
@@ -301,38 +233,39 @@ func (c *OptimisticCertify) TxnAborted(id int, v *exec.View) {
 	if c.solo == 0 && c.aborts[id] >= threshold {
 		c.solo = id
 	}
-	if ra, ok := c.Inner.(exec.Restarter); ok {
-		ra.TxnAborted(id, v)
-	}
+	c.retract(id, v, false)
+}
+
+// TxnCanceled implements exec.Canceler: the cancelled attempt is
+// retracted exactly as a sacrificed victim would be, and its
+// per-transaction lifecycle state (abort counts, phase marks, solo
+// escalation) is dropped — cancel equals abort, minus the restart.
+func (c *OptimisticCertify) TxnCanceled(id int, v *exec.View) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.forget(id)
+	c.retract(id, v, true)
 }
 
 // TxnFinished implements exec.Policy: the finished transaction is
-// committed to the certifier so the compactor may reclaim it (see
-// Certify.TxnFinished), and the gate's own per-transaction lifecycle
-// state — abort counts, phase marks — is dropped with it. A finished
-// transaction is durable: it can never be a victim again, so keeping
-// its counters would only leak memory across a long stream.
+// committed to the certifier, which may then reclaim it, and the gate's
+// own per-transaction lifecycle state — abort counts, phase marks — is
+// dropped with it. A finished transaction is durable: it can never be a
+// victim again, so keeping its counters would only leak memory across a
+// long stream.
 func (c *OptimisticCertify) TxnFinished(id int, v *exec.View) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.forget(id)
+	c.finish(id, v)
+}
+
+// forget drops transaction id's abort count, phase mark and solo
+// escalation.
+func (c *OptimisticCertify) forget(id int) {
+	delete(c.aborts, id)
+	delete(c.phase, id)
 	if id == c.solo {
 		c.solo = 0
 	}
-	c.memo.commit(id)
-	c.jn.ack()
-	delete(c.aborts, id)
-	delete(c.phase, id)
-	c.Inner.TxnFinished(id, v)
-}
-
-// CompactionStats implements exec.CompactionReporter: the certifier's
-// lifecycle counters, surfaced in the engine's run metrics.
-func (c *OptimisticCertify) CompactionStats() exec.CompactStats {
-	return compactionStats(c.mon)
-}
-
-// ProbeStats implements exec.ProbeReporter: the certifier's probe-cache
-// counters, surfaced in the engine's run metrics.
-func (c *OptimisticCertify) ProbeStats() exec.ProbeStats {
-	return probeStats(c.mon)
 }

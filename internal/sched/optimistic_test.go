@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -24,7 +25,7 @@ func TestCertifyStallsOptimisticCompletes(t *testing.T) {
 	})
 
 	blocking := sched.NewCertify(w.DataSets, sched.NewRandom(0))
-	_, err := exec.Run(exec.Config{
+	_, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: w.Programs, Initial: w.Initial, Policy: blocking, DataSets: w.DataSets,
 	})
 	if !errors.Is(err, exec.ErrStall) {
@@ -32,7 +33,7 @@ func TestCertifyStallsOptimisticCompletes(t *testing.T) {
 	}
 
 	optimistic := sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(0), nil)
-	res, err := exec.Run(exec.Config{
+	res, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: w.Programs, Initial: w.Initial, Policy: optimistic, DataSets: w.DataSets,
 	})
 	if err != nil {
@@ -71,7 +72,7 @@ func TestOptimisticResolvesHandBuiltCycle(t *testing.T) {
 	// Blocking gate, scripted into the cycle: r1(b), r2(a), w1(a) draws
 	// T2 -> T1; the remaining w2(b) would close T1 -> T2 -> T1.
 	gate := sched.NewCertify(partition, sched.NewScript(1, 2, 1, 2))
-	_, err := exec.Run(exec.Config{Programs: programs, Initial: initial, Policy: gate, DataSets: partition})
+	_, err := exec.RunCtx(context.Background(), exec.Config{Programs: programs, Initial: initial, Policy: gate, DataSets: partition})
 	if !errors.Is(err, exec.ErrStall) {
 		t.Fatalf("blocking gate: err = %v, want ErrStall", err)
 	}
@@ -79,7 +80,7 @@ func TestOptimisticResolvesHandBuiltCycle(t *testing.T) {
 	// Round-robin reaches the same trap; the optimistic gate sacrifices
 	// the trapped transaction and completes.
 	opt := sched.NewOptimisticCertify(partition, &sched.RoundRobin{}, nil)
-	res, err := exec.Run(exec.Config{Programs: programs, Initial: initial, Policy: opt, DataSets: partition})
+	res, err := exec.RunCtx(context.Background(), exec.Config{Programs: programs, Initial: initial, Policy: opt, DataSets: partition})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestOptimisticNeverStalls(t *testing.T) {
 		w := gen.MustGenerate(cfg)
 		innerSeed := rng.Int63()
 
-		if _, err := exec.Run(exec.Config{
+		if _, err := exec.RunCtx(context.Background(), exec.Config{
 			Programs: w.Programs, Initial: w.Initial,
 			Policy:   sched.NewCertify(w.DataSets, sched.NewRandom(innerSeed)),
 			DataSets: w.DataSets,
@@ -126,7 +127,7 @@ func TestOptimisticNeverStalls(t *testing.T) {
 			victim = sched.VictimFewestOps
 		}
 		opt := sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(innerSeed), victim)
-		res, err := exec.Run(exec.Config{
+		res, err := exec.RunCtx(context.Background(), exec.Config{
 			Programs: w.Programs, Initial: w.Initial, Policy: opt, DataSets: w.DataSets,
 		})
 		if err != nil {
@@ -203,7 +204,7 @@ func TestOptimisticVictimPolicies(t *testing.T) {
 		{"fewest-ops", sched.VictimFewestOps},
 	} {
 		opt := sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(0), victim.p)
-		res, err := exec.Run(exec.Config{
+		res, err := exec.RunCtx(context.Background(), exec.Config{
 			Programs: w.Programs, Initial: w.Initial, Policy: opt, DataSets: w.DataSets,
 		})
 		if err != nil {

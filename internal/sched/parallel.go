@@ -113,7 +113,6 @@ var (
 // equality); only the admission cost scales with cores.
 type ParallelCertify struct {
 	*OptimisticCertify
-	smon *core.ShardedMonitor
 	// shardArg is the construction-time shards argument (not the
 	// resolved count), kept so ClonePolicy reproduces the construction.
 	shardArg int
@@ -125,36 +124,34 @@ type ParallelCertify struct {
 // policy (nil = VictimYoungest).
 func NewParallelCertify(partition []state.ItemSet, shards int, inner exec.Policy, victim VictimPolicy) *ParallelCertify {
 	smon := core.NewShardedMonitor(partition, shards)
-	oc := newOptimisticCertify(smon, inner, victim)
+	oc := NewOptimisticCertifyOver(smon, inner, victim)
 	oc.partition = partition
 	oc.fan = smon.Shards() > 1
-	return &ParallelCertify{
-		OptimisticCertify: oc,
-		smon:              smon,
-		shardArg:          shards,
-	}
+	return &ParallelCertify{OptimisticCertify: oc, shardArg: shards}
 }
 
 // ShardedMonitor exposes the gate's sharded certifier, with
 // OptimisticCertify.Monitor's contract.
 func (c *ParallelCertify) ShardedMonitor() *core.ShardedMonitor {
-	c.Monitor()
-	return c.smon
+	return c.certifier().(*core.ShardedMonitor)
 }
 
-// ShardStats implements exec.ShardReporter: per-shard admission
-// counters, surfaced in the engine's run metrics.
-func (c *ParallelCertify) ShardStats() []exec.ShardStat {
-	stats := c.smon.ShardStats()
-	out := make([]exec.ShardStat, len(stats))
-	for i, s := range stats {
-		out[i] = exec.ShardStat{
-			Shard:     s.Shard,
-			Conjuncts: s.Conjuncts,
-			Observes:  s.Observes,
-			Probes:    s.Probes,
-			Denials:   s.Denials,
+// Stats implements exec.StatsReporter like the other gates, adding the
+// sharded certifier's per-shard admission counters.
+func (c *ParallelCertify) Stats() exec.GateStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s := c.stats()
+	shards := c.memo.mon.(*core.ShardedMonitor).ShardStats()
+	s.Shards = make([]exec.ShardStat, len(shards))
+	for i, st := range shards {
+		s.Shards[i] = exec.ShardStat{
+			Shard:     st.Shard,
+			Conjuncts: st.Conjuncts,
+			Observes:  st.Observes,
+			Probes:    st.Probes,
+			Denials:   st.Denials,
 		}
 	}
-	return out
+	return s
 }

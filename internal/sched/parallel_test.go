@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -27,7 +28,7 @@ func TestParallelCertifyDifferential(t *testing.T) {
 		})
 		innerSeed := rng.Int63()
 
-		ref, err := exec.Run(exec.Config{
+		ref, err := exec.RunCtx(context.Background(), exec.Config{
 			Programs: w.Programs, Initial: w.Initial,
 			Policy:   sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(innerSeed), nil),
 			DataSets: w.DataSets,
@@ -37,7 +38,7 @@ func TestParallelCertifyDifferential(t *testing.T) {
 		}
 		for _, shards := range []int{1, 2, 8} {
 			gate := sched.NewParallelCertify(w.DataSets, shards, sched.NewRandom(innerSeed), nil)
-			res, err := exec.Run(exec.Config{
+			res, err := exec.RunCtx(context.Background(), exec.Config{
 				Programs: w.Programs, Initial: w.Initial, Policy: gate, DataSets: w.DataSets,
 			})
 			if err != nil {
@@ -87,7 +88,7 @@ func TestParallelCertifyShardedMonitorState(t *testing.T) {
 		Conjuncts: 4, Programs: 4, MovesPerProgram: 2, Style: gen.StyleFixed, Seed: 5,
 	})
 	gate := sched.NewParallelCertify(w.DataSets, 4, sched.NewRandom(7), sched.VictimFewestOps)
-	res, err := exec.Run(exec.Config{
+	res, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: w.Programs, Initial: w.Initial, Policy: gate, DataSets: w.DataSets,
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -29,7 +30,7 @@ func TestC2PLSerializable(t *testing.T) {
 		2: incProgram("B", 10, "y", "z"),
 		3: incProgram("C", 100, "z", "x"),
 	}
-	res, err := exec.Run(exec.Config{
+	res, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: programs,
 		Initial:  state.Ints(map[string]int64{"x": 0, "y": 0, "z": 0}),
 		Policy:   sched.NewC2PL(),
@@ -52,7 +53,7 @@ func TestC2PLManyTransactions(t *testing.T) {
 	for i := 1; i <= 8; i++ {
 		programs[i] = incProgram(fmt.Sprintf("T%d", i), 1, "x")
 	}
-	res, err := exec.Run(exec.Config{
+	res, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: programs,
 		Initial:  state.Ints(map[string]int64{"x": 0}),
 		Policy:   sched.NewC2PL(),
@@ -96,7 +97,7 @@ func pwWorkload(k int) (map[int]*program.Program, state.DB, []state.ItemSet) {
 
 func TestPW2PLProducesPWSRNotSerializable(t *testing.T) {
 	programs, initial, sets := pwWorkload(6)
-	res, err := exec.Run(exec.Config{
+	res, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: programs,
 		Initial:  initial,
 		Policy:   sched.NewPW2PL(),
@@ -127,7 +128,7 @@ func TestPW2PLLowerWaitThanC2PL(t *testing.T) {
 	// the short transaction wait less than full conservative 2PL.
 	run := func(policy exec.Policy) exec.Metrics {
 		programs, initial, sets := pwWorkload(8)
-		res, err := exec.Run(exec.Config{
+		res, err := exec.RunCtx(context.Background(), exec.Config{
 			Programs: programs,
 			Initial:  initial,
 			Policy:   policy,
@@ -163,7 +164,7 @@ func TestDelayedReadGateProducesDR(t *testing.T) {
 
 	sawNonDR := false
 	for seed := int64(0); seed < 20; seed++ {
-		res, err := exec.Run(exec.Config{
+		res, err := exec.RunCtx(context.Background(), exec.Config{
 			Programs: programs,
 			Initial:  initial,
 			Policy:   sched.NewRandom(seed),
@@ -180,7 +181,7 @@ func TestDelayedReadGateProducesDR(t *testing.T) {
 	}
 
 	for seed := int64(0); seed < 20; seed++ {
-		res, err := exec.Run(exec.Config{
+		res, err := exec.RunCtx(context.Background(), exec.Config{
 			Programs: programs,
 			Initial:  initial,
 			Policy:   &sched.DelayedRead{Inner: sched.NewRandom(seed)},
@@ -198,7 +199,7 @@ func TestScriptPolicyExhaustedStalls(t *testing.T) {
 	programs := map[int]*program.Program{
 		1: program.MustParse(`program A { x := 1; y := 1; }`),
 	}
-	_, err := exec.Run(exec.Config{
+	_, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: programs,
 		Initial:  state.Ints(map[string]int64{"x": 0, "y": 0}),
 		Policy:   sched.NewScript(1), // too short
@@ -215,7 +216,7 @@ func TestC2PLSchedulesAreDR(t *testing.T) {
 		2: incProgram("B", 1, "y", "x"),
 		3: incProgram("C", 1, "x"),
 	}
-	res, err := exec.Run(exec.Config{
+	res, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: programs,
 		Initial:  state.Ints(map[string]int64{"x": 0, "y": 0}),
 		Policy:   sched.NewC2PL(),

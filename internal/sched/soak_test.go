@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -81,7 +82,7 @@ func TestSoakOptimisticCertifyBoundedMemory(t *testing.T) {
 			nextID++
 		}
 		totalTxns += window
-		res, err := exec.Run(exec.Config{
+		res, err := exec.RunCtx(context.Background(), exec.Config{
 			Programs: programs,
 			Initial:  state.Ints(initial),
 			Policy:   gate,

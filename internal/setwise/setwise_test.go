@@ -1,6 +1,7 @@
 package setwise
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -54,7 +55,7 @@ func TestSetwiseAgreesWithPWSR(t *testing.T) {
 			Style: gen.Style(trial % 3), Seed: rng.Int63(),
 		})
 		programs := w.Programs
-		res, err := exec.Run(exec.Config{
+		res, err := exec.RunCtx(context.Background(), exec.Config{
 			Programs: programs,
 			Initial:  w.Initial,
 			Policy:   sched.NewRandom(rng.Int63()),

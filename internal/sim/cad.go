@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -149,7 +150,7 @@ type CADResult struct {
 // RunCAD executes the workload under the given policy and verifies the
 // schedule's correctness properties.
 func RunCAD(w *gen.Workload, longIDs, shortIDs []int, policy exec.Policy) (*CADResult, error) {
-	res, err := exec.Run(exec.Config{
+	res, err := exec.RunCtx(context.TODO(), exec.Config{
 		Programs: w.Programs,
 		Initial:  w.Initial,
 		Policy:   policy,

@@ -132,10 +132,9 @@
 //
 // # Lifecycle: cancellation, deadlines, and drain
 //
-// Barrier has a context-bounded form, BarrierCtx, that gives up the
-// wait with the typed exec.ErrCanceled/exec.ErrDeadline when the
-// context dies first — durability is not rolled back, only the wait
-// abandoned. Close interrupts a retry backoff that is sleeping: the
+// Barrier never blocks — it reports the sticky fail-stop error and
+// neither writes nor syncs — so it takes no context. Close interrupts
+// a retry backoff that is sleeping: the
 // stalled operation fails fast wrapping ErrWriterClosing instead of
 // holding shutdown behind the remaining jittered sleeps (a zero
 // RetryBackoff never sleeps, so Close's own final flush keeps its

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -384,17 +383,6 @@ func (w *Writer) Sync() error {
 	}
 	w.flushLocked()
 	return w.err
-}
-
-// BarrierCtx is Barrier with a context gate: an expired ctx wins over
-// the barrier check, so a caller holding a per-request deadline gets
-// the context's error rather than a (possibly nil) durability verdict
-// it can no longer use. The barrier itself is non-blocking either way.
-func (w *Writer) BarrierCtx(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return w.Barrier()
 }
 
 // CutSnapshot forces a snapshot cut now, outside the SnapshotEvery

@@ -261,7 +261,16 @@ type (
 // entirely, can neither be denied nor aborted, and their operations
 // are spliced into the recorded schedule at their snapshot's prefix —
 // the combined schedule stays PWSR (see internal/exec/mvread.go).
-func Run(cfg RunConfig) (*RunResult, error) { return exec.Run(cfg) }
+//
+// When ctx ends mid-run the engine settles instead of killing the run:
+// in-flight transactions are aborted through the policy's retraction
+// path — a certifying gate retracts and journals each exactly as a
+// completed run that aborted them would — and the partial Result (the
+// committed schedule that survives, replayable against Initial) is
+// returned alongside a typed ErrCanceled- or ErrDeadline-wrapped error.
+func Run(ctx context.Context, cfg RunConfig) (*RunResult, error) {
+	return exec.RunCtx(ctx, cfg)
+}
 
 // Typed run-failure causes, errors.Is-distinguishable so callers can
 // tell scheduling livelock from storage failure.
@@ -306,31 +315,6 @@ var (
 	// closed.
 	ErrGateClosed = exec.ErrGateClosed
 )
-
-// RunWithContext is Run bounded by a context. When ctx ends mid-run
-// the engine settles instead of killing the run: in-flight
-// transactions are aborted through the policy's retraction path — a
-// certifying gate retracts and journals each exactly as a completed
-// run that aborted them would — and the partial Result (the committed
-// schedule that survives, replayable against Initial) is returned
-// alongside a typed ErrCanceled- or ErrDeadline-wrapped error.
-func RunWithContext(ctx context.Context, cfg RunConfig) (*RunResult, error) {
-	return exec.RunCtx(ctx, cfg)
-}
-
-// RunManyWithContext is RunMany bounded by a context, with
-// RunWithContext's settle semantics applied to every run.
-func RunManyWithContext(ctx context.Context, cfgs []RunConfig, workers int) ([]*RunResult, []error) {
-	return exec.RunManyCtx(ctx, cfgs, workers)
-}
-
-// RunParallelWithContext is RunParallel bounded by a context:
-// cancellation is detected between commit turns, so the batch's
-// committed prefix is kept — never a partial grant — and the typed
-// ErrCanceled/ErrDeadline error is returned alongside it.
-func RunParallelWithContext(ctx context.Context, cfg ParallelRunConfig, programs map[int]*Program) (*RunResult, error) {
-	return exec.RunParallelCtx(ctx, cfg, programs)
-}
 
 // DrainPolicy selects what a gate's Drain does with in-flight
 // transactions: DrainWait lets them finish (bounded by the drain
@@ -447,9 +431,11 @@ func NewParallelCertify(partition []ItemSet, shards int, inner Policy, victim Vi
 // policies (every policy this package constructs) are cloned per run,
 // so configs may share a policy value; a non-cloneable policy
 // instance aliased across configs fails exactly those runs with
-// exec.ErrSharedPolicy before anything executes.
-func RunMany(cfgs []RunConfig, workers int) ([]*RunResult, []error) {
-	return exec.RunMany(cfgs, workers)
+// exec.ErrSharedPolicy before anything executes. Every run settles
+// per Run when ctx ends; runs not yet started are skipped with a typed
+// ErrCanceled/ErrDeadline error.
+func RunMany(ctx context.Context, cfgs []RunConfig, workers int) ([]*RunResult, []error) {
+	return exec.RunManyCtx(ctx, cfgs, workers)
 }
 
 // ParallelRunConfig configures a block-parallel batch execution (see
@@ -482,9 +468,12 @@ func AsBatchGate(p Policy) (BatchGate, bool) {
 // acquires a pinned snapshot of the committed prefix, is never denied
 // or aborted, and never enters the gate — reader throughput decouples
 // from writer contention (EXPERIMENTS.md PERF11). See EXPERIMENTS.md
-// PERF10 for the scaling study.
-func RunParallel(cfg ParallelRunConfig, programs map[int]*Program) (*RunResult, error) {
-	return exec.RunParallel(cfg, programs)
+// PERF10 for the scaling study. Cancellation is detected between
+// commit turns, so when ctx ends the batch's committed prefix is kept —
+// never a partial grant — and returned with the typed
+// ErrCanceled/ErrDeadline error.
+func RunParallel(ctx context.Context, cfg ParallelRunConfig, programs map[int]*Program) (*RunResult, error) {
+	return exec.RunParallelCtx(ctx, cfg, programs)
 }
 
 // Saga is a transaction program decomposed into per-conjunct

@@ -1,6 +1,7 @@
 package pwsr_test
 
 import (
+	"context"
 	"testing"
 
 	"pwsr"
@@ -40,7 +41,7 @@ func TestPublicAPIConcurrentRun(t *testing.T) {
 	tp2 := pwsr.MustParseProgram(`program TP2 {
 		if (a > 0) { c := b; }
 	}`)
-	res, err := pwsr.Run(pwsr.RunConfig{
+	res, err := pwsr.Run(context.Background(), pwsr.RunConfig{
 		Programs: map[int]*pwsr.Program{1: tp1, 2: tp2},
 		Initial:  pwsr.Ints(map[string]int64{"a": -1, "b": -1, "c": 1}),
 		Policy:   pwsr.NewScript(1, 2, 2, 2, 1),
@@ -93,13 +94,13 @@ func TestPublicAPIParallelRun(t *testing.T) {
 		}
 		return gate
 	}
-	want, err := pwsr.RunParallel(pwsr.ParallelRunConfig{
+	want, err := pwsr.RunParallel(context.Background(), pwsr.ParallelRunConfig{
 		Initial: initial, Gate: mkGate(), Workers: 1,
 	}, programs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pwsr.RunParallel(pwsr.ParallelRunConfig{
+	res, err := pwsr.RunParallel(context.Background(), pwsr.ParallelRunConfig{
 		Initial: initial, Gate: mkGate(), Workers: 4,
 	}, programs)
 	if err != nil {
@@ -150,7 +151,7 @@ func TestPublicAPILockingPolicies(t *testing.T) {
 	}`)
 	sets := []pwsr.ItemSet{pwsr.NewItemSet("x"), pwsr.NewItemSet("m"), pwsr.NewItemSet("y")}
 	run := func(policy pwsr.Policy) *pwsr.RunResult {
-		res, err := pwsr.Run(pwsr.RunConfig{
+		res, err := pwsr.Run(context.Background(), pwsr.RunConfig{
 			Programs: map[int]*pwsr.Program{1: long, 2: short},
 			Initial:  pwsr.Ints(map[string]int64{"x": 0, "m": 0, "y": 0}),
 			Policy:   policy,
