@@ -28,20 +28,18 @@ benchmark-smoke:
 
 # bench runs the certification-core benchmark families (the optimized
 # Monitor and BuildGraph against their retained reference
-# implementations, plus the sharded-monitor, whole-transaction
-# admission and interpreter families) and records the
-# raw test2json stream in BENCH_monitor.json, then regenerates the
-# machine-readable PERF6 trajectory BENCH_sharded.json via pwsrbench.
-# Both JSON files are checked in so perf regressions stay diffable PR
-# over PR. Note -json means stdout carries the JSON event stream, not
+# implementations, plus the whole-transaction admission and interpreter
+# families) and records the raw test2json stream in
+# BENCH_monitor.json, then regenerates the PERF7–PERF9 records via
+# pwsrbench. The JSON files are checked in so perf regressions stay
+# diffable PR over PR. Note -json means stdout carries the JSON event stream, not
 # the usual benchmark table; for readable numbers run the go test line
 # without -json, and see EXPERIMENTS.md for the recorded tables.
 .PHONY: bench
 bench:
 	$(GO) test . -run '^$$' \
-		-bench 'BenchmarkMonitorThroughput|BenchmarkBuildGraphScaling|BenchmarkCheckPWSRWidePartition|BenchmarkShardedMonitor|BenchmarkShardedAdmitSequence|BenchmarkInterpRun' \
+		-bench 'BenchmarkMonitorThroughput|BenchmarkBuildGraphScaling|BenchmarkCheckPWSRWidePartition|BenchmarkShardedAdmitSequence|BenchmarkInterpRun' \
 		-benchmem -count=6 -json | tee BENCH_monitor.json
-	$(GO) run ./cmd/pwsrbench -section sharded -cpu 1,2,4,8 -benchout BENCH_sharded.json
 	$(GO) run ./cmd/pwsrbench -section compact -compactout BENCH_compact.json
 	$(MAKE) bench-hotpath
 	$(MAKE) bench-wal
@@ -64,8 +62,8 @@ bench-wal:
 
 # bench-parallel regenerates the PERF10 block-parallel scaling study:
 # the exec.ParallelEngine worker sweep across conflict rates, every
-# batch certified through ParallelCertify and checked identical to the
-# serial reference, writing the machine-readable BENCH_parallel.json.
+# batch certified through the optimistic gate over a sharded monitor and
+# checked identical to the serial reference, writing the machine-readable BENCH_parallel.json.
 # Record the baseline on the machine that will gate against it — the
 # file carries host_cpus/gomaxprocs so a mismatch is visible.
 .PHONY: bench-parallel
@@ -151,7 +149,7 @@ check-mvread:
 	$(GO) run ./cmd/pwsrfuzz -mode mvread -trials 200 -seed 7
 
 # bench-refresh regenerates every checked-in machine-readable
-# benchmark artifact (PERF6–PERF11 plus the monitor stream and the
+# benchmark artifact (PERF7–PERF11 plus the monitor stream and the
 # ROBUST1 chaos band) and prints a fingerprint line per file — sha256
 # and the recorded host_cpus — so a refresh PR shows at a glance what
 # was re-recorded and at what parallelism. Run it on multi-core
@@ -166,15 +164,6 @@ bench-refresh: bench bench-parallel bench-chaos bench-mvread
 		cpus=$$(grep -m1 -o '"host_cpus": *[0-9]*' $$f | grep -o '[0-9]*' || echo '?'); \
 		printf '%s  host_cpus=%s\n' "$$(sha256sum $$f)" "$$cpus"; \
 	done
-
-# bench-cpu is the PERF6 scaling sweep: the sharded-monitor and
-# lock-free-intern families across GOMAXPROCS widths, plus the
-# pwsrbench sweep that rewrites BENCH_sharded.json.
-.PHONY: bench-cpu
-bench-cpu:
-	$(GO) test . -run '^$$' -bench 'BenchmarkShardedMonitor' -benchmem -cpu 1,2,4,8
-	$(GO) test ./internal/intern -run '^$$' -bench 'BenchmarkSharedLookupParallel' -benchmem -cpu 1,2,4,8
-	$(GO) run ./cmd/pwsrbench -section sharded -cpu 1,2,4,8 -benchout BENCH_sharded.json
 
 # profile-batch writes a CPU profile of whole-transaction admission
 # (PERF14's family: AdmitSequence + Commit on batch-rw's partition
@@ -250,8 +239,8 @@ test:
 # soak (that lives in `make soak` and in the un-raced tier-1 suite).
 # The raced sched legs include the verdict memo's soundness
 # differential (TestVerdictMemoMatchesFreshMask: the memoized mask
-# against a from-scratch recomputation at every Pick, the sharded
-# gate's concurrent probes included).
+# against a from-scratch recomputation at every Pick, on every gate and
+# over both certifiers).
 # The final leg re-runs the TestZeroAlloc*, TestTickEngineAllocs,
 # TestBatchEngineAllocs and TestInterpRunAllocs pins without the race
 # detector (whose instrumentation allocates, so the pins self-skip

@@ -16,7 +16,6 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 
 	"pwsr/internal/constraint"
@@ -611,98 +610,6 @@ func BenchmarkMonitorRetract(b *testing.B) {
 		m := core.NewReferenceMonitor(partition)
 		if v := m.ObserveAll(s); v != nil {
 			b.Fatal(v)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.Retract(victim)
-			for _, o := range victimOps {
-				if v := m.Observe(o); v != nil {
-					b.Fatal(v)
-				}
-			}
-		}
-	})
-}
-
-// ---------------------------------------------------------------------
-// PERF6: sharded certification scaling — core.ShardedMonitor against
-// the single monitor on a low-contention grid (many disjoint
-// conjuncts, admissible streams). Run with `-cpu 1,2,4,8` (see `make
-// bench-cpu`) to sweep GOMAXPROCS; shards=0 selects GOMAXPROCS, so
-// the sharded sub-benchmarks track the sweep width. EXPERIMENTS.md
-// records the tables, and cmd/pwsrbench -section sharded emits the
-// machine-readable BENCH_sharded.json trajectory.
-// ---------------------------------------------------------------------
-
-func BenchmarkShardedMonitor(b *testing.B) {
-	// experiments.NewShardedGrid is the shared PERF6 workload — the
-	// pwsrbench sweep (BENCH_sharded.json) measures the same grid shape.
-	const conj, itemsPer, opsPer = 16, 32, 3000
-	grid := experiments.NewShardedGrid(conj, itemsPer, opsPer, 23)
-	partition, groups, s := grid.Partition, grid.Groups, grid.All
-	b.Run("baseline-monitor", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m := core.NewMonitor(partition)
-			if v := m.ObserveAll(s); v != nil {
-				b.Fatal(v)
-			}
-		}
-	})
-	// The epoch/fence batch pipeline; shards=0 tracks GOMAXPROCS under
-	// the -cpu sweep, shards=1 is the single-shard (delegation) floor
-	// the ≤10%-regression criterion compares against baseline-monitor.
-	for _, shards := range []int{1, 0} {
-		name := fmt.Sprintf("observeall/shards=%d", shards)
-		if shards == 0 {
-			name = "observeall/shards=gomaxprocs"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m := core.NewShardedMonitor(partition, shards)
-				if v := m.ObserveAll(s); v != nil {
-					b.Fatal(v)
-				}
-			}
-		})
-	}
-	// Concurrent admission: GOMAXPROCS observer goroutines feeding
-	// disjoint conjunct groups through Observe — the steady-state shape
-	// of parallel certification streams.
-	b.Run("concurrent-observe/shards=gomaxprocs", func(b *testing.B) {
-		workers := runtime.GOMAXPROCS(0)
-		for i := 0; i < b.N; i++ {
-			m := core.NewShardedMonitor(partition, 0)
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for e := w; e < len(groups); e += workers {
-						for _, o := range groups[e] {
-							if v := m.Observe(o); v != nil {
-								b.Error(v)
-								return
-							}
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-		}
-	})
-	// Retract/replay churn on the sharded path (the optimistic gate's
-	// rollback, sharded).
-	b.Run("retract/shards=gomaxprocs", func(b *testing.B) {
-		m := core.NewShardedMonitor(partition, 0)
-		if v := m.ObserveAll(s); v != nil {
-			b.Fatal(v)
-		}
-		victim := groups[0][0].Txn
-		var victimOps []txn.Op
-		for _, o := range groups[0] {
-			if o.Txn == victim {
-				victimOps = append(victimOps, o)
-			}
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

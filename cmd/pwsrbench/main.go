@@ -9,10 +9,6 @@
 //   - PERF3   — checker-cost scaling,
 //   - PERF5   — certification scheduling: blocking vs optimistic
 //     (abort/restart) vs locking,
-//   - PERF6   — sharded certification scaling: the GOMAXPROCS sweep of
-//     core.ShardedMonitor against the single-goroutine baseline
-//     (section "sharded"; `-cpu` picks the widths and `-benchout`
-//     writes the machine-readable BENCH_sharded.json trajectory),
 //   - PERF7   — commit-and-compact memory study: a 1M-op windowed
 //     admission stream through a compacting monitor against the
 //     uncompacted baseline (section "compact"; `-compactout` writes
@@ -30,15 +26,15 @@
 //   - PERF10  — block-parallel batch execution scaling: the
 //     exec.ParallelEngine worker sweep (widths from `-cpu`, GOMAXPROCS
 //     matched to each width) across conflict rates, every batch
-//     certified through sched.ParallelCertify and checked identical to
-//     the serial reference (section "parallel"; `-parallelout` writes
-//     the machine-readable BENCH_parallel.json records, and `-baseline`
-//     gates the run against a checked-in file: >`-maxregress`%%
-//     throughput regression fails, as does a 4-worker 0%%-conflict
-//     speedup under `-minspeedup` when the host has ≥4 CPUs; a
-//     baseline recorded on a host with a different CPU count triggers
-//     a loud stderr warning that only the speedup shape is being
-//     gated),
+//     certified through sched.OptimisticCertify over a
+//     core.ShardedMonitor and checked identical to the serial reference
+//     (section "parallel"; `-parallelout` writes the machine-readable
+//     BENCH_parallel.json records, and `-baseline` gates the run
+//     against a checked-in file: >`-maxregress`%% throughput
+//     regression fails, as does a 4-worker 0%%-conflict speedup under
+//     `-minspeedup` when the host has ≥4 CPUs; a baseline recorded on a
+//     host with a different CPU count triggers a loud stderr warning
+//     that only the speedup shape is being gated),
 //   - PERF11  — multiversion snapshot reads: a mixed batch of hot-item
 //     writers and scan readers, each conflict cell measured with the
 //     readers certified through the gate and again declared read-only
@@ -55,7 +51,7 @@
 // Usage:
 //
 //	pwsrbench [-trials 200] [-seed 1] [-quick] [-figures] [-section all]
-//	          [-cpu 1,2,4,8] [-benchout BENCH_sharded.json]
+//	          [-cpu 1,2,4,8]
 //	          [-compactout BENCH_compact.json]
 //	          [-hotpathout BENCH_hotpath.json]
 //	          [-walout BENCH_wal.json]
@@ -85,9 +81,8 @@ func main() {
 		seed        = flag.Int64("seed", 1, "base seed")
 		quick       = flag.Bool("quick", false, "smaller sweeps and campaigns")
 		figures     = flag.Bool("figures", true, "print the worked figure illustrations")
-		section     = flag.String("section", "all", "one of: all, examples, theorems, exhaustive, figures, perf, sharded, compact, hotpath, wal, parallel, chaos, mvread")
-		cpu         = flag.String("cpu", "1,2,4,8", "comma-separated widths: GOMAXPROCS for the PERF6 sweep, worker counts for PERF10")
-		benchout    = flag.String("benchout", "", "write the PERF6 records as JSON to this file")
+		section     = flag.String("section", "all", "one of: all, examples, theorems, exhaustive, figures, perf, compact, hotpath, wal, parallel, chaos, mvread")
+		cpu         = flag.String("cpu", "1,2,4,8", "comma-separated worker counts for PERF10")
 		compactout  = flag.String("compactout", "", "write the PERF7 records as JSON to this file")
 		hotpathout  = flag.String("hotpathout", "", "write the PERF8 records as JSON to this file")
 		walout      = flag.String("walout", "", "write the PERF9 records as JSON to this file")
@@ -111,7 +106,7 @@ func main() {
 	opts := benchOpts{
 		trials: *trials, seed: *seed, figures: *figures, section: *section,
 		quick: *quick, cpus: cpus,
-		benchout: *benchout, compactout: *compactout, hotpathout: *hotpathout,
+		compactout: *compactout, hotpathout: *hotpathout,
 		walout: *walout, parallelout: *parallelout, chaosout: *chaosout,
 		mvreadout: *mvreadout,
 		baseline:  *baseline, maxregress: *maxregress, minspeedup: *minspeedup,
@@ -130,7 +125,6 @@ type benchOpts struct {
 	section     string
 	quick       bool
 	cpus        []int
-	benchout    string
 	compactout  string
 	hotpathout  string
 	walout      string
@@ -178,14 +172,6 @@ func currentHostMeta() hostMeta {
 		HostCPUs:   runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
-}
-
-// shardedBenchFile is the JSON trajectory written for the PERF6 sweep:
-// enough host context to compare runs, plus the per-width records.
-type shardedBenchFile struct {
-	hostMeta
-	Seed    int64                              `json:"seed"`
-	Records []experiments.ShardedScalingRecord `json:"records"`
 }
 
 // hotpathBenchFile is the JSON record set written for the PERF8
@@ -248,7 +234,7 @@ type mvreadBenchFile struct {
 
 func run(o benchOpts) error {
 	trials, seed, withFigures, section, quick, cpus := o.trials, o.seed, o.figures, o.section, o.quick, o.cpus
-	benchout, compactout, hotpathout, walout := o.benchout, o.compactout, o.hotpathout, o.walout
+	compactout, hotpathout, walout := o.compactout, o.hotpathout, o.walout
 	all := section == "all"
 
 	if all || section == "examples" {
@@ -356,28 +342,6 @@ func run(o benchOpts) error {
 			return err
 		}
 		fmt.Println(cp.Render())
-	}
-
-	if all || section == "sharded" {
-		tab, records, err := experiments.ShardedScaling(cpus, seed, quick)
-		if err != nil {
-			return err
-		}
-		fmt.Println(tab.Render())
-		if benchout != "" {
-			data, err := json.MarshalIndent(shardedBenchFile{
-				hostMeta: currentHostMeta(),
-				Seed:     seed,
-				Records:  records,
-			}, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(benchout, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %d PERF6 records to %s\n", len(records), benchout)
-		}
 	}
 
 	if all || section == "compact" {

@@ -15,13 +15,13 @@
 //	optimistic  arbitrary-structure workloads under the abort-capable
 //	            certification gate: runs must neither stall nor violate
 //	            strong correctness (PWSR ∧ DR, Theorem 2);
-//	sharded     the sharded pipeline: the checked-in corpus under
+//	sharded     the sharded certifier: the checked-in corpus under
 //	            testdata/sharded is replayed through ShardedMonitor at
 //	            shard counts 1..8 against Monitor (verdicts, flagged
 //	            ops, and op counts must agree), then randomized
-//	            workloads run under the ParallelCertify gate with the
-//	            optimistic mode's guarantees plus a replay-differential
-//	            on every recorded schedule;
+//	            workloads run under the optimistic gate over a
+//	            ShardedMonitor with the optimistic mode's guarantees
+//	            plus a replay-differential on every recorded schedule;
 //	compact     the transaction lifecycle: the checked-in corpus under
 //	            testdata/compact (Observe/Commit/Retract/Compact
 //	            scripts covering commit-before-violation,
@@ -271,9 +271,10 @@ func shardedDifferential(partition []state.ItemSet, s *txn.Schedule) string {
 }
 
 // runSharded is -mode sharded: corpus replay first, then randomized
-// ParallelCertify runs with the optimistic guarantees plus the
-// replay-differential. Every disagreement or broken guarantee counts
-// as a found violation (the population guarantees zero).
+// runs of the optimistic gate over a ShardedMonitor, with the
+// optimistic guarantees plus the replay-differential. Every
+// disagreement or broken guarantee counts as a found violation (the
+// population guarantees zero).
 func runSharded(trials int, baseSeed int64, verbose bool) (int, error) {
 	corpus, err := filepath.Glob(filepath.Join(shardedCorpusDir, "*.txt"))
 	if err != nil {
@@ -316,7 +317,7 @@ func runSharded(trials int, baseSeed int64, verbose bool) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		policy := sched.NewParallelCertify(w.DataSets, 1+i%8, sched.NewRandom(seed), nil)
+		policy := sched.NewOptimisticCertifyOver(core.NewShardedMonitor(w.DataSets, 1+i%8), sched.NewRandom(seed), nil)
 		o, err := trial(w, policy)
 		if err != nil {
 			return 0, err

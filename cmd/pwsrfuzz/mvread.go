@@ -38,7 +38,7 @@ const mvreadCorpusDir = "testdata/mvread"
 // ticks of the declared readers.
 type mvreadCase struct {
 	cfg    gen.Config
-	shards int   // 0 = optimistic abort/restart gate, N>0 = ParallelCertify with N shards
+	shards int   // 0 = optimistic gate over a Monitor, N>0 = over a ShardedMonitor of N shards
 	begins []int // reader begin ticks; reader ids are 101, 102, ...
 }
 
@@ -149,7 +149,7 @@ func mvreadDifferential(c *mvreadCase) (string, error) {
 	}
 	gate := func() exec.Policy {
 		if c.shards > 0 {
-			return sched.NewParallelCertify(w.DataSets, c.shards, sched.NewRandom(c.cfg.Seed), nil)
+			return sched.NewOptimisticCertifyOver(core.NewShardedMonitor(w.DataSets, c.shards), sched.NewRandom(c.cfg.Seed), nil)
 		}
 		return sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(c.cfg.Seed), nil)
 	}

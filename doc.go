@@ -73,17 +73,16 @@
 // victim chosen by a pluggable policy, youngest or fewest-ops; the
 // gate is cascadeless, so its schedules are PWSR and delayed-read by
 // construction and Theorem 2 applies to every completed run of correct
-// programs). pwsr.NewParallelCertify is the optimistic gate over the
-// sharded certifier: admissibility preflights fan out across
-// goroutines, so operations on disjoint shards certify concurrently
-// while the gate's decisions stay exactly NewOptimisticCertify's.
-// pwsr.RunMany drives independent engine runs concurrently for
-// fleet-style throughput (each run gets its own clone of a cloneable
-// policy; a non-cloneable policy instance aliased across configs is
-// rejected with ErrSharedPolicy before anything executes). All three
-// gates commit finished transactions to their certifier, whose
-// compactor keeps the resident population bounded across arbitrarily
-// long streams; the engine surfaces the lifecycle counters through
+// programs). Either gate runs over either certifier: the optimistic
+// gate over a ShardedMonitor (sched.NewOptimisticCertifyOver) makes
+// exactly the decisions it makes over a Monitor. pwsr.RunMany drives
+// independent engine runs concurrently for fleet-style throughput
+// (each run gets its own clone of a cloneable policy; a non-cloneable
+// policy instance aliased across configs is rejected with
+// ErrSharedPolicy before anything executes). Both gates commit
+// finished transactions to their certifier, whose compactor keeps the
+// resident population bounded across arbitrarily long streams; the
+// engine surfaces the lifecycle counters through
 // Metrics.Compactions/ReclaimedOps/LiveTxns.
 //
 // Within a single batch, exec.ParallelEngine parallelizes execution
@@ -199,14 +198,12 @@
 // Benchmarks for the certification hot path and the scheduling-policy
 // studies live in bench_test.go (run `make bench`, and see
 // BenchmarkCertifyPolicies/BenchmarkMonitorRetract for the PERF5
-// family and BenchmarkShardedMonitor plus `make bench-cpu` for the
-// PERF6 GOMAXPROCS sweep); EXPERIMENTS.md records their outputs, and
-// `make bench` checks the machine-readable trajectories into
-// BENCH_monitor.json, BENCH_sharded.json, BENCH_compact.json,
-// BENCH_hotpath.json, and BENCH_wal.json (`make bench-hotpath`,
-// `make bench-wal`, and `make bench-parallel` regenerate the PERF8
-// hot-path, PERF9 durability, and PERF10 parallel-scaling studies
-// alone; every file opens with the host's go/goos/goarch/host_cpus/
+// family); EXPERIMENTS.md records their outputs, and `make bench`
+// checks the machine-readable trajectories into BENCH_monitor.json,
+// BENCH_compact.json, BENCH_hotpath.json, and BENCH_wal.json
+// (`make bench-hotpath`, `make bench-wal`, and `make bench-parallel`
+// regenerate the PERF8 hot-path, PERF9 durability, and PERF10
+// parallel-scaling studies alone; every file opens with the host's go/goos/goarch/host_cpus/
 // gomaxprocs fingerprint so scaling rows can't be mistaken for
 // measurements at a parallelism they never ran at). `make check` runs
 // `go vet` plus the full suite under the race detector, then the

@@ -108,8 +108,7 @@ func (m *ShardedMonitor) AdmitSequence(ops []txn.Op) (bool, *Violation) {
 	if m.single {
 		sh := m.shards[0]
 		sh.mu.Lock()
-		applied, v := sh.mon.admitSequence(ops)
-		sh.observes += int64(applied)
+		_, v := sh.mon.admitSequence(ops)
 		sh.mu.Unlock()
 		if v != nil {
 			return false, m.globalViolation(sh, v)
@@ -149,7 +148,6 @@ admit:
 		applied++
 		for r := routes[i]; r != 0; r &= r - 1 {
 			sh := m.shards[r.lowest()]
-			sh.observes++
 			if v := sh.mon.observe(&ops[i]); v != nil {
 				vio, vsh = v, sh
 				break admit

@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pwsr/internal/core"
@@ -98,6 +99,13 @@ func TestMonitorDifferential(t *testing.T) {
 		if batch.PWSR != (vOpt == nil) {
 			t.Fatalf("trial %d: monitor %v vs batch %v", trial, vOpt, batch.PWSR)
 		}
+		// CheckPWSR's per-conjunct goroutines, forced on, agree too.
+		old := core.SetCheckParallelThreshold(1)
+		fanned := core.CheckPWSR(s, partition).PWSR
+		core.SetCheckParallelThreshold(old)
+		if fanned != batch.PWSR {
+			t.Fatalf("trial %d: parallel batch %v vs sequential batch %v", trial, fanned, batch.PWSR)
+		}
 		if vOpt == nil {
 			continue
 		}
@@ -125,49 +133,59 @@ func TestMonitorDifferential(t *testing.T) {
 	}
 }
 
-// TestMonitorShardedDifferential forces the parallel ObserveAll path
-// (threshold 1) and checks it against the sequential reference.
-func TestMonitorShardedDifferential(t *testing.T) {
-	defer core.SetObserveParallelThreshold(core.SetObserveParallelThreshold(1))
-	defer core.SetCheckParallelThreshold(core.SetCheckParallelThreshold(1))
-	rng := rand.New(rand.NewSource(62))
-	violations := 0
-	for trial := 0; trial < 200; trial++ {
-		nItems := 2 + rng.Intn(6)
-		items := make([]string, nItems)
-		for i := range items {
-			items[i] = fmt.Sprintf("x%d", i)
-		}
-		s := randomSchedule(rng, 20+rng.Intn(100), 2+rng.Intn(5), items)
-		partition := randomPartition(rng, items, trial%2 == 0)
-		if len(partition) < 2 {
-			continue
-		}
-
-		opt := core.NewMonitor(partition)
-		ref := core.NewReferenceMonitor(partition)
-		vOpt := opt.ObserveAll(s)
-		vRef := ref.ObserveAll(s)
-		if (vOpt == nil) != (vRef == nil) {
-			t.Fatalf("trial %d: sharded %v vs reference %v", trial, vOpt, vRef)
-		}
-		if core.CheckPWSR(s, partition).PWSR != (vOpt == nil) {
-			t.Fatalf("trial %d: sharded monitor vs parallel batch disagree", trial)
-		}
-		if vOpt == nil {
-			continue
-		}
-		violations++
-		if opt.Ops() != ref.Ops() {
-			t.Fatalf("trial %d: sharded flagged op %d vs sequential %d", trial, opt.Ops(), ref.Ops())
-		}
-		if vOpt.Conjunct != vRef.Conjunct {
-			t.Fatalf("trial %d: sharded conjunct %d vs %d", trial, vOpt.Conjunct, vRef.Conjunct)
-		}
-		validCycle(t, s, partition[vOpt.Conjunct], opt.Ops(), vOpt.Cycle)
+// TestObserveAllStopsAtViolation: a whole-schedule feed stops at the
+// violating operation, so the monitor ends exactly as an op-at-a-time
+// Observe feed leaves it — no operation past the violation counted, no
+// transaction whose operations all come after it resident. The
+// 8192-operation schedule violates at its fourth operation:
+// r1(x) w2(x) r2(y) w1(y), then thousands of single-write transactions
+// on z.
+func TestObserveAllStopsAtViolation(t *testing.T) {
+	partition := []state.ItemSet{state.NewItemSet("x", "y"), state.NewItemSet("z")}
+	ops := []txn.Op{txn.R(1, "x", 0), txn.W(2, "x", 1), txn.R(2, "y", 0), txn.W(1, "y", 1)}
+	for id := 3; len(ops) < 8192; id++ {
+		ops = append(ops, txn.W(id, "z", int64(id)))
 	}
-	if violations == 0 {
-		t.Fatal("vacuous: no violations generated")
+	s := txn.NewSchedule(ops...)
+	type certifier interface {
+		Observe(txn.Op) *core.Violation
+		ObserveAll(*txn.Schedule) *core.Violation
+		Ops() int
+		LiveTxns() int
+		LiveTxnIDs() []int
+		InFlightTxnIDs() []int
+		CompactStats() core.CompactStats
+	}
+	for name, mk := range map[string]func() certifier{
+		"Monitor":          func() certifier { return core.NewMonitor(partition) },
+		"ShardedMonitor/2": func() certifier { return core.NewShardedMonitor(partition, 2) },
+	} {
+		whole, feed := mk(), mk()
+		v := whole.ObserveAll(s)
+		var want *core.Violation
+		for _, o := range s.Ops() {
+			if want = feed.Observe(o); want != nil {
+				break
+			}
+		}
+		if v == nil || want == nil || v.Op != want.Op || v.Op != s.Op(3) {
+			t.Fatalf("%s: ObserveAll flagged %v, op-at-a-time %v, want %v", name, v, want, s.Op(3))
+		}
+		if got, want := whole.Ops(), feed.Ops(); got != want {
+			t.Errorf("%s: Ops %d, op-at-a-time %d", name, got, want)
+		}
+		if got, want := whole.LiveTxns(), feed.LiveTxns(); got != want {
+			t.Errorf("%s: LiveTxns %d, op-at-a-time %d", name, got, want)
+		}
+		if got, want := whole.LiveTxnIDs(), feed.LiveTxnIDs(); !slices.Equal(got, want) || !slices.Equal(got, []int{1, 2}) {
+			t.Errorf("%s: %d LiveTxnIDs starting %v, op-at-a-time %v, want [1 2]", name, len(got), got[:min(len(got), 2)], want)
+		}
+		if got, want := whole.InFlightTxnIDs(), feed.InFlightTxnIDs(); !slices.Equal(got, want) {
+			t.Errorf("%s: %d InFlightTxnIDs, op-at-a-time %v", name, len(got), want)
+		}
+		if got, want := whole.CompactStats(), feed.CompactStats(); got != want {
+			t.Errorf("%s: CompactStats %+v, op-at-a-time %+v", name, got, want)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"pwsr/internal/intern"
 	"pwsr/internal/state"
@@ -27,10 +26,6 @@ func (v *Violation) Error() string {
 	return fmt.Sprintf("core: PWSR violated at %s: conjunct C%d has conflict cycle %v",
 		v.Op, v.Conjunct+1, v.Cycle)
 }
-
-// observeParallelThreshold is the schedule length at which ObserveAll
-// shards a multi-conjunct monitor across goroutines.
-var observeParallelThreshold = 4096
 
 // txnDirectMax bounds the direct-index transaction translation table:
 // original ids in [txnBase, txnBase+txnDirectMax) resolve with one
@@ -462,114 +457,17 @@ func (m *Monitor) ConflictEdges(e int) [][2]int {
 	return out
 }
 
-// ObserveAll feeds a whole schedule; it returns the first violation or
-// nil. Wide partitions on long schedules are sharded: each conjunct's
-// projection is fed to its graph on its own goroutine and the earliest
-// violation wins, which is observationally identical to the sequential
-// feed (the monitor is sticky after the first violation). With a
-// lifecycle sink attached the feed stays sequential: the fan-out stops
-// at the first violation without deciding which later operations were
-// applied, so only the one-at-a-time path yields the exact stream the
-// sink must record.
+// ObserveAll feeds a whole schedule one operation at a time; it
+// returns the first violation or nil. The feed stops at the violating
+// operation, so nothing after it is counted or made resident.
 func (m *Monitor) ObserveAll(s *txn.Schedule) *Violation {
 	ops := s.Ops()
-	if len(m.partition) > 1 && len(ops) >= observeParallelThreshold && m.violation == nil && m.sink == nil {
-		return m.observeSharded(ops)
-	}
 	for i := range ops {
 		if v := m.observe(&ops[i]); v != nil {
 			return v
 		}
 	}
 	return nil
-}
-
-// shardedOp is one operation routed to a shard of the ShardedMonitor's
-// epoch pipeline, tagged with its index in the fed sequence so the
-// earliest violation can be identified across shards.
-type shardedOp struct {
-	op  txn.Op
-	idx int
-}
-
-func (m *Monitor) observeSharded(ops txn.Seq) *Violation {
-	// Route every operation to its conjuncts (interning mutates shared
-	// tables, so it cannot race with the per-graph goroutines). A
-	// counting pass first sizes each bucket exactly; buckets hold
-	// 4-byte indices into ops rather than operation copies.
-	itemIDs := make([]int32, len(ops))
-	denseIDs := make([]int32, len(ops))
-	counts := make([]int, len(m.partition))
-	for i := range ops {
-		o := &ops[i]
-		d := m.txnID(o.Txn)
-		if m.committedB[d] {
-			panic(&LifecycleError{Verb: "Observe", Txn: o.Txn, Reason: "operation for a committed transaction"})
-		}
-		denseIDs[i] = d
-		item := m.itemID(o.Entity)
-		itemIDs[i] = item
-		m.opsBy[d]++
-		if !m.resident[d] {
-			m.resident[d] = true
-			m.liveTxns++
-		}
-		for _, e := range m.conjunctsOf(item) {
-			m.touch(d, e)
-			counts[e]++
-		}
-	}
-	buckets := make([][]int32, len(m.partition))
-	for e, n := range counts {
-		if n > 0 {
-			buckets[e] = make([]int32, 0, n)
-		}
-	}
-	for i := range ops {
-		for _, e := range m.conjunctsOf(itemIDs[i]) {
-			buckets[e] = append(buckets[e], int32(i))
-		}
-	}
-	type shardViolation struct {
-		idx      int
-		conjunct int
-		op       txn.Op
-		cycle    []int
-	}
-	found := make([]*shardViolation, len(m.partition))
-	var wg sync.WaitGroup
-	for e := range m.partition {
-		if len(buckets[e]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(e int) {
-			defer wg.Done()
-			g := m.graphs[e]
-			for _, i := range buckets[e] {
-				if cycle := g.add(denseIDs[i], ops[i].Action, itemIDs[i]); cycle != nil {
-					found[e] = &shardViolation{idx: int(i), conjunct: e, op: ops[i], cycle: cycle}
-					return
-				}
-			}
-		}(e)
-	}
-	wg.Wait()
-	// The earliest violating operation wins; ties go to the lowest
-	// conjunct, matching the sequential feed.
-	var first *shardViolation
-	for _, sv := range found {
-		if sv != nil && (first == nil || sv.idx < first.idx) {
-			first = sv
-		}
-	}
-	if first == nil {
-		m.ops += len(ops)
-		return nil
-	}
-	m.ops += first.idx + 1
-	m.violation = &Violation{Conjunct: first.conjunct, Op: first.op, Cycle: first.cycle}
-	return m.violation
 }
 
 // growAppend appends to a hot small slice, jumping straight to a

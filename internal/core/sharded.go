@@ -25,18 +25,18 @@ import (
 // shard's verdict is independent and the global PWSR decision is
 // exactly the conjunction of the shard verdicts.
 //
-// Concurrency model. Observe, Admissible, ObserveAll, and Retract are
-// safe for concurrent use. An operation is routed through a shared
-// lock-free table (intern.Shared plus a copy-on-write route slice) to
-// the shards whose conjuncts mention its item, and counted against its
-// transaction's entry in the transaction table (a read-locked map hit);
-// each routed shard is then visited in ascending order under its lock.
-// Operations touching disjoint shards therefore certify fully in
-// parallel, while operations contending for a shard order through its
-// lock — the shard lock is the fence that serializes genuinely
-// conflicting admissions. Verdicts merge through a single sticky
-// violation slot (first CAS wins); once any shard trips, the monitor as
-// a whole is violated, mirroring Monitor's stickiness.
+// Concurrency model. Every entry point is safe for concurrent use. An
+// operation is routed through a shared lock-free table (intern.Shared
+// plus a copy-on-write route slice) to the shards whose conjuncts
+// mention its item, and counted against its transaction's entry in the
+// transaction table (a read-locked map hit); each routed shard is then
+// visited in ascending order under its lock, so operations touching
+// disjoint shards never wait on each other. ObserveAll is Observe in a
+// loop. The certification gates call in under their own mutex, one
+// entry point at a time; the locks serve direct concurrent callers.
+// Verdicts merge through a single sticky violation slot (first CAS
+// wins); once any shard trips, the monitor as a whole is violated,
+// mirroring Monitor's stickiness.
 //
 // Fed from a single goroutine, a ShardedMonitor is observationally
 // identical to Monitor over the same partition — same verdicts, same
@@ -144,41 +144,13 @@ type shardedTxn struct {
 	committed bool
 }
 
-// monitorShard is one block of conjuncts behind its own lock, with
-// admission counters for the per-shard metrics surfaced through
-// ShardStats.
+// monitorShard is one block of conjuncts behind its own lock.
 type monitorShard struct {
 	mu sync.Mutex
 	// mon is the shard's independent certifier over partition[lo:hi].
 	mon    *Monitor
 	lo, hi int
-	// Admission counters, guarded by mu.
-	observes, probes, denials int64
 }
-
-// ShardStat reports one shard's admission counters (see
-// ShardedMonitor.ShardStats).
-type ShardStat struct {
-	// Shard is the shard index.
-	Shard int
-	// Conjuncts is the number of conjuncts the shard owns.
-	Conjuncts int
-	// Observes counts operations fed to the shard's graphs.
-	Observes int64
-	// Probes counts Admissible probes the shard evaluated.
-	Probes int64
-	// Denials counts probes the shard rejected.
-	Denials int64
-}
-
-// shardedBatchThreshold is the schedule length at which ObserveAll
-// pipelines epochs across shard goroutines instead of feeding
-// sequentially.
-var shardedBatchThreshold = 4096
-
-// shardedEpochSize is the window of operations routed and fenced as
-// one epoch by the batch pipeline.
-var shardedEpochSize = 8192
 
 // NewShardedMonitor builds a sharded monitor over the conjunct
 // partition. shards ≤ 0 selects GOMAXPROCS; the count is clamped to
@@ -366,7 +338,6 @@ func (m *ShardedMonitor) Observe(o txn.Op) *Violation {
 	if m.single {
 		sh := m.shards[0]
 		sh.mu.Lock()
-		sh.observes++
 		v := sh.mon.Observe(o)
 		sh.mu.Unlock()
 		if v != nil {
@@ -386,7 +357,6 @@ func (m *ShardedMonitor) Observe(o txn.Op) *Violation {
 	for r := route; r != 0 && v == nil; r &= r - 1 {
 		sh := m.shards[r.lowest()]
 		sh.mu.Lock()
-		sh.observes++
 		sv := sh.mon.Observe(o)
 		sh.mu.Unlock()
 		if sv != nil {
@@ -411,13 +381,8 @@ func (m *ShardedMonitor) Admissible(o txn.Op) bool {
 	if m.single {
 		sh := m.shards[0]
 		sh.mu.Lock()
-		sh.probes++
-		ok := sh.mon.Admissible(o)
-		if !ok {
-			sh.denials++
-		}
-		sh.mu.Unlock()
-		return ok
+		defer sh.mu.Unlock()
+		return sh.mon.Admissible(o)
 	}
 	r, ok := m.lookupRoute(o.Entity)
 	if !ok {
@@ -426,11 +391,7 @@ func (m *ShardedMonitor) Admissible(o txn.Op) bool {
 	for ; r != 0; r &= r - 1 {
 		sh := m.shards[r.lowest()]
 		sh.mu.Lock()
-		sh.probes++
 		ok := sh.mon.Admissible(o)
-		if !ok {
-			sh.denials++
-		}
 		sh.mu.Unlock()
 		if !ok {
 			return false
@@ -732,118 +693,16 @@ func (m *ShardedMonitor) ConflictEdges(e int) [][2]int {
 	return sh.mon.ConflictEdges(e - sh.lo)
 }
 
-// ShardStats snapshots every shard's admission counters.
-func (m *ShardedMonitor) ShardStats() []ShardStat {
-	out := make([]ShardStat, len(m.shards))
-	for i, sh := range m.shards {
-		sh.mu.Lock()
-		out[i] = ShardStat{
-			Shard:     i,
-			Conjuncts: sh.hi - sh.lo,
-			Observes:  sh.observes,
-			Probes:    sh.probes,
-			Denials:   sh.denials,
-		}
-		sh.mu.Unlock()
-	}
-	return out
-}
-
-// ObserveAll feeds a whole schedule; it returns the first violation or
-// nil. Long schedules over more than one shard run the epoch/fence
-// pipeline: the stream is cut into epochs, each epoch's operations are
-// routed to per-shard buckets, the buckets are fed to their shards on
-// parallel goroutines, and a fence at the epoch boundary merges the
-// shard verdicts — the earliest violating operation wins (ties to the
-// lowest conjunct), which is observationally identical to the
-// sequential feed because the monitor is sticky after its first
-// violation and shards share no edges.
+// ObserveAll feeds a whole schedule one operation at a time through
+// Observe; it returns the first violation or nil. The feed stops at the
+// violating operation, like Monitor.ObserveAll.
 func (m *ShardedMonitor) ObserveAll(s *txn.Schedule) *Violation {
-	if m.single {
-		sh := m.shards[0]
-		sh.mu.Lock()
-		sh.observes += int64(s.Len())
-		v := sh.mon.ObserveAll(s)
-		sh.mu.Unlock()
-		if v != nil {
-			return m.globalViolation(sh, v)
-		}
-		return nil
-	}
-	ops := s.Ops()
-	if len(m.shards) > 1 && len(ops) >= shardedBatchThreshold && m.violation.Load() == nil && m.sink == nil {
-		for start := 0; start < len(ops); start += shardedEpochSize {
-			end := min(start+shardedEpochSize, len(ops))
-			if v := m.observeEpoch(ops[start:end]); v != nil {
-				return v
-			}
-		}
-		return nil
-	}
-	for _, o := range ops {
+	for _, o := range s.Ops() {
 		if v := m.Observe(o); v != nil {
 			return v
 		}
 	}
 	return nil
-}
-
-// epochViolation is a shard's verdict for one epoch: the bucket-local
-// violation plus the epoch index of the operation that closed it.
-type epochViolation struct {
-	idx int
-	sh  *monitorShard
-	v   *Violation
-}
-
-// observeEpoch routes one epoch to per-shard buckets, feeds the
-// buckets concurrently, and fences: every shard completes (or trips)
-// before the merged verdict is decided.
-func (m *ShardedMonitor) observeEpoch(ops txn.Seq) *Violation {
-	buckets := make([][]shardedOp, len(m.shards))
-	for i, o := range ops {
-		route := m.routeFor(o.Entity)
-		m.count(m.openTxn("Observe", o.Txn), 1, route)
-		for r := route; r != 0; r &= r - 1 {
-			buckets[r.lowest()] = append(buckets[r.lowest()], shardedOp{op: o, idx: i})
-		}
-	}
-	found := make([]*epochViolation, len(m.shards))
-	var wg sync.WaitGroup
-	for s := range m.shards {
-		if len(buckets[s]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			sh := m.shards[s]
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
-			for _, so := range buckets[s] {
-				sh.observes++
-				if v := sh.mon.Observe(so.op); v != nil {
-					found[s] = &epochViolation{idx: so.idx, sh: sh, v: v}
-					return
-				}
-			}
-		}(s)
-	}
-	wg.Wait()
-	var first *epochViolation
-	for _, ev := range found {
-		if ev != nil && (first == nil || ev.idx < first.idx) {
-			first = ev
-		}
-	}
-	if first == nil {
-		return nil
-	}
-	// Ops() counts the epoch up to and including the violating
-	// operation, like the sequential feed; the routing pass counted the
-	// whole epoch.
-	m.ops.Add(int64(first.idx + 1 - len(ops)))
-	return m.globalViolation(first.sh, first.v)
 }
 
 // ProbeStats sums the shards' probe-cache counters (each shard's inner

@@ -57,8 +57,6 @@ type Event struct {
 // sees the stream in the order the monitor applied it only because
 // the feed itself is serialized. (Every sched gate feeds its
 // certifier from the engine's scheduling loop, which satisfies this.)
-// A monitor with a sink attached disables its internal batch fan-out
-// paths so the stream order is exactly the observation order.
 //
 // Calls the monitor rejects by panic (operations for committed
 // transactions, retractions of committed transactions or on a
@@ -84,10 +82,8 @@ type LifecycleSink interface {
 }
 
 // SetSink attaches (or, with nil, detaches) the monitor's lifecycle
-// sink and returns the previous one. With a sink attached ObserveAll
-// feeds sequentially (the parallel fan-out would reorder the stream).
-// Attach before feeding traffic; the sink is consulted on the feeding
-// goroutine.
+// sink and returns the previous one. Attach before feeding traffic; the
+// sink is consulted on the feeding goroutine.
 func (m *Monitor) SetSink(s LifecycleSink) LifecycleSink {
 	old := m.sink
 	m.sink = s

@@ -17,10 +17,8 @@
 // conjuncts. Conjuncts can therefore be partitioned into shard-local
 // graphs — each shard an independent Monitor behind its own lock —
 // whose verdicts conjoin into the global PWSR admission decision:
-// operations on disjoint shards certify concurrently, operations
-// contending for a shard order through its lock (the fence), and a
-// batch feed pipelines epochs across shard goroutines, merging
-// verdicts at each epoch boundary.
+// operations on disjoint shards never wait on each other, and
+// operations contending for a shard order through its lock.
 //
 // # Transaction lifecycle and bounded memory
 //

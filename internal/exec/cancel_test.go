@@ -157,7 +157,7 @@ func TestExecuteBatchCtxDeadline(t *testing.T) {
 			return ctx
 		}, exec.ErrCanceled, exec.ErrDeadline, 1},
 	} {
-		gate := sched.NewParallelCertify(w.DataSets, 2, &sched.Serial{}, nil)
+		gate := sched.NewOptimisticCertifyOver(core.NewShardedMonitor(w.DataSets, 2), &sched.Serial{}, nil)
 		journal, err := wal.NewWriter(wal.NewMemBackend(), wal.Options{GroupEvery: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -179,7 +179,7 @@ func TestExecuteBatchCtxDeadline(t *testing.T) {
 		if res != nil && res.Schedule.Len() != 0 {
 			t.Fatalf("%s batch committed %v", tc.name, res.Schedule)
 		}
-		mon := gate.ShardedMonitor()
+		mon := gate.Monitor()
 		if ops := mon.Ops(); ops != 0 {
 			t.Fatalf("%s batch left %d observed operations", tc.name, ops)
 		}

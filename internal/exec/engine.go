@@ -307,22 +307,6 @@ type Policy interface {
 	TxnFinished(id int, v *View)
 }
 
-// ShardStat is one certification shard's admission counters, as
-// reported by a policy backed by a sharded certifier
-// (sched.ParallelCertify over core.ShardedMonitor).
-type ShardStat struct {
-	// Shard is the shard index.
-	Shard int
-	// Conjuncts is the number of conjuncts the shard owns.
-	Conjuncts int
-	// Observes counts operations fed to the shard's graphs.
-	Observes int64
-	// Probes counts admissibility probes the shard evaluated.
-	Probes int64
-	// Denials counts probes the shard rejected.
-	Denials int64
-}
-
 // CompactStats is a certifying policy's transaction-lifecycle
 // counters, as reported by a policy whose certifier commits finished
 // transactions and compacts them away (the sched certification gates
@@ -371,13 +355,10 @@ type LogStats struct {
 	RecoveryReplays int64
 }
 
-// GateStats is one snapshot of a certifying gate's counters: per-shard
-// admission counters (nil unless the gate fans its probes out over a
-// sharded certifier, sched.ParallelCertify), the certifier's lifecycle
-// and probe-cache counters, the journal's counters, and the gate's
-// health.
+// GateStats is one snapshot of a certifying gate's counters: the
+// certifier's lifecycle and probe-cache counters, the journal's
+// counters, and the gate's health.
 type GateStats struct {
-	Shards  []ShardStat
 	Compact CompactStats
 	Probe   ProbeStats
 	Log     LogStats
@@ -412,13 +393,10 @@ type Metrics struct {
 	WastedOps int
 	// PerTxn maps transaction id to its metrics.
 	PerTxn map[int]*TxnMetrics
-	// The fields from Shards to Log are copied from the policy's (or
-	// batch gate's) Stats at the end of the run when it implements
+	// The fields from Compactions to Log are copied from the policy's
+	// (or batch gate's) Stats at the end of the run when it implements
 	// StatsReporter; they stay zero otherwise.
 	//
-	// Shards holds per-shard certification counters; nil unless the gate
-	// fans its probes out over a sharded certifier.
-	Shards []ShardStat
 	// Compactions, ReclaimedTxns, ReclaimedOps, and LiveTxns report the
 	// certifier's transaction-lifecycle counters (GateStats.Compact).
 	// LiveTxns is the certifier's residual population — for a policy
@@ -1161,7 +1139,6 @@ func harvestStats(p any, m *Metrics) {
 		return
 	}
 	s := sr.Stats()
-	m.Shards = s.Shards
 	m.Compactions = s.Compact.Compactions
 	m.ReclaimedTxns = s.Compact.ReclaimedTxns
 	m.ReclaimedOps = s.Compact.ReclaimedOps
@@ -1220,13 +1197,9 @@ var ErrSharedPolicy = errors.New("exec: Policy instance shared across Configs")
 // configs must still not share other mutable state (give each run its
 // own Initial; RunCtx clones it, but a DB handed to two configs is
 // still read concurrently). Results and errors are indexed like cfgs.
-// This is the engine entry point for driving many admission streams at
-// once: a fleet of workloads saturating a sharded certifier scales
-// with cores because each run's policy probes only its own monitor
-// shards. ctx is threaded into every run (each settles per RunCtx when
-// it ends), and runs that have not yet started when ctx ends are
-// skipped with a typed ErrCanceled/ErrDeadline error instead of being
-// launched.
+// ctx is threaded into every run (each settles per RunCtx when it
+// ends), and runs that have not yet started when ctx ends are skipped
+// with a typed ErrCanceled/ErrDeadline error instead of being launched.
 func RunManyCtx(ctx context.Context, cfgs []Config, workers int) ([]*Result, []error) {
 	if ctx == nil {
 		ctx = context.Background()

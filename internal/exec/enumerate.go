@@ -4,98 +4,50 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
-// stepper is a policy remote-controlled by the enumerator: at every
-// decision point it reports the pending transaction ids and waits for
-// the controller's choice (-1 stalls the run, abandoning it).
-type stepper struct {
-	offers  chan []int
-	choices chan int
+// enumFrame is one decision point on the enumerator's current path: the
+// pending transaction ids there, sorted, and the index of the one taken.
+type enumFrame struct {
+	options []int
+	taken   int
 }
 
-func newStepper() *stepper {
-	return &stepper{offers: make(chan []int), choices: make(chan int)}
+// enumPolicy drives one run down the enumerator's path: at decision
+// point d it grants path[d]'s taken id while the path lasts, and past
+// its end takes the lowest pending id, recording the sorted options as
+// a new frame — so every run ends at a leaf.
+type enumPolicy struct {
+	path  []enumFrame
+	depth int
+	err   error
 }
 
 // Pick implements Policy.
-func (st *stepper) Pick(pending []*Request, v *View) int {
-	ids := make([]int, len(pending))
-	for i, r := range pending {
-		ids[i] = r.TxnID
+func (p *enumPolicy) Pick(pending []*Request, v *View) int {
+	if p.depth == len(p.path) {
+		options := make([]int, len(pending))
+		for i, r := range pending {
+			options[i] = r.TxnID
+		}
+		slices.Sort(options)
+		p.path = append(p.path, enumFrame{options: options})
 	}
-	st.offers <- ids
-	want := <-st.choices
+	f := p.path[p.depth]
+	want := f.options[f.taken]
+	p.depth++
 	for i, r := range pending {
 		if r.TxnID == want {
 			return i
 		}
 	}
+	p.err = fmt.Errorf("exec: prefix grant T%d not available among %d pending", want, len(pending))
 	return -1
 }
 
 // TxnFinished implements Policy.
-func (st *stepper) TxnFinished(int, *View) {}
-
-// probe replays cfg granting the given prefix, then either reports the
-// next decision point's pending transaction ids (options non-nil) or
-// the completed run (done non-nil).
-func probe(cfg Config, prefix []int) (options []int, done *Result, err error) {
-	st := newStepper()
-	cfg.Policy = st
-
-	type outcome struct {
-		res *Result
-		err error
-	}
-	resCh := make(chan outcome, 1)
-	go func() {
-		res, rerr := RunCtx(context.TODO(), cfg)
-		resCh <- outcome{res: res, err: rerr}
-	}()
-
-	abandon := func() {
-		st.choices <- -1
-		<-resCh
-	}
-
-	for _, want := range prefix {
-		select {
-		case ids := <-st.offers:
-			if !contains(ids, want) {
-				abandon()
-				return nil, nil, fmt.Errorf("exec: prefix grant T%d not available among %v", want, ids)
-			}
-			st.choices <- want
-		case out := <-resCh:
-			if out.err != nil {
-				return nil, nil, out.err
-			}
-			return nil, nil, errors.New("exec: run completed before the prefix was consumed")
-		}
-	}
-
-	select {
-	case ids := <-st.offers:
-		abandon()
-		return ids, nil, nil
-	case out := <-resCh:
-		if out.err != nil {
-			return nil, nil, out.err
-		}
-		return nil, out.res, nil
-	}
-}
-
-func contains(ids []int, want int) bool {
-	for _, id := range ids {
-		if id == want {
-			return true
-		}
-	}
-	return false
-}
+func (p *enumPolicy) TxnFinished(int, *View) {}
 
 // ErrEnumLimit is returned when Enumerate exceeds its interleaving
 // budget.
@@ -103,12 +55,15 @@ var ErrEnumLimit = errors.New("exec: interleaving limit exceeded")
 
 // Enumerate explores EVERY interleaving of the configured programs
 // (cfg.Policy is ignored) and calls visit with each completed run and
-// the grant script that produced it. It returns the number of complete
-// interleavings visited. Because a program's future operations may
-// depend on values it read, the interleaving tree is discovered
-// dynamically: each node re-executes the prefix from scratch, so the
-// cost is O(paths × depth²) engine steps — use for small systems (this
-// is the exhaustive companion to the randomized campaigns).
+// the grant script that produced it, in ascending script order. It
+// returns the number of complete interleavings visited. Because a
+// program's future operations may depend on values it read, the
+// interleaving tree is discovered dynamically: each run replays a
+// prefix from scratch and then descends to a leaf along the lowest
+// pending ids, and the next prefix is the deepest untried sibling — one
+// engine run per leaf, so the cost is O(leaves × depth) engine steps
+// (use for small systems: this is the exhaustive companion to the
+// randomized campaigns).
 //
 // A non-nil error from visit aborts the enumeration and is returned.
 // limit bounds the number of complete interleavings (0 means 10000); on
@@ -117,30 +72,34 @@ func Enumerate(cfg Config, limit int, visit func(script []int, res *Result) erro
 	if limit <= 0 {
 		limit = 10000
 	}
-	count := 0
-	var rec func(prefix []int) error
-	rec = func(prefix []int) error {
-		options, done, err := probe(cfg, prefix)
+	var path []enumFrame
+	for count := 1; ; count++ {
+		p := &enumPolicy{path: path}
+		cfg.Policy = p
+		res, err := RunCtx(context.Background(), cfg)
+		if p.err != nil {
+			return count - 1, p.err
+		}
 		if err != nil {
-			return err
+			return count - 1, err
 		}
-		if done != nil {
-			count++
-			if count > limit {
-				return ErrEnumLimit
-			}
-			return visit(append([]int(nil), prefix...), done)
+		if count > limit {
+			return count, ErrEnumLimit
 		}
-		sort.Ints(options)
-		for _, id := range options {
-			if err := rec(append(append([]int(nil), prefix...), id)); err != nil {
-				return err
-			}
+		path = p.path[:p.depth]
+		script := make([]int, len(path))
+		for d, f := range path {
+			script[d] = f.options[f.taken]
 		}
-		return nil
+		if err := visit(script, res); err != nil {
+			return count, err
+		}
+		for len(path) > 0 && path[len(path)-1].taken == len(path[len(path)-1].options)-1 {
+			path = path[:len(path)-1]
+		}
+		if len(path) == 0 {
+			return count, nil
+		}
+		path[len(path)-1].taken++
 	}
-	if err := rec(nil); err != nil {
-		return count, err
-	}
-	return count, nil
 }

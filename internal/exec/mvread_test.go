@@ -123,23 +123,14 @@ func TestMVReadDifferentialTick(t *testing.T) {
 		begins := map[int]int{101: 0, 102: 4, 103: 1 << 30}
 		inner := func() exec.Policy { return sched.NewRandom(int64(31 * trial)) }
 
-		// shards 0 selects the unsharded optimistic gate; 1..8 the
-		// sharded pipeline.
+		// shards 0 selects the optimistic gate over a Monitor; 1..8 the
+		// same gate over a ShardedMonitor.
 		for shards := 0; shards <= 8; shards++ {
-			gateFor := func() exec.Policy {
+			gateFor := func() *sched.OptimisticCertify {
 				if shards == 0 {
 					return sched.NewOptimisticCertify(w.DataSets, inner(), nil)
 				}
-				return sched.NewParallelCertify(w.DataSets, shards, inner(), nil)
-			}
-			monOps := func(p exec.Policy) int {
-				switch g := p.(type) {
-				case *sched.ParallelCertify:
-					return g.ShardedMonitor().Ops()
-				case *sched.OptimisticCertify:
-					return g.Monitor().Ops()
-				}
-				return -1
+				return sched.NewOptimisticCertifyOver(core.NewShardedMonitor(w.DataSets, shards), inner(), nil)
 			}
 			ctx := fmt.Sprintf("trial %d shards %d", trial, shards)
 
@@ -173,7 +164,7 @@ func TestMVReadDifferentialTick(t *testing.T) {
 				t.Fatalf("%s: aborts/ticks diverged: %d/%d vs %d/%d",
 					ctx, resA.Metrics.Aborts, resA.Metrics.Ticks, resB.Metrics.Aborts, resB.Metrics.Ticks)
 			}
-			if a, b := monOps(gateA), monOps(gateB); a != b {
+			if a, b := gateA.Monitor().Ops(), gateB.Monitor().Ops(); a != b {
 				t.Fatalf("%s: gate saw %d ops with readers, %d without — readers leaked into the gate", ctx, a, b)
 			}
 			if !core.CheckPWSR(resA.Schedule, w.DataSets).PWSR {
@@ -364,7 +355,7 @@ func TestMVReadRejectsWriters(t *testing.T) {
 		t.Fatalf("Run with unknown reader id: err = %v, want a no-program error", err)
 	}
 
-	gate := sched.NewParallelCertify(partition, 1, &sched.Serial{}, nil)
+	gate := sched.NewOptimisticCertifyOver(core.NewShardedMonitor(partition, 1), &sched.Serial{}, nil)
 	_, err = exec.RunParallelCtx(context.Background(), exec.ParallelConfig{
 		Initial: initial, Gate: gate, ReadOnly: map[int]bool{1: true},
 	}, map[int]*program.Program{1: writer})
@@ -389,7 +380,7 @@ func TestMVReadRejectsWriters(t *testing.T) {
 			t.Errorf("Run, %s: err = %v, want ErrReadOnlyWrite", name, err)
 		}
 		_, err = exec.RunParallelCtx(context.Background(), exec.ParallelConfig{
-			Initial: initial, Gate: sched.NewParallelCertify(partition, 1, &sched.Serial{}, nil), ReadOnly: map[int]bool{1: true},
+			Initial: initial, Gate: sched.NewOptimisticCertifyOver(core.NewShardedMonitor(partition, 1), &sched.Serial{}, nil), ReadOnly: map[int]bool{1: true},
 		}, map[int]*program.Program{1: p})
 		if !errors.Is(err, exec.ErrReadOnlyWrite) {
 			t.Errorf("RunParallel, %s: err = %v, want ErrReadOnlyWrite", name, err)
@@ -416,7 +407,7 @@ func TestMVReadDifferentialParallel(t *testing.T) {
 
 		for workers := 1; workers <= 8; workers++ {
 			ctx := fmt.Sprintf("trial %d workers %d", trial, workers)
-			gate := sched.NewParallelCertify(w.DataSets, workers, &sched.Serial{}, nil)
+			gate := sched.NewOptimisticCertifyOver(core.NewShardedMonitor(w.DataSets, workers), &sched.Serial{}, nil)
 			res, err := exec.RunParallelCtx(context.Background(), exec.ParallelConfig{
 				Initial: w.Initial, Gate: gate, Workers: workers, ReadOnly: ro,
 			}, mixed)
@@ -437,11 +428,11 @@ func TestMVReadDifferentialParallel(t *testing.T) {
 				t.Fatalf("%s: Ticks = %d, serial reference %d (readers must not consume ticks)",
 					ctx, res.Metrics.Ticks, want.Metrics.Ticks)
 			}
-			sm := gate.ShardedMonitor()
+			sm := gate.Monitor()
 			if !sm.PWSR() || sm.Violation() != nil {
 				t.Fatalf("%s: certifier unhealthy: %v", ctx, sm.Violation())
 			}
-			if refOps := refGate.ShardedMonitor().Ops(); sm.Ops() != refOps {
+			if refOps := refGate.Monitor().Ops(); sm.Ops() != refOps {
 				t.Fatalf("%s: certifier holds %d ops, reference %d — readers leaked into the gate",
 					ctx, sm.Ops(), refOps)
 			}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"pwsr/internal/core"
 	"pwsr/internal/exec"
 	"pwsr/internal/fault"
 	"pwsr/internal/gen"
@@ -15,12 +16,13 @@ import (
 )
 
 // serialReference runs the workload through the tick engine under a
-// Serial inner policy gated by ParallelCertify: ascending-id serial
-// execution with full certification — exactly the schedule the batch
-// executor's commit pipeline promises to reproduce.
-func serialReference(t *testing.T, w *gen.Workload, shards int) (*exec.Result, *sched.ParallelCertify) {
+// Serial inner policy gated by the optimistic gate over a sharded
+// monitor: ascending-id serial execution with full certification —
+// exactly the schedule the batch executor's commit pipeline promises to
+// reproduce.
+func serialReference(t *testing.T, w *gen.Workload, shards int) (*exec.Result, *sched.OptimisticCertify) {
 	t.Helper()
-	gate := sched.NewParallelCertify(w.DataSets, shards, &sched.Serial{}, nil)
+	gate := sched.NewOptimisticCertifyOver(core.NewShardedMonitor(w.DataSets, shards), &sched.Serial{}, nil)
 	res, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: w.Programs,
 		Initial:  w.Initial,
@@ -50,7 +52,7 @@ func TestParallelEngineDifferential(t *testing.T) {
 		})
 		want, refGate := serialReference(t, w, 4)
 		for workers := 1; workers <= 8; workers++ {
-			gate := sched.NewParallelCertify(w.DataSets, 4, &sched.Serial{}, nil)
+			gate := sched.NewOptimisticCertifyOver(core.NewShardedMonitor(w.DataSets, 4), &sched.Serial{}, nil)
 			res, err := exec.RunParallelCtx(context.Background(), exec.ParallelConfig{
 				Initial: w.Initial,
 				Gate:    gate,
@@ -66,18 +68,15 @@ func TestParallelEngineDifferential(t *testing.T) {
 			if !res.Final.Equal(want.Final) {
 				t.Fatalf("trial %d workers=%d: final state diverged", trial, workers)
 			}
-			sm := gate.ShardedMonitor()
+			sm := gate.Monitor()
 			if !sm.PWSR() || sm.Violation() != nil {
 				t.Fatalf("trial %d workers=%d: batch certifier unhealthy: %v", trial, workers, sm.Violation())
 			}
-			if refOps := refGate.ShardedMonitor().Ops(); sm.Ops() != refOps {
+			if refOps := refGate.Monitor().Ops(); sm.Ops() != refOps {
 				t.Fatalf("trial %d workers=%d: certifier holds %d ops, serial reference %d", trial, workers, sm.Ops(), refOps)
 			}
 			if res.Metrics.Ticks != want.Metrics.Ticks {
 				t.Fatalf("trial %d workers=%d: %d ticks, serial reference %d", trial, workers, res.Metrics.Ticks, want.Metrics.Ticks)
-			}
-			if res.Metrics.Shards == nil {
-				t.Fatalf("trial %d workers=%d: gate shard stats not harvested", trial, workers)
 			}
 		}
 	}
@@ -191,7 +190,7 @@ func TestParallelEngineRetryExhaustion(t *testing.T) {
 	}, 1)
 
 	for _, budget := range []int{-1, 1, 5} {
-		gate := sched.NewParallelCertify(partition, 1, &sched.Serial{}, nil)
+		gate := sched.NewOptimisticCertifyOver(core.NewShardedMonitor(partition, 1), &sched.Serial{}, nil)
 		res, err := exec.RunParallelCtx(context.Background(), exec.ParallelConfig{
 			Initial:    initial,
 			Gate:       gate,
@@ -236,7 +235,7 @@ func TestParallelEngineProgramError(t *testing.T) {
 		2: program.MustParse("program T2 {\n  b := missing + 1;\n}\n"),
 	}
 	partition := []state.ItemSet{state.NewItemSet("a", "b")}
-	gate := sched.NewParallelCertify(partition, 1, &sched.Serial{}, nil)
+	gate := sched.NewOptimisticCertifyOver(core.NewShardedMonitor(partition, 1), &sched.Serial{}, nil)
 	eng := exec.NewParallelEngine(exec.ParallelConfig{
 		Initial: state.Ints(map[string]int64{"a": 0, "b": 0}),
 		Gate:    gate,
@@ -262,7 +261,7 @@ func TestParallelEngineSubmitsFirstAccessesOnly(t *testing.T) {
 		1: program.MustParse("program T1 {\n  let t := a + a;\n  b := a + t;\n  c := b + a;\n  a := c + b + a;\n  d := a;\n}\n"),
 	}
 	partition := []state.ItemSet{state.NewItemSet("a", "b", "c", "d")}
-	gate := sched.NewParallelCertify(partition, 1, &sched.Serial{}, nil)
+	gate := sched.NewOptimisticCertifyOver(core.NewShardedMonitor(partition, 1), &sched.Serial{}, nil)
 	eng := exec.NewParallelEngine(exec.ParallelConfig{
 		Initial: state.Ints(map[string]int64{"a": 1, "b": 0, "c": 0, "d": 0}),
 		Gate:    gate,
@@ -293,7 +292,7 @@ func TestParallelEngineCommitInjection(t *testing.T) {
 		{Site: "engine", Op: fault.OpCommit, From: 2, Count: 3, Kind: fault.KindError, Msg: "lost attempt"},
 		{Site: "engine", Op: fault.OpCommit, From: 1, Count: 2, Kind: fault.KindLatency, Latency: 100},
 	}})
-	gate := sched.NewParallelCertify(w.DataSets, 4, &sched.Serial{}, nil)
+	gate := sched.NewOptimisticCertifyOver(core.NewShardedMonitor(w.DataSets, 4), &sched.Serial{}, nil)
 	eng := exec.NewParallelEngine(exec.ParallelConfig{Initial: w.Initial, Gate: gate, Workers: 4})
 	eng.SetFaultInjector(inj, "engine")
 	res, err := eng.ExecuteBatchCtx(context.Background(), w.Programs)
@@ -312,9 +311,9 @@ func TestParallelEngineCommitInjection(t *testing.T) {
 	if !res.Final.Equal(want.Final) {
 		t.Fatal("commit faults changed the final state")
 	}
-	sm := gate.ShardedMonitor()
-	if !sm.PWSR() || sm.Ops() != refGate.ShardedMonitor().Ops() {
+	sm := gate.Monitor()
+	if !sm.PWSR() || sm.Ops() != refGate.Monitor().Ops() {
 		t.Fatalf("commit faults changed the certifier state: PWSR=%v ops=%d want %d",
-			sm.PWSR(), sm.Ops(), refGate.ShardedMonitor().Ops())
+			sm.PWSR(), sm.Ops(), refGate.Monitor().Ops())
 	}
 }

@@ -28,7 +28,7 @@ func TestRunMany(t *testing.T) {
 		return exec.Config{
 			Programs: w.Programs,
 			Initial:  w.Initial,
-			Policy:   sched.NewParallelCertify(w.DataSets, 2, sched.NewRandom(int64(i)), nil),
+			Policy:   sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(int64(i)), nil),
 			DataSets: w.DataSets,
 		}, w
 	}
@@ -61,9 +61,6 @@ func TestRunMany(t *testing.T) {
 			}
 			if !results[i].Final.Equal(want[i].Final) {
 				t.Fatalf("workers=%d run %d: final state diverged", workers, i)
-			}
-			if results[i].Metrics.Shards == nil {
-				t.Fatalf("workers=%d run %d: no shard stats", workers, i)
 			}
 		}
 	}

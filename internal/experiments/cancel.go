@@ -228,14 +228,14 @@ func RunCancelCase(c CancelCase) (CancelRecord, error) {
 
 	switch c.Leg {
 	case "batch":
-		gate := sched.NewParallelCertify(w.DataSets, 2, &sched.Serial{}, nil)
+		gate := sched.NewOptimisticCertifyOver(core.NewShardedMonitor(w.DataSets, 2), &sched.Serial{}, nil)
 		gate.AttachJournal(tap, sched.WithDegradeMode(mode))
 		eng := exec.NewParallelEngine(exec.ParallelConfig{
 			Initial: w.Initial, Gate: gate, Workers: 2 + rng.Intn(3),
 		})
 		eng.SetFaultInjector(inj, "engine")
 		res, runErr = eng.ExecuteBatchCtx(ctx, w.Programs)
-		gateMon = gate.ShardedMonitor()
+		gateMon = gate.Monitor()
 		health = gate.Health()
 	default: // tick
 		gate := sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(int64(rng.Int31())), nil)

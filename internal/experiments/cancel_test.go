@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"pwsr/internal/core"
 	"pwsr/internal/exec"
 	"pwsr/internal/fault"
 	"pwsr/internal/gen"
@@ -140,7 +141,7 @@ func TestDrainUnderOutage(t *testing.T) {
 // retired.
 func TestSnapshotPinnedAcrossDrain(t *testing.T) {
 	w := gen.MustGenerate(gen.Config{Conjuncts: 2, Programs: 5, MovesPerProgram: 2, Seed: 11})
-	gate := sched.NewParallelCertify(w.DataSets, 2, &sched.Serial{}, nil)
+	gate := sched.NewOptimisticCertifyOver(core.NewShardedMonitor(w.DataSets, 2), &sched.Serial{}, nil)
 	eng := exec.NewParallelEngine(exec.ParallelConfig{Initial: w.Initial, Gate: gate, Workers: 2})
 	if _, err := eng.ExecuteBatchCtx(context.Background(), w.Programs); err != nil {
 		t.Fatal(err)

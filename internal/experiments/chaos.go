@@ -466,14 +466,14 @@ func RunChaosTrial(seed int64) (ChaosRecord, error) {
 
 	switch leg {
 	case "batch":
-		twinGate := sched.NewParallelCertify(w.DataSets, 2, &sched.Serial{}, nil)
+		twinGate := sched.NewOptimisticCertifyOver(core.NewShardedMonitor(w.DataSets, 2), &sched.Serial{}, nil)
 		twinRes, terr := exec.NewParallelEngine(exec.ParallelConfig{
 			Initial: w.Initial, Gate: twinGate, Workers: 2,
 		}).ExecuteBatchCtx(context.TODO(), w.Programs)
 		if terr != nil {
 			return fail("uninjected twin failed: %v", terr)
 		}
-		gate := sched.NewParallelCertify(w.DataSets, 2, &sched.Serial{}, nil)
+		gate := sched.NewOptimisticCertifyOver(core.NewShardedMonitor(w.DataSets, 2), &sched.Serial{}, nil)
 		gate.AttachJournal(tap, sched.WithDegradeMode(mode), sched.WithBufferCap(bufferCap))
 		eng := exec.NewParallelEngine(exec.ParallelConfig{
 			Initial: w.Initial, Gate: gate, Workers: 2 + rng.Intn(3),
@@ -481,7 +481,7 @@ func RunChaosTrial(seed int64) (ChaosRecord, error) {
 		eng.SetFaultInjector(inj, "engine")
 		res, rerr := eng.ExecuteBatchCtx(context.TODO(), w.Programs)
 		runErr = rerr
-		gateMon, twinMon = gate.ShardedMonitor(), twinGate.ShardedMonitor()
+		gateMon, twinMon = gate.Monitor(), twinGate.Monitor()
 		health = gate.Health()
 		if runErr == nil {
 			if res.Schedule.String() != twinRes.Schedule.String() {

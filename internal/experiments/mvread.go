@@ -160,7 +160,7 @@ func MVReadStudy(seed int64, quick bool) (*sim.Table, []MVReadRecord, error) {
 			"txns/s", "readers/s", "RO speedup", "retries", "conflicts", "ro_txns", "versions",
 		},
 		Notes: []string{
-			fmt.Sprintf("host CPUs: %d; batch: %d spin-%d writers + %d scan-%d readers, certification via ParallelCertify",
+			fmt.Sprintf("host CPUs: %d; batch: %d spin-%d writers + %d scan-%d readers, certification via OptimisticCertify over a ShardedMonitor",
 				runtime.NumCPU(), writers, spin, readers, scan),
 			"every bypass run re-proved: combined schedule PWSR + value-consistent replay, final state equal to the gate run",
 			"bypass readers are never denied, never retried, and never enter the gate — the decoupling claim",
@@ -179,7 +179,7 @@ func MVReadStudy(seed int64, quick bool) (*sim.Table, []MVReadRecord, error) {
 			d := bestOf(reps, func() {
 				cfg := exec.ParallelConfig{
 					Initial: w.initial,
-					Gate:    sched.NewParallelCertify(w.partition, len(w.partition), &sched.Serial{}, nil),
+					Gate:    sched.NewOptimisticCertifyOver(core.NewShardedMonitor(w.partition, len(w.partition)), &sched.Serial{}, nil),
 					Workers: workerPool,
 				}
 				if mode == "bypass" {

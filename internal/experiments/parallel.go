@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"time"
 
+	"pwsr/internal/core"
 	"pwsr/internal/exec"
 	"pwsr/internal/program"
 	"pwsr/internal/sched"
@@ -93,12 +94,12 @@ func newParallelWorkload(txns, spin, conflictPct int, seed int64) *parallelWorkl
 // ParallelScalingStudy runs the PERF10 sweep: batch throughput of
 // exec.ParallelEngine at each requested worker count (GOMAXPROCS set
 // to match, so the curve is per-core honest), across conflict rates,
-// every admission flowing through a sched.ParallelCertify gate. Each
-// measured batch is also checked against an ascending-id serial run
-// through the tick engine — schedule and final state must be
-// identical, so the numbers are throughput of the certified
-// deterministic execution, not of a weaker mode. GOMAXPROCS is
-// restored on return.
+// every admission flowing through a sched.OptimisticCertify gate over a
+// core.ShardedMonitor. Each measured batch is also checked against an
+// ascending-id serial run through the tick engine — schedule and final
+// state must be identical, so the numbers are throughput of the
+// certified deterministic execution, not of a weaker mode. GOMAXPROCS
+// is restored on return.
 //
 // Interpreting the numbers: on a host with enough cores the 0%%
 // conflict rows should approach linear speedup (programs are
@@ -124,7 +125,7 @@ func ParallelScalingStudy(workers []int, seed int64, quick bool) (*sim.Table, []
 			"txns/s", fmt.Sprintf("vs w=%d", workers[0]), "retries", "conflicts",
 		},
 		Notes: []string{
-			fmt.Sprintf("host CPUs: %d; batch: %d spin-%d programs, certification via ParallelCertify",
+			fmt.Sprintf("host CPUs: %d; batch: %d spin-%d programs, certification via OptimisticCertify over a ShardedMonitor",
 				runtime.NumCPU(), txns, spin),
 			"every batch checked schedule- and state-identical to the ascending-id serial run",
 		},
@@ -134,7 +135,7 @@ func ParallelScalingStudy(workers []int, seed int64, quick bool) (*sim.Table, []
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, pct := range conflicts {
 		w := newParallelWorkload(txns, spin, pct, seed+int64(pct))
-		serialGate := sched.NewParallelCertify(w.partition, len(w.partition), &sched.Serial{}, nil)
+		serialGate := sched.NewOptimisticCertifyOver(core.NewShardedMonitor(w.partition, len(w.partition)), &sched.Serial{}, nil)
 		want, err := exec.RunCtx(context.TODO(), exec.Config{
 			Programs: w.programs,
 			Initial:  w.initial,
@@ -149,7 +150,7 @@ func ParallelScalingStudy(workers []int, seed int64, quick bool) (*sim.Table, []
 			runtime.GOMAXPROCS(width)
 			var res *exec.Result
 			d := bestOf(reps, func() {
-				gate := sched.NewParallelCertify(w.partition, len(w.partition), &sched.Serial{}, nil)
+				gate := sched.NewOptimisticCertifyOver(core.NewShardedMonitor(w.partition, len(w.partition)), &sched.Serial{}, nil)
 				r, err := exec.RunParallelCtx(context.TODO(), exec.ParallelConfig{
 					Initial: w.initial,
 					Gate:    gate,

@@ -3,47 +3,19 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 	"time"
 
 	"pwsr/internal/core"
-	"pwsr/internal/sim"
 	"pwsr/internal/state"
 	"pwsr/internal/txn"
 )
 
-// ShardedScalingRecord is one measurement of the PERF6 GOMAXPROCS
-// sweep, in the machine-readable shape cmd/pwsrbench writes to
-// BENCH_sharded.json so perf trajectories stay diffable PR over PR.
-type ShardedScalingRecord struct {
-	// Bench identifies the instrument: "monitor" (the single-goroutine
-	// core.Monitor baseline), "sharded-observeall" (the epoch/fence
-	// batch pipeline), or "sharded-concurrent" (GOMAXPROCS observer
-	// goroutines feeding disjoint shards).
-	Bench string `json:"bench"`
-	// GOMAXPROCS is the runtime parallelism the measurement ran at.
-	GOMAXPROCS int `json:"gomaxprocs"`
-	// Shards is the monitor shard count (0 for the baseline).
-	Shards int `json:"shards"`
-	// Ops is the admitted-operation count per repetition.
-	Ops int `json:"ops"`
-	// NsPerOp is the best-of-reps cost per admitted operation.
-	NsPerOp float64 `json:"ns_per_op"`
-	// OpsPerSec is the corresponding admission throughput.
-	OpsPerSec float64 `json:"ops_per_sec"`
-}
-
-// ShardedGrid is the PERF6 low-contention workload: items dealt into
-// disjoint single-conjunct groups, an admissible operation stream per
-// group, and the round-robin interleaving of all groups for the batch
-// instruments. Low contention here means conflict edges stay local to
-// a conjunct (by construction they always do) and every conjunct
-// carries comparable load, which is the regime where admission should
-// scale with cores. It is the shared workload of the PERF6 data
-// sources (ShardedScaling and BenchmarkShardedMonitor) and the
-// concurrent monitor stress tests, so the recorded trajectories all
-// measure the same grid.
+// ShardedGrid is a low-contention workload: items dealt into disjoint
+// single-conjunct groups and an admissible operation stream per group.
+// Low contention here means conflict edges stay local to a conjunct (by
+// construction they always do) and every conjunct carries comparable
+// load. It is the shared workload of the concurrent monitor stress
+// tests.
 type ShardedGrid struct {
 	// Partition is the conjunct partition, one data set per group.
 	Partition []state.ItemSet
@@ -52,8 +24,6 @@ type ShardedGrid struct {
 	// instruments (group streams touch disjoint items, so any
 	// interleaving of whole groups admits cleanly).
 	Groups [][]txn.Op
-	// All is the round-robin interleaving of every group's stream.
-	All *txn.Schedule
 }
 
 // NewShardedGrid builds the grid: conj conjuncts over conj·itemsPer
@@ -88,22 +58,6 @@ func NewShardedGrid(conj, itemsPer, opsPer int, seed int64) *ShardedGrid {
 		}
 		g.Groups = append(g.Groups, ops)
 	}
-	// Interleave the groups round-robin so the batch stream spreads
-	// every epoch's work across all conjuncts.
-	var all []txn.Op
-	for i := 0; ; i++ {
-		appended := false
-		for _, ops := range g.Groups {
-			if i < len(ops) {
-				all = append(all, ops[i])
-				appended = true
-			}
-		}
-		if !appended {
-			break
-		}
-	}
-	g.All = txn.NewSchedule(all...)
 	return g
 }
 
@@ -119,110 +73,4 @@ func bestOf(reps int, f func()) time.Duration {
 		}
 	}
 	return best
-}
-
-// ShardedScaling runs the PERF6 sweep: monitor admission throughput on
-// the low-contention grid at each requested GOMAXPROCS value, for the
-// single-monitor baseline, the sharded batch pipeline, and concurrent
-// observers on disjoint shards. It returns the rendered table plus the
-// machine-readable records. GOMAXPROCS is restored on return.
-//
-// Interpreting the numbers: shard counts track GOMAXPROCS, so the
-// baseline row at each width is the fixed reference and near-linear
-// scaling of the sharded rows is the target — on a host whose real
-// CPU count is below the sweep's widths the extra widths measure
-// overhead only (goroutine multiplexing on too few cores), which the
-// table still records honestly.
-func ShardedScaling(cpus []int, seed int64, quick bool) (*sim.Table, []ShardedScalingRecord, error) {
-	conj, itemsPer, opsPer, reps := 16, 32, 4000, 3
-	if quick {
-		conj, opsPer, reps = 8, 1500, 2
-	}
-	g := NewShardedGrid(conj, itemsPer, opsPer, seed)
-	total := g.All.Len()
-
-	t := &sim.Table{
-		Title: "PERF6 — sharded certification scaling (GOMAXPROCS sweep)",
-		Columns: []string{
-			"bench", "gomaxprocs", "shards", "ops", "time", "ops/s",
-			fmt.Sprintf("vs gmp=%d", cpus[0]),
-		},
-		Notes: []string{
-			fmt.Sprintf("host CPUs: %d; grid: %d conjuncts × %d items, %d admitted ops",
-				runtime.NumCPU(), conj, itemsPer, total),
-			"sharded rows use shards = gomaxprocs; baseline is the single-goroutine core.Monitor",
-		},
-	}
-
-	var records []ShardedScalingRecord
-	base := make(map[string]float64) // bench -> ops/s at the sweep's first width
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, width := range cpus {
-		runtime.GOMAXPROCS(width)
-		runs := []struct {
-			bench  string
-			shards int
-			f      func()
-		}{
-			{"monitor", 0, func() {
-				m := core.NewMonitor(g.Partition)
-				if v := m.ObserveAll(g.All); v != nil {
-					panic(v)
-				}
-			}},
-			{"sharded-observeall", width, func() {
-				m := core.NewShardedMonitor(g.Partition, width)
-				if v := m.ObserveAll(g.All); v != nil {
-					panic(v)
-				}
-			}},
-			{"sharded-concurrent", width, func() {
-				m := core.NewShardedMonitor(g.Partition, width)
-				var wg sync.WaitGroup
-				for w := 0; w < width; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						// Each observer feeds the conjunct groups
-						// congruent to its index, so observers touch
-						// disjoint shards whenever shards divide evenly.
-						for e := w; e < len(g.Groups); e += width {
-							for _, o := range g.Groups[e] {
-								if v := m.Observe(o); v != nil {
-									panic(v)
-								}
-							}
-						}
-					}(w)
-				}
-				wg.Wait()
-			}},
-		}
-		for _, r := range runs {
-			d := bestOf(reps, r.f)
-			opsPerSec := float64(total) / d.Seconds()
-			rec := ShardedScalingRecord{
-				Bench:      r.bench,
-				GOMAXPROCS: width,
-				Shards:     r.shards,
-				Ops:        total,
-				NsPerOp:    float64(d.Nanoseconds()) / float64(total),
-				OpsPerSec:  opsPerSec,
-			}
-			records = append(records, rec)
-			if _, ok := base[r.bench]; !ok {
-				base[r.bench] = opsPerSec
-			}
-			t.AddRow(
-				r.bench,
-				fmt.Sprintf("%d", width),
-				fmt.Sprintf("%d", r.shards),
-				fmt.Sprintf("%d", total),
-				d.Round(time.Microsecond).String(),
-				fmt.Sprintf("%.0f", opsPerSec),
-				fmt.Sprintf("%.2f×", opsPerSec/base[r.bench]),
-			)
-		}
-	}
-	return t, records, nil
 }

@@ -49,7 +49,7 @@ func (c *Certify) Monitor() *core.Monitor {
 func (c *Certify) Pick(pending []*exec.Request, v *exec.View) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.pick(pending, v, 0, false, false)
+	return c.pick(pending, v, 0, false)
 }
 
 // TxnFinished implements exec.Policy: the finished transaction is

@@ -9,8 +9,8 @@ import (
 // The sched policies and certification gates implement
 // exec.PolicyCloner: ClonePolicy returns an independent instance
 // equivalent to a freshly constructed one — construction-time
-// configuration (seeds, orders, partitions, shard counts, victim and
-// solo settings, inner policies) carried over, accumulated run state
+// configuration (seeds, orders, partitions, victim and solo settings,
+// inner policies) carried over, accumulated run state
 // reset, nothing mutable shared. This is what lets exec.RunManyCtx hand
 // every run its own policy while the caller's configs stay reusable.
 var (
@@ -24,7 +24,6 @@ var (
 	_ exec.PolicyCloner = (*Degree2)(nil)
 	_ exec.PolicyCloner = (*Certify)(nil)
 	_ exec.PolicyCloner = (*OptimisticCertify)(nil)
-	_ exec.PolicyCloner = (*ParallelCertify)(nil)
 )
 
 // ClonePolicy implements exec.PolicyCloner.
@@ -98,18 +97,6 @@ func (c *OptimisticCertify) ClonePolicy() exec.Policy {
 		return nil
 	}
 	clone := NewOptimisticCertify(c.partition, inner, c.VictimSelect)
-	clone.SoloThreshold = c.SoloThreshold
-	return clone
-}
-
-// ClonePolicy implements exec.PolicyCloner, with Certify.ClonePolicy's
-// caveats.
-func (c *ParallelCertify) ClonePolicy() exec.Policy {
-	inner, ok := exec.TryClonePolicy(c.Inner)
-	if !ok {
-		return nil
-	}
-	clone := NewParallelCertify(c.partition, c.shardArg, inner, c.VictimSelect)
 	clone.SoloThreshold = c.SoloThreshold
 	return clone
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"pwsr/internal/core"
 	"pwsr/internal/exec"
 	"pwsr/internal/gen"
 	"pwsr/internal/program"
@@ -22,14 +23,14 @@ func gateMonitors(partition []state.ItemSet, seed int64) map[string]struct {
 } {
 	certify := sched.NewCertify(partition, sched.NewRandom(seed))
 	opt := sched.NewOptimisticCertify(partition, sched.NewRandom(seed), nil)
-	par := sched.NewParallelCertify(partition, 4, sched.NewRandom(seed), nil)
+	par := sched.NewOptimisticCertifyOver(core.NewShardedMonitor(partition, 4), sched.NewRandom(seed), nil)
 	return map[string]struct {
 		policy exec.Policy
 		mon    sched.Certifier
 	}{
 		"Certify":           {certify, certify.Monitor()},
 		"OptimisticCertify": {opt, opt.Monitor()},
-		"ParallelCertify":   {par, par.Monitor()},
+		"Sharded":           {par, par.Monitor()},
 	}
 }
 
@@ -40,7 +41,7 @@ func gateMonitors(partition []state.ItemSet, seed int64) map[string]struct {
 // certification state. Before the fix the gates never signalled
 // completion and the monitor retained every transaction forever.
 func TestGatesCommitFinishedTxns(t *testing.T) {
-	for _, name := range []string{"Certify", "OptimisticCertify", "ParallelCertify"} {
+	for _, name := range []string{"Certify", "OptimisticCertify", "Sharded"} {
 		// The blocking gate may stall on a conflict-heavy interleaving;
 		// retry workloads until a run completes (the lifecycle
 		// assertions need every transaction finished).

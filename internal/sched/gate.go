@@ -8,7 +8,7 @@ import (
 )
 
 // gate is what the certification gates share, embedded by Certify and
-// OptimisticCertify (and through it ParallelCertify): the inner policy,
+// OptimisticCertify: the inner policy,
 // the mutex serializing the entry points, the verdict memo over the
 // certifier (memo.mon), the journal, the fault hook and the lifecycle
 // posture. The operations every gate offers — journal, fault hook,
@@ -54,23 +54,19 @@ type gate struct {
 }
 
 // The certification gates implement the engines' optional extensions
-// through the embedded gate (ParallelCertify overrides Stats to add its
-// shard counters); Canceler comes from each type's TxnCanceled.
+// through the embedded gate; Canceler comes from each type's
+// TxnCanceled.
 var (
 	_ exec.Drainer           = (*Certify)(nil)
 	_ exec.Drainer           = (*OptimisticCertify)(nil)
-	_ exec.Drainer           = (*ParallelCertify)(nil)
 	_ exec.Canceler          = (*Certify)(nil)
 	_ exec.Canceler          = (*OptimisticCertify)(nil)
 	_ exec.BatchGate         = (*Certify)(nil)
 	_ exec.BatchGate         = (*OptimisticCertify)(nil)
-	_ exec.BatchGate         = (*ParallelCertify)(nil)
 	_ exec.WatermarkReporter = (*Certify)(nil)
 	_ exec.WatermarkReporter = (*OptimisticCertify)(nil)
-	_ exec.WatermarkReporter = (*ParallelCertify)(nil)
 	_ exec.StatsReporter     = (*Certify)(nil)
 	_ exec.StatsReporter     = (*OptimisticCertify)(nil)
-	_ exec.StatsReporter     = (*ParallelCertify)(nil)
 )
 
 // certifier hands out the gate's certifier, moving the global epoch:
@@ -87,17 +83,16 @@ func (g *gate) certifier() Certifier {
 // injected tick fault passes the tick, a frozen journal or a closed
 // gate grants nothing, and otherwise the memo masks the pending
 // requests — solo exclusivity (0 = none) and the delayed-read rule as
-// the gate applies them, the stale probes fanned out when fan is set —
-// and the inner policy's choice among the admissible ones is committed
-// to the certifier.
-func (g *gate) pick(pending []*exec.Request, v *exec.View, solo int, delayedRead, fan bool) int {
+// the gate applies them — and the inner policy's choice among the
+// admissible ones is committed to the certifier.
+func (g *gate) pick(pending []*exec.Request, v *exec.View, solo int, delayedRead bool) int {
 	if g.tinj.tick() {
 		return exec.PassTick // injected tick fault: skip, re-pick next tick
 	}
 	if g.jn.frozen() || g.lc.closed {
 		return -1 // journal fail-stop or shed, or closed gate: certify nothing further
 	}
-	g.memo.mask(pending, v, &g.lc, solo, delayedRead, fan)
+	g.memo.mask(pending, v, &g.lc, solo, delayedRead)
 	return g.memo.grant(pending, v, g.Inner, &g.jn)
 }
 

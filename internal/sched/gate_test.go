@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"pwsr/internal/core"
 	"pwsr/internal/exec"
 	"pwsr/internal/program"
 	"pwsr/internal/state"
@@ -102,25 +103,23 @@ func TestGateSharedByTickAndBatchEngines(t *testing.T) {
 // gathers, read separately: the certifier's CompactStats and
 // ProbeStats, the journal's wal.Stats and the gate's Health — after a
 // tick run and after a batch, with the engine's Metrics carrying the
-// same values. Only ParallelCertify reports shards.
+// same values.
 func TestGateStatsMatchesParts(t *testing.T) {
 	ctx := context.Background()
 	type gateCase struct {
-		name    string
-		g       journaledGate
-		mon     func() Certifier // the certifier, read after the gate
-		sharded bool
+		name string
+		g    journaledGate
+		mon  func() Certifier // the certifier, read after the gate
 	}
 	certify := NewCertify(gatePartition(), &RoundRobin{})
 	optimistic := NewOptimisticCertify(gatePartition(), &RoundRobin{}, nil)
 	cases := []gateCase{
-		{"Certify", certify, func() Certifier { return certify.Monitor() }, false},
-		{"OptimisticCertify", optimistic, optimistic.Monitor, false},
+		{"Certify", certify, func() Certifier { return certify.Monitor() }},
+		{"OptimisticCertify", optimistic, optimistic.Monitor},
 	}
 	for _, shards := range []int{1, 2} {
-		pc := NewParallelCertify(gatePartition(), shards, &RoundRobin{}, nil)
-		cases = append(cases, gateCase{fmt.Sprintf("ParallelCertify/%d", shards), pc,
-			func() Certifier { return pc.ShardedMonitor() }, true})
+		sharded := NewOptimisticCertifyOver(core.NewShardedMonitor(gatePartition(), shards), &RoundRobin{}, nil)
+		cases = append(cases, gateCase{fmt.Sprintf("OptimisticCertify/sharded-%d", shards), sharded, sharded.Monitor})
 	}
 
 	for _, tc := range cases {
@@ -135,7 +134,6 @@ func TestGateStatsMatchesParts(t *testing.T) {
 			mon := tc.mon()
 			cs, ps, ws := mon.CompactStats(), mon.ProbeStats(), w.Stats()
 			want := exec.GateStats{
-				Shards: got.Shards,
 				Compact: exec.CompactStats{
 					Compactions:   cs.Compactions,
 					ReclaimedTxns: cs.ReclaimedTxns,
@@ -159,11 +157,7 @@ func TestGateStatsMatchesParts(t *testing.T) {
 			if got.Log.Records == 0 {
 				t.Errorf("%s after %s: journal holds no records — the comparison is vacuous", tc.name, stage)
 			}
-			if (got.Shards != nil) != tc.sharded {
-				t.Errorf("%s after %s: Shards = %v, want non-nil only for ParallelCertify", tc.name, stage, got.Shards)
-			}
 			fromMetrics := exec.GateStats{
-				Shards: m.Shards,
 				Compact: exec.CompactStats{
 					Compactions:   m.Compactions,
 					ReclaimedTxns: m.ReclaimedTxns,

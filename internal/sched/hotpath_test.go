@@ -20,8 +20,9 @@ type gateCase struct {
 }
 
 // hotPathGateCases enumerates every certification gate: the blocking
-// gate, the optimistic gate under both victim policies, and the sharded
-// parallel gate at shard counts 1..8.
+// gate, the optimistic gate under both victim policies, and, as
+// "parallel-N", the optimistic gate over an N-shard ShardedMonitor (the
+// batch engine's configuration) at shard counts 1..8.
 func hotPathGateCases() []gateCase {
 	cases := []gateCase{
 		{"blocking", func(w *gen.Workload, seed int64) exec.Policy {
@@ -38,7 +39,7 @@ func hotPathGateCases() []gateCase {
 		shards := shards
 		cases = append(cases, gateCase{fmt.Sprintf("parallel-%d", shards),
 			func(w *gen.Workload, seed int64) exec.Policy {
-				return sched.NewParallelCertify(w.DataSets, shards, sched.NewRandom(seed), sched.VictimYoungest)
+				return sched.NewOptimisticCertifyOver(core.NewShardedMonitor(w.DataSets, shards), sched.NewRandom(seed), sched.VictimYoungest)
 			}})
 	}
 	return cases
@@ -50,8 +51,6 @@ func setGateProbeCache(p exec.Policy, on bool) {
 	switch g := p.(type) {
 	case *sched.Certify:
 		g.Monitor().SetProbeCache(on)
-	case *sched.ParallelCertify:
-		g.ShardedMonitor().SetProbeCache(on)
 	case *sched.OptimisticCertify:
 		g.Monitor().SetProbeCache(on)
 	default:

@@ -9,10 +9,9 @@
 //
 // # Lifecycle: cancellation, deadlines, and drain
 //
-// The certification gates (Certify, OptimisticCertify,
-// ParallelCertify) take no context on their admission paths: the
-// engines check theirs between scheduling steps and before every
-// batch commit turn, so a cancelled run or batch never reaches the
+// The certification gates (Certify and OptimisticCertify) take no
+// context on their admission paths: the engines check theirs between
+// scheduling steps and before every batch commit turn, so a cancelled run or batch never reaches the
 // gate and a refused admission leaves no trace. The gates shut down in
 // two stages. Drain stops new transactions (refusals carry
 // exec.ErrDraining), settles in-flight ones per the DrainPolicy —

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"slices"
-	"sync"
 
 	"pwsr/internal/exec"
 	"pwsr/internal/txn"
@@ -45,19 +44,11 @@ type verdict struct {
 	ok     bool
 }
 
-// parallelProbeThreshold is the number of stale probes below which a
-// fanned-out mask probes inline: a probe costs tens of nanoseconds (one
-// shard lock, a frontier lookup, an order comparison) while a goroutine
-// spawn plus WaitGroup round trip costs on the order of a microsecond,
-// so the fan-out only pays for itself once enough probes can overlap on
-// disjoint shards.
-const parallelProbeThreshold = 4
-
 // mask fills m.adm for the pending requests: lifecycle posture and solo
 // exclusivity (0 = none) first, then the memoized verdict, re-decided
 // only when stale — the delayed-read rule when the gate applies it, then
-// the certifier, concurrently when fan is set.
-func (m *verdictMemo) mask(pending []*exec.Request, v *exec.View, lc *lifecycle, solo int, delayedRead, fan bool) {
+// the certifier.
+func (m *verdictMemo) mask(pending []*exec.Request, v *exec.View, lc *lifecycle, solo int, delayedRead bool) {
 	if m.epoch == nil {
 		partition := m.mon.Partition()
 		m.epoch = make([]uint64, len(partition)+1)
@@ -104,27 +95,10 @@ func (m *verdictMemo) mask(pending []*exec.Request, v *exec.View, lc *lifecycle,
 		}
 		m.adm = append(m.adm, open && e.ok)
 	}
-	if !fan || len(m.stale) < parallelProbeThreshold {
-		for _, i := range m.stale {
-			m.probe(pending, i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
 	for _, i := range m.stale {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			m.probe(pending, i)
-		}(i)
+		m.cur[i].ok = m.mon.Admissible(requestOp(pending[i]))
+		m.adm[i] = m.cur[i].ok
 	}
-	wg.Wait()
-}
-
-// probe asks the certifier about stale entry i.
-func (m *verdictMemo) probe(pending []*exec.Request, i int) {
-	m.cur[i].ok = m.mon.Admissible(requestOp(pending[i]))
-	m.adm[i] = m.cur[i].ok
 }
 
 // slotsOf returns the epoch slots an item's verdicts depend on: its

@@ -56,9 +56,6 @@ func newMaskAudit(t *testing.T, gate exec.Policy) *maskAudit {
 	switch g := gate.(type) {
 	case *Certify:
 		a.memo, a.lc = &g.memo, &g.lc
-	case *ParallelCertify:
-		a.memo, a.lc, a.dr = &g.memo, &g.lc, true
-		a.solo = func() int { return g.solo }
 	case *OptimisticCertify:
 		a.memo, a.lc, a.dr = &g.memo, &g.lc, true
 		a.solo = func() int { return g.solo }
@@ -166,7 +163,8 @@ func meddleGate(a *maskAudit, pending []*exec.Request) {
 
 // auditGates builds every certification gate over a partition: the
 // blocking gate, the optimistic gate under both victim policies, and the
-// sharded gate at TestParallelCertifyDifferential's shard counts.
+// optimistic gate over a ShardedMonitor at TestShardedGateDifferential's
+// shard counts.
 func auditGates(partition []state.ItemSet, seed int64) map[string]exec.Policy {
 	gates := map[string]exec.Policy{
 		"blocking":              NewCertify(partition, NewRandom(seed)),
@@ -174,7 +172,7 @@ func auditGates(partition []state.ItemSet, seed int64) map[string]exec.Policy {
 		"optimistic-fewest-ops": NewOptimisticCertify(partition, NewRandom(seed), VictimFewestOps),
 	}
 	for _, shards := range []int{1, 2, 8} {
-		gates[fmt.Sprintf("parallel-%d", shards)] = NewParallelCertify(partition, shards, NewRandom(seed), nil)
+		gates[fmt.Sprintf("parallel-%d", shards)] = NewOptimisticCertifyOver(core.NewShardedMonitor(partition, shards), NewRandom(seed), nil)
 	}
 	return gates
 }

@@ -19,9 +19,9 @@ type scriptedJournal struct {
 	errs  []error
 }
 
-func (j *scriptedJournal) LogObserve(o txn.Op)                                   {}
-func (j *scriptedJournal) LogCommit(txnID int)                                   {}
-func (j *scriptedJournal) LogRetract(txnID int)                                  {}
+func (j *scriptedJournal) LogObserve(o txn.Op)                                    {}
+func (j *scriptedJournal) LogCommit(txnID int)                                    {}
+func (j *scriptedJournal) LogRetract(txnID int)                                   {}
 func (j *scriptedJournal) LogCompact(reclaimed []int, s core.CompactStats, n int) {}
 func (j *scriptedJournal) Barrier() error {
 	i := j.calls
@@ -108,8 +108,8 @@ func TestGatesReportCompactWatermark(t *testing.T) {
 				exec.BatchGate
 				exec.WatermarkReporter
 			} {
-				g := sched.NewParallelCertify(partition, 2, &sched.Serial{}, nil)
-				g.ShardedMonitor().SetAutoCompact(1)
+				g := sched.NewOptimisticCertifyOver(core.NewShardedMonitor(partition, 2), &sched.Serial{}, nil)
+				g.Monitor().SetAutoCompact(1)
 				return g
 			},
 		},

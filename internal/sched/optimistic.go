@@ -109,10 +109,6 @@ type OptimisticCertify struct {
 	// solo is the escalated transaction currently granted exclusively
 	// (0 = none).
 	solo int
-
-	// fan lets a tick run its stale probes concurrently; set over a
-	// certifier that allows it (see ParallelCertify).
-	fan bool
 }
 
 // NewOptimisticCertify returns an abort-capable certification gate over
@@ -139,7 +135,7 @@ func (c *OptimisticCertify) Monitor() Certifier {
 func (c *OptimisticCertify) Pick(pending []*exec.Request, v *exec.View) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	pick := c.pick(pending, v, c.solo, true, c.fan)
+	pick := c.pick(pending, v, c.solo, true)
 	if pick >= 0 {
 		clear(c.phase) // a grant ends the current sacrifice phase
 	}

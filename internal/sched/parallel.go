@@ -2,7 +2,6 @@ package sched
 
 import (
 	"pwsr/internal/core"
-	"pwsr/internal/exec"
 	"pwsr/internal/state"
 	"pwsr/internal/txn"
 )
@@ -85,73 +84,3 @@ var (
 	_ Certifier = (*core.Monitor)(nil)
 	_ Certifier = (*core.ShardedMonitor)(nil)
 )
-
-// ParallelCertify is the sharded certification pipeline: the
-// abort-capable optimistic gate of OptimisticCertify (same victim
-// rotation, solo escalation, and cascadeless delayed-read discipline,
-// so its schedules are PWSR ∧ DR by construction and runs do not
-// stall) backed by a core.ShardedMonitor instead of the single
-// monitor, with the admission preflight fanned out: over more than one
-// shard, each Pick runs the probes its verdict memo could not answer on
-// their own goroutines (unless they are too few, see
-// parallelProbeThreshold).
-//
-// Requests whose items route to disjoint monitor shards certify fully
-// in parallel; requests contending for a shard order through the
-// shard's lock — the fence of the sharded monitor — so contention
-// costs exactly the conflicting fraction of the workload, not a
-// global serialization. With the engine's Pick loop on one goroutine
-// this buys parallelism across the pending set of each scheduling
-// step; feeding the ShardedMonitor from genuinely concurrent
-// admission streams (many engines, or ObserveAll's epoch pipeline) is
-// measured by the PERF6 GOMAXPROCS sweep.
-//
-// Because the sharded monitor is observationally identical to the
-// single monitor under a serialized feed, ParallelCertify makes
-// exactly the decisions OptimisticCertify makes for the same workload
-// and inner policy (TestParallelCertifyDifferential asserts schedule
-// equality); only the admission cost scales with cores.
-type ParallelCertify struct {
-	*OptimisticCertify
-	// shardArg is the construction-time shards argument (not the
-	// resolved count), kept so ClonePolicy reproduces the construction.
-	shardArg int
-}
-
-// NewParallelCertify returns the sharded abort-capable certification
-// gate over the conjunct partition. shards ≤ 0 selects GOMAXPROCS
-// (clamped to the conjunct count); victim selects the sacrifice
-// policy (nil = VictimYoungest).
-func NewParallelCertify(partition []state.ItemSet, shards int, inner exec.Policy, victim VictimPolicy) *ParallelCertify {
-	smon := core.NewShardedMonitor(partition, shards)
-	oc := NewOptimisticCertifyOver(smon, inner, victim)
-	oc.partition = partition
-	oc.fan = smon.Shards() > 1
-	return &ParallelCertify{OptimisticCertify: oc, shardArg: shards}
-}
-
-// ShardedMonitor exposes the gate's sharded certifier, with
-// OptimisticCertify.Monitor's contract.
-func (c *ParallelCertify) ShardedMonitor() *core.ShardedMonitor {
-	return c.certifier().(*core.ShardedMonitor)
-}
-
-// Stats implements exec.StatsReporter like the other gates, adding the
-// sharded certifier's per-shard admission counters.
-func (c *ParallelCertify) Stats() exec.GateStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.stats()
-	shards := c.memo.mon.(*core.ShardedMonitor).ShardStats()
-	s.Shards = make([]exec.ShardStat, len(shards))
-	for i, st := range shards {
-		s.Shards[i] = exec.ShardStat{
-			Shard:     st.Shard,
-			Conjuncts: st.Conjuncts,
-			Observes:  st.Observes,
-			Probes:    st.Probes,
-			Denials:   st.Denials,
-		}
-	}
-	return s
-}

@@ -3,6 +3,7 @@ package sched_test
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pwsr/internal/core"
@@ -11,16 +12,20 @@ import (
 	"pwsr/internal/sched"
 )
 
-// TestParallelCertifyDifferential pins the sharded pipeline to the
-// single-monitor gate: because ShardedMonitor is observationally
-// identical to Monitor under a serialized feed and the engine is
-// deterministic for deterministic policies, ParallelCertify at every
-// shard count must reproduce OptimisticCertify's run exactly — same
-// schedule, same aborts, same final state — for the same workload and
-// inner-policy seed. The concurrent probes only change who computes
-// the admissibility mask, never its value.
-func TestParallelCertifyDifferential(t *testing.T) {
+// TestShardedGateDifferential pins the optimistic gate over a
+// ShardedMonitor to the same gate over a Monitor: because ShardedMonitor
+// is observationally identical to Monitor under a serialized feed and
+// the engines are deterministic for deterministic policies, the sharded
+// gate at every shard count must reproduce the single-monitor gate's
+// run exactly. The tick leg runs the tick engine (same schedule, aborts
+// and final state); the batch leg runs the block-parallel engine's
+// whole-transaction admission, batch-rw's configuration (same schedule,
+// final state and lifecycle counters, compaction passes inside the
+// batch included).
+func TestShardedGateDifferential(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(91))
+	compactions := 0
 	for trial := 0; trial < 24; trial++ {
 		w := gen.MustGenerate(gen.Config{
 			Conjuncts: 2 + trial%3, Programs: 4, MovesPerProgram: 2,
@@ -28,7 +33,7 @@ func TestParallelCertifyDifferential(t *testing.T) {
 		})
 		innerSeed := rng.Int63()
 
-		ref, err := exec.RunCtx(context.Background(), exec.Config{
+		ref, err := exec.RunCtx(ctx, exec.Config{
 			Programs: w.Programs, Initial: w.Initial,
 			Policy:   sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(innerSeed), nil),
 			DataSets: w.DataSets,
@@ -36,9 +41,22 @@ func TestParallelCertifyDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: single-monitor gate: %v", trial, err)
 		}
+		batch := func(gate *sched.OptimisticCertify) *exec.Result {
+			t.Helper()
+			gate.Monitor().SetAutoCompact(2)
+			res, err := exec.NewParallelEngine(exec.ParallelConfig{Initial: w.Initial, Gate: gate, Workers: 2}).
+				ExecuteBatchCtx(ctx, w.Programs)
+			if err != nil {
+				t.Fatalf("trial %d: batch: %v", trial, err)
+			}
+			return res
+		}
+		refGate := sched.NewOptimisticCertify(w.DataSets, &sched.Serial{}, nil)
+		refBatch := batch(refGate)
+		compactions += refGate.Stats().Compact.Compactions
 		for _, shards := range []int{1, 2, 8} {
-			gate := sched.NewParallelCertify(w.DataSets, shards, sched.NewRandom(innerSeed), nil)
-			res, err := exec.RunCtx(context.Background(), exec.Config{
+			gate := sched.NewOptimisticCertifyOver(core.NewShardedMonitor(w.DataSets, shards), sched.NewRandom(innerSeed), nil)
+			res, err := exec.RunCtx(ctx, exec.Config{
 				Programs: w.Programs, Initial: w.Initial, Policy: gate, DataSets: w.DataSets,
 			})
 			if err != nil {
@@ -63,31 +81,36 @@ func TestParallelCertifyDifferential(t *testing.T) {
 			if !res.Schedule.IsDelayedRead() {
 				t.Fatalf("trial %d shards=%d: schedule not delayed-read", trial, shards)
 			}
-			// Per-shard metrics flow through the engine: every granted
-			// operation on a constrained item was observed by a shard.
-			if res.Metrics.Shards == nil {
-				t.Fatalf("trial %d shards=%d: engine metrics carry no shard stats", trial, shards)
+
+			batchGate := sched.NewOptimisticCertifyOver(core.NewShardedMonitor(w.DataSets, shards), &sched.Serial{}, nil)
+			bres := batch(batchGate)
+			if bres.Schedule.String() != refBatch.Schedule.String() {
+				t.Fatalf("trial %d shards=%d: batch schedule diverged\n sharded: %s\n  single: %s",
+					trial, shards, bres.Schedule, refBatch.Schedule)
 			}
-			var probes int64
-			for _, st := range res.Metrics.Shards {
-				probes += st.Probes
+			if !bres.Final.Equal(refBatch.Final) {
+				t.Fatalf("trial %d shards=%d: batch final state %v vs %v", trial, shards, bres.Final, refBatch.Final)
 			}
-			if probes == 0 {
-				t.Fatalf("trial %d shards=%d: no admissibility probes recorded", trial, shards)
+			if got, want := batchGate.Stats().Compact, refGate.Stats().Compact; got != want {
+				t.Fatalf("trial %d shards=%d: batch lifecycle %+v vs %+v", trial, shards, got, want)
 			}
 		}
 	}
+	if compactions == 0 {
+		t.Fatal("vacuous: no compaction pass ran inside a batch")
+	}
 }
 
-// TestParallelCertifyShardedMonitorState checks the post-run monitor
-// state: the surviving certification state must equal a fresh replay
-// of the recorded schedule, shard by shard (the Retract contract
-// carried over the sharded path).
-func TestParallelCertifyShardedMonitorState(t *testing.T) {
+// TestShardedGateMonitorState checks the post-run monitor state of the
+// optimistic gate over a ShardedMonitor: the surviving certification
+// state must equal a fresh replay of the recorded schedule, shard by
+// shard (the Retract contract carried over the sharded path).
+func TestShardedGateMonitorState(t *testing.T) {
 	w := gen.MustGenerate(gen.Config{
 		Conjuncts: 4, Programs: 4, MovesPerProgram: 2, Style: gen.StyleFixed, Seed: 5,
 	})
-	gate := sched.NewParallelCertify(w.DataSets, 4, sched.NewRandom(7), sched.VictimFewestOps)
+	sm := core.NewShardedMonitor(w.DataSets, 4)
+	gate := sched.NewOptimisticCertifyOver(sm, sched.NewRandom(7), sched.VictimFewestOps)
 	res, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: w.Programs, Initial: w.Initial, Policy: gate, DataSets: w.DataSets,
 	})
@@ -98,19 +121,12 @@ func TestParallelCertifyShardedMonitorState(t *testing.T) {
 	if v := fresh.ObserveAll(res.Schedule); v != nil {
 		t.Fatalf("recorded schedule rejected on replay: %v", v)
 	}
-	sm := gate.ShardedMonitor()
 	if sm.Shards() != 4 {
 		t.Fatalf("Shards() = %d", sm.Shards())
 	}
 	for e := range w.DataSets {
-		got, want := sm.ConflictEdges(e), fresh.ConflictEdges(e)
-		if len(got) != len(want) {
-			t.Fatalf("conjunct %d: %d edges vs fresh %d", e, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("conjunct %d edges diverge: %v vs %v", e, got, want)
-			}
+		if got, want := sm.ConflictEdges(e), fresh.ConflictEdges(e); !slices.Equal(got, want) {
+			t.Fatalf("conjunct %d edges diverge: %v vs %v", e, got, want)
 		}
 	}
 }

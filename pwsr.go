@@ -340,8 +340,7 @@ const (
 type Drainer = exec.Drainer
 
 // AsDrainer reports whether a policy supports graceful drain; the
-// certification gates (NewCertify, NewOptimisticCertify,
-// NewParallelCertify) do.
+// certification gates (NewCertify, NewOptimisticCertify) do.
 func AsDrainer(p Policy) (Drainer, bool) {
 	d, ok := p.(Drainer)
 	return d, ok
@@ -415,17 +414,6 @@ func NewOptimisticCertify(partition []ItemSet, inner Policy, victim VictimPolicy
 	return sched.NewOptimisticCertify(partition, inner, victim)
 }
 
-// NewParallelCertify returns the sharded certification pipeline: the
-// abort-capable optimistic gate backed by a ShardedMonitor, with the
-// admission preflight fanned out across goroutines so requests on
-// disjoint shards certify concurrently. It makes exactly the
-// decisions NewOptimisticCertify makes for the same workload and
-// inner policy; only the admission cost scales with cores. shards ≤ 0
-// selects GOMAXPROCS.
-func NewParallelCertify(partition []ItemSet, shards int, inner Policy, victim VictimPolicy) Policy {
-	return sched.NewParallelCertify(partition, shards, inner, victim)
-}
-
 // RunMany executes independently configured runs concurrently, at
 // most workers at a time (workers ≤ 0 selects GOMAXPROCS). Cloneable
 // policies (every policy this package constructs) are cloned per run,
@@ -448,7 +436,7 @@ type BatchGate = exec.BatchGate
 
 // AsBatchGate reports whether a policy can certify batch commits for
 // RunParallel; the certification gates (NewCertify,
-// NewOptimisticCertify, NewParallelCertify) can.
+// NewOptimisticCertify) can.
 func AsBatchGate(p Policy) (BatchGate, bool) {
 	g, ok := p.(BatchGate)
 	return g, ok
@@ -460,9 +448,9 @@ func AsBatchGate(p Policy) (BatchGate, bool) {
 // (stale reads trigger bounded retry and, at the commit turn, one
 // authoritative re-execution), and each committing transaction is
 // admitted whole through the configured certification gate — a
-// NewCertify/NewOptimisticCertify/NewParallelCertify value — so the
-// committed schedule is PWSR by construction. The result is
-// deterministic: identical schedule and final state to the serial
+// NewCertify or NewOptimisticCertify value — so the committed schedule
+// is PWSR by construction. The result is deterministic: identical
+// schedule and final state to the serial
 // ascending-id run at any worker count. Transactions declared
 // read-only (ParallelRunConfig.ReadOnly) skip the pipeline: each
 // acquires a pinned snapshot of the committed prefix, is never denied

@@ -88,9 +88,9 @@ func TestPublicAPIParallelRun(t *testing.T) {
 		pwsr.NewItemSet("h"),
 	}
 	mkGate := func() pwsr.BatchGate {
-		gate, ok := pwsr.AsBatchGate(pwsr.NewParallelCertify(partition, 2, pwsr.NewSerialPolicy(), nil))
+		gate, ok := pwsr.AsBatchGate(pwsr.NewOptimisticCertify(partition, pwsr.NewSerialPolicy(), nil))
 		if !ok {
-			t.Fatal("NewParallelCertify must be usable as a batch gate")
+			t.Fatal("NewOptimisticCertify must be usable as a batch gate")
 		}
 		return gate
 	}
