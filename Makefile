@@ -40,7 +40,7 @@ bench:
 	$(GO) test . -run '^$$' \
 		-bench 'BenchmarkMonitorThroughput|BenchmarkBuildGraphScaling|BenchmarkCheckPWSRWidePartition|BenchmarkShardedAdmitSequence|BenchmarkInterpRun' \
 		-benchmem -count=6 -json | tee BENCH_monitor.json
-	$(GO) run ./cmd/pwsrbench -section compact -compactout BENCH_compact.json
+	$(GO) run ./cmd/pwsrbench -section compact -out BENCH_compact.json
 	$(MAKE) bench-hotpath
 	$(MAKE) bench-wal
 
@@ -50,7 +50,7 @@ bench:
 # writing the machine-readable BENCH_hotpath.json.
 .PHONY: bench-hotpath
 bench-hotpath:
-	$(GO) run ./cmd/pwsrbench -section hotpath -hotpathout BENCH_hotpath.json
+	$(GO) run ./cmd/pwsrbench -section hotpath -out BENCH_hotpath.json
 
 # bench-wal regenerates the PERF9 durability study alone: the gated
 # admission stream unjournaled and write-ahead journaled across
@@ -58,29 +58,7 @@ bench-hotpath:
 # log, writing the machine-readable BENCH_wal.json.
 .PHONY: bench-wal
 bench-wal:
-	$(GO) run ./cmd/pwsrbench -section wal -walout BENCH_wal.json
-
-# bench-parallel regenerates the PERF10 block-parallel scaling study:
-# the exec.ParallelEngine worker sweep across conflict rates, every
-# batch certified through the optimistic gate over a sharded monitor and
-# checked identical to the serial reference, writing the machine-readable BENCH_parallel.json.
-# Record the baseline on the machine that will gate against it — the
-# file carries host_cpus/gomaxprocs so a mismatch is visible.
-.PHONY: bench-parallel
-bench-parallel:
-	$(GO) run ./cmd/pwsrbench -section parallel -cpu 1,2,4,8 -parallelout BENCH_parallel.json
-
-# check-parallel is the CI leg for the parallel engine: the
-# batch-differential and retry-exhaustion tests under the race detector
-# at pinned GOMAXPROCS=1 and 8, then the PERF10 sweep gated against the
-# checked-in baseline (>10% throughput regression on the uncontended
-# scaling curve fails; on a ≥4-CPU host the 4-worker speedup must clear
-# 1.5×).
-.PHONY: check-parallel
-check-parallel:
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestParallelEngine' ./internal/exec
-	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'TestParallelEngine' ./internal/exec
-	$(GO) run ./cmd/pwsrbench -section parallel -cpu 1,2,4,8 -baseline BENCH_parallel.json -maxregress 10 -minspeedup 1.5 -parallelout BENCH_parallel.ci.json
+	$(GO) run ./cmd/pwsrbench -section wal -out BENCH_wal.json
 
 # crash-matrix is the durability differential: the wal package's
 # crash-recovery tests — TestCrashMatrix kills the log at every byte
@@ -118,7 +96,7 @@ cancel-matrix:
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestCancel|TestDrain|TestSnapshotPinnedAcrossDrain' ./internal/experiments
 	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'TestCancel|TestDrain|TestSnapshotPinnedAcrossDrain' ./internal/experiments
 	$(GO) test -race -count=1 -run 'TestDrain|TestClose|TestGateSharedByTickAndBatchEngines' ./internal/sched
-	$(GO) test -race -count=1 -run 'TestCancel|TestRunCtx|TestRunManyCtx|TestExecuteBatchCtx' ./internal/exec
+	$(GO) test -race -count=1 -run 'TestCancel|TestRunCtx|TestExecuteBatchCtx' ./internal/exec
 	$(GO) test -race -count=1 -run 'TestCloseInterruptsBackoff' ./internal/wal
 	$(GO) run ./cmd/pwsrfuzz -mode cancel -trials 60 -seed 7
 
@@ -126,39 +104,16 @@ cancel-matrix:
 # differential with per-trial outcomes written to BENCH_chaos.json.
 .PHONY: bench-chaos
 bench-chaos:
-	$(GO) run ./cmd/pwsrbench -section chaos -chaosout BENCH_chaos.json
-
-# bench-mvread regenerates the PERF11 multiversion-read study: a mixed
-# batch of hot-item writers and scan readers, each conflict cell
-# measured with the readers certified through the gate and again
-# declared read-only and served from pinned snapshots, every bypass
-# run re-proved PWSR, writing the machine-readable BENCH_mvread.json.
-.PHONY: bench-mvread
-bench-mvread:
-	$(GO) run ./cmd/pwsrbench -section mvread -mvreadout BENCH_mvread.json
-
-# check-mvread is the CI leg for the multiversion read path: the
-# bypass differentials (RW-projection identity, combined-schedule PWSR
-# and value-consistent replay, zero reader denials/aborts) and the
-# store unit tests under the race detector at pinned GOMAXPROCS=1 and
-# 8, then the pwsrfuzz corpus + randomized sweep.
-.PHONY: check-mvread
-check-mvread:
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestMVRead|TestVersionedStore' ./internal/exec
-	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'TestMVRead|TestVersionedStore' ./internal/exec
-	$(GO) run ./cmd/pwsrfuzz -mode mvread -trials 200 -seed 7
+	$(GO) run ./cmd/pwsrbench -section chaos -out BENCH_chaos.json
 
 # bench-refresh regenerates every checked-in machine-readable
-# benchmark artifact (PERF7–PERF11 plus the monitor stream and the
+# benchmark artifact (PERF7–PERF9 plus the monitor stream and the
 # ROBUST1 chaos band) and prints a fingerprint line per file — sha256
 # and the recorded host_cpus — so a refresh PR shows at a glance what
-# was re-recorded and at what parallelism. Run it on multi-core
-# hardware and check the results in to turn the parallel baseline
-# gate's speedup-shape fallback into absolute-throughput gating; the
-# bench-refresh CI job does exactly this on runners with ≥4 CPUs and
-# uploads the files as an artifact.
+# was re-recorded and at what parallelism. The bench-refresh CI job
+# runs it and uploads the files as an artifact for check-in.
 .PHONY: bench-refresh
-bench-refresh: bench bench-parallel bench-chaos bench-mvread
+bench-refresh: bench bench-chaos
 	@echo "--- BENCH_*.json fingerprints ---"
 	@for f in BENCH_*.json; do \
 		cpus=$$(grep -m1 -o '"host_cpus": *[0-9]*' $$f | grep -o '[0-9]*' || echo '?'); \
@@ -212,14 +167,19 @@ bench-all:
 	$(GO) test . -run '^$$' -bench . -benchmem
 
 # loc prints the non-test Go line counts of the packages CHANGES.md and
-# ROADMAP.md track, plus the facade, and their total.
+# ROADMAP.md track, plus the facade, and their total; then, outside the
+# total so that series stays comparable, the experiments package and
+# the pwsrbench command.
 .PHONY: loc
 loc:
 	@for f in internal/sched internal/exec internal/core internal/wal internal/program pwsr.go; do \
-		find $$f -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l | xargs printf '%-18s %6d\n' $$f; \
+		find $$f -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l | xargs printf '%-20s %6d\n' $$f; \
 	done
 	@find internal/sched internal/exec internal/core internal/wal internal/program pwsr.go -maxdepth 1 \
-		-name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l | xargs printf '%-18s %6d\n' total
+		-name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l | xargs printf '%-20s %6d\n' total
+	@for f in internal/experiments cmd/pwsrbench; do \
+		find $$f -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l | xargs printf '%-20s %6d\n' $$f; \
+	done
 
 .PHONY: test
 test:
@@ -261,8 +221,11 @@ test:
 # whole-transaction admission allocates the same with 16 and with 4096
 # resident transactions) and the journal's append path
 # (TestZeroAllocWriterAppend: under 0.1 allocations per record), and the
-# last two lines run the PERF14–PERF18 and PERF20 benchmark families once
-# so they cannot rot.
+# next two lines run the PERF14–PERF18 and PERF20 benchmark families once
+# so they cannot rot. The last line is the multiversion read path's
+# fuzz sweep: the pwsrfuzz mvread corpus plus 200 randomized trials
+# re-proving the bypass obligations (its raced differentials,
+# TestMVRead* and TestVersionedStore*, ride in the pinned exec passes).
 # The chaos smoke (a fixed 40-seed band of the ROBUST1 fault
 # differential, deterministic by construction) also rides in the raced
 # `./...` pass; the full randomized matrix lives in `make chaos`.
@@ -275,6 +238,7 @@ check:
 	$(GO) test -run 'TestZeroAlloc|TestTickEngineAllocs|TestBatchEngineAllocs|TestInterpRunAllocs' -count=1 ./internal/core ./internal/wal
 	$(GO) test . -run '^$$' -bench 'BenchmarkShardedAdmitSequence|BenchmarkInterpRun|BenchmarkTickAbortRestart|BenchmarkTickRound|BenchmarkBatchRound' -benchtime=1x
 	$(GO) test ./internal/wal -run '^$$' -bench 'BenchmarkWriterAppend' -benchtime=1x
+	$(GO) run ./cmd/pwsrfuzz -mode mvread -trials 200 -seed 7
 
 # soak is the long-run bounded-memory test: ≥ 1M operations through a
 # single OptimisticCertify gate with the transaction lifecycle on,

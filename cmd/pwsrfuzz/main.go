@@ -72,6 +72,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"pwsr/internal/core"
@@ -85,7 +86,7 @@ import (
 
 func main() {
 	var (
-		mode    = flag.String("mode", "example2", "example2 | fixed | dr | ordered | optimistic | sharded | compact | mvread | cancel")
+		mode    = flag.String("mode", "example2", strings.Join(modes, " | "))
 		trials  = flag.Int("trials", 500, "number of seeded trials")
 		seed    = flag.Int64("seed", 7, "base seed")
 		verbose = flag.Bool("v", false, "print each violation's schedule and programs")
@@ -111,17 +112,21 @@ func main() {
 	}
 }
 
+// modes lists the -mode values.
+var modes = []string{"example2", "fixed", "dr", "ordered", "optimistic", "sharded", "compact", "mvread", "cancel"}
+
 func run(mode string, trials int, baseSeed int64, verbose bool) (int, error) {
-	if mode == "sharded" {
+	if !slices.Contains(modes, mode) {
+		return 0, fmt.Errorf("unknown mode %q (want one of %s)", mode, strings.Join(modes, ", "))
+	}
+	switch mode {
+	case "sharded":
 		return runSharded(trials, baseSeed, verbose)
-	}
-	if mode == "compact" {
+	case "compact":
 		return runCompact(trials, baseSeed, verbose)
-	}
-	if mode == "mvread" {
+	case "mvread":
 		return runMVRead(trials, baseSeed, verbose)
-	}
-	if mode == "cancel" {
+	case "cancel":
 		return runCancel(trials, baseSeed, verbose)
 	}
 	found := 0
@@ -170,8 +175,6 @@ func run(mode string, trials int, baseSeed int64, verbose bool) (int, error) {
 			// unconditionally, so every completed run must be strongly
 			// correct — and the gate must complete every run.
 			guard = func(o *outcome) bool { return true }
-		default:
-			return 0, fmt.Errorf("unknown mode %q", mode)
 		}
 		if err != nil {
 			return 0, err

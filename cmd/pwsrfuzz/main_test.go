@@ -132,3 +132,11 @@ func TestCancelCorpusReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRunRejectsUnknownMode pins the mode check: an unknown mode fails
+// before any trial, even when there are no trials to run.
+func TestRunRejectsUnknownMode(t *testing.T) {
+	if _, err := run("bogus", 0, 7, false); err == nil {
+		t.Fatal(`run("bogus", 0, 7, false) succeeded, want an unknown-mode error`)
+	}
+}

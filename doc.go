@@ -75,11 +75,10 @@
 // construction and Theorem 2 applies to every completed run of correct
 // programs). Either gate runs over either certifier: the optimistic
 // gate over a ShardedMonitor (sched.NewOptimisticCertifyOver) makes
-// exactly the decisions it makes over a Monitor. pwsr.RunMany drives
-// independent engine runs concurrently for fleet-style throughput
-// (each run gets its own clone of a cloneable policy; a non-cloneable
-// policy instance aliased across configs is rejected with
-// ErrSharedPolicy before anything executes). Both gates commit
+// exactly the decisions it makes over a Monitor. Independent engine
+// runs may execute concurrently, each pwsr.Run on its own goroutine
+// with its own policy: policies are stateful, so one value must not be
+// handed to two concurrent runs. Both gates commit
 // finished transactions to their certifier, whose compactor keeps the
 // resident population bounded across arbitrarily long streams; the
 // engine surfaces the lifecycle counters through
@@ -95,8 +94,8 @@
 // final state to the serial run at any worker count. Each commit is
 // admitted as a whole transaction through the certification gate
 // (sched's AdmitTxn over the sharded monitor's AdmitSequence), making
-// the committed schedule PWSR by construction; EXPERIMENTS.md PERF10
-// records the per-core scaling study and its CI regression gate.
+// the committed schedule PWSR by construction; the batch-rw workload
+// of the end-to-end benchmark measures it (benchmark/README.md).
 // Admission is the observe loop alone: a fresh transaction admitted
 // whole gains conflict edges only into itself, so it can close no cycle
 // and is never probed, never denied, never rolled back
@@ -201,18 +200,18 @@
 // family); EXPERIMENTS.md records their outputs, and `make bench`
 // checks the machine-readable trajectories into BENCH_monitor.json,
 // BENCH_compact.json, BENCH_hotpath.json, and BENCH_wal.json
-// (`make bench-hotpath`, `make bench-wal`, and `make bench-parallel`
-// regenerate the PERF8 hot-path, PERF9 durability, and PERF10
-// parallel-scaling studies alone; every file opens with the host's go/goos/goarch/host_cpus/
-// gomaxprocs fingerprint so scaling rows can't be mistaken for
-// measurements at a parallelism they never ran at). `make check` runs
-// `go vet` plus the full suite under the race detector, then the
-// concurrency-sensitive packages again at GOMAXPROCS=1 and 8, then
-// the zero-allocation hot-path pins (TestZeroAlloc*) without the race
-// detector; `make crash-matrix` runs the wal crash differential under
-// the race detector at both pinned widths, and `make check-parallel`
-// runs the parallel-engine differentials raced at both widths plus
-// the PERF10 regression gate against the checked-in baseline.
+// (`make bench-hotpath` and `make bench-wal` regenerate the PERF8
+// hot-path and PERF9 durability studies alone, each through
+// `pwsrbench -section X -out BENCH_X.json`; every file opens with the
+// host's go/goos/goarch/host_cpus/gomaxprocs fingerprint so a timing
+// is never mistaken for one taken on other hardware). `make check`
+// runs `go vet` plus the full suite under the race detector, then the
+// concurrency-sensitive packages again at GOMAXPROCS=1 and 8 (the
+// parallel engine's and the multiversion read path's differentials
+// among them), then the zero-allocation hot-path pins (TestZeroAlloc*)
+// without the race detector, then the pwsrfuzz multiversion-read
+// sweep; `make crash-matrix` runs the wal crash differential under the
+// race detector at both pinned widths.
 //
 // # Degradation modes and failover
 //
@@ -249,7 +248,7 @@
 //
 // # Lifecycle: cancellation, deadlines, and drain
 //
-// Every run entry point takes a context — Run, RunMany, RunParallel —
+// Every run entry point takes a context — Run and RunParallel —
 // and termination always surfaces as one of two typed errors: ErrCanceled (explicit cancel)
 // or ErrDeadline (deadline expiry), errors.Is-distinguishable from
 // each other and never confused with a certification denial or a

@@ -112,24 +112,6 @@ func TestRunCtxMidRunCancel(t *testing.T) {
 	}
 }
 
-// TestRunManyCtxCanceled pins the fleet path: a dead context fails
-// every run with the typed error.
-func TestRunManyCtxCanceled(t *testing.T) {
-	w := gen.MustGenerate(gen.Config{Conjuncts: 2, Programs: 3, MovesPerProgram: 2, Seed: 5})
-	cfgs := []exec.Config{
-		{Programs: w.Programs, Initial: w.Initial, Policy: sched.NewRandom(1)},
-		{Programs: w.Programs, Initial: w.Initial, Policy: sched.NewRandom(2)},
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, errs := exec.RunManyCtx(ctx, cfgs, 2)
-	for i, err := range errs {
-		if !errors.Is(err, exec.ErrCanceled) {
-			t.Fatalf("run %d error = %v, want ErrCanceled", i, err)
-		}
-	}
-}
-
 // TestExecuteBatchCtxDeadline pins the batch path's cancel contract: a
 // batch whose context is cancelled, expired, or cancelled at its first
 // commit turn surfaces the typed ErrCanceled or ErrDeadline — the two

@@ -97,8 +97,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -576,9 +574,9 @@ type runState struct {
 	lastWriter       map[string]int
 }
 
-// runStates recycles run states across RunCtx calls, which the
-// benchmark's rounds make one after another and RunManyCtx makes
-// concurrently.
+// runStates recycles run states across RunCtx calls, whether made one
+// after another, as the benchmark's rounds are, or concurrently from
+// the caller's own goroutines.
 var runStates = sync.Pool{New: func() any { return new(runState) }}
 
 // RunCtx executes the configured programs concurrently and returns the
@@ -588,6 +586,13 @@ var runStates = sync.Pool{New: func() any { return new(runState) }}
 // on a request or finishes, asks the policy to pick among the parked
 // requests, applies the granted operation and makes its program
 // runnable. It starts no goroutine.
+//
+// Concurrent RunCtx calls are safe when each has its own Policy and
+// shares no other mutable state: a policy is stateful, so one value
+// handed to two concurrent runs corrupts both decision streams, and a
+// DB handed to two configs is read concurrently (RunCtx clones
+// Initial, so the runs never write to it). A caller wanting several
+// runs at once starts its own goroutines, one policy per run.
 //
 // When ctx ends mid-run the engine settles instead of killing the run:
 // transactions in flight are aborted through the same erasure machinery
@@ -1148,112 +1153,4 @@ func harvestStats(p any, m *Metrics) {
 	m.ProbeInvalidations = s.Probe.Invalidations
 	m.Log = s.Log
 	m.Health = s.Health
-}
-
-// PolicyCloner is an optional Policy extension: a policy that can
-// produce an independent instance equivalent to a freshly constructed
-// one — the decision-relevant configuration (seeds, partitions, inner
-// policies, tuning knobs) is carried over, accumulated run state is
-// reset, and nothing mutable is shared with the original. ClonePolicy
-// returns nil when this particular value cannot be cloned (say, a
-// wrapper whose inner policy is not cloneable, or a gate resumed over
-// an external certifier); RunManyCtx then falls back to aliasing
-// detection. The sched policies and certification gates implement it.
-type PolicyCloner interface {
-	Policy
-	// ClonePolicy returns the fresh equivalent instance, or nil.
-	ClonePolicy() Policy
-}
-
-// TryClonePolicy clones p when it implements PolicyCloner and the
-// clone succeeds.
-func TryClonePolicy(p Policy) (Policy, bool) {
-	pc, ok := p.(PolicyCloner)
-	if !ok {
-		return nil, false
-	}
-	c := pc.ClonePolicy()
-	if c == nil {
-		return nil, false
-	}
-	return c, true
-}
-
-// ErrSharedPolicy reports that one non-cloneable Policy value was
-// handed to more than one Config of a RunManyCtx call. Policies are
-// stateful; sharing one across concurrent runs silently corrupts every
-// decision stream involved, so the aliased runs are rejected instead
-// of executed.
-var ErrSharedPolicy = errors.New("exec: Policy instance shared across Configs")
-
-// RunManyCtx executes independently configured runs concurrently, at
-// most workers at a time (workers ≤ 0 selects GOMAXPROCS). Policies are
-// stateful and runs must not share them, so RunManyCtx enforces the rule
-// instead of trusting callers: a policy implementing PolicyCloner is
-// cloned per run (the caller's instance is left untouched, so the same
-// cfgs slice can be passed to RunManyCtx again), and a non-cloneable
-// policy value appearing in more than one Config fails those runs with
-// ErrSharedPolicy rather than corrupting their decision streams. The
-// configs must still not share other mutable state (give each run its
-// own Initial; RunCtx clones it, but a DB handed to two configs is
-// still read concurrently). Results and errors are indexed like cfgs.
-// ctx is threaded into every run (each settles per RunCtx when it
-// ends), and runs that have not yet started when ctx ends are skipped
-// with a typed ErrCanceled/ErrDeadline error instead of being launched.
-func RunManyCtx(ctx context.Context, cfgs []Config, workers int) ([]*Result, []error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	results := make([]*Result, len(cfgs))
-	errs := make([]error, len(cfgs))
-	run := make([]Config, len(cfgs))
-	seen := make(map[Policy]int, len(cfgs))
-	for i := range cfgs {
-		run[i] = cfgs[i]
-		p := cfgs[i].Policy
-		if p == nil {
-			continue
-		}
-		if clone, ok := TryClonePolicy(p); ok {
-			run[i].Policy = clone
-			continue
-		}
-		// Uncomparable policy values (rare: policies are normally
-		// pointers) cannot be aliasing-checked; they pass through on the
-		// caller's honor as before.
-		if !reflect.TypeOf(p).Comparable() {
-			continue
-		}
-		if j, dup := seen[p]; dup {
-			if errs[j] == nil {
-				errs[j] = fmt.Errorf("%w: %T handed to Configs %d and %d", ErrSharedPolicy, p, j, i)
-			}
-			errs[i] = fmt.Errorf("%w: %T handed to Configs %d and %d", ErrSharedPolicy, p, j, i)
-			continue
-		}
-		seen[p] = i
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i := range run {
-		if errs[i] != nil {
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if err := CancelError(ctx); err != nil {
-				errs[i] = err // not started; nothing to settle
-				return
-			}
-			results[i], errs[i] = RunCtx(ctx, run[i])
-		}(i)
-	}
-	wg.Wait()
-	return results, errs
 }

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"pwsr/internal/constraint"
@@ -21,8 +22,8 @@ import (
 
 // recycleCase is one run shape of TestTickRunsOwnTheirResults. cfg
 // builds the run's context and Config, with a policy of its own, every
-// time it is called. A concurrent case can also run inside RunManyCtx:
-// it neither panics nor cancels its context.
+// time it is called. A concurrent case can also run on a goroutine of
+// its own: it neither panics nor cancels its context.
 type recycleCase struct {
 	name       string
 	cfg        func() (context.Context, exec.Config)
@@ -165,9 +166,9 @@ func sameOutcome(t *testing.T, what string, got, want outcome) {
 // run produces on fresh state: the byte-identical history, equal
 // Metrics and Final. Every earlier Result must still hold what it held
 // once the later runs are done, because none points into the state.
-// Then the same runs go through RunManyCtx, whose runs share the
-// package's pool, at GOMAXPROCS 1 and 8 (under -race, that is the
-// pool's race check).
+// Then the same runs call RunCtx concurrently from plain goroutines,
+// sharing the package's pool, at GOMAXPROCS 1 and 8 (under -race, that
+// is the pool's race check).
 func TestTickRunsOwnTheirResults(t *testing.T) {
 	cases := recycleCases()
 	byName := make(map[string]recycleCase, len(cases))
@@ -205,20 +206,28 @@ func TestTickRunsOwnTheirResults(t *testing.T) {
 	for _, procs := range []int{1, 8} {
 		runtime.GOMAXPROCS(procs)
 		for round := 0; round < 4; round++ {
-			var cfgs []exec.Config
-			var names []string
+			var runs []recycleCase
 			for range 3 {
 				for _, c := range cases {
 					if c.concurrent {
-						_, cfg := c.cfg()
-						cfgs, names = append(cfgs, cfg), append(names, c.name)
+						runs = append(runs, c)
 					}
 				}
 			}
-			results, errs := exec.RunManyCtx(context.Background(), cfgs, 4)
-			for i, name := range names {
-				got := outcome{res: results[i], err: errs[i], initial: cfgs[i].Initial}
-				sameOutcome(t, fmt.Sprintf("GOMAXPROCS %d round %d run %d (%s)", procs, round, i, name), got, want[name])
+			got := make([]outcome, len(runs))
+			var wg sync.WaitGroup
+			for i, c := range runs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					ctx, cfg := c.cfg()
+					got[i].initial = cfg.Initial
+					got[i].res, got[i].err = exec.RunCtx(ctx, cfg)
+				}()
+			}
+			wg.Wait()
+			for i, c := range runs {
+				sameOutcome(t, fmt.Sprintf("GOMAXPROCS %d round %d run %d (%s)", procs, round, i, c.name), got[i], want[c.name])
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"pwsr/internal/core"
 	"pwsr/internal/state"
@@ -59,18 +58,4 @@ func NewShardedGrid(conj, itemsPer, opsPer int, seed int64) *ShardedGrid {
 		g.Groups = append(g.Groups, ops)
 	}
 	return g
-}
-
-// bestOf times f reps times and returns the fastest wall-clock run —
-// the standard defence against scheduler noise in coarse sweeps.
-func bestOf(reps int, f func()) time.Duration {
-	best := time.Duration(0)
-	for i := 0; i < reps; i++ {
-		start := time.Now()
-		f()
-		if d := time.Since(start); i == 0 || d < best {
-			best = d
-		}
-	}
-	return best
 }

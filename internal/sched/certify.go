@@ -29,9 +29,7 @@ type Certify struct {
 // NewCertify returns a certifying gate over the conjunct partition
 // wrapping the inner policy.
 func NewCertify(partition []state.ItemSet, inner exec.Policy) *Certify {
-	c := NewCertifyOver(core.NewMonitor(partition), inner)
-	c.partition = partition
-	return c
+	return NewCertifyOver(core.NewMonitor(partition), inner)
 }
 
 // Monitor exposes the gate's certifier, with OptimisticCertify.Monitor's

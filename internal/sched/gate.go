@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"pwsr/internal/exec"
-	"pwsr/internal/state"
 )
 
 // gate is what the certification gates share, embedded by Certify and
@@ -24,13 +23,6 @@ type gate struct {
 	// tick loop, and so a stats snapshot never races either. A
 	// single-engine run takes it uncontended.
 	mu sync.Mutex
-
-	// partition is the construction-time conjunct partition, kept so
-	// ClonePolicy can rebuild an equivalent fresh gate; nil for gates
-	// built over an external certifier (NewCertifyOver,
-	// NewOptimisticCertifyOver, ResumeCertify), which are therefore not
-	// cloneable.
-	partition []state.ItemSet
 
 	// jn carries the optional write-ahead journal (see AttachJournal):
 	// lifecycle events reach it through the certifier's sink, and the

@@ -115,9 +115,7 @@ type OptimisticCertify struct {
 // the conjunct partition. victim selects the sacrifice policy (nil =
 // VictimYoungest).
 func NewOptimisticCertify(partition []state.ItemSet, inner exec.Policy, victim VictimPolicy) *OptimisticCertify {
-	c := NewOptimisticCertifyOver(core.NewMonitor(partition), inner, victim)
-	c.partition = partition
-	return c
+	return NewOptimisticCertifyOver(core.NewMonitor(partition), inner, victim)
 }
 
 // Monitor exposes the gate's certifier, for inspection after a run. To

@@ -65,14 +65,11 @@ func (r *RoundRobin) TxnFinished(int, *exec.View) {}
 // the uniformity the studies need.
 type Random struct {
 	state uint64
-	// seed is the construction-time state, kept so ClonePolicy can
-	// produce a fresh equivalent instance.
-	seed uint64
 }
 
 // NewRandom returns a random policy with the given seed.
 func NewRandom(seed int64) *Random {
-	return &Random{state: uint64(seed), seed: uint64(seed)}
+	return &Random{state: uint64(seed)}
 }
 
 // next advances the splitmix64 state.

@@ -268,6 +268,8 @@ type (
 // completed run that aborted them would — and the partial Result (the
 // committed schedule that survives, replayable against Initial) is
 // returned alongside a typed ErrCanceled- or ErrDeadline-wrapped error.
+// Concurrent calls are safe when each run has its own policy (see
+// exec.RunCtx).
 func Run(ctx context.Context, cfg RunConfig) (*RunResult, error) {
 	return exec.RunCtx(ctx, cfg)
 }
@@ -414,18 +416,6 @@ func NewOptimisticCertify(partition []ItemSet, inner Policy, victim VictimPolicy
 	return sched.NewOptimisticCertify(partition, inner, victim)
 }
 
-// RunMany executes independently configured runs concurrently, at
-// most workers at a time (workers ≤ 0 selects GOMAXPROCS). Cloneable
-// policies (every policy this package constructs) are cloned per run,
-// so configs may share a policy value; a non-cloneable policy
-// instance aliased across configs fails exactly those runs with
-// exec.ErrSharedPolicy before anything executes. Every run settles
-// per Run when ctx ends; runs not yet started are skipped with a typed
-// ErrCanceled/ErrDeadline error.
-func RunMany(ctx context.Context, cfgs []RunConfig, workers int) ([]*RunResult, []error) {
-	return exec.RunManyCtx(ctx, cfgs, workers)
-}
-
 // ParallelRunConfig configures a block-parallel batch execution (see
 // RunParallel).
 type ParallelRunConfig = exec.ParallelConfig
@@ -455,8 +445,7 @@ func AsBatchGate(p Policy) (BatchGate, bool) {
 // read-only (ParallelRunConfig.ReadOnly) skip the pipeline: each
 // acquires a pinned snapshot of the committed prefix, is never denied
 // or aborted, and never enters the gate — reader throughput decouples
-// from writer contention (EXPERIMENTS.md PERF11). See EXPERIMENTS.md
-// PERF10 for the scaling study. Cancellation is detected between
+// from writer contention. Cancellation is detected between
 // commit turns, so when ctx ends the batch's committed prefix is kept —
 // never a partial grant — and returned with the typed
 // ErrCanceled/ErrDeadline error.
