@@ -30,7 +30,7 @@ benchmark-smoke:
 # Monitor and BuildGraph against their retained reference
 # implementations, plus the whole-transaction admission and interpreter
 # families) and records the raw test2json stream in
-# BENCH_monitor.json, then regenerates the PERF7–PERF9 records via
+# BENCH_monitor.json, then regenerates the PERF7 and PERF9 records via
 # pwsrbench. The JSON files are checked in so perf regressions stay
 # diffable PR over PR. Note -json means stdout carries the JSON event stream, not
 # the usual benchmark table; for readable numbers run the go test line
@@ -41,16 +41,7 @@ bench:
 		-bench 'BenchmarkMonitorThroughput|BenchmarkBuildGraphScaling|BenchmarkCheckPWSRWidePartition|BenchmarkShardedAdmitSequence|BenchmarkInterpRun' \
 		-benchmem -count=6 -json | tee BENCH_monitor.json
 	$(GO) run ./cmd/pwsrbench -section compact -out BENCH_compact.json
-	$(MAKE) bench-hotpath
 	$(MAKE) bench-wal
-
-# bench-hotpath regenerates the PERF8 admission hot-path study alone:
-# the scheduler-tick probe loop with the generation-invalidated probe
-# cache on and off, across monitor variants and abort-churn regimes,
-# writing the machine-readable BENCH_hotpath.json.
-.PHONY: bench-hotpath
-bench-hotpath:
-	$(GO) run ./cmd/pwsrbench -section hotpath -out BENCH_hotpath.json
 
 # bench-wal regenerates the PERF9 durability study alone: the gated
 # admission stream unjournaled and write-ahead journaled across
@@ -107,7 +98,7 @@ bench-chaos:
 	$(GO) run ./cmd/pwsrbench -section chaos -out BENCH_chaos.json
 
 # bench-refresh regenerates every checked-in machine-readable
-# benchmark artifact (PERF7–PERF9 plus the monitor stream and the
+# benchmark artifact (PERF7 and PERF9 plus the monitor stream and the
 # ROBUST1 chaos band) and prints a fingerprint line per file — sha256
 # and the recorded host_cpus — so a refresh PR shows at a glance what
 # was re-recorded and at what parallelism. The bench-refresh CI job
@@ -207,7 +198,8 @@ test:
 # under -race): an
 # allocation regression on the steady-state Observe/Admissible hot
 # path, a gate tick
-# (TestZeroAllocGatePick, TestZeroAllocDelayedReadPick), victim
+# (TestZeroAllocGatePick, which also pins that an unchanged pending set
+# is not re-probed, and TestZeroAllocDelayedReadPick), victim
 # selection (TestZeroAllocVictim), the tick engine's grant path
 # (TestTickEngineAllocs), a victim's abort, restart and re-park
 # (TestZeroAllocTickRestart), a batch round's cost (TestBatchEngineAllocs:

@@ -12,10 +12,6 @@
 //   - PERF7   — commit-and-compact memory study: a 1M-op windowed
 //     admission stream through a compacting monitor against the
 //     uncompacted baseline (section "compact"),
-//   - PERF8   — admission hot-path study: the scheduler-tick probe
-//     loop with the generation-invalidated probe cache on and off,
-//     across monitor variants and abort-churn regimes (section
-//     "hotpath"),
 //   - PERF9   — durable certification study: the same admission
 //     stream unjournaled and write-ahead-journaled across backends
 //     and group-commit windows, plus the recovery cost of each
@@ -25,7 +21,7 @@
 //     (section "chaos").
 //
 // `-out FILE` writes the records of the one selected section as JSON —
-// only "compact", "hotpath", "wal" and "chaos" have records, and the
+// only "compact", "wal" and "chaos" have records, and the
 // Makefile keeps them in BENCH_<section>.json. Every file carries the
 // host fingerprint: go version, GOOS/GOARCH, host_cpus
 // (runtime.NumCPU) and gomaxprocs at process start. An unknown
@@ -72,10 +68,10 @@ func main() {
 }
 
 // sections lists the -section values.
-var sections = []string{"all", "examples", "theorems", "exhaustive", "figures", "perf", "compact", "hotpath", "wal", "chaos"}
+var sections = []string{"all", "examples", "theorems", "exhaustive", "figures", "perf", "compact", "wal", "chaos"}
 
 // outSections lists the sections whose records -out can write.
-var outSections = []string{"compact", "hotpath", "wal", "chaos"}
+var outSections = []string{"compact", "wal", "chaos"}
 
 // benchOpts carries the parsed command line into run.
 type benchOpts struct {
@@ -138,17 +134,6 @@ func writeRecords(path, study string, n int, file any) error {
 	}
 	fmt.Printf("wrote %d %s records to %s\n", n, study, path)
 	return nil
-}
-
-// hotpathBenchFile is the JSON record set written for the PERF8
-// admission hot-path study: probe-cache on/off passes per monitor
-// variant and workload regime.
-type hotpathBenchFile struct {
-	hostMeta
-	Seed    int64                       `json:"seed"`
-	Ticks   int                         `json:"ticks"`
-	Window  int                         `json:"window"`
-	Records []experiments.HotPathRecord `json:"records"`
 }
 
 // walBenchFile is the JSON record set written for the PERF9 durable
@@ -309,26 +294,6 @@ func run(o benchOpts) error {
 			hostMeta: currentHostMeta(),
 			Seed:     seed,
 			TotalOps: totalOps,
-			Window:   window,
-			Records:  records,
-		}); err != nil {
-			return err
-		}
-	}
-	if all || section == "hotpath" {
-		ticks, window := 60_000, 16
-		if quick {
-			ticks = 10_000
-		}
-		tab, records, err := experiments.HotPathStudy(ticks, window, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(tab.Render())
-		if err := writeRecords(o.out, "PERF8", len(records), hotpathBenchFile{
-			hostMeta: currentHostMeta(),
-			Seed:     seed,
-			Ticks:    ticks,
 			Window:   window,
 			Records:  records,
 		}); err != nil {

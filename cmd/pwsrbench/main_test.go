@@ -8,8 +8,9 @@ import (
 )
 
 // TestRunRejectsBadArgs pins the argument check: an unknown section —
-// including the deleted "parallel" — and -out with a section that
-// writes no records fail before anything runs: no file is written.
+// including the deleted "parallel" and "hotpath" — and -out with a
+// section that writes no records fail before anything runs: no file is
+// written.
 func TestRunRejectsBadArgs(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "records.json")
 	for _, tc := range []struct {
@@ -18,6 +19,7 @@ func TestRunRejectsBadArgs(t *testing.T) {
 	}{
 		{benchOpts{section: "bogus"}, "unknown -section"},
 		{benchOpts{section: "parallel"}, "unknown -section"},
+		{benchOpts{section: "hotpath"}, "unknown -section"},
 		{benchOpts{section: "all", out: out}, "-out needs"},
 		{benchOpts{section: "examples", out: out}, "-out needs"},
 	} {

@@ -13,8 +13,9 @@
 //
 // Conjuncts are separated by semicolons and keep their grouping (use
 // one conjunct "a = b & b = c" for a multi-atom conjunct). The initial
-// state lists item=value pairs; the value domains for the solver default
-// to [-64, 64] for every mentioned item.
+// state lists item=value pairs, each item at most once; the value
+// domains for the solver default to [-64, 64] for every mentioned item,
+// and -lo must not exceed -hi.
 package main
 
 import (
@@ -87,6 +88,9 @@ func run(conjunctsArg, scheduleArg, initialArg string, lo, hi int64, verbose boo
 // analyze runs every checker against the schedule and prints the
 // report.
 func analyze(conjunctsArg string, s *txn.Schedule, init state.DB, lo, hi int64, verbose bool) error {
+	if lo > hi {
+		return fmt.Errorf("empty domain: -lo %d exceeds -hi %d", lo, hi)
+	}
 	var srcs []string
 	for _, part := range strings.Split(conjunctsArg, ";") {
 		if c := strings.TrimSpace(part); c != "" {
@@ -183,6 +187,9 @@ func parseState(src string) (state.DB, error) {
 		raw := strings.TrimSpace(part[eq+1:])
 		if item == "" || raw == "" {
 			return nil, fmt.Errorf("malformed assignment %q", part)
+		}
+		if _, dup := db.Get(item); dup {
+			return nil, fmt.Errorf("item %q assigned twice", item)
 		}
 		if strings.HasPrefix(raw, `"`) {
 			unq, err := strconv.Unquote(raw)

@@ -47,7 +47,7 @@ func runCancel(trials int, baseSeed int64, verbose bool) (int, error) {
 		if err := json.Unmarshal(data, &c); err != nil {
 			return 0, fmt.Errorf("%s: %w", path, err)
 		}
-		if _, err := experiments.ReplayCancelCase(c); err != nil {
+		if _, err := experiments.RunCancelCase(c); err != nil {
 			return 0, fmt.Errorf("%s: %w", path, err)
 		}
 	}

@@ -81,8 +81,9 @@
 // handed to two concurrent runs. Both gates commit
 // finished transactions to their certifier, whose compactor keeps the
 // resident population bounded across arbitrarily long streams; the
-// engine surfaces the lifecycle counters through
-// Metrics.Compactions/ReclaimedOps/LiveTxns.
+// engine surfaces the lifecycle counters through Metrics.Gate.Compact
+// (the gate's one Stats snapshot, journal counters and health
+// included).
 //
 // Within a single batch, exec.ParallelEngine parallelizes execution
 // itself: workers run independent programs speculatively against a
@@ -114,17 +115,12 @@
 //
 // The admission hot path is allocation-free in steady state: the
 // monitor interns transactions once into dense tables, keeps edge
-// reference counts in an open-addressing table, pools every search and
-// replay scratch buffer, and memoizes Admissible verdicts in a
-// generation-invalidated probe cache (a repeated probe costs a hash
-// lookup until the certification state it depends on actually moves;
-// the soundness rule and its monotonicity argument are in the core
-// package comment). The engine surfaces the cache counters through
-// Metrics.ProbeHits/ProbeMisses/ProbeInvalidations. Compaction keeps
-// it so: a pass filters every table in place, keeping its capacity, and
-// hands a reclaimed transaction's node slots, lists and table entries
-// to the next fresh ones, so a steady commit stream allocates nothing
-// per transaction either (TestZeroAllocFreshAdmission). What a
+// reference counts in an open-addressing table, and pools every search
+// and replay scratch buffer. Compaction keeps it so: a pass filters
+// every table in place, keeping its capacity, and hands a reclaimed
+// transaction's node slots, lists and table entries to the next fresh
+// ones, so a steady commit stream allocates nothing per transaction
+// either (TestZeroAllocFreshAdmission). What a
 // certifier retains is bounded by the largest population it held
 // between two passes (the core package comment states the bound).
 //
@@ -199,12 +195,11 @@
 // BenchmarkCertifyPolicies/BenchmarkMonitorRetract for the PERF5
 // family); EXPERIMENTS.md records their outputs, and `make bench`
 // checks the machine-readable trajectories into BENCH_monitor.json,
-// BENCH_compact.json, BENCH_hotpath.json, and BENCH_wal.json
-// (`make bench-hotpath` and `make bench-wal` regenerate the PERF8
-// hot-path and PERF9 durability studies alone, each through
-// `pwsrbench -section X -out BENCH_X.json`; every file opens with the
-// host's go/goos/goarch/host_cpus/gomaxprocs fingerprint so a timing
-// is never mistaken for one taken on other hardware). `make check`
+// BENCH_compact.json, and BENCH_wal.json (`make bench-wal`
+// regenerates the PERF9 durability study alone through `pwsrbench
+// -section wal -out BENCH_wal.json`; every file opens with the host's
+// go/goos/goarch/host_cpus/gomaxprocs fingerprint so a timing is never
+// mistaken for one taken on other hardware). `make check`
 // runs `go vet` plus the full suite under the race detector, then the
 // concurrency-sensitive packages again at GOMAXPROCS=1 and 8 (the
 // parallel engine's and the multiversion read path's differentials
@@ -222,13 +217,14 @@
 // run's error typed (exec.ErrDegraded) and the refusal queryable
 // through Health, and sched.DegradeBuffer bridges transient outages
 // by acknowledging grants against a bounded in-memory queue that
-// drains through Writer.Heal, tripping to shed if the outage outlasts
-// the cap or deadline. In every mode the write-ahead invariant holds:
+// drains through Writer.Heal, tripping to shed if the outage overflows
+// the cap. In every mode the write-ahead invariant holds:
 // no grant is ever acknowledged whose record cannot reach the log.
 // All three errors (ErrStall, ErrJournalDown, ErrDegraded) are
 // errors.Is-distinguishable, and the gate's live posture — mode,
 // queue depth, shed/buffered/dropped counters, failover promotions,
-// heals — surfaces through Health() and the engine's Metrics.Health.
+// heals — surfaces through Health() and the engine's
+// Metrics.Gate.Health.
 //
 // Below the gate, wal.FailoverBackend chains ordered backends behind
 // one Backend: when the writer exhausts its retry budget the chain

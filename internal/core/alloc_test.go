@@ -19,7 +19,7 @@ import (
 // multi-transaction history whose steady state keeps admitting without
 // drawing new structural edges, so further Observe/Admissible calls
 // exercise the full hot path (dense-id translation, frontier checks,
-// probe cache) with every table already grown.
+// reachability searches) with every table already grown.
 func zeroAllocMonitor(tb testing.TB) (*core.Monitor, []txn.Op) {
 	tb.Helper()
 	partition := []state.ItemSet{
@@ -80,7 +80,7 @@ func TestZeroAllocObserve(t *testing.T) {
 }
 
 // TestZeroAllocAdmissible pins the steady-state Admissible path
-// (probe-cache hits and revalidations) at 0 allocs/op.
+// (admitted and denied probes) at 0 allocs/op.
 func TestZeroAllocAdmissible(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is unreliable under -race")
@@ -105,15 +105,11 @@ func TestZeroAllocAdmissible(t *testing.T) {
 	if allocs > 0 {
 		t.Fatalf("steady-state Admissible allocates %.2f allocs/op, want 0", allocs)
 	}
-	st := m.ProbeStats()
-	if st.Hits == 0 {
-		t.Fatal("steady-state probes never hit the cache")
-	}
 }
 
 // TestZeroAllocGateTick pins the certification gates' whole per-tick
-// probe loop shape at the monitor level: a pending set re-probed every
-// tick against an unchanged monitor must be pure cache hits.
+// probe loop shape at the monitor level: re-probing a pending set
+// every tick against an unchanged monitor allocates nothing.
 func TestZeroAllocGateTick(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is unreliable under -race")
@@ -122,7 +118,6 @@ func TestZeroAllocGateTick(t *testing.T) {
 	pending := []txn.Op{
 		txn.R(2, "x", 0), txn.R(3, "u", 0), txn.W(1, "y", 0), txn.W(1, "x", 0),
 	}
-	before := m.ProbeStats()
 	allocs := testing.AllocsPerRun(500, func() {
 		for _, o := range pending {
 			m.Admissible(o)
@@ -130,10 +125,6 @@ func TestZeroAllocGateTick(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("re-probing a pending set allocates %.2f allocs/tick, want 0", allocs)
-	}
-	after := m.ProbeStats()
-	if after.Hits <= before.Hits {
-		t.Fatal("re-probes did not hit the cache")
 	}
 }
 
@@ -439,6 +430,17 @@ type passPolicy struct{}
 func (passPolicy) Pick([]*exec.Request, *exec.View) int { return exec.PassTick }
 func (passPolicy) TxnFinished(int, *exec.View)          {}
 
+// countingMonitor is a certifier that counts its Admissible calls.
+type countingMonitor struct {
+	*core.Monitor
+	admissible int
+}
+
+func (c *countingMonitor) Admissible(o txn.Op) bool {
+	c.admissible++
+	return c.Monitor.Admissible(o)
+}
+
 // TestZeroAllocGatePick is TestZeroAllocGateTick one layer up: a real
 // gate re-deciding an unchanged pending set every tick allocates
 // nothing, and — its verdict memo standing — asks the monitor nothing
@@ -447,7 +449,8 @@ func TestZeroAllocGatePick(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is unreliable under -race")
 	}
-	m, _ := zeroAllocMonitor(t)
+	mon, _ := zeroAllocMonitor(t)
+	m := &countingMonitor{Monitor: mon}
 	gate := sched.NewOptimisticCertifyOver(m, passPolicy{}, nil)
 	v := &exec.View{
 		Live:       map[int]bool{1: true, 2: true, 3: true},
@@ -460,13 +463,16 @@ func TestZeroAllocGatePick(t *testing.T) {
 		{TxnID: 3, Action: txn.ActionWrite, Entity: "u"},
 	}
 	gate.Pick(pending, v)
-	before := m.ProbeStats()
+	first := m.admissible
+	if first == 0 {
+		t.Fatal("vacuous: the first tick probed nothing")
+	}
 	allocs := testing.AllocsPerRun(500, func() { gate.Pick(pending, v) })
 	if allocs > 0 {
 		t.Fatalf("re-deciding a pending set allocates %.2f allocs/tick, want 0", allocs)
 	}
-	if after := m.ProbeStats(); after != before {
-		t.Fatalf("an unchanged pending set re-probed the monitor: %+v -> %+v", before, after)
+	if m.admissible != first {
+		t.Fatalf("an unchanged pending set re-probed the monitor: %d Admissible calls after the first tick's %d", m.admissible-first, first)
 	}
 }
 

@@ -90,15 +90,7 @@ func (m *Monitor) Commit(txnID int) {
 // a cycle a live transaction closes.
 //
 // A pass filters the monitor-level transaction interner and the dense
-// per-transaction tables in place around the survivors and prunes the
-// probe cache instead of dropping it: entries of committed
-// transactions are discarded (their nodes may have left individual
-// graphs, and a reclaimed dense id must never alias a fresh
-// transaction), while entries of live transactions are rekeyed through
-// the same dense-id remap the interner uses — see pruneProbe for why
-// the surviving verdicts remain exact. A snapshot+recover cycle
-// therefore resumes with the live working set's verdicts warm
-// (TestProbeCacheWarmAcrossCompact).
+// per-transaction tables in place around the survivors.
 //
 // Nothing a pass reclaims is freed: the tables keep their capacity and
 // a reclaimed transaction's lists are handed to the next fresh ones
@@ -137,7 +129,6 @@ func (m *Monitor) Compact() int {
 		}
 	}
 	if removed == 0 {
-		m.pruneProbe(nil)
 		if m.sink != nil {
 			m.sink.LogCompact(nil, m.CompactStats(), m.ops)
 		}
@@ -160,9 +151,6 @@ func (m *Monitor) Compact() int {
 			m.liveTxns--
 		}
 	}
-	// Rekey the probe cache before the dense tables are filtered: the
-	// prune consults the pre-compaction committed marks.
-	m.pruneProbe(remap)
 	// Filter the dense tables in place. The conjunct lists are swapped,
 	// not copied, so the reclaimed transactions' lists end up past the
 	// survivors, each held by exactly one slot, for txnID to reuse.
@@ -200,48 +188,6 @@ func (m *Monitor) Compact() int {
 		m.sink.LogCompact(reclaimedIDs, m.CompactStats(), m.ops)
 	}
 	return removed
-}
-
-// pruneProbe rebuilds the probe cache across a compaction pass.
-// Entries keyed by committed transactions are discarded: a committed
-// transaction's node may have been removed from individual graphs (so
-// its cached verdicts can go stale without a generation move), and
-// once reclaimed its dense id will be recycled. Entries keyed by live
-// transactions are kept, rekeyed through the compaction remap when
-// the interner was rebuilt (remap non-nil).
-//
-// Keeping them is sound because compaction is removal-only and bumps
-// no generation, so a kept entry revalidates against an unchanged
-// stamp and must still equal the uncached verdict: an admissible
-// verdict survives because removing nodes and edges can only shrink
-// the reachable set (no cycle can appear), and a denied verdict for a
-// live transaction t survives because its witness path t ⇝ frontier
-// runs entirely through descendants of t — t is an uncommitted
-// ancestor of every node on it, so none of them is reclaimable and
-// the path is intact. TestProbeCacheDifferential exercises cached
-// against uncached verdicts across compaction interleavings;
-// TestProbeCacheWarmAcrossCompact pins the preservation itself.
-func (m *Monitor) pruneProbe(remap []int32) {
-	if len(m.probe) == 0 {
-		return
-	}
-	if m.probeSpare == nil {
-		m.probeSpare = make(map[uint64]probeEntry, len(m.probe))
-	}
-	kept := m.probeSpare
-	for key, ent := range m.probe {
-		d := int32(key >> 33)
-		if m.committedB[d] {
-			continue
-		}
-		nd := d
-		if remap != nil {
-			nd = remap[d]
-		}
-		kept[uint64(uint32(nd))<<33|key&(1<<33-1)] = ent
-	}
-	clear(m.probe)
-	m.probe, m.probeSpare = kept, m.probe
 }
 
 // inAnyGraph reports whether the dense transaction id still has a node

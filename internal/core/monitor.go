@@ -55,10 +55,9 @@ const txnDirectMax = 1 << 20
 // table (op counts, residency, commit marks, touched conjuncts, and
 // each graph's node translation) is a dense slice indexed by the
 // interned id, edge reference counts live in an open-addressing table
-// keyed by packed node pairs, and Admissible verdicts are memoized in
-// a generation-invalidated probe cache (see Admissible). Steady-state
-// Observe and Admissible are allocation-free (enforced by
-// TestZeroAlloc* via testing.AllocsPerRun).
+// keyed by packed node pairs. Steady-state Observe and Admissible are
+// allocation-free (enforced by TestZeroAlloc* via
+// testing.AllocsPerRun).
 type Monitor struct {
 	partition []state.ItemSet
 	graphs    []*incGraph
@@ -102,14 +101,6 @@ type Monitor struct {
 	// remap is Compact's dense-id translation, kept between passes.
 	remap []int32
 
-	// Probe cache state — see Admissible and probe.go.
-	probeOn            bool
-	probe              map[uint64]probeEntry
-	probeSpare         map[uint64]probeEntry // pruneProbe rekeys into it, then swaps
-	probeHits          int64
-	probeMisses        int64
-	probeInvalidations int64
-
 	// sink, when non-nil, observes the applied lifecycle stream (see
 	// LifecycleSink); internal/wal persists it for crash recovery.
 	sink LifecycleSink
@@ -133,15 +124,13 @@ type Monitor struct {
 
 // NewMonitor builds a monitor over the conjunct partition. Automatic
 // compaction is enabled at DefaultAutoCompactEvery (a no-op until
-// Commit is used; see SetAutoCompact) and the probe cache is on (see
-// SetProbeCache).
+// Commit is used; see SetAutoCompact).
 func NewMonitor(partition []state.ItemSet) *Monitor {
 	m := &Monitor{
 		partition: partition,
 		items:     intern.NewStrings(),
 		conjOff:   []int32{0},
 		txns:      intern.NewIDs(),
-		probeOn:   true,
 		autoEvery: DefaultAutoCompactEvery,
 	}
 	for range partition {
@@ -308,18 +297,9 @@ func (m *Monitor) admit(o *txn.Op) *Violation {
 // concurrently; the monitor is a single-goroutine certifier. After a
 // violation nothing is admissible.
 //
-// Verdicts are memoized per (transaction, item, read/write) in a
-// generation-invalidated probe cache, so a repeated probe costs a hash
-// lookup instead of a reachability search until certification state it
-// depends on actually moves. The sched gates keep their own verdict
-// memo in front of this one and re-probe a pending request only when
-// something moved in its item's conjuncts, so from a gate the cache
-// sees just those probes: it absorbs the ones a finer-grained move
-// (another item of the same conjunct) left unchanged. The invalidation
-// rule is monotone and exact — see the package
-// comment's soundness paragraph and probe.go; TestProbeCacheDifferential
-// replays cached against uncached verdicts over random
-// Observe/Retract/Commit/Compact interleavings.
+// Every call runs the reachability checks afresh. The sched gates keep
+// a verdict memo in front of it and re-probe a pending request only
+// when something moved in its item's conjuncts.
 func (m *Monitor) Admissible(o txn.Op) bool {
 	if m.violation != nil {
 		return false
@@ -336,52 +316,8 @@ func (m *Monitor) Admissible(o txn.Op) bool {
 	if !ok {
 		return true // never-seen transaction: a brand-new node cannot close a cycle
 	}
-	if !m.probeOn {
-		return m.admissibleAll(dense, o.Action, item, cs)
-	}
-	// Stamp the probe with the generations it depends on: the involved
-	// item's frontier generation in every member conjunct, plus each
-	// graph's structural add (for admissible verdicts) or delete (for
-	// denied verdicts) generation. The counters are monotone, so the
-	// sums change iff some component moved.
-	var addStamp, delStamp uint64
 	for _, e := range cs {
-		g := m.graphs[e]
-		ig := g.itemGenOf(item)
-		addStamp += g.addGen + ig
-		delStamp += g.delGen + ig
-	}
-	key := probeKey(dense, item, o.Action)
-	if ent, ok := m.probe[key]; ok {
-		want := delStamp
-		if ent.ok {
-			want = addStamp
-		}
-		if ent.stamp == want {
-			m.probeHits++
-			return ent.ok
-		}
-		m.probeInvalidations++
-	} else {
-		m.probeMisses++
-	}
-	verdict := m.admissibleAll(dense, o.Action, item, cs)
-	stamp := delStamp
-	if verdict {
-		stamp = addStamp
-	}
-	if m.probe == nil {
-		m.probe = make(map[uint64]probeEntry)
-	}
-	m.probe[key] = probeEntry{stamp: stamp, ok: verdict}
-	return verdict
-}
-
-// admissibleAll runs the uncached admissibility checks over the item's
-// member conjuncts.
-func (m *Monitor) admissibleAll(dense int32, action txn.Action, item int32, cs []int32) bool {
-	for _, e := range cs {
-		if !m.graphs[e].admissible(dense, action, item) {
+		if !m.graphs[e].admissible(dense, o.Action, item) {
 			return false
 		}
 	}
@@ -442,8 +378,7 @@ func (m *Monitor) Retract(txnID int) {
 // transaction-id pairs, sorted. It is an inspection-only accessor for
 // differential tests and post-run analysis: every call allocates and
 // sorts a fresh (exactly presized) slice, so it must not be called on
-// the admission hot path — Admissible and the probe cache are the
-// hot-path interfaces.
+// the admission hot path — Admissible is the hot-path interface.
 func (m *Monitor) ConflictEdges(e int) [][2]int {
 	g := m.graphs[e]
 	out := make([][2]int, 0, g.edges.used)
@@ -521,14 +456,12 @@ func (a access) node() int32 { return int32(a >> 1) }
 func (a access) write() bool { return a&1 != 0 }
 
 // itemState is one item's per-conjunct certification state: the
-// conflict frontier (last writer, readers since), the probe-cache
-// frontier generation, the access log, and the packed edges the item's
-// history contributes (mirrored as a map once the list outgrows linear
-// scans). One struct per item keeps the admission hot path on one
-// cache line instead of six parallel slices.
+// conflict frontier (last writer, readers since), the access log, and
+// the packed edges the item's history contributes (mirrored as a map
+// once the list outgrows linear scans). One struct per item keeps the
+// admission hot path on one cache line instead of parallel slices.
 type itemState struct {
 	lastWriter int32
-	gen        uint64
 	// readerBits mirrors membership of nodes 0..63 in readers, so the
 	// per-read dedup is one bit test for the common small graph;
 	// higher-numbered nodes fall back to the linear scan.
@@ -578,14 +511,6 @@ type incGraph struct {
 	edges edgeTable
 	// item[i] is the interned item i's state.
 	item []itemState
-
-	// Probe-cache generations (see Admissible). item[i].gen counts the
-	// item's frontier changes; addGen counts structural edge
-	// insertions; delGen counts structural edge removals. All three
-	// are monotone, which is what makes summed stamps a sound validity
-	// check.
-	addGen uint64
-	delGen uint64
 
 	// Scratch state for the two-way search, reused across insertions.
 	// markGen is 64-bit so a long-lived certifier (one search per
@@ -659,16 +584,6 @@ func (g *incGraph) ensureItem(item int32) {
 	}
 }
 
-// itemGenOf returns the item's frontier generation (0 for an item this
-// graph has never seen — its first access bumps the counter, so the
-// transition is observable).
-func (g *incGraph) itemGenOf(item int32) uint64 {
-	if int(item) >= len(g.item) {
-		return 0
-	}
-	return g.item[item].gen
-}
-
 // add records the operation's conflicts and returns a cycle (original
 // transaction ids, first == last) if one appears. On a cycle the access
 // is not recorded; the monitor is sticky afterwards, so the graph is
@@ -697,31 +612,24 @@ func (g *incGraph) add(dense int32, action txn.Action, item int32) []int {
 			if me < 64 {
 				it.readerBits |= 1 << uint(me)
 			}
-			it.gen++
 		}
 	case txn.ActionWrite:
-		// A repeat write by the current last writer with no readers
-		// since leaves the frontier (and hence every probe verdict)
-		// untouched; skip the generation bump so cached probes survive.
-		if lw != me || len(it.readers) != 0 {
-			if lw >= 0 && lw != me {
-				if cycle := g.connect(lw, me, item); cycle != nil {
-					return cycle
-				}
+		if lw >= 0 && lw != me {
+			if cycle := g.connect(lw, me, item); cycle != nil {
+				return cycle
 			}
-			for _, r := range it.readers {
-				if r == me {
-					continue
-				}
-				if cycle := g.connect(r, me, item); cycle != nil {
-					return cycle
-				}
-			}
-			it.lastWriter = me
-			it.readers = it.readers[:0]
-			it.readerBits = 0
-			it.gen++
 		}
+		for _, r := range it.readers {
+			if r == me {
+				continue
+			}
+			if cycle := g.connect(r, me, item); cycle != nil {
+				return cycle
+			}
+		}
+		it.lastWriter = me
+		it.readers = it.readers[:0]
+		it.readerBits = 0
 	}
 	it.log = growAppend(it.log, packAccess(me, action))
 	g.nodes[me].items = growAppend(g.nodes[me].items, item)
@@ -858,7 +766,6 @@ func (g *incGraph) insert(x, y int32) []int {
 	}
 	g.nodes[x].out = growAppend(g.nodes[x].out, y)
 	g.nodes[y].in = growAppend(g.nodes[y].in, x)
-	g.addGen++
 	return nil
 }
 
@@ -930,7 +837,6 @@ func (g *incGraph) retract(dense int32) {
 				it.readerBits |= 1 << uint(r)
 			}
 		}
-		it.gen++
 	}
 	// The emptied node keeps its item list's array for the next attempt.
 	g.nodes[t].items = touched[:0]
@@ -988,7 +894,6 @@ func (g *incGraph) dropEdge(key uint64) {
 	x, y := unpackEdgeKey(key)
 	g.nodes[x].out = removeInt32(g.nodes[x].out, y)
 	g.nodes[y].in = removeInt32(g.nodes[y].in, x)
-	g.delGen++
 }
 
 // bridgeEdge increments the edge's reference count, inserting it into

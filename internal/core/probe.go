@@ -1,78 +1,17 @@
 package core
 
-import "pwsr/internal/txn"
-
-// ProbeStats reports a certifier's probe-cache counters: Hits are
-// Admissible calls answered from a still-valid cached verdict, Misses
-// are first-time probes, and Invalidations are probes whose cached
-// verdict had been invalidated by a generation move and was recomputed.
-// Hits + Misses + Invalidations is the number of cacheable probes
-// (probes of never-seen items or transactions are answered structurally
-// and bypass the cache).
+// ProbeStats is kept for benchmark/pipeline.go:179 until ROADMAP item
+// 1; always zero.
 type ProbeStats struct {
 	Hits          int64
 	Misses        int64
 	Invalidations int64
 }
 
-// HitRate returns the fraction of cacheable probes answered from the
-// cache (0 when none ran).
-func (s ProbeStats) HitRate() float64 {
-	total := s.Hits + s.Misses + s.Invalidations
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
+// ProbeStats returns the zero value. Kept for benchmark/pipeline.go:179
+// until ROADMAP item 1; always zero.
+func (m *Monitor) ProbeStats() ProbeStats { return ProbeStats{} }
 
-// probeEntry is one memoized Admissible verdict. stamp is the sum of
-// the generations the verdict depends on at probe time: for an
-// admissible verdict the involved graphs' addGen (+ the item's
-// frontier generations), for a denied verdict their delGen. The
-// asymmetry is the monotonicity argument spelled out in the package
-// comment: edge insertions can only create cycles (they cannot
-// resurrect admissibility), edge removals can only break them, and a
-// frontier move changes the candidate edge set outright — so an
-// admissible verdict survives any interval with no insertions and no
-// frontier move, and a denial survives any interval with no removals
-// and no frontier move.
-type probeEntry struct {
-	stamp uint64
-	ok    bool
-}
-
-// probeKey packs a probe identity — monitor-dense transaction id,
-// interned item id, read/write — into one map key. Dense ids occupy
-// bits 33+, item ids bits 1–32, the action bit 0; both id spaces are
-// int32, so the fields cannot collide.
-func probeKey(dense, item int32, action txn.Action) uint64 {
-	key := uint64(uint32(dense))<<33 | uint64(uint32(item))<<1
-	if action == txn.ActionWrite {
-		key |= 1
-	}
-	return key
-}
-
-// ProbeStats snapshots the monitor's probe-cache counters.
-func (m *Monitor) ProbeStats() ProbeStats {
-	return ProbeStats{
-		Hits:          m.probeHits,
-		Misses:        m.probeMisses,
-		Invalidations: m.probeInvalidations,
-	}
-}
-
-// SetProbeCache enables or disables Admissible's probe cache and
-// returns the previous setting. Disabling clears the cache, so
-// re-enabling starts cold. The cached and uncached paths are
-// verdict-identical (TestProbeCacheDifferential); the switch exists
-// for differential tests and for measuring the cache's effect
-// (experiments.HotPathStudy).
-func (m *Monitor) SetProbeCache(on bool) bool {
-	old := m.probeOn
-	m.probeOn = on
-	if !on {
-		clear(m.probe)
-	}
-	return old
-}
+// ProbeStats returns the zero value. Kept for benchmark/pipeline.go:179
+// until ROADMAP item 1; always zero.
+func (m *ShardedMonitor) ProbeStats() ProbeStats { return ProbeStats{} }

@@ -704,33 +704,3 @@ func (m *ShardedMonitor) ObserveAll(s *txn.Schedule) *Violation {
 	}
 	return nil
 }
-
-// ProbeStats sums the shards' probe-cache counters (each shard's inner
-// Monitor memoizes its own verdicts under the shard lock, so the
-// sharded admission preflight inherits the generation-invalidated
-// cache wholesale).
-func (m *ShardedMonitor) ProbeStats() ProbeStats {
-	var st ProbeStats
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		s := sh.mon.ProbeStats()
-		sh.mu.Unlock()
-		st.Hits += s.Hits
-		st.Misses += s.Misses
-		st.Invalidations += s.Invalidations
-	}
-	return st
-}
-
-// SetProbeCache enables or disables the probe cache on every shard and
-// returns the previous setting (the shards are always configured
-// uniformly).
-func (m *ShardedMonitor) SetProbeCache(on bool) bool {
-	old := true
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		old = sh.mon.SetProbeCache(on)
-		sh.mu.Unlock()
-	}
-	return old
-}

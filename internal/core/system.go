@@ -81,39 +81,6 @@
 // cancel-equals-abort holds all the way down to the recovered
 // monitor.
 //
-// # Probe caching and generation invalidation
-//
-// Admissible memoizes its verdict per (transaction, item, read/write)
-// so a scheduler re-probing its pending set every tick pays a hash
-// lookup, not a reachability search. The soundness rule: a cached
-// verdict is valid iff none of the generations it depends on has
-// moved. Three monotone counters suffice because the probe's answer
-// can only change in one direction per event class: each graph keeps a
-// per-item frontier generation (bumped whenever the item's last
-// writer or reader set changes — a frontier move changes the probe's
-// candidate edge set outright, so both verdict polarities invalidate
-// on it), a structural insertion generation addGen, and a structural
-// removal generation delGen. Edge insertions monotonically grow
-// reachability: they can newly close a cycle but never reopen
-// admissibility, so an ADMISSIBLE verdict is invalidated by addGen
-// (or frontier) movement and survives pure removals. Edge removals
-// monotonically shrink reachability: they can restore admissibility
-// but never create a denial, so a DENIED verdict is invalidated by
-// delGen (or frontier) movement and survives pure insertions. A
-// verdict is stamped with the sum of its relevant generations over
-// the item's member conjuncts — monotone counters make the sum change
-// exactly when some component changes. Compaction removes nodes
-// without touching the generations: entries keyed by committed
-// transactions are discarded (their dense ids may be recycled), while
-// entries keyed by live transactions are rekeyed through the
-// compaction remap and stay warm — removal-only passes provably
-// preserve live verdicts (see Compact and pruneProbe;
-// TestProbeCacheWarmAcrossCompact pins the surviving hits).
-// TestProbeCacheDifferential replays cached against uncached verdicts
-// over random Observe/Retract/Commit/Compact interleavings, and
-// sched's TestGateDecisionIdentityCachedVsUncached proves the
-// certification gates' decisions identical with the cache on and off.
-//
 // # Lifecycle logging, snapshots, and recovery
 //
 // Both certifiers accept a LifecycleSink (SetSink): every Observe,

@@ -322,17 +322,6 @@ type CompactStats struct {
 	LiveTxns int
 }
 
-// ProbeStats is a certifying policy's admission probe-cache counters:
-// Hits are Admissible probes answered from a still-valid memoized
-// verdict, Misses are first-time probes, and Invalidations are probes
-// whose cached verdict a generation move invalidated (recomputed and
-// re-cached).
-type ProbeStats struct {
-	Hits          int64
-	Misses        int64
-	Invalidations int64
-}
-
 // LogStats is a journaled certifying policy's durability counters, as
 // reported by a gate whose certifier writes a write-ahead lifecycle
 // log (sched.AttachJournal over internal/wal).
@@ -354,20 +343,19 @@ type LogStats struct {
 }
 
 // GateStats is one snapshot of a certifying gate's counters: the
-// certifier's lifecycle and probe-cache counters, the journal's
-// counters, and the gate's health.
+// certifier's lifecycle counters, the journal's counters, and the
+// gate's health.
 type GateStats struct {
 	Compact CompactStats
-	Probe   ProbeStats
 	Log     LogStats
 	Health  Health
 }
 
 // StatsReporter is an optional Policy and BatchGate extension: a
 // certifying gate reports its counters as one snapshot, which the
-// engines copy into Metrics at the end of a run and batch, and which
-// the tick engine consults to attribute a stall to a storage outage or
-// the gate's lifecycle posture.
+// engines store in Metrics.Gate at the end of a run and batch, and
+// which the tick engine consults to attribute a stall to a storage
+// outage or the gate's lifecycle posture.
 type StatsReporter interface {
 	// Stats snapshots the gate's counters.
 	Stats() GateStats
@@ -391,32 +379,13 @@ type Metrics struct {
 	WastedOps int
 	// PerTxn maps transaction id to its metrics.
 	PerTxn map[int]*TxnMetrics
-	// The fields from Compactions to Log are copied from the policy's
-	// (or batch gate's) Stats at the end of the run when it implements
-	// StatsReporter; they stay zero otherwise.
-	//
-	// Compactions, ReclaimedTxns, ReclaimedOps, and LiveTxns report the
-	// certifier's transaction-lifecycle counters (GateStats.Compact).
-	// LiveTxns is the certifier's residual population — for a policy
-	// reused across sequential runs it measures what the stream's
-	// history still costs, the number the compactor keeps bounded.
-	Compactions   int
-	ReclaimedTxns int
-	ReclaimedOps  int
-	LiveTxns      int
-	// ProbeHits, ProbeMisses, and ProbeInvalidations report the
-	// certifier's admission probe-cache counters (GateStats.Probe). The
-	// hit fraction is the share of scheduler-tick re-probes the cache
-	// absorbed.
-	ProbeHits          int64
-	ProbeMisses        int64
-	ProbeInvalidations int64
-	// Health reports the gate's degradation/failover state
-	// (GateStats.Health).
-	Health Health
-	// Log reports the certifier's write-ahead journal counters
-	// (GateStats.Log); zero for a gate with no journal attached.
-	Log LogStats
+	// Gate is the policy's (or batch gate's) Stats snapshot taken at
+	// the end of the run when it implements StatsReporter; zero
+	// otherwise. Gate.Compact.LiveTxns is the certifier's residual
+	// population — for a policy reused across sequential runs it
+	// measures what the stream's history still costs, the number the
+	// compactor keeps bounded.
+	Gate GateStats
 	// Retries counts program re-executions in a ParallelEngine batch:
 	// speculative retries after failed version validations plus the
 	// at-most-one authoritative re-execution at each commit turn.
@@ -1136,21 +1105,10 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 	return result(), nil
 }
 
-// harvestStats copies a certifying gate's Stats snapshot from a policy
-// or batch gate into m; a nil or plain value leaves m untouched.
+// harvestStats stores a certifying gate's Stats snapshot from a policy
+// or batch gate in m; a nil or plain value leaves m untouched.
 func harvestStats(p any, m *Metrics) {
-	sr, ok := p.(StatsReporter)
-	if !ok {
-		return
+	if sr, ok := p.(StatsReporter); ok {
+		m.Gate = sr.Stats()
 	}
-	s := sr.Stats()
-	m.Compactions = s.Compact.Compactions
-	m.ReclaimedTxns = s.Compact.ReclaimedTxns
-	m.ReclaimedOps = s.Compact.ReclaimedOps
-	m.LiveTxns = s.Compact.LiveTxns
-	m.ProbeHits = s.Probe.Hits
-	m.ProbeMisses = s.Probe.Misses
-	m.ProbeInvalidations = s.Probe.Invalidations
-	m.Log = s.Log
-	m.Health = s.Health
 }

@@ -13,7 +13,6 @@ import (
 	"pwsr/internal/fault"
 	"pwsr/internal/gen"
 	"pwsr/internal/sched"
-	"pwsr/internal/sim"
 	"pwsr/internal/state"
 	"pwsr/internal/txn"
 	"pwsr/internal/wal"
@@ -156,11 +155,6 @@ func RunCancelTrial(seed int64) (CancelRecord, error) {
 	return RunCancelCase(CancelCase{Seed: seed, Leg: leg, Mode: modeName(mode), Plan: plan})
 }
 
-// ReplayCancelCase re-runs a dumped case exactly (the workload, inner
-// policy, and journal layout are all derived from Seed; the plan
-// carries the armed point).
-func ReplayCancelCase(c CancelCase) (CancelRecord, error) { return RunCancelCase(c) }
-
 // cancelTypedErr checks the cancellation error contract: nil, or an
 // error that is exec.ErrCanceled/exec.ErrDeadline.
 func cancelTypedErr(err error) error {
@@ -195,8 +189,10 @@ func verifyResume(fb *wal.FailoverBackend, partition []state.ItemSet, rec *recor
 	return info.LastSeq, nil
 }
 
-// RunCancelCase runs one cancel case end to end. A non-nil error is
-// always a *CancelFailure carrying the case.
+// RunCancelCase runs one cancel case end to end; it also re-runs a
+// dumped case exactly (the workload, inner policy, and journal layout
+// are all derived from Seed; the plan carries the armed point). A
+// non-nil error is always a *CancelFailure carrying the case.
 func RunCancelCase(c CancelCase) (CancelRecord, error) {
 	rng := rand.New(rand.NewSource(c.Seed))
 	w := chaosWorkload(rng, c.Seed)
@@ -399,39 +395,4 @@ func runCancelDrainLeg(c CancelCase, rec CancelRecord, w *gen.Workload, mode sch
 		return fail("%v", rerr)
 	}
 	return rec, nil
-}
-
-// CancelStudy runs cancel trials seeded seed..seed+trials-1 and
-// aggregates the outcomes. The first violated obligation aborts the
-// study with a *CancelFailure.
-func CancelStudy(trials int, seed int64) (*sim.Table, []CancelRecord, error) {
-	records := make([]CancelRecord, 0, trials)
-	counts := map[string]int{}
-	var fired int64
-	for i := 0; i < trials; i++ {
-		rec, err := RunCancelTrial(seed + int64(i))
-		if err != nil {
-			return nil, records, err
-		}
-		records = append(records, rec)
-		counts[rec.Leg+"/"+rec.Outcome]++
-		fired += rec.Fired
-	}
-	tab := &sim.Table{
-		Title:   fmt.Sprintf("ROBUST2 — cancel-at-every-point differential (%d seeded cases)", trials),
-		Columns: []string{"leg/outcome", "trials"},
-		Notes: []string{
-			fmt.Sprintf("fired injections (incl. cancels): %d", fired),
-			"every cancelled run surfaced the typed error and settled to an abort-equivalent certifier",
-			"every durable prefix verdict-identical to the absorbed-stream reference replay (Recover and Resume)",
-		},
-	}
-	for _, k := range []string{
-		"tick/completed", "tick/canceled",
-		"batch/completed", "batch/canceled",
-		"drain/canceled", "drain/deadline",
-	} {
-		tab.AddRow(k, fmt.Sprintf("%d", counts[k]))
-	}
-	return tab, records, nil
 }

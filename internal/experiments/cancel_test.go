@@ -63,7 +63,7 @@ func TestCancelReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec2, err := ReplayCancelCase(rec1.CancelCase)
+		rec2, err := RunCancelCase(rec1.CancelCase)
 		if err != nil {
 			t.Fatalf("replay of seed %d failed: %v", seed, err)
 		}

@@ -142,12 +142,12 @@ func TestGateLiveTxnsBoundedAcrossRuns(t *testing.T) {
 		}
 		last = res
 	}
-	m := last.Metrics
+	m := last.Metrics.Gate.Compact
 	if m.Compactions == 0 || m.ReclaimedTxns == 0 || m.ReclaimedOps == 0 {
 		t.Fatalf("lifecycle counters not surfaced through Metrics: %+v", m)
 	}
 	if m.LiveTxns > perBatch+autoEvery {
-		t.Fatalf("Metrics.LiveTxns = %d, want ≤ %d", m.LiveTxns, perBatch+autoEvery)
+		t.Fatalf("Metrics.Gate.Compact.LiveTxns = %d, want ≤ %d", m.LiveTxns, perBatch+autoEvery)
 	}
 	total := batches * perBatch
 	if st := gate.Monitor().CompactStats(); st.ReclaimedTxns < total-perBatch-autoEvery {

@@ -74,14 +74,14 @@ const (
 	// admission queue: grants keep flowing while the queue holds every
 	// un-absorbed event, and the queue drains through Healer.Heal once
 	// the backend recovers or a standby is promoted. Overflowing the
-	// queue (or exceeding the deadline) trips the gate to shed. The
-	// trade is bounded durability exposure — up to WithBufferCap
-	// acknowledged admissions ride on memory until the next successful
-	// heal, the outage-time analogue of group commit's GroupEvery-1
-	// window — but never an un-journaled grant after recovery: a crash
-	// during the outage loses only buffered admissions, which were
-	// never durable-acknowledged to begin with, and the log still
-	// replays to a consistent prefix.
+	// queue trips the gate to shed. The trade is bounded durability
+	// exposure — up to WithBufferCap acknowledged admissions ride on
+	// memory until the next successful heal, the outage-time analogue
+	// of group commit's GroupEvery-1 window — but never an
+	// un-journaled grant after recovery: a crash during the outage
+	// loses only buffered admissions, which were never
+	// durable-acknowledged to begin with, and the log still replays to
+	// a consistent prefix.
 	DegradeBuffer
 )
 
@@ -104,25 +104,6 @@ func WithBufferCap(n int) JournalOption {
 		if n > 0 {
 			j.bufferCap = n
 		}
-	}
-}
-
-// WithBufferDeadline bounds how long a DegradeBuffer gate bridges an
-// outage before tripping to shed (default 0 = no deadline, the cap
-// alone bounds exposure).
-func WithBufferDeadline(d time.Duration) JournalOption {
-	return func(j *journaled) { j.bufferDeadline = d }
-}
-
-// WithHealBackoff paces the buffered gate's Heal attempts: the delay
-// doubles from base per consecutive failed attempt, is capped at max
-// (max <= 0 selects 16x base), and is jittered into [d/2, d] so
-// replicas healing from the same outage do not retry in lockstep.
-// base <= 0 (the default) heals eagerly on every ack.
-func WithHealBackoff(base, max time.Duration) JournalOption {
-	return func(j *journaled) {
-		j.healBase = base
-		j.healMax = max
 	}
 }
 
@@ -151,24 +132,18 @@ type journaled struct {
 	jerr error
 	mode DegradeMode
 	// degraded latches shed mode: set on the first failed ack under
-	// DegradeShed, or when a DegradeBuffer queue trips its bounds.
-	degraded       bool
-	bufferCap      int
-	bufferDeadline time.Duration
-	healBase       time.Duration
-	healMax        time.Duration
+	// DegradeShed, or when a DegradeBuffer queue overflows its cap.
+	degraded  bool
+	bufferCap int
 	// queue holds events not yet absorbed by the journal (DegradeBuffer
 	// only). Order is the monitor's application order; once anything is
 	// queued, every later event queues behind it.
 	queue []bufferedEvent
 	// downSince is when the current outage began (zero while healthy).
-	downSince   time.Time
-	lastHealTry time.Time
-	healTries   int
-	rng         uint64
-	shed        int64
-	buffered    int64
-	dropped     int64
+	downSince time.Time
+	shed      int64
+	buffered  int64
+	dropped   int64
 }
 
 // attach wires the journal behind the certifier's lifecycle sink,
@@ -182,12 +157,8 @@ func (j *journaled) attach(mon Certifier, journal Journal, opts ...JournalOption
 	j.mode = DegradeFailStop
 	j.degraded = false
 	j.bufferCap = 64
-	j.bufferDeadline = 0
-	j.healBase = 0
-	j.healMax = 0
 	j.queue = nil
 	j.downSince = time.Time{}
-	j.healTries = 0
 	for _, o := range opts {
 		o(j)
 	}
@@ -282,7 +253,7 @@ func (j *journaled) forward(ev bufferedEvent) {
 // further admission (exec.ErrDegraded). Under DegradeBuffer the gate
 // acknowledges against the bounded queue, healing and draining
 // opportunistically, and trips to shed when the queue overflows its
-// cap or deadline.
+// cap.
 func (j *journaled) ack() bool {
 	if j.journal == nil {
 		return true
@@ -298,7 +269,6 @@ func (j *journaled) ack() bool {
 	err := j.journal.Barrier()
 	if err == nil && len(j.queue) == 0 {
 		j.downSince = time.Time{}
-		j.healTries = 0
 		return true
 	}
 	switch j.mode {
@@ -313,15 +283,13 @@ func (j *journaled) ack() bool {
 		}
 		if j.tryHealDrain() {
 			j.downSince = time.Time{}
-			j.healTries = 0
 			return true
 		}
-		if len(j.queue) <= j.bufferCap &&
-			(j.bufferDeadline <= 0 || time.Since(j.downSince) <= j.bufferDeadline) {
+		if len(j.queue) <= j.bufferCap {
 			j.buffered++
 			return true
 		}
-		// Trip: the outage outlasted the buffer's bounds. Everything
+		// Trip: the outage overflowed the buffer's cap. Everything
 		// queued was acknowledged against memory only — count it
 		// dropped, latch shed.
 		j.dropped += int64(len(j.queue))
@@ -341,8 +309,8 @@ func (j *journaled) ack() bool {
 
 // tryHealDrain attempts to bring the journal back and replay the
 // admission queue through it, returning true when the journal is
-// healthy and the queue is empty. Heal attempts are paced by
-// WithHealBackoff; a journal without Healer can never drain (its
+// healthy and the queue is empty. It heals on every call while the
+// journal is down; a journal without Healer can never drain (its
 // queue only grows until the gate trips to shed — conservative, and
 // safe because nothing queued is ever double-applied).
 func (j *journaled) tryHealDrain() bool {
@@ -350,16 +318,8 @@ func (j *journaled) tryHealDrain() bool {
 	if !ok {
 		return false
 	}
-	if j.journal.Barrier() != nil {
-		if !j.healDue() {
-			return false
-		}
-		j.healTries++
-		j.lastHealTry = time.Now()
-		if h.Heal() != nil {
-			return false
-		}
-		j.healTries = 0
+	if j.journal.Barrier() != nil && h.Heal() != nil {
+		return false
 	}
 	for len(j.queue) > 0 {
 		before := h.LoggedSeq()
@@ -426,38 +386,6 @@ func (j *journaled) drainFlush(ctx context.Context, mu *sync.Mutex) error {
 		return fmt.Errorf("%w: %v", exec.ErrJournalDown, err)
 	}
 	return nil
-}
-
-// healDue paces Heal attempts: exponential from healBase per
-// consecutive failure, capped at healMax (<= 0 selects 16x base),
-// jittered into [d/2, d]. base <= 0 heals eagerly.
-func (j *journaled) healDue() bool {
-	if j.healBase <= 0 || j.healTries == 0 {
-		return true
-	}
-	d := j.healBase
-	for i := 0; i < j.healTries && i < 16; i++ {
-		d *= 2
-	}
-	max := j.healMax
-	if max <= 0 {
-		max = 16 * j.healBase
-	}
-	if d > max {
-		d = max
-	}
-	// splitmix64 jitter into [d/2, d].
-	j.rng += 0x9e3779b97f4a7c15
-	z := j.rng
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	if half := d / 2; half > 0 {
-		d = half + time.Duration(z%uint64(half+1))
-	}
-	return time.Since(j.lastHealTry) >= d
 }
 
 // frozen reports whether the gate refuses all further admissions: the

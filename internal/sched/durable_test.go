@@ -53,7 +53,7 @@ func requireSameCertState(t *testing.T, ctx string, got, want durableCertifier, 
 
 // TestDurableGateJournalsAndRecovers runs the blocking gate with a
 // write-ahead journal attached: the run's lifecycle stream lands in
-// the log, the engine surfaces the journal counters in Metrics.Log,
+// the log, the engine surfaces the journal counters in Metrics.Gate.Log,
 // and recovering the log rebuilds a monitor verdict-identical to the
 // gate's.
 func TestDurableGateJournalsAndRecovers(t *testing.T) {
@@ -82,11 +82,11 @@ func TestDurableGateJournalsAndRecovers(t *testing.T) {
 			t.Fatal(err)
 		}
 		completed = true
-		if res.Metrics.Log.Records == 0 {
+		if res.Metrics.Gate.Log.Records == 0 {
 			t.Fatal("journaled run reported no log records")
 		}
-		if got, want := res.Metrics.Log.Records, jw.Stats().Records; got != want {
-			t.Fatalf("Metrics.Log.Records=%d, want writer's %d", got, want)
+		if got, want := res.Metrics.Gate.Log.Records, jw.Stats().Records; got != want {
+			t.Fatalf("Metrics.Gate.Log.Records=%d, want writer's %d", got, want)
 		}
 		if err := gate.Journal().(*wal.Writer).Close(); err != nil {
 			t.Fatal(err)
@@ -125,7 +125,7 @@ func TestOptimisticDurableGateRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Metrics.Log.Records == 0 {
+	if res.Metrics.Gate.Log.Records == 0 {
 		t.Fatal("journaled run reported no log records")
 	}
 	if err := jw.Close(); err != nil {

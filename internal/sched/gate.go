@@ -120,8 +120,8 @@ func (g *gate) finish(id int, v *exec.View) {
 	g.Inner.TxnFinished(id, v)
 }
 
-// Stats implements exec.StatsReporter: the certifier's lifecycle and
-// probe-cache counters, the journal's counters and the gate's health,
+// Stats implements exec.StatsReporter: the certifier's lifecycle
+// counters, the journal's counters and the gate's health,
 // snapshotted under one hold of the gate mutex, so an engine's harvest
 // never races another engine ticking or admitting through the same
 // gate.
@@ -133,18 +133,13 @@ func (g *gate) Stats() exec.GateStats {
 
 // stats is Stats under the gate mutex.
 func (g *gate) stats() exec.GateStats {
-	cs, ps := g.memo.mon.CompactStats(), g.memo.mon.ProbeStats()
+	cs := g.memo.mon.CompactStats()
 	return exec.GateStats{
 		Compact: exec.CompactStats{
 			Compactions:   cs.Compactions,
 			ReclaimedTxns: cs.ReclaimedTxns,
 			ReclaimedOps:  cs.ReclaimedOps,
 			LiveTxns:      cs.LiveTxns,
-		},
-		Probe: exec.ProbeStats{
-			Hits:          ps.Hits,
-			Misses:        ps.Misses,
-			Invalidations: ps.Invalidations,
 		},
 		Log:    g.jn.logStats(),
 		Health: g.health(),

@@ -100,10 +100,9 @@ func TestGateSharedByTickAndBatchEngines(t *testing.T) {
 }
 
 // TestGateStatsMatchesParts pins the stats snapshot against the parts it
-// gathers, read separately: the certifier's CompactStats and
-// ProbeStats, the journal's wal.Stats and the gate's Health — after a
-// tick run and after a batch, with the engine's Metrics carrying the
-// same values.
+// gathers, read separately: the certifier's CompactStats, the
+// journal's wal.Stats and the gate's Health — after a tick run and
+// after a batch, with the engine's Metrics carrying the same snapshot.
 func TestGateStatsMatchesParts(t *testing.T) {
 	ctx := context.Background()
 	type gateCase struct {
@@ -132,7 +131,7 @@ func TestGateStatsMatchesParts(t *testing.T) {
 			t.Helper()
 			got := tc.g.Stats()
 			mon := tc.mon()
-			cs, ps, ws := mon.CompactStats(), mon.ProbeStats(), w.Stats()
+			cs, ws := mon.CompactStats(), w.Stats()
 			want := exec.GateStats{
 				Compact: exec.CompactStats{
 					Compactions:   cs.Compactions,
@@ -140,7 +139,6 @@ func TestGateStatsMatchesParts(t *testing.T) {
 					ReclaimedOps:  cs.ReclaimedOps,
 					LiveTxns:      cs.LiveTxns,
 				},
-				Probe: exec.ProbeStats{Hits: ps.Hits, Misses: ps.Misses, Invalidations: ps.Invalidations},
 				Log: exec.LogStats{
 					Records:         ws.Records,
 					LogBytes:        ws.LogBytes,
@@ -157,19 +155,8 @@ func TestGateStatsMatchesParts(t *testing.T) {
 			if got.Log.Records == 0 {
 				t.Errorf("%s after %s: journal holds no records — the comparison is vacuous", tc.name, stage)
 			}
-			fromMetrics := exec.GateStats{
-				Compact: exec.CompactStats{
-					Compactions:   m.Compactions,
-					ReclaimedTxns: m.ReclaimedTxns,
-					ReclaimedOps:  m.ReclaimedOps,
-					LiveTxns:      m.LiveTxns,
-				},
-				Probe:  exec.ProbeStats{Hits: m.ProbeHits, Misses: m.ProbeMisses, Invalidations: m.ProbeInvalidations},
-				Log:    m.Log,
-				Health: m.Health,
-			}
-			if !reflect.DeepEqual(fromMetrics, got) {
-				t.Errorf("%s after %s: Metrics carry %+v, Stats() = %+v", tc.name, stage, fromMetrics, got)
+			if !reflect.DeepEqual(m.Gate, got) {
+				t.Errorf("%s after %s: Metrics carry %+v, Stats() = %+v", tc.name, stage, m.Gate, got)
 			}
 		}
 

@@ -178,9 +178,9 @@ func auditGates(partition []state.ItemSet, seed int64) map[string]exec.Policy {
 }
 
 // TestVerdictMemoMatchesFreshMask is the memo's soundness differential:
-// at every Pick of TestGateDecisionIdentityCachedVsUncached's campaign
-// and of a hot-tick-shaped one (many short transactions on few
-// conjuncts), clean and meddled with, on all three gates, the memoized
+// at every Pick of a PERF5-style seeded campaign (four programs over
+// three conjuncts) and of a hot-tick-shaped one (many short transactions
+// on few conjuncts), clean and meddled with, on all three gates, the memoized
 // mask equals the mask recomputed afresh. Each hazard a missing
 // invalidation would hide behind must have occurred, aborts and solo
 // escalation included, and the memo must actually have spared probes.

@@ -43,13 +43,9 @@ type Certifier interface {
 	// Partition returns the conjunct partition certified over; the gates
 	// learn from it which conjuncts an item's verdicts depend on.
 	Partition() []state.ItemSet
-	// ProbeStats snapshots the Admissible probe-cache counters.
+	// ProbeStats is kept for benchmark/pipeline.go:179 until ROADMAP
+	// item 1; always zero.
 	ProbeStats() core.ProbeStats
-	// SetProbeCache enables or disables the Admissible probe cache,
-	// returning the previous setting (the cached and uncached paths
-	// are verdict-identical; the switch exists for differentials and
-	// measurement).
-	SetProbeCache(on bool) bool
 	// PWSR reports whether everything observed so far is PWSR.
 	PWSR() bool
 	// Violation returns the first violation, or nil.

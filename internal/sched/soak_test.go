@@ -93,7 +93,7 @@ func TestSoakOptimisticCertifyBoundedMemory(t *testing.T) {
 		}
 		totalOps += res.Schedule.Len()
 		batches++
-		if live := res.Metrics.LiveTxns; live > maxLive {
+		if live := res.Metrics.Gate.Compact.LiveTxns; live > maxLive {
 			maxLive = live
 		}
 		// Warm-up checkpoint: heap after the caches and the first

@@ -351,7 +351,7 @@ func AsDrainer(p Policy) (Drainer, bool) {
 // Health is a journaled gate's live degradation posture: current mode,
 // queue depth, shed/buffered/dropped admission counts, failover
 // promotions, and heals. Policies that journal expose it (and it rides
-// in Metrics.Health).
+// in Metrics.Gate.Health).
 type Health = exec.Health
 
 // NewScript returns the scripted policy (fixed grant order).
