@@ -38,7 +38,7 @@ benchmark-smoke:
 .PHONY: bench
 bench:
 	$(GO) test . -run '^$$' \
-		-bench 'BenchmarkMonitorThroughput|BenchmarkBuildGraphScaling|BenchmarkCheckPWSRWidePartition|BenchmarkShardedAdmitSequence|BenchmarkInterpRun' \
+		-bench 'BenchmarkMonitorThroughput|BenchmarkBuildGraphScaling|BenchmarkCheckPWSRWidePartition|BenchmarkAdmitSequence|BenchmarkInterpRun' \
 		-benchmem -count=6 -json | tee BENCH_monitor.json
 	$(GO) run ./cmd/pwsrbench -section compact -out BENCH_compact.json
 	$(MAKE) bench-wal
@@ -113,14 +113,13 @@ bench-refresh: bench bench-chaos
 
 # profile-batch writes a CPU profile of whole-transaction admission
 # (PERF14's family: AdmitSequence + Commit on batch-rw's partition
-# shape, single monitor and sharded) to admit.prof, with the test binary
-# beside it; read it with
-#   go tool pprof -top -focus 'ShardedMonitor' pwsr.test admit.prof
+# shape) to admit.prof, with the test binary beside it; read it with
+#   go tool pprof -top -focus 'AdmitSequence' pwsr.test admit.prof
 # The benchmark binary itself has no -cpuprofile flag yet (ROADMAP,
 # telemetry item), so this is how batch-rw's serial section is profiled.
 .PHONY: profile-batch
 profile-batch:
-	$(GO) test . -run '^$$' -bench 'BenchmarkShardedAdmitSequence' -benchmem -cpuprofile admit.prof -o pwsr.test
+	$(GO) test . -run '^$$' -bench 'BenchmarkAdmitSequence' -benchmem -cpuprofile admit.prof -o pwsr.test
 
 # profile-batch-round writes a CPU profile of a whole batch round on the
 # block-parallel engine (PERF17's family: batch-rw's shape — speculation,
@@ -177,21 +176,19 @@ test:
 	$(GO) test ./...
 
 # check is the CI gate: static analysis plus the full test suite under
-# the race detector (the sharded monitor paths, the lifecycle
-# commit/compact paths, and the engines' abort/restart and worker
-# handoffs are the concurrency-sensitive code), then the
+# the race detector (the gates' locking, the lifecycle commit/compact
+# paths, and the engines' abort/restart and worker handoffs are the
+# concurrency-sensitive code), then the
 # concurrency-sensitive packages again at pinned GOMAXPROCS=1 and
 # GOMAXPROCS=8 — the former serializes every interleaving (catching
 # logic that only works by accident of parallelism), the latter widens
 # the schedule space beyond the host's default. The pinned-width core
-# runs include the commit-and-compact lifecycle differentials
-# (TestCompactDifferential, TestShardedCompactConcurrent), which are
-# not -short-gated; -short on the race passes skips only the 1M-op
+# runs include the commit-and-compact lifecycle differential
+# (TestCompactDifferential), which is not -short-gated; -short on the race passes skips only the 1M-op
 # soak (that lives in `make soak` and in the un-raced tier-1 suite).
 # The raced sched legs include the verdict memo's soundness
 # differential (TestVerdictMemoMatchesFreshMask: the memoized mask
-# against a from-scratch recomputation at every Pick, on every gate and
-# over both certifiers).
+# against a from-scratch recomputation at every Pick, on every gate).
 # The final leg re-runs the TestZeroAlloc*, TestTickEngineAllocs,
 # TestBatchEngineAllocs and TestInterpRunAllocs pins without the race
 # detector (whose instrumentation allocates, so the pins self-skip
@@ -204,12 +201,12 @@ test:
 # (TestTickEngineAllocs), a victim's abort, restart and re-park
 # (TestZeroAllocTickRestart), a batch round's cost (TestBatchEngineAllocs:
 # a constant per batch, nothing per transaction or operation, with and
-# without a sharded gate compacting inside the window), whole-transaction
+# without a gate compacting inside the window), whole-transaction
 # admission with its compaction passes (TestZeroAllocFreshAdmission: at
 # most 0.25 per transaction) or the interpreter's
 # one-slot-array-per-Run state (TestInterpRunAllocs) fails
-# CI here, not just benchmarks. That leg also carries the sharded
-# monitor's cost-shape pin (TestZeroAllocShardedAdmitLiveSetIndependent:
+# CI here, not just benchmarks. That leg also carries the monitor's
+# cost-shape pin (TestZeroAllocAdmitLiveSetIndependent:
 # whole-transaction admission allocates the same with 16 and with 4096
 # resident transactions) and the journal's append path
 # (TestZeroAllocWriterAppend: under 0.1 allocations per record), and the
@@ -228,7 +225,7 @@ check:
 	GOMAXPROCS=1 $(GO) test -race -short -count=1 ./internal/core ./internal/sched ./internal/exec ./internal/wal
 	GOMAXPROCS=8 $(GO) test -race -short -count=1 ./internal/core ./internal/sched ./internal/exec ./internal/wal
 	$(GO) test -run 'TestZeroAlloc|TestTickEngineAllocs|TestBatchEngineAllocs|TestInterpRunAllocs' -count=1 ./internal/core ./internal/wal
-	$(GO) test . -run '^$$' -bench 'BenchmarkShardedAdmitSequence|BenchmarkInterpRun|BenchmarkTickAbortRestart|BenchmarkTickRound|BenchmarkBatchRound' -benchtime=1x
+	$(GO) test . -run '^$$' -bench 'BenchmarkAdmitSequence|BenchmarkInterpRun|BenchmarkTickAbortRestart|BenchmarkTickRound|BenchmarkBatchRound' -benchtime=1x
 	$(GO) test ./internal/wal -run '^$$' -bench 'BenchmarkWriterAppend' -benchtime=1x
 	$(GO) run ./cmd/pwsrfuzz -mode mvread -trials 200 -seed 7
 

@@ -627,18 +627,17 @@ func BenchmarkMonitorRetract(b *testing.B) {
 // PERF14: whole-transaction admission — AdmitSequence + Commit on the
 // benchmark's batch-rw shape (eight private conjuncts over 768 items
 // plus the one-item hot conjunct, ascending ids, a Compact pass every
-// 192 commits), the single monitor against the sharded one, with
-// `resident` live uncommitted transactions parked in the certifier
-// beforehand. A parked transaction holds one read of an item outside
-// every conjunct under an id above the stream's: it fills the
-// per-transaction tables (ShardedMonitor's transaction table, Monitor's
-// dense ones) and adds no conflict-graph state, so the family isolates
+// 192 commits), with `resident` live uncommitted transactions parked
+// in the monitor beforehand. A parked transaction holds one read of an
+// item outside every conjunct under an id above the stream's: it fills
+// the dense per-transaction tables and adds no conflict-graph state,
+// so the family isolates
 // what a transaction's admission pays for the transactions beside it.
 // Admission is footprint-sized when ns/op and B/op do not move with
 // `resident`.
 // ---------------------------------------------------------------------
 
-func BenchmarkShardedAdmitSequence(b *testing.B) {
+func BenchmarkAdmitSequence(b *testing.B) {
 	const privateConjuncts, privateItems, compactEvery, hotPct = 8, 768, 192, 20
 	partition := make([]state.ItemSet, privateConjuncts, privateConjuncts+1)
 	for e := range partition {
@@ -661,44 +660,28 @@ func BenchmarkShardedAdmitSequence(b *testing.B) {
 		}
 	}
 
-	type admitter interface {
-		AdmitSequence([]txn.Op) (bool, *core.Violation)
-		Commit(int)
-		SetAutoCompact(int) int
-	}
-	variants := []struct {
-		name string
-		mk   func() admitter
-	}{
-		{"monitor", func() admitter { return core.NewMonitor(partition) }},
-		{"shards=1", func() admitter { return core.NewShardedMonitor(partition, 1) }},
-		{"shards=2", func() admitter { return core.NewShardedMonitor(partition, 2) }},
-		{"shards=gomaxprocs", func() admitter { return core.NewShardedMonitor(partition, 0) }},
-	}
-	for _, v := range variants {
-		for _, resident := range []int{0, 192, 4096} {
-			b.Run(fmt.Sprintf("%s/resident=%d", v.name, resident), func(b *testing.B) {
-				m := v.mk()
-				m.SetAutoCompact(compactEvery)
-				for k := 0; k < resident; k++ {
-					if ok, vio := m.AdmitSequence([]txn.Op{txn.R(1<<40+k, "unconstrained", 0)}); !ok || vio != nil {
-						b.Fatalf("parking %d: ok=%v, violation %v", k, ok, vio)
-					}
+	for _, resident := range []int{0, 192, 4096} {
+		b.Run(fmt.Sprintf("monitor/resident=%d", resident), func(b *testing.B) {
+			m := core.NewMonitor(partition)
+			m.SetAutoCompact(compactEvery)
+			for k := 0; k < resident; k++ {
+				if ok, vio := m.AdmitSequence([]txn.Op{txn.R(1<<40+k, "unconstrained", 0)}); !ok || vio != nil {
+					b.Fatalf("parking %d: ok=%v, violation %v", k, ok, vio)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for id := 1; id <= b.N; id++ {
-					seq := shapes[id%len(shapes)]
-					for k := range seq {
-						seq[k].Txn = id
-					}
-					if ok, vio := m.AdmitSequence(seq); !ok || vio != nil {
-						b.Fatalf("T%d: ok=%v, violation %v", id, ok, vio)
-					}
-					m.Commit(id)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for id := 1; id <= b.N; id++ {
+				seq := shapes[id%len(shapes)]
+				for k := range seq {
+					seq[k].Txn = id
 				}
-			})
-		}
+				if ok, vio := m.AdmitSequence(seq); !ok || vio != nil {
+					b.Fatalf("T%d: ok=%v, violation %v", id, ok, vio)
+				}
+				m.Commit(id)
+			}
+		})
 	}
 }
 
@@ -902,7 +885,7 @@ func BenchmarkTickRound(b *testing.B) {
 // shape — 48 writers a round, each a spin-50 read-modify-write of one
 // of 768 private items (a fifth also incrementing the hot item), beside
 // 48 declared readers scanning the hot item and eight private items —
-// through one persistent ParallelEngine over a ShardedMonitor gate, so
+// through one persistent ParallelEngine over a Monitor gate, so
 // the store, the gate and the reader declarations persist across rounds
 // as they do in the benchmark. ns/txn and allocs/txn are per committed
 // transaction, readers included.
@@ -946,7 +929,7 @@ func BenchmarkBatchRound(b *testing.B) {
 		reader[k] = program.MustParse(src.String())
 	}
 
-	mon := core.NewShardedMonitor(partition, runtime.GOMAXPROCS(0))
+	mon := core.NewMonitor(partition)
 	mon.SetAutoCompact(4 * writers)
 	ro := make(map[int]bool, readers)
 	for j := 1; j <= readers; j++ {

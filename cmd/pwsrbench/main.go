@@ -25,8 +25,8 @@
 // Makefile keeps them in BENCH_<section>.json. Every file carries the
 // host fingerprint: go version, GOOS/GOARCH, host_cpus
 // (runtime.NumCPU) and gomaxprocs at process start. An unknown
-// -section, or -out with a section that has no records, fails before
-// anything runs.
+// -section, -out with a section that has no records, or -trials below
+// 1 fails before anything runs.
 //
 // Usage:
 //
@@ -83,14 +83,17 @@ type benchOpts struct {
 	out     string
 }
 
-// check rejects an unknown section, and -out with a section that
-// writes no records.
+// check rejects an unknown section, -out with a section that writes no
+// records, and a trial count below one.
 func (o benchOpts) check() error {
 	if !slices.Contains(sections, o.section) {
 		return fmt.Errorf("unknown -section %q (want one of %s)", o.section, strings.Join(sections, ", "))
 	}
 	if o.out != "" && !slices.Contains(outSections, o.section) {
 		return fmt.Errorf("-out needs -section %s, not %q", strings.Join(outSections, ", "), o.section)
+	}
+	if o.trials < 1 {
+		return fmt.Errorf("-trials %d is below 1", o.trials)
 	}
 	return nil
 }

@@ -8,9 +8,9 @@ import (
 )
 
 // TestRunRejectsBadArgs pins the argument check: an unknown section —
-// including the deleted "parallel" and "hotpath" — and -out with a
-// section that writes no records fail before anything runs: no file is
-// written.
+// including the deleted "parallel" and "hotpath" — -out with a section
+// that writes no records, and a negative trial count fail before
+// anything runs: no file is written.
 func TestRunRejectsBadArgs(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "records.json")
 	for _, tc := range []struct {
@@ -22,6 +22,7 @@ func TestRunRejectsBadArgs(t *testing.T) {
 		{benchOpts{section: "hotpath"}, "unknown -section"},
 		{benchOpts{section: "all", out: out}, "-out needs"},
 		{benchOpts{section: "examples", out: out}, "-out needs"},
+		{benchOpts{section: "theorems", trials: -3}, "-trials"},
 	} {
 		err := run(tc.o)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -105,27 +105,19 @@ func parseCompactCase(data []byte) ([]state.ItemSet, []compactStep, error) {
 }
 
 // compactDifferential replays a lifecycle script through the
-// compacting Monitor, the ReferenceMonitor rebuild spec, an
-// uncompacted Monitor (commits and compactions skipped), and
-// ShardedMonitor at shard counts 1..8, all in lockstep with automatic
-// compaction disabled so every pass is explicit. It returns a
-// non-empty diagnosis on the first disagreement: verdict nil-ness or
-// flagged conjunct/operation, witness cycles (among the
-// frontier-based monitors), op counts, live populations, lifecycle
-// counters, per-conjunct live-edge sets, or the sharded watermark.
+// compacting Monitor, the ReferenceMonitor rebuild spec, and an
+// uncompacted Monitor (commits and compactions skipped), all in
+// lockstep with automatic compaction disabled so every pass is
+// explicit. It returns a non-empty diagnosis on the first
+// disagreement: verdict nil-ness or flagged conjunct/operation, op
+// counts, live populations, lifecycle counters, or a compacted
+// conflict edge the uncompacted monitor lacks.
 func compactDifferential(partition []state.ItemSet, steps []compactStep) string {
 	cm := core.NewMonitor(partition)
 	cm.SetAutoCompact(0)
 	ref := core.NewReferenceMonitor(partition)
 	un := core.NewMonitor(partition)
 	un.SetAutoCompact(0)
-	var sms []*core.ShardedMonitor
-	for shards := 1; shards <= 8; shards++ {
-		sm := core.NewShardedMonitor(partition, shards)
-		sm.SetAutoCompact(0)
-		sms = append(sms, sm)
-	}
-	maxCommitted := 0
 	for _, st := range steps {
 		switch st.kind {
 		case "observe":
@@ -135,16 +127,6 @@ func compactDifferential(partition []state.ItemSet, steps []compactStep) string 
 			if (vCm == nil) != (vRef == nil) || (vCm == nil) != (vUn == nil) {
 				return fmt.Sprintf("verdict split at %v: compacting %v, reference %v, uncompacted %v",
 					st.op, vCm, vRef, vUn)
-			}
-			for si, sm := range sms {
-				vSm := sm.Observe(st.op)
-				if (vSm == nil) != (vCm == nil) {
-					return fmt.Sprintf("shards=%d: verdict %v vs monitor %v at %v", si+1, vSm, vCm, st.op)
-				}
-				if vCm != nil && (vSm.Conjunct != vCm.Conjunct || vSm.Op != vCm.Op || !slices.Equal(vSm.Cycle, vCm.Cycle)) {
-					return fmt.Sprintf("shards=%d: flagged C%d %v %v vs monitor C%d %v %v",
-						si+1, vSm.Conjunct, vSm.Op, vSm.Cycle, vCm.Conjunct, vCm.Op, vCm.Cycle)
-				}
 			}
 			if vCm != nil {
 				if vCm.Conjunct != vRef.Conjunct || vCm.Op != vRef.Op {
@@ -156,28 +138,14 @@ func compactDifferential(partition []state.ItemSet, steps []compactStep) string 
 		case "commit":
 			cm.Commit(st.txn)
 			ref.Commit(st.txn)
-			if st.txn > maxCommitted {
-				maxCommitted = st.txn
-			}
-			for _, sm := range sms {
-				sm.Commit(st.txn)
-			}
 		case "retract":
 			cm.Retract(st.txn)
 			ref.Retract(st.txn)
 			un.Retract(st.txn)
-			for _, sm := range sms {
-				sm.Retract(st.txn)
-			}
 		case "compact":
 			nCm := cm.Compact()
 			if nRef := ref.Compact(); nRef != nCm {
 				return fmt.Sprintf("Compact reclaimed %d (compacting) vs %d (reference)", nCm, nRef)
-			}
-			for si, sm := range sms {
-				if nSm := sm.Compact(); nSm != nCm {
-					return fmt.Sprintf("shards=%d: Compact reclaimed %d vs monitor %d", si+1, nSm, nCm)
-				}
 			}
 		}
 		if cm.Ops() != ref.Ops() || cm.Ops() != un.Ops() {
@@ -193,23 +161,12 @@ func compactDifferential(partition []state.ItemSet, steps []compactStep) string 
 		if cs, rs := cm.CompactStats(), ref.CompactStats(); cs != rs {
 			return fmt.Sprintf("stats %+v (compacting) vs %+v (reference)", cs, rs)
 		}
-		for si, sm := range sms {
-			if sm.Ops() != cm.Ops() {
-				return fmt.Sprintf("shards=%d: ops %d vs monitor %d", si+1, sm.Ops(), cm.Ops())
-			}
-			if sm.LiveTxns() != cm.LiveTxns() {
-				return fmt.Sprintf("shards=%d: live %d vs monitor %d", si+1, sm.LiveTxns(), cm.LiveTxns())
-			}
-			if ss, cs := sm.CompactStats(), cm.CompactStats(); ss != cs {
-				return fmt.Sprintf("shards=%d: stats %+v vs monitor %+v", si+1, ss, cs)
-			}
-			for e := range partition {
-				if got, want := sm.ConflictEdges(e), cm.ConflictEdges(e); !slices.Equal(got, want) {
-					return fmt.Sprintf("shards=%d: conjunct %d edges %v vs monitor %v", si+1, e, got, want)
+		for e := range partition {
+			unEdges := un.ConflictEdges(e)
+			for _, edge := range cm.ConflictEdges(e) {
+				if !slices.Contains(unEdges, edge) {
+					return fmt.Sprintf("conjunct %d: compacted edge %v absent from the uncompacted monitor", e, edge)
 				}
-			}
-			if maxCommitted > 0 && sm.Watermark() != maxCommitted {
-				return fmt.Sprintf("shards=%d: watermark %d, want %d", si+1, sm.Watermark(), maxCommitted)
 			}
 		}
 	}

@@ -15,23 +15,16 @@
 //	optimistic  arbitrary-structure workloads under the abort-capable
 //	            certification gate: runs must neither stall nor violate
 //	            strong correctness (PWSR ∧ DR, Theorem 2);
-//	sharded     the sharded certifier: the checked-in corpus under
-//	            testdata/sharded is replayed through ShardedMonitor at
-//	            shard counts 1..8 against Monitor (verdicts, flagged
-//	            ops, and op counts must agree), then randomized
-//	            workloads run under the optimistic gate over a
-//	            ShardedMonitor with the optimistic mode's guarantees
-//	            plus a replay-differential on every recorded schedule;
 //	compact     the transaction lifecycle: the checked-in corpus under
 //	            testdata/compact (Observe/Commit/Retract/Compact
 //	            scripts covering commit-before-violation,
 //	            compact-across-retract, watermark-at-shard-boundary,
 //	            and pinned-by-live-ancestor shapes) is replayed through
 //	            the compacting Monitor, the ReferenceMonitor rebuild
-//	            spec, an uncompacted Monitor, and ShardedMonitor at
-//	            shard counts 1..8, which must agree on verdicts, op
-//	            counts, live populations, lifecycle counters, and
-//	            live-edge sets; then randomized lifecycle scripts fuzz
+//	            spec, and an uncompacted Monitor, which must agree on
+//	            verdicts, op counts, live populations, lifecycle
+//	            counters, and live-edge sets; then randomized lifecycle
+//	            scripts fuzz
 //	            the same differential (FuzzCommitCompact is the native
 //	            testing.F harness over the same corpus);
 //	cancel      the cancellation differential: the checked-in corpus
@@ -46,7 +39,7 @@
 //	mvread      the multiversion read path: the checked-in corpus under
 //	            testdata/mvread (generator config + gate shape + reader
 //	            begin ticks, covering the aborting optimistic fixture,
-//	            sharded gates, and begins at 0 and beyond the run), then
+//	            spread readers, and begins at 0 and beyond the run), then
 //	            randomized mixed workloads; each case runs with and
 //	            without declared read-only scans and must keep every
 //	            bypass obligation — readers never denied or aborted,
@@ -71,7 +64,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 
@@ -80,14 +72,13 @@ import (
 	"pwsr/internal/gen"
 	"pwsr/internal/sched"
 	"pwsr/internal/serial"
-	"pwsr/internal/state"
 	"pwsr/internal/txn"
 )
 
 func main() {
 	var (
 		mode    = flag.String("mode", "example2", strings.Join(modes, " | "))
-		trials  = flag.Int("trials", 500, "number of seeded trials")
+		trials  = flag.Int("trials", 500, "number of seeded trials (0 replays the corpus only)")
 		seed    = flag.Int64("seed", 7, "base seed")
 		verbose = flag.Bool("v", false, "print each violation's schedule and programs")
 	)
@@ -113,15 +104,16 @@ func main() {
 }
 
 // modes lists the -mode values.
-var modes = []string{"example2", "fixed", "dr", "ordered", "optimistic", "sharded", "compact", "mvread", "cancel"}
+var modes = []string{"example2", "fixed", "dr", "ordered", "optimistic", "compact", "mvread", "cancel"}
 
 func run(mode string, trials int, baseSeed int64, verbose bool) (int, error) {
 	if !slices.Contains(modes, mode) {
 		return 0, fmt.Errorf("unknown mode %q (want one of %s)", mode, strings.Join(modes, ", "))
 	}
+	if trials < 0 {
+		return 0, fmt.Errorf("-trials %d is negative", trials)
+	}
 	switch mode {
-	case "sharded":
-		return runSharded(trials, baseSeed, verbose)
 	case "compact":
 		return runCompact(trials, baseSeed, verbose)
 	case "mvread":
@@ -202,143 +194,6 @@ func run(mode string, trials int, baseSeed int64, verbose bool) (int, error) {
 				for id, p := range w.Programs {
 					fmt.Printf("  TP%d:\n%s", id, p)
 				}
-				for _, v := range o.violations {
-					fmt.Printf("  %s\n", v)
-				}
-			}
-		}
-	}
-	return found, nil
-}
-
-// shardedCorpusDir holds the checked-in replay corpus for -mode
-// sharded: each file carries a conjunct partition and a schedule (see
-// parseShardedCase).
-const shardedCorpusDir = "testdata/sharded"
-
-// parseShardedCase parses a corpus file:
-//
-//	partition: a b | c d
-//	schedule: w1(a, 1), r2(a, 1), ...
-//
-// Conjunct data sets are separated by '|'; lines starting with '#' are
-// comments.
-func parseShardedCase(data []byte) ([]state.ItemSet, *txn.Schedule, error) {
-	var partition []state.ItemSet
-	var schedule *txn.Schedule
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		switch {
-		case line == "" || strings.HasPrefix(line, "#"):
-		case strings.HasPrefix(line, "partition:"):
-			for _, ds := range strings.Split(strings.TrimPrefix(line, "partition:"), "|") {
-				partition = append(partition, state.NewItemSet(strings.Fields(ds)...))
-			}
-		case strings.HasPrefix(line, "schedule:"):
-			s, err := txn.ParseSchedule(strings.TrimSpace(strings.TrimPrefix(line, "schedule:")))
-			if err != nil {
-				return nil, nil, err
-			}
-			schedule = s
-		default:
-			return nil, nil, fmt.Errorf("unrecognized line %q", line)
-		}
-	}
-	if partition == nil || schedule == nil {
-		return nil, nil, errors.New("corpus case needs a partition and a schedule")
-	}
-	return partition, schedule, nil
-}
-
-// shardedDifferential replays the schedule through ShardedMonitor at
-// shard counts 1..8 and reports a non-empty diagnosis if any count
-// disagrees with Monitor on the verdict, flagged conjunct/operation,
-// or op count.
-func shardedDifferential(partition []state.ItemSet, s *txn.Schedule) string {
-	mon := core.NewMonitor(partition)
-	want := mon.ObserveAll(s)
-	for shards := 1; shards <= 8; shards++ {
-		sm := core.NewShardedMonitor(partition, shards)
-		got := sm.ObserveAll(s)
-		switch {
-		case (got == nil) != (want == nil):
-			return fmt.Sprintf("shards=%d: verdict %v vs monitor %v", shards, got, want)
-		case got != nil && (got.Conjunct != want.Conjunct || got.Op != want.Op):
-			return fmt.Sprintf("shards=%d: flagged C%d %v vs monitor C%d %v",
-				shards, got.Conjunct, got.Op, want.Conjunct, want.Op)
-		case sm.Ops() != mon.Ops():
-			return fmt.Sprintf("shards=%d: ops %d vs monitor %d", shards, sm.Ops(), mon.Ops())
-		}
-	}
-	return ""
-}
-
-// runSharded is -mode sharded: corpus replay first, then randomized
-// runs of the optimistic gate over a ShardedMonitor, with the
-// optimistic guarantees plus the replay-differential. Every
-// disagreement or broken guarantee counts as a found violation (the
-// population guarantees zero).
-func runSharded(trials int, baseSeed int64, verbose bool) (int, error) {
-	corpus, err := filepath.Glob(filepath.Join(shardedCorpusDir, "*.txt"))
-	if err != nil {
-		return 0, err
-	}
-	if len(corpus) == 0 {
-		// Running from the repository root rather than cmd/pwsrfuzz.
-		if corpus, err = filepath.Glob(filepath.Join("cmd", "pwsrfuzz", shardedCorpusDir, "*.txt")); err != nil {
-			return 0, err
-		}
-	}
-	if len(corpus) == 0 {
-		fmt.Fprintf(os.Stderr, "pwsrfuzz: warning: no sharded corpus found under %s (run from the repo root or cmd/pwsrfuzz); corpus replay skipped\n",
-			shardedCorpusDir)
-	}
-	if len(corpus) > 0 {
-		for _, path := range corpus {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				return 0, err
-			}
-			partition, s, err := parseShardedCase(data)
-			if err != nil {
-				return 0, fmt.Errorf("%s: %w", path, err)
-			}
-			if diag := shardedDifferential(partition, s); diag != "" {
-				return 0, fmt.Errorf("%s: %s", path, diag)
-			}
-		}
-		fmt.Printf("corpus: %d sharded replay cases ok\n", len(corpus))
-	}
-
-	found := 0
-	for i := 0; i < trials; i++ {
-		seed := baseSeed + int64(i)
-		w, err := gen.Generate(gen.Config{
-			Conjuncts: 2 + i%3, Programs: 4, MovesPerProgram: 2,
-			Style: gen.Style(i % 3), Seed: seed,
-		})
-		if err != nil {
-			return 0, err
-		}
-		policy := sched.NewOptimisticCertifyOver(core.NewShardedMonitor(w.DataSets, 1+i%8), sched.NewRandom(seed), nil)
-		o, err := trial(w, policy)
-		if err != nil {
-			return 0, err
-		}
-		if o == nil {
-			return 0, fmt.Errorf("sharded gate stalled at seed %d", seed)
-		}
-		if !o.pwsr || !o.dr {
-			return 0, fmt.Errorf("sharded gate broke its construction at seed %d (pwsr=%v dr=%v)",
-				seed, o.pwsr, o.dr)
-		}
-		if diag := shardedDifferential(w.DataSets, o.recorded); diag != "" {
-			return 0, fmt.Errorf("replay differential at seed %d: %s", seed, diag)
-		}
-		if !o.stronglyCorrect {
-			found++
-			if verbose {
-				fmt.Printf("violation at seed %d:\n  IC: %s\n  schedule: %s\n", seed, w.IC, o.schedule)
 				for _, v := range o.violations {
 					fmt.Printf("  %s\n", v)
 				}

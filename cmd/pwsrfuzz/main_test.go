@@ -10,10 +10,10 @@ import (
 // FuzzCommitCompact fuzzes the transaction-lifecycle differential at
 // the corpus-file granularity: any parseable, contract-respecting
 // partition+script input must replay identically through the
-// compacting Monitor, the ReferenceMonitor rebuild spec, the
-// uncompacted Monitor, and ShardedMonitor at shard counts 1..8. The
-// checked-in testdata/compact corpus seeds the fuzzer, so plain
-// `go test` replays the named scenarios (commit-before-violation,
+// compacting Monitor, the ReferenceMonitor rebuild spec, and the
+// uncompacted Monitor. The checked-in testdata/compact corpus seeds
+// the fuzzer, so plain `go test` replays the named scenarios
+// (commit-before-violation,
 // compact-across-retract, watermark-at-shard-boundary,
 // pinned-by-live-ancestor) as regression cases.
 func FuzzCommitCompact(f *testing.F) {
@@ -133,10 +133,20 @@ func TestCancelCorpusReplays(t *testing.T) {
 	}
 }
 
-// TestRunRejectsUnknownMode pins the mode check: an unknown mode fails
-// before any trial, even when there are no trials to run.
+// TestRunRejectsUnknownMode pins the argument checks: an unknown mode
+// (the deleted sharded mode included) fails before any trial, even when
+// there are no trials to run, and so does a negative trial count.
 func TestRunRejectsUnknownMode(t *testing.T) {
-	if _, err := run("bogus", 0, 7, false); err == nil {
-		t.Fatal(`run("bogus", 0, 7, false) succeeded, want an unknown-mode error`)
+	for _, c := range []struct {
+		mode   string
+		trials int
+	}{
+		{"bogus", 0},
+		{"sharded", 0},
+		{"fixed", -5},
+	} {
+		if _, err := run(c.mode, c.trials, 7, false); err == nil {
+			t.Errorf("run(%q, %d, 7, false) succeeded, want an error", c.mode, c.trials)
+		}
 	}
 }

@@ -34,11 +34,9 @@ import (
 const mvreadCorpusDir = "testdata/mvread"
 
 // mvreadCase is one parsed corpus case: the generator config of the
-// read-write workload, the certification gate shape, and the begin
-// ticks of the declared readers.
+// read-write workload and the begin ticks of the declared readers.
 type mvreadCase struct {
 	cfg    gen.Config
-	shards int   // 0 = optimistic gate over a Monitor, N>0 = over a ShardedMonitor of N shards
 	begins []int // reader begin ticks; reader ids are 101, 102, ...
 }
 
@@ -49,13 +47,11 @@ type mvreadCase struct {
 //	moves: 1
 //	style: fixed
 //	seed: 0
-//	shards: 0
 //	readers: 0 2 4 6 8 10
 //
 // Lines starting with '#' are comments. style is fixed | conditional |
-// ordered; shards 0 selects the optimistic gate (the population where
-// writers actually abort); readers lists begin ticks, one reader per
-// entry.
+// ordered; readers lists begin ticks, one reader per entry. The
+// read-write programs run under the optimistic gate.
 func parseMVReadCase(data []byte) (*mvreadCase, error) {
 	c := &mvreadCase{}
 	seen := make(map[string]bool)
@@ -74,7 +70,7 @@ func parseMVReadCase(data []byte) (*mvreadCase, error) {
 		}
 		seen[key] = true
 		switch key {
-		case "conjuncts", "programs", "moves", "seed", "shards":
+		case "conjuncts", "programs", "moves", "seed":
 			n, err := strconv.Atoi(val)
 			if err != nil || n < 0 {
 				return nil, fmt.Errorf("bad %s %q", key, val)
@@ -88,8 +84,6 @@ func parseMVReadCase(data []byte) (*mvreadCase, error) {
 				c.cfg.MovesPerProgram = n
 			case "seed":
 				c.cfg.Seed = int64(n)
-			case "shards":
-				c.shards = n
 			}
 		case "style":
 			switch val {
@@ -120,9 +114,6 @@ func parseMVReadCase(data []byte) (*mvreadCase, error) {
 	if len(c.begins) == 0 {
 		return nil, errors.New("corpus case needs at least one reader")
 	}
-	if c.shards > 8 {
-		return nil, fmt.Errorf("shards %d out of range (0..8)", c.shards)
-	}
 	return c, nil
 }
 
@@ -148,9 +139,6 @@ func mvreadDifferential(c *mvreadCase) (string, error) {
 		return "", fmt.Errorf("generate: %w", err)
 	}
 	gate := func() exec.Policy {
-		if c.shards > 0 {
-			return sched.NewOptimisticCertifyOver(core.NewShardedMonitor(w.DataSets, c.shards), sched.NewRandom(c.cfg.Seed), nil)
-		}
 		return sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(c.cfg.Seed), nil)
 	}
 
@@ -287,7 +275,6 @@ func runMVRead(trials int, baseSeed int64, verbose bool) (int, error) {
 				Style:           gen.Style(rng.Intn(3)),
 				Seed:            seed,
 			},
-			shards: rng.Intn(9),
 		}
 		for n := 2 + rng.Intn(4); n > 0; n-- {
 			c.begins = append(c.begins, rng.Intn(16))
@@ -299,7 +286,7 @@ func runMVRead(trials int, baseSeed int64, verbose bool) (int, error) {
 		if diag != "" {
 			found++
 			if verbose {
-				fmt.Printf("violation at seed %d (shards=%d begins=%v):\n  %s\n", seed, c.shards, c.begins, diag)
+				fmt.Printf("violation at seed %d (begins=%v):\n  %s\n", seed, c.begins, diag)
 			}
 		}
 	}

@@ -49,13 +49,8 @@
 //     committed transactions no future conflict cycle can reach, so a
 //     long-lived certifier's memory tracks the concurrent window
 //     instead of the stream (the low-watermark argument is spelled out
-//     in the core package comment) — plus ShardedMonitor, the
-//     concurrent certifier that partitions the conjuncts across
-//     independent monitor shards so admission scales with cores
-//     (internal/core, internal/intern; the intern tables' concurrent
-//     variant reads lock-free so shards never serialize on the shared
-//     route table),
-//   - a crash-safe durability layer: both certifiers mirror their
+//     in the core package comment; internal/core, internal/intern),
+//   - a crash-safe durability layer: the monitor mirrors its
 //     lifecycle stream (Observe/Retract/Commit/Compact) to a pluggable
 //     sink, and internal/wal is the reference sink — a framed,
 //     CRC-protected, group-committed write-ahead log whose snapshots
@@ -73,9 +68,7 @@
 // victim chosen by a pluggable policy, youngest or fewest-ops; the
 // gate is cascadeless, so its schedules are PWSR and delayed-read by
 // construction and Theorem 2 applies to every completed run of correct
-// programs). Either gate runs over either certifier: the optimistic
-// gate over a ShardedMonitor (sched.NewOptimisticCertifyOver) makes
-// exactly the decisions it makes over a Monitor. Independent engine
+// programs). Independent engine
 // runs may execute concurrently, each pwsr.Run on its own goroutine
 // with its own policy: policies are stateful, so one value must not be
 // handed to two concurrent runs. Both gates commit
@@ -94,7 +87,7 @@
 // and the result is deterministic, byte-identical in schedule and
 // final state to the serial run at any worker count. Each commit is
 // admitted as a whole transaction through the certification gate
-// (sched's AdmitTxn over the sharded monitor's AdmitSequence), making
+// (sched's AdmitTxn over the monitor's AdmitSequence), making
 // the committed schedule PWSR by construction; the batch-rw workload
 // of the end-to-end benchmark measures it (benchmark/README.md).
 // Admission is the observe loop alone: a fresh transaction admitted

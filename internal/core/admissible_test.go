@@ -3,32 +3,46 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pwsr/internal/core"
 	"pwsr/internal/txn"
 )
 
-// probeMonitor abstracts the monitor variants the admissibility
-// differential drives in lockstep.
-type probeMonitor interface {
-	Observe(o txn.Op) *core.Violation
-	Admissible(o txn.Op) bool
-	Retract(txnID int)
-	Commit(txnID int)
-	Compact() int
-	Ops() int
-	PWSR() bool
-	ConflictEdges(e int) [][2]int
+// reaches reports whether the edge list holds a path from x to y.
+func reaches(edges [][2]int, x, y int) bool {
+	seen := map[int]bool{x: true}
+	stack := []int{x}
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, e := range edges {
+			if e[0] == u && !seen[e[1]] {
+				if e[1] == y {
+					return true
+				}
+				seen[e[1]] = true
+				stack = append(stack, e[1])
+			}
+		}
+	}
+	return false
 }
 
-// TestAdmissibleShardedDifferential drives a Monitor and
-// ShardedMonitors at 1, 2, 4 and 8 shards in lockstep over random
-// Observe/Retract/Commit/Compact interleavings: every Admissible probe
-// must answer identically on all of them, a re-probe must repeat the
-// verdict, and probing must not perturb subsequent verdicts (final op
-// counts and conflict edges stay lockstep-equal).
-func TestAdmissibleShardedDifferential(t *testing.T) {
+// TestAdmissibleMatchesReference drives a probed Monitor in lockstep
+// with a never-probed ReferenceMonitor over random
+// Observe/Retract/Commit/Compact interleavings. Every observed
+// operation is probed first, and Admissible must answer exactly whether
+// the reference then observes it without a violation; stray probes
+// (committed transactions included: Admissible has no lifecycle
+// restriction) run between the steps, and a re-probe must repeat the
+// verdict. Probing must not perturb later verdicts: the final op counts
+// agree, and (pre-violation) every Monitor conflict edge is a reference
+// edge and every reference edge is a Monitor path — the reference draws
+// edges from every historical access where Monitor draws the
+// reachability-preserving frontier subset.
+func TestAdmissibleMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	deniedProbes, retracts, compacts := 0, 0, 0
 	for trial := 0; trial < 120; trial++ {
@@ -40,13 +54,10 @@ func TestAdmissibleShardedDifferential(t *testing.T) {
 		partition := randomPartition(rng, items, trial%3 == 0)
 		nTxns := 2 + rng.Intn(5)
 
-		mons := []probeMonitor{core.NewMonitor(partition)}
-		for _, shards := range []int{1, 2, 4, 8} {
-			mons = append(mons, core.NewShardedMonitor(partition, shards))
-		}
+		mon := core.NewMonitor(partition)
+		ref := core.NewReferenceMonitor(partition)
 
 		committed := make(map[int]bool)
-		live := make(map[int]bool)
 		randOp := func(id int) txn.Op {
 			entity := items[rng.Intn(len(items))]
 			if rng.Intn(2) == 0 {
@@ -54,27 +65,20 @@ func TestAdmissibleShardedDifferential(t *testing.T) {
 			}
 			return txn.W(id, entity, 0)
 		}
+		probe := func(step int, o txn.Op) bool {
+			ok := mon.Admissible(o)
+			if again := mon.Admissible(o); again != ok {
+				t.Fatalf("trial %d step %d: verdict flipped on re-probe of %v", trial, step, o)
+			}
+			if !ok {
+				deniedProbes++
+			}
+			return ok
+		}
 		steps := 40 + rng.Intn(120)
-		for step := 0; step < steps && mons[0].PWSR(); step++ {
-			// Probe a random operation (committed transactions included:
-			// Admissible has no lifecycle restriction) on every monitor
-			// and demand identical verdicts.
+		for step := 0; step < steps && mon.PWSR(); step++ {
 			if rng.Intn(2) == 0 {
-				o := randOp(1 + rng.Intn(nTxns))
-				want := mons[0].Admissible(o)
-				for i, m := range mons[1:] {
-					if got := m.Admissible(o); got != want {
-						t.Fatalf("trial %d step %d: monitor %d says Admissible(%v)=%v, Monitor says %v",
-							trial, step, i+1, o, got, want)
-					}
-				}
-				// Probe twice: a re-probe must repeat the verdict.
-				if again := mons[0].Admissible(o); again != want {
-					t.Fatalf("trial %d step %d: verdict flipped on re-probe of %v", trial, step, o)
-				}
-				if !want {
-					deniedProbes++
-				}
+				probe(step, randOp(1+rng.Intn(nTxns)))
 			}
 			id := 1 + rng.Intn(nTxns)
 			switch r := rng.Intn(10); {
@@ -83,57 +87,48 @@ func TestAdmissibleShardedDifferential(t *testing.T) {
 					break
 				}
 				o := randOp(id)
-				want := mons[0].Observe(o)
-				live[id] = true
-				for i, m := range mons[1:] {
-					got := m.Observe(o)
-					if (got == nil) != (want == nil) {
-						t.Fatalf("trial %d step %d: monitor %d Observe(%v)=%v, Monitor=%v",
-							trial, step, i+1, o, got, want)
-					}
+				want := probe(step, o)
+				if got := ref.Observe(o) == nil; got != want {
+					t.Fatalf("trial %d step %d: Admissible(%v)=%v, reference observes it cleanly: %v",
+						trial, step, o, want, got)
+				}
+				if got := mon.Observe(o) == nil; got != want {
+					t.Fatalf("trial %d step %d: Admissible(%v)=%v, Observe clean: %v", trial, step, o, want, got)
 				}
 			case r < 8: // retract a live, uncommitted transaction
-				if committed[id] || !mons[0].PWSR() {
+				if committed[id] {
 					break
 				}
-				for _, m := range mons {
-					m.Retract(id)
-				}
-				delete(live, id)
+				mon.Retract(id)
+				ref.Retract(id)
 				retracts++
 			case r < 9: // commit
-				if !mons[0].PWSR() {
-					break
-				}
-				for _, m := range mons {
-					m.Commit(id)
-				}
+				mon.Commit(id)
+				ref.Commit(id)
 				committed[id] = true
-				delete(live, id)
 			default: // explicit compaction pass
-				if !mons[0].PWSR() {
-					break
-				}
-				for _, m := range mons {
-					m.Compact()
+				if got, want := mon.Compact(), ref.Compact(); got != want {
+					t.Fatalf("trial %d step %d: Compact reclaimed %d, reference %d", trial, step, got, want)
 				}
 				compacts++
 			}
 		}
-		// The interleaving must not have desynchronized the monitors:
-		// op counts and (pre-violation) conflict edges stay equal.
-		for i, m := range mons[1:] {
-			if m.Ops() != mons[0].Ops() {
-				t.Fatalf("trial %d: monitor %d has %d ops, Monitor has %d", trial, i+1, m.Ops(), mons[0].Ops())
-			}
+		if mon.Ops() != ref.Ops() {
+			t.Fatalf("trial %d: Monitor has %d ops, reference %d", trial, mon.Ops(), ref.Ops())
 		}
-		if mons[0].PWSR() {
-			for e := range partition {
-				want := fmt.Sprint(mons[0].ConflictEdges(e))
-				for i, m := range mons[1:] {
-					if got := fmt.Sprint(m.ConflictEdges(e)); got != want {
-						t.Fatalf("trial %d conjunct %d: monitor %d edges %s, Monitor %s", trial, e, i+1, got, want)
-					}
+		if !mon.PWSR() {
+			continue
+		}
+		for e := range partition {
+			got, want := mon.ConflictEdges(e), ref.ConflictEdges(e)
+			for _, edge := range got {
+				if !slices.Contains(want, edge) {
+					t.Fatalf("trial %d conjunct %d: Monitor edge %v is not a reference edge %v", trial, e, edge, want)
+				}
+			}
+			for _, edge := range want {
+				if !reaches(got, edge[0], edge[1]) {
+					t.Fatalf("trial %d conjunct %d: reference edge %v is no Monitor path %v", trial, e, edge, got)
 				}
 			}
 		}

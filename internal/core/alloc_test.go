@@ -179,9 +179,8 @@ func TestTickEngineAllocs(t *testing.T) {
 // items, so no speculation is lost and every program runs once — 19
 // allocations per batch of 96, 0.20 per transaction, at either scan
 // width (the parent took 123, 1.28: a slot array per run, the slabs and
-// lists per batch). The gated case puts the batch through a
-// ShardedMonitor at 2 shards with a compaction pass in every batch, as
-// batch-rw does; fresh transactions are admitted on recycled certifier
+// lists per batch). The gated case puts the batch through a Monitor
+// with a compaction pass in every batch, as batch-rw does; fresh transactions are admitted on recycled certifier
 // state, so the gate may add only the maps' amortized growth. The
 // bounds leave room for the runtime to change how a map grows, not for
 // an allocation per transaction.
@@ -229,9 +228,9 @@ func TestBatchEngineAllocs(t *testing.T) {
 			}
 		}
 		cfg := exec.ParallelConfig{Initial: db, Workers: 2, ReadOnly: ro}
-		var mon *core.ShardedMonitor
+		var mon *core.Monitor
 		if gated {
-			mon = core.NewShardedMonitor(partition, 2)
+			mon = core.NewMonitor(partition)
 			mon.SetAutoCompact(writers)
 			cfg.Gate = sched.NewOptimisticCertifyOver(mon, sched.NewRandom(1), sched.VictimYoungest)
 		}
@@ -542,8 +541,7 @@ func TestZeroAllocVictim(t *testing.T) {
 // TestZeroAllocFreshAdmission pins whole-transaction admission at its
 // steady state: AdmitSequence + Commit of fresh transactions, with the
 // compaction passes their commits trigger inside the measured window,
-// allocates at most one object per four transactions, on Monitor and
-// on ShardedMonitor at 2 shards. A pass keeps every table's capacity
+// allocates at most one object per four transactions. A pass keeps every table's capacity
 // and hands what it reclaims to the next fresh transactions — node
 // slots with their lists, conjunct lists, interner and table entries —
 // and the items touched since the last pass keep their lists. What is
@@ -551,7 +549,7 @@ func TestZeroAllocVictim(t *testing.T) {
 // listMin within an interval and is let go by the pass that empties
 // it, and the maps' amortized growth. Each transaction
 // read-modify-writes one of 32 items, every fourth also the hot item of
-// a conjunct of its own (a second shard).
+// a conjunct of its own (a second graph).
 func TestZeroAllocFreshAdmission(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is unreliable under -race")
@@ -568,68 +566,55 @@ func TestZeroAllocFreshAdmission(t *testing.T) {
 	}
 	partition = append(partition, state.NewItemSet("h"))
 
-	type admitter interface {
-		AdmitSequence([]txn.Op) (bool, *core.Violation)
-		Commit(int)
-		SetAutoCompact(int) int
-		CompactStats() core.CompactStats
+	m := core.NewMonitor(partition)
+	m.SetAutoCompact(every)
+	id := 0
+	buf := make([]txn.Op, 0, 4)
+	admit := func() {
+		id++
+		x := names[id%items]
+		seq := append(buf[:0], txn.R(id, x, 0), txn.W(id, x, 1))
+		if id%4 == 0 {
+			seq = append(seq, txn.R(id, "h", 0), txn.W(id, "h", 1))
+		}
+		if ok, v := m.AdmitSequence(seq); !ok || v != nil {
+			t.Fatalf("T%d: ok=%v, violation %v", id, ok, v)
+		}
+		m.Commit(id)
 	}
-	for name, m := range map[string]admitter{
-		"monitor":  core.NewMonitor(partition),
-		"shards=2": core.NewShardedMonitor(partition, 2),
-	} {
-		m.SetAutoCompact(every)
-		id := 0
-		buf := make([]txn.Op, 0, 4)
-		admit := func() {
-			id++
-			x := names[id%items]
-			seq := append(buf[:0], txn.R(id, x, 0), txn.W(id, x, 1))
-			if id%4 == 0 {
-				seq = append(seq, txn.R(id, "h", 0), txn.W(id, "h", 1))
-			}
-			if ok, v := m.AdmitSequence(seq); !ok || v != nil {
-				t.Fatalf("%s T%d: ok=%v, violation %v", name, id, ok, v)
-			}
-			m.Commit(id)
-		}
-		for range 4 * every {
-			admit()
-		}
-		passes := m.CompactStats().Compactions
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for range txns {
-			admit()
-		}
-		runtime.ReadMemStats(&after)
-		passes = m.CompactStats().Compactions - passes
-		perTxn := float64(after.Mallocs-before.Mallocs) / txns
-		t.Logf("%s: %.4f allocations per transaction over %d transactions and %d passes", name, perTxn, txns, passes)
-		if passes < txns/every {
-			t.Fatalf("%s: %d passes over %d transactions, want %d", name, passes, txns, txns/every)
-		}
-		if perTxn > 0.25 {
-			t.Errorf("%s: steady-state admission allocates %.4f times per transaction, want at most 0.25", name, perTxn)
-		}
+	for range 4 * every {
+		admit()
+	}
+	passes := m.CompactStats().Compactions
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range txns {
+		admit()
+	}
+	runtime.ReadMemStats(&after)
+	passes = m.CompactStats().Compactions - passes
+	perTxn := float64(after.Mallocs-before.Mallocs) / txns
+	t.Logf("%.4f allocations per transaction over %d transactions and %d passes", perTxn, txns, passes)
+	if passes < txns/every {
+		t.Fatalf("%d passes over %d transactions, want %d", passes, txns, txns/every)
+	}
+	if perTxn > 0.25 {
+		t.Errorf("steady-state admission allocates %.4f times per transaction, want at most 0.25", perTxn)
 	}
 }
 
-// TestZeroAllocShardedAdmitLiveSetIndependent pins the cost shape of
-// whole-transaction admission on the sharded monitor at 2 and 8 shards:
-// AdmitSequence + Commit of a fresh transaction allocates the same
-// number of objects and the same number of bytes with 16 resident
-// transactions as with 4096 — what a transaction pays does not depend
-// on the transactions beside it — and, against the single Monitor, one
-// object more for its transaction-table entry plus one per shard its
-// footprint spans beyond the first (that shard's monitor keeps its own
-// conjunct list for the transaction). Each resident is a live
-// uncommitted reader in a private conjunct, so it sits in the
-// transaction table and in a shard's graphs. Bytes are compared as the
-// most frequent per-call figure, which drops the calls on which an
+// TestZeroAllocAdmitLiveSetIndependent pins the cost shape of
+// whole-transaction admission: AdmitSequence + Commit of a fresh
+// transaction allocates the same number of objects and the same number
+// of bytes with 16 resident transactions as with 4096 — what a
+// transaction pays does not depend on the transactions beside it —
+// whether its footprint spans one conjunct or two. Each resident is a
+// live uncommitted reader in a private conjunct, so it sits in the
+// transaction tables and in a conjunct's graph. Bytes are compared as
+// the most frequent per-call figure, which drops the calls on which an
 // amortized table grew (those depend on the table's size, not on the
 // admission).
-func TestZeroAllocShardedAdmitLiveSetIndependent(t *testing.T) {
+func TestZeroAllocAdmitLiveSetIndependent(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is unreliable under -race")
 	}
@@ -640,20 +625,15 @@ func TestZeroAllocShardedAdmitLiveSetIndependent(t *testing.T) {
 		partition[e] = state.NewItemSet(fmt.Sprintf("p%d", e))
 	}
 	for i := 0; i < pool; i++ {
-		partition[0].Add(fmt.Sprintf("x%d", i)) // shard 0 at every shard count
+		partition[0].Add(fmt.Sprintf("x%d", i))
 	}
-	partition = append(partition, state.NewItemSet("h")) // the last shard
+	partition = append(partition, state.NewItemSet("h")) // a second conjunct
 
-	type admitter interface {
-		AdmitSequence([]txn.Op) (bool, *core.Violation)
-		Commit(int)
-		SetAutoCompact(int) int
-	}
 	// measure returns allocs and bytes per AdmitSequence+Commit of a
 	// read-modify-write of one private item, with or without one of the
 	// hot item. A first round over the pool gives every private item the
 	// same history, so every measured call does the same work.
-	measure := func(m admitter, resident int, hot bool) (allocs float64, bytes uint64) {
+	measure := func(m *core.Monitor, resident int, hot bool) (allocs float64, bytes uint64) {
 		m.SetAutoCompact(0)
 		for k := 0; k < resident; k++ {
 			if ok, v := m.AdmitSequence([]txn.Op{txn.R(1+k, fmt.Sprintf("p%d", k%conjuncts), 0)}); !ok || v != nil {
@@ -700,18 +680,12 @@ func TestZeroAllocShardedAdmitLiveSetIndependent(t *testing.T) {
 
 	for footprint := 1; footprint <= 2; footprint++ {
 		hot := footprint == 2
-		monAllocs, _ := measure(core.NewMonitor(partition), small, hot)
-		for _, shards := range []int{2, 8} {
-			a16, b16 := measure(core.NewShardedMonitor(partition, shards), small, hot)
-			a4k, b4k := measure(core.NewShardedMonitor(partition, shards), large, hot)
-			if a16 != a4k || b16 != b4k {
-				t.Errorf("shards=%d footprint=%d: %v allocs/%d B per admission with %d residents, %v allocs/%d B with %d",
-					shards, footprint, a16, b16, small, a4k, b4k, large)
-			}
-			if a4k > monAllocs+float64(footprint) {
-				t.Errorf("shards=%d footprint=%d: %v allocs per admission, Monitor %v: want at most %d more",
-					shards, footprint, a4k, monAllocs, footprint)
-			}
+		a16, b16 := measure(core.NewMonitor(partition), small, hot)
+		a4k, b4k := measure(core.NewMonitor(partition), large, hot)
+		t.Logf("footprint=%d: %v allocs/%d B per admission", footprint, a4k, b4k)
+		if a16 != a4k || b16 != b4k {
+			t.Errorf("footprint=%d: %v allocs/%d B per admission with %d residents, %v allocs/%d B with %d",
+				footprint, a16, b16, small, a4k, b4k, large)
 		}
 	}
 }

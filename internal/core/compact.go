@@ -238,14 +238,6 @@ func (m *Monitor) SetAutoCompact(n int) int {
 	return old
 }
 
-// liveTxn reports whether the transaction is still resident (observed
-// and not reclaimed); ShardedMonitor uses it to prune its global
-// counters once a transaction is gone from every shard.
-func (m *Monitor) liveTxn(txnID int) bool {
-	d, ok := m.txns.Lookup(txnID)
-	return ok && m.resident[d]
-}
-
 // compact removes every reclaimable node from the graph — committed,
 // with every ancestor committed — and returns the number of access-log
 // entries reclaimed. The survivors are renumbered in place, keeping

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 
 	"pwsr/internal/core"
-	"pwsr/internal/experiments"
 	"pwsr/internal/state"
 	"pwsr/internal/txn"
 )
@@ -203,24 +201,21 @@ func sameStats(t *testing.T, trial int, label string, got, want core.CompactStat
 
 // TestCompactDifferential is the tentpole's safety net: random
 // Observe/Commit/Retract/Compact interleavings must leave the
-// compacting Monitor, the ReferenceMonitor rebuild spec, and the
-// ShardedMonitor at every shard count 1..8 in identical states —
-// verdicts, flagged operations, witness cycles (monitor vs sharded),
-// op counts, live-transaction counts, lifecycle counters, and
-// per-conjunct live-edge sets — while an uncompacted Monitor fed the
+// compacting Monitor and the ReferenceMonitor rebuild spec in identical
+// states — verdicts, flagged operations, op counts, live-transaction
+// counts, and lifecycle counters — while an uncompacted Monitor fed the
 // same operations and retractions (commits ignored) must reach the
 // same verdict at every step, with its extra edges all incident to
 // committed transactions. Every other trial is a long rolling stream
 // of fresh transactions, gated like a certifier's (a denied requester
 // is aborted), so what a pass reclaims — node slots with their lists,
-// conjunct lists, transaction-table entries — is handed out again to
-// later transactions; the test counts those hand-outs (a Spares or
-// FreeEntries count that falls across an observation) and fails as
-// vacuous unless each kind occurred often.
+// conjunct lists — is handed out again to later transactions; the test
+// counts those hand-outs (a Spares count that falls across an
+// observation) and fails as vacuous unless they occurred often.
 func TestCompactDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	violations, reclaims := 0, 0
-	reusedSlots, reusedShardSlots, reusedEntries := 0, 0, 0
+	reusedSlots := 0
 	for trial := 0; trial < 160; trial++ {
 		nItems := 1 + rng.Intn(6)
 		items := make([]string, nItems)
@@ -241,14 +236,7 @@ func TestCompactDifferential(t *testing.T) {
 		ref := core.NewReferenceMonitor(partition)
 		un := core.NewMonitor(partition)
 		un.SetAutoCompact(0)
-		var sms []*core.ShardedMonitor
-		for shards := 1; shards <= 8; shards++ {
-			sm := core.NewShardedMonitor(partition, shards)
-			sm.SetAutoCompact(0)
-			sms = append(sms, sm)
-		}
 		committed := make(map[int]bool)
-		maxCommitted := 0
 		var trace []string
 
 		violated := false
@@ -287,22 +275,6 @@ func TestCompactDifferential(t *testing.T) {
 					t.Fatalf("trial %d: verdict split at %v: compacting %v, reference %v, uncompacted %v",
 						trial, st.op, vCm, vRef, vUn)
 				}
-				for si, sm := range sms {
-					spares, free := sm.Spares(), sm.FreeEntries()
-					vSm := sm.Observe(st.op)
-					if sm.Shards() > 1 && sm.Spares() < spares {
-						reusedShardSlots++
-					}
-					if sm.FreeEntries() < free {
-						reusedEntries++
-					}
-					if (vSm == nil) != (vCm == nil) {
-						t.Fatalf("trial %d: shards=%d verdict %v vs monitor %v", trial, si+1, vSm, vCm)
-					}
-					if vCm != nil {
-						sameViolation(t, trial, vSm, vCm)
-					}
-				}
 				if vCm != nil {
 					violations++
 					if vCm.Conjunct != vRef.Conjunct || vCm.Op != vRef.Op {
@@ -321,17 +293,10 @@ func TestCompactDifferential(t *testing.T) {
 				cm.Commit(st.txn)
 				ref.Commit(st.txn)
 				committed[st.txn] = true
-				maxCommitted = max(maxCommitted, st.txn)
-				for _, sm := range sms {
-					sm.Commit(st.txn)
-				}
 			case "retract":
 				cm.Retract(st.txn)
 				ref.Retract(st.txn)
 				un.Retract(st.txn)
-				for _, sm := range sms {
-					sm.Retract(st.txn)
-				}
 			case "compact":
 				nCm := cm.Compact()
 				nRef := ref.Compact()
@@ -340,11 +305,6 @@ func TestCompactDifferential(t *testing.T) {
 				}
 				if nCm != nRef {
 					t.Fatalf("trial %d: Compact reclaimed %d (compacting) vs %d (reference)", trial, nCm, nRef)
-				}
-				for si, sm := range sms {
-					if nSm := sm.Compact(); nSm != nCm {
-						t.Fatalf("trial %d: shards=%d Compact reclaimed %d vs monitor %d", trial, si+1, nSm, nCm)
-					}
 				}
 			}
 
@@ -382,27 +342,6 @@ func TestCompactDifferential(t *testing.T) {
 					}
 				}
 			}
-			for si, sm := range sms {
-				if sm.Ops() != cm.Ops() {
-					t.Fatalf("trial %d: shards=%d ops %d vs monitor %d", trial, si+1, sm.Ops(), cm.Ops())
-				}
-				if sm.LiveTxns() != cm.LiveTxns() {
-					t.Fatalf("trial %d: shards=%d live %d vs monitor %d", trial, si+1, sm.LiveTxns(), cm.LiveTxns())
-				}
-				if got, want := sm.InFlightTxnIDs(), cm.InFlightTxnIDs(); !slices.Equal(got, want) {
-					t.Fatalf("trial %d: shards=%d in-flight %v vs monitor %v", trial, si+1, got, want)
-				}
-				sameStats(t, trial, fmt.Sprintf("shards=%d", si+1), sm.CompactStats(), cm.CompactStats())
-				for e := range partition {
-					if got, want := sm.ConflictEdges(e), cm.ConflictEdges(e); !slices.Equal(got, want) {
-						t.Fatalf("trial %d: shards=%d conjunct %d edges %v vs %v\ntrace: %v",
-							trial, si+1, e, got, want, trace)
-					}
-				}
-				if got := sm.Watermark(); got != maxCommitted {
-					t.Fatalf("trial %d: shards=%d watermark %d, want %d", trial, si+1, got, maxCommitted)
-				}
-			}
 		}
 		if violated {
 			// Sticky across the whole stack.
@@ -418,10 +357,10 @@ func TestCompactDifferential(t *testing.T) {
 	if reclaims < 30 {
 		t.Fatalf("only %d reclaiming compactions; differential coverage too thin", reclaims)
 	}
-	if reusedSlots < 100 || reusedShardSlots < 100 || reusedEntries < 100 {
-		t.Fatalf("recycling too thin: %d recycled slots handed out by Monitor, %d by multi-shard monitors, %d table entries", reusedSlots, reusedShardSlots, reusedEntries)
+	if reusedSlots < 100 {
+		t.Fatalf("recycling too thin: %d recycled slots handed out", reusedSlots)
 	}
-	t.Logf("%d violating trials, %d reclaiming passes; recycled slots handed out: %d by Monitor, %d by multi-shard monitors; %d table entries", violations, reclaims, reusedSlots, reusedShardSlots, reusedEntries)
+	t.Logf("%d violating trials, %d reclaiming passes; %d recycled slots handed out", violations, reclaims, reusedSlots)
 }
 
 // validLifecycleCycle checks a reported witness cycle against the
@@ -445,84 +384,6 @@ func validLifecycleCycle(t *testing.T, trial int, un *core.Monitor, v *core.Viol
 		}
 		if !slices.Contains(edges, pair) {
 			t.Fatalf("trial %d: cycle %v: %d -> %d is not a surviving conflict edge", trial, cycle, pair[0], pair[1])
-		}
-	}
-}
-
-// TestShardedCompactConcurrent is the -race stress for the lifecycle
-// paths: concurrent observers on disjoint shard groups commit each
-// transaction as its stream completes it, while a compactor goroutine
-// races Compact passes against the admission traffic. At the end every
-// transaction is committed, so a final pass must reclaim everything:
-// zero live transactions and every logged operation returned.
-func TestShardedCompactConcurrent(t *testing.T) {
-	const workers, itemsPer, opsPer = 8, 6, 300
-	grid := experiments.NewShardedGrid(workers, itemsPer, opsPer, 93)
-	for _, shards := range []int{2, 8} {
-		sm := core.NewShardedMonitor(grid.Partition, shards)
-		sm.SetAutoCompact(64)
-		admitted := make([]int, workers)
-		stop := make(chan struct{})
-		var compactorDone sync.WaitGroup
-		compactorDone.Add(1)
-		go func() {
-			defer compactorDone.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					sm.Compact()
-				}
-			}
-		}()
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				stream := grid.Groups[w]
-				last := make(map[int]int, 32)
-				for i, o := range stream {
-					last[o.Txn] = i
-				}
-				for i, o := range stream {
-					if sm.Admissible(o) {
-						if v := sm.Observe(o); v != nil {
-							t.Errorf("worker %d: violation on certified admission: %v", w, v)
-							return
-						}
-						admitted[w]++
-					}
-					if last[o.Txn] == i {
-						sm.Commit(o.Txn)
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		close(stop)
-		compactorDone.Wait()
-		if t.Failed() {
-			t.FailNow()
-		}
-		if !sm.PWSR() {
-			t.Fatalf("shards=%d: concurrent lifecycle feed violated: %v", shards, sm.Violation())
-		}
-		sm.Compact()
-		total := 0
-		for _, n := range admitted {
-			total += n
-		}
-		st := sm.CompactStats()
-		if st.LiveTxns != 0 {
-			t.Fatalf("shards=%d: %d live transactions after everything committed and compacted", shards, st.LiveTxns)
-		}
-		if st.ReclaimedOps != total {
-			t.Fatalf("shards=%d: reclaimed %d log entries, want %d (all admitted ops)", shards, st.ReclaimedOps, total)
-		}
-		if sm.Watermark() == 0 {
-			t.Fatalf("shards=%d: watermark never advanced", shards)
 		}
 	}
 }

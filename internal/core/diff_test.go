@@ -147,45 +147,31 @@ func TestObserveAllStopsAtViolation(t *testing.T) {
 		ops = append(ops, txn.W(id, "z", int64(id)))
 	}
 	s := txn.NewSchedule(ops...)
-	type certifier interface {
-		Observe(txn.Op) *core.Violation
-		ObserveAll(*txn.Schedule) *core.Violation
-		Ops() int
-		LiveTxns() int
-		LiveTxnIDs() []int
-		InFlightTxnIDs() []int
-		CompactStats() core.CompactStats
+	whole, feed := core.NewMonitor(partition), core.NewMonitor(partition)
+	v := whole.ObserveAll(s)
+	var want *core.Violation
+	for _, o := range s.Ops() {
+		if want = feed.Observe(o); want != nil {
+			break
+		}
 	}
-	for name, mk := range map[string]func() certifier{
-		"Monitor":          func() certifier { return core.NewMonitor(partition) },
-		"ShardedMonitor/2": func() certifier { return core.NewShardedMonitor(partition, 2) },
-	} {
-		whole, feed := mk(), mk()
-		v := whole.ObserveAll(s)
-		var want *core.Violation
-		for _, o := range s.Ops() {
-			if want = feed.Observe(o); want != nil {
-				break
-			}
-		}
-		if v == nil || want == nil || v.Op != want.Op || v.Op != s.Op(3) {
-			t.Fatalf("%s: ObserveAll flagged %v, op-at-a-time %v, want %v", name, v, want, s.Op(3))
-		}
-		if got, want := whole.Ops(), feed.Ops(); got != want {
-			t.Errorf("%s: Ops %d, op-at-a-time %d", name, got, want)
-		}
-		if got, want := whole.LiveTxns(), feed.LiveTxns(); got != want {
-			t.Errorf("%s: LiveTxns %d, op-at-a-time %d", name, got, want)
-		}
-		if got, want := whole.LiveTxnIDs(), feed.LiveTxnIDs(); !slices.Equal(got, want) || !slices.Equal(got, []int{1, 2}) {
-			t.Errorf("%s: %d LiveTxnIDs starting %v, op-at-a-time %v, want [1 2]", name, len(got), got[:min(len(got), 2)], want)
-		}
-		if got, want := whole.InFlightTxnIDs(), feed.InFlightTxnIDs(); !slices.Equal(got, want) {
-			t.Errorf("%s: %d InFlightTxnIDs, op-at-a-time %v", name, len(got), want)
-		}
-		if got, want := whole.CompactStats(), feed.CompactStats(); got != want {
-			t.Errorf("%s: CompactStats %+v, op-at-a-time %+v", name, got, want)
-		}
+	if v == nil || want == nil || v.Op != want.Op || v.Op != s.Op(3) {
+		t.Fatalf("ObserveAll flagged %v, op-at-a-time %v, want %v", v, want, s.Op(3))
+	}
+	if got, want := whole.Ops(), feed.Ops(); got != want {
+		t.Errorf("Ops %d, op-at-a-time %d", got, want)
+	}
+	if got, want := whole.LiveTxns(), feed.LiveTxns(); got != want {
+		t.Errorf("LiveTxns %d, op-at-a-time %d", got, want)
+	}
+	if got, want := whole.LiveTxnIDs(), feed.LiveTxnIDs(); !slices.Equal(got, want) || !slices.Equal(got, []int{1, 2}) {
+		t.Errorf("%d LiveTxnIDs starting %v, op-at-a-time %v, want [1 2]", len(got), got[:min(len(got), 2)], want)
+	}
+	if got, want := whole.InFlightTxnIDs(), feed.InFlightTxnIDs(); !slices.Equal(got, want) {
+		t.Errorf("%d InFlightTxnIDs, op-at-a-time %v", len(got), want)
+	}
+	if got, want := whole.CompactStats(), feed.CompactStats(); got != want {
+		t.Errorf("CompactStats %+v, op-at-a-time %+v", got, want)
 	}
 }
 

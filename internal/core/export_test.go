@@ -34,34 +34,11 @@ func (m *Monitor) Spares() int {
 	return n
 }
 
-// Spares sums the shards' Monitor.Spares.
-func (m *ShardedMonitor) Spares() int {
+// ItemStates counts the per-item states the conjunct graphs hold.
+func (m *Monitor) ItemStates() int {
 	n := 0
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		n += sh.mon.Spares()
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// FreeEntries counts the reclaimed transaction-table entries waiting to
-// be handed out again.
-func (m *ShardedMonitor) FreeEntries() int {
-	m.txnMu.RLock()
-	defer m.txnMu.RUnlock()
-	return len(m.free)
-}
-
-// InternedTxns sums the transactions the shards' monitors hold interned
-// — resident or rolled back to an emptied node — so a test can tell
-// that nothing is left behind once every transaction is reclaimed.
-func (m *ShardedMonitor) InternedTxns() int {
-	n := 0
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		n += sh.mon.txns.Len()
-		sh.mu.Unlock()
+	for _, g := range m.graphs {
+		n += len(g.item)
 	}
 	return n
 }

@@ -66,8 +66,11 @@ type Monitor struct {
 	// conjunct membership: conjFlat[conjOff[i]:conjOff[i+1]] lists the
 	// conjuncts whose data set contains item i, computed once per
 	// distinct item (one shared backing array instead of a slice
-	// allocation per item).
+	// allocation per item). conjSlot runs beside conjFlat: the item's
+	// slot in that conjunct graph's item table, so a graph holds state
+	// for its own items only.
 	conjFlat []int32
+	conjSlot []int32
 	conjOff  []int32
 
 	violation *Violation
@@ -139,6 +142,12 @@ func NewMonitor(partition []state.ItemSet) *Monitor {
 	return m
 }
 
+// NewShardedMonitor returns NewMonitor(partition) and ignores shards.
+// Kept for benchmark/pipeline.go:52 until ROADMAP item 8.
+func NewShardedMonitor(partition []state.ItemSet, shards int) *Monitor {
+	return NewMonitor(partition)
+}
+
 // NewMonitor builds a monitor for a system's partition.
 func (sys *System) NewMonitor() *Monitor {
 	return NewMonitor(sys.Partition())
@@ -157,25 +166,24 @@ func (m *Monitor) PWSR() bool { return m.violation == nil }
 // Violation returns the first violation, or nil.
 func (m *Monitor) Violation() *Violation { return m.violation }
 
-// itemID interns the entity, computing its conjunct membership list the
-// first time it is seen.
+// itemID interns the entity the first time it is seen, computing its
+// conjunct membership list and opening its state in each of those
+// conjuncts' graphs.
 func (m *Monitor) itemID(entity string) int32 {
 	n := m.items.Len()
 	id := m.items.ID(entity)
 	if int(id) == n {
 		for e, d := range m.partition {
 			if d.Contains(entity) {
+				g := m.graphs[e]
 				m.conjFlat = append(m.conjFlat, int32(e))
+				m.conjSlot = append(m.conjSlot, int32(len(g.item)))
+				g.item = append(g.item, itemState{lastWriter: -1})
 			}
 		}
 		m.conjOff = append(m.conjOff, int32(len(m.conjFlat)))
 	}
 	return id
-}
-
-// conjunctsOf returns the interned item's conjunct membership list.
-func (m *Monitor) conjunctsOf(item int32) []int32 {
-	return m.conjFlat[m.conjOff[item]:m.conjOff[item+1]]
 }
 
 // txnID interns the original transaction id, growing the dense per-txn
@@ -278,9 +286,10 @@ func (m *Monitor) admit(o *txn.Op) *Violation {
 		return m.violation
 	}
 	item := m.itemID(o.Entity)
-	for _, e := range m.conjunctsOf(item) {
+	for k := m.conjOff[item]; k < m.conjOff[item+1]; k++ {
+		e := m.conjFlat[k]
 		m.touch(d, e)
-		if cycle := m.graphs[e].add(d, o.Action, item); cycle != nil {
+		if cycle := m.graphs[e].add(d, o.Action, m.conjSlot[k]); cycle != nil {
 			m.violation = &Violation{Conjunct: int(e), Op: *o, Cycle: cycle}
 			return m.violation
 		}
@@ -308,16 +317,16 @@ func (m *Monitor) Admissible(o txn.Op) bool {
 	if !ok {
 		return true // never-seen item: no conjunct graph has state on it
 	}
-	cs := m.conjunctsOf(item)
-	if len(cs) == 0 {
+	lo, hi := m.conjOff[item], m.conjOff[item+1]
+	if lo == hi {
 		return true // item outside every conjunct: ignored per Definition 2
 	}
 	dense, ok := m.txnLookup(o.Txn)
 	if !ok {
 		return true // never-seen transaction: a brand-new node cannot close a cycle
 	}
-	for _, e := range cs {
-		if !m.graphs[e].admissible(dense, o.Action, item) {
+	for k := lo; k < hi; k++ {
+		if !m.graphs[m.conjFlat[k]].admissible(dense, o.Action, m.conjSlot[k]) {
 			return false
 		}
 	}
@@ -477,8 +486,8 @@ type itemState struct {
 // graph (the Pearce–Kelly searches touch only those plus out/in).
 type nodeState struct {
 	out, in []int32
-	// items lists the items the node accessed (duplicates allowed;
-	// retract dedups).
+	// items lists the item slots the node accessed (duplicates
+	// allowed; retract dedups).
 	items []int32
 	// dense is the monitor-level transaction id of this node.
 	dense int32
@@ -509,7 +518,8 @@ type incGraph struct {
 	// set) is what lets retract drop exactly the edges no surviving
 	// item still implies.
 	edges edgeTable
-	// item[i] is the interned item i's state.
+	// item[i] is the state of the conjunct's item in slot i (see
+	// Monitor.conjSlot); the graph's item arguments are these slots.
 	item []itemState
 
 	// Scratch state for the two-way search, reused across insertions.
@@ -577,19 +587,11 @@ func (g *incGraph) nodeAt(dense int32) int32 {
 	return g.nodeOf[dense]
 }
 
-// ensureItem grows the per-item table to cover item.
-func (g *incGraph) ensureItem(item int32) {
-	for int(item) >= len(g.item) {
-		g.item = append(g.item, itemState{lastWriter: -1})
-	}
-}
-
 // add records the operation's conflicts and returns a cycle (original
 // transaction ids, first == last) if one appears. On a cycle the access
 // is not recorded; the monitor is sticky afterwards, so the graph is
 // never consulted again.
 func (g *incGraph) add(dense int32, action txn.Action, item int32) []int {
-	g.ensureItem(item)
 	me := g.node(dense)
 	it := &g.item[item]
 	lw := it.lastWriter
@@ -691,9 +693,6 @@ func (g *incGraph) connect(x, y, item int32) []int {
 // admissible reports whether drawing the operation's conflict edges
 // would keep the graph acyclic, without mutating it.
 func (g *incGraph) admissible(dense int32, action txn.Action, item int32) bool {
-	if int(item) >= len(g.item) {
-		return true // item never accessed in this conjunct
-	}
 	me := g.nodeAt(dense)
 	if me < 0 {
 		return true // a brand-new node cannot close a cycle

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -243,5 +244,29 @@ func TestSystemNewMonitor(t *testing.T) {
 	m := sys.NewMonitor()
 	if v := m.ObserveAll(e.Schedule); v != nil {
 		t.Fatal(v)
+	}
+}
+
+// TestItemStatesPerConjunct pins that a conjunct graph holds state for
+// its own items only: 8 conjuncts of 100 private items each, written
+// once each in round-robin order, leave exactly 800 item states — not
+// one per conjunct for every item id up to the largest it has seen.
+func TestItemStatesPerConjunct(t *testing.T) {
+	const conjuncts, perConjunct = 8, 100
+	partition := make([]state.ItemSet, conjuncts)
+	for e := range partition {
+		partition[e] = state.NewItemSet()
+	}
+	for k := 0; k < conjuncts*perConjunct; k++ {
+		partition[k%conjuncts].Add(fmt.Sprintf("x%d", k))
+	}
+	m := core.NewMonitor(partition)
+	for k := 0; k < conjuncts*perConjunct; k++ {
+		if v := m.Observe(txn.W(1+k, fmt.Sprintf("x%d", k), 1)); v != nil {
+			t.Fatal(v)
+		}
+	}
+	if got := m.ItemStates(); got != conjuncts*perConjunct {
+		t.Fatalf("%d item states for %d items", got, conjuncts*perConjunct)
 	}
 }

@@ -1,7 +1,7 @@
 package core
 
 // ProbeStats is kept for benchmark/pipeline.go:179 until ROADMAP item
-// 1; always zero.
+// 8; always zero.
 type ProbeStats struct {
 	Hits          int64
 	Misses        int64
@@ -9,9 +9,5 @@ type ProbeStats struct {
 }
 
 // ProbeStats returns the zero value. Kept for benchmark/pipeline.go:179
-// until ROADMAP item 1; always zero.
+// until ROADMAP item 8; always zero.
 func (m *Monitor) ProbeStats() ProbeStats { return ProbeStats{} }
-
-// ProbeStats returns the zero value. Kept for benchmark/pipeline.go:179
-// until ROADMAP item 1; always zero.
-func (m *ShardedMonitor) ProbeStats() ProbeStats { return ProbeStats{} }

@@ -70,51 +70,6 @@ func (m *Monitor) CheckedCommit(txnID int) error {
 	return nil
 }
 
-// committedTxn reports whether the transaction is marked committed at
-// the sharded level.
-func (m *ShardedMonitor) committedTxn(txnID int) bool {
-	if m.single {
-		sh := m.shards[0]
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		d, ok := sh.mon.txnLookup(txnID)
-		return ok && sh.mon.committedB[d]
-	}
-	_, committed := m.lookupTxn(txnID)
-	return committed
-}
-
-// CheckedObserve mirrors Monitor.CheckedObserve on the sharded
-// certifier. Like the other Checked entry points it is meant for
-// serialized feeds (log replay, recovering gates); the committed
-// check and the admission are not atomic against concurrent callers.
-func (m *ShardedMonitor) CheckedObserve(o txn.Op) (*Violation, error) {
-	if m.committedTxn(o.Txn) {
-		return nil, &LifecycleError{Verb: "Observe", Txn: o.Txn, Reason: "operation for a committed transaction"}
-	}
-	return m.Observe(o), nil
-}
-
-// CheckedRetract mirrors Monitor.CheckedRetract on the sharded
-// certifier.
-func (m *ShardedMonitor) CheckedRetract(txnID int) error {
-	if m.violation.Load() != nil {
-		return &LifecycleError{Verb: "Retract", Txn: txnID, Reason: "retraction on a violated monitor"}
-	}
-	if m.committedTxn(txnID) {
-		return &LifecycleError{Verb: "Retract", Txn: txnID, Reason: "retraction of a committed transaction"}
-	}
-	m.Retract(txnID)
-	return nil
-}
-
-// CheckedCommit mirrors Monitor.CheckedCommit on the sharded
-// certifier.
-func (m *ShardedMonitor) CheckedCommit(txnID int) error {
-	m.Commit(txnID)
-	return nil
-}
-
 // LiveTxnIDs returns the original ids of the resident transactions,
 // sorted. Inspection-only (it allocates); the crash differential uses
 // it to compare live-transaction sets.
@@ -141,46 +96,6 @@ func (m *Monitor) InFlightTxnIDs() []int {
 			out = append(out, m.txns.Orig(d))
 		}
 	}
-	slices.Sort(out)
-	return out
-}
-
-// LiveTxnIDs mirrors Monitor.LiveTxnIDs on the sharded certifier.
-func (m *ShardedMonitor) LiveTxnIDs() []int {
-	if m.single {
-		sh := m.shards[0]
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		return sh.mon.LiveTxnIDs()
-	}
-	return m.residentIDs(true)
-}
-
-// InFlightTxnIDs mirrors Monitor.InFlightTxnIDs on the sharded
-// certifier: the resident transactions not yet marked committed, read
-// in one critical section of the transaction table so a commit or a
-// reclamation is seen whole.
-func (m *ShardedMonitor) InFlightTxnIDs() []int {
-	if m.single {
-		sh := m.shards[0]
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		return sh.mon.InFlightTxnIDs()
-	}
-	return m.residentIDs(false)
-}
-
-// residentIDs lists the transaction table's resident entries, sorted,
-// with or without the committed ones.
-func (m *ShardedMonitor) residentIDs(committed bool) []int {
-	m.txnMu.RLock()
-	out := make([]int, 0, m.live.Load())
-	for id, c := range m.txns {
-		if c.ops.Load() > 0 && (committed || !c.committed) {
-			out = append(out, id)
-		}
-	}
-	m.txnMu.RUnlock()
 	slices.Sort(out)
 	return out
 }

@@ -92,34 +92,3 @@ func (m *Monitor) SetSink(s LifecycleSink) LifecycleSink {
 
 // Sink returns the attached lifecycle sink, or nil.
 func (m *Monitor) Sink() LifecycleSink { return m.sink }
-
-// SetSink attaches (or detaches) the sharded monitor's lifecycle
-// sink, returning the previous one. In the single-shard configuration
-// the inner monitor carries the sink (its lifecycle, including
-// automatic compaction, is authoritative); in the multi-shard
-// configuration the sharded level emits one record per logical event
-// regardless of how many shards it fanned out to. A sinked sharded
-// monitor must be fed from a single goroutine (see LifecycleSink);
-// concurrent feeding would interleave the stream nondeterministically.
-func (m *ShardedMonitor) SetSink(s LifecycleSink) LifecycleSink {
-	if m.single {
-		sh := m.shards[0]
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		return sh.mon.SetSink(s)
-	}
-	old := m.sink
-	m.sink = s
-	return old
-}
-
-// Sink returns the attached lifecycle sink, or nil.
-func (m *ShardedMonitor) Sink() LifecycleSink {
-	if m.single {
-		sh := m.shards[0]
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		return sh.mon.Sink()
-	}
-	return m.sink
-}

@@ -5,24 +5,21 @@
 // (Definition 5), the data access graph (Section 3.3), and the three
 // theorems' sufficient conditions with checkable certificates.
 //
-// The package also houses the online certifiers a PWSR scheduler
+// The package also houses the online certifier a PWSR scheduler
 // consults: Monitor, the single-goroutine incremental certifier
 // (interned ids, per-item conflict frontiers, a Pearce–Kelly
-// topological order, incremental retraction), and ShardedMonitor, its
-// concurrent counterpart. The shard/fence model rests on the same
+// topological order, incremental retraction). It rests on the same
 // locality the theory does: conflict edges only arise between
 // operations on the same item, and Definition 2 judges each
 // conjunct's projection in isolation (the per-conjunct framing Lemma 3
 // and Theorem 1 argue through), so a conflict cycle can never span two
-// conjuncts. Conjuncts can therefore be partitioned into shard-local
-// graphs — each shard an independent Monitor behind its own lock —
-// whose verdicts conjoin into the global PWSR admission decision:
-// operations on disjoint shards never wait on each other, and
-// operations contending for a shard order through its lock.
+// conjuncts. Each conjunct therefore keeps its own graph over its own
+// items, and the graphs' verdicts conjoin into the global PWSR
+// admission decision.
 //
 // # Transaction lifecycle and bounded memory
 //
-// Both certifiers carry first-class transaction lifecycle so a
+// The monitor carries first-class transaction lifecycle so a
 // long-lived service's certification state stays bounded by the
 // concurrent window rather than growing with the stream: Commit marks
 // a transaction finished, and Compact (run automatically every
@@ -58,9 +55,8 @@
 // graph's nodes, order, search marks and id translation are filtered in
 // place and its edge table is rehashed into its own arrays; a reclaimed
 // node's slot keeps its adjacency and item lists (up to spareListMax
-// entries each) for the next fresh node, a reclaimed transaction's
-// conjunct list goes to the next fresh transaction, and a
-// ShardedMonitor's reclaimed table entry to the next new one. The items
+// entries each) for the next fresh node, and a reclaimed transaction's
+// conjunct list goes to the next fresh transaction. The items
 // accessed since the previous pass keep their lists, at most
 // max(listMin, 2×len) of capacity each; the lists of an item untouched
 // for a whole interval are let go. So a steady commit stream allocates
@@ -83,7 +79,7 @@
 //
 // # Lifecycle logging, snapshots, and recovery
 //
-// Both certifiers accept a LifecycleSink (SetSink): every Observe,
+// The monitor accepts a LifecycleSink (SetSink): every Observe,
 // Retract, Commit, and Compact is mirrored to the sink after it is
 // applied, which is all a write-ahead journal needs to make
 // certification state durable (internal/wal is the reference sink;

@@ -139,7 +139,7 @@ func TestExecuteBatchCtxDeadline(t *testing.T) {
 			return ctx
 		}, exec.ErrCanceled, exec.ErrDeadline, 1},
 	} {
-		gate := sched.NewOptimisticCertifyOver(core.NewShardedMonitor(w.DataSets, 2), &sched.Serial{}, nil)
+		gate := sched.NewOptimisticCertify(w.DataSets, &sched.Serial{}, nil)
 		journal, err := wal.NewWriter(wal.NewMemBackend(), wal.Options{GroupEvery: 1})
 		if err != nil {
 			t.Fatal(err)

@@ -308,7 +308,7 @@ type Policy interface {
 // CompactStats is a certifying policy's transaction-lifecycle
 // counters, as reported by a policy whose certifier commits finished
 // transactions and compacts them away (the sched certification gates
-// over core.Monitor/core.ShardedMonitor).
+// over core.Monitor).
 type CompactStats struct {
 	// Compactions counts compaction passes the certifier ran.
 	Compactions int

@@ -5,7 +5,7 @@ package exec_test
 // read-write schedule in any way, and the combined (spliced) schedule
 // must re-check PWSR with the batch checker and replay
 // value-consistently — under both engines, raced at GOMAXPROCS 1 and
-// 8 by the Makefile's check legs, across gate shard counts 1..8.
+// 8 by the Makefile's check legs.
 
 import (
 	"context"
@@ -102,8 +102,8 @@ func requireReadersUntouched(t *testing.T, ctx string, res *exec.Result, ro map[
 }
 
 // TestMVReadDifferentialTick is the tick-engine lockstep differential:
-// for generated workloads under the abort-capable gates (optimistic,
-// and sharded at 1..8 shards), a mixed run with declared readers must
+// for generated workloads under the abort-capable optimistic gate, a
+// mixed run with declared readers must
 // leave the read-write sub-schedule, final state, abort counts, and
 // gate verdict byte-identical to the reader-free twin — the readers
 // are invisible to the gate — while the combined spliced schedule
@@ -121,76 +121,67 @@ func TestMVReadDifferentialTick(t *testing.T) {
 		items := sortedItems(w.Initial)
 		mixed, ro := withReaders(w.Programs, items, 3)
 		begins := map[int]int{101: 0, 102: 4, 103: 1 << 30}
-		inner := func() exec.Policy { return sched.NewRandom(int64(31 * trial)) }
+		gateFor := func() *sched.OptimisticCertify {
+			return sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(int64(31*trial)), nil)
+		}
+		ctx := fmt.Sprintf("trial %d", trial)
 
-		// shards 0 selects the optimistic gate over a Monitor; 1..8 the
-		// same gate over a ShardedMonitor.
-		for shards := 0; shards <= 8; shards++ {
-			gateFor := func() *sched.OptimisticCertify {
-				if shards == 0 {
-					return sched.NewOptimisticCertify(w.DataSets, inner(), nil)
-				}
-				return sched.NewOptimisticCertifyOver(core.NewShardedMonitor(w.DataSets, shards), inner(), nil)
-			}
-			ctx := fmt.Sprintf("trial %d shards %d", trial, shards)
+		gateB := gateFor()
+		resB, err := exec.RunCtx(context.Background(), exec.Config{
+			Programs: w.Programs, Initial: w.Initial, Policy: gateB, DataSets: w.DataSets,
+		})
+		if err != nil {
+			t.Fatalf("%s: reader-free run: %v", ctx, err)
+		}
 
-			gateB := gateFor()
-			resB, err := exec.RunCtx(context.Background(), exec.Config{
-				Programs: w.Programs, Initial: w.Initial, Policy: gateB, DataSets: w.DataSets,
-			})
-			if err != nil {
-				t.Fatalf("%s: reader-free run: %v", ctx, err)
-			}
+		gateA := gateFor()
+		resA, err := exec.RunCtx(context.Background(), exec.Config{
+			Programs: mixed, Initial: w.Initial, Policy: gateA, DataSets: w.DataSets,
+			ReadOnly: ro, ROBegin: begins,
+		})
+		if err != nil {
+			t.Fatalf("%s: mixed run: %v", ctx, err)
+		}
 
-			gateA := gateFor()
-			resA, err := exec.RunCtx(context.Background(), exec.Config{
-				Programs: mixed, Initial: w.Initial, Policy: gateA, DataSets: w.DataSets,
-				ReadOnly: ro, ROBegin: begins,
-			})
-			if err != nil {
-				t.Fatalf("%s: mixed run: %v", ctx, err)
-			}
+		requireReadersUntouched(t, ctx, resA, ro)
+		checkSchedulePositions(t, resA.Schedule) // spliced readers renumber what follows
+		checkSchedulePositions(t, resB.Schedule)
+		if got, want := rwProjection(resA.Schedule, ro).String(), resB.Schedule.String(); got != want {
+			t.Fatalf("%s: readers perturbed the RW schedule\nmixed RW: %s\nrw-only:  %s", ctx, got, want)
+		}
+		if !resA.Final.Equal(resB.Final) {
+			t.Fatalf("%s: final state diverged", ctx)
+		}
+		if resA.Metrics.Aborts != resB.Metrics.Aborts || resA.Metrics.Ticks != resB.Metrics.Ticks {
+			t.Fatalf("%s: aborts/ticks diverged: %d/%d vs %d/%d",
+				ctx, resA.Metrics.Aborts, resA.Metrics.Ticks, resB.Metrics.Aborts, resB.Metrics.Ticks)
+		}
+		if a, b := gateA.Monitor().Ops(), gateB.Monitor().Ops(); a != b {
+			t.Fatalf("%s: gate saw %d ops with readers, %d without — readers leaked into the gate", ctx, a, b)
+		}
+		if !core.CheckPWSR(resA.Schedule, w.DataSets).PWSR {
+			t.Fatalf("%s: combined schedule not PWSR:\n%s", ctx, resA.Schedule)
+		}
+		if err := resA.Schedule.ConsistentValues(w.Initial); err != nil {
+			t.Fatalf("%s: combined schedule does not replay: %v\n%s", ctx, err, resA.Schedule)
+		}
 
-			requireReadersUntouched(t, ctx, resA, ro)
-			checkSchedulePositions(t, resA.Schedule) // spliced readers renumber what follows
-			checkSchedulePositions(t, resB.Schedule)
-			if got, want := rwProjection(resA.Schedule, ro).String(), resB.Schedule.String(); got != want {
-				t.Fatalf("%s: readers perturbed the RW schedule\nmixed RW: %s\nrw-only:  %s", ctx, got, want)
-			}
-			if !resA.Final.Equal(resB.Final) {
-				t.Fatalf("%s: final state diverged", ctx)
-			}
-			if resA.Metrics.Aborts != resB.Metrics.Aborts || resA.Metrics.Ticks != resB.Metrics.Ticks {
-				t.Fatalf("%s: aborts/ticks diverged: %d/%d vs %d/%d",
-					ctx, resA.Metrics.Aborts, resA.Metrics.Ticks, resB.Metrics.Aborts, resB.Metrics.Ticks)
-			}
-			if a, b := gateA.Monitor().Ops(), gateB.Monitor().Ops(); a != b {
-				t.Fatalf("%s: gate saw %d ops with readers, %d without — readers leaked into the gate", ctx, a, b)
-			}
-			if !core.CheckPWSR(resA.Schedule, w.DataSets).PWSR {
-				t.Fatalf("%s: combined schedule not PWSR:\n%s", ctx, resA.Schedule)
-			}
-			if err := resA.Schedule.ConsistentValues(w.Initial); err != nil {
-				t.Fatalf("%s: combined schedule does not replay: %v\n%s", ctx, err, resA.Schedule)
-			}
-
-			// Contrast run: the same readers as ordinary gated
-			// transactions. Completes (abort-capable gate) with the same
-			// final state — readers write nothing — but through the gate
-			// they are ordinary certification traffic.
-			gateC := gateFor()
-			resC, err := exec.RunCtx(context.Background(), exec.Config{
-				Programs: mixed, Initial: w.Initial, Policy: gateC, DataSets: w.DataSets,
-			})
-			if err != nil {
-				t.Fatalf("%s: through-gate run: %v", ctx, err)
-			}
-			if !resC.Final.Equal(resA.Final) {
-				t.Fatalf("%s: through-gate final state diverged from bypass", ctx)
-			}
-			if !core.CheckPWSR(resC.Schedule, w.DataSets).PWSR {
-				t.Fatalf("%s: through-gate schedule not PWSR", ctx)
-			}
+		// Contrast run: the same readers as ordinary gated
+		// transactions. Completes (abort-capable gate) with the same
+		// final state — readers write nothing — but through the gate
+		// they are ordinary certification traffic.
+		gateC := gateFor()
+		resC, err := exec.RunCtx(context.Background(), exec.Config{
+			Programs: mixed, Initial: w.Initial, Policy: gateC, DataSets: w.DataSets,
+		})
+		if err != nil {
+			t.Fatalf("%s: through-gate run: %v", ctx, err)
+		}
+		if !resC.Final.Equal(resA.Final) {
+			t.Fatalf("%s: through-gate final state diverged from bypass", ctx)
+		}
+		if !core.CheckPWSR(resC.Schedule, w.DataSets).PWSR {
+			t.Fatalf("%s: through-gate schedule not PWSR", ctx)
 		}
 	}
 }
@@ -355,7 +346,7 @@ func TestMVReadRejectsWriters(t *testing.T) {
 		t.Fatalf("Run with unknown reader id: err = %v, want a no-program error", err)
 	}
 
-	gate := sched.NewOptimisticCertifyOver(core.NewShardedMonitor(partition, 1), &sched.Serial{}, nil)
+	gate := sched.NewOptimisticCertify(partition, &sched.Serial{}, nil)
 	_, err = exec.RunParallelCtx(context.Background(), exec.ParallelConfig{
 		Initial: initial, Gate: gate, ReadOnly: map[int]bool{1: true},
 	}, map[int]*program.Program{1: writer})
@@ -380,7 +371,7 @@ func TestMVReadRejectsWriters(t *testing.T) {
 			t.Errorf("Run, %s: err = %v, want ErrReadOnlyWrite", name, err)
 		}
 		_, err = exec.RunParallelCtx(context.Background(), exec.ParallelConfig{
-			Initial: initial, Gate: sched.NewOptimisticCertifyOver(core.NewShardedMonitor(partition, 1), &sched.Serial{}, nil), ReadOnly: map[int]bool{1: true},
+			Initial: initial, Gate: sched.NewOptimisticCertify(partition, &sched.Serial{}, nil), ReadOnly: map[int]bool{1: true},
 		}, map[int]*program.Program{1: p})
 		if !errors.Is(err, exec.ErrReadOnlyWrite) {
 			t.Errorf("RunParallel, %s: err = %v, want ErrReadOnlyWrite", name, err)
@@ -390,9 +381,8 @@ func TestMVReadRejectsWriters(t *testing.T) {
 
 // TestMVReadDifferentialParallel is the batch-engine lockstep
 // differential: mixed batches with declared readers, at worker counts
-// 1..8 with the gate sharded to match, must reproduce the serial
-// reference's read-write schedule, final state, tick count, and
-// certifier state exactly — reader placement may float (snapshots are
+// 1..8, must reproduce the serial reference's read-write schedule,
+// final state, tick count, and certifier state exactly — reader placement may float (snapshots are
 // taken when workers reach them) but the combined schedule must
 // re-check PWSR and replay value-consistently at every placement.
 func TestMVReadDifferentialParallel(t *testing.T) {
@@ -403,11 +393,11 @@ func TestMVReadDifferentialParallel(t *testing.T) {
 		})
 		items := sortedItems(w.Initial)
 		mixed, ro := withReaders(w.Programs, items, 3)
-		want, refGate := serialReference(t, w, 4)
+		want, refGate := serialReference(t, w)
 
 		for workers := 1; workers <= 8; workers++ {
 			ctx := fmt.Sprintf("trial %d workers %d", trial, workers)
-			gate := sched.NewOptimisticCertifyOver(core.NewShardedMonitor(w.DataSets, workers), &sched.Serial{}, nil)
+			gate := sched.NewOptimisticCertify(w.DataSets, &sched.Serial{}, nil)
 			res, err := exec.RunParallelCtx(context.Background(), exec.ParallelConfig{
 				Initial: w.Initial, Gate: gate, Workers: workers, ReadOnly: ro,
 			}, mixed)

@@ -18,8 +18,8 @@ import (
 // BatchGate is the admission interface the block-parallel batch
 // executor drives: one call certifies and commits a finished
 // transaction's whole operation sequence atomically. The sched gates
-// implement it (Certify and OptimisticCertify, over core.Monitor or
-// core.ShardedMonitor), so a batch admitted through a gate carries the
+// implement it (Certify and OptimisticCertify, over core.Monitor), so
+// a batch admitted through a gate carries the
 // same PWSR proof obligation as a ticked schedule.
 // A fresh transaction admitted whole cannot be denied (see
 // core.Monitor.AdmitSequence), so there is no denial outcome.

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"pwsr/internal/core"
 	"pwsr/internal/exec"
 	"pwsr/internal/fault"
 	"pwsr/internal/gen"
@@ -16,13 +15,13 @@ import (
 )
 
 // serialReference runs the workload through the tick engine under a
-// Serial inner policy gated by the optimistic gate over a sharded
-// monitor: ascending-id serial execution with full certification —
+// Serial inner policy gated by the optimistic gate: ascending-id serial
+// execution with full certification —
 // exactly the schedule the batch executor's commit pipeline promises to
 // reproduce.
-func serialReference(t *testing.T, w *gen.Workload, shards int) (*exec.Result, *sched.OptimisticCertify) {
+func serialReference(t *testing.T, w *gen.Workload) (*exec.Result, *sched.OptimisticCertify) {
 	t.Helper()
-	gate := sched.NewOptimisticCertifyOver(core.NewShardedMonitor(w.DataSets, shards), &sched.Serial{}, nil)
+	gate := sched.NewOptimisticCertify(w.DataSets, &sched.Serial{}, nil)
 	res, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: w.Programs,
 		Initial:  w.Initial,
@@ -42,17 +41,17 @@ func serialReference(t *testing.T, w *gen.Workload, shards int) (*exec.Result, *
 // ascending-id serial run through the tick engine. Run under -race at
 // GOMAXPROCS=1 and 8 by the Makefile's check target, this pins both
 // determinism (speculation and retries never leak into outcomes) and
-// the PWSR-by-construction argument (the gate's sharded monitor ends
-// healthy with the same surviving-op count).
+// the PWSR-by-construction argument (the gate's monitor ends healthy
+// with the same surviving-op count).
 func TestParallelEngineDifferential(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		w := gen.MustGenerate(gen.Config{
 			Conjuncts: 2 + trial%3, Programs: 6 + trial%5, MovesPerProgram: 2 + trial%3,
 			Style: gen.Style(trial % 3), Seed: int64(900 + trial),
 		})
-		want, refGate := serialReference(t, w, 4)
+		want, refGate := serialReference(t, w)
 		for workers := 1; workers <= 8; workers++ {
-			gate := sched.NewOptimisticCertifyOver(core.NewShardedMonitor(w.DataSets, 4), &sched.Serial{}, nil)
+			gate := sched.NewOptimisticCertify(w.DataSets, &sched.Serial{}, nil)
 			res, err := exec.RunParallelCtx(context.Background(), exec.ParallelConfig{
 				Initial: w.Initial,
 				Gate:    gate,
@@ -187,10 +186,10 @@ func TestParallelEngineRetryExhaustion(t *testing.T) {
 
 	want, _ := serialReference(t, &gen.Workload{
 		Programs: programs, Initial: initial, DataSets: partition,
-	}, 1)
+	})
 
 	for _, budget := range []int{-1, 1, 5} {
-		gate := sched.NewOptimisticCertifyOver(core.NewShardedMonitor(partition, 1), &sched.Serial{}, nil)
+		gate := sched.NewOptimisticCertify(partition, &sched.Serial{}, nil)
 		res, err := exec.RunParallelCtx(context.Background(), exec.ParallelConfig{
 			Initial:    initial,
 			Gate:       gate,
@@ -235,7 +234,7 @@ func TestParallelEngineProgramError(t *testing.T) {
 		2: program.MustParse("program T2 {\n  b := missing + 1;\n}\n"),
 	}
 	partition := []state.ItemSet{state.NewItemSet("a", "b")}
-	gate := sched.NewOptimisticCertifyOver(core.NewShardedMonitor(partition, 1), &sched.Serial{}, nil)
+	gate := sched.NewOptimisticCertify(partition, &sched.Serial{}, nil)
 	eng := exec.NewParallelEngine(exec.ParallelConfig{
 		Initial: state.Ints(map[string]int64{"a": 0, "b": 0}),
 		Gate:    gate,
@@ -261,7 +260,7 @@ func TestParallelEngineSubmitsFirstAccessesOnly(t *testing.T) {
 		1: program.MustParse("program T1 {\n  let t := a + a;\n  b := a + t;\n  c := b + a;\n  a := c + b + a;\n  d := a;\n}\n"),
 	}
 	partition := []state.ItemSet{state.NewItemSet("a", "b", "c", "d")}
-	gate := sched.NewOptimisticCertifyOver(core.NewShardedMonitor(partition, 1), &sched.Serial{}, nil)
+	gate := sched.NewOptimisticCertify(partition, &sched.Serial{}, nil)
 	eng := exec.NewParallelEngine(exec.ParallelConfig{
 		Initial: state.Ints(map[string]int64{"a": 1, "b": 0, "c": 0, "d": 0}),
 		Gate:    gate,
@@ -287,12 +286,12 @@ func TestParallelEngineCommitInjection(t *testing.T) {
 	w := gen.MustGenerate(gen.Config{
 		Conjuncts: 2, Programs: 6, MovesPerProgram: 3, Style: gen.StyleFixed, Seed: 905,
 	})
-	want, refGate := serialReference(t, w, 4)
+	want, refGate := serialReference(t, w)
 	inj := fault.NewInjector(fault.Plan{Rules: []fault.Rule{
 		{Site: "engine", Op: fault.OpCommit, From: 2, Count: 3, Kind: fault.KindError, Msg: "lost attempt"},
 		{Site: "engine", Op: fault.OpCommit, From: 1, Count: 2, Kind: fault.KindLatency, Latency: 100},
 	}})
-	gate := sched.NewOptimisticCertifyOver(core.NewShardedMonitor(w.DataSets, 4), &sched.Serial{}, nil)
+	gate := sched.NewOptimisticCertify(w.DataSets, &sched.Serial{}, nil)
 	eng := exec.NewParallelEngine(exec.ParallelConfig{Initial: w.Initial, Gate: gate, Workers: 4})
 	eng.SetFaultInjector(inj, "engine")
 	res, err := eng.ExecuteBatchCtx(context.Background(), w.Programs)

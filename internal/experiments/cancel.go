@@ -224,7 +224,7 @@ func RunCancelCase(c CancelCase) (CancelRecord, error) {
 
 	switch c.Leg {
 	case "batch":
-		gate := sched.NewOptimisticCertifyOver(core.NewShardedMonitor(w.DataSets, 2), &sched.Serial{}, nil)
+		gate := sched.NewOptimisticCertify(w.DataSets, &sched.Serial{}, nil)
 		gate.AttachJournal(tap, sched.WithDegradeMode(mode))
 		eng := exec.NewParallelEngine(exec.ParallelConfig{
 			Initial: w.Initial, Gate: gate, Workers: 2 + rng.Intn(3),

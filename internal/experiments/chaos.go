@@ -46,7 +46,7 @@ type ChaosRecord struct {
 	// policy; a seed fully determines the trial.
 	Seed int64 `json:"seed"`
 	// Leg is "tick" (tick engine + optimistic gate) or "batch"
-	// (block-parallel engine + sharded batch gate).
+	// (block-parallel engine + optimistic batch gate).
 	Leg string `json:"leg"`
 	// Case names the fault shape: "clean", "transient-primary",
 	// "persistent-primary", or "total-outage".
@@ -164,8 +164,7 @@ func (r *recordingJournal) CutSnapshot() error { return r.w.CutSnapshot() }
 func (r *recordingJournal) Close() error { return r.w.Close() }
 
 // certState is the verdict-defining certifier surface the differential
-// compares, satisfied by *core.Monitor, core.ShardedMonitor, and the
-// gates' Certifier.
+// compares, satisfied by *core.Monitor and the gates' Certifier.
 type certState interface {
 	PWSR() bool
 	Ops() int
@@ -466,14 +465,14 @@ func RunChaosTrial(seed int64) (ChaosRecord, error) {
 
 	switch leg {
 	case "batch":
-		twinGate := sched.NewOptimisticCertifyOver(core.NewShardedMonitor(w.DataSets, 2), &sched.Serial{}, nil)
+		twinGate := sched.NewOptimisticCertify(w.DataSets, &sched.Serial{}, nil)
 		twinRes, terr := exec.NewParallelEngine(exec.ParallelConfig{
 			Initial: w.Initial, Gate: twinGate, Workers: 2,
 		}).ExecuteBatchCtx(context.TODO(), w.Programs)
 		if terr != nil {
 			return fail("uninjected twin failed: %v", terr)
 		}
-		gate := sched.NewOptimisticCertifyOver(core.NewShardedMonitor(w.DataSets, 2), &sched.Serial{}, nil)
+		gate := sched.NewOptimisticCertify(w.DataSets, &sched.Serial{}, nil)
 		gate.AttachJournal(tap, sched.WithDegradeMode(mode), sched.WithBufferCap(bufferCap))
 		eng := exec.NewParallelEngine(exec.ParallelConfig{
 			Initial: w.Initial, Gate: gate, Workers: 2 + rng.Intn(3),

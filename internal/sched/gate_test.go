@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"pwsr/internal/core"
 	"pwsr/internal/exec"
 	"pwsr/internal/program"
 	"pwsr/internal/state"
@@ -115,10 +114,6 @@ func TestGateStatsMatchesParts(t *testing.T) {
 	cases := []gateCase{
 		{"Certify", certify, func() Certifier { return certify.Monitor() }},
 		{"OptimisticCertify", optimistic, optimistic.Monitor},
-	}
-	for _, shards := range []int{1, 2} {
-		sharded := NewOptimisticCertifyOver(core.NewShardedMonitor(gatePartition(), shards), &RoundRobin{}, nil)
-		cases = append(cases, gateCase{fmt.Sprintf("OptimisticCertify/sharded-%d", shards), sharded, sharded.Monitor})
 	}
 
 	for _, tc := range cases {

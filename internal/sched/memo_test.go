@@ -162,19 +162,13 @@ func meddleGate(a *maskAudit, pending []*exec.Request) {
 }
 
 // auditGates builds every certification gate over a partition: the
-// blocking gate, the optimistic gate under both victim policies, and the
-// optimistic gate over a ShardedMonitor at TestShardedGateDifferential's
-// shard counts.
+// blocking gate and the optimistic gate under both victim policies.
 func auditGates(partition []state.ItemSet, seed int64) map[string]exec.Policy {
-	gates := map[string]exec.Policy{
+	return map[string]exec.Policy{
 		"blocking":              NewCertify(partition, NewRandom(seed)),
 		"optimistic-youngest":   NewOptimisticCertify(partition, NewRandom(seed), VictimYoungest),
 		"optimistic-fewest-ops": NewOptimisticCertify(partition, NewRandom(seed), VictimFewestOps),
 	}
-	for _, shards := range []int{1, 2, 8} {
-		gates[fmt.Sprintf("parallel-%d", shards)] = NewOptimisticCertifyOver(core.NewShardedMonitor(partition, shards), NewRandom(seed), nil)
-	}
-	return gates
 }
 
 // TestVerdictMemoMatchesFreshMask is the memo's soundness differential:

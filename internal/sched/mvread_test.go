@@ -102,17 +102,6 @@ func TestGatesReportCompactWatermark(t *testing.T) {
 				return g
 			},
 		},
-		{
-			name: "parallel",
-			mk: func() interface {
-				exec.BatchGate
-				exec.WatermarkReporter
-			} {
-				g := sched.NewOptimisticCertifyOver(core.NewShardedMonitor(partition, 2), &sched.Serial{}, nil)
-				g.Monitor().SetAutoCompact(1)
-				return g
-			},
-		},
 	}
 	for _, tc := range gates {
 		g := tc.mk()

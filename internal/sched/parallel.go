@@ -7,8 +7,7 @@ import (
 )
 
 // Certifier abstracts the online PWSR monitor a certification gate
-// consults: core.Monitor (the single-goroutine certifier) and
-// core.ShardedMonitor (the concurrent, sharded one) both satisfy it.
+// consults; core.Monitor implements it.
 type Certifier interface {
 	// Observe admits one operation, returning the sticky first
 	// violation.
@@ -44,7 +43,7 @@ type Certifier interface {
 	// learn from it which conjuncts an item's verdicts depend on.
 	Partition() []state.ItemSet
 	// ProbeStats is kept for benchmark/pipeline.go:179 until ROADMAP
-	// item 1; always zero.
+	// item 8; always zero.
 	ProbeStats() core.ProbeStats
 	// PWSR reports whether everything observed so far is PWSR.
 	PWSR() bool
@@ -76,7 +75,4 @@ type Certifier interface {
 	InFlightTxnIDs() []int
 }
 
-var (
-	_ Certifier = (*core.Monitor)(nil)
-	_ Certifier = (*core.ShardedMonitor)(nil)
-)
+var _ Certifier = (*core.Monitor)(nil)

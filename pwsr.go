@@ -210,21 +210,6 @@ type CompactStats = core.CompactStats
 // NewMonitor builds an online PWSR monitor over a conjunct partition.
 func NewMonitor(partition []ItemSet) *Monitor { return core.NewMonitor(partition) }
 
-// ShardedMonitor is the concurrent PWSR certifier: the conjunct
-// partition is split across independent monitor shards behind
-// per-shard locks, so operations on disjoint shards certify in
-// parallel while staying observationally identical to Monitor —
-// transaction lifecycle included (Commit/Compact run per shard, with
-// a CAS-maxed global commit watermark).
-type ShardedMonitor = core.ShardedMonitor
-
-// NewShardedMonitor builds a sharded monitor over a conjunct
-// partition; shards ≤ 0 selects GOMAXPROCS (clamped to the conjunct
-// count and to 64).
-func NewShardedMonitor(partition []ItemSet, shards int) *ShardedMonitor {
-	return core.NewShardedMonitor(partition, shards)
-}
-
 // EncodeHistory serializes an initial state plus schedule as the JSON
 // history format consumed by cmd/pwsrcheck -history.
 func EncodeHistory(initial DB, s *Schedule) ([]byte, error) {
