@@ -211,10 +211,15 @@ test:
 # resident transactions) and the journal's append path
 # (TestZeroAllocWriterAppend: under 0.1 allocations per record), and the
 # next two lines run the PERF14–PERF18 and PERF20 benchmark families once
-# so they cannot rot. The last line is the multiversion read path's
+# so they cannot rot. The pwsrfuzz line is the multiversion read path's
 # fuzz sweep: the pwsrfuzz mvread corpus plus 200 randomized trials
 # re-proving the bypass obligations (its raced differentials,
 # TestMVRead* and TestVersionedStore*, ride in the pinned exec passes).
+# The two native fuzz legs after it run 15 seconds each: FuzzParse (the
+# program parser's print/re-parse round trip) and FuzzInterpForms (the
+# interpreter's statement forms, Run and a suspended Machine against the
+# reference interpreter); their checked-in seed corpora also replay in
+# every plain go test.
 # The chaos smoke (a fixed 40-seed band of the ROBUST1 fault
 # differential, deterministic by construction) also rides in the raced
 # `./...` pass; the full randomized matrix lives in `make chaos`.
@@ -228,6 +233,8 @@ check:
 	$(GO) test . -run '^$$' -bench 'BenchmarkAdmitSequence|BenchmarkInterpRun|BenchmarkTickAbortRestart|BenchmarkTickRound|BenchmarkBatchRound' -benchtime=1x
 	$(GO) test ./internal/wal -run '^$$' -bench 'BenchmarkWriterAppend' -benchtime=1x
 	$(GO) run ./cmd/pwsrfuzz -mode mvread -trials 200 -seed 7
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 15s ./internal/program
+	$(GO) test -run '^$$' -fuzz '^FuzzInterpForms$$' -fuzztime 15s ./internal/program
 
 # soak is the long-run bounded-memory test: ≥ 1M operations through a
 # single OptimisticCertify gate with the transaction lifecycle on,

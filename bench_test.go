@@ -728,6 +728,33 @@ func BenchmarkInterpRun(b *testing.B) {
 			}
 		})
 	}
+	// The same shapes as the tick engine runs them: one Machine per
+	// transaction, Init once, Reset per attempt, stepped to each
+	// operation, every read answered by Deliver and every write left to
+	// the engine.
+	for _, sh := range shapes {
+		p := program.MustParse(sh.src)
+		b.Run("suspended/"+sh.name, func(b *testing.B) {
+			var m program.Machine
+			m.Init(in, p)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m.Reset()
+				for {
+					r, err := m.Step()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if r == nil {
+						break
+					}
+					if r.Action == txn.ActionRead {
+						m.Deliver(state.Int(7), nil)
+					}
+				}
+			}
+		})
+	}
 }
 
 // ---------------------------------------------------------------------

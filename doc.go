@@ -157,7 +157,13 @@
 // tick engine resolves one once per run). The slots also carry the §2.2
 // access discipline — an item is read at most once and never after the
 // program's own write — so nothing downstream keeps repeat-read
-// bookkeeping. EXPERIMENTS.md PERF15 records the effect.
+// bookkeeping. EXPERIMENTS.md PERF15 records the effect. Building also
+// gives each let, assignment, if and while a form: an expression or
+// condition that is a variable or an integer literal, or two of them
+// under one operator, is evaluated inline over the slots; everything
+// else, and any operand the inline path cannot compute, goes to
+// constraint.EvalExpr and EvalFormula, the one general evaluator
+// (PERF21).
 //
 // That state is a value, program.Machine, and it is the only interpreter:
 // Step runs an attempt to its next operation or its end. Driven through

@@ -13,6 +13,7 @@ package constraint
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"unicode"
@@ -175,7 +176,7 @@ func (l *Lexer) Next() (Token, error) {
 		var v int64
 		for _, ch := range text {
 			d := int64(ch - '0')
-			if v > (1<<62)/10 {
+			if v > (math.MaxInt64-d)/10 {
 				return tok, errAt(tok.Line, tok.Col, "integer literal %q overflows", text)
 			}
 			v = v*10 + d

@@ -1,7 +1,9 @@
 package constraint
 
 import (
+	"math"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -103,6 +105,35 @@ func TestTokenizeErrors(t *testing.T) {
 	} {
 		if _, err := Tokenize(src); err == nil {
 			t.Errorf("Tokenize(%q) succeeded, want error", src)
+		}
+	}
+}
+
+// TestTokenizeIntegerBounds: every int64 magnitude is a literal, and
+// nothing above it. MinInt64 is out of scope: its magnitude is not an
+// int64, so "-9223372036854775808" is a minus and an overflowing literal.
+func TestTokenizeIntegerBounds(t *testing.T) {
+	for _, c := range []struct {
+		src  string
+		want int64
+	}{
+		{"4611686018427387904", 1 << 62},
+		{"4611686018427387910", 4611686018427387910},
+		{"5000000000000000000", 5000000000000000000},
+		{"9223372036854775807", math.MaxInt64},
+	} {
+		toks, err := Tokenize(c.src)
+		if err != nil {
+			t.Errorf("Tokenize(%q): %v", c.src, err)
+			continue
+		}
+		if toks[0].Kind != TokInt || toks[0].Int != c.want {
+			t.Errorf("Tokenize(%q) = %+v, want the integer %d", c.src, toks[0], c.want)
+		}
+	}
+	for _, src := range []string{"9223372036854775808", "9223372036854775810", "10000000000000000000"} {
+		if _, err := Tokenize(src); err == nil || !strings.Contains(err.Error(), "overflows") {
+			t.Errorf("Tokenize(%q) = %v, want an overflow error", src, err)
 		}
 	}
 }

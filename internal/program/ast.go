@@ -21,9 +21,10 @@
 // or local alike — gets a slot, its number in the program's own dense
 // numbering (constraint.Names), stored on the node, and a Machine — the
 // interpreter, however it is driven — executes against that many slots
-// instead of hashing names into maps. constraint.EvalExpr and EvalFormula stay the only evaluator:
-// they hand the *Var to the Lookup, the interpreter indexes by its slot,
-// constraint evaluation and StaticTrace key by its name.
+// instead of hashing names into maps. constraint.EvalExpr and
+// EvalFormula stay the only general evaluator: they hand the *Var to the
+// Lookup, the interpreter indexes by its slot, constraint evaluation and
+// StaticTrace key by its name.
 //
 // Only the slot is static. Whether a name denotes a data item or a local
 // is a fact of the run: it is an item until a let of it executes and a
@@ -40,6 +41,18 @@
 // private copy each time, and Machine.Init one for all the attempts it
 // will start, which keeps a literal shared by goroutines race-free
 // without a lock — Clone it once to pay that once.
+//
+// # Forms: the inline fast path
+//
+// Building also gives each statement a form: its expression or
+// condition is a leaf (a variable or an integer literal), or two leaves
+// under one arithmetic operator or comparison. The Machine evaluates a
+// statement whose form it knows inline, reading the leaves straight from
+// the slots — the loop counters, copies and read-modify-writes programs
+// are mostly made of. Everything else, and any operand the fast path
+// cannot compute (a string, a division by zero), falls back to the
+// general evaluator, with the same reads in the same order and the same
+// value or error.
 package program
 
 import (
@@ -63,6 +76,7 @@ type Assign struct {
 	Target string
 	Expr   constraint.Expr
 	slot   int32 // Target's number in the owning program
+	form   uint8 // Expr's form (see formGeneral)
 }
 
 // Let declares (or re-binds) a program-local variable. Locals are not
@@ -71,6 +85,7 @@ type Let struct {
 	Name string
 	Expr constraint.Expr
 	slot int32 // Name's number in the owning program
+	form uint8 // Expr's form (see formGeneral)
 }
 
 // If is a conditional with an optional else branch.
@@ -78,6 +93,7 @@ type If struct {
 	Cond constraint.Formula
 	Then []Stmt
 	Else []Stmt
+	form uint8 // Cond's form (see formGeneral)
 }
 
 // While is a loop; the interpreter bounds total steps to keep programs
@@ -85,6 +101,7 @@ type If struct {
 type While struct {
 	Cond constraint.Formula
 	Body []Stmt
+	form uint8 // Cond's form (see formGeneral)
 }
 
 func (*Assign) stmtNode() {}
@@ -106,9 +123,11 @@ type Program struct {
 	writes   bool // WriteTargets is not empty; decided when built
 }
 
-// built finishes a program whose statements are numbered by names.
+// built finishes a program whose statements are numbered by names and
+// gives them their forms.
 func built(name string, body []Stmt, names *constraint.Names) *Program {
 	p := &Program{Name: name, Body: body, slots: int32(names.Len()), resolved: true}
+	setForms(body)
 	p.writes = !eachWrite(body, make([]bool, p.slots+1), func(*Assign) bool { return false })
 	return p
 }

@@ -231,13 +231,18 @@ func (m *Machine) push(stmts []Stmt, pc int, loop *While) *block {
 	return b
 }
 
-// at returns the slot numbered i, for name. A number outside the frame
-// means the statement was not built with the program running it.
-func (m *Machine) at(i int32, name string) (*slot, error) {
-	if uint(i-1) >= uint(len(m.slots)) {
-		return nil, fmt.Errorf("program: %q is not a name of the running program (statement added after it was built; Clone resolves it)", name)
+// at returns the slot numbered i, or nil for a number outside the frame:
+// the statement was not built with the program running it (notBuilt).
+func (m *Machine) at(i int32) *slot {
+	if j := uint(i - 1); j < uint(len(m.slots)) {
+		return &m.slots[j]
 	}
-	return &m.slots[i-1], nil
+	return nil
+}
+
+// notBuilt is the error of a name at finds no slot for.
+func notBuilt(name string) error {
+	return fmt.Errorf("program: %q is not a name of the running program (statement added after it was built; Clone resolves it)", name)
 }
 
 // errSuspend unwinds the evaluation of a statement that met a read the
@@ -248,9 +253,9 @@ var errSuspend = errors.New("program: suspended on a read")
 // wrote or read, else a read — through the accessor, cached, or by
 // suspending the statement.
 func (m *Machine) lookup(v *constraint.Var) (state.Value, error) {
-	s, err := m.at(v.Slot, v.Name)
-	if err != nil {
-		return state.Value{}, err
+	s := m.at(v.Slot)
+	if s == nil {
+		return state.Value{}, notBuilt(v.Name)
 	}
 	if s.state == 0 {
 		if m.acc == nil {
@@ -285,13 +290,14 @@ func (m *Machine) Step() (*Request, error) {
 			if w := b.loop; w != nil {
 				// The loop head, before the first iteration and after each.
 				// It is checked, not charged: the while statement paid its
-				// step, however often the condition is evaluated (so an
-				// empty body under a true condition never exhausts the
-				// budget, which is how TPL has always counted).
+				// step and an iteration pays for the statements of its body,
+				// however often the condition is evaluated. An iteration of
+				// an empty body runs none, so it pays one step itself, or a
+				// true condition over it would never exhaust the budget.
 				if m.steps <= 0 {
 					return nil, ErrSteps
 				}
-				c, err := constraint.EvalFormula(w.Cond, m.lookup)
+				c, err := m.cond(w.form, w.Cond)
 				if err != nil {
 					if m.wait != 0 {
 						return &m.req, nil
@@ -299,6 +305,9 @@ func (m *Machine) Step() (*Request, error) {
 					return nil, fmt.Errorf("while (%s): %w", w.Cond.String(), err)
 				}
 				if c {
+					if len(stmts) == 0 {
+						m.steps--
+					}
 					pc, b.pc = 0, 0
 					continue
 				}
@@ -316,31 +325,31 @@ func (m *Machine) Step() (*Request, error) {
 		m.steps--
 		switch n := stmts[pc].(type) {
 		case *Let:
-			v, err := constraint.EvalExpr(n.Expr, m.lookup)
+			v, err := m.expr(n.form, n.Expr)
 			if err != nil {
 				if m.wait != 0 {
 					return m.suspend(), nil
 				}
 				return nil, fmt.Errorf("let %s: %w", n.Name, err)
 			}
-			s, err := m.at(n.slot, n.Name)
-			if err != nil {
-				return nil, err
+			s := m.at(n.slot)
+			if s == nil {
+				return nil, notBuilt(n.Name)
 			}
 			s.val, s.state = v, s.state|slotLocal
 			pc++
 			b.pc = pc
 		case *Assign:
-			v, err := constraint.EvalExpr(n.Expr, m.lookup)
+			v, err := m.expr(n.form, n.Expr)
 			if err != nil {
 				if m.wait != 0 {
 					return m.suspend(), nil
 				}
 				return nil, fmt.Errorf("%s := …: %w", n.Target, err)
 			}
-			s, err := m.at(n.slot, n.Target)
-			if err != nil {
-				return nil, err
+			s := m.at(n.slot)
+			if s == nil {
+				return nil, notBuilt(n.Target)
 			}
 			pc++
 			b.pc = pc
@@ -360,7 +369,7 @@ func (m *Machine) Step() (*Request, error) {
 				return nil, err
 			}
 		case *If:
-			c, err := constraint.EvalFormula(n.Cond, m.lookup)
+			c, err := m.cond(n.form, n.Cond)
 			if err != nil {
 				if m.wait != 0 {
 					return m.suspend(), nil

@@ -132,8 +132,14 @@ func pristine(m *Machine) error {
 }
 
 func runReference(in *Interp, p *Program, ds state.DB) outcome {
+	return runTallied(in, p, ds, nil)
+}
+
+// runTallied is runReference counting the statement forms it evaluates
+// into tally.
+func runTallied(in *Interp, p *Program, ds state.DB, tally *formTally) outcome {
 	acc := &storeAccessor{db: ds.Clone(), id: 1}
-	err := refRun(in, p, acc)
+	err := refRun(in, p, acc, tally)
 	return outcome{ops: acc.ops.String(), final: acc.db, err: err}
 }
 
@@ -240,6 +246,7 @@ func TestInterpDifferential(t *testing.T) {
 	g := &progGen{rng: rng, names: []string{"a", "b", "c", "d", "s"}}
 	var clean, steps, discipline, otherErr, passedDouble int
 	var suspendedReads, readErrs, resets, resetAtRead, resetNested, resetDirty int
+	var forms formTally
 	for trial := 0; trial < 3000; trial++ {
 		src := g.source()
 		p, err := Parse(src)
@@ -261,7 +268,7 @@ func TestInterpDifferential(t *testing.T) {
 			delete(ds, "s") // an item with no value
 		}
 		for _, in := range []*Interp{{MaxSteps: 60, Strict: true}, {MaxSteps: 60}} {
-			want := runReference(in, p, ds)
+			want := runTallied(in, p, ds, &forms)
 			for how, q := range map[string]*Program{
 				"parsed":  p,
 				"clone":   p.Clone(),
@@ -348,6 +355,21 @@ func TestInterpDifferential(t *testing.T) {
 			t.Errorf("the generator reached regime %q only %d times: the comparison is vacuous there", name, n)
 		}
 	}
+	t.Logf("forms: %d leaves, arithmetic %v, comparisons %v; fallbacks: %d string operands, %d divisions by zero, %d unread leaves, %d read errors",
+		forms.leaves, forms.arith, forms.cmp, forms.str, forms.divZero, forms.unread, forms.readErr)
+	reached := map[string]int{"leaf": forms.leaves, "string operand": forms.str, "division by zero": forms.divZero,
+		"unread variable leaf": forms.unread, "read error": forms.readErr}
+	for op, n := range forms.arith {
+		reached["leaf "+constraint.BinOp(op).String()+" leaf"] = n
+	}
+	for op, n := range forms.cmp {
+		reached["leaf "+constraint.CmpOp(op).String()+" leaf"] = n
+	}
+	for name, n := range reached {
+		if n < 20 {
+			t.Errorf("the generator reached the form or fallback %q only %d times: the comparison is vacuous there", name, n)
+		}
+	}
 }
 
 // TestInterpNamedHazards pins, one by one, the places where a static
@@ -413,6 +435,18 @@ func TestInterpNamedHazards(t *testing.T) {
 			ds:      state.NewDB(),
 			in:      Interp{MaxSteps: 100, Strict: true},
 			wantOps: "ε",
+			wantErr: ErrSteps.Error()},
+		{name: "an empty loop body under a true condition exhausts the budget",
+			src:     `program T { let i := 1; while (i > 0) { } b := i; }`,
+			ds:      ints(map[string]int64{"b": 0}),
+			in:      Interp{MaxSteps: 100, Strict: true},
+			wantOps: "ε",
+			wantErr: ErrSteps.Error()},
+		{name: "an empty inner loop body exhausts it too",
+			src:     `program T { let i := 2; while (i > 0) { i := i - 1; while (a > 0) { } } }`,
+			ds:      ints(map[string]int64{"a": 1}),
+			in:      Interp{MaxSteps: 100, Strict: true},
+			wantOps: "r1(a, 1)",
 			wantErr: ErrSteps.Error()},
 		{name: "an item with no value fails inside the statement that used it",
 			src:     `program T { let v := zz + 1; }`,
@@ -803,5 +837,28 @@ func TestParsedNamesDoNotPinTheSource(t *testing.T) {
 	}
 	if got := p.String(); !strings.Contains(got, "beta := abs(v) + min(alpha, 2);") {
 		t.Fatalf("interning changed the program:\n%s", got)
+	}
+}
+
+// TestStatementNodesKeepSizeClass pins the statement nodes in the 48-byte
+// size class: a form is one byte in the padding after a slot or in the
+// slack of a loop node's size class, so giving statements their forms
+// costs a parsed template no heap. The parsed templates are most of a
+// benchmark's live heap, and the alternative measured against forms — a
+// closure per node, built with the program (EXPERIMENTS.md PERF21) —
+// moved heap_live_mb from 3.85 to 4.82 MB on batch-rw (+25 %) and from
+// 8.60 to 15.69 MB on cad-tick (+82 %), against the benchmark's bound of
+// 10 %. A change that compiles programs to closures, or otherwise grows
+// these nodes, meets that measurement here first. (An If, 72 bytes in
+// the 80-byte class, is in no benchmark template.)
+func TestStatementNodesKeepSizeClass(t *testing.T) {
+	for name, size := range map[string]uintptr{
+		"Assign": unsafe.Sizeof(Assign{}),
+		"Let":    unsafe.Sizeof(Let{}),
+		"While":  unsafe.Sizeof(While{}),
+	} {
+		if size > 48 {
+			t.Errorf("%s is %d bytes, past the 48-byte size class", name, size)
+		}
 	}
 }

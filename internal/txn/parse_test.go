@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"math"
 	"testing"
 
 	"pwsr/internal/state"
@@ -79,6 +80,30 @@ func TestParseScheduleRoundTrip(t *testing.T) {
 	re, err := ParseSchedule(orig.Ops().String())
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i := 0; i < orig.Len(); i++ {
+		if !re.Op(i).Same(orig.Op(i)) {
+			t.Fatalf("round trip op %d = %v, want %v", i, re.Op(i), orig.Op(i))
+		}
+	}
+}
+
+// TestParseScheduleRoundTripsExtremeValues: a schedule prints and
+// re-parses values of every int64 magnitude. MinInt64 is out of scope:
+// its magnitude is not an int64 literal.
+func TestParseScheduleRoundTripsExtremeValues(t *testing.T) {
+	orig := NewSchedule(
+		R(1, "a", math.MaxInt64),
+		W(1, "a", -math.MaxInt64),
+		R(2, "b", 5000000000000000000),
+		W(2, "b", math.MaxInt64-1),
+	)
+	re, err := ParseSchedule(orig.Ops().String())
+	if err != nil {
+		t.Fatalf("ParseSchedule(%q): %v", orig.Ops().String(), err)
+	}
+	if re.Len() != orig.Len() {
+		t.Fatalf("round trip has %d ops, want %d", re.Len(), orig.Len())
 	}
 	for i := 0; i < orig.Len(); i++ {
 		if !re.Op(i).Same(orig.Op(i)) {
