@@ -189,6 +189,9 @@ test:
 # The raced sched legs include the verdict memo's soundness
 # differential (TestVerdictMemoMatchesFreshMask: the memoized mask
 # against a from-scratch recomputation at every Pick, on every gate).
+# The raced ./... pass also runs TestTickDecisionsPinned (root package):
+# the optimistic gate's exact decision totals on hot-tick's shape, so a
+# gate optimisation that changes a grant, probe or victim fails here.
 # The final leg re-runs the TestZeroAlloc*, TestTickEngineAllocs,
 # TestBatchEngineAllocs and TestInterpRunAllocs pins without the race
 # detector (whose instrumentation allocates, so the pins self-skip

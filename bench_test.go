@@ -768,61 +768,24 @@ func BenchmarkInterpRun(b *testing.B) {
 // ---------------------------------------------------------------------
 
 func BenchmarkTickAbortRestart(b *testing.B) {
-	const conjuncts, itemsPer, window, hotPct, pool = 6, 4, 48, 20, 1024
-	item := func(c, j int) string { return fmt.Sprintf("d%dc%d", c, j) }
-	rng := rand.New(rand.NewSource(2))
-	db := state.NewDB()
-	partition := make([]state.ItemSet, conjuncts)
-	for c := range partition {
-		partition[c] = state.NewItemSet()
-		for j := 0; j < itemsPer; j++ {
-			partition[c].Add(item(c, j))
-			db.Set(item(c, j), state.Int(int64(1+rng.Intn(5))))
-		}
-	}
-	templates := make([]*program.Program, pool)
-	for k := range templates {
-		var src strings.Builder
-		fmt.Fprintf(&src, "program Short%d {\n", k)
-		c := rng.Intn(conjuncts)
-		if rng.Intn(100) < hotPct {
-			c = 0
-		}
-		for i, j := range rng.Perm(itemsPer)[:1+rng.Intn(3)] {
-			if rng.Intn(10) < 3 {
-				fmt.Fprintf(&src, "let q%d := %s;\n", i, item(c, j))
-			} else {
-				fmt.Fprintf(&src, "%s := abs(%s) %% 89 + %d;\n", item(c, j), item(c, j), 1+rng.Intn(3))
-			}
-		}
-		src.WriteString("}\n")
-		templates[k] = program.MustParse(src.String())
-	}
-	mon := core.NewMonitor(partition)
-	mon.SetAutoCompact(4 * window)
-	gate := sched.NewOptimisticCertifyOver(mon, sched.NewRandom(1), sched.VictimYoungest)
+	s := newAbortRestartStream()
+	gate := sched.NewOptimisticCertifyOver(s.mon, sched.NewRandom(1), sched.VictimYoungest)
 
 	var before, after runtime.MemStats
-	aborts, id := 0, 0
+	aborts := 0
 	b.ReportAllocs()
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		programs := make(map[int]*program.Program, window)
-		for j := 0; j < window; j++ {
-			id++
-			programs[id] = templates[rng.Intn(pool)]
-		}
-		res, err := exec.RunCtx(context.Background(), exec.Config{Programs: programs, Initial: db, Policy: gate, DataSets: partition})
+		res, err := s.round(gate)
 		if err != nil {
 			b.Fatal(err)
 		}
-		db = res.Final
 		aborts += res.Metrics.Aborts
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
-	txns := float64(b.N * window)
+	txns := float64(b.N * abortRestartWindow)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/txns, "ns/txn")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/txns, "allocs/txn")
 	b.ReportMetric(float64(aborts)/txns, "aborts/txn")
@@ -1069,4 +1032,73 @@ func BenchmarkScheduleParse(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// abortRestartWindow is how many programs one abortRestartStream round
+// runs.
+const abortRestartWindow = 48
+
+// abortRestartStream is PERF16's generator, seeded with 2: a pool of
+// short read-modify-write templates over six conjuncts of four items, a
+// fifth forced onto conjunct 0, and a certifier compacting every four
+// windows. Each round draws abortRestartWindow fresh ids from the pool
+// and chains the store.
+type abortRestartStream struct {
+	rng       *rand.Rand
+	db        state.DB
+	partition []state.ItemSet
+	templates []*program.Program
+	mon       *core.Monitor
+	id        int
+}
+
+func newAbortRestartStream() *abortRestartStream {
+	const conjuncts, itemsPer, hotPct, pool = 6, 4, 20, 1024
+	item := func(c, j int) string { return fmt.Sprintf("d%dc%d", c, j) }
+	s := &abortRestartStream{rng: rand.New(rand.NewSource(2)), db: state.NewDB()}
+	rng := s.rng
+	s.partition = make([]state.ItemSet, conjuncts)
+	for c := range s.partition {
+		s.partition[c] = state.NewItemSet()
+		for j := 0; j < itemsPer; j++ {
+			s.partition[c].Add(item(c, j))
+			s.db.Set(item(c, j), state.Int(int64(1+rng.Intn(5))))
+		}
+	}
+	s.templates = make([]*program.Program, pool)
+	for k := range s.templates {
+		var src strings.Builder
+		fmt.Fprintf(&src, "program Short%d {\n", k)
+		c := rng.Intn(conjuncts)
+		if rng.Intn(100) < hotPct {
+			c = 0
+		}
+		for i, j := range rng.Perm(itemsPer)[:1+rng.Intn(3)] {
+			if rng.Intn(10) < 3 {
+				fmt.Fprintf(&src, "let q%d := %s;\n", i, item(c, j))
+			} else {
+				fmt.Fprintf(&src, "%s := abs(%s) %% 89 + %d;\n", item(c, j), item(c, j), 1+rng.Intn(3))
+			}
+		}
+		src.WriteString("}\n")
+		s.templates[k] = program.MustParse(src.String())
+	}
+	s.mon = core.NewMonitor(s.partition)
+	s.mon.SetAutoCompact(4 * abortRestartWindow)
+	return s
+}
+
+// round runs the stream's next window through policy and chains its
+// final state into the next round.
+func (s *abortRestartStream) round(policy exec.Policy) (*exec.Result, error) {
+	programs := make(map[int]*program.Program, abortRestartWindow)
+	for j := 0; j < abortRestartWindow; j++ {
+		s.id++
+		programs[s.id] = s.templates[s.rng.Intn(len(s.templates))]
+	}
+	res, err := exec.RunCtx(context.Background(), exec.Config{Programs: programs, Initial: s.db, Policy: policy, DataSets: s.partition})
+	if err == nil {
+		s.db = res.Final
+	}
+	return res, err
 }

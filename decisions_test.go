@@ -1,0 +1,62 @@
+package pwsr_test
+
+import (
+	"testing"
+
+	"pwsr/internal/exec"
+	"pwsr/internal/sched"
+	"pwsr/internal/txn"
+)
+
+// probeCounter counts the certifier's Admissible probes.
+type probeCounter struct {
+	sched.Certifier
+	probes int
+}
+
+func (c *probeCounter) Admissible(o txn.Op) bool {
+	c.probes++
+	return c.Certifier.Admissible(o)
+}
+
+// victimCounter counts the gate's Victim calls.
+type victimCounter struct {
+	*sched.OptimisticCertify
+	calls int
+}
+
+func (g *victimCounter) Victim(pending []*exec.Request, v *exec.View) int {
+	g.calls++
+	return g.OptimisticCertify.Victim(pending, v)
+}
+
+// TestTickDecisionsPinned pins the optimistic gate's decisions on
+// hot-tick's shape: 64 rounds of BenchmarkTickAbortRestart's stream, whose
+// totals — commits, aborts, wasted and granted operations, Admissible
+// probes and Victim calls — are fixed by the seeds. A change that only
+// makes the gate faster leaves every total equal. A change that alters a
+// decision on purpose updates the golden values here and names the
+// decision it changed.
+func TestTickDecisionsPinned(t *testing.T) {
+	const rounds = 64
+	type totals struct{ committed, aborts, wasted, granted, probes, victims int }
+	want := totals{committed: 3072, aborts: 5374, wasted: 5293, granted: 15671, probes: 78722, victims: 5374}
+	s := newAbortRestartStream()
+	mon := &probeCounter{Certifier: s.mon}
+	gate := &victimCounter{OptimisticCertify: sched.NewOptimisticCertifyOver(mon, sched.NewRandom(1), sched.VictimYoungest)}
+	var got totals
+	for i := 0; i < rounds; i++ {
+		res, err := s.round(gate)
+		if err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+		got.committed += len(res.Metrics.PerTxn)
+		got.aborts += res.Metrics.Aborts
+		got.wasted += res.Metrics.WastedOps
+		got.granted += res.Metrics.Ticks
+	}
+	got.probes, got.victims = mon.probes, gate.calls
+	if got != want {
+		t.Fatalf("decision totals over %d rounds = %+v, want %+v", rounds, got, want)
+	}
+}

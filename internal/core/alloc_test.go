@@ -457,9 +457,9 @@ func TestZeroAllocGatePick(t *testing.T) {
 		LastWriter: map[string]int{"x": 1, "y": 1, "u": 1, "v": 1},
 	}
 	pending := []*exec.Request{
-		{TxnID: 1, Action: txn.ActionWrite, Entity: "y"},
-		{TxnID: 2, Action: txn.ActionRead, Entity: "x"}, // delayed: T1 wrote x and is live
-		{TxnID: 3, Action: txn.ActionWrite, Entity: "u"},
+		{TxnID: 1, Slot: 0, Action: txn.ActionWrite, Entity: "y"},
+		{TxnID: 2, Slot: 1, Action: txn.ActionRead, Entity: "x"}, // delayed: T1 wrote x and is live
+		{TxnID: 3, Slot: 2, Action: txn.ActionWrite, Entity: "u"},
 	}
 	gate.Pick(pending, v)
 	first := m.admissible

@@ -115,7 +115,10 @@ var ErrStall = errors.New("exec: no grantable request (stall)")
 // owns exactly one Request, refilled for each operation; the pointer a
 // policy sees is only meaningful during the Pick or Victim call.
 type Request struct {
-	TxnID  int
+	TxnID int
+	// Slot is the attempt's index in the run's id-ascending slab, fixed
+	// across its requests and restarts: a cache index, nothing more.
+	Slot   int
 	Action txn.Action
 	Entity string
 	Value  state.Value // proposed value, for writes
@@ -202,9 +205,14 @@ type View struct {
 	access   map[int]AccessDecl
 }
 
-// proc returns the run state of transaction id, or nil for an id the
-// tick loop does not run.
+// proc returns the run state of transaction id (at id − procs[0].id when
+// the ids are contiguous), or nil for an id the tick loop does not run.
 func (v *View) proc(id int) *proc {
+	if len(v.procs) > 0 {
+		if i := id - v.procs[0].id; i >= 0 && i < len(v.procs) && v.procs[i].id == id {
+			return &v.procs[i]
+		}
+	}
 	i := sort.Search(len(v.procs), func(i int) bool { return v.procs[i].id >= id })
 	if i == len(v.procs) || v.procs[i].id != id {
 		return nil
@@ -257,10 +265,10 @@ func (v *View) AccessOf(id int) AccessDecl {
 // transactions are durable, so such a victim is pinned and ineligible).
 // Callers must not modify the returned slice.
 func (v *View) AbortClosure(id int) ([]int, bool) {
-	if !v.Live[id] {
+	p := v.proc(id)
+	if p == nil || !p.live {
 		return nil, false
 	}
-	p := v.proc(id)
 	if len(p.readers) == 0 {
 		// Nobody read from id — every closure under a delayed-read gate —
 		// so a victim search over the whole pending list allocates nothing.
@@ -492,10 +500,11 @@ type Result struct {
 // list across calls), so one Request serves every attempt and the
 // admission round trip allocates nothing.
 type proc struct {
-	id  int
-	m   program.Machine
-	tm  *TxnMetrics
-	req Request
+	id   int
+	slot int // the index in the run's proc slab, every request's Slot
+	m    program.Machine
+	tm   *TxnMetrics
+	req  Request
 
 	// parkedAt is the clock at which req parked: the transaction has
 	// waited Clock − parkedAt ticks when req leaves the pending list.
@@ -505,6 +514,7 @@ type proc struct {
 	// members during an erasure.
 	first   int
 	erasing bool
+	live    bool // whether Live holds id, read without hashing
 	// readFrom are the transactions whose written values the attempt
 	// read and readers the transactions that read one of its own (the
 	// wrote-to relation abort cascades follow).
@@ -521,7 +531,7 @@ func (p *proc) step() (bool, error) {
 	if r == nil {
 		return false, err
 	}
-	p.req = Request{TxnID: p.id, Action: r.Action, Entity: r.Item, Value: r.Value}
+	p.req = Request{TxnID: p.id, Slot: p.slot, Action: r.Action, Entity: r.Item, Value: r.Value}
 	return true, nil
 }
 
@@ -660,7 +670,7 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 	for i, id := range ids {
 		metrics.PerTxn[id] = &tms[i]
 		p := &procs[i]
-		p.id, p.tm, p.parkedAt, p.first, p.erasing = id, &tms[i], 0, 0, false
+		p.id, p.slot, p.tm, p.parkedAt, p.first, p.erasing, p.live = id, i, &tms[i], 0, 0, false, true
 		p.readFrom, p.readers = p.readFrom[:0], p.readers[:0]
 		p.m.Init(interp, cfg.Programs[id])
 		v.Live[id] = true
@@ -796,7 +806,7 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 	// finish retires p as committed.
 	finish := func(p *proc) {
 		delete(v.Live, p.id)
-		v.Finished[p.id] = true
+		v.Finished[p.id], p.live = true, false
 		p.tm.End = v.Clock
 		cfg.Policy.TxnFinished(p.id, v)
 	}
@@ -985,6 +995,7 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 			eraseAttempts(erasable, true)
 			for _, id := range erasable {
 				delete(v.Live, id)
+				v.proc(id).live = false
 				metrics.PerTxn[id].End = v.Clock
 			}
 		}

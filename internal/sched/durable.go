@@ -516,7 +516,6 @@ func NewOptimisticCertifyOver(mon Certifier, inner exec.Policy, victim VictimPol
 		gate:         gate{Inner: inner, memo: verdictMemo{mon: mon}},
 		VictimSelect: victim,
 		aborts:       make(map[int]int),
-		phase:        make(map[int]bool),
 	}
 }
 

@@ -47,15 +47,18 @@
 // every conjunct has a monotone epoch (items outside every conjunct
 // share one more), a verdict is stamped with the sum over its item's
 // conjuncts and reused while the sum stands. A grant moves the epochs of
-// the granted item's conjuncts; an abort, cancel or commit those of
-// every conjunct the transaction was granted in (a commit changes no
-// graph but frees the readers its writes delayed). What reaches the
-// certifier without naming a conjunct — batch admission, a compaction
-// pass, a drain's retractions, a caller handed Monitor(), a new run's
-// view — moves a global epoch under every stamp. The lifecycle posture,
-// solo exclusivity and the journal's freeze are integer compares,
-// evaluated every tick and not memoized. The memo is the gates' only
-// tick path: no option turns it off.
+// the granted request's own item's conjuncts; an abort, cancel or commit
+// those of every conjunct the transaction was granted in (a commit
+// changes no graph but frees the readers its writes delayed). What
+// reaches the certifier without naming a conjunct — batch admission, a
+// compaction pass, a drain's retractions, a caller handed Monitor(), a
+// new run's view — moves a global epoch under every stamp. Verdicts sit
+// in a table indexed by the request's run slot (exec.Request.Slot),
+// tagged with the transaction, action and item they decided, and are
+// re-decided in place; the slot is only a cache index, so a wrong or
+// shared one costs re-probes, never a decision. Posture, solo and the
+// journal's freeze are compares made every tick. No option turns the
+// memo off.
 package sched
 
 import (

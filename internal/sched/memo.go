@@ -8,106 +8,99 @@ import (
 )
 
 // verdictMemo carries the certification gates' admissibility verdicts
-// from tick to tick, so a tick re-decides only the requests whose inputs
-// moved (the package comment's "Incremental ticks" states the rule and
-// why it is exact), and holds the reused per-tick scratch.
+// from tick to tick, one per run slot, so a tick re-decides in place only
+// the requests whose inputs moved (the package comment's "Incremental
+// ticks" states the rule, why it is exact and why the slot decides
+// nothing), and holds the reused per-tick scratch.
 type verdictMemo struct {
-	mon    Certifier
-	epoch  []uint64           // one per conjunct, then the outside-every-conjunct slot
-	global uint64             // part of every stamp; ≥ 1 once in use, so stamp 0 means undecided
-	passes int                // the certifier's compaction passes as of the last commit
-	slots  map[string][]int32 // partition item → the epoch slots its verdicts depend on, built once
-	other  []int32            // the slots of every other item: the outside slot alone
-	// touched maps a transaction to the slots of its granted items;
+	mon     Certifier
+	epoch   []uint64           // one counter per conjunct, then the outside-every-conjunct counter
+	global  uint64             // part of every stamp; ≥ 1 once in use, so stamp 0 means undecided
+	passes  int                // the certifier's compaction passes as of the last commit
+	epochs  map[string][]int32 // partition item → the counters its verdicts depend on, built once
+	outside []int32            // the counters of every other item: the outside one alone
+	// touched maps a transaction to the counters of its granted items;
 	// spare recycles the lists.
 	touched map[int][]int32
 	spare   [][]int32
 	view    *exec.View // LastWriter and Finished belong to one run's view
 
-	// cur holds this tick's verdicts in pending order; old is last
-	// tick's, merged from by transaction id (the engine's pending list
-	// is id-sorted; anything else merely misses and is decided afresh).
-	cur, old []verdict
-	stale    []int  // entries awaiting an Admissible probe this tick
-	adm      []bool // the tick's admissibility mask
-	allowed  []*exec.Request
-	idx      []int
+	// table holds the verdicts by run slot (exec.Request.Slot); adm,
+	// allowed and idx, the tick's mask and admissible requests, follow
+	// pending order.
+	table   []verdict
+	adm     []bool
+	allowed []*exec.Request
+	idx     []int
 }
 
-// verdict is one pending request's memoized decision.
+// verdict is one request's memoized decision.
 type verdict struct {
 	txn    int
 	entity string
-	slots  []int32
+	epochs []int32
 	stamp  uint64
 	action txn.Action
 	ok     bool
 }
 
 // mask fills m.adm for the pending requests: lifecycle posture and solo
-// exclusivity (0 = none) first, then the memoized verdict, re-decided
-// only when stale — the delayed-read rule when the gate applies it, then
-// the certifier.
+// exclusivity (0 = none) first, then the verdict in the request's slot —
+// reset to undecided when it was decided for another transaction, action
+// or item — re-decided in place when stale: the delayed-read rule when
+// the gate applies it, then the certifier.
 func (m *verdictMemo) mask(pending []*exec.Request, v *exec.View, lc *lifecycle, solo int, delayedRead bool) {
 	if m.epoch == nil {
 		partition := m.mon.Partition()
 		m.epoch = make([]uint64, len(partition)+1)
-		m.slots = make(map[string][]int32)
+		m.epochs = make(map[string][]int32)
 		for e, d := range partition {
 			for item := range d {
-				m.slots[item] = append(m.slots[item], int32(e))
+				m.epochs[item] = append(m.epochs[item], int32(e))
 			}
 		}
-		m.other = []int32{int32(len(partition))}
+		m.outside = []int32{int32(len(partition))}
 		m.touched = make(map[int][]int32)
 		m.global++
 	}
 	if v != m.view {
 		m.view = v
 		m.global++
+		clear(m.touched) // a failed run never settles its transactions
 	}
-	m.old, m.cur = m.cur, m.old[:0]
-	m.stale, m.adm = m.stale[:0], m.adm[:0]
-	j := 0
-	for i, r := range pending {
-		for j < len(m.old) && m.old[j].txn < r.TxnID {
-			j++
-		}
-		if j < len(m.old) && m.old[j].txn == r.TxnID && m.old[j].action == r.Action && m.old[j].entity == r.Entity {
-			m.cur = append(m.cur, m.old[j])
-		} else {
-			m.cur = append(m.cur, verdict{txn: r.TxnID, action: r.Action, entity: r.Entity, slots: m.slotsOf(r.Entity)})
-		}
-		e := &m.cur[i]
-		open := !lc.blocked(r.TxnID) && (solo == 0 || r.TxnID == solo)
-		if open {
+	m.adm = m.adm[:0]
+	for _, r := range pending {
+		ok := !lc.blocked(r.TxnID) && (solo == 0 || r.TxnID == solo)
+		if ok {
+			s := max(r.Slot, 0)
+			if s >= len(m.table) {
+				m.table = append(m.table, make([]verdict, s+1-len(m.table))...)
+			}
+			e := &m.table[s]
+			if e.txn != r.TxnID || e.action != r.Action || e.entity != r.Entity {
+				*e = verdict{txn: r.TxnID, action: r.Action, entity: r.Entity, epochs: m.epochsOf(r.Entity)}
+			}
 			stamp := m.global
-			for _, s := range e.slots {
-				stamp += m.epoch[s]
+			for _, c := range e.epochs {
+				stamp += m.epoch[c]
 			}
 			if stamp != e.stamp {
 				e.stamp = stamp
-				e.ok = !(delayedRead && delayedReadBlocked(r, v))
-				if e.ok {
-					m.stale = append(m.stale, i)
-				}
+				e.ok = !(delayedRead && delayedReadBlocked(r, v)) && m.mon.Admissible(requestOp(r))
 			}
+			ok = e.ok
 		}
-		m.adm = append(m.adm, open && e.ok)
-	}
-	for _, i := range m.stale {
-		m.cur[i].ok = m.mon.Admissible(requestOp(pending[i]))
-		m.adm[i] = m.cur[i].ok
+		m.adm = append(m.adm, ok)
 	}
 }
 
-// slotsOf returns the epoch slots an item's verdicts depend on: its
-// conjuncts, or the shared outside slot.
-func (m *verdictMemo) slotsOf(item string) []int32 {
-	if s, ok := m.slots[item]; ok {
+// epochsOf returns the epoch counters an item's verdicts depend on: its
+// conjuncts', or the shared outside one.
+func (m *verdictMemo) epochsOf(item string) []int32 {
+	if s, ok := m.epochs[item]; ok {
 		return s
 	}
-	return m.other
+	return m.outside
 }
 
 // grant lets inner choose among the requests the mask passed and commits
@@ -138,10 +131,10 @@ func (m *verdictMemo) grant(pending []*exec.Request, v *exec.View, inner exec.Po
 	if n := len(m.spare); !ok && n > 0 {
 		t, m.spare = m.spare[n-1], m.spare[:n-1]
 	}
-	for _, s := range m.cur[pick].slots {
-		m.epoch[s]++
-		if !slices.Contains(t, s) {
-			t = append(t, s)
+	for _, c := range m.epochsOf(pending[pick].Entity) {
+		m.epoch[c]++
+		if !slices.Contains(t, c) {
+			t = append(t, c)
 		}
 	}
 	m.touched[id] = t
@@ -155,8 +148,8 @@ func (m *verdictMemo) grant(pending []*exec.Request, v *exec.View, inner exec.Po
 // in, once certifier and view reflect its abort, cancel or commit.
 func (m *verdictMemo) settle(id int) {
 	if t, ok := m.touched[id]; ok {
-		for _, s := range t {
-			m.epoch[s]++
+		for _, c := range t {
+			m.epoch[c]++
 		}
 		delete(m.touched, id)
 		m.spare = append(m.spare, t[:0])

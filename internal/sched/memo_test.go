@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"pwsr/internal/core"
 	"pwsr/internal/exec"
 	"pwsr/internal/gen"
+	"pwsr/internal/program"
 	"pwsr/internal/state"
 	"pwsr/internal/txn"
 )
@@ -26,6 +28,7 @@ type maskAudit struct {
 	t    *testing.T
 	gate exec.Policy
 	memo *verdictMemo
+	mon  *countingCertifier // the gate's certifier, counting its probes
 	lc   *lifecycle
 	solo func() int
 	dr   bool
@@ -62,6 +65,8 @@ func newMaskAudit(t *testing.T, gate exec.Policy) *maskAudit {
 	default:
 		t.Fatalf("unknown gate %T", gate)
 	}
+	a.mon = &countingCertifier{Certifier: a.memo.mon}
+	a.memo.mon = a.mon
 	return a
 }
 
@@ -70,7 +75,7 @@ func (a *maskAudit) Pick(pending []*exec.Request, v *exec.View) int {
 	if a.meddle != nil {
 		a.meddle(a, pending)
 	}
-	mon := a.memo.mon
+	mon := a.mon.Certifier
 	solo := a.solo()
 	if solo != a.lastSolo {
 		a.hazards["solo enter/leave"]++
@@ -106,9 +111,10 @@ func (a *maskAudit) Pick(pending []*exec.Request, v *exec.View) int {
 		}
 	}
 	a.prev = now
+	calls := a.mon.calls
 	choice := a.gate.Pick(pending, v)
 	a.picks++
-	a.probes += len(a.memo.stale)
+	a.probes += a.mon.calls - calls
 	if !slices.Equal(a.memo.adm, fresh) {
 		a.t.Fatalf("tick %d: memoized mask %v, recomputed %v\npending %v\nhazards so far %v",
 			a.tick, a.memo.adm, fresh, pending, a.hazards)
@@ -134,15 +140,14 @@ func (a *maskAudit) TxnAborted(id int, v *exec.View) {
 
 // meddleGate is the audit's hazard injection: between ticks it admits a
 // whole foreign writer through AdmitTxn, and plants and later retracts
-// an uncommitted one through the certifier Monitor() hands out. Either
-// denies the pending write of a transaction that already read the item.
+// an uncommitted one through the certifier Monitor() hands out (fetched
+// through the gates' shared certifier(), which Monitor() wraps: the
+// audit's counting wrapper is no *core.Monitor). Either denies the
+// pending write of a transaction that already read the item.
 func meddleGate(a *maskAudit, pending []*exec.Request) {
 	item := pending[a.tick%len(pending)].Entity
 	monitor := func() Certifier {
-		if g, ok := a.gate.(*Certify); ok {
-			return g.Monitor()
-		}
-		return a.gate.(interface{ Monitor() Certifier }).Monitor()
+		return a.gate.(interface{ certifier() Certifier }).certifier()
 	}
 	switch {
 	case a.tick%5 == 0:
@@ -257,14 +262,92 @@ func TestVerdictMemoMatchesFreshMask(t *testing.T) {
 	t.Logf("%d open requests, %d re-probed (%.2f)", open, probes, float64(probes)/float64(open))
 }
 
-// countingCertifier counts Admissible probes per item.
+// slotRewrite hands the audited gate every pending request with its Slot
+// rewritten by slot (of the request's index and the list's length).
+type slotRewrite struct {
+	*maskAudit
+	slot func(i, n int) int
+}
+
+func (w *slotRewrite) rewrite(pending []*exec.Request) {
+	for i, r := range pending {
+		r.Slot = w.slot(i, len(pending))
+	}
+}
+
+func (w *slotRewrite) Pick(pending []*exec.Request, v *exec.View) int {
+	w.rewrite(pending)
+	return w.maskAudit.Pick(pending, v)
+}
+
+func (w *slotRewrite) Victim(pending []*exec.Request, v *exec.View) int {
+	w.rewrite(pending)
+	return w.maskAudit.Victim(pending, v)
+}
+
+// TestVerdictMemoSlotIsOnlyACacheIndex: the slot keys the memo's table
+// but decides nothing. Hot-tick-shaped runs (many short transactions on
+// few conjuncts, aborts and solo included) with every slot rewritten to
+// 0 — every request shares one table entry — and to the reverse of its
+// pending position — a transaction's slot moves from tick to tick — keep
+// the memoized mask equal to the fresh one at every tick and grant the
+// schedule the engine's own slots grant.
+func TestVerdictMemoSlotIsOnlyACacheIndex(t *testing.T) {
+	trials := 12
+	if testing.Short() {
+		trials = 4
+	}
+	legs := []struct {
+		name string
+		slot func(i, n int) int
+	}{
+		{"zero", func(i, n int) int { return 0 }},
+		{"reversed", func(i, n int) int { return n - 1 - i }},
+	}
+	aborts := 0
+	for i := 0; i < trials; i++ {
+		cfg := gen.Config{Conjuncts: 3, Programs: 24, MovesPerProgram: 1 + i%2, Style: gen.Style(i % 3), Seed: int64(700 + i)}
+		w := gen.MustGenerate(cfg)
+		run := func(p exec.Policy) string {
+			res, err := exec.RunCtx(context.Background(), exec.Config{
+				Programs: w.Programs, Initial: w.Initial, Policy: p, DataSets: w.DataSets, MaxAborts: 4096,
+			})
+			if err != nil {
+				t.Fatalf("trial %d: %v", i, err)
+			}
+			aborts += res.Metrics.Aborts
+			return res.Schedule.String()
+		}
+		audited := func() *maskAudit {
+			a := newMaskAudit(t, NewOptimisticCertify(w.DataSets, NewRandom(cfg.Seed), VictimYoungest))
+			a.mon.SetAutoCompact(3)
+			return a
+		}
+		want := run(audited())
+		for _, leg := range legs {
+			if got := run(&slotRewrite{maskAudit: audited(), slot: leg.slot}); got != want {
+				t.Fatalf("trial %d, %s slots: schedule\n%s\nwant the engine slots' schedule\n%s", i, leg.name, got, want)
+			}
+		}
+	}
+	if aborts == 0 {
+		t.Fatal("vacuous: no run aborted")
+	}
+}
+
+// countingCertifier counts Admissible probes, and per item when probes
+// is set.
 type countingCertifier struct {
 	Certifier
+	calls  int
 	probes map[string]int
 }
 
 func (c *countingCertifier) Admissible(o txn.Op) bool {
-	c.probes[o.Entity]++
+	c.calls++
+	if c.probes != nil {
+		c.probes[o.Entity]++
+	}
 	return c.Certifier.Admissible(o)
 }
 
@@ -281,7 +364,7 @@ func TestGrantReprobesOnlyItsConjunct(t *testing.T) {
 		LastWriter: map[string]int{},
 	}
 	req := func(id int, a txn.Action, item string) *exec.Request {
-		return &exec.Request{TxnID: id, Action: a, Entity: item, Value: stateInt(1)}
+		return &exec.Request{TxnID: id, Slot: id - 1, Action: a, Entity: item, Value: stateInt(1)}
 	}
 	tick := func(want int, wantProbes map[string]int, pending ...*exec.Request) {
 		t.Helper()
@@ -328,7 +411,7 @@ func TestVerdictMemoNewView(t *testing.T) {
 
 // TestVerdictMemoOutsideItemsBounded: the memo's item table holds the
 // partition's items and nothing else — every item outside the partition
-// shares one epoch slot — so a gate fed a stream of fresh item names
+// shares one epoch counter — so a gate fed a stream of fresh item names
 // outside every conjunct does not grow it.
 func TestVerdictMemoOutsideItemsBounded(t *testing.T) {
 	partition := []state.ItemSet{state.NewItemSet("a1", "a2"), state.NewItemSet("a2", "b1")}
@@ -342,13 +425,56 @@ func TestVerdictMemoOutsideItemsBounded(t *testing.T) {
 			t.Fatalf("Pick = %d for a read outside every conjunct, want 0", got)
 		}
 	}
-	if got := len(gate.memo.slots); got != 3 {
+	if got := len(gate.memo.epochs); got != 3 {
 		t.Fatalf("item table holds %d entries after %d fresh outside items, want the partition's 3", got, fresh)
 	}
-	if got := gate.memo.slotsOf("a2"); !slices.Equal(got, []int32{0, 1}) {
-		t.Fatalf("slots of a2 = %v, want both conjuncts [0 1]", got)
+	if got := gate.memo.epochsOf("a2"); !slices.Equal(got, []int32{0, 1}) {
+		t.Fatalf("epochs of a2 = %v, want both conjuncts [0 1]", got)
 	}
-	if a, b := gate.memo.slotsOf("o1"), gate.memo.slotsOf("o2"); &a[0] != &b[0] || a[0] != 2 {
-		t.Fatalf("outside items use slots %v and %v, want one shared slice of the outside slot 2", a, b)
+	if a, b := gate.memo.epochsOf("o1"), gate.memo.epochsOf("o2"); &a[0] != &b[0] || a[0] != 2 {
+		t.Fatalf("outside items use epochs %v and %v, want one shared slice of the outside counter 2", a, b)
+	}
+}
+
+// TestOptimisticForgetsFailedRun: a program error ends a run without
+// telling the gate, here while T2 is solo. The next run's view must drop
+// what the failed run left — its solo, abort counts, phase marks and
+// touched lists — or the gate opens nothing for the new transactions and
+// the run burns its abort budget.
+func TestOptimisticForgetsFailedRun(t *testing.T) {
+	partition := []state.ItemSet{state.NewItemSet("a", "b")}
+	gate := NewOptimisticCertify(partition, &RoundRobin{}, nil)
+	gate.SoloThreshold = 1
+	initial := state.NewDB()
+	initial.Set("a", stateInt(0))
+	initial.Set("b", stateInt(0))
+	_, err := exec.RunCtx(context.Background(), exec.Config{
+		Programs: map[int]*program.Program{
+			1: program.MustParse(`program P1 { a := b + 1; }`),
+			2: program.MustParse(`program P2 { b := a + 1; q := 1 / 0; }`),
+		},
+		Initial: initial, Policy: gate, DataSets: partition,
+	})
+	if err == nil || !strings.Contains(err.Error(), "division by zero") {
+		t.Fatalf("run 1: err = %v, want the division by zero", err)
+	}
+	if gate.solo != 2 {
+		t.Fatalf("vacuous: run 1 failed with solo = %d, want T2 solo", gate.solo)
+	}
+	res, err := exec.RunCtx(context.Background(), exec.Config{
+		Programs: map[int]*program.Program{
+			3: program.MustParse(`program P3 { a := a + 1; }`),
+			4: program.MustParse(`program P4 { b := b + 1; }`),
+		},
+		Initial: initial, Policy: gate, DataSets: partition, MaxAborts: 50,
+	})
+	if err != nil {
+		t.Fatalf("run 2 after the failed run: %v", err)
+	}
+	if got := len(res.Schedule.Ops()); got != 4 {
+		t.Fatalf("run 2 granted %d operations, want 4:\n%s", got, res.Schedule)
+	}
+	if gate.solo != 0 || len(gate.aborts) != 0 || len(gate.phase) != 0 || len(gate.memo.touched) != 0 {
+		t.Fatalf("run 2 left solo %d, aborts %v, phase %v, touched %v", gate.solo, gate.aborts, gate.phase, gate.memo.touched)
 	}
 }

@@ -103,9 +103,9 @@ type OptimisticCertify struct {
 	SoloThreshold int
 
 	aborts map[int]int
-	// phase marks the transactions sacrificed since the last grant;
-	// none is sacrificed twice in one phase.
-	phase map[int]bool
+	// phase lists the transactions sacrificed since the last grant,
+	// ascending; none is sacrificed twice in one phase.
+	phase []int
 	// solo is the escalated transaction currently granted exclusively
 	// (0 = none).
 	solo int
@@ -133,9 +133,13 @@ func (c *OptimisticCertify) Monitor() Certifier {
 func (c *OptimisticCertify) Pick(pending []*exec.Request, v *exec.View) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if v != c.memo.view { // a new run: the last may have failed mid-run
+		c.solo, c.phase = 0, c.phase[:0]
+		clear(c.aborts)
+	}
 	pick := c.pick(pending, v, c.solo, true)
 	if pick >= 0 {
-		clear(c.phase) // a grant ends the current sacrifice phase
+		c.phase = c.phase[:0] // a grant ends the current sacrifice phase
 	}
 	return pick
 }
@@ -158,7 +162,7 @@ func (c *OptimisticCertify) Victim(pending []*exec.Request, v *exec.View) int {
 	// this phase (cannot arise under the gate's own discipline — a
 	// fully refreshed population always has an admissible request);
 	// start a fresh phase rather than stall.
-	clear(c.phase)
+	c.phase = c.phase[:0]
 	return c.victimAmong(pending, v, immune, true)
 }
 
@@ -168,7 +172,7 @@ func (c *OptimisticCertify) Victim(pending []*exec.Request, v *exec.View) int {
 func (c *OptimisticCertify) victimAmong(pending []*exec.Request, v *exec.View, immune int, includePhase bool) int {
 	candidates, immuneIdx := c.memo.idx[:0], -1
 	for i, r := range pending {
-		if !includePhase && c.phase[r.TxnID] {
+		if _, in := slices.BinarySearch(c.phase, r.TxnID); in && !includePhase {
 			continue // already sacrificed this phase
 		}
 		closure, ok := v.AbortClosure(r.TxnID)
@@ -219,7 +223,9 @@ func (c *OptimisticCertify) TxnAborted(id int, v *exec.View) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.aborts[id]++
-	c.phase[id] = true
+	if i, in := slices.BinarySearch(c.phase, id); !in {
+		c.phase = slices.Insert(c.phase, i, id)
+	}
 	threshold := c.SoloThreshold
 	if threshold <= 0 {
 		threshold = 4
@@ -232,8 +238,8 @@ func (c *OptimisticCertify) TxnAborted(id int, v *exec.View) {
 
 // TxnCanceled implements exec.Canceler: the cancelled attempt is
 // retracted exactly as a sacrificed victim would be, and its
-// per-transaction lifecycle state (abort counts, phase marks, solo
-// escalation) is dropped — cancel equals abort, minus the restart.
+// per-transaction lifecycle state (abort count, solo escalation) is
+// dropped — cancel equals abort, minus the restart.
 func (c *OptimisticCertify) TxnCanceled(id int, v *exec.View) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -243,8 +249,8 @@ func (c *OptimisticCertify) TxnCanceled(id int, v *exec.View) {
 
 // TxnFinished implements exec.Policy: the finished transaction is
 // committed to the certifier, which may then reclaim it, and the gate's
-// own per-transaction lifecycle state — abort counts, phase marks — is
-// dropped with it. A finished transaction is durable: it can never be a
+// own per-transaction lifecycle state — its abort count — is dropped
+// with it. A finished transaction is durable: it can never be a
 // victim again, so keeping its counters would only leak memory across a
 // long stream.
 func (c *OptimisticCertify) TxnFinished(id int, v *exec.View) {
@@ -254,11 +260,9 @@ func (c *OptimisticCertify) TxnFinished(id int, v *exec.View) {
 	c.finish(id, v)
 }
 
-// forget drops transaction id's abort count, phase mark and solo
-// escalation.
+// forget drops transaction id's abort count and solo escalation.
 func (c *OptimisticCertify) forget(id int) {
 	delete(c.aborts, id)
-	delete(c.phase, id)
 	if id == c.solo {
 		c.solo = 0
 	}
