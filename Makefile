@@ -192,6 +192,10 @@ test:
 # The raced ./... pass also runs TestTickDecisionsPinned (root package):
 # the optimistic gate's exact decision totals on hot-tick's shape, so a
 # gate optimisation that changes a grant, probe or victim fails here.
+# So does TestLifecycleAssertedOnce: exec, sched and the facade hold
+# exactly three capability type assertions (Restarter and Gate in
+# RunCtx, Gate in NewParallelEngine), and no gate probes its inner
+# policy or its journal.
 # The final leg re-runs the TestZeroAlloc*, TestTickEngineAllocs,
 # TestBatchEngineAllocs and TestInterpRunAllocs pins without the race
 # detector (whose instrumentation allocates, so the pins self-skip

@@ -257,9 +257,11 @@
 // retraction), so the monitor, the WAL, and the versioned store's
 // retention floor end in exactly the state a completed run that
 // aborted those transactions would have left — wal.Resume recovers a
-// verdict-identical monitor either way.
+// verdict-identical monitor either way. A run that fails on a program
+// error settles its in-flight transactions the same way, so it leaves
+// no trace in the certifier either.
 //
-// The gates shut down in two stages. Drain (see Drainer, AsDrainer)
+// The gates shut down in two stages. Drain (every Gate has it)
 // stops new admissions — refused with ErrDraining — then settles
 // in-flight transactions per the DrainPolicy (DrainWait lets them
 // finish, DrainAbort retracts them immediately), flushes the journal

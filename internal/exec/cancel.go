@@ -48,30 +48,3 @@ func CancelError(ctx context.Context) error {
 		return fmt.Errorf("%w: %w", ErrCanceled, err)
 	}
 }
-
-// Canceler is the optional Policy extension a cancelled run notifies
-// instead of Restarter.TxnAborted: TxnCanceled must retract every
-// grant the policy holds for the transaction (journaled like any other
-// retraction) without scheduling a restart — the transaction is gone,
-// not retried. A certifying gate implements it so that a cancelled run
-// leaves the monitor and the WAL in exactly the state a completed run
-// that aborted those transactions would ("cancel equals abort").
-// Policies that implement Restarter but not Canceler are notified via
-// TxnAborted instead.
-type Canceler interface {
-	Policy
-	// TxnCanceled reports that txn id's current attempt was erased by
-	// cancellation and will not be retried.
-	TxnCanceled(id int, v *View)
-}
-
-// Drainer is the drainable-gate extension: Drain stops new admissions,
-// settles in-flight transactions per the gate's drain policy, flushes
-// the journal barrier, runs a final Commit/Compact pass, and cuts a
-// snapshot. It returns nil on a complete drain, or a typed
-// ErrCanceled/ErrDeadline-wrapped error describing the unfinished
-// remainder when ctx expires first — Drain always terminates within
-// the context's deadline (plus scheduling slack).
-type Drainer interface {
-	Drain(ctx context.Context) error
-}

@@ -27,6 +27,12 @@
 // goroutine. RunCtx starts nothing, so there is nothing for it to stop;
 // a program panic happens on the caller's stack.
 //
+// # Policies and gates
+//
+// A Policy picks the interleaving. An engine asserts two more contracts
+// once, when it starts: Restarter (victims resolve stalls) and Gate (the
+// certification gates of package sched; see Gate).
+//
 // # Abort and restart semantics
 //
 // A policy implementing the optional Restarter extension can resolve a
@@ -198,10 +204,9 @@ type View struct {
 
 	// procs is the run's per-transaction state, ascending by id.
 	procs []proc
-	// programs and declared are what AccessOf derives declarations from
-	// (Config.Programs and Config.Access); access caches its answers.
+	// programs are what AccessOf derives declarations from
+	// (Config.Programs); access caches its answers.
 	programs map[int]*program.Program
-	declared map[int]AccessDecl
 	access   map[int]AccessDecl
 }
 
@@ -238,16 +243,15 @@ func (v *View) OpCount(id int) int {
 	return 0
 }
 
-// AccessOf returns transaction id's declared access set: the Config's
-// override when it has one, otherwise the declaration DeclareAccess
-// derives from the program, computed on first use — only conservative
-// locking policies ask.
+// AccessOf returns transaction id's declared access set: the
+// declaration DeclareAccess derives from the program, computed on first
+// use — only conservative locking policies ask.
 func (v *View) AccessOf(id int) AccessDecl {
 	if a, ok := v.access[id]; ok {
 		return a
 	}
-	a, ok := v.declared[id]
-	if p := v.programs[id]; !ok && p != nil {
+	var a AccessDecl
+	if p := v.programs[id]; p != nil {
 		a = DeclareAccess(p)
 	}
 	if v.access == nil {
@@ -359,15 +363,41 @@ type GateStats struct {
 	Health  Health
 }
 
-// StatsReporter is an optional Policy and BatchGate extension: a
-// certifying gate reports its counters as one snapshot, which the
-// engines store in Metrics.Gate at the end of a run and batch, and
-// which the tick engine consults to attribute a stall to a storage
-// outage or the gate's lifecycle posture.
-type StatsReporter interface {
-	// Stats snapshots the gate's counters.
+// Gate is a certifying policy's whole contract with the engines; the
+// sched certification gates implement it. RunCtx and NewParallelEngine
+// assert it once, when they start, and Restarter is the only other
+// interface they look for.
+//
+//   - TxnCanceled: cancel equals abort. The gate retracts, journaled,
+//     every grant it holds for a transaction the engine erased without
+//     a restart — the run was cancelled, or failed on a program error —
+//     leaving the state a completed run that aborted it would leave.
+//   - Drain stops new admissions, settles the in-flight transactions
+//     per the drain policy, flushes the journal, compacts and cuts a
+//     snapshot. It returns nil when complete, or an ErrCanceled- or
+//     ErrDeadline-wrapped error naming the remainder when ctx ends first.
+//   - CompactWatermark is the highest transaction id compaction has
+//     reclaimed (0 before any); ParallelEngine anchors its store's
+//     version GC to it (VersionedStore.SetRetainFloor).
+//   - Stats snapshots the counters the engines store in Metrics.Gate;
+//     the tick engine reads its Health to attribute a stall to a
+//     journal outage or to the gate's posture.
+type Gate interface {
+	Policy
+	BatchGate
+	TxnCanceled(id int, v *View)
+	Drain(ctx context.Context) error
+	CompactWatermark() int
 	Stats() GateStats
 }
+
+// Subsets of Gate that no engine asserts, kept for
+// benchmark/benchmark_test.go:141–151 until ROADMAP item 8.
+type (
+	Canceler          interface{ TxnCanceled(id int, v *View) }
+	Drainer           interface{ Drain(context.Context) error }
+	WatermarkReporter interface{ CompactWatermark() int }
+)
 
 // Metrics aggregates virtual-clock measurements of a run. The clock
 // ticks once per granted operation.
@@ -388,11 +418,11 @@ type Metrics struct {
 	// PerTxn maps transaction id to its metrics.
 	PerTxn map[int]*TxnMetrics
 	// Gate is the policy's (or batch gate's) Stats snapshot taken at
-	// the end of the run when it implements StatsReporter; zero
-	// otherwise. Gate.Compact.LiveTxns is the certifier's residual
-	// population — for a policy reused across sequential runs it
-	// measures what the stream's history still costs, the number the
-	// compactor keeps bounded.
+	// the end of the run when it is a Gate; zero otherwise.
+	// Gate.Compact.LiveTxns is the certifier's residual population — for
+	// a policy reused across sequential runs it measures what the
+	// stream's history still costs, the number the compactor keeps
+	// bounded.
 	Gate GateStats
 	// Retries counts program re-executions in a ParallelEngine batch:
 	// speculative retries after failed version validations plus the
@@ -450,10 +480,6 @@ type Config struct {
 	Interp *program.Interp
 	// DataSets optionally supplies the conjunct partition to policies.
 	DataSets []state.ItemSet
-	// Access optionally overrides the per-transaction access
-	// declarations View.AccessOf reports; missing entries are derived
-	// with DeclareAccess when a policy first asks.
-	Access map[int]AccessDecl
 	// MaxAborts bounds the total aborted attempts of a run before the
 	// engine gives up with ErrStall (a livelock backstop for Restarter
 	// policies); 0 means the default of 65536.
@@ -576,10 +602,10 @@ var runStates = sync.Pool{New: func() any { return new(runState) }}
 // When ctx ends mid-run the engine settles instead of killing the run:
 // transactions in flight are aborted through the same erasure machinery
 // a policy victim uses — their attempts are expunged from the schedule,
-// their writes undone, and the policy notified through
-// Canceler.TxnCanceled (falling back to Restarter.TxnAborted), so a
-// certifying gate retracts and journals each one exactly as a completed
-// run that aborted them would. The rare transaction whose written value
+// their writes undone, and a Gate notified through TxnCanceled (a
+// Restarter that is not one through TxnAborted), so a certifying gate
+// retracts and journals each one exactly as a completed run that
+// aborted them would. The rare transaction whose written value
 // a finished transaction already consumed cannot be erased (see the
 // package comment on pinning; the cascadeless gates never produce one)
 // and is retired as committed with its partial prefix instead.
@@ -590,7 +616,9 @@ var runStates = sync.Pool{New: func() any { return new(runState) }}
 // transactions not yet served at the cancellation point are skipped.
 // Cancellation is detected between scheduling steps, so exactly the
 // grants journaled before the detection point are kept: never a
-// partial one.
+// partial one. A run that fails on a program error returns no Result,
+// but settles a Gate the same way: TxnCanceled for every transaction
+// still live.
 func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	rs := runStates.Get().(*runState)
 	defer runStates.Put(rs)
@@ -612,6 +640,9 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 	if interp == nil {
 		interp = program.NewInterp()
 	}
+	// The two contracts a policy may add, asserted once (see Gate).
+	ra, _ := cfg.Policy.(Restarter)
+	gate, _ := cfg.Policy.(Gate)
 
 	roList := make([]int, 0, len(cfg.ReadOnly))
 	for id, on := range cfg.ReadOnly {
@@ -656,7 +687,6 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 		DataSets:   cfg.DataSets,
 		procs:      procs,
 		programs:   cfg.Programs,
-		declared:   cfg.Access,
 	}
 	// runnable are the attempts to resume at the next gather, ascending
 	// by id: every program at first, then the one just granted or the
@@ -810,6 +840,17 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 		p.tm.End = v.Clock
 		cfg.Policy.TxnFinished(p.id, v)
 	}
+	// fail ends the run on a program error, first settling a Gate's live
+	// attempts as a cancelled run does (TxnCanceled, ascending id), so
+	// nothing of the failed run stays in the certifier or its journal.
+	fail := func(err error) (*Result, error) {
+		for i := range procs {
+			if gate != nil && procs[i].live {
+				gate.TxnCanceled(procs[i].id, v)
+			}
+		}
+		return nil, err
+	}
 	// gather steps the runnable attempts, in ascending id order, each to
 	// its next request, where it parks, or to its end. A program error
 	// fails the run.
@@ -833,10 +874,9 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 	// notify the policy. The attempts themselves need no unwinding: each
 	// is a suspended Machine, which a restart resets and a cancelled run
 	// simply drops. It must only be called when every live transaction is
-	// parked on a pending request. With byCancel set the policy is
-	// notified through Canceler.TxnCanceled when implemented (the
-	// transactions are gone, not retried); otherwise through
-	// Restarter.TxnAborted.
+	// parked on a pending request. With byCancel set a Gate is notified
+	// through TxnCanceled (the transactions are gone, not retried);
+	// otherwise a Restarter through TxnAborted.
 	eraseAttempts := func(closure []int, byCancel bool) {
 		// Nothing before the members' earliest operation moves: a victim
 		// that started late rewrites a short suffix.
@@ -909,14 +949,12 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 			}
 			p.readFrom, p.readers = p.readFrom[:0], p.readers[:0]
 		}
-		ra, _ := cfg.Policy.(Restarter)
-		cc, _ := cfg.Policy.(Canceler)
 		for _, id := range closure {
 			metrics.Aborts++
 			v.proc(id).tm.Aborts++
 			switch {
-			case byCancel && cc != nil:
-				cc.TxnCanceled(id, v)
+			case byCancel && gate != nil:
+				gate.TxnCanceled(id, v)
 			case ra != nil:
 				ra.TxnAborted(id, v)
 			}
@@ -954,7 +992,9 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 			schedule = make([]txn.Op, len(ops))
 			copy(schedule, ops)
 		}
-		harvestStats(cfg.Policy, &metrics)
+		if gate != nil {
+			metrics.Gate = gate.Stats()
+		}
 		return &Result{
 			Schedule: txn.AdoptSchedule(schedule),
 			Final:    v.Store,
@@ -973,7 +1013,7 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 	// form the partial Result returned with the typed error.
 	cancelRun := func() (*Result, error) {
 		if err := gather(); err != nil {
-			return nil, err
+			return fail(err)
 		}
 		// The erasable set is closed under cascade: every live reader of
 		// an erasable transaction's write belongs to its closure, so the
@@ -1019,11 +1059,11 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 		// snapshot the sealed committed prefix and complete without
 		// entering the pending set or the policy.
 		if err := serveDueROs(false); err != nil {
-			return nil, err
+			return fail(err)
 		}
 		// One request per live transaction before the policy picks.
 		if err := gather(); err != nil {
-			return nil, err
+			return fail(err)
 		}
 		if len(v.Live) == 0 {
 			break
@@ -1042,7 +1082,7 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 			metrics.Ticks++
 			passes++
 			if passes > maxConsecutivePasses {
-				return nil, stallCause(cfg.Policy, fmt.Errorf("%w: policy passed %d consecutive ticks", ErrStall, passes))
+				return nil, stallCause(gate, fmt.Errorf("%w: policy passed %d consecutive ticks", ErrStall, passes))
 			}
 			if ctx.Err() != nil {
 				return cancelRun()
@@ -1053,18 +1093,18 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 			// A Restarter policy may resolve the stall by sacrificing a
 			// victim; anything else (or an exhausted abort budget, the
 			// livelock backstop) is a hard stall.
-			if ra, isRestarter := cfg.Policy.(Restarter); isRestarter {
+			if ra != nil {
 				if vi := ra.Victim(list, v); vi >= 0 && vi < len(list) {
 					if metrics.Aborts >= maxAborts {
-						return nil, stallCause(cfg.Policy, fmt.Errorf("%w: abort budget (%d) exhausted", ErrStall, maxAborts))
+						return nil, stallCause(gate, fmt.Errorf("%w: abort budget (%d) exhausted", ErrStall, maxAborts))
 					}
 					if err := abortAndRestart(list[vi].TxnID); err != nil {
-						return nil, stallCause(cfg.Policy, fmt.Errorf("%w: %v", ErrStall, err))
+						return nil, stallCause(gate, fmt.Errorf("%w: %v", ErrStall, err))
 					}
 					continue
 				}
 			}
-			return nil, stallCause(cfg.Policy, fmt.Errorf("%w: pending %v", ErrStall, list))
+			return nil, stallCause(gate, fmt.Errorf("%w: pending %v", ErrStall, list))
 		}
 
 		// Apply the granted operation and make its program runnable.
@@ -1081,7 +1121,7 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 		case txn.ActionRead:
 			val, ok := v.Store.Get(op.Entity)
 			if !ok {
-				return nil, fmt.Errorf("exec: data item %q has no value", op.Entity)
+				return fail(fmt.Errorf("exec: data item %q has no value", op.Entity))
 			}
 			// Record reads-from so aborts can cascade to transactions
 			// that consumed a victim's written value.
@@ -1114,12 +1154,4 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	return result(), nil
-}
-
-// harvestStats stores a certifying gate's Stats snapshot from a policy
-// or batch gate in m; a nil or plain value leaves m untouched.
-func harvestStats(p any, m *Metrics) {
-	if sr, ok := p.(StatsReporter); ok {
-		m.Gate = sr.Stats()
-	}
 }

@@ -105,14 +105,13 @@ type Health struct {
 // ErrStall identity (the gate is still admitting; the stall is a
 // scheduling condition) but carries the outage posture — queue depth
 // and outage age — so the operator sees the journal is down instead
-// of a bare stall. A healthy (or health-less) policy keeps the
-// original stall error.
-func stallCause(p Policy, stall error) error {
-	sr, ok := p.(StatsReporter)
-	if !ok {
+// of a bare stall. A healthy gate, or a policy that is not a Gate,
+// keeps the original stall error.
+func stallCause(g Gate, stall error) error {
+	if g == nil {
 		return stall
 	}
-	h := sr.Stats().Health
+	h := g.Stats().Health
 	switch h.Mode {
 	case ModeFailStop:
 		return fmt.Errorf("%w: %v", ErrJournalDown, h.JournalErr)

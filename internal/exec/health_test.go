@@ -10,14 +10,20 @@ import (
 	"pwsr/internal/exec"
 	"pwsr/internal/program"
 	"pwsr/internal/state"
+	"pwsr/internal/txn"
 )
 
-// stalledPolicy refuses every pick and reports a fixed health posture
-// — the minimal fixture for the stall-reclassification paths.
+// stalledPolicy is a Gate that refuses every pick and reports a fixed
+// health posture — the minimal fixture for the stall-reclassification
+// paths.
 type stalledPolicy struct{ h exec.Health }
 
 func (p *stalledPolicy) Pick(pending []*exec.Request, v *exec.View) int { return -1 }
 func (p *stalledPolicy) TxnFinished(id int, v *exec.View)               {}
+func (p *stalledPolicy) AdmitTxn(ops []txn.Op) error                    { return nil }
+func (p *stalledPolicy) TxnCanceled(id int, v *exec.View)               {}
+func (p *stalledPolicy) Drain(ctx context.Context) error                { return nil }
+func (p *stalledPolicy) CompactWatermark() int                          { return 0 }
 func (p *stalledPolicy) Stats() exec.GateStats                          { return exec.GateStats{Health: p.h} }
 
 // TestStallCarriesBufferingPosture pins the outage-observability fix:

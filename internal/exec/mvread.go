@@ -59,21 +59,6 @@ import (
 // write slips through dynamically.
 var ErrReadOnlyWrite = errors.New("exec: declared read-only transaction attempted a write")
 
-// WatermarkReporter is an optional extension of a certifying policy
-// or batch gate: it reports the certifier's Compact watermark — the
-// highest transaction id physically reclaimed, a retention
-// low-watermark under id-ordered commits. An engine whose gate
-// reports it anchors the multiversion store's version GC to the mark
-// (VersionedStore.SetRetainFloor), so committed versions stay
-// acquirable back to the certifier's Compact watermark and are
-// reclaimed beyond it by the same low-watermark argument. The sched
-// certification gates implement it.
-type WatermarkReporter interface {
-	// CompactWatermark returns the certifier's highest reclaimed
-	// transaction id (0 before any Compact pass reclaimed anything).
-	CompactWatermark() int
-}
-
 // snapshotAccessor adapts a pinned stamp of a VersionedStore to
 // program.Accessor for declared read-only executions: reads are served
 // from the frozen view and recorded as schedule operations; writes fail

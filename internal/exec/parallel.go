@@ -88,8 +88,8 @@ type ParallelConfig struct {
 // calls run against the store state the previous batch left behind
 // (batch transaction ids must remain unique across the engine's
 // lifetime when a gate is attached, and globally ascending when the
-// gate reports a Compact watermark — ExecuteBatchCtx enforces the
-// latter).
+// gate is a Gate, whose Compact watermark anchors retention —
+// ExecuteBatchCtx enforces the latter).
 type ParallelEngine struct {
 	store      *VersionedStore
 	gate       BatchGate
@@ -97,13 +97,13 @@ type ParallelEngine struct {
 	interp     *program.Interp
 	readOnly   map[int]bool
 
-	// wmr is the gate's optional Compact-watermark hook. When present
+	// full is cfg.Gate when it is a whole Gate, nil otherwise. With one
 	// the store runs with a manual retention floor anchored at the
-	// certifier's Compact watermark: wmQueue records (txn, stamp)
-	// pairs in commit order, and the floor advances to the stamp of
-	// the last commit at or below the reported watermark — version GC
-	// and certifier GC follow the same low-watermark argument.
-	wmr     WatermarkReporter
+	// certifier's Compact watermark: wmQueue records (txn, stamp) pairs
+	// in commit order, and the floor advances to the stamp of the last
+	// commit at or below the reported watermark — version GC and
+	// certifier GC follow the same low-watermark argument.
+	full    Gate
 	wmQueue []txnStamp
 	// wmMaxID is the highest read-write transaction id any prior batch
 	// submitted (valid when wmIDSeen). wmQueue persists across batches
@@ -188,8 +188,8 @@ func NewParallelEngine(cfg ParallelConfig) *ParallelEngine {
 			}
 		}
 	}
-	if wmr, ok := cfg.Gate.(WatermarkReporter); ok {
-		e.wmr = wmr
+	if g, ok := cfg.Gate.(Gate); ok {
+		e.full = g
 		// Anchor retention at the certifier's Compact watermark from
 		// the start: the floor begins at 0 (everything retained) and
 		// advances only as the certifier reclaims.
@@ -346,7 +346,7 @@ func (e *ParallelEngine) ExecuteBatchCtx(ctx context.Context, programs map[int]*
 	// the certifier has not reclaimed, breaking AcquireAt's
 	// never-denied-above-watermark contract. Only a batch that passed
 	// every up-front check uses up its ids.
-	if e.wmr != nil && len(ids) > 0 {
+	if e.full != nil && len(ids) > 0 {
 		if e.wmIDSeen && ids[0] <= e.wmMaxID {
 			return nil, fmt.Errorf("exec: batch transaction id %d not above prior batch maximum %d: a watermark-anchored engine requires globally ascending ids across batches", ids[0], e.wmMaxID)
 		}
@@ -453,7 +453,9 @@ func (e *ParallelEngine) ExecuteBatchCtx(ctx context.Context, programs map[int]*
 		ROOps:     roOps,
 		MV:        e.store.VersionStats(),
 	}
-	harvestStats(e.gate, &m)
+	if e.full != nil {
+		m.Gate = e.full.Stats()
+	}
 	// A cancelled batch still returns the committed prefix; CancelError
 	// is nil on the normal path.
 	return &Result{
@@ -574,7 +576,7 @@ func (e *ParallelEngine) drain(ctx context.Context, w *worker, bs *batchState, a
 // prior batch's, so the watermark is a true prefix bound and the queue
 // drains in order. Called with bs.mu held (the commit step).
 func (e *ParallelEngine) advanceFloor(id int) {
-	if e.wmr == nil {
+	if e.full == nil {
 		return
 	}
 	e.wmQueue = append(e.wmQueue, txnStamp{txn: id, stamp: e.store.Stamp()})
@@ -584,7 +586,7 @@ func (e *ParallelEngine) advanceFloor(id int) {
 // syncFloor drains the watermark queue up to the gate's Compact
 // watermark and raises the retention floor to the last drained stamp.
 func (e *ParallelEngine) syncFloor() {
-	w := e.wmr.CompactWatermark()
+	w := e.full.CompactWatermark()
 	var floor uint64
 	drop := 0
 	for _, ts := range e.wmQueue {
@@ -601,7 +603,7 @@ func (e *ParallelEngine) syncFloor() {
 }
 
 // Drain gracefully shuts the engine's admission path down: the gate is
-// drained (when it implements Drainer — the sched gates do), and the
+// drained (when it is a Gate — the sched gates are), and the
 // store's retention floor is then advanced to the gate's final Compact
 // watermark, draining the watermark queue the way a further batch's
 // commits would. Pinned snapshots keep their versions readable below
@@ -612,13 +614,11 @@ func (e *ParallelEngine) syncFloor() {
 func (e *ParallelEngine) Drain(ctx context.Context) error {
 	e.batchMu.Lock()
 	defer e.batchMu.Unlock()
-	var err error
-	if d, ok := e.gate.(Drainer); ok {
-		err = d.Drain(ctx)
+	if e.full == nil {
+		return nil
 	}
-	if e.wmr != nil {
-		e.syncFloor()
-	}
+	err := e.full.Drain(ctx)
+	e.syncFloor()
 	return err
 }
 

@@ -224,23 +224,25 @@ func RunCancelCase(c CancelCase) (CancelRecord, error) {
 
 	switch c.Leg {
 	case "batch":
-		gate := sched.NewOptimisticCertify(w.DataSets, &sched.Serial{}, nil)
+		mon := core.NewMonitor(w.DataSets)
+		gate := sched.NewOptimisticCertifyOver(mon, &sched.Serial{}, nil)
 		gate.AttachJournal(tap, sched.WithDegradeMode(mode))
 		eng := exec.NewParallelEngine(exec.ParallelConfig{
 			Initial: w.Initial, Gate: gate, Workers: 2 + rng.Intn(3),
 		})
 		eng.SetFaultInjector(inj, "engine")
 		res, runErr = eng.ExecuteBatchCtx(ctx, w.Programs)
-		gateMon = gate.Monitor()
+		gateMon = mon
 		health = gate.Health()
 	default: // tick
-		gate := sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(int64(rng.Int31())), nil)
+		mon := core.NewMonitor(w.DataSets)
+		gate := sched.NewOptimisticCertifyOver(mon, sched.NewRandom(int64(rng.Int31())), nil)
 		gate.AttachJournal(tap, sched.WithDegradeMode(mode))
 		gate.SetFaultInjector(inj, "gate")
 		res, runErr = exec.RunCtx(ctx, exec.Config{
 			Programs: w.Programs, Initial: w.Initial, Policy: gate, DataSets: w.DataSets,
 		})
-		gateMon = gate.Monitor()
+		gateMon = mon
 		health = gate.Health()
 	}
 	rec.WallNs = time.Since(start).Nanoseconds()
@@ -318,7 +320,8 @@ func runCancelDrainLeg(c CancelCase, rec CancelRecord, w *gen.Workload, mode sch
 	fail := func(format string, args ...any) (CancelRecord, error) {
 		return rec, &CancelFailure{Case: c, Reason: fmt.Sprintf(format, args...)}
 	}
-	gate := sched.NewOptimisticCertify(w.DataSets, &sched.Serial{}, nil)
+	mon := core.NewMonitor(w.DataSets)
+	gate := sched.NewOptimisticCertifyOver(mon, &sched.Serial{}, nil)
 	gate.AttachJournal(tap, sched.WithDegradeMode(mode))
 	gate.SetFaultInjector(inj, "gate")
 
@@ -381,7 +384,7 @@ func runCancelDrainLeg(c CancelCase, rec CancelRecord, w *gen.Workload, mode sch
 	// absorbed stream, then recovery and Resume vs the same stream.
 	if h.Mode == exec.ModeOK && h.Queued == 0 {
 		ref := replayReference(w.DataSets, tap.events)
-		if err := sameCertState("drained gate vs absorbed replay", gate.Monitor(), ref, len(w.DataSets)); err != nil {
+		if err := sameCertState("drained gate vs absorbed replay", mon, ref, len(w.DataSets)); err != nil {
 			return fail("%v", err)
 		}
 	}

@@ -143,28 +143,18 @@ func (r *recordingJournal) LogCompact(reclaimed []int, stats core.CompactStats, 
 	r.absorb(core.Event{Kind: core.EventCompact}, func() { r.w.LogCompact(reclaimed, stats, ops) })
 }
 
-// Barrier implements sched.Journal.
-func (r *recordingJournal) Barrier() error { return r.w.Barrier() }
-
-// Heal implements sched.Healer.
-func (r *recordingJournal) Heal() error { return r.w.Heal() }
-
-// LoggedSeq implements sched.Healer.
-func (r *recordingJournal) LoggedSeq() uint64 { return r.w.LoggedSeq() }
-
-// Stats lets the gate surface the writer's counters in run metrics.
-func (r *recordingJournal) Stats() wal.Stats { return r.w.Stats() }
-
-// CutSnapshot implements sched.SnapshotCutter, so a gate Drain over
-// the tap still cuts its final snapshot on the underlying writer.
+// The rest of sched.Journal forwards to the writer, so a gate heals,
+// reports, cuts its drain snapshot and closes through the tap.
+func (r *recordingJournal) Barrier() error     { return r.w.Barrier() }
+func (r *recordingJournal) Heal() error        { return r.w.Heal() }
+func (r *recordingJournal) LoggedSeq() uint64  { return r.w.LoggedSeq() }
+func (r *recordingJournal) Stats() wal.Stats   { return r.w.Stats() }
 func (r *recordingJournal) CutSnapshot() error { return r.w.CutSnapshot() }
-
-// Close implements io.Closer, so a gate Close over the tap closes the
-// underlying writer.
-func (r *recordingJournal) Close() error { return r.w.Close() }
+func (r *recordingJournal) Close() error       { return r.w.Close() }
 
 // certState is the verdict-defining certifier surface the differential
-// compares, satisfied by *core.Monitor and the gates' Certifier.
+// compares, satisfied by *core.Monitor (the trials keep the monitor they
+// built each gate over).
 type certState interface {
 	PWSR() bool
 	Ops() int
@@ -465,14 +455,16 @@ func RunChaosTrial(seed int64) (ChaosRecord, error) {
 
 	switch leg {
 	case "batch":
-		twinGate := sched.NewOptimisticCertify(w.DataSets, &sched.Serial{}, nil)
+		twin := core.NewMonitor(w.DataSets)
+		twinGate := sched.NewOptimisticCertifyOver(twin, &sched.Serial{}, nil)
 		twinRes, terr := exec.NewParallelEngine(exec.ParallelConfig{
 			Initial: w.Initial, Gate: twinGate, Workers: 2,
 		}).ExecuteBatchCtx(context.TODO(), w.Programs)
 		if terr != nil {
 			return fail("uninjected twin failed: %v", terr)
 		}
-		gate := sched.NewOptimisticCertify(w.DataSets, &sched.Serial{}, nil)
+		mon := core.NewMonitor(w.DataSets)
+		gate := sched.NewOptimisticCertifyOver(mon, &sched.Serial{}, nil)
 		gate.AttachJournal(tap, sched.WithDegradeMode(mode), sched.WithBufferCap(bufferCap))
 		eng := exec.NewParallelEngine(exec.ParallelConfig{
 			Initial: w.Initial, Gate: gate, Workers: 2 + rng.Intn(3),
@@ -480,7 +472,7 @@ func RunChaosTrial(seed int64) (ChaosRecord, error) {
 		eng.SetFaultInjector(inj, "engine")
 		res, rerr := eng.ExecuteBatchCtx(context.TODO(), w.Programs)
 		runErr = rerr
-		gateMon, twinMon = gate.Monitor(), twinGate.Monitor()
+		gateMon, twinMon = mon, twin
 		health = gate.Health()
 		if runErr == nil {
 			if res.Schedule.String() != twinRes.Schedule.String() {
@@ -492,21 +484,23 @@ func RunChaosTrial(seed int64) (ChaosRecord, error) {
 		}
 	default:
 		inner := int64(rng.Int31())
-		twinGate := sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(inner), nil)
+		twin := core.NewMonitor(w.DataSets)
+		twinGate := sched.NewOptimisticCertifyOver(twin, sched.NewRandom(inner), nil)
 		twinRes, terr := exec.RunCtx(context.TODO(), exec.Config{
 			Programs: w.Programs, Initial: w.Initial, Policy: twinGate, DataSets: w.DataSets,
 		})
 		if terr != nil {
 			return fail("uninjected twin failed: %v", terr)
 		}
-		gate := sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(inner), nil)
+		mon := core.NewMonitor(w.DataSets)
+		gate := sched.NewOptimisticCertifyOver(mon, sched.NewRandom(inner), nil)
 		gate.AttachJournal(tap, sched.WithDegradeMode(mode), sched.WithBufferCap(bufferCap))
 		gate.SetFaultInjector(inj, "gate")
 		res, rerr := exec.RunCtx(context.TODO(), exec.Config{
 			Programs: w.Programs, Initial: w.Initial, Policy: gate, DataSets: w.DataSets,
 		})
 		runErr = rerr
-		gateMon, twinMon = gate.Monitor(), twinGate.Monitor()
+		gateMon, twinMon = mon, twin
 		health = gate.Health()
 		if runErr == nil {
 			if res.Schedule.String() != twinRes.Schedule.String() {

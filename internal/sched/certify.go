@@ -32,12 +32,6 @@ func NewCertify(partition []state.ItemSet, inner exec.Policy) *Certify {
 	return NewCertifyOver(core.NewMonitor(partition), inner)
 }
 
-// Monitor exposes the gate's certifier, with OptimisticCertify.Monitor's
-// contract.
-func (c *Certify) Monitor() *core.Monitor {
-	return c.certifier().(*core.Monitor)
-}
-
 // Pick implements exec.Policy: filter the pending requests through the
 // certifier, let the inner policy choose among the admissible ones, and
 // commit the choice to the monitor. A request denied on a previous tick
@@ -58,14 +52,14 @@ func (c *Certify) TxnFinished(id int, v *exec.View) {
 	c.finish(id, v)
 }
 
-// TxnCanceled implements exec.Canceler: a cancelled engine run aborts
+// TxnCanceled implements exec.Gate: a cancelled or failed engine run aborts
 // the attempt through the same retraction path a policy abort takes,
 // so the monitor and journal end in the state a completed run that
 // aborted the transaction would have left.
 func (c *Certify) TxnCanceled(id int, v *exec.View) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.retract(id, v, true)
+	c.retract(id)
 }
 
 // requestOp views a pending request as an operation for the monitor,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"pwsr/internal/core"
 	"pwsr/internal/exec"
 	"pwsr/internal/gen"
 	"pwsr/internal/program"
@@ -13,21 +14,20 @@ import (
 	"pwsr/internal/txn"
 )
 
-// gateMonitors builds each certification gate over the same partition
-// so lifecycle behavior can be asserted uniformly through the
-// Certifier interface.
+// gateMonitors builds each certification gate over its own monitor on
+// the same partition, so lifecycle behavior can be asserted uniformly
+// on the monitor the gate certifies through.
 func gateMonitors(partition []state.ItemSet, seed int64) map[string]struct {
 	policy exec.Policy
-	mon    sched.Certifier
+	mon    *core.Monitor
 } {
-	certify := sched.NewCertify(partition, sched.NewRandom(seed))
-	opt := sched.NewOptimisticCertify(partition, sched.NewRandom(seed), nil)
+	cm, om := core.NewMonitor(partition), core.NewMonitor(partition)
 	return map[string]struct {
 		policy exec.Policy
-		mon    sched.Certifier
+		mon    *core.Monitor
 	}{
-		"Certify":           {certify, certify.Monitor()},
-		"OptimisticCertify": {opt, opt.Monitor()},
+		"Certify":           {sched.NewCertifyOver(cm, sched.NewRandom(seed)), cm},
+		"OptimisticCertify": {sched.NewOptimisticCertifyOver(om, sched.NewRandom(seed), nil), om},
 	}
 }
 

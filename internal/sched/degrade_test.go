@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pwsr/internal/core"
 	"pwsr/internal/exec"
 	"pwsr/internal/fault"
 	"pwsr/internal/gen"
@@ -77,7 +78,8 @@ func TestDegradeBufferBridgesTransientOutage(t *testing.T) {
 	// once the window passes.
 	jw, mem := brokenWriter(t, wal.Options{GroupEvery: 1, SnapshotEvery: -1, MaxRetries: 1},
 		fault.Rule{Op: fault.OpSync, From: 2, Count: 3, Kind: fault.KindError, Msg: "transient outage"})
-	gate := sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(2), nil)
+	mon := core.NewMonitor(w.DataSets)
+	gate := sched.NewOptimisticCertifyOver(mon, sched.NewRandom(2), nil)
 	gate.AttachJournal(jw, sched.WithDegradeMode(sched.DegradeBuffer), sched.WithBufferCap(16))
 	_, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: w.Programs, Initial: w.Initial, Policy: gate, DataSets: w.DataSets,
@@ -102,7 +104,7 @@ func TestDegradeBufferBridgesTransientOutage(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
-	requireSameCertState(t, "buffered gate", rec, gate.Monitor(), len(w.DataSets))
+	requireSameCertState(t, "buffered gate", rec, mon, len(w.DataSets))
 }
 
 // TestDegradeBufferTripsToShed pins the buffering mode's bound: a
@@ -150,8 +152,9 @@ func TestTickInjectionPreservesVerdicts(t *testing.T) {
 	w := gen.MustGenerate(gen.Config{
 		Conjuncts: 2, Programs: 4, MovesPerProgram: 3, Style: gen.StyleFixed, Seed: 601,
 	})
-	run := func(inj *fault.Injector) (*exec.Result, *sched.OptimisticCertify) {
-		gate := sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(7), nil)
+	run := func(inj *fault.Injector) (*exec.Result, *core.Monitor) {
+		mon := core.NewMonitor(w.DataSets)
+		gate := sched.NewOptimisticCertifyOver(mon, sched.NewRandom(7), nil)
 		if inj != nil {
 			gate.SetFaultInjector(inj, "gate")
 		}
@@ -161,19 +164,19 @@ func TestTickInjectionPreservesVerdicts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, gate
+		return res, mon
 	}
-	want, wantGate := run(nil)
+	want, wantMon := run(nil)
 	inj := fault.NewInjector(fault.Plan{Rules: []fault.Rule{
 		{Site: "gate", Op: fault.OpTick, From: 1, Count: 4, Kind: fault.KindError},
 		{Site: "gate", Op: fault.OpTick, From: 7, Count: 2, Kind: fault.KindLatency, Latency: 100},
 	}})
-	got, gotGate := run(inj)
+	got, gotMon := run(inj)
 	if inj.Fired() == 0 {
 		t.Fatal("tick plan never fired")
 	}
 	if !reflect.DeepEqual(got.Schedule.Ops(), want.Schedule.Ops()) {
 		t.Fatalf("tick faults changed the schedule:\n got %v\nwant %v", got.Schedule, want.Schedule)
 	}
-	requireSameCertState(t, "tick-injected gate", gotGate.Monitor(), wantGate.Monitor(), len(w.DataSets))
+	requireSameCertState(t, "tick-injected gate", gotMon, wantMon, len(w.DataSets))
 }

@@ -3,7 +3,6 @@ package sched
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"pwsr/internal/exec"
@@ -25,15 +24,6 @@ const (
 	// the fast drain, trading their work for a prompt quiesce.
 	DrainAbort
 )
-
-// SnapshotCutter is the optional Journal extension Drain uses to cut a
-// final snapshot once the gate has quiesced: the log's recovery cost
-// collapses to the snapshot alone. wal.Writer implements it.
-type SnapshotCutter interface {
-	// CutSnapshot forces a segment rotation whose snapshot captures
-	// the journal's current replay state.
-	CutSnapshot() error
-}
 
 // lifecycle is the admission posture a gate carries once Drain or
 // Close has been called. All access runs under the gate's mutex.
@@ -65,7 +55,7 @@ func (g *gate) SetDrainPolicy(p DrainPolicy) {
 	g.lc.policy = p
 }
 
-// Drain implements exec.Drainer: refuse new transactions, settle the
+// Drain implements exec.Gate: refuse new transactions, settle the
 // in-flight ones per the drain policy (wait or abort), flush the
 // journal barrier, run a final compact pass, and cut a snapshot. The
 // gate mutex is released while waiting so the engine's tick loop
@@ -138,21 +128,19 @@ func (g *gate) Drain(ctx context.Context) error {
 	g.memo.global++
 	g.jn.ack()
 	if drainErr == nil && !g.jn.frozen() && g.jn.journal != nil {
-		if cutter, ok := g.jn.journal.(SnapshotCutter); ok {
-			if err := cutter.CutSnapshot(); err != nil {
-				drainErr = fmt.Errorf("sched: drain: snapshot cut: %w", err)
-			}
+		if err := g.jn.journal.CutSnapshot(); err != nil {
+			drainErr = fmt.Errorf("sched: drain: snapshot cut: %w", err)
 		}
 	}
 	return drainErr
 }
 
 // Close latches the terminal posture — every further admission is
-// refused with exec.ErrGateClosed — and closes the attached journal
-// when it has a Close. Idempotent. Close does not drain — call Drain
-// first for a graceful quiesce; Close alone abandons in-flight
-// transactions where they stand (the journal still holds their durable
-// prefix, so recovery sees them as live and retractable).
+// refused with exec.ErrGateClosed — and closes the attached journal.
+// Idempotent. Close does not drain — call Drain first for a graceful
+// quiesce; Close alone abandons in-flight transactions where they stand
+// (the journal still holds their durable prefix, so recovery sees them
+// as live and retractable).
 func (g *gate) Close() error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -161,8 +149,8 @@ func (g *gate) Close() error {
 	}
 	g.lc.closed = true
 	g.lc.draining = true
-	if cl, ok := g.jn.journal.(io.Closer); ok {
-		return cl.Close()
+	if g.jn.journal == nil {
+		return nil
 	}
-	return nil
+	return g.jn.journal.Close()
 }

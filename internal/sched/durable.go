@@ -14,44 +14,40 @@ import (
 )
 
 // Journal is the durability hook a certification gate writes ahead of
-// acknowledging grants: a lifecycle sink that receives every monitor
-// event plus a Barrier that reports whether everything acknowledged so
-// far can still be made durable. wal.Writer is the production
-// implementation; Barrier's contract is the write-ahead discipline —
-// a gate calls it after feeding a granted operation to the certifier
-// and refuses the grant when it fails.
+// acknowledging grants, and all the gate asks of it; wal.Writer is the
+// production implementation.
+//
+//   - The lifecycle sink receives every monitor event.
+//   - Barrier is the write-ahead discipline: a gate calls it after
+//     feeding a granted operation to the certifier and refuses the grant
+//     when it fails. It returns nil while the journal is healthy and the
+//     sticky fail-stop error once it is not.
+//   - Heal clears the fail-stop, rebuilding the active segment on a
+//     recovered or promoted backend; the buffered degradation mode drains
+//     through it. LoggedSeq, the last absorbed event, tells the gate
+//     whether an emission that barriered with an error is in the replay
+//     image: wal.Writer absorbs every event emitted while healthy (even
+//     one whose group flush failed) and none while fail-stopped.
+//   - CutSnapshot forces a segment rotation whose snapshot captures the
+//     replay state; Drain cuts one once the gate has quiesced.
+//   - Stats feeds the gate's Stats, and the gate's Close calls Close.
 type Journal interface {
 	core.LifecycleSink
-	// Barrier returns nil while the journal is healthy and the sticky
-	// fail-stop error once it is not.
 	Barrier() error
+	Heal() error
+	LoggedSeq() uint64
+	CutSnapshot() error
+	Stats() wal.Stats
+	Close() error
 }
 
 var _ Journal = (*wal.Writer)(nil)
 
-// Healer is the optional Journal extension the buffered degradation
-// mode drains through: Heal clears the journal's fail-stop (rebuilding
-// the active segment on a recovered or promoted backend), and
-// LoggedSeq, the last absorbed event, tells the gate whether an
-// emission that barriered with an error is in the replay image.
-// wal.Writer absorbs every event emitted while healthy (even one whose
-// group flush failed) and none while fail-stopped. A journal without
-// Heal buffers conservatively and can only trip to shed, never drain.
+// Healer is a subset of Journal no gate asserts, kept for
+// benchmark/benchmark_test.go:157 until ROADMAP item 8.
 type Healer interface {
-	// Heal attempts to clear the journal's fail-stop; nil means the
-	// journal accepts traffic again.
 	Heal() error
-	// LoggedSeq is the sequence number of the last absorbed event.
 	LoggedSeq() uint64
-}
-
-var _ Healer = (*wal.Writer)(nil)
-
-// journalStatter is the optional Journal extension the gates use to
-// surface durability counters in run metrics (wal.Writer implements
-// it).
-type journalStatter interface {
-	Stats() wal.Stats
 }
 
 // DegradeMode selects what a journaled gate does when the journal
@@ -72,7 +68,7 @@ const (
 	DegradeShed
 	// DegradeBuffer bridges the outage through a bounded in-memory
 	// admission queue: grants keep flowing while the queue holds every
-	// un-absorbed event, and the queue drains through Healer.Heal once
+	// un-absorbed event, and the queue drains through Journal.Heal once
 	// the backend recovers or a standby is promoted. Overflowing the
 	// queue trips the gate to shed. The trade is bounded durability
 	// exposure — up to WithBufferCap acknowledged admissions ride on
@@ -230,16 +226,10 @@ func (j *journaled) forward(ev bufferedEvent) {
 		j.enqueue(ev)
 		return
 	}
-	h, healer := j.journal.(Healer)
-	var before uint64
-	if healer {
-		before = h.LoggedSeq()
-	}
+	before := j.journal.LoggedSeq()
 	j.emit(ev)
-	if j.journal.Barrier() != nil {
-		if !healer || h.LoggedSeq() == before {
-			j.enqueue(ev)
-		}
+	if j.journal.Barrier() != nil && j.journal.LoggedSeq() == before {
+		j.enqueue(ev)
 	}
 }
 
@@ -310,22 +300,16 @@ func (j *journaled) ack() bool {
 // tryHealDrain attempts to bring the journal back and replay the
 // admission queue through it, returning true when the journal is
 // healthy and the queue is empty. It heals on every call while the
-// journal is down; a journal without Healer can never drain (its
-// queue only grows until the gate trips to shed — conservative, and
-// safe because nothing queued is ever double-applied).
+// journal is down.
 func (j *journaled) tryHealDrain() bool {
-	h, ok := j.journal.(Healer)
-	if !ok {
-		return false
-	}
-	if j.journal.Barrier() != nil && h.Heal() != nil {
+	if j.journal.Barrier() != nil && j.journal.Heal() != nil {
 		return false
 	}
 	for len(j.queue) > 0 {
-		before := h.LoggedSeq()
+		before := j.journal.LoggedSeq()
 		j.emit(j.queue[0])
 		if j.journal.Barrier() != nil {
-			if h.LoggedSeq() > before {
+			if j.journal.LoggedSeq() > before {
 				// Absorbed into the replay image; the next heal's rebase
 				// makes it durable — do not replay it again.
 				j.queue = j.queue[1:]
@@ -438,8 +422,8 @@ func (j *journaled) health() exec.Health {
 	default:
 		h.Mode = exec.ModeOK
 	}
-	if s, ok := j.journal.(journalStatter); ok {
-		st := s.Stats()
+	if j.journal != nil {
+		st := j.journal.Stats()
 		h.Promotions = st.Failovers
 		h.Heals = st.Heals
 	}
@@ -447,13 +431,12 @@ func (j *journaled) health() exec.Health {
 }
 
 // logStats surfaces the attached journal's counters (zero without a
-// stats-reporting journal).
+// journal).
 func (j *journaled) logStats() exec.LogStats {
-	s, ok := j.journal.(journalStatter)
-	if !ok {
+	if j.journal == nil {
 		return exec.LogStats{}
 	}
-	st := s.Stats()
+	st := j.journal.Stats()
 	return exec.LogStats{
 		Records:         st.Records,
 		LogBytes:        st.LogBytes,
@@ -476,8 +459,8 @@ func (g *gate) AttachJournal(j Journal, opts ...JournalOption) {
 	g.jn.attach(g.memo.mon, j, opts...)
 }
 
-// Journal returns the attached journal, or nil (close it when the run
-// is over — the gate barriers but never closes).
+// Journal returns the attached journal, or nil (the gate's Close closes
+// it; Drain does not).
 func (g *gate) Journal() Journal { return g.jn.journal }
 
 // JournalErr returns the sticky journal error that froze or degraded
@@ -503,7 +486,7 @@ func (g *gate) health() exec.Health {
 // explicit monitor — the recovery path: rebuild the monitor with
 // wal.Resume, then gate new traffic over it with the resumed journal
 // attached.
-func NewCertifyOver(mon *core.Monitor, inner exec.Policy) *Certify {
+func NewCertifyOver(mon Certifier, inner exec.Policy) *Certify {
 	return &Certify{gate: gate{Inner: inner, memo: verdictMemo{mon: mon}}}
 }
 

@@ -16,9 +16,8 @@ import (
 	"pwsr/internal/wal"
 )
 
-// durableCertifier is the read-only slice of sched.Certifier the
-// recovery comparisons need, satisfied by *core.Monitor and both gate
-// monitors.
+// durableCertifier is the read-only slice of *core.Monitor the
+// recovery comparisons need.
 type durableCertifier interface {
 	PWSR() bool
 	Ops() int
@@ -67,7 +66,8 @@ func TestDurableGateJournalsAndRecovers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gate := sched.NewCertify(w.DataSets, sched.NewRandom(seed))
+		mon := core.NewMonitor(w.DataSets)
+		gate := sched.NewCertifyOver(mon, sched.NewRandom(seed))
 		gate.AttachJournal(jw)
 		res, err := exec.RunCtx(context.Background(), exec.Config{
 			Programs: w.Programs,
@@ -95,7 +95,7 @@ func TestDurableGateJournalsAndRecovers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("recover: %v", err)
 		}
-		requireSameCertState(t, "blocking gate", rec, gate.Monitor(), len(w.DataSets))
+		requireSameCertState(t, "blocking gate", rec, mon, len(w.DataSets))
 	}
 	if !completed {
 		t.Fatal("no seed completed under the journaled gate")
@@ -114,7 +114,8 @@ func TestOptimisticDurableGateRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate := sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(2), nil)
+	mon := core.NewMonitor(w.DataSets)
+	gate := sched.NewOptimisticCertifyOver(mon, sched.NewRandom(2), nil)
 	gate.AttachJournal(jw)
 	res, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: w.Programs,
@@ -135,7 +136,7 @@ func TestOptimisticDurableGateRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
-	requireSameCertState(t, "optimistic gate", rec, gate.Monitor(), len(w.DataSets))
+	requireSameCertState(t, "optimistic gate", rec, mon, len(w.DataSets))
 }
 
 // TestResumeCertifyContinues crashes a journaled gate between two
@@ -155,7 +156,8 @@ func TestResumeCertifyContinues(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gate := sched.NewCertify(w.DataSets, sched.NewRandom(seed))
+		mon := core.NewMonitor(w.DataSets)
+		gate := sched.NewCertifyOver(mon, sched.NewRandom(seed))
 		gate.AttachJournal(jw)
 		if _, err := exec.RunCtx(context.Background(), exec.Config{
 			Programs: w.Programs, Initial: w.Initial, Policy: gate, DataSets: w.DataSets,
@@ -176,9 +178,10 @@ func TestResumeCertifyContinues(t *testing.T) {
 		}
 		// Resume compacts before cutting its baseline; mirror the pass on
 		// the crashed gate's monitor so the lineages stay comparable.
-		gate.Monitor().SetSink(nil)
-		gate.Monitor().Compact()
-		requireSameCertState(t, "resumed gate", resumed.Monitor(), gate.Monitor(), len(w.DataSets))
+		mon.SetSink(nil)
+		mon.Compact()
+		resumedMon := resumed.Monitor().(*core.Monitor) // what wal.Resume rebuilt
+		requireSameCertState(t, "resumed gate", resumedMon, mon, len(w.DataSets))
 
 		// Phase two: the same programs under fresh transaction ids.
 		phase2 := make(map[int]*program.Program, len(w.Programs))
@@ -201,7 +204,7 @@ func TestResumeCertifyContinues(t *testing.T) {
 		if err != nil {
 			t.Fatalf("final recover: %v", err)
 		}
-		requireSameCertState(t, "after phase two", rec, resumed.Monitor(), len(w.DataSets))
+		requireSameCertState(t, "after phase two", rec, resumedMon, len(w.DataSets))
 	}
 	if !completed {
 		t.Fatal("no seed completed both phases")

@@ -11,9 +11,9 @@ import (
 // the mutex serializing the entry points, the verdict memo over the
 // certifier (memo.mon), the journal, the fault hook and the lifecycle
 // posture. The operations every gate offers — journal, fault hook,
-// drain and close, batch admission, the watermark and the stats
-// snapshot — are its methods, written once; each gate type adds only
-// its Pick, its abort bookkeeping and its Monitor.
+// drain and close, batch admission, the watermark, the stats snapshot
+// and the certifier — are its methods, written once; each gate type
+// adds only its Pick and its abort bookkeeping.
 type gate struct {
 	// Inner picks among the admissible requests.
 	Inner exec.Policy
@@ -45,26 +45,20 @@ type gate struct {
 	memo verdictMemo
 }
 
-// The certification gates implement the engines' optional extensions
-// through the embedded gate; Canceler comes from each type's
-// TxnCanceled.
+// Both certification gates are whole exec.Gates through the embedded
+// gate and their own Pick, TxnFinished and TxnCanceled; the optimistic
+// one is also the engines' Restarter.
 var (
-	_ exec.Drainer           = (*Certify)(nil)
-	_ exec.Drainer           = (*OptimisticCertify)(nil)
-	_ exec.Canceler          = (*Certify)(nil)
-	_ exec.Canceler          = (*OptimisticCertify)(nil)
-	_ exec.BatchGate         = (*Certify)(nil)
-	_ exec.BatchGate         = (*OptimisticCertify)(nil)
-	_ exec.WatermarkReporter = (*Certify)(nil)
-	_ exec.WatermarkReporter = (*OptimisticCertify)(nil)
-	_ exec.StatsReporter     = (*Certify)(nil)
-	_ exec.StatsReporter     = (*OptimisticCertify)(nil)
+	_ exec.Gate      = (*Certify)(nil)
+	_ exec.Gate      = (*OptimisticCertify)(nil)
+	_ exec.Restarter = (*OptimisticCertify)(nil)
 )
 
-// certifier hands out the gate's certifier, moving the global epoch:
-// whatever the caller does through it reaches the certifier without
-// naming a conjunct to the memo.
-func (g *gate) certifier() Certifier {
+// Monitor exposes the gate's certifier, for inspection after a run. To
+// change certification state through it while a run is ticking, fetch
+// it anew before each change: handing the certifier out moves the global
+// epoch, which invalidates the verdicts the gate carries between ticks.
+func (g *gate) Monitor() Certifier {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.memo.global++
@@ -91,21 +85,11 @@ func (g *gate) pick(pending []*exec.Request, v *exec.View, solo int, delayedRead
 // retract rolls transaction id's attempt out of certification state,
 // under the gate mutex, so the certifier again equals a fresh replay of
 // the surviving schedule: retraction, the memo's epochs, the journal
-// barrier, then the inner policy — told of a cancel when canceled is
-// set and it is an exec.Canceler, of an abort otherwise.
-func (g *gate) retract(id int, v *exec.View, canceled bool) {
+// barrier. The inner policy only picks; it is not told of aborts.
+func (g *gate) retract(id int) {
 	g.memo.mon.Retract(id)
 	g.memo.settle(id)
 	g.jn.ack()
-	if canceled {
-		if cc, ok := g.Inner.(exec.Canceler); ok {
-			cc.TxnCanceled(id, v)
-			return
-		}
-	}
-	if ra, ok := g.Inner.(exec.Restarter); ok {
-		ra.TxnAborted(id, v)
-	}
 }
 
 // finish commits the finished transaction to the certifier, under the
@@ -120,7 +104,7 @@ func (g *gate) finish(id int, v *exec.View) {
 	g.Inner.TxnFinished(id, v)
 }
 
-// Stats implements exec.StatsReporter: the certifier's lifecycle
+// Stats implements exec.Gate: the certifier's lifecycle
 // counters, the journal's counters and the gate's health,
 // snapshotted under one hold of the gate mutex, so an engine's harvest
 // never races another engine ticking or admitting through the same

@@ -15,9 +15,7 @@ import (
 
 // journaledGate is what these tests drive on every gate kind.
 type journaledGate interface {
-	exec.Policy
-	exec.BatchGate
-	exec.StatsReporter
+	exec.Gate
 	AttachJournal(j Journal, opts ...JournalOption)
 	Health() exec.Health
 }

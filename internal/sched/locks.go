@@ -7,12 +7,24 @@
 // blocks reads from transactions that have not finished (Section 3.2's
 // ACA-like restriction).
 //
+// # The gate contracts
+//
+// The certification gates (Certify and OptimisticCertify) are each a
+// whole exec.Gate — the one contract the engines assert, once, when a
+// run or engine starts — and OptimisticCertify is also an
+// exec.Restarter. Downstream, a gate asks one complete Journal of its
+// write-ahead log (the sink, Barrier, Heal, LoggedSeq, CutSnapshot,
+// Stats and Close) and one Certifier of its monitor; neither is probed
+// for optional methods. The inner policy only picks among the
+// admissible requests: it is told of finishes, never of aborts or
+// cancels.
+//
 // # Lifecycle: cancellation, deadlines, and drain
 //
-// The certification gates (Certify and OptimisticCertify) take no
-// context on their admission paths: the engines check theirs between
-// scheduling steps and before every batch commit turn, so a cancelled run or batch never reaches the
-// gate and a refused admission leaves no trace. The gates shut down in
+// The certification gates take no context on their admission paths:
+// the engines check theirs between scheduling steps and before every
+// batch commit turn, so a cancelled run or batch never reaches the gate
+// and a refused admission leaves no trace. The gates shut down in
 // two stages. Drain stops new transactions (refusals carry
 // exec.ErrDraining), settles in-flight ones per the DrainPolicy —
 // DrainWait lets them finish, DrainAbort retracts them immediately —
@@ -26,7 +38,8 @@
 // grant is acknowledged only after its record reaches the journal, so
 // a cancellation can never manufacture a granted-but-unlogged
 // admission or lose a logged one. Cancel equals abort: a cancelled
-// run's in-flight transactions are retracted through TxnCanceled —
+// (or failed) run's in-flight transactions are retracted through
+// TxnCanceled —
 // the same journaled Retract path a policy abort takes — so the
 // monitor and the WAL end in exactly the state a completed run that
 // aborted those transactions would have left, and wal.Resume recovers

@@ -13,6 +13,7 @@ import (
 	"pwsr/internal/program"
 	"pwsr/internal/state"
 	"pwsr/internal/txn"
+	"pwsr/internal/wal"
 )
 
 // maskAudit wraps a certification gate and, at every Pick, recomputes
@@ -140,14 +141,13 @@ func (a *maskAudit) TxnAborted(id int, v *exec.View) {
 
 // meddleGate is the audit's hazard injection: between ticks it admits a
 // whole foreign writer through AdmitTxn, and plants and later retracts
-// an uncommitted one through the certifier Monitor() hands out (fetched
-// through the gates' shared certifier(), which Monitor() wraps: the
-// audit's counting wrapper is no *core.Monitor). Either denies the
-// pending write of a transaction that already read the item.
+// an uncommitted one through the certifier Monitor() hands out (the
+// audit's counting wrapper). Either denies the pending write of a
+// transaction that already read the item.
 func meddleGate(a *maskAudit, pending []*exec.Request) {
 	item := pending[a.tick%len(pending)].Entity
 	monitor := func() Certifier {
-		return a.gate.(interface{ certifier() Certifier }).certifier()
+		return a.gate.(interface{ Monitor() Certifier }).Monitor()
 	}
 	switch {
 	case a.tick%5 == 0:
@@ -436,45 +436,85 @@ func TestVerdictMemoOutsideItemsBounded(t *testing.T) {
 	}
 }
 
-// TestOptimisticForgetsFailedRun: a program error ends a run without
-// telling the gate, here while T2 is solo. The next run's view must drop
-// what the failed run left — its solo, abort counts, phase marks and
-// touched lists — or the gate opens nothing for the new transactions and
-// the run burns its abort budget.
+// soloAtCancel records the gate's solo transaction when the first
+// TxnCanceled reaches it, before the gate settles anything.
+type soloAtCancel struct {
+	*OptimisticCertify
+	solo, cancels int
+}
+
+func (s *soloAtCancel) TxnCanceled(id int, v *exec.View) {
+	if s.cancels++; s.cancels == 1 {
+		s.solo = s.OptimisticCertify.solo
+	}
+	s.OptimisticCertify.TxnCanceled(id, v)
+}
+
+// TestOptimisticForgetsFailedRun: a program error ends a run, here
+// while T2 is solo. The engine settles the failed run's live attempts
+// through TxnCanceled, so the certifier (and the journal, whose resumed
+// monitor is checked too) holds none of them in flight; and the next
+// run's view must drop whatever else the failed run left — its abort
+// counts, phase marks and touched lists — or the gate opens nothing
+// for the new transactions and the run burns its abort budget.
 func TestOptimisticForgetsFailedRun(t *testing.T) {
 	partition := []state.ItemSet{state.NewItemSet("a", "b")}
-	gate := NewOptimisticCertify(partition, &RoundRobin{}, nil)
-	gate.SoloThreshold = 1
-	initial := state.NewDB()
-	initial.Set("a", stateInt(0))
-	initial.Set("b", stateInt(0))
-	_, err := exec.RunCtx(context.Background(), exec.Config{
-		Programs: map[int]*program.Program{
-			1: program.MustParse(`program P1 { a := b + 1; }`),
-			2: program.MustParse(`program P2 { b := a + 1; q := 1 / 0; }`),
-		},
-		Initial: initial, Policy: gate, DataSets: partition,
-	})
-	if err == nil || !strings.Contains(err.Error(), "division by zero") {
-		t.Fatalf("run 1: err = %v, want the division by zero", err)
-	}
-	if gate.solo != 2 {
-		t.Fatalf("vacuous: run 1 failed with solo = %d, want T2 solo", gate.solo)
-	}
-	res, err := exec.RunCtx(context.Background(), exec.Config{
-		Programs: map[int]*program.Program{
-			3: program.MustParse(`program P3 { a := a + 1; }`),
-			4: program.MustParse(`program P4 { b := b + 1; }`),
-		},
-		Initial: initial, Policy: gate, DataSets: partition, MaxAborts: 50,
-	})
-	if err != nil {
-		t.Fatalf("run 2 after the failed run: %v", err)
-	}
-	if got := len(res.Schedule.Ops()); got != 4 {
-		t.Fatalf("run 2 granted %d operations, want 4:\n%s", got, res.Schedule)
-	}
-	if gate.solo != 0 || len(gate.aborts) != 0 || len(gate.phase) != 0 || len(gate.memo.touched) != 0 {
-		t.Fatalf("run 2 left solo %d, aborts %v, phase %v, touched %v", gate.solo, gate.aborts, gate.phase, gate.memo.touched)
+	for _, journaled := range []bool{false, true} {
+		name := fmt.Sprintf("journaled=%v", journaled)
+		gate := NewOptimisticCertify(partition, &RoundRobin{}, nil)
+		gate.SoloThreshold = 1
+		b, opts := wal.NewMemBackend(), wal.Options{GroupEvery: 1}
+		if journaled {
+			w, err := wal.NewWriter(b, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gate.AttachJournal(w)
+		}
+		initial := state.NewDB()
+		initial.Set("a", stateInt(0))
+		initial.Set("b", stateInt(0))
+		rec := &soloAtCancel{OptimisticCertify: gate}
+		_, err := exec.RunCtx(context.Background(), exec.Config{
+			Programs: map[int]*program.Program{
+				1: program.MustParse(`program P1 { a := b + 1; }`),
+				2: program.MustParse(`program P2 { b := a + 1; q := 1 / 0; }`),
+			},
+			Initial: initial, Policy: rec, DataSets: partition,
+		})
+		if err == nil || !strings.Contains(err.Error(), "division by zero") {
+			t.Fatalf("%s: run 1: err = %v, want the division by zero", name, err)
+		}
+		if live := gate.Monitor().InFlightTxnIDs(); len(live) != 0 {
+			t.Fatalf("%s: the failed run left %v in flight in the certifier", name, live)
+		}
+		if rec.solo != 2 {
+			t.Fatalf("%s: vacuous: run 1 failed with solo = %d, want T2 solo", name, rec.solo)
+		}
+		if journaled {
+			mon, _, _, err := wal.Resume(b, partition, opts)
+			if err != nil {
+				t.Fatalf("%s: resume: %v", name, err)
+			}
+			if live := mon.InFlightTxnIDs(); len(live) != 0 {
+				t.Fatalf("%s: the journal recovers the failed run's %v in flight", name, live)
+			}
+		}
+		res, err := exec.RunCtx(context.Background(), exec.Config{
+			Programs: map[int]*program.Program{
+				3: program.MustParse(`program P3 { a := a + 1; }`),
+				4: program.MustParse(`program P4 { b := b + 1; }`),
+			},
+			Initial: initial, Policy: gate, DataSets: partition, MaxAborts: 50,
+		})
+		if err != nil {
+			t.Fatalf("%s: run 2 after the failed run: %v", name, err)
+		}
+		if got := len(res.Schedule.Ops()); got != 4 {
+			t.Fatalf("%s: run 2 granted %d operations, want 4:\n%s", name, got, res.Schedule)
+		}
+		if gate.solo != 0 || len(gate.aborts) != 0 || len(gate.phase) != 0 || len(gate.memo.touched) != 0 {
+			t.Fatalf("%s: run 2 left solo %d, aborts %v, phase %v, touched %v", name, gate.solo, gate.aborts, gate.phase, gate.memo.touched)
+		}
 	}
 }

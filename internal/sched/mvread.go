@@ -37,7 +37,7 @@ package sched
 // so snapshot retention and certification-state retention follow the
 // same low-watermark argument.
 
-// CompactWatermark implements exec.WatermarkReporter: the highest
+// CompactWatermark implements exec.Gate: the highest
 // transaction id the certifier's Compact has physically reclaimed (0
 // before any pass), the retention anchor of the multiversion read path.
 func (g *gate) CompactWatermark() int {

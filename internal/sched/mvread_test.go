@@ -9,11 +9,13 @@ import (
 	"pwsr/internal/sched"
 	"pwsr/internal/state"
 	"pwsr/internal/txn"
+	"pwsr/internal/wal"
 )
 
-// scriptedJournal is a lifecycle sink whose Barrier returns a scripted
+// scriptedJournal is a journal whose Barrier returns a scripted
 // sequence of results (the last repeats) and counts how often it was
-// probed — the fixture for the single-probe health contract.
+// probed — the fixture for the single-probe health contract. The rest
+// of sched.Journal does nothing.
 type scriptedJournal struct {
 	calls int
 	errs  []error
@@ -23,6 +25,11 @@ func (j *scriptedJournal) LogObserve(o txn.Op)                                  
 func (j *scriptedJournal) LogCommit(txnID int)                                    {}
 func (j *scriptedJournal) LogRetract(txnID int)                                   {}
 func (j *scriptedJournal) LogCompact(reclaimed []int, s core.CompactStats, n int) {}
+func (j *scriptedJournal) Heal() error                                            { return nil }
+func (j *scriptedJournal) LoggedSeq() uint64                                      { return 0 }
+func (j *scriptedJournal) CutSnapshot() error                                     { return nil }
+func (j *scriptedJournal) Stats() wal.Stats                                       { return wal.Stats{} }
+func (j *scriptedJournal) Close() error                                           { return nil }
 func (j *scriptedJournal) Barrier() error {
 	i := j.calls
 	j.calls++
@@ -66,26 +73,20 @@ func TestHealthProbesBarrierOnce(t *testing.T) {
 }
 
 // TestGatesReportCompactWatermark drives an id-ordered batch commit
-// stream through each certification gate and checks the new
-// exec.WatermarkReporter hook: with compaction on every commit the
-// reported watermark must reach the last reclaimed transaction — the
-// retention anchor the multiversion read path's version GC follows.
+// stream through each certification gate and checks exec.Gate's
+// CompactWatermark: with compaction on every commit the reported
+// watermark must reach the last reclaimed transaction — the retention
+// anchor the multiversion read path's version GC follows.
 func TestGatesReportCompactWatermark(t *testing.T) {
 	partition := []state.ItemSet{state.NewItemSet("x")}
 	gates := []struct {
-		name string
-		mk   func() interface {
-			exec.BatchGate
-			exec.WatermarkReporter
-		}
+		name    string
+		mk      func() exec.Gate
 		compact func(g any)
 	}{
 		{
 			name: "certify",
-			mk: func() interface {
-				exec.BatchGate
-				exec.WatermarkReporter
-			} {
+			mk: func() exec.Gate {
 				g := sched.NewCertify(partition, &sched.Serial{})
 				g.Monitor().SetAutoCompact(1)
 				return g
@@ -93,10 +94,7 @@ func TestGatesReportCompactWatermark(t *testing.T) {
 		},
 		{
 			name: "optimistic",
-			mk: func() interface {
-				exec.BatchGate
-				exec.WatermarkReporter
-			} {
+			mk: func() exec.Gate {
 				g := sched.NewOptimisticCertify(partition, &sched.Serial{}, nil)
 				g.Monitor().SetAutoCompact(1)
 				return g

@@ -118,14 +118,6 @@ func NewOptimisticCertify(partition []state.ItemSet, inner exec.Policy, victim V
 	return NewOptimisticCertifyOver(core.NewMonitor(partition), inner, victim)
 }
 
-// Monitor exposes the gate's certifier, for inspection after a run. To
-// change certification state through it while a run is ticking, fetch it
-// anew before each change: handing the certifier out is what invalidates
-// the verdicts the gate carries between ticks.
-func (c *OptimisticCertify) Monitor() Certifier {
-	return c.certifier()
-}
-
 // Pick implements exec.Policy like Certify.Pick, with the cascadeless
 // discipline layered in: a request must pass both the delayed-read
 // rule and the certifier before the inner policy may choose it; the
@@ -233,10 +225,10 @@ func (c *OptimisticCertify) TxnAborted(id int, v *exec.View) {
 	if c.solo == 0 && c.aborts[id] >= threshold {
 		c.solo = id
 	}
-	c.retract(id, v, false)
+	c.retract(id)
 }
 
-// TxnCanceled implements exec.Canceler: the cancelled attempt is
+// TxnCanceled implements exec.Gate: the cancelled attempt is
 // retracted exactly as a sacrificed victim would be, and its
 // per-transaction lifecycle state (abort count, solo escalation) is
 // dropped — cancel equals abort, minus the restart.
@@ -244,7 +236,7 @@ func (c *OptimisticCertify) TxnCanceled(id int, v *exec.View) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.forget(id)
-	c.retract(id, v, true)
+	c.retract(id)
 }
 
 // TxnFinished implements exec.Policy: the finished transaction is

@@ -126,7 +126,8 @@ func TestOptimisticNeverStalls(t *testing.T) {
 		if trial%2 == 1 {
 			victim = sched.VictimFewestOps
 		}
-		opt := sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(innerSeed), victim)
+		mon := core.NewMonitor(w.DataSets)
+		opt := sched.NewOptimisticCertifyOver(mon, sched.NewRandom(innerSeed), victim)
 		res, err := exec.RunCtx(context.Background(), exec.Config{
 			Programs: w.Programs, Initial: w.Initial, Policy: opt, DataSets: w.DataSets,
 		})
@@ -170,7 +171,7 @@ func TestOptimisticNeverStalls(t *testing.T) {
 			t.Fatalf("trial %d: recorded schedule rejected on replay: %v", trial, v)
 		}
 		for e := range w.DataSets {
-			got, want := opt.Monitor().ConflictEdges(e), fresh.ConflictEdges(e)
+			got, want := mon.ConflictEdges(e), fresh.ConflictEdges(e)
 			if len(got) != len(want) {
 				t.Fatalf("trial %d: conjunct %d edge count %d vs fresh %d", trial, e, len(got), len(want))
 			}

@@ -38,6 +38,7 @@ type Certifier interface {
 	CompactWatermark() int
 	// SetAutoCompact sets the automatic compaction threshold (passes
 	// per n commits; n ≤ 0 disables), returning the previous value.
+	// Kept for benchmark/pipeline.go:56 until ROADMAP item 8.
 	SetAutoCompact(n int) int
 	// Partition returns the conjunct partition certified over; the gates
 	// learn from it which conjuncts an item's verdicts depend on.
@@ -45,27 +46,20 @@ type Certifier interface {
 	// ProbeStats is kept for benchmark/pipeline.go:179 until ROADMAP
 	// item 8; always zero.
 	ProbeStats() core.ProbeStats
-	// PWSR reports whether everything observed so far is PWSR.
+	// PWSR, Violation and Ops are kept for benchmark/run.go:384–385
+	// and :466 until ROADMAP item 8. PWSR reports whether everything
+	// observed so far is PWSR, Violation returns the first violation
+	// (or nil), and Ops the number of surviving observed operations.
 	PWSR() bool
-	// Violation returns the first violation, or nil.
 	Violation() *core.Violation
-	// Ops returns the number of surviving observed operations.
 	Ops() int
-	// ConflictEdges returns conjunct e's conflict edges, sorted.
-	ConflictEdges(e int) [][2]int
 	// SetSink installs the lifecycle sink receiving every applied
 	// event (the write-ahead journal hook), returning the previous
 	// sink.
 	SetSink(s core.LifecycleSink) core.LifecycleSink
-	// CheckedObserve is Observe with lifecycle-contract panics
-	// converted to errors — the replay-facing entry point: a malformed
-	// log record surfaces as a typed error a recovering gate can
-	// reject instead of crashing on.
-	CheckedObserve(o txn.Op) (*core.Violation, error)
-	// CheckedRetract is Retract with contract panics as errors.
+	// CheckedRetract is Retract with lifecycle-contract panics as
+	// errors: Drain retracts through it.
 	CheckedRetract(txnID int) error
-	// CheckedCommit is Commit with contract panics as errors.
-	CheckedCommit(txnID int) error
 	// LiveTxnIDs returns the sorted ids of the monitor-resident
 	// transactions — committed-but-unreclaimed ones included, since
 	// residency lasts until a compaction pass reclaims them.

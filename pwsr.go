@@ -318,20 +318,15 @@ const (
 	DrainAbort = sched.DrainAbort
 )
 
-// Drainer is the graceful-shutdown surface of the certification
-// gates: Drain stops new admissions, settles in-flight transactions
-// per the drain policy, flushes the journal barrier, runs a final
-// compact pass, and cuts a recovery snapshot. It always terminates
-// within the context's deadline, returning nil on a complete drain or
-// a typed ErrCanceled/ErrDeadline error on the remainder.
-type Drainer = exec.Drainer
-
-// AsDrainer reports whether a policy supports graceful drain; the
-// certification gates (NewCertify, NewOptimisticCertify) do.
-func AsDrainer(p Policy) (Drainer, bool) {
-	d, ok := p.(Drainer)
-	return d, ok
-}
+// Gate is a certification gate (NewCertify, NewOptimisticCertify): a
+// Policy for Run and a BatchGate for RunParallel that is also told of
+// cancelled attempts and drains gracefully — Drain stops new
+// admissions, settles in-flight transactions per the drain policy,
+// flushes the journal barrier, runs a final compact pass, and cuts a
+// recovery snapshot, always within the context's deadline, returning
+// nil on a complete drain or a typed ErrCanceled/ErrDeadline error on
+// the remainder. See exec.Gate for the whole contract.
+type Gate = exec.Gate
 
 // Health is a journaled gate's live degradation posture: current mode,
 // queue depth, shed/buffered/dropped admission counts, failover
@@ -369,7 +364,7 @@ func NewDegree2() Policy { return sched.NewDegree2() }
 // only ever sees operations whose admission keeps every conjunct's
 // projection serializable. Schedules it produces are PWSR by
 // construction; an infeasible conflict pattern stalls the run.
-func NewCertify(partition []ItemSet, inner Policy) Policy {
+func NewCertify(partition []ItemSet, inner Policy) Gate {
 	return sched.NewCertify(partition, inner)
 }
 
@@ -397,7 +392,7 @@ var (
 // (delayed reads), so its schedules are PWSR and DR by construction —
 // for correct programs, strongly correct by Theorem 2 — and feasible
 // runs never stall.
-func NewOptimisticCertify(partition []ItemSet, inner Policy, victim VictimPolicy) Policy {
+func NewOptimisticCertify(partition []ItemSet, inner Policy, victim VictimPolicy) Gate {
 	return sched.NewOptimisticCertify(partition, inner, victim)
 }
 
@@ -408,14 +403,6 @@ type ParallelRunConfig = exec.ParallelConfig
 // BatchGate admits whole transactions at the parallel engine's commit
 // point.
 type BatchGate = exec.BatchGate
-
-// AsBatchGate reports whether a policy can certify batch commits for
-// RunParallel; the certification gates (NewCertify,
-// NewOptimisticCertify) can.
-func AsBatchGate(p Policy) (BatchGate, bool) {
-	g, ok := p.(BatchGate)
-	return g, ok
-}
 
 // RunParallel executes a batch of independent programs with the
 // block-parallel engine: workers run programs speculatively against a

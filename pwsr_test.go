@@ -87,12 +87,8 @@ func TestPublicAPIParallelRun(t *testing.T) {
 		pwsr.NewItemSet("x1", "x2", "x3", "x4", "x5", "x6"),
 		pwsr.NewItemSet("h"),
 	}
-	mkGate := func() pwsr.BatchGate {
-		gate, ok := pwsr.AsBatchGate(pwsr.NewOptimisticCertify(partition, pwsr.NewSerialPolicy(), nil))
-		if !ok {
-			t.Fatal("NewOptimisticCertify must be usable as a batch gate")
-		}
-		return gate
+	mkGate := func() pwsr.Gate {
+		return pwsr.NewOptimisticCertify(partition, pwsr.NewSerialPolicy(), nil)
 	}
 	want, err := pwsr.RunParallel(context.Background(), pwsr.ParallelRunConfig{
 		Initial: initial, Gate: mkGate(), Workers: 1,
