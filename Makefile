@@ -56,12 +56,13 @@ bench-wal:
 # offset and recovers each prefix, TestGroupFlushFaults fails group
 # flushes at GroupEvery 2 and 16 with and without a standby — under the
 # race detector at pinned GOMAXPROCS=1 and 8, plus the journaled-gate
-# tests in sched.
+# tests in sched, TestAcknowledgedCommitsDurable among them (a returned
+# run's commits survive a machine crash).
 .PHONY: crash-matrix
 crash-matrix:
 	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/wal
 	GOMAXPROCS=8 $(GO) test -race -count=1 ./internal/wal
-	$(GO) test -race -count=1 -run 'TestDurableGate|TestOptimisticDurableGate|TestResumeCertify|TestJournalFailStop|TestDegrade|TestTickInjection' ./internal/sched
+	$(GO) test -race -count=1 -run 'TestDurableGate|TestOptimisticDurableGate|TestResumeCertify|TestJournalFailStop|TestDegrade|TestTickInjection|TestAcknowledgedCommitsDurable' ./internal/sched
 
 # chaos is the fault-injection differential (ROBUST1): ≥100 seeded
 # randomized fault plans over the full pipeline — gate, journal,

@@ -257,9 +257,13 @@
 // retraction), so the monitor, the WAL, and the versioned store's
 // retention floor end in exactly the state a completed run that
 // aborted those transactions would have left — wal.Resume recovers a
-// verdict-identical monitor either way. A run that fails on a program
-// error settles its in-flight transactions the same way, so it leaves
-// no trace in the certifier either.
+// verdict-identical monitor either way. A run that fails — on a
+// program error, a stall or a journal outage — settles its in-flight
+// transactions the same way, so it leaves no trace in the certifier
+// either. Durability is owed at acknowledgment: every run exit calls
+// the gate's Settle, so the commits a returned Result reports are
+// durable even under group commit, where a grant's record may sit in
+// memory until its group of commits fills.
 //
 // The gates shut down in two stages. Drain (every Gate has it)
 // stops new admissions — refused with ErrDraining — then settles

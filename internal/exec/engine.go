@@ -379,15 +379,21 @@ type GateStats struct {
 //   - CompactWatermark is the highest transaction id compaction has
 //     reclaimed (0 before any); ParallelEngine anchors its store's
 //     version GC to it (VersionedStore.SetRetainFloor).
-//   - Stats snapshots the counters the engines store in Metrics.Gate;
-//     the tick engine reads its Health to attribute a stall to a
-//     journal outage or to the gate's posture.
+//   - Settle is called once at every exit of a run that started
+//     (RunCtx's epilogue, each ParallelEngine batch), after the run's
+//     last TxnFinished or TxnCanceled, and returns once every commit the
+//     run reports is durable. Its error fails a run that had a Result to
+//     return; a gate without a journal returns nil.
+//   - Stats snapshots the counters the engines store in Metrics.Gate,
+//     after Settle; the tick engine reads its Health to attribute a
+//     stall to a journal outage or to the gate's posture.
 type Gate interface {
 	Policy
 	BatchGate
 	TxnCanceled(id int, v *View)
 	Drain(ctx context.Context) error
 	CompactWatermark() int
+	Settle() error
 	Stats() GateStats
 }
 
@@ -616,9 +622,11 @@ var runStates = sync.Pool{New: func() any { return new(runState) }}
 // transactions not yet served at the cancellation point are skipped.
 // Cancellation is detected between scheduling steps, so exactly the
 // grants journaled before the detection point are kept: never a
-// partial one. A run that fails on a program error returns no Result,
-// but settles a Gate the same way: TxnCanceled for every transaction
-// still live.
+// partial one. A run that fails — on a program error, a stall or a
+// journal outage — returns no Result, but settles a Gate the same way:
+// TxnCanceled for every transaction still live. Every exit then calls
+// the Gate's Settle, so the commits a returned Result reports are
+// durable; a Settle error replaces the Result.
 func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	rs := runStates.Get().(*runState)
 	defer runStates.Put(rs)
@@ -840,16 +848,29 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 		p.tm.End = v.Clock
 		cfg.Policy.TxnFinished(p.id, v)
 	}
-	// fail ends the run on a program error, first settling a Gate's live
-	// attempts as a cancelled run does (TxnCanceled, ascending id), so
-	// nothing of the failed run stays in the certifier or its journal.
-	fail := func(err error) (*Result, error) {
+	// exit is the run's one epilogue, which every return after the run
+	// started goes through. A failed run (program error, stall, journal
+	// outage) first settles a Gate's live attempts as a cancelled run
+	// does — TxnCanceled in slab order, ascending id — so nothing of it
+	// stays in the certifier or its journal. Settle then makes the
+	// reported commits durable before the gate's counters are harvested;
+	// a Settle failure drops the Result.
+	exit := func(res *Result, err error) (*Result, error) {
+		if gate == nil {
+			return res, err
+		}
 		for i := range procs {
-			if gate != nil && procs[i].live {
+			if procs[i].live {
 				gate.TxnCanceled(procs[i].id, v)
 			}
 		}
-		return nil, err
+		if serr := gate.Settle(); serr != nil && res != nil {
+			res, err = nil, errors.Join(err, serr)
+		}
+		if res != nil {
+			res.Metrics.Gate = gate.Stats()
+		}
+		return res, err
 	}
 	// gather steps the runnable attempts, in ascending id order, each to
 	// its next request, where it parks, or to its end. A program error
@@ -982,7 +1003,7 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 
 	// result hands the recorded schedule to a Result as a fresh array —
 	// spliced with the served readers' operations when there are any,
-	// copied out of the arena otherwise — beside the policy's counters.
+	// copied out of the arena otherwise; exit adds the gate's counters.
 	result := func() *Result {
 		var schedule []txn.Op
 		if mv != nil {
@@ -991,9 +1012,6 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 		} else {
 			schedule = make([]txn.Op, len(ops))
 			copy(schedule, ops)
-		}
-		if gate != nil {
-			metrics.Gate = gate.Stats()
 		}
 		return &Result{
 			Schedule: txn.AdoptSchedule(schedule),
@@ -1013,7 +1031,7 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 	// form the partial Result returned with the typed error.
 	cancelRun := func() (*Result, error) {
 		if err := gather(); err != nil {
-			return fail(err)
+			return nil, err
 		}
 		// The erasable set is closed under cascade: every live reader of
 		// an erasable transaction's write belongs to its closure, so the
@@ -1053,23 +1071,23 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 		// grant issued so far is complete and journaled, so settling now
 		// never leaves a partial one.
 		if ctx.Err() != nil {
-			return cancelRun()
+			return exit(cancelRun())
 		}
 		// Serve declared readers whose begin tick has arrived: they
 		// snapshot the sealed committed prefix and complete without
 		// entering the pending set or the policy.
 		if err := serveDueROs(false); err != nil {
-			return fail(err)
+			return exit(nil, err)
 		}
 		// One request per live transaction before the policy picks.
 		if err := gather(); err != nil {
-			return fail(err)
+			return exit(nil, err)
 		}
 		if len(v.Live) == 0 {
 			break
 		}
 		if ctx.Err() != nil {
-			return cancelRun()
+			return exit(cancelRun())
 		}
 
 		v.Ops = ops
@@ -1082,10 +1100,10 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 			metrics.Ticks++
 			passes++
 			if passes > maxConsecutivePasses {
-				return nil, stallCause(gate, fmt.Errorf("%w: policy passed %d consecutive ticks", ErrStall, passes))
+				return exit(nil, stallCause(gate, fmt.Errorf("%w: policy passed %d consecutive ticks", ErrStall, passes)))
 			}
 			if ctx.Err() != nil {
-				return cancelRun()
+				return exit(cancelRun())
 			}
 			choice = cfg.Policy.Pick(list, v)
 		}
@@ -1096,15 +1114,15 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 			if ra != nil {
 				if vi := ra.Victim(list, v); vi >= 0 && vi < len(list) {
 					if metrics.Aborts >= maxAborts {
-						return nil, stallCause(gate, fmt.Errorf("%w: abort budget (%d) exhausted", ErrStall, maxAborts))
+						return exit(nil, stallCause(gate, fmt.Errorf("%w: abort budget (%d) exhausted", ErrStall, maxAborts)))
 					}
 					if err := abortAndRestart(list[vi].TxnID); err != nil {
-						return nil, stallCause(gate, fmt.Errorf("%w: %v", ErrStall, err))
+						return exit(nil, stallCause(gate, fmt.Errorf("%w: %v", ErrStall, err)))
 					}
 					continue
 				}
 			}
-			return nil, stallCause(gate, fmt.Errorf("%w: pending %v", ErrStall, list))
+			return exit(nil, stallCause(gate, fmt.Errorf("%w: pending %v", ErrStall, list)))
 		}
 
 		// Apply the granted operation and make its program runnable.
@@ -1121,7 +1139,7 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 		case txn.ActionRead:
 			val, ok := v.Store.Get(op.Entity)
 			if !ok {
-				return fail(fmt.Errorf("exec: data item %q has no value", op.Entity))
+				return exit(nil, fmt.Errorf("exec: data item %q has no value", op.Entity))
 			}
 			// Record reads-from so aborts can cascade to transactions
 			// that consumed a victim's written value.
@@ -1151,7 +1169,7 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 	// final prefix (every writer has finished, so the seal reaches the
 	// end of the schedule).
 	if err := serveDueROs(true); err != nil {
-		return nil, err
+		return exit(nil, err)
 	}
-	return result(), nil
+	return exit(result(), nil)
 }

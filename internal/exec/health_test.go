@@ -24,6 +24,7 @@ func (p *stalledPolicy) AdmitTxn(ops []txn.Op) error                    { return
 func (p *stalledPolicy) TxnCanceled(id int, v *exec.View)               {}
 func (p *stalledPolicy) Drain(ctx context.Context) error                { return nil }
 func (p *stalledPolicy) CompactWatermark() int                          { return 0 }
+func (p *stalledPolicy) Settle() error                                  { return nil }
 func (p *stalledPolicy) Stats() exec.GateStats                          { return exec.GateStats{Health: p.h} }
 
 // TestStallCarriesBufferingPosture pins the outage-observability fix:

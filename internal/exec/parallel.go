@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -290,7 +291,9 @@ func (bs *batchState) fail(err error) {
 // transaction-id (= commit) order, the final store state, and metrics
 // (Ticks counts committed read-write operations as in RunCtx;
 // Retries/Conflicts count the speculation cost; the gate's Stats are
-// harvested as in RunCtx). On a program error or fatal gate
+// harvested as in RunCtx, after the gate's Settle has made the batch's
+// commits durable; a Settle error replaces the Result). On a program
+// error or fatal gate
 // error the batch stops: the error is returned, transactions already
 // committed stay committed in the store and on the gate, and the rest
 // of the batch is discarded.
@@ -421,8 +424,16 @@ func (e *ParallelEngine) ExecuteBatchCtx(ctx context.Context, programs map[int]*
 	wg.Wait()
 	e.ops, e.ro = bs.ops, bs.ro
 
+	// A failed batch's committed prefix is settled too.
+	var settleErr error
+	if e.full != nil {
+		settleErr = e.full.Settle()
+	}
 	if bs.err != nil {
 		return nil, bs.err
+	}
+	if settleErr != nil {
+		return nil, errors.Join(CancelError(ctx), settleErr)
 	}
 	roOps := 0
 	for _, r := range bs.ro {

@@ -146,6 +146,7 @@ func (r *recordingJournal) LogCompact(reclaimed []int, stats core.CompactStats, 
 // The rest of sched.Journal forwards to the writer, so a gate heals,
 // reports, cuts its drain snapshot and closes through the tap.
 func (r *recordingJournal) Barrier() error     { return r.w.Barrier() }
+func (r *recordingJournal) Sync() error        { return r.w.Sync() }
 func (r *recordingJournal) Heal() error        { return r.w.Heal() }
 func (r *recordingJournal) LoggedSeq() uint64  { return r.w.LoggedSeq() }
 func (r *recordingJournal) Stats() wal.Stats   { return r.w.Stats() }

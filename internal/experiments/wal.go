@@ -20,7 +20,7 @@ import (
 // plus a recovery of each written log.
 type WalRecord struct {
 	// Variant names the pass: "no-journal", "mem-g<N>", or "file-g<N>"
-	// (N = the group-commit window).
+	// (N = the group-commit window, in commit records).
 	Variant string `json:"variant"`
 	// Ops is the number of admitted operations (identical across
 	// passes — journaling never changes a decision; the study

@@ -21,7 +21,12 @@ import (
 //   - Barrier is the write-ahead discipline: a gate calls it after
 //     feeding a granted operation to the certifier and refuses the grant
 //     when it fails. It returns nil while the journal is healthy and the
-//     sticky fail-stop error once it is not.
+//     sticky fail-stop error once it is not. It does not sync: under
+//     group commit a barriered record may still be in memory alone.
+//   - Sync makes everything absorbed so far durable, and is a no-op
+//     when nothing is pending. The gate's Settle calls it at every run
+//     exit, the point where the run reports its commits: a commit is
+//     durable once it is acknowledged outside the pipeline.
 //   - Heal clears the fail-stop, rebuilding the active segment on a
 //     recovered or promoted backend; the buffered degradation mode drains
 //     through it. LoggedSeq, the last absorbed event, tells the gate
@@ -34,6 +39,7 @@ import (
 type Journal interface {
 	core.LifecycleSink
 	Barrier() error
+	Sync() error
 	Heal() error
 	LoggedSeq() uint64
 	CutSnapshot() error
@@ -72,8 +78,9 @@ const (
 	// the backend recovers or a standby is promoted. Overflowing the
 	// queue trips the gate to shed. The trade is bounded durability
 	// exposure — up to WithBufferCap acknowledged admissions ride on
-	// memory until the next successful heal, the outage-time analogue
-	// of group commit's GroupEvery-1 window — but never an
+	// memory until the next successful heal, and Settle rides the
+	// queue like any other acknowledgment, so a run that returns during
+	// the outage reports commits that are not yet durable — but never an
 	// un-journaled grant after recovery: a crash during the outage
 	// loses only buffered admissions, which were never
 	// durable-acknowledged to begin with, and the log still replays to
@@ -295,6 +302,23 @@ func (j *journaled) ack() bool {
 		j.jerr = err
 		return false
 	}
+}
+
+// settle makes every commit acknowledged so far durable: the journal
+// syncs its pending group, and the verdict is ack's — a fail-stop gate
+// reports exec.ErrJournalDown, a shedding one exec.ErrDegraded, and a
+// buffering one acknowledges against its bounded queue. A successful
+// sync with nothing queued is ack's true without a barrier probe; a
+// frozen gate reports its refusal without touching the journal.
+func (j *journaled) settle() error {
+	switch {
+	case j.journal == nil:
+		return nil
+	case j.frozen(): // refused below, the journal untouched
+	case j.journal.Sync() == nil && len(j.queue) == 0, j.ack():
+		return nil
+	}
+	return j.refusalErr()
 }
 
 // tryHealDrain attempts to bring the journal back and replay the

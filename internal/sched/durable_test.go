@@ -3,6 +3,7 @@ package sched_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"pwsr/internal/gen"
 	"pwsr/internal/program"
 	"pwsr/internal/sched"
+	"pwsr/internal/state"
 	"pwsr/internal/wal"
 )
 
@@ -262,6 +264,122 @@ func TestJournalFailStopStalls(t *testing.T) {
 			}
 			if h := gate.Health(); !h.FailStopLatched || h.Mode != exec.ModeFailStop {
 				t.Fatalf("health = %+v, want latched fail-stop", h)
+			}
+		})
+	}
+}
+
+// syncedBackend is an in-memory backend that remembers how much of each
+// segment a Sync covered: its crashImage is what a machine crash would
+// leave, every segment cut to its synced length.
+type syncedBackend struct {
+	*wal.MemBackend
+	synced map[string]int
+}
+
+func newSyncedBackend() *syncedBackend {
+	return &syncedBackend{MemBackend: wal.NewMemBackend(), synced: make(map[string]int)}
+}
+
+func (b *syncedBackend) Create(name string) (wal.File, error) {
+	f, err := b.MemBackend.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	b.synced[name] = 0
+	return &syncedFile{File: f, b: b, name: name}, nil
+}
+
+func (b *syncedBackend) crashImage() *wal.MemBackend {
+	image := wal.NewMemBackend()
+	names, _ := b.List()
+	for _, name := range names {
+		image.Put(name, b.Bytes(name)[:b.synced[name]])
+	}
+	return image
+}
+
+type syncedFile struct {
+	wal.File
+	b       *syncedBackend
+	name    string
+	written int
+}
+
+func (f *syncedFile) Write(p []byte) (int, error) {
+	n, err := f.File.Write(p)
+	f.written += n
+	return n, err
+}
+
+func (f *syncedFile) Sync() error {
+	if err := f.File.Sync(); err != nil {
+		return err
+	}
+	f.b.synced[f.name] = f.written
+	return nil
+}
+
+// TestAcknowledgedCommitsDurable pins durability at acknowledgment: a
+// run's commits are owed to the log when the run reports them, so once
+// RunCtx or a ParallelEngine batch returns, a machine crash keeps every
+// record the writer absorbed — under a group of 16 commits that the
+// round's 12 never fill. The round has the CAD shape: ten designers
+// each in one of four conjuncts, two sweeps across all four.
+func TestAcknowledgedCommitsDurable(t *testing.T) {
+	var partition []state.ItemSet
+	initial := state.NewDB()
+	for c := range 4 {
+		x, y := fmt.Sprintf("x%d", c), fmt.Sprintf("y%d", c)
+		partition = append(partition, state.NewItemSet(x, y))
+		initial.Set(x, state.Int(0))
+		initial.Set(y, state.Int(0))
+	}
+	programs := make(map[int]*program.Program)
+	ids := make([]int, 0, 12)
+	for id := 1; id <= 12; id++ {
+		ids = append(ids, id)
+		if id > 10 {
+			programs[id] = program.MustParse(fmt.Sprintf("program S%d { x0 := x0 + 1; x1 := x1 + 1; x2 := x2 + 1; x3 := x3 + 1; }", id))
+			continue
+		}
+		c := id % 4
+		programs[id] = program.MustParse(fmt.Sprintf("program D%d { t := x%d; y%d := y%d + t; x%d := t + 1; }", id, c, c, c, c))
+	}
+	for _, leg := range []string{"tick", "parallel"} {
+		t.Run(leg, func(t *testing.T) {
+			b := newSyncedBackend()
+			w, err := wal.NewWriter(b, wal.Options{GroupEvery: 16, SnapshotEvery: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mon := core.NewMonitor(partition)
+			mon.SetAutoCompact(0) // every committed transaction stays resident
+			gate := sched.NewOptimisticCertifyOver(mon, &sched.RoundRobin{}, nil)
+			gate.AttachJournal(w)
+			if leg == "tick" {
+				_, err = exec.RunCtx(context.Background(), exec.Config{
+					Programs: programs, Initial: initial, Policy: gate, DataSets: partition,
+				})
+			} else {
+				_, err = exec.NewParallelEngine(exec.ParallelConfig{Initial: initial, Gate: gate, Workers: 2}).
+					ExecuteBatchCtx(context.Background(), programs)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, info, err := wal.Recover(b.crashImage(), partition)
+			if err != nil {
+				t.Fatalf("recover the crash image: %v", err)
+			}
+			if info.LastSeq != w.Seq() {
+				t.Fatalf("the crash image ends at record %d of %d: acknowledged commits were not durable", info.LastSeq, w.Seq())
+			}
+			if got := rec.LiveTxnIDs(); !slices.Equal(got, ids) || len(rec.InFlightTxnIDs()) != 0 {
+				t.Fatalf("the crash image holds %v with %v in flight, want every one of %v committed", got, rec.InFlightTxnIDs(), ids)
+			}
+			if st := w.Stats(); st.Fsyncs != 1 {
+				t.Fatalf("%d fsyncs for a round of 12 commits under a group of 16, want the one at the acknowledgment", st.Fsyncs)
 			}
 		})
 	}

@@ -104,6 +104,15 @@ func (g *gate) finish(id int, v *exec.View) {
 	g.Inner.TxnFinished(id, v)
 }
 
+// Settle implements exec.Gate: every commit the gate acknowledged so
+// far is made durable before the engine reports it (see
+// journaled.settle). Without a journal it returns nil.
+func (g *gate) Settle() error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.jn.settle()
+}
+
 // Stats implements exec.Gate: the certifier's lifecycle
 // counters, the journal's counters and the gate's health,
 // snapshotted under one hold of the gate mutex, so an engine's harvest

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -9,6 +10,7 @@ import (
 
 	"pwsr/internal/core"
 	"pwsr/internal/exec"
+	"pwsr/internal/fault"
 	"pwsr/internal/gen"
 	"pwsr/internal/program"
 	"pwsr/internal/state"
@@ -456,7 +458,9 @@ func (s *soloAtCancel) TxnCanceled(id int, v *exec.View) {
 // monitor is checked too) holds none of them in flight; and the next
 // run's view must drop whatever else the failed run left — its abort
 // counts, phase marks and touched lists — or the gate opens nothing
-// for the new transactions and the run burns its abort budget.
+// for the new transactions and the run burns its abort budget. A stall
+// (an exhausted abort budget) and a journal outage end a run through
+// the same epilogue and must settle its attempts the same way.
 func TestOptimisticForgetsFailedRun(t *testing.T) {
 	partition := []state.ItemSet{state.NewItemSet("a", "b")}
 	for _, journaled := range []bool{false, true} {
@@ -515,6 +519,60 @@ func TestOptimisticForgetsFailedRun(t *testing.T) {
 		}
 		if gate.solo != 0 || len(gate.aborts) != 0 || len(gate.phase) != 0 || len(gate.memo.touched) != 0 {
 			t.Fatalf("%s: run 2 left solo %d, aborts %v, phase %v, touched %v", name, gate.solo, gate.aborts, gate.phase, gate.memo.touched)
+		}
+	}
+
+	for _, leg := range []struct {
+		name      string
+		inner     exec.Policy
+		programs  map[int]*program.Program
+		maxAborts int
+		failWrite int64 // the journal's first failing backend write (0 = none)
+		want      error
+	}{
+		{"stall", &RoundRobin{}, map[int]*program.Program{
+			1: program.MustParse(`program P1 { t := a; u := b; b := t + 1; }`),
+			2: program.MustParse(`program P2 { t := b; u := a; a := t + 1; }`),
+			3: program.MustParse(`program P3 { t := a; u := b; a := u + 1; }`),
+		}, 1, 0, exec.ErrStall},
+		{"journal down", &Serial{}, map[int]*program.Program{
+			1: program.MustParse(`program P1 { t := a; b := t + 1; }`),
+			2: program.MustParse(`program P2 { t := b; a := t + 1; }`),
+		}, 0, 5, exec.ErrJournalDown}, // write 5 is T2's first grant, after T1's commit and compaction
+	} {
+		mem := wal.NewMemBackend()
+		var b wal.Backend = mem
+		if leg.failWrite > 0 {
+			inj := fault.NewInjector(fault.Plan{Rules: []fault.Rule{{Op: fault.OpWrite, From: leg.failWrite, Kind: fault.KindError}}})
+			b = wal.NewInjectBackend(mem, inj, "wal")
+		}
+		opts := wal.Options{GroupEvery: 1, MaxRetries: -1}
+		w, err := wal.NewWriter(b, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gate := NewOptimisticCertify(partition, leg.inner, nil)
+		gate.AttachJournal(w)
+		rec := &soloAtCancel{OptimisticCertify: gate}
+		_, err = exec.RunCtx(context.Background(), exec.Config{
+			Programs: leg.programs, Initial: state.Ints(map[string]int64{"a": 0, "b": 0}),
+			Policy: rec, DataSets: partition, MaxAborts: leg.maxAborts,
+		})
+		if !errors.Is(err, leg.want) {
+			t.Fatalf("%s: err = %v, want %v", leg.name, err, leg.want)
+		}
+		if live := gate.Monitor().InFlightTxnIDs(); len(live) != 0 {
+			t.Fatalf("%s: the failed run left %v in flight in the certifier", leg.name, live)
+		}
+		if rec.cancels == 0 {
+			t.Fatalf("%s: vacuous: the run ended with no attempt live", leg.name)
+		}
+		mon, _, _, err := wal.Resume(mem, partition, opts)
+		if err != nil {
+			t.Fatalf("%s: resume: %v", leg.name, err)
+		}
+		if live := mon.InFlightTxnIDs(); len(live) != 0 {
+			t.Fatalf("%s: the journal recovers the failed run's %v in flight", leg.name, live)
 		}
 	}
 }

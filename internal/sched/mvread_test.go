@@ -25,6 +25,7 @@ func (j *scriptedJournal) LogObserve(o txn.Op)                                  
 func (j *scriptedJournal) LogCommit(txnID int)                                    {}
 func (j *scriptedJournal) LogRetract(txnID int)                                   {}
 func (j *scriptedJournal) LogCompact(reclaimed []int, s core.CompactStats, n int) {}
+func (j *scriptedJournal) Sync() error                                            { return nil }
 func (j *scriptedJournal) Heal() error                                            { return nil }
 func (j *scriptedJournal) LoggedSeq() uint64                                      { return 0 }
 func (j *scriptedJournal) CutSnapshot() error                                     { return nil }

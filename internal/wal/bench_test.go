@@ -58,9 +58,9 @@ func (s *steadyStream) next() {
 // BenchmarkWriterAppend measures the journal's append path alone, per
 // logged record: wall time, backend writes and allocations, on the
 // in-memory backend and on files, syncing every record and every
-// sixteen (the end-to-end benchmark's durable workload runs 16). A
-// snapshot is cut every 16 compaction passes, so cut cost is included
-// at one per 1 024 observes.
+// sixteen commits (the end-to-end benchmark's durable workload runs
+// 16). A snapshot is cut every 16 compaction passes, so cut cost is
+// included at one per 1 024 observes.
 func BenchmarkWriterAppend(b *testing.B) {
 	for _, backend := range []string{"mem", "file"} {
 		for _, group := range []int{1, 16} {

@@ -30,21 +30,32 @@
 // as the monitor applies it, and appending is a memory copy — the
 // frame goes into the writer's mirror of the active segment, which is
 // also its write buffer, and nothing reaches the backend. The only
-// writes to the active segment are the group flush (once per
-// Options.GroupEvery records, or when Options.GroupWindow expires),
-// Sync, Close, a snapshot cut and a failover or Heal rebase; each
-// flush hands the backend everything buffered since the last one in
-// one write and then syncs it. A certification gate calls Barrier
-// after observing a granted operation and before acknowledging the
-// grant (see sched.AttachJournal). Barrier reports backend failure
-// only: it neither writes nor syncs, so with GroupEvery = n up to
-// n−1 acknowledged records are in memory alone, and a process crash
-// and a machine crash alike can lose at most those n−1 records — the
-// trade group commit makes for one write and one fsync per group. A
-// record's bookkeeping (the surviving stream, the snapshot counters,
-// the cut cadence) is applied before its flush, so an absorbed record
-// is in the mirror and in the next snapshot whatever the flush
-// returns; a fail-stopped writer absorbs nothing further.
+// writes to the active segment are the group flush, Sync, Close, a
+// snapshot cut and a failover or Heal rebase; each flush hands the
+// backend everything buffered since the last one in one write and then
+// syncs it. With Options.GroupEvery ≤ 1 every record is flushed as it
+// is appended. Above 1 a group is counted in commit records: it
+// flushes once GroupEvery commits are pending (or when
+// Options.GroupWindow expires), and the observe, retract and compact
+// records in between ride along.
+//
+// Durability is owed at acknowledgment, not at grant. A certification
+// gate calls Barrier after observing a granted operation and before
+// granting it (see sched.AttachJournal); Barrier reports backend
+// failure only and neither writes nor syncs, because a grant is
+// visible to nobody outside the pipeline. What leaves the pipeline is a
+// run's Result, and every run exit calls the gate's Settle, which calls
+// Sync: once a run returns, every commit it reports is durable. Sync
+// with nothing pending is a no-op, so a run whose last group flush or
+// snapshot cut already covered everything pays no extra fsync. A crash
+// mid-run loses at most the records absorbed since the last sync — up
+// to one group of GroupEvery commits and the records between them,
+// none of which any returned Result reported. GroupEvery ≤ 1 keeps the
+// per-grant barrier for feeders that resume in-flight transactions
+// across a crash. A record's bookkeeping (the surviving stream, the
+// snapshot counters, the cut cadence) is applied before its flush, so
+// an absorbed record is in the mirror and in the next snapshot whatever
+// the flush returns; a fail-stopped writer absorbs nothing further.
 //
 // # Snapshots and retention
 //
@@ -147,8 +158,9 @@
 // alone. Because the write-ahead contract acknowledges no grant
 // before its record is absorbed, a cancellation at any point leaves
 // the log (flushed by Close) holding exactly the acknowledged prefix,
-// and a crash a prefix short of it by at most GroupEvery−1 records:
-// Resume rebuilds a
+// and a crash a prefix short of it by at most the records since the
+// last sync — with GroupEvery ≤ 1 none, above it at most one group of
+// commits that no returned run reported: Resume rebuilds a
 // verdict-identical monitor whether the run completed, was cancelled,
 // or crashed (the cancel matrix, `make cancel-matrix`, sweeps
 // deterministic cancel points across admissions, barriers, commit

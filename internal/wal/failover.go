@@ -167,7 +167,7 @@ func (w *Writer) rebaseLocked() error {
 	w.seg = f
 	w.stats.LogBytes += int64(len(w.mirror))
 	w.flushed = len(w.mirror)
-	w.pending = 0
+	w.commits = 0
 	w.lastSync = time.Now()
 	return nil
 }

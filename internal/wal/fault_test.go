@@ -206,12 +206,14 @@ func TestSnapshotCutFailureContinues(t *testing.T) {
 }
 
 // TestGroupFlushFaults runs the fault shapes at group sizes above one,
-// where a fault lands on a flush that carries a whole group: a write
-// error, a torn write and a sync error, each transient (inside the
-// retry budget) or persistent (past it), with and without a standby.
-// A run that ends healthy must close durable in full; a fail-stopped
-// one must recover a prefix verdict-identical to the absorbed stream,
-// short of it by at most the one group whose flush failed.
+// where a fault lands on a flush that carries a whole group of commits
+// and the records between them: a write error, a torn write and a sync
+// error, each transient (inside the retry budget) or persistent (past
+// it), with and without a standby. The stream is long enough for the
+// third flush to happen at g16. A run that ends healthy must close
+// durable in full; a fail-stopped one must recover a prefix
+// verdict-identical to the absorbed stream, short of it by at most the
+// one group whose flush failed: no more than group commit records.
 func TestGroupFlushFaults(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -246,7 +248,7 @@ func TestGroupFlushFaults(t *testing.T) {
 						}
 						m := core.NewMonitor(walPartition())
 						applied := runWorkload(t, m, w, workloadCfg{
-							seed: 61, nTxns: 4, steps: 240, gated: true, commitPct: 12, retractPct: 5, compactEvery: 10,
+							seed: 61, nTxns: 4, steps: 720, gated: true, commitPct: 12, retractPct: 5, compactEvery: 10,
 						})
 						if inj.Fired() == 0 {
 							t.Fatal("the fault never fired; retune the workload")
@@ -264,8 +266,17 @@ func TestGroupFlushFaults(t *testing.T) {
 							if err != nil {
 								t.Fatalf("recover after fail-stop: %v", err)
 							}
-							if info.LastSeq > uint64(len(absorbed)) || len(absorbed)-int(info.LastSeq) > group {
-								t.Fatalf("LastSeq=%d for %d absorbed events, group %d", info.LastSeq, len(absorbed), group)
+							if info.LastSeq > uint64(len(absorbed)) {
+								t.Fatalf("LastSeq=%d for %d absorbed events", info.LastSeq, len(absorbed))
+							}
+							lost := 0
+							for _, ev := range absorbed[info.LastSeq:] {
+								if ev.Kind == core.EventCommit {
+									lost++
+								}
+							}
+							if lost > group {
+								t.Fatalf("LastSeq=%d for %d absorbed events lost %d commits, group %d", info.LastSeq, len(absorbed), lost, group)
 							}
 							compareMonitors(t, "fail-stop prefix", rec, newReference(absorbed).at(int(info.LastSeq)), 4)
 							return
@@ -308,28 +319,31 @@ func TestGroupFlushFaults(t *testing.T) {
 // a compact record the counter block and the cut cadence — must be
 // applied too; otherwise the first snapshot cut after Heal writes a
 // stream that disagrees with the log. Each variant fails the flush
-// that a different record kind closes. The recovered monitor must
-// match the live one, and keep matching through one more compaction
-// pass (a commit missing from the snapshot shows only there).
+// that a different record kind closes: a commit through the group of
+// two commits it completes, a compact through the flush its snapshot
+// cut begins with, an observe and a retract through an explicit Sync
+// (only commits fill a group). The recovered monitor must match the
+// live one, and keep matching through one more compaction pass (a
+// commit missing from the snapshot shows only there).
 func TestFailedFlushKeepsSnapshotStream(t *testing.T) {
 	type step struct {
-		kind byte // 'o' observe W(txn, item), 'c' commit, 'r' retract, 'k' compact, 's' cut, 'h' heal
+		kind byte // 'o' observe W(txn, item), 'c' commit, 'r' retract, 'k' compact, 'y' sync, 's' cut, 'h' heal
 		txn  int
 		item string
 	}
 	o := func(id int, item string) step { return step{kind: 'o', txn: id, item: item} }
 	c := func(id int) step { return step{kind: 'c', txn: id} }
 	r := func(id int) step { return step{kind: 'r', txn: id} }
-	k, s, h := step{kind: 'k'}, step{kind: 's'}, step{kind: 'h'}
+	k, y, s, h := step{kind: 'k'}, step{kind: 'y'}, step{kind: 's'}, step{kind: 'h'}
 	for _, v := range []struct {
 		name string
 		from int64 // first failing sync; it fails twice, past MaxRetries 1
 		plan []step
 	}{
-		{"observe", 1, []step{o(1, "x0"), o(2, "x0"), h, c(1), k}},
-		{"commit", 2, []step{o(2, "x0"), o(1, "x0"), o(3, "x1"), c(1), h, k, c(2)}},
-		{"retract", 1, []step{o(1, "x0"), r(1), h, o(2, "x1"), c(2), k}},
-		{"compact", 2, []step{o(1, "x0"), c(1), o(2, "x1"), k, h, s}},
+		{"observe", 1, []step{o(1, "x0"), o(2, "x0"), y, h, c(1), k}},
+		{"commit", 1, []step{o(2, "x0"), o(1, "x0"), o(3, "x1"), c(3), c(1), h, k, c(2)}},
+		{"retract", 1, []step{o(1, "x0"), r(1), y, h, o(2, "x1"), c(2), k}},
+		{"compact", 1, []step{o(1, "x0"), c(1), o(2, "x1"), k, h, s}},
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			mem, b, _ := injected(fault.Rule{Op: fault.OpSync, From: v.from, Count: 2, Kind: fault.KindError, Msg: "controller reset"})
@@ -350,6 +364,10 @@ func TestFailedFlushKeepsSnapshotStream(t *testing.T) {
 					m.Retract(st.txn)
 				case 'k':
 					m.Compact()
+				case 'y':
+					if err := w.Sync(); err == nil {
+						t.Fatal("the failing sync reported success")
+					}
 				case 's':
 					if err := w.CutSnapshot(); err != nil {
 						t.Fatalf("cut: %v", err)

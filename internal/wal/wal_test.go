@@ -275,8 +275,8 @@ func TestWriterRoundTrip(t *testing.T) {
 }
 
 // TestGroupCommitFsyncs pins the group-commit amortization: with a
-// window of n the writer must issue roughly Records/n fsyncs, not one
-// per record.
+// window of n the writer must issue roughly Commits/n fsyncs, not one
+// per record or per commit. The stream is long enough to fill groups.
 func TestGroupCommitFsyncs(t *testing.T) {
 	b := wal.NewMemBackend()
 	w, err := wal.NewWriter(b, wal.Options{GroupEvery: 16, SnapshotEvery: -1})
@@ -284,13 +284,53 @@ func TestGroupCommitFsyncs(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := core.NewMonitor(walPartition())
-	applied := runWorkload(t, m, w, workloadCfg{seed: 3, nTxns: 4, steps: 128, gated: true, commitPct: 10})
+	applied := runWorkload(t, m, w, workloadCfg{seed: 3, nTxns: 4, steps: 640, gated: true, commitPct: 10})
+	commits := int64(0)
+	for _, ev := range applied {
+		if ev.Kind == core.EventCommit {
+			commits++
+		}
+	}
 	st := w.Stats()
-	maxFsyncs := int64(len(applied))/16 + 2
-	if st.Fsyncs > maxFsyncs {
-		t.Fatalf("GroupEvery=16 issued %d fsyncs for %d records (max %d)", st.Fsyncs, len(applied), maxFsyncs)
+	maxFsyncs := commits/16 + 2
+	if st.Fsyncs == 0 || st.Fsyncs > maxFsyncs {
+		t.Fatalf("GroupEvery=16 issued %d fsyncs for %d records, %d commits (want 1..%d)", st.Fsyncs, len(applied), commits, maxFsyncs)
 	}
 	w.Close()
+}
+
+// TestSyncNothingPendingIsNoop pins Sync's no-op: with nothing appended
+// since the last successful sync — a second Sync right after one, or a
+// Sync right after a snapshot cut — it issues no backend write and no
+// fsync.
+func TestSyncNothingPendingIsNoop(t *testing.T) {
+	cb := &writeCounter{Backend: wal.NewMemBackend()}
+	w, err := wal.NewWriter(cb, wal.Options{GroupEvery: 16, SnapshotEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	syncWants := func(what string, fsyncs, writes int64) {
+		t.Helper()
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if got := w.Stats().Fsyncs; got != fsyncs || cb.writes != writes {
+			t.Fatalf("%s: %d fsync(s) and %d write(s) so far, want %d and %d", what, got, cb.writes, fsyncs, writes)
+		}
+	}
+	w.LogObserve(txn.W(1, "x0", 1))
+	w.LogCommit(1)
+	syncWants("Sync of one pending commit", 1, 1)
+	syncWants("a second Sync", 1, 1)
+	w.LogCompact([]int{1}, core.CompactStats{Compactions: 1, ReclaimedTxns: 1, ReclaimedOps: 1}, 0)
+	st := w.Stats()
+	if st.Snapshots != 1 {
+		t.Fatal("the compaction pass cut no snapshot")
+	}
+	syncWants("Sync after a snapshot cut", st.Fsyncs, cb.writes)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestResumeContinues recovers a log with Resume, feeds identical new

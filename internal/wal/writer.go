@@ -27,12 +27,17 @@ func segName(idx int) string { return fmt.Sprintf("%08d%s", idx, segSuffix) }
 // sync on every record, snapshot at every compaction pass, three
 // bounded retries, delete superseded segments.
 type Options struct {
-	// GroupEvery is the group-commit window: appends only copy into
-	// memory, and once per this many records the writer hands the
-	// group to the backend in one write and fsyncs it (≤ 1 flushes
-	// every record). A larger window amortizes the write and the fsync
-	// at the cost of a bounded durability lag — a process or machine
-	// crash can lose up to GroupEvery−1 acknowledged records.
+	// GroupEvery is the group-commit window, counted in commit records:
+	// appends only copy into memory, and once this many commit records
+	// are pending the writer hands everything buffered — the commits
+	// and the observe, retract and compact records between them — to
+	// the backend in one write and fsyncs it. ≤ 1 flushes every record
+	// as it is appended, the per-grant barrier a feeder needs when it
+	// resumes in-flight transactions across a crash. Above 1 the
+	// acknowledgment point owns durability: a certification gate calls
+	// Sync when its run reports its commits (sched's Settle), so a
+	// crash loses at most the unreported tail — up to one group of
+	// GroupEvery commits whose run has not yet returned.
 	GroupEvery int
 	// GroupWindow, when positive, bounds the group-commit latency: an
 	// append also flushes when this much time passed since the last
@@ -69,14 +74,6 @@ type Options struct {
 	// a successful snapshot cut (the crash matrix uses this to sweep
 	// crash points across the whole history).
 	Retain bool
-}
-
-// groupEvery returns the normalized group-commit window.
-func (o Options) groupEvery() int {
-	if o.GroupEvery < 1 {
-		return 1
-	}
-	return o.GroupEvery
 }
 
 // maxRetries returns the normalized retry bound.
@@ -174,7 +171,7 @@ type Writer struct {
 	seg      File
 	segIndex int
 	seq      uint64
-	pending  int
+	commits  int // commit records appended since the last sync
 	lastSync time.Time
 	err      error
 	stats    Stats
@@ -269,7 +266,7 @@ func (w *Writer) LogObserve(o txn.Op) {
 	w.payload = appendObserve(w.payload[:0], w.seq, o)
 	w.appendLocked(w.payload)
 	w.live = append(w.live, liveEvent{seq: w.seq, ev: core.Event{Kind: core.EventObserve, Op: o}})
-	w.groupLocked()
+	w.groupLocked(false)
 }
 
 // LogCommit implements core.LifecycleSink.
@@ -301,7 +298,7 @@ func (w *Writer) logTxn(kind byte, evKind core.EventKind, txnID int) {
 	} else {
 		w.live = append(w.live, liveEvent{seq: w.seq, ev: core.Event{Kind: evKind, Txn: txnID}})
 	}
-	w.groupLocked()
+	w.groupLocked(evKind == core.EventCommit)
 }
 
 // LogCompact implements core.LifecycleSink: the pass is logged, the
@@ -340,7 +337,7 @@ func (w *Writer) LogCompact(reclaimed []int, stats core.CompactStats, ops int) {
 	if every == 0 {
 		every = 1
 	}
-	w.groupLocked()
+	w.groupLocked(false)
 	if every > 0 && w.compactsSinceCut >= every && w.err == nil {
 		w.cutLocked()
 	}
@@ -361,10 +358,10 @@ func (w *Writer) dropLive(gone func(txnID int) bool) {
 // Barrier reports whether everything acknowledged so far can still be
 // made durable: nil while the writer is healthy, the sticky
 // fail-stop error once the backend has failed past the retry bound.
-// It neither writes nor syncs: up to GroupEvery−1 records acknowledged
-// under a nil Barrier may still be only in memory — group commit's
-// bounded durability lag is the configured trade (use Sync for a hard
-// flush point).
+// It neither writes nor syncs: with GroupEvery > 1, records
+// acknowledged under a nil Barrier may still be only in memory until
+// the group fills or Sync runs — a grant is internal to the pipeline,
+// and the acknowledgment that leaves it (a run's commits) syncs.
 func (w *Writer) Barrier() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -372,7 +369,10 @@ func (w *Writer) Barrier() error {
 }
 
 // Sync forces the pending group to the backend now: one write and a
-// sync.
+// sync. With nothing appended since the last successful sync it is a
+// no-op — no write, no fsync — so a caller may sync at every
+// acknowledgment point without paying for the ones a group flush or a
+// snapshot cut already covered.
 func (w *Writer) Sync() error {
 	w.opMu.Lock()
 	defer w.opMu.Unlock()
@@ -381,7 +381,9 @@ func (w *Writer) Sync() error {
 	if w.err != nil {
 		return w.err
 	}
-	w.flushLocked()
+	if w.flushed < len(w.mirror) {
+		w.flushLocked()
+	}
 	return w.err
 }
 
@@ -444,13 +446,17 @@ func (w *Writer) appendLocked(payload []byte) {
 	w.mirror = appendFrame(w.mirror, payload)
 	w.stats.Records++
 	w.stats.LogBytes += int64(len(w.mirror) - n)
-	w.pending++
 }
 
 // groupLocked applies the group-commit policy after an append's
-// bookkeeping: a full group (or an expired GroupWindow) is flushed.
-func (w *Writer) groupLocked() {
-	if w.pending >= w.opts.groupEvery() ||
+// bookkeeping (commit marks a commit record): with GroupEvery ≤ 1
+// every record is flushed; above it, a full group of commits (or an
+// expired GroupWindow) is.
+func (w *Writer) groupLocked(commit bool) {
+	if commit {
+		w.commits++
+	}
+	if w.opts.GroupEvery <= 1 || w.commits >= w.opts.GroupEvery ||
 		(w.opts.GroupWindow > 0 && time.Since(w.lastSync) >= w.opts.GroupWindow) {
 		w.flushLocked()
 	}
@@ -472,7 +478,7 @@ func (w *Writer) flushLocked() {
 		w.failoverLocked(fmt.Errorf("sync: %w", err))
 		return
 	}
-	w.pending = 0
+	w.commits = 0
 	w.lastSync = time.Now()
 }
 
@@ -644,7 +650,7 @@ func (w *Writer) cutLocked() {
 	w.flushed = len(buf)
 	oldIdx := w.segIndex
 	w.segIndex = newIdx
-	w.pending = 0
+	w.commits = 0
 	w.lastSync = time.Now()
 	if !w.opts.Retain {
 		names, err := w.b.List()
