@@ -51,6 +51,16 @@ bench:
 bench-wal:
 	$(GO) run ./cmd/pwsrbench -section wal -out BENCH_wal.json
 
+# listguard fails unless every alternative of the -run alternation $(1)
+# matches a test of package $(2) (`go test -list`), so a renamed test
+# cannot drop silently out of a matrix leg.
+define listguard
+	@tests=$$($(GO) test -list '.*' $(2) | grep '^Test'); \
+	for alt in $$(echo '$(1)' | tr '|' ' '); do \
+		echo "$$tests" | grep -qE -- "$$alt" || { echo "$(2): -run alternative $$alt matches no test" >&2; exit 1; }; \
+	done
+endef
+
 # crash-matrix is the durability differential: the wal package's
 # crash-recovery tests — TestCrashMatrix kills the log at every byte
 # offset and recovers each prefix, TestGroupFlushFaults fails group
@@ -58,11 +68,13 @@ bench-wal:
 # race detector at pinned GOMAXPROCS=1 and 8, plus the journaled-gate
 # tests in sched, TestAcknowledgedCommitsDurable among them (a returned
 # run's commits survive a machine crash).
+CRASH_SCHED_RUN := TestDurableGateRecovers|TestResumeCertifyContinues|TestJournalFailStop|TestDegrade|TestTickInjection|TestAcknowledgedCommitsDurable
 .PHONY: crash-matrix
 crash-matrix:
+	$(call listguard,$(CRASH_SCHED_RUN),./internal/sched)
 	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/wal
 	GOMAXPROCS=8 $(GO) test -race -count=1 ./internal/wal
-	$(GO) test -race -count=1 -run 'TestDurableGate|TestOptimisticDurableGate|TestResumeCertify|TestJournalFailStop|TestDegrade|TestTickInjection|TestAcknowledgedCommitsDurable' ./internal/sched
+	$(GO) test -race -count=1 -run '$(CRASH_SCHED_RUN)' ./internal/sched
 
 # chaos is the fault-injection differential (ROBUST1): ≥100 seeded
 # randomized fault plans over the full pipeline — gate, journal,
@@ -83,11 +95,13 @@ chaos:
 # lifecycle unit tests. A violated obligation dumps the failing case
 # as cancel-failed-<seed>.json (replay with pwsrfuzz -mode cancel);
 # the checked-in corpus replays through the same differential.
+CANCEL_SCHED_RUN := TestDrain|TestClose|TestGateSharedByTickAndBatchEngines
 .PHONY: cancel-matrix
 cancel-matrix:
+	$(call listguard,$(CANCEL_SCHED_RUN),./internal/sched)
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestCancel|TestDrain|TestSnapshotPinnedAcrossDrain' ./internal/experiments
 	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'TestCancel|TestDrain|TestSnapshotPinnedAcrossDrain' ./internal/experiments
-	$(GO) test -race -count=1 -run 'TestDrain|TestClose|TestGateSharedByTickAndBatchEngines' ./internal/sched
+	$(GO) test -race -count=1 -run '$(CANCEL_SCHED_RUN)' ./internal/sched
 	$(GO) test -race -count=1 -run 'TestCancel|TestRunCtx|TestExecuteBatchCtx' ./internal/exec
 	$(GO) test -race -count=1 -run 'TestCloseInterruptsBackoff' ./internal/wal
 	$(GO) run ./cmd/pwsrfuzz -mode cancel -trials 60 -seed 7
@@ -189,14 +203,15 @@ test:
 # soak (that lives in `make soak` and in the un-raced tier-1 suite).
 # The raced sched legs include the verdict memo's soundness
 # differential (TestVerdictMemoMatchesFreshMask: the memoized mask
-# against a from-scratch recomputation at every Pick, on every gate).
+# against a from-scratch recomputation at every Pick, under both victim
+# policies).
 # The raced ./... pass also runs TestTickDecisionsPinned (root package):
 # the optimistic gate's exact decision totals on hot-tick's shape, so a
 # gate optimisation that changes a grant, probe or victim fails here.
 # So does TestLifecycleAssertedOnce: exec, sched and the facade hold
-# exactly three capability type assertions (Restarter and Gate in
-# RunCtx, Gate in NewParallelEngine), and no gate probes its inner
-# policy or its journal.
+# exactly two capability type assertions (Gate in RunCtx and in
+# NewParallelEngine), and the gate probes neither its inner policy nor
+# its journal.
 # The final leg re-runs the TestZeroAlloc*, TestTickEngineAllocs,
 # TestBatchEngineAllocs and TestInterpRunAllocs pins without the race
 # detector (whose instrumentation allocates, so the pins self-skip

@@ -515,13 +515,11 @@ func BenchmarkCheckPWSRWidePartition(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// PERF5: certification scheduling — the blocking gate (stalls are its
-// failure mode; stalled runs are skipped and reported as a metric)
-// against the abort-capable optimistic gate under both victim policies,
-// with PW2PL as the pessimistic baseline, over a fixed batch of
-// contended gen workloads. `aborts/batch`, `wasted/batch`, and
-// `stalls/batch` are reported via b.ReportMetric; EXPERIMENTS.md
-// records the tables.
+// PERF5: certification scheduling — the certification gate under both
+// victim policies, with PW2PL as the pessimistic baseline, over a fixed
+// batch of contended gen workloads. `aborts/batch`, `wasted/batch`, and
+// `stalls/batch` (stalled runs are skipped) are reported via
+// b.ReportMetric; EXPERIMENTS.md records the tables.
 // ---------------------------------------------------------------------
 
 func benchCertifyWorkloads(n int) []*gen.Workload {
@@ -541,9 +539,6 @@ func BenchmarkCertifyPolicies(b *testing.B) {
 		name string
 		mk   func(w *gen.Workload, seed int64) exec.Policy
 	}{
-		{"blocking", func(w *gen.Workload, seed int64) exec.Policy {
-			return sched.NewCertify(w.DataSets, sched.NewRandom(seed))
-		}},
 		{"optimistic-youngest", func(w *gen.Workload, seed int64) exec.Policy {
 			return sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(seed), sched.VictimYoungest)
 		}},

@@ -7,8 +7,8 @@
 //   - PERF1   — CAD/CAM long-transaction study (C2PL vs PW2PL),
 //   - PERF2   — multidatabase local-serializability study,
 //   - PERF3   — checker-cost scaling,
-//   - PERF5   — certification scheduling: blocking vs optimistic
-//     (abort/restart) vs locking,
+//   - PERF5   — certification scheduling: the optimistic
+//     (abort/restart) gate vs locking,
 //   - PERF7   — commit-and-compact memory study: a 1M-op windowed
 //     admission stream through a compacting monitor against the
 //     uncompacted baseline (section "compact"),

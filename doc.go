@@ -33,9 +33,9 @@
 //     (internal/program),
 //   - a concurrent execution engine with pluggable policies — scripted,
 //     random, conservative strict 2PL, predicate-wise 2PL, a
-//     delayed-read gate, and two PWSR certification gates — plus
-//     abort/restart support: a policy implementing exec.Restarter can
-//     resolve a stall by sacrificing a victim, whose attempt the engine
+//     delayed-read gate, and the PWSR certification gate — plus
+//     abort/restart support: the gate (an exec.Gate) can resolve a
+//     stall by sacrificing a victim, whose attempt the engine
 //     erases exactly (operations expunged, writes undone through
 //     per-item write histories, live readers cascaded) before
 //     restarting its program (internal/exec, internal/sched),
@@ -58,21 +58,17 @@
 //     a verdict-identical monitor from whatever durable prefix
 //     survives a crash (a kill-at-every-byte-offset differential
 //     asserts this), fail-stop semantics when the device dies, and
-//     Resume to continue a certifier across a restart
-//     (internal/wal; sched.ResumeCertify wires it to a gate).
+//     Resume to continue a certifier across a restart (internal/wal).
 //
-// The certification gates embody the two classic stances: pessimistic
-// blocking (pwsr.NewCertify — inadmissible operations wait, infeasible
-// conflict patterns stall the run) and optimistic abort/retry
-// (pwsr.NewOptimisticCertify — stalls are resolved by aborting a
-// victim chosen by a pluggable policy, youngest or fewest-ops; the
-// gate is cascadeless, so its schedules are PWSR and delayed-read by
-// construction and Theorem 2 applies to every completed run of correct
-// programs). Independent engine
+// The certification gate (pwsr.NewOptimisticCertify) resolves stalls
+// by aborting a victim chosen by a pluggable policy, youngest or
+// fewest-ops; it is cascadeless, so its schedules are PWSR and
+// delayed-read by construction and Theorem 2 applies to every completed
+// run of correct programs. Independent engine
 // runs may execute concurrently, each pwsr.Run on its own goroutine
 // with its own policy: policies are stateful, so one value must not be
-// handed to two concurrent runs. Both gates commit
-// finished transactions to their certifier, whose compactor keeps the
+// handed to two concurrent runs. The gate commits
+// finished transactions to its certifier, whose compactor keeps the
 // resident population bounded across arbitrarily long streams; the
 // engine surfaces the lifecycle counters through Metrics.Gate.Compact
 // (the gate's one Stats snapshot, journal counters and health
@@ -117,8 +113,8 @@
 // certifier retains is bounded by the largest population it held
 // between two passes (the core package comment states the bound).
 //
-// The certification gates tick incrementally: a tick costs what changed
-// since the last one, not what is pending. Each gate carries its
+// The certification gate ticks incrementally: a tick costs what changed
+// since the last one, not what is pending. The gate carries its
 // pending requests' verdicts from tick to tick and re-decides one only
 // when a per-conjunct epoch under it moved — a grant moves the epochs of
 // the granted item's conjuncts, an abort, cancel or commit those of the
@@ -265,7 +261,7 @@
 // durable even under group commit, where a grant's record may sit in
 // memory until its group of commits fills.
 //
-// The gates shut down in two stages. Drain (every Gate has it)
+// The gate shuts down in two stages. Drain (every Gate has it)
 // stops new admissions — refused with ErrDraining — then settles
 // in-flight transactions per the DrainPolicy (DrainWait lets them
 // finish, DrainAbort retracts them immediately), flushes the journal

@@ -279,9 +279,23 @@ func TestBatchEngineAllocs(t *testing.T) {
 // again on its first request. With a monitor it certifies as a gate
 // does: a grant is observed, an abort retracted.
 type restartFirst struct {
+	nopGate
 	victim, left int
 	mon          *core.Monitor
 }
+
+// nopGate is the rest of an exec.Gate for a test policy that brings its
+// own Pick, TxnFinished, Victim and TxnAborted: embedded, it makes the
+// policy a whole Gate that certifies and journals nothing and reports
+// zero stats.
+type nopGate struct{}
+
+func (nopGate) TxnCanceled(int, *exec.View) {}
+func (nopGate) AdmitTxn([]txn.Op) error     { return nil }
+func (nopGate) Drain(context.Context) error { return nil }
+func (nopGate) CompactWatermark() int       { return 0 }
+func (nopGate) Settle() error               { return nil }
+func (nopGate) Stats() exec.GateStats       { return exec.GateStats{} }
 
 func (r *restartFirst) Pick(pending []*exec.Request, v *exec.View) int {
 	if r.left > 0 && v.OpCount(r.victim) == 2 {

@@ -37,8 +37,8 @@ const txnDirectMax = 1 << 20
 // time and it reports the first operation whose admission makes some
 // conjunct's projection non-serializable. This is the certifier a
 // PWSR scheduler consults before granting an operation — the
-// admission-control counterpart of the batch CheckPWSR (sched.Certify
-// is the policy built on it).
+// admission-control counterpart of the batch CheckPWSR (the gate
+// sched.OptimisticCertify is built on it).
 //
 // Per conjunct it maintains an incremental conflict graph over interned
 // (dense-int) transactions and items, with slice-indexed adjacency and

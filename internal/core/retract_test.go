@@ -261,7 +261,7 @@ func TestRetractUnderCertifiedExecution(t *testing.T) {
 		w := gen.MustGenerate(gen.Config{
 			Conjuncts: 3, Programs: 3, Style: gen.StyleFixed, Seed: rng.Int63(),
 		})
-		gate := sched.NewCertify(w.DataSets, sched.NewRandom(rng.Int63()))
+		gate := sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(rng.Int63()), nil)
 		res, err := exec.RunCtx(context.Background(), exec.Config{
 			Programs: w.Programs,
 			Initial:  w.Initial,

@@ -3,7 +3,6 @@ package exec_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -11,9 +10,7 @@ import (
 	"pwsr/internal/exec"
 	"pwsr/internal/fault"
 	"pwsr/internal/gen"
-	"pwsr/internal/program"
 	"pwsr/internal/sched"
-	"pwsr/internal/state"
 	"pwsr/internal/wal"
 )
 
@@ -67,87 +64,51 @@ func TestRunCtxPreCanceled(t *testing.T) {
 	}
 }
 
-// disjointWriters is a workload no certification gate can stall on:
-// five programs read the shared item a and write only items of their
-// own, so no operation ever closes a conflict cycle.
-func disjointWriters() (map[int]*program.Program, state.DB, []state.ItemSet) {
-	programs := make(map[int]*program.Program)
-	initial := state.Ints(map[string]int64{"a": 1})
-	xs, ys := state.NewItemSet("a"), state.NewItemSet()
-	for id := 1; id <= 5; id++ {
-		x, y := fmt.Sprintf("x%d", id), fmt.Sprintf("y%d", id)
-		programs[id] = program.MustParse(fmt.Sprintf("program T%d { %s := a + %d; %s := a + 1; }", id, x, id, y))
-		initial.Set(x, state.Int(0))
-		initial.Set(y, state.Int(0))
-		xs.Add(x)
-		ys.Add(y)
-	}
-	return programs, initial, []state.ItemSet{xs, ys}
-}
-
-// TestRunCtxMidRunCancel pins the settle contract on the serial engine,
-// for both certification gates: a cancel fired from a gate tick mid-run
-// surfaces as a typed ErrCanceled, the erased attempts reach the gate
-// (through exec.Gate's TxnCanceled), the gate holds no in-flight
-// transaction afterwards, and the partial Result's schedule replays to
-// a PWSR verdict on a fresh monitor — the committed prefix, never a
-// partial grant. The blocking gate runs a workload it cannot stall on
-// before the armed tick.
+// TestRunCtxMidRunCancel pins the settle contract on the serial engine:
+// a cancel fired from a gate tick mid-run surfaces as a typed
+// ErrCanceled, the erased attempts reach the gate (through exec.Gate's
+// TxnCanceled), the gate holds no in-flight transaction afterwards, and
+// the partial Result's schedule replays to a PWSR verdict on a fresh
+// monitor — the committed prefix, never a partial grant.
 func TestRunCtxMidRunCancel(t *testing.T) {
 	w := gen.MustGenerate(gen.Config{Conjuncts: 2, Programs: 5, MovesPerProgram: 3, Seed: 7})
-	disjoint, disjointInitial, disjointSets := disjointWriters()
-	type tickGate interface {
-		exec.Gate
-		SetFaultInjector(inj *fault.Injector, site string)
-		Monitor() sched.Certifier
-	}
-	for _, tc := range []struct {
-		name     string
-		gate     tickGate
-		programs map[int]*program.Program
-		initial  state.DB
-		sets     []state.ItemSet
-	}{
-		{"optimistic", sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(2), nil), w.Programs, w.Initial, w.DataSets},
-		{"blocking", sched.NewCertify(disjointSets, sched.NewRandom(2)), disjoint, disjointInitial, disjointSets},
-	} {
-		ctx, cancel := context.WithCancel(context.Background())
-		inj := fault.NewInjector(fault.Plan{Rules: []fault.Rule{
-			{Site: "gate", Op: fault.OpTick, From: 4, Count: 1, Kind: fault.KindCancel},
-		}})
-		inj.SetCancel(cancel)
-		tc.gate.SetFaultInjector(inj, "gate")
+	gate := sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(2), nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	inj := fault.NewInjector(fault.Plan{Rules: []fault.Rule{
+		{Site: "gate", Op: fault.OpTick, From: 4, Count: 1, Kind: fault.KindCancel},
+	}})
+	inj.SetCancel(cancel)
+	gate.SetFaultInjector(inj, "gate")
 
-		res, err := exec.RunCtx(ctx, exec.Config{
-			Programs: tc.programs,
-			Initial:  tc.initial,
-			Policy:   tc.gate,
-			DataSets: tc.sets,
-		})
-		cancel()
-		if inj.FiredCancels("gate", fault.OpTick) == 0 {
-			t.Fatalf("%s: workload finished before the armed tick — nothing to assert", tc.name)
-		}
-		if !errors.Is(err, exec.ErrCanceled) {
-			t.Fatalf("%s: mid-run cancel = %v, want ErrCanceled", tc.name, err)
-		}
-		if errors.Is(err, exec.ErrDeadline) {
-			t.Fatalf("%s: cancel not distinguishable: %v", tc.name, err)
-		}
-		if res == nil || res.Metrics.Aborts == 0 {
-			t.Fatalf("%s: vacuous: the cancel erased no attempt", tc.name)
-		}
-		if live := tc.gate.Monitor().InFlightTxnIDs(); len(live) != 0 {
-			t.Fatalf("%s: cancelled run left in-flight transactions: %v", tc.name, live)
-		}
-		if !tc.gate.Monitor().PWSR() {
-			t.Fatalf("%s: gate verdict violated by cancellation", tc.name)
-		}
-		replay := core.NewMonitor(tc.sets)
-		for _, o := range res.Schedule.Ops() {
-			if v := replay.Observe(o); v != nil {
-				t.Fatalf("%s: partial schedule not PWSR on replay: %v", tc.name, v)
-			}
+	res, err := exec.RunCtx(ctx, exec.Config{
+		Programs: w.Programs,
+		Initial:  w.Initial,
+		Policy:   gate,
+		DataSets: w.DataSets,
+	})
+	if inj.FiredCancels("gate", fault.OpTick) == 0 {
+		t.Fatal("workload finished before the armed tick — nothing to assert")
+	}
+	if !errors.Is(err, exec.ErrCanceled) {
+		t.Fatalf("mid-run cancel = %v, want ErrCanceled", err)
+	}
+	if errors.Is(err, exec.ErrDeadline) {
+		t.Fatalf("cancel not distinguishable: %v", err)
+	}
+	if res == nil || res.Metrics.Aborts == 0 {
+		t.Fatal("vacuous: the cancel erased no attempt")
+	}
+	if live := gate.Monitor().InFlightTxnIDs(); len(live) != 0 {
+		t.Fatalf("cancelled run left in-flight transactions: %v", live)
+	}
+	if !gate.Monitor().PWSR() {
+		t.Fatal("gate verdict violated by cancellation")
+	}
+	replay := core.NewMonitor(w.DataSets)
+	for _, o := range res.Schedule.Ops() {
+		if v := replay.Observe(o); v != nil {
+			t.Fatalf("partial schedule not PWSR on replay: %v", v)
 		}
 	}
 }

@@ -29,18 +29,17 @@
 //
 // # Policies and gates
 //
-// A Policy picks the interleaving. An engine asserts two more contracts
-// once, when it starts: Restarter (victims resolve stalls) and Gate (the
-// certification gates of package sched; see Gate).
+// A Policy picks the interleaving. An engine asserts one more contract
+// once, when it starts: Gate (the certification gate of package sched),
+// which also resolves stalls by naming victims.
 //
 // # Abort and restart semantics
 //
-// A policy implementing the optional Restarter extension can resolve a
-// stall by sacrificing a victim instead of killing the run. Because
-// writes are granted operations — applied to the shared store the
-// moment the policy grants them, not buffered to commit time — aborting
-// a transaction means erasing an attempt that has already touched
-// shared state. The engine makes the erasure exact:
+// A Gate can resolve a stall by sacrificing a victim instead of killing
+// the run. Because writes are granted operations — applied to the
+// shared store the moment the policy grants them, not buffered to
+// commit time — aborting a transaction means erasing an attempt that
+// has already touched shared state. The engine makes the erasure exact:
 //
 //   - the attempt's granted operations are expunged from the recorded
 //     schedule (positions are reassigned, metrics count them as wasted);
@@ -153,29 +152,6 @@ func DeclareAccess(p *program.Program) AccessDecl {
 	all := p.DataItems()
 	writes := p.WriteTargets()
 	return AccessDecl{Reads: all.Diff(writes), Writes: writes}
-}
-
-// Restarter is an optional Policy extension: a policy that resolves
-// stalls by aborting and restarting a victim transaction (the
-// optimistic reading of certification — sched.OptimisticCertify is the
-// canonical implementation). When every pending request is ungrantable
-// (Pick returned -1) and the policy implements Restarter, the engine
-// asks for a victim instead of failing with ErrStall; the victim and
-// its cascade closure (see View.AbortClosure) are aborted per the
-// package's abort semantics and respawned, and the run continues.
-type Restarter interface {
-	Policy
-	// Victim returns the index (into pending) of the transaction to
-	// abort and restart, or -1 to give up and let the run fail with
-	// ErrStall. Implementations should only return transactions whose
-	// View.AbortClosure is eligible.
-	Victim(pending []*Request, v *View) int
-	// TxnAborted notifies the policy that a transaction's attempt was
-	// erased — called once per closure member, after its operations
-	// were expunged and its store effects undone, before its program
-	// respawns. Certifying policies retract the transaction from their
-	// monitor here.
-	TxnAborted(id int, v *View)
 }
 
 // View is the engine state a policy may consult when picking. A View,
@@ -319,7 +295,7 @@ type Policy interface {
 
 // CompactStats is a certifying policy's transaction-lifecycle
 // counters, as reported by a policy whose certifier commits finished
-// transactions and compacts them away (the sched certification gates
+// transactions and compacts them away (the sched certification gate
 // over core.Monitor).
 type CompactStats struct {
 	// Compactions counts compaction passes the certifier ran.
@@ -364,10 +340,20 @@ type GateStats struct {
 }
 
 // Gate is a certifying policy's whole contract with the engines; the
-// sched certification gates implement it. RunCtx and NewParallelEngine
-// assert it once, when they start, and Restarter is the only other
-// interface they look for.
+// sched certification gate implements it. RunCtx and NewParallelEngine
+// assert it once, when they start, and look for no other interface.
 //
+//   - Victim resolves a stall: when every pending request is
+//     ungrantable (Pick returned -1), RunCtx asks for the index (into
+//     pending) of the transaction to abort and restart instead of
+//     failing with ErrStall. The victim and its cascade closure (see
+//     View.AbortClosure, which it must report eligible) are aborted per
+//     the package's abort semantics and respawned, and the run
+//     continues. -1 declines: the run fails with ErrStall.
+//   - TxnAborted: a transaction's attempt was erased — called once per
+//     closure member, after its operations were expunged and its store
+//     effects undone, before its program respawns. The gate retracts
+//     the attempt from its certifier here.
 //   - TxnCanceled: cancel equals abort. The gate retracts, journaled,
 //     every grant it holds for a transaction the engine erased without
 //     a restart — the run was cancelled, or failed on a program error —
@@ -390,6 +376,8 @@ type GateStats struct {
 type Gate interface {
 	Policy
 	BatchGate
+	Victim(pending []*Request, v *View) int
+	TxnAborted(id int, v *View)
 	TxnCanceled(id int, v *View)
 	Drain(ctx context.Context) error
 	CompactWatermark() int
@@ -398,8 +386,12 @@ type Gate interface {
 }
 
 // Subsets of Gate that no engine asserts, kept for
-// benchmark/benchmark_test.go:141–151 until ROADMAP item 8.
+// benchmark/benchmark_test.go:138–151 until ROADMAP item 8.
 type (
+	Restarter interface {
+		Victim(pending []*Request, v *View) int
+		TxnAborted(id int, v *View)
+	}
 	Canceler          interface{ TxnCanceled(id int, v *View) }
 	Drainer           interface{ Drain(context.Context) error }
 	WatermarkReporter interface{ CompactWatermark() int }
@@ -487,8 +479,8 @@ type Config struct {
 	// DataSets optionally supplies the conjunct partition to policies.
 	DataSets []state.ItemSet
 	// MaxAborts bounds the total aborted attempts of a run before the
-	// engine gives up with ErrStall (a livelock backstop for Restarter
-	// policies); 0 means the default of 65536.
+	// engine gives up with ErrStall (a livelock backstop for a Gate
+	// that names victims); 0 means the default of 65536.
 	MaxAborts int
 	// ReadOnly declares transactions served from multiversion
 	// snapshots instead of the tick loop: a declared transaction never
@@ -608,12 +600,11 @@ var runStates = sync.Pool{New: func() any { return new(runState) }}
 // When ctx ends mid-run the engine settles instead of killing the run:
 // transactions in flight are aborted through the same erasure machinery
 // a policy victim uses — their attempts are expunged from the schedule,
-// their writes undone, and a Gate notified through TxnCanceled (a
-// Restarter that is not one through TxnAborted), so a certifying gate
-// retracts and journals each one exactly as a completed run that
-// aborted them would. The rare transaction whose written value
+// their writes undone, and a Gate notified through TxnCanceled, so a
+// certifying gate retracts and journals each one exactly as a completed
+// run that aborted them would. The rare transaction whose written value
 // a finished transaction already consumed cannot be erased (see the
-// package comment on pinning; the cascadeless gates never produce one)
+// package comment on pinning; the cascadeless gate never produces one)
 // and is retired as committed with its partial prefix instead.
 //
 // RunCtx then returns the partial Result — the committed schedule that
@@ -648,8 +639,7 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 	if interp == nil {
 		interp = program.NewInterp()
 	}
-	// The two contracts a policy may add, asserted once (see Gate).
-	ra, _ := cfg.Policy.(Restarter)
+	// The contract a policy may add, asserted once (see Gate).
 	gate, _ := cfg.Policy.(Gate)
 
 	roList := make([]int, 0, len(cfg.ReadOnly))
@@ -895,9 +885,9 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 	// notify the policy. The attempts themselves need no unwinding: each
 	// is a suspended Machine, which a restart resets and a cancelled run
 	// simply drops. It must only be called when every live transaction is
-	// parked on a pending request. With byCancel set a Gate is notified
-	// through TxnCanceled (the transactions are gone, not retried);
-	// otherwise a Restarter through TxnAborted.
+	// parked on a pending request. A Gate is notified through TxnCanceled
+	// with byCancel set (the transactions are gone, not retried), through
+	// TxnAborted otherwise.
 	eraseAttempts := func(closure []int, byCancel bool) {
 		// Nothing before the members' earliest operation moves: a victim
 		// that started late rewrites a short suffix.
@@ -974,10 +964,11 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 			metrics.Aborts++
 			v.proc(id).tm.Aborts++
 			switch {
-			case byCancel && gate != nil:
+			case gate == nil:
+			case byCancel:
 				gate.TxnCanceled(id, v)
-			case ra != nil:
-				ra.TxnAborted(id, v)
+			default:
+				gate.TxnAborted(id, v)
 			}
 		}
 	}
@@ -1108,11 +1099,11 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 			choice = cfg.Policy.Pick(list, v)
 		}
 		if choice < 0 || choice >= len(list) {
-			// A Restarter policy may resolve the stall by sacrificing a
-			// victim; anything else (or an exhausted abort budget, the
-			// livelock backstop) is a hard stall.
-			if ra != nil {
-				if vi := ra.Victim(list, v); vi >= 0 && vi < len(list) {
+			// A Gate may resolve the stall by sacrificing a victim;
+			// anything else (or an exhausted abort budget, the livelock
+			// backstop) is a hard stall.
+			if gate != nil {
+				if vi := gate.Victim(list, v); vi >= 0 && vi < len(list) {
 					if metrics.Aborts >= maxAborts {
 						return exit(nil, stallCause(gate, fmt.Errorf("%w: abort budget (%d) exhausted", ErrStall, maxAborts)))
 					}

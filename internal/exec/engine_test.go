@@ -331,30 +331,33 @@ func (w *goroutineWatch) TxnFinished(id int, v *exec.View) {
 	w.Policy.TxnFinished(id, v)
 }
 
-// restarterWatch is goroutineWatch over a policy that restarts victims.
-type restarterWatch struct {
-	goroutineWatch
-	inner exec.Restarter
+// gateWatch is goroutineWatch over a Gate: it watches the victim
+// callbacks too and forwards the rest of the contract.
+type gateWatch struct {
+	exec.Gate
+	watch *goroutineWatch
 }
 
-func (w *restarterWatch) Victim(pending []*exec.Request, v *exec.View) int {
-	w.look()
-	return w.inner.Victim(pending, v)
+func (w *gateWatch) Pick(pending []*exec.Request, v *exec.View) int { return w.watch.Pick(pending, v) }
+func (w *gateWatch) TxnFinished(id int, v *exec.View)               { w.watch.TxnFinished(id, v) }
+
+func (w *gateWatch) Victim(pending []*exec.Request, v *exec.View) int {
+	w.watch.look()
+	return w.Gate.Victim(pending, v)
 }
 
-func (w *restarterWatch) TxnAborted(id int, v *exec.View) {
-	w.look()
-	w.inner.TxnAborted(id, v)
+func (w *gateWatch) TxnAborted(id int, v *exec.View) {
+	w.watch.look()
+	w.Gate.TxnAborted(id, v)
 }
 
-// watchGoroutines wraps pol, keeping it a Restarter when it is one, and
+// watchGoroutines wraps pol, keeping it a Gate when it is one, and
 // returns the watch to read the peak from.
 func watchGoroutines(pol exec.Policy) (exec.Policy, *goroutineWatch) {
-	if ra, ok := pol.(exec.Restarter); ok {
-		w := &restarterWatch{goroutineWatch: goroutineWatch{Policy: pol}, inner: ra}
-		return w, &w.goroutineWatch
-	}
 	w := &goroutineWatch{Policy: pol}
+	if g, ok := pol.(exec.Gate); ok {
+		return &gateWatch{Gate: g, watch: w}, w
+	}
 	return w, w
 }
 

@@ -13,18 +13,32 @@ import (
 	"pwsr/internal/txn"
 )
 
+// nopGate is the rest of an exec.Gate for a test policy that brings its
+// own Pick and TxnFinished: embedded, it makes the policy a whole Gate
+// that names no victim, certifies and journals nothing and reports zero
+// stats. A policy that restarts victims brings its own Victim (and
+// TxnAborted when it wants the notices).
+type nopGate struct{}
+
+func (nopGate) Victim([]*exec.Request, *exec.View) int { return -1 }
+func (nopGate) TxnAborted(int, *exec.View)             {}
+func (nopGate) TxnCanceled(int, *exec.View)            {}
+func (nopGate) AdmitTxn([]txn.Op) error                { return nil }
+func (nopGate) Drain(context.Context) error            { return nil }
+func (nopGate) CompactWatermark() int                  { return 0 }
+func (nopGate) Settle() error                          { return nil }
+func (nopGate) Stats() exec.GateStats                  { return exec.GateStats{} }
+
 // stalledPolicy is a Gate that refuses every pick and reports a fixed
 // health posture — the minimal fixture for the stall-reclassification
 // paths.
-type stalledPolicy struct{ h exec.Health }
+type stalledPolicy struct {
+	nopGate
+	h exec.Health
+}
 
 func (p *stalledPolicy) Pick(pending []*exec.Request, v *exec.View) int { return -1 }
 func (p *stalledPolicy) TxnFinished(id int, v *exec.View)               {}
-func (p *stalledPolicy) AdmitTxn(ops []txn.Op) error                    { return nil }
-func (p *stalledPolicy) TxnCanceled(id int, v *exec.View)               {}
-func (p *stalledPolicy) Drain(ctx context.Context) error                { return nil }
-func (p *stalledPolicy) CompactWatermark() int                          { return 0 }
-func (p *stalledPolicy) Settle() error                                  { return nil }
 func (p *stalledPolicy) Stats() exec.GateStats                          { return exec.GateStats{Health: p.h} }
 
 // TestStallCarriesBufferingPosture pins the outage-observability fix:

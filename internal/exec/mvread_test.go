@@ -453,7 +453,7 @@ func TestMVReadRetentionFollowsCompactWatermark(t *testing.T) {
 		programs[i] = program.MustParse(fmt.Sprintf("program T%d {\n  x := x + 1;\n}\n", i))
 	}
 	partition := []state.ItemSet{state.NewItemSet("x")}
-	gate := sched.NewCertify(partition, &sched.Serial{})
+	gate := sched.NewOptimisticCertify(partition, &sched.Serial{}, nil)
 	gate.Monitor().SetAutoCompact(5)
 
 	eng := exec.NewParallelEngine(exec.ParallelConfig{
@@ -513,7 +513,7 @@ func TestMVReadRetentionFollowsCompactWatermark(t *testing.T) {
 // certifier has not reclaimed.
 func TestMVReadCrossBatchIDDiscipline(t *testing.T) {
 	partition := []state.ItemSet{state.NewItemSet("x")}
-	gate := sched.NewCertify(partition, &sched.Serial{})
+	gate := sched.NewOptimisticCertify(partition, &sched.Serial{}, nil)
 	eng := exec.NewParallelEngine(exec.ParallelConfig{
 		Initial: state.Ints(map[string]int64{"x": 0}),
 		Gate:    gate,
@@ -556,7 +556,7 @@ func TestRejectedReaderKeepsBatchIDs(t *testing.T) {
 	partition := []state.ItemSet{state.NewItemSet("x")}
 	eng := exec.NewParallelEngine(exec.ParallelConfig{
 		Initial:  state.Ints(map[string]int64{"x": 0}),
-		Gate:     sched.NewCertify(partition, &sched.Serial{}),
+		Gate:     sched.NewOptimisticCertify(partition, &sched.Serial{}, nil),
 		ReadOnly: map[int]bool{100: true},
 	})
 	batch := func(reader string) map[int]*program.Program {

@@ -18,8 +18,8 @@ import (
 
 // BatchGate is the admission interface the block-parallel batch
 // executor drives: one call certifies and commits a finished
-// transaction's whole operation sequence atomically. The sched gates
-// implement it (Certify and OptimisticCertify, over core.Monitor), so
+// transaction's whole operation sequence atomically. The sched gate
+// implements it (OptimisticCertify, over core.Monitor), so
 // a batch admitted through a gate carries the
 // same PWSR proof obligation as a ticked schedule.
 // A fresh transaction admitted whole cannot be denied (see
@@ -614,7 +614,7 @@ func (e *ParallelEngine) syncFloor() {
 }
 
 // Drain gracefully shuts the engine's admission path down: the gate is
-// drained (when it is a Gate — the sched gates are), and the
+// drained (when it is a Gate — the sched gate is), and the
 // store's retention floor is then advanced to the gate's final Compact
 // watermark, draining the watermark queue the way a further batch's
 // commits would. Pinned snapshots keep their versions readable below

@@ -20,9 +20,11 @@ import (
 
 // forcedRestart wraps an inner policy and forces exactly one stall
 // after a fixed number of grants, naming a fixed victim — the smallest
-// Restarter, for exercising the engine's abort machinery directly.
+// gate that restarts, for exercising the engine's abort machinery
+// directly.
 type forcedRestart struct {
 	exec.Policy
+	nopGate
 	victim  int
 	after   int
 	granted int
@@ -263,7 +265,7 @@ func TestEngineAbortPinnedVictim(t *testing.T) {
 	}
 }
 
-// TestEngineAbortClosureView checks the eligibility view a Restarter
+// TestEngineAbortClosureView checks the eligibility view a Gate
 // consults: the closure contains the transitive live readers, and
 // pinning is reported.
 func TestEngineAbortClosureView(t *testing.T) {
@@ -318,12 +320,11 @@ func TestEngineAbortBudget(t *testing.T) {
 
 // alwaysAbort grants nothing and sacrifices the first pending
 // transaction forever.
-type alwaysAbort struct{}
+type alwaysAbort struct{ nopGate }
 
 func (a *alwaysAbort) Pick(pending []*exec.Request, v *exec.View) int   { return -1 }
 func (a *alwaysAbort) TxnFinished(id int, v *exec.View)                 {}
 func (a *alwaysAbort) Victim(pending []*exec.Request, v *exec.View) int { return 0 }
-func (a *alwaysAbort) TxnAborted(id int, v *exec.View)                  {}
 
 // waitLedger is the reference the engine's O(1) wait accounting is
 // pinned against: the per-tick walk over the pending list the engine
@@ -331,8 +332,8 @@ func (a *alwaysAbort) TxnAborted(id int, v *exec.View)                  {}
 // tick — kept here. It wraps the restarting policy under test, passes
 // every passEvery-th tick on its own, and records completion order.
 type waitLedger struct {
+	exec.Gate
 	t         *testing.T
-	inner     exec.Restarter
 	passEvery int
 	picks     int
 	waits     map[int]int
@@ -344,7 +345,7 @@ func (l *waitLedger) Pick(pending []*exec.Request, v *exec.View) int {
 	l.picks++
 	choice := exec.PassTick
 	if l.picks%l.passEvery != 0 {
-		choice = l.inner.Pick(pending, v)
+		choice = l.Gate.Pick(pending, v)
 	}
 	if choice == exec.PassTick || (choice >= 0 && choice < len(pending)) {
 		for i, r := range pending {
@@ -356,16 +357,13 @@ func (l *waitLedger) Pick(pending []*exec.Request, v *exec.View) int {
 	return choice
 }
 
-func (l *waitLedger) Victim(pending []*exec.Request, v *exec.View) int {
-	return l.inner.Victim(pending, v)
-}
 func (l *waitLedger) TxnAborted(id int, v *exec.View) {
 	checkOpIndex(l.t, v)
-	l.inner.TxnAborted(id, v)
+	l.Gate.TxnAborted(id, v)
 }
 func (l *waitLedger) TxnFinished(id int, v *exec.View) {
 	l.finished = append(l.finished, id)
-	l.inner.TxnFinished(id, v)
+	l.Gate.TxnFinished(id, v)
 }
 
 // TestEngineIdenticalAcrossRunsAndProcs is the transport's identity
@@ -393,7 +391,7 @@ func TestEngineIdenticalAcrossRunsAndProcs(t *testing.T) {
 	run := func() outcome {
 		ledger := &waitLedger{
 			t:         t,
-			inner:     sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(5), nil),
+			Gate:      sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(5), nil),
 			passEvery: 7,
 			waits:     make(map[int]int),
 		}

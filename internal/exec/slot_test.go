@@ -14,10 +14,11 @@ import (
 	"pwsr/internal/txn"
 )
 
-// slotAudit is a Restarter over round-robin that stalls every fifth
-// Pick, sacrificing the newest pending transaction whose abort closure
-// holds, and audits every request it is shown against the run's ids.
+// slotAudit is a gate over round-robin that stalls every fifth Pick,
+// sacrificing the newest pending transaction whose abort closure holds,
+// and audits every request it is shown against the run's ids.
 type slotAudit struct {
+	nopGate
 	t       *testing.T
 	rr      sched.RoundRobin
 	rank    map[int]int // id → its index among the run's ids, ascending
@@ -109,11 +110,10 @@ func (a *slotAudit) Victim(pending []*exec.Request, v *exec.View) int {
 	return -1
 }
 
-func (a *slotAudit) TxnAborted(id int, v *exec.View)  {}
 func (a *slotAudit) TxnFinished(id int, v *exec.View) {}
 
 // TestRequestSlots pins Request.Slot's contract on contiguous and on
-// sparse ids, under a Restarter that aborts: the requests of one Pick or
+// sparse ids, under a gate that aborts: the requests of one Pick or
 // Victim carry distinct slots, each the id's rank among the run's ids,
 // fixed across the attempt's requests and its restarts; and FirstOp,
 // OpCount and AbortClosure — the View's slot-indexed lookups, direct for

@@ -13,18 +13,14 @@ import (
 	"pwsr/internal/sim"
 )
 
-// CertifyPolicyStudy is experiment PERF5: blocking certification
-// (sched.Certify, which dies with ErrStall when every pending request
-// would close a conflict cycle) against the abort-capable
-// sched.OptimisticCertify under both victim policies, with the
+// CertifyPolicyStudy is experiment PERF5: the certification gate
+// (sched.OptimisticCertify) under both victim policies, with the
 // conservative lockers as baselines, across seeded gen workloads. The
-// blocking gate's stalled trials are its cost: those runs produce
-// nothing. The optimistic gate finishes everything and pays in aborted
-// work instead; the table records both currencies plus the
-// virtual-clock totals of the completed runs.
+// gate finishes everything and pays in aborted work; the table records
+// that currency plus the virtual-clock totals of the completed runs.
 func CertifyPolicyStudy(trials int, baseSeed int64) (*sim.Table, error) {
 	t := &sim.Table{
-		Title: "PERF5 — certification scheduling: blocking vs optimistic vs locking",
+		Title: "PERF5 — certification scheduling: optimistic vs locking",
 		Columns: []string{
 			"policy", "completed", "stalled", "aborts", "wasted-ops", "ticks", "waits", "wall",
 		},
@@ -38,9 +34,6 @@ func CertifyPolicyStudy(trials int, baseSeed int64) (*sim.Table, error) {
 		mk   func(w *gen.Workload, seed int64) exec.Policy
 	}
 	cases := []policyCase{
-		{"certify-blocking", func(w *gen.Workload, seed int64) exec.Policy {
-			return sched.NewCertify(w.DataSets, sched.NewRandom(seed))
-		}},
 		{"certify-optimistic/youngest", func(w *gen.Workload, seed int64) exec.Policy {
 			return sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(seed), sched.VictimYoungest)
 		}},

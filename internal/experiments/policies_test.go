@@ -5,16 +5,16 @@ import (
 	"testing"
 )
 
-// TestCertifyPolicyStudy smoke-runs PERF5: every policy row renders,
-// the optimistic gates complete every trial, and the blocking gate's
-// stalls are visible (the contrast the experiment exists to show).
+// TestCertifyPolicyStudy smoke-runs PERF5: every policy row renders and
+// the certification gate completes every trial under both victim
+// policies.
 func TestCertifyPolicyStudy(t *testing.T) {
 	tab, err := CertifyPolicyStudy(20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 5 {
-		t.Fatalf("rows = %d, want 5 policies", len(tab.Rows))
+	if len(tab.Rows) != 4 {
+		t.Fatalf("rows = %d, want 4 policies", len(tab.Rows))
 	}
 	byName := map[string][]string{}
 	for _, r := range tab.Rows {
@@ -28,9 +28,6 @@ func TestCertifyPolicyStudy(t *testing.T) {
 		if r[1] != "20/20" || r[2] != "0" {
 			t.Fatalf("%s: completed %s stalled %s, want 20/20 and 0", opt, r[1], r[2])
 		}
-	}
-	if r := byName["certify-blocking"]; r[2] == "0" {
-		t.Log("note: blocking gate did not stall on this seed range (contrast weakened)")
 	}
 	if !strings.Contains(tab.Render(), "PERF5") {
 		t.Fatal("table title missing")

@@ -18,7 +18,7 @@ import (
 // The gate mutex serializes admissions with the tick path; a
 // ParallelEngine's commit pipeline is itself serial, so the lock adds
 // no contention there.
-func (g *gate) AdmitTxn(ops []txn.Op) error {
+func (g *OptimisticCertify) AdmitTxn(ops []txn.Op) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.lc.closed {

@@ -14,63 +14,40 @@ import (
 	"pwsr/internal/txn"
 )
 
-// gateMonitors builds each certification gate over its own monitor on
-// the same partition, so lifecycle behavior can be asserted uniformly
-// on the monitor the gate certifies through.
-func gateMonitors(partition []state.ItemSet, seed int64) map[string]struct {
-	policy exec.Policy
-	mon    *core.Monitor
-} {
-	cm, om := core.NewMonitor(partition), core.NewMonitor(partition)
-	return map[string]struct {
-		policy exec.Policy
-		mon    *core.Monitor
-	}{
-		"Certify":           {sched.NewCertifyOver(cm, sched.NewRandom(seed)), cm},
-		"OptimisticCertify": {sched.NewOptimisticCertifyOver(om, sched.NewRandom(seed), nil), om},
-	}
+// gateMonitor builds the certification gate over a monitor it returns
+// too, so lifecycle behavior can be asserted on the monitor the gate
+// certifies through.
+func gateMonitor(partition []state.ItemSet, seed int64) (exec.Policy, *core.Monitor) {
+	mon := core.NewMonitor(partition)
+	return sched.NewOptimisticCertifyOver(mon, sched.NewRandom(seed), nil), mon
 }
 
 // TestGatesCommitFinishedTxns is the regression for the missing
-// completion signal: every certification gate must Commit a finished
+// completion signal: the certification gate must Commit a finished
 // transaction to its certifier, so that once a run completes (every
 // transaction finished) a compaction pass reclaims the entire
 // certification state. Before the fix the gates never signalled
 // completion and the monitor retained every transaction forever.
 func TestGatesCommitFinishedTxns(t *testing.T) {
-	for _, name := range []string{"Certify", "OptimisticCertify"} {
-		// The blocking gate may stall on a conflict-heavy interleaving;
-		// retry workloads until a run completes (the lifecycle
-		// assertions need every transaction finished).
-		completed := false
-		for seed := int64(0); seed < 20 && !completed; seed++ {
-			w := gen.MustGenerate(gen.Config{
-				Conjuncts: 2, Programs: 3, Style: gen.StyleFixed, Seed: 11 + seed,
-			})
-			g := gateMonitors(w.DataSets, seed)[name]
-			_, err := exec.RunCtx(context.Background(), exec.Config{
-				Programs: w.Programs,
-				Initial:  w.Initial,
-				Policy:   g.policy,
-				DataSets: w.DataSets,
-			})
-			if err != nil {
-				continue
-			}
-			completed = true
-			g.mon.Compact()
-			st := g.mon.CompactStats()
-			if st.LiveTxns != 0 {
-				t.Errorf("%s: %d transactions still resident after all finished and a compaction pass — TxnFinished is not committing",
-					name, st.LiveTxns)
-			}
-			if st.ReclaimedTxns == 0 {
-				t.Errorf("%s: compaction reclaimed no transactions", name)
-			}
-		}
-		if !completed {
-			t.Fatalf("%s: no seed completed the workload", name)
-		}
+	w := gen.MustGenerate(gen.Config{
+		Conjuncts: 2, Programs: 3, Style: gen.StyleFixed, Seed: 11,
+	})
+	gate, mon := gateMonitor(w.DataSets, 0)
+	if _, err := exec.RunCtx(context.Background(), exec.Config{
+		Programs: w.Programs,
+		Initial:  w.Initial,
+		Policy:   gate,
+		DataSets: w.DataSets,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	mon.Compact()
+	st := mon.CompactStats()
+	if st.LiveTxns != 0 {
+		t.Errorf("%d transactions still resident after all finished and a compaction pass — TxnFinished is not committing", st.LiveTxns)
+	}
+	if st.ReclaimedTxns == 0 {
+		t.Error("compaction reclaimed no transactions")
 	}
 }
 
@@ -81,25 +58,23 @@ func TestGatesCommitFinishedTxns(t *testing.T) {
 // finished transaction has stopped influencing admission entirely.
 func TestFinishedTxnDoesNotBlockSuccessor(t *testing.T) {
 	partition := []state.ItemSet{state.NewItemSet("a", "b")}
-	for name, g := range gateMonitors(partition, 1) {
-		mon := g.mon
-		mon.Observe(txn.W(1, "a", 0))
-		mon.Observe(txn.W(1, "b", 0))
-		mon.Commit(1)
-		mon.Compact()
-		for _, succ := range []int{2, 3} {
-			if !mon.Admissible(txn.W(succ, "a", 0)) {
-				t.Fatalf("%s: successor T%d write inadmissible after predecessor was reclaimed", name, succ)
-			}
-			if v := mon.Observe(txn.W(succ, "a", 0)); v != nil {
-				t.Fatalf("%s: %v", name, v)
-			}
+	_, mon := gateMonitor(partition, 1)
+	mon.Observe(txn.W(1, "a", 0))
+	mon.Observe(txn.W(1, "b", 0))
+	mon.Commit(1)
+	mon.Compact()
+	for _, succ := range []int{2, 3} {
+		if !mon.Admissible(txn.W(succ, "a", 0)) {
+			t.Fatalf("successor T%d write inadmissible after predecessor was reclaimed", succ)
 		}
-		// Only the successors' own conflict survives; no trace of T1.
-		for _, e := range mon.ConflictEdges(0) {
-			if e[0] == 1 || e[1] == 1 {
-				t.Fatalf("%s: reclaimed transaction still present in edge %v", name, e)
-			}
+		if v := mon.Observe(txn.W(succ, "a", 0)); v != nil {
+			t.Fatal(v)
+		}
+	}
+	// Only the successors' own conflict survives; no trace of T1.
+	for _, e := range mon.ConflictEdges(0) {
+		if e[0] == 1 || e[1] == 1 {
+			t.Fatalf("reclaimed transaction still present in edge %v", e)
 		}
 	}
 }

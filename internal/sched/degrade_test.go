@@ -38,7 +38,7 @@ func TestDegradeShedSurfacesTyped(t *testing.T) {
 	})
 	jw, mem := brokenWriter(t, wal.Options{GroupEvery: 1, SnapshotEvery: -1, MaxRetries: 1},
 		fault.Rule{Op: fault.OpSync, From: 2, Count: 0, Kind: fault.KindError, Msg: "device gone"})
-	gate := sched.NewCertify(w.DataSets, sched.NewRandom(1))
+	gate := sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(1), nil)
 	gate.AttachJournal(jw, sched.WithDegradeMode(sched.DegradeShed))
 	_, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: w.Programs, Initial: w.Initial, Policy: gate, DataSets: w.DataSets,

@@ -10,7 +10,7 @@ import (
 )
 
 // DrainPolicy selects what Drain does with the transactions still live
-// in the monitor when the drain begins. See the gates' Drain.
+// in the monitor when the drain begins. See the gate's Drain.
 type DrainPolicy int
 
 const (
@@ -49,7 +49,7 @@ func (lc *lifecycle) blocked(txnID int) bool {
 
 // SetDrainPolicy selects what Drain does with in-flight transactions
 // (default DrainWait). Call before Drain.
-func (g *gate) SetDrainPolicy(p DrainPolicy) {
+func (g *OptimisticCertify) SetDrainPolicy(p DrainPolicy) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.lc.policy = p
@@ -66,7 +66,7 @@ func (g *gate) SetDrainPolicy(p DrainPolicy) {
 // an already-closed gate returns exec.ErrGateClosed. The gate stays
 // usable for reads (Health, Monitor) after a drain; call Close to
 // release the journal.
-func (g *gate) Drain(ctx context.Context) error {
+func (g *OptimisticCertify) Drain(ctx context.Context) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	mon := g.memo.mon
@@ -81,20 +81,18 @@ func (g *gate) Drain(ctx context.Context) error {
 	}
 	// Only uncommitted residents are retractable: a committed
 	// transaction stays resident until compaction reclaims it, and its
-	// work is done, so it is neither waited on nor retracted.
+	// work is done, so it is neither waited on nor retracted. The rest
+	// go as a cancelled run's do.
 	retract := func(ids []int) int {
-		n := 0
+		if mon.Violation() != nil {
+			return 0 // a violated certifier rolls nothing back
+		}
 		for _, id := range ids {
-			if mon.CheckedRetract(id) != nil {
-				continue // committed or violated: nothing to roll back
-			}
-			n++
-			g.memo.settle(id)
-			g.memo.global++ // it may hold operations no tick granted
-			g.jn.ack()
+			g.cancel(id)
 			delete(g.lc.allowed, id)
 		}
-		return n
+		g.memo.global++ // they may hold operations no tick granted
+		return len(ids)
 	}
 	var drainErr error
 	if g.lc.policy == DrainAbort {
@@ -141,7 +139,7 @@ func (g *gate) Drain(ctx context.Context) error {
 // quiesce; Close alone abandons in-flight transactions where they stand
 // (the journal still holds their durable prefix, so recovery sees them
 // as live and retractable).
-func (g *gate) Close() error {
+func (g *OptimisticCertify) Close() error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.lc.closed {

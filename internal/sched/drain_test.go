@@ -95,7 +95,7 @@ func TestDrainWaitsForInFlight(t *testing.T) {
 // denial — leaving the gate refusing fresh admissions with
 // exec.ErrDraining.
 func TestDrainDeadlineTyped(t *testing.T) {
-	gate := NewCertify(drainPartition(), nil)
+	gate := NewOptimisticCertify(drainPartition(), nil, nil)
 	gate.Monitor().Observe(txn.R(7, "a", 0))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
@@ -145,7 +145,7 @@ func TestDrainAbortPolicy(t *testing.T) {
 // admission path afterwards refuses with exec.ErrGateClosed — as does
 // a late Drain.
 func TestCloseIdempotentAndTerminal(t *testing.T) {
-	gate := NewCertify(drainPartition(), nil)
+	gate := NewOptimisticCertify(drainPartition(), nil, nil)
 	if err := gate.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}

@@ -122,8 +122,8 @@ type bufferedEvent struct {
 	ops       int
 }
 
-// journaled is the state a certification gate keeps per attached
-// journal, shared by Certify and OptimisticCertify. It sits between
+// journaled is the state the certification gate keeps per attached
+// journal. It sits between
 // the certifier and the journal as the monitor's lifecycle sink, so
 // the degradation modes can interpose on the event stream (queue it,
 // drop it) without the certifier or journal knowing. All methods run
@@ -479,64 +479,45 @@ func (j *journaled) logStats() exec.LogStats {
 // exec.ErrJournalDown), shed (exec.ErrDegraded), or buffer through a
 // bounded in-memory queue that drains once the journal heals. Attach
 // before the first Pick.
-func (g *gate) AttachJournal(j Journal, opts ...JournalOption) {
+func (g *OptimisticCertify) AttachJournal(j Journal, opts ...JournalOption) {
 	g.jn.attach(g.memo.mon, j, opts...)
 }
 
 // Journal returns the attached journal, or nil (the gate's Close closes
 // it; Drain does not).
-func (g *gate) Journal() Journal { return g.jn.journal }
+func (g *OptimisticCertify) Journal() Journal { return g.jn.journal }
 
 // JournalErr returns the sticky journal error that froze or degraded
 // the gate, or nil.
-func (g *gate) JournalErr() error { return g.jn.jerr }
+func (g *OptimisticCertify) JournalErr() error { return g.jn.jerr }
 
 // Health reports the gate's live degradation mode, lifecycle posture,
 // and durability counters (the same value Stats carries).
-func (g *gate) Health() exec.Health {
+func (g *OptimisticCertify) Health() exec.Health {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.health()
 }
 
 // health is Health under the gate mutex.
-func (g *gate) health() exec.Health {
+func (g *OptimisticCertify) health() exec.Health {
 	h := g.jn.health()
 	h.Draining, h.Closed = g.lc.draining, g.lc.closed
 	return h
 }
 
-// NewCertifyOver returns the blocking certification gate over an
-// explicit monitor — the recovery path: rebuild the monitor with
-// wal.Resume, then gate new traffic over it with the resumed journal
-// attached.
-func NewCertifyOver(mon Certifier, inner exec.Policy) *Certify {
-	return &Certify{gate: gate{Inner: inner, memo: verdictMemo{mon: mon}}}
-}
-
-// NewOptimisticCertifyOver returns the abort-capable certification
-// gate over an explicit certifier — the recovery path twin of
-// NewCertifyOver. victim selects the sacrifice policy (nil =
-// VictimYoungest).
-func NewOptimisticCertifyOver(mon Certifier, inner exec.Policy, victim VictimPolicy) *OptimisticCertify {
-	return &OptimisticCertify{
-		gate:         gate{Inner: inner, memo: verdictMemo{mon: mon}},
-		VictimSelect: victim,
-		aborts:       make(map[int]int),
-	}
-}
-
-// ResumeCertify recovers a journaled blocking gate from the log on b:
-// the monitor is rebuilt to the durable prefix's exact verdict state,
-// the journal resumes with a fresh baseline snapshot, and the
-// returned gate continues certification where the crashed gate's
-// durable prefix ended. Returns recovery info for inspection.
-func ResumeCertify(b wal.Backend, partition []state.ItemSet, opts wal.Options, inner exec.Policy) (*Certify, *wal.Info, error) {
+// ResumeCertify recovers a journaled gate from the log on b: the
+// monitor is rebuilt to the durable prefix's exact verdict state, the
+// journal resumes with a fresh baseline snapshot, and the returned gate
+// continues certification where the crashed gate's durable prefix
+// ended. victim selects the sacrifice policy (nil = VictimYoungest).
+// Returns recovery info for inspection.
+func ResumeCertify(b wal.Backend, partition []state.ItemSet, opts wal.Options, inner exec.Policy, victim VictimPolicy) (*OptimisticCertify, *wal.Info, error) {
 	mon, w, info, err := wal.Resume(b, partition, opts)
 	if err != nil {
 		return nil, info, err
 	}
-	gate := NewCertifyOver(mon, inner)
+	gate := NewOptimisticCertifyOver(mon, inner, victim)
 	gate.AttachJournal(w)
 	return gate, info, nil
 }

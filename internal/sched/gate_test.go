@@ -13,16 +13,9 @@ import (
 	"pwsr/internal/wal"
 )
 
-// journaledGate is what these tests drive on every gate kind.
-type journaledGate interface {
-	exec.Gate
-	AttachJournal(j Journal, opts ...JournalOption)
-	Health() exec.Health
-}
-
 // gatePartition puts the tick engine's items and the batch engine's in
 // separate conjuncts, so neither engine's transactions conflict with the
-// other's and the blocking gate cannot stall on them.
+// other's.
 func gatePartition() []state.ItemSet {
 	return []state.ItemSet{state.NewItemSet("a", "b", "c"), state.NewItemSet("x", "y")}
 }
@@ -57,41 +50,37 @@ func gateInitial() state.DB {
 // mutex races them (run under -race).
 func TestGateSharedByTickAndBatchEngines(t *testing.T) {
 	ctx := context.Background()
-	for name, g := range map[string]journaledGate{
-		"Certify":           NewCertify(gatePartition(), &RoundRobin{}),
-		"OptimisticCertify": NewOptimisticCertify(gatePartition(), &RoundRobin{}, nil),
-	} {
-		eng := exec.NewParallelEngine(exec.ParallelConfig{Initial: gateInitial(), Gate: g, Workers: 2})
-		for it := 0; it < 8; it++ {
-			var (
-				wg   sync.WaitGroup
-				bres *exec.Result
-				berr error
-			)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				bres, berr = eng.ExecuteBatchCtx(ctx, batchPrograms(1000+100*it, 16))
-			}()
-			tres, terr := exec.RunCtx(ctx, exec.Config{
-				Programs: tickPrograms(1+10*it, 6),
-				Initial:  gateInitial(),
-				Policy:   g,
-				DataSets: gatePartition(),
-			})
-			wg.Wait()
-			if terr != nil {
-				t.Fatalf("%s iteration %d: tick run: %v", name, it, terr)
-			}
-			if berr != nil {
-				t.Fatalf("%s iteration %d: batch: %v", name, it, berr)
-			}
-			if got := tres.Schedule.Len(); got != 18 {
-				t.Fatalf("%s iteration %d: tick run granted %d operations, want 18", name, it, got)
-			}
-			if got := bres.Schedule.Len(); got != 32 {
-				t.Fatalf("%s iteration %d: batch committed %d operations, want 32", name, it, got)
-			}
+	g := NewOptimisticCertify(gatePartition(), &RoundRobin{}, nil)
+	eng := exec.NewParallelEngine(exec.ParallelConfig{Initial: gateInitial(), Gate: g, Workers: 2})
+	for it := 0; it < 8; it++ {
+		var (
+			wg   sync.WaitGroup
+			bres *exec.Result
+			berr error
+		)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			bres, berr = eng.ExecuteBatchCtx(ctx, batchPrograms(1000+100*it, 16))
+		}()
+		tres, terr := exec.RunCtx(ctx, exec.Config{
+			Programs: tickPrograms(1+10*it, 6),
+			Initial:  gateInitial(),
+			Policy:   g,
+			DataSets: gatePartition(),
+		})
+		wg.Wait()
+		if terr != nil {
+			t.Fatalf("iteration %d: tick run: %v", it, terr)
+		}
+		if berr != nil {
+			t.Fatalf("iteration %d: batch: %v", it, berr)
+		}
+		if got := tres.Schedule.Len(); got != 18 {
+			t.Fatalf("iteration %d: tick run granted %d operations, want 18", it, got)
+		}
+		if got := bres.Schedule.Len(); got != 32 {
+			t.Fatalf("iteration %d: batch committed %d operations, want 32", it, got)
 		}
 	}
 }
@@ -102,72 +91,58 @@ func TestGateSharedByTickAndBatchEngines(t *testing.T) {
 // after a batch, with the engine's Metrics carrying the same snapshot.
 func TestGateStatsMatchesParts(t *testing.T) {
 	ctx := context.Background()
-	type gateCase struct {
-		name string
-		g    journaledGate
-		mon  func() Certifier // the certifier, read after the gate
+	g := NewOptimisticCertify(gatePartition(), &RoundRobin{}, nil)
+	w, err := wal.NewWriter(wal.NewMemBackend(), wal.Options{GroupEvery: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	certify := NewCertify(gatePartition(), &RoundRobin{})
-	optimistic := NewOptimisticCertify(gatePartition(), &RoundRobin{}, nil)
-	cases := []gateCase{
-		{"Certify", certify, func() Certifier { return certify.Monitor() }},
-		{"OptimisticCertify", optimistic, optimistic.Monitor},
+	g.AttachJournal(w)
+	check := func(stage string, m exec.Metrics) {
+		t.Helper()
+		got := g.Stats()
+		cs, ws := g.Monitor().CompactStats(), w.Stats()
+		want := exec.GateStats{
+			Compact: exec.CompactStats{
+				Compactions:   cs.Compactions,
+				ReclaimedTxns: cs.ReclaimedTxns,
+				ReclaimedOps:  cs.ReclaimedOps,
+				LiveTxns:      cs.LiveTxns,
+			},
+			Log: exec.LogStats{
+				Records:         ws.Records,
+				LogBytes:        ws.LogBytes,
+				Fsyncs:          ws.Fsyncs,
+				Snapshots:       ws.Snapshots,
+				Retries:         ws.Retries,
+				RecoveryReplays: ws.RecoveryReplays,
+			},
+			Health: g.Health(),
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("after %s: Stats() = %+v, want the parts %+v", stage, got, want)
+		}
+		if got.Log.Records == 0 {
+			t.Errorf("after %s: journal holds no records — the comparison is vacuous", stage)
+		}
+		if !reflect.DeepEqual(m.Gate, got) {
+			t.Errorf("after %s: Metrics carry %+v, Stats() = %+v", stage, m.Gate, got)
+		}
 	}
 
-	for _, tc := range cases {
-		w, err := wal.NewWriter(wal.NewMemBackend(), wal.Options{GroupEvery: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tc.g.AttachJournal(w)
-		check := func(stage string, m exec.Metrics) {
-			t.Helper()
-			got := tc.g.Stats()
-			mon := tc.mon()
-			cs, ws := mon.CompactStats(), w.Stats()
-			want := exec.GateStats{
-				Compact: exec.CompactStats{
-					Compactions:   cs.Compactions,
-					ReclaimedTxns: cs.ReclaimedTxns,
-					ReclaimedOps:  cs.ReclaimedOps,
-					LiveTxns:      cs.LiveTxns,
-				},
-				Log: exec.LogStats{
-					Records:         ws.Records,
-					LogBytes:        ws.LogBytes,
-					Fsyncs:          ws.Fsyncs,
-					Snapshots:       ws.Snapshots,
-					Retries:         ws.Retries,
-					RecoveryReplays: ws.RecoveryReplays,
-				},
-				Health: tc.g.Health(),
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s after %s: Stats() = %+v, want the parts %+v", tc.name, stage, got, want)
-			}
-			if got.Log.Records == 0 {
-				t.Errorf("%s after %s: journal holds no records — the comparison is vacuous", tc.name, stage)
-			}
-			if !reflect.DeepEqual(m.Gate, got) {
-				t.Errorf("%s after %s: Metrics carry %+v, Stats() = %+v", tc.name, stage, m.Gate, got)
-			}
-		}
-
-		res, err := exec.RunCtx(ctx, exec.Config{
-			Programs: tickPrograms(1, 6),
-			Initial:  gateInitial(),
-			Policy:   tc.g,
-			DataSets: gatePartition(),
-		})
-		if err != nil {
-			t.Fatalf("%s: tick run: %v", tc.name, err)
-		}
-		check("a tick run", res.Metrics)
-		res, err = exec.NewParallelEngine(exec.ParallelConfig{Initial: gateInitial(), Gate: tc.g, Workers: 2}).
-			ExecuteBatchCtx(ctx, batchPrograms(100, 8))
-		if err != nil {
-			t.Fatalf("%s: batch: %v", tc.name, err)
-		}
-		check("a batch", res.Metrics)
+	res, err := exec.RunCtx(ctx, exec.Config{
+		Programs: tickPrograms(1, 6),
+		Initial:  gateInitial(),
+		Policy:   g,
+		DataSets: gatePartition(),
+	})
+	if err != nil {
+		t.Fatalf("tick run: %v", err)
 	}
+	check("a tick run", res.Metrics)
+	res, err = exec.NewParallelEngine(exec.ParallelConfig{Initial: gateInitial(), Gate: g, Workers: 2}).
+		ExecuteBatchCtx(ctx, batchPrograms(100, 8))
+	if err != nil {
+		t.Fatalf("batch: %v", err)
+	}
+	check("a batch", res.Metrics)
 }

@@ -6,7 +6,7 @@ import (
 	"pwsr/internal/fault"
 )
 
-// tickInjector is the gates' hook into the deterministic fault plane:
+// tickInjector is the gate's hook into the deterministic fault plane:
 // consulted once per Pick (fault.OpTick at the registered site).
 // Injected latency stalls the tick while the gate mutex is held — a
 // slow certifier, not a wrong one; an injected error skips the tick
@@ -40,7 +40,7 @@ func (t *tickInjector) at(op fault.Op) bool {
 // SetFaultInjector registers the deterministic fault injector the gate
 // consults at each Pick (site tags the injection point, e.g. "gate").
 // Call before the run; nil detaches.
-func (g *gate) SetFaultInjector(inj *fault.Injector, site string) {
+func (g *OptimisticCertify) SetFaultInjector(inj *fault.Injector, site string) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.tinj = tickInjector{inj: inj, site: site}

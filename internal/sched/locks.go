@@ -9,22 +9,23 @@
 //
 // # The gate contracts
 //
-// The certification gates (Certify and OptimisticCertify) are each a
-// whole exec.Gate — the one contract the engines assert, once, when a
-// run or engine starts — and OptimisticCertify is also an
-// exec.Restarter. Downstream, a gate asks one complete Journal of its
-// write-ahead log (the sink, Barrier, Heal, LoggedSeq, CutSnapshot,
-// Stats and Close) and one Certifier of its monitor; neither is probed
-// for optional methods. The inner policy only picks among the
-// admissible requests: it is told of finishes, never of aborts or
-// cancels.
+// The certification gate, OptimisticCertify, is a whole exec.Gate —
+// the one contract the engines assert, once, when a run or engine
+// starts, victim selection and abort notices included. Downstream, it
+// asks one complete Journal of its write-ahead log (the sink, Barrier,
+// Sync, Heal, LoggedSeq, CutSnapshot, Stats and Close) and one
+// Certifier of its monitor; neither is probed for optional methods. The
+// inner policy only picks among the admissible requests: it is told of
+// finishes, never of aborts or cancels. A caller that wants a gate that
+// never aborts passes a VictimPolicy that declines: the run then stalls
+// where nothing is admissible.
 //
 // # Lifecycle: cancellation, deadlines, and drain
 //
-// The certification gates take no context on their admission paths:
+// The certification gate takes no context on its admission paths:
 // the engines check theirs between scheduling steps and before every
 // batch commit turn, so a cancelled run or batch never reaches the gate
-// and a refused admission leaves no trace. The gates shut down in
+// and a refused admission leaves no trace. The gate shuts down in
 // two stages. Drain stops new transactions (refusals carry
 // exec.ErrDraining), settles in-flight ones per the DrainPolicy —
 // DrainWait lets them finish, DrainAbort retracts them immediately —
@@ -40,7 +41,7 @@
 // admission or lose a logged one. Cancel equals abort: a cancelled
 // (or failed) run's in-flight transactions are retracted through
 // TxnCanceled —
-// the same journaled Retract path a policy abort takes — so the
+// the same journaled Retract path a victim's abort takes — so the
 // monitor and the WAL end in exactly the state a completed run that
 // aborted those transactions would have left, and wal.Resume recovers
 // a verdict-identical monitor either way. Note the in-flight/resident

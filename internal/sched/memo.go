@@ -7,7 +7,7 @@ import (
 	"pwsr/internal/txn"
 )
 
-// verdictMemo carries the certification gates' admissibility verdicts
+// verdictMemo carries the certification gate's admissibility verdicts
 // from tick to tick, one per run slot, so a tick re-decides in place only
 // the requests whose inputs moved (the package comment's "Incremental
 // ticks" states the rule, why it is exact and why the slot decides
@@ -47,9 +47,9 @@ type verdict struct {
 // mask fills m.adm for the pending requests: lifecycle posture and solo
 // exclusivity (0 = none) first, then the verdict in the request's slot —
 // reset to undecided when it was decided for another transaction, action
-// or item — re-decided in place when stale: the delayed-read rule when
-// the gate applies it, then the certifier.
-func (m *verdictMemo) mask(pending []*exec.Request, v *exec.View, lc *lifecycle, solo int, delayedRead bool) {
+// or item — re-decided in place when stale: the delayed-read rule, then
+// the certifier.
+func (m *verdictMemo) mask(pending []*exec.Request, v *exec.View, lc *lifecycle, solo int) {
 	if m.epoch == nil {
 		partition := m.mon.Partition()
 		m.epoch = make([]uint64, len(partition)+1)
@@ -86,7 +86,7 @@ func (m *verdictMemo) mask(pending []*exec.Request, v *exec.View, lc *lifecycle,
 			}
 			if stamp != e.stamp {
 				e.stamp = stamp
-				e.ok = !(delayedRead && delayedReadBlocked(r, v)) && m.mon.Admissible(requestOp(r))
+				e.ok = !delayedReadBlocked(r, v) && m.mon.Admissible(requestOp(r))
 			}
 			ok = e.ok
 		}
@@ -166,4 +166,10 @@ func (m *verdictMemo) commit(id int) {
 		m.global++
 	}
 	m.settle(id)
+}
+
+// requestOp views a pending request as an operation for the monitor,
+// which ignores values and positions.
+func requestOp(r *exec.Request) txn.Op {
+	return txn.Op{Txn: r.TxnID, Action: r.Action, Entity: r.Entity, Value: r.Value, Pos: -1}
 }

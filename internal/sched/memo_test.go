@@ -18,23 +18,19 @@ import (
 	"pwsr/internal/wal"
 )
 
-// maskAudit wraps a certification gate and, at every Pick, recomputes
+// maskAudit wraps the certification gate and, at every Pick, recomputes
 // the admissibility mask from scratch — posture, solo, delayed-read
 // rule and a fresh Admissible probe per request, the expression the
-// gates evaluated every tick before they carried verdicts — and
+// gate evaluated every tick before it carried verdicts — and
 // requires the gate's memoized mask to equal it. The memo has no off
 // switch to run a twin against, so the reference is rebuilt here, on a
 // probe-only path that commits nothing. It also counts the situations
 // that would expose a missing invalidation, so a campaign that never
 // met them fails as vacuous.
 type maskAudit struct {
-	t    *testing.T
-	gate exec.Policy
-	memo *verdictMemo
-	mon  *countingCertifier // the gate's certifier, counting its probes
-	lc   *lifecycle
-	solo func() int
-	dr   bool
+	*OptimisticCertify
+	t   *testing.T
+	mon *countingCertifier // the gate's certifier, counting its probes
 
 	// meddle, when set, changes certification state behind the engine's
 	// back before the tick is audited.
@@ -57,19 +53,10 @@ type auditSeen struct {
 	blocker int
 }
 
-func newMaskAudit(t *testing.T, gate exec.Policy) *maskAudit {
-	a := &maskAudit{t: t, gate: gate, hazards: make(map[string]int), solo: func() int { return 0 }}
-	switch g := gate.(type) {
-	case *Certify:
-		a.memo, a.lc = &g.memo, &g.lc
-	case *OptimisticCertify:
-		a.memo, a.lc, a.dr = &g.memo, &g.lc, true
-		a.solo = func() int { return g.solo }
-	default:
-		t.Fatalf("unknown gate %T", gate)
-	}
-	a.mon = &countingCertifier{Certifier: a.memo.mon}
-	a.memo.mon = a.mon
+func newMaskAudit(t *testing.T, gate *OptimisticCertify) *maskAudit {
+	a := &maskAudit{OptimisticCertify: gate, t: t, hazards: make(map[string]int)}
+	a.mon = &countingCertifier{Certifier: gate.memo.mon}
+	gate.memo.mon = a.mon
 	return a
 }
 
@@ -79,7 +66,7 @@ func (a *maskAudit) Pick(pending []*exec.Request, v *exec.View) int {
 		a.meddle(a, pending)
 	}
 	mon := a.mon.Certifier
-	solo := a.solo()
+	solo := a.solo
 	if solo != a.lastSolo {
 		a.hazards["solo enter/leave"]++
 		a.lastSolo = solo
@@ -92,7 +79,7 @@ func (a *maskAudit) Pick(pending []*exec.Request, v *exec.View) int {
 	now := make(map[int]auditSeen, len(pending))
 	for i, r := range pending {
 		open := !a.lc.blocked(r.TxnID) && (solo == 0 || r.TxnID == solo)
-		delayed := a.dr && delayedReadBlocked(r, v)
+		delayed := delayedReadBlocked(r, v)
 		fresh[i] = open && !delayed && mon.Admissible(requestOp(r))
 		if open {
 			a.open++
@@ -115,7 +102,7 @@ func (a *maskAudit) Pick(pending []*exec.Request, v *exec.View) int {
 	}
 	a.prev = now
 	calls := a.mon.calls
-	choice := a.gate.Pick(pending, v)
+	choice := a.OptimisticCertify.Pick(pending, v)
 	a.picks++
 	a.probes += a.mon.calls - calls
 	if !slices.Equal(a.memo.adm, fresh) {
@@ -125,22 +112,6 @@ func (a *maskAudit) Pick(pending []*exec.Request, v *exec.View) int {
 	return choice
 }
 
-func (a *maskAudit) TxnFinished(id int, v *exec.View) { a.gate.TxnFinished(id, v) }
-
-// Victim and TxnAborted make the audit an exec.Restarter over any gate;
-// over the blocking gate it names no victim and the run stalls as it
-// would unwrapped.
-func (a *maskAudit) Victim(pending []*exec.Request, v *exec.View) int {
-	if ra, ok := a.gate.(exec.Restarter); ok {
-		return ra.Victim(pending, v)
-	}
-	return -1
-}
-
-func (a *maskAudit) TxnAborted(id int, v *exec.View) {
-	a.gate.(exec.Restarter).TxnAborted(id, v)
-}
-
 // meddleGate is the audit's hazard injection: between ticks it admits a
 // whole foreign writer through AdmitTxn, and plants and later retracts
 // an uncommitted one through the certifier Monitor() hands out (the
@@ -148,41 +119,37 @@ func (a *maskAudit) TxnAborted(id int, v *exec.View) {
 // transaction that already read the item.
 func meddleGate(a *maskAudit, pending []*exec.Request) {
 	item := pending[a.tick%len(pending)].Entity
-	monitor := func() Certifier {
-		return a.gate.(interface{ Monitor() Certifier }).Monitor()
-	}
 	switch {
 	case a.tick%5 == 0:
 		id := 1_000_000 + a.tick
-		if err := a.gate.(exec.BatchGate).AdmitTxn([]txn.Op{txn.W(id, item, 1)}); err != nil {
+		if err := a.AdmitTxn([]txn.Op{txn.W(id, item, 1)}); err != nil {
 			a.t.Fatalf("tick %d: AdmitTxn: %v", a.tick, err)
 		}
 		a.hazards["AdmitTxn interleaved with ticks"]++
 	case a.tick%7 == 3 && a.foreign == 0:
 		a.foreign = 2_000_000 + a.tick
-		monitor().Observe(txn.W(a.foreign, item, 1))
+		a.Monitor().Observe(txn.W(a.foreign, item, 1))
 		a.hazards["direct mutation through Monitor()"]++
 	case a.tick%7 == 6 && a.foreign != 0:
-		monitor().Retract(a.foreign)
+		a.Monitor().Retract(a.foreign)
 		a.foreign = 0
 	}
 }
 
-// auditGates builds every certification gate over a partition: the
-// blocking gate and the optimistic gate under both victim policies.
-func auditGates(partition []state.ItemSet, seed int64) map[string]exec.Policy {
-	return map[string]exec.Policy{
-		"blocking":              NewCertify(partition, NewRandom(seed)),
-		"optimistic-youngest":   NewOptimisticCertify(partition, NewRandom(seed), VictimYoungest),
-		"optimistic-fewest-ops": NewOptimisticCertify(partition, NewRandom(seed), VictimFewestOps),
+// auditGates builds the certification gate over a partition under both
+// victim policies.
+func auditGates(partition []state.ItemSet, seed int64) map[string]*OptimisticCertify {
+	return map[string]*OptimisticCertify{
+		"youngest":   NewOptimisticCertify(partition, NewRandom(seed), VictimYoungest),
+		"fewest-ops": NewOptimisticCertify(partition, NewRandom(seed), VictimFewestOps),
 	}
 }
 
 // TestVerdictMemoMatchesFreshMask is the memo's soundness differential:
 // at every Pick of a PERF5-style seeded campaign (four programs over
 // three conjuncts) and of a hot-tick-shaped one (many short transactions
-// on few conjuncts), clean and meddled with, on all three gates, the memoized
-// mask equals the mask recomputed afresh. Each hazard a missing
+// on few conjuncts), clean and meddled with, under both victim policies,
+// the memoized mask equals the mask recomputed afresh. Each hazard a missing
 // invalidation would hide behind must have occurred, aborts and solo
 // escalation included, and the memo must actually have spared probes.
 func TestVerdictMemoMatchesFreshMask(t *testing.T) {
@@ -239,18 +206,14 @@ func TestVerdictMemoMatchesFreshMask(t *testing.T) {
 			}
 		}
 	}
-	everywhere := []string{
+	want := []string{
 		"request changed under one id", "compaction between ticks",
 		"AdmitTxn interleaved with ticks", "direct mutation through Monitor()",
+		"commit of a delayed-read blocker", "retract of a writer", "solo enter/leave",
 	}
-	abortCapable := []string{"commit of a delayed-read blocker", "retract of a writer", "solo enter/leave"}
 	for name, seen := range hazards {
-		want := everywhere
-		if name != "blocking" {
-			want = append(slices.Clone(everywhere), abortCapable...)
-			if aborts[name] == 0 {
-				t.Errorf("vacuous: %s never aborted", name)
-			}
+		if aborts[name] == 0 {
+			t.Errorf("vacuous: %s never aborted", name)
 		}
 		for _, h := range want {
 			if seen[h] == 0 {
@@ -466,7 +429,7 @@ func TestOptimisticForgetsFailedRun(t *testing.T) {
 	for _, journaled := range []bool{false, true} {
 		name := fmt.Sprintf("journaled=%v", journaled)
 		gate := NewOptimisticCertify(partition, &RoundRobin{}, nil)
-		gate.SoloThreshold = 1
+		gate.soloThreshold = 1
 		b, opts := wal.NewMemBackend(), wal.Options{GroupEvery: 1}
 		if journaled {
 			w, err := wal.NewWriter(b, opts)

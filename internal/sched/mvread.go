@@ -2,7 +2,7 @@ package sched
 
 // The read-only bypass contract.
 //
-// The certification gates never see a declared read-only transaction:
+// The certification gate never sees a declared read-only transaction:
 // the engines serve such transactions from a pinned multiversion
 // snapshot (exec.VersionedStore) and splice their operations into the
 // combined schedule at the snapshot's committed-prefix offset, so the
@@ -30,7 +30,7 @@ package sched
 // schedule) of the writers, and can deny or abort the reader —
 // exactly what the bypass exists to rule out.
 //
-// The gates' contribution to the bypass is retention: they expose the
+// The gate's contribution to the bypass is retention: it exposes the
 // certifier's Compact watermark below, and an engine wired to a gate
 // advances its multiversion store's GC floor to the stamp of the last
 // commit at or below that mark (exec.VersionedStore.SetRetainFloor),
@@ -40,7 +40,7 @@ package sched
 // CompactWatermark implements exec.Gate: the highest
 // transaction id the certifier's Compact has physically reclaimed (0
 // before any pass), the retention anchor of the multiversion read path.
-func (g *gate) CompactWatermark() int {
+func (g *OptimisticCertify) CompactWatermark() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.memo.mon.CompactWatermark()

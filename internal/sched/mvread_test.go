@@ -49,7 +49,7 @@ func TestHealthProbesBarrierOnce(t *testing.T) {
 	jerr := errors.New("transient device error")
 	j := &scriptedJournal{errs: []error{jerr, nil}}
 	partition := []state.ItemSet{state.NewItemSet("x")}
-	gate := sched.NewCertify(partition, &sched.Serial{})
+	gate := sched.NewOptimisticCertify(partition, &sched.Serial{}, nil)
 	gate.AttachJournal(j, sched.WithDegradeMode(sched.DegradeBuffer))
 
 	h := gate.Health()
@@ -74,59 +74,36 @@ func TestHealthProbesBarrierOnce(t *testing.T) {
 }
 
 // TestGatesReportCompactWatermark drives an id-ordered batch commit
-// stream through each certification gate and checks exec.Gate's
+// stream through the certification gate and checks exec.Gate's
 // CompactWatermark: with compaction on every commit the reported
 // watermark must reach the last reclaimed transaction — the retention
 // anchor the multiversion read path's version GC follows.
 func TestGatesReportCompactWatermark(t *testing.T) {
 	partition := []state.ItemSet{state.NewItemSet("x")}
-	gates := []struct {
-		name    string
-		mk      func() exec.Gate
-		compact func(g any)
-	}{
-		{
-			name: "certify",
-			mk: func() exec.Gate {
-				g := sched.NewCertify(partition, &sched.Serial{})
-				g.Monitor().SetAutoCompact(1)
-				return g
-			},
-		},
-		{
-			name: "optimistic",
-			mk: func() exec.Gate {
-				g := sched.NewOptimisticCertify(partition, &sched.Serial{}, nil)
-				g.Monitor().SetAutoCompact(1)
-				return g
-			},
-		},
+	g := sched.NewOptimisticCertify(partition, &sched.Serial{}, nil)
+	g.Monitor().SetAutoCompact(1)
+	if wm := g.CompactWatermark(); wm != 0 {
+		t.Fatalf("fresh watermark = %d, want 0", wm)
 	}
-	for _, tc := range gates {
-		g := tc.mk()
-		if wm := g.CompactWatermark(); wm != 0 {
-			t.Fatalf("%s: fresh watermark = %d, want 0", tc.name, wm)
+	last := 0
+	for id := 1; id <= 6; id++ {
+		ops := []txn.Op{
+			{Txn: id, Action: txn.ActionRead, Entity: "x", Value: state.Int(int64(id - 1)), Pos: 0},
+			{Txn: id, Action: txn.ActionWrite, Entity: "x", Value: state.Int(int64(id)), Pos: 1},
 		}
-		last := 0
-		for id := 1; id <= 6; id++ {
-			ops := []txn.Op{
-				{Txn: id, Action: txn.ActionRead, Entity: "x", Value: state.Int(int64(id - 1)), Pos: 0},
-				{Txn: id, Action: txn.ActionWrite, Entity: "x", Value: state.Int(int64(id)), Pos: 1},
-			}
-			if err := g.AdmitTxn(ops); err != nil {
-				t.Fatalf("%s: AdmitTxn(T%d): %v", tc.name, id, err)
-			}
-			wm := g.CompactWatermark()
-			if wm < last {
-				t.Fatalf("%s: watermark moved backwards: %d after %d", tc.name, wm, last)
-			}
-			if wm > id {
-				t.Fatalf("%s: watermark %d beyond the committed prefix %d", tc.name, wm, id)
-			}
-			last = wm
+		if err := g.AdmitTxn(ops); err != nil {
+			t.Fatalf("AdmitTxn(T%d): %v", id, err)
 		}
-		if last != 6 {
-			t.Fatalf("%s: final watermark = %d, want 6 (everything committed and compacted)", tc.name, last)
+		wm := g.CompactWatermark()
+		if wm < last {
+			t.Fatalf("watermark moved backwards: %d after %d", wm, last)
 		}
+		if wm > id {
+			t.Fatalf("watermark %d beyond the committed prefix %d", wm, id)
+		}
+		last = wm
+	}
+	if last != 6 {
+		t.Fatalf("final watermark = %d, want 6 (everything committed and compacted)", last)
 	}
 }

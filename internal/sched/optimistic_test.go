@@ -3,36 +3,189 @@ package sched_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pwsr/internal/core"
 	"pwsr/internal/exec"
 	"pwsr/internal/gen"
+	"pwsr/internal/paper"
 	"pwsr/internal/program"
 	"pwsr/internal/sched"
 	"pwsr/internal/state"
+	"pwsr/internal/txn"
 )
+
+// TestCertifySchedulesArePWSR runs random workloads under the
+// certifying gate: every run must complete with a PWSR schedule, and
+// the gate's own monitor must agree with the batch checker.
+func TestCertifySchedulesArePWSR(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 60; trial++ {
+		w := gen.MustGenerate(gen.Config{
+			Conjuncts: 2, Programs: 3, Style: gen.StyleFixed, Seed: rng.Int63(),
+		})
+		gate := sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(rng.Int63()), nil)
+		res, err := exec.RunCtx(context.Background(), exec.Config{
+			Programs: w.Programs,
+			Initial:  w.Initial,
+			Policy:   gate,
+			DataSets: w.DataSets,
+		})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !core.CheckPWSR(res.Schedule, w.DataSets).PWSR {
+			t.Fatalf("trial %d: certified schedule not PWSR:\n%s", trial, res.Schedule)
+		}
+		if !gate.Monitor().PWSR() {
+			t.Fatalf("trial %d: gate monitor disagrees with batch checker", trial)
+		}
+	}
+}
+
+// TestCertifyBlocksCycleClosingOp drives the lost-update interleaving
+// against a gate that never aborts: the write that would close the
+// cycle must be filtered out, forcing the inner policy to see only
+// admissible requests.
+func TestCertifyBlocksCycleClosingOp(t *testing.T) {
+	w := gen.MustGenerate(gen.Config{
+		Conjuncts: 1, Programs: 2, Style: gen.StyleFixed, Seed: 7,
+	})
+	// A random inner policy may stall when every remaining request is
+	// inadmissible, but whatever completes must be PWSR; run a few
+	// seeds to get at least one completion.
+	done := false
+	for seed := int64(0); seed < 20 && !done; seed++ {
+		gate := sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(seed), sched.NeverAbort)
+		res, err := exec.RunCtx(context.Background(), exec.Config{
+			Programs: w.Programs,
+			Initial:  w.Initial,
+			Policy:   gate,
+			DataSets: w.DataSets,
+		})
+		if err != nil {
+			continue
+		}
+		done = true
+		if !core.CheckPWSR(res.Schedule, w.DataSets).PWSR {
+			t.Fatalf("seed %d: certified schedule not PWSR", seed)
+		}
+	}
+	if !done {
+		t.Fatal("no seed completed under the gate")
+	}
+}
+
+// example2 returns the paper's Example 2 as an engine configuration
+// (no policy) and its integrity constraint's partition.
+func example2() (*paper.Example, exec.Config) {
+	e := paper.Example2()
+	programs := make(map[int]*program.Program, len(e.Programs))
+	for i, p := range e.Programs {
+		programs[i+1] = p
+	}
+	return e, exec.Config{Programs: programs, Initial: e.Initial, DataSets: e.IC.Partition()}
+}
+
+// observed records every operation the gate commits to its certifier.
+type observed struct {
+	sched.Certifier
+	ops []string
+}
+
+func (o *observed) Observe(op txn.Op) *core.Violation {
+	o.ops = append(o.ops, op.String())
+	return o.Certifier.Observe(op)
+}
+
+// TestExample2RefusedByTheGate is the paper's Example 2 refutation:
+// PWSR (Definition 2) alone does not preserve the constraint. Of every
+// interleaving of TP1 and TP2, exactly one is PWSR and not strongly
+// correct — the grant script 1 2 2 2 1, the printed schedule
+// w1(a, 1), r2(a, 1), r2(b, -1), w2(c, -1), r1(c, -1). Given that
+// script as its inner policy and a victim policy that declines, the
+// gate grants w1(a, 1) and stalls: r2(a) would read T1's uncommitted
+// write, which the delayed-read rule refuses, and the script will grant
+// nothing else.
+func TestExample2RefusedByTheGate(t *testing.T) {
+	e, cfg := example2()
+	sys := core.NewSystem(e.IC, e.Schema)
+	var refuted [][]int
+	if _, err := exec.Enumerate(cfg, 0, func(script []int, res *exec.Result) error {
+		if !core.CheckPWSR(res.Schedule, cfg.DataSets).PWSR {
+			return nil
+		}
+		sc, err := sys.CheckStrongCorrectness(res.Schedule, e.Initial)
+		if err != nil {
+			return err
+		}
+		if !sc.StronglyCorrect {
+			refuted = append(refuted, script)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(refuted); got != "[[1 2 2 2 1]]" {
+		t.Fatalf("PWSR schedules that are not strongly correct: scripts %s, want [[1 2 2 2 1]]", got)
+	}
+
+	mon := &observed{Certifier: core.NewMonitor(cfg.DataSets)}
+	cfg.Policy = sched.NewOptimisticCertifyOver(mon, sched.NewScript(1, 2, 2, 2, 1), sched.NeverAbort)
+	_, err := exec.RunCtx(context.Background(), cfg)
+	if !errors.Is(err, exec.ErrStall) {
+		t.Fatalf("err = %v, want exec.ErrStall", err)
+	}
+	if got := strings.Join(mon.ops, ", "); got != "w1(a, 1)" {
+		t.Fatalf("the gate granted %s, want w1(a, 1) alone", got)
+	}
+	if !strings.Contains(err.Error(), "pending [r1(c, ?) r2(a, ?)]") {
+		t.Fatalf("stall %q, want pending [r1(c, ?) r2(a, ?)]", err)
+	}
+}
+
+// TestDecliningVictimConsultedOncePerStall: a victim policy that
+// declines is asked once at the stall, not a second time over a phase
+// the gate cleared on its behalf.
+func TestDecliningVictimConsultedOncePerStall(t *testing.T) {
+	_, cfg := example2()
+	calls := 0
+	decline := func(pending []*exec.Request, candidates []int, v *exec.View) int {
+		calls++
+		return -1
+	}
+	cfg.Policy = sched.NewOptimisticCertify(cfg.DataSets, sched.NewScript(1, 2, 2, 2, 1), decline)
+	if _, err := exec.RunCtx(context.Background(), cfg); !errors.Is(err, exec.ErrStall) {
+		t.Fatalf("err = %v, want exec.ErrStall", err)
+	}
+	if calls != 1 {
+		t.Fatalf("the victim policy was consulted %d times for one stall, want 1", calls)
+	}
+}
 
 // TestCertifyStallsOptimisticCompletes is the stall-regression pair the
 // abort machinery exists for: a fixed workload and inner-policy seed
-// where the blocking gate deterministically dies with exec.ErrStall,
-// and the optimistic gate — driving the identical grant sequence up to
-// the stall point — completes it by sacrificing victims.
+// where the gate, its victim policy declining, deterministically dies
+// with exec.ErrStall, and the same gate naming victims — driving the
+// identical grant sequence up to the stall point — completes it by
+// sacrificing them.
 func TestCertifyStallsOptimisticCompletes(t *testing.T) {
 	w := gen.MustGenerate(gen.Config{
 		Conjuncts: 1, Programs: 3, MovesPerProgram: 1, Style: gen.StyleFixed, Seed: 0,
 	})
 
-	blocking := sched.NewCertify(w.DataSets, sched.NewRandom(0))
+	declining := sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(1), sched.NeverAbort)
 	_, err := exec.RunCtx(context.Background(), exec.Config{
-		Programs: w.Programs, Initial: w.Initial, Policy: blocking, DataSets: w.DataSets,
+		Programs: w.Programs, Initial: w.Initial, Policy: declining, DataSets: w.DataSets,
 	})
 	if !errors.Is(err, exec.ErrStall) {
-		t.Fatalf("blocking gate: err = %v, want ErrStall (fixture regressed)", err)
+		t.Fatalf("declining gate: err = %v, want ErrStall (fixture regressed)", err)
 	}
 
-	optimistic := sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(0), nil)
+	optimistic := sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(1), nil)
 	res, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: w.Programs, Initial: w.Initial, Policy: optimistic, DataSets: w.DataSets,
 	})
@@ -69,12 +222,13 @@ func TestOptimisticResolvesHandBuiltCycle(t *testing.T) {
 	initial := state.Ints(map[string]int64{"a": 0, "b": 0})
 	partition := []state.ItemSet{state.NewItemSet("a", "b")}
 
-	// Blocking gate, scripted into the cycle: r1(b), r2(a), w1(a) draws
-	// T2 -> T1; the remaining w2(b) would close T1 -> T2 -> T1.
-	gate := sched.NewCertify(partition, sched.NewScript(1, 2, 1, 2))
+	// A gate that never aborts, scripted into the cycle: r1(b), r2(a),
+	// w1(a) draws T2 -> T1; the remaining w2(b) would close
+	// T1 -> T2 -> T1.
+	gate := sched.NewOptimisticCertify(partition, sched.NewScript(1, 2, 1, 2), sched.NeverAbort)
 	_, err := exec.RunCtx(context.Background(), exec.Config{Programs: programs, Initial: initial, Policy: gate, DataSets: partition})
 	if !errors.Is(err, exec.ErrStall) {
-		t.Fatalf("blocking gate: err = %v, want ErrStall", err)
+		t.Fatalf("declining gate: err = %v, want ErrStall", err)
 	}
 
 	// Round-robin reaches the same trap; the optimistic gate sacrifices
@@ -97,12 +251,12 @@ func TestOptimisticResolvesHandBuiltCycle(t *testing.T) {
 
 // TestOptimisticNeverStalls is the seeded no-stall sweep: across 60
 // random workloads spanning the generator's styles and contention
-// shapes, the optimistic gate must finish every run the blocking gate
-// may die on — no ErrStall — and every schedule must be PWSR by
+// shapes, the gate must finish every run it dies on with its victim
+// policy declining — no ErrStall — and every schedule must be PWSR by
 // construction and replay value-consistently.
 func TestOptimisticNeverStalls(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	blockingStalls, aborted := 0, 0
+	declinedStalls, aborted := 0, 0
 	for trial := 0; trial < 60; trial++ {
 		cfg := gen.Config{
 			Conjuncts:       1 + trial%3,
@@ -116,10 +270,10 @@ func TestOptimisticNeverStalls(t *testing.T) {
 
 		if _, err := exec.RunCtx(context.Background(), exec.Config{
 			Programs: w.Programs, Initial: w.Initial,
-			Policy:   sched.NewCertify(w.DataSets, sched.NewRandom(innerSeed)),
+			Policy:   sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(innerSeed), sched.NeverAbort),
 			DataSets: w.DataSets,
 		}); errors.Is(err, exec.ErrStall) {
-			blockingStalls++
+			declinedStalls++
 		}
 
 		victim := sched.VictimYoungest
@@ -182,13 +336,13 @@ func TestOptimisticNeverStalls(t *testing.T) {
 			}
 		}
 	}
-	if blockingStalls == 0 {
-		t.Fatal("vacuous: the blocking gate never stalled, sweep exercises nothing")
+	if declinedStalls == 0 {
+		t.Fatal("vacuous: the declining gate never stalled, sweep exercises nothing")
 	}
 	if aborted == 0 {
 		t.Fatal("vacuous: the optimistic gate never aborted")
 	}
-	t.Logf("blocking stalls resolved: %d/60 trials; optimistic aborted in %d", blockingStalls, aborted)
+	t.Logf("declined stalls resolved: %d/60 trials; optimistic aborted in %d", declinedStalls, aborted)
 }
 
 // TestOptimisticVictimPolicies checks the two selection policies pick

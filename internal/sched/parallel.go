@@ -6,7 +6,7 @@ import (
 	"pwsr/internal/txn"
 )
 
-// Certifier abstracts the online PWSR monitor a certification gate
+// Certifier abstracts the online PWSR monitor the certification gate
 // consults; core.Monitor implements it.
 type Certifier interface {
 	// Observe admits one operation, returning the sticky first
@@ -40,26 +40,24 @@ type Certifier interface {
 	// per n commits; n ≤ 0 disables), returning the previous value.
 	// Kept for benchmark/pipeline.go:56 until ROADMAP item 8.
 	SetAutoCompact(n int) int
-	// Partition returns the conjunct partition certified over; the gates
-	// learn from it which conjuncts an item's verdicts depend on.
+	// Partition returns the conjunct partition certified over; the gate
+	// learns from it which conjuncts an item's verdicts depend on.
 	Partition() []state.ItemSet
 	// ProbeStats is kept for benchmark/pipeline.go:179 until ROADMAP
 	// item 8; always zero.
 	ProbeStats() core.ProbeStats
-	// PWSR, Violation and Ops are kept for benchmark/run.go:384–385
-	// and :466 until ROADMAP item 8. PWSR reports whether everything
-	// observed so far is PWSR, Violation returns the first violation
-	// (or nil), and Ops the number of surviving observed operations.
-	PWSR() bool
+	// Violation returns the sticky first violation, or nil; a violated
+	// certifier retracts nothing, so Drain checks it first.
 	Violation() *core.Violation
+	// PWSR and Ops are kept for benchmark/run.go:384 and :466 until
+	// ROADMAP item 8. PWSR reports whether everything observed so far
+	// is PWSR, and Ops the number of surviving observed operations.
+	PWSR() bool
 	Ops() int
 	// SetSink installs the lifecycle sink receiving every applied
 	// event (the write-ahead journal hook), returning the previous
 	// sink.
 	SetSink(s core.LifecycleSink) core.LifecycleSink
-	// CheckedRetract is Retract with lifecycle-contract panics as
-	// errors: Drain retracts through it.
-	CheckedRetract(txnID int) error
 	// LiveTxnIDs returns the sorted ids of the monitor-resident
 	// transactions — committed-but-unreclaimed ones included, since
 	// residency lasts until a compaction pass reclaims them.

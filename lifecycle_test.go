@@ -12,10 +12,10 @@ import (
 )
 
 // TestLifecycleAssertedOnce guards the one gate contract: the engines
-// learn what a policy can do from exactly three type assertions —
-// Restarter and Gate once per tick run (RunCtx's body, runState.run),
-// Gate once per NewParallelEngine — and the gates probe neither their
-// inner policy nor their journal. It walks the non-test sources of
+// learn what a policy can do from exactly two type assertions — Gate
+// once per tick run (RunCtx's body, runState.run) and once per
+// NewParallelEngine — and the gate probes neither its inner policy nor
+// its journal. It walks the non-test sources of
 // internal/exec, internal/sched and the facade. Asserting a recycled
 // value back to a package-private pointer type (a sync.Pool's Get) is
 // no capability probe and is not counted.
@@ -71,7 +71,6 @@ func TestLifecycleAssertedOnce(t *testing.T) {
 	slices.Sort(got)
 	want := []string{
 		"engine.go run cfg.Policy.(Gate)",
-		"engine.go run cfg.Policy.(Restarter)",
 		"parallel.go NewParallelEngine cfg.Gate.(Gate)",
 	}
 	if !slices.Equal(got, want) {

@@ -308,7 +308,7 @@ var (
 // context), DrainAbort retracts them immediately.
 type DrainPolicy = sched.DrainPolicy
 
-// Drain policies for the certification gates.
+// Drain policies for the certification gate.
 const (
 	// DrainWait lets in-flight transactions run to completion before
 	// the gate quiesces; at the drain context's deadline the
@@ -318,9 +318,9 @@ const (
 	DrainAbort = sched.DrainAbort
 )
 
-// Gate is a certification gate (NewCertify, NewOptimisticCertify): a
-// Policy for Run and a BatchGate for RunParallel that is also told of
-// cancelled attempts and drains gracefully — Drain stops new
+// Gate is the certification gate (NewOptimisticCertify): a Policy for
+// Run and a BatchGate for RunParallel that names victims at stalls, is
+// told of aborted and cancelled attempts, and drains gracefully — Drain stops new
 // admissions, settles in-flight transactions per the drain policy,
 // flushes the journal barrier, runs a final compact pass, and cuts a
 // recovery snapshot, always within the context's deadline, returning
@@ -359,21 +359,8 @@ func NewPW2PL() Policy { return sched.NewPW2PL() }
 // paper's conclusion contrasts with PWSR.
 func NewDegree2() Policy { return sched.NewDegree2() }
 
-// NewCertify returns the blocking PWSR certification gate: pending
-// operations are filtered through an online Monitor so the inner policy
-// only ever sees operations whose admission keeps every conjunct's
-// projection serializable. Schedules it produces are PWSR by
-// construction; an infeasible conflict pattern stalls the run.
-func NewCertify(partition []ItemSet, inner Policy) Gate {
-	return sched.NewCertify(partition, inner)
-}
-
-// Restarter is the optional policy extension for abort/restart stall
-// resolution (see exec.Restarter for the abort semantics).
-type Restarter = exec.Restarter
-
-// VictimPolicy selects which transaction an optimistic certifier
-// sacrifices at a stall.
+// VictimPolicy selects which transaction the certification gate
+// sacrifices at a stall; -1 declines, and the run stalls.
 type VictimPolicy = sched.VictimPolicy
 
 // Victim-selection policies for NewOptimisticCertify.
@@ -385,13 +372,16 @@ var (
 	VictimFewestOps VictimPolicy = sched.VictimFewestOps
 )
 
-// NewOptimisticCertify returns the abort-capable PWSR certification
-// gate: stalls are resolved by sacrificing a victim (selected by the
-// victim policy; nil = VictimYoungest), which is retracted from the
-// online monitor and restarted by the engine. The gate is cascadeless
-// (delayed reads), so its schedules are PWSR and DR by construction —
-// for correct programs, strongly correct by Theorem 2 — and feasible
-// runs never stall.
+// NewOptimisticCertify returns the PWSR certification gate: pending
+// operations are filtered through an online Monitor so the inner policy
+// only ever sees operations whose admission keeps every conjunct's
+// projection serializable, and stalls are resolved by sacrificing a
+// victim (selected by the victim policy; nil = VictimYoungest), which
+// is retracted from the monitor and restarted by the engine. The gate
+// is cascadeless (delayed reads), so its schedules are PWSR and DR by
+// construction — for correct programs, strongly correct by Theorem 2.
+// A run stalls only when the victim policy declines or an inner policy
+// that declines admissible requests drives it into the abort budget.
 func NewOptimisticCertify(partition []ItemSet, inner Policy, victim VictimPolicy) Gate {
 	return sched.NewOptimisticCertify(partition, inner, victim)
 }
@@ -410,7 +400,7 @@ type BatchGate = exec.BatchGate
 // (stale reads trigger bounded retry and, at the commit turn, one
 // authoritative re-execution), and each committing transaction is
 // admitted whole through the configured certification gate — a
-// NewCertify or NewOptimisticCertify value — so the committed schedule
+// NewOptimisticCertify value — so the committed schedule
 // is PWSR by construction. The result is deterministic: identical
 // schedule and final state to the serial
 // ascending-id run at any worker count. Transactions declared

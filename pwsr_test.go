@@ -172,9 +172,9 @@ func TestPublicAPILockingPolicies(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Certification gates: per-conjunct serializability forbids the lost
-	// update on x, so both increments must land — the optimistic gate by
-	// aborting a victim where the blocking gate would stall.
+	// The certification gate: per-conjunct serializability forbids the
+	// lost update on x, so both increments must land — by aborting a
+	// victim where a gate that never aborts would stall.
 	for _, victim := range []pwsr.VictimPolicy{nil, pwsr.VictimYoungest, pwsr.VictimFewestOps} {
 		res := run(pwsr.NewOptimisticCertify(sets, pwsr.NewRandom(7), victim))
 		if got := res.Final.MustGet("x"); got != pwsr.Int(3) {
