@@ -52,51 +52,63 @@ func requireSameCertState(t *testing.T, ctx string, got, want durableCertifier, 
 	}
 }
 
-// TestDurableGateRecovers runs the gate with a write-ahead journal
-// attached, at a snapshot every segment and every other one: the run's
+// TestDurableGateJournalsAndRecovers runs the gate with a write-ahead
+// journal attached and a snapshot every other segment: the run's
 // lifecycle stream, aborts' Retract records included, lands in the log,
 // the engine surfaces the journal counters in Metrics.Gate.Log, and
 // recovering the log rebuilds a monitor verdict-identical to the gate's.
-func TestDurableGateRecovers(t *testing.T) {
+func TestDurableGateJournalsAndRecovers(t *testing.T) {
+	requireDurableGateRecovers(t, 2)
+}
+
+// TestOptimisticDurableGateRecovers is the same check with a snapshot
+// at every segment, so recovery starts from the newest snapshot.
+func TestOptimisticDurableGateRecovers(t *testing.T) {
+	requireDurableGateRecovers(t, 1)
+}
+
+// requireDurableGateRecovers runs an aborting workload under a
+// journaled gate snapshotting every `every` segments and demands the
+// recovered monitor match the gate's.
+func requireDurableGateRecovers(t *testing.T, every int) {
+	t.Helper()
 	w := gen.MustGenerate(gen.Config{
 		Conjuncts: 2, Programs: 4, MovesPerProgram: 3, Style: gen.StyleFixed, Seed: 601,
 	})
-	for _, every := range []int{1, 2} {
-		b := wal.NewMemBackend()
-		jw, err := wal.NewWriter(b, wal.Options{GroupEvery: 1, SnapshotEvery: every})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mon := core.NewMonitor(w.DataSets)
-		gate := sched.NewOptimisticCertifyOver(mon, sched.NewRandom(2), nil)
-		gate.AttachJournal(jw)
-		res, err := exec.RunCtx(context.Background(), exec.Config{
-			Programs: w.Programs,
-			Initial:  w.Initial,
-			Policy:   gate,
-			DataSets: w.DataSets,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Metrics.Aborts == 0 {
-			t.Fatal("vacuous: the run aborted nothing, so the log holds no Retract")
-		}
-		if res.Metrics.Gate.Log.Records == 0 {
-			t.Fatal("journaled run reported no log records")
-		}
-		if got, want := res.Metrics.Gate.Log.Records, jw.Stats().Records; got != want {
-			t.Fatalf("Metrics.Gate.Log.Records=%d, want writer's %d", got, want)
-		}
-		if err := jw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		rec, _, err := wal.Recover(b, w.DataSets)
-		if err != nil {
-			t.Fatalf("recover: %v", err)
-		}
-		requireSameCertState(t, fmt.Sprintf("snapshot every %d", every), rec, mon, len(w.DataSets))
+	b := wal.NewMemBackend()
+	jw, err := wal.NewWriter(b, wal.Options{GroupEvery: 1, SnapshotEvery: every})
+	if err != nil {
+		t.Fatal(err)
 	}
+	mon := core.NewMonitor(w.DataSets)
+	gate := sched.NewOptimisticCertifyOver(mon, sched.NewRandom(2), nil)
+	gate.AttachJournal(jw)
+	res, err := exec.RunCtx(context.Background(), exec.Config{
+		Programs: w.Programs,
+		Initial:  w.Initial,
+		Policy:   gate,
+		DataSets: w.DataSets,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Metrics.Aborts == 0 {
+		t.Fatal("vacuous: the run aborted nothing, so the log holds no Retract")
+	}
+	if res.Metrics.Gate.Log.Records == 0 {
+		t.Fatal("journaled run reported no log records")
+	}
+	if got, want := res.Metrics.Gate.Log.Records, jw.Stats().Records; got != want {
+		t.Fatalf("Metrics.Gate.Log.Records=%d, want writer's %d", got, want)
+	}
+	if err := jw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, _, err := wal.Recover(b, w.DataSets)
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	requireSameCertState(t, fmt.Sprintf("snapshot every %d", every), rec, mon, len(w.DataSets))
 }
 
 // TestResumeCertifyContinues crashes a journaled gate between two
@@ -178,23 +190,25 @@ func TestJournalFailStopStalls(t *testing.T) {
 		}
 		return jw
 	}
-	gate := sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(1), nil)
-	gate.AttachJournal(newBroken(t))
-	_, err := exec.RunCtx(context.Background(), exec.Config{
-		Programs: w.Programs, Initial: w.Initial, Policy: gate, DataSets: w.DataSets,
+	t.Run("optimistic", func(t *testing.T) {
+		gate := sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(1), nil)
+		gate.AttachJournal(newBroken(t))
+		_, err := exec.RunCtx(context.Background(), exec.Config{
+			Programs: w.Programs, Initial: w.Initial, Policy: gate, DataSets: w.DataSets,
+		})
+		if !errors.Is(err, exec.ErrJournalDown) {
+			t.Fatalf("err=%v, want ErrJournalDown", err)
+		}
+		if errors.Is(err, exec.ErrStall) {
+			t.Fatalf("journal outage %v still conflated with ErrStall", err)
+		}
+		if gate.JournalErr() == nil {
+			t.Fatal("gate froze without recording the journal error")
+		}
+		if h := gate.Health(); !h.FailStopLatched || h.Mode != exec.ModeFailStop {
+			t.Fatalf("health = %+v, want latched fail-stop", h)
+		}
 	})
-	if !errors.Is(err, exec.ErrJournalDown) {
-		t.Fatalf("err=%v, want ErrJournalDown", err)
-	}
-	if errors.Is(err, exec.ErrStall) {
-		t.Fatalf("journal outage %v still conflated with ErrStall", err)
-	}
-	if gate.JournalErr() == nil {
-		t.Fatal("gate froze without recording the journal error")
-	}
-	if h := gate.Health(); !h.FailStopLatched || h.Mode != exec.ModeFailStop {
-		t.Fatalf("health = %+v, want latched fail-stop", h)
-	}
 }
 
 // syncedBackend is an in-memory backend that remembers how much of each
