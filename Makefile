@@ -82,10 +82,12 @@ crash-matrix:
 # at pinned GOMAXPROCS=1 and 8, each trial lockstep-compared against
 # its uninjected twin. A violated obligation dumps the failing
 # fault.Plan as chaos-failed-<seed>.json for exact replay.
+CHAOS_RUN := TestChaos
 .PHONY: chaos
 chaos:
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestChaos' ./internal/experiments
-	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'TestChaos' ./internal/experiments
+	$(call listguard,$(CHAOS_RUN),./internal/experiments)
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run '$(CHAOS_RUN)' ./internal/experiments
+	GOMAXPROCS=8 $(GO) test -race -count=1 -run '$(CHAOS_RUN)' ./internal/experiments
 
 # cancel-matrix is the cancellation differential (ROBUST2): seeded
 # trials arm one deterministic cancel point each — admission ticks,
@@ -95,15 +97,21 @@ chaos:
 # lifecycle unit tests. A violated obligation dumps the failing case
 # as cancel-failed-<seed>.json (replay with pwsrfuzz -mode cancel);
 # the checked-in corpus replays through the same differential.
+CANCEL_EXPERIMENTS_RUN := TestCancel|TestDrain|TestSnapshotPinnedAcrossDrain
 CANCEL_SCHED_RUN := TestDrain|TestClose|TestGateSharedByTickAndBatchEngines
+CANCEL_EXEC_RUN := TestCancel|TestRunCtx|TestExecuteBatchCtx
+CANCEL_WAL_RUN := TestCloseInterruptsBackoff
 .PHONY: cancel-matrix
 cancel-matrix:
+	$(call listguard,$(CANCEL_EXPERIMENTS_RUN),./internal/experiments)
 	$(call listguard,$(CANCEL_SCHED_RUN),./internal/sched)
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestCancel|TestDrain|TestSnapshotPinnedAcrossDrain' ./internal/experiments
-	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'TestCancel|TestDrain|TestSnapshotPinnedAcrossDrain' ./internal/experiments
+	$(call listguard,$(CANCEL_EXEC_RUN),./internal/exec)
+	$(call listguard,$(CANCEL_WAL_RUN),./internal/wal)
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run '$(CANCEL_EXPERIMENTS_RUN)' ./internal/experiments
+	GOMAXPROCS=8 $(GO) test -race -count=1 -run '$(CANCEL_EXPERIMENTS_RUN)' ./internal/experiments
 	$(GO) test -race -count=1 -run '$(CANCEL_SCHED_RUN)' ./internal/sched
-	$(GO) test -race -count=1 -run 'TestCancel|TestRunCtx|TestExecuteBatchCtx' ./internal/exec
-	$(GO) test -race -count=1 -run 'TestCloseInterruptsBackoff' ./internal/wal
+	$(GO) test -race -count=1 -run '$(CANCEL_EXEC_RUN)' ./internal/exec
+	$(GO) test -race -count=1 -run '$(CANCEL_WAL_RUN)' ./internal/wal
 	$(GO) run ./cmd/pwsrfuzz -mode cancel -trials 60 -seed 7
 
 # bench-chaos regenerates the ROBUST1 record: the 200-plan chaos

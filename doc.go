@@ -208,18 +208,17 @@
 // A journaled gate's behaviour when its storage dies is a policy, not
 // an accident. sched.AttachJournal defaults to fail-stop — the gate
 // stops granting and the engine surfaces exec.ErrJournalDown — and
-// accepts options for two softer stances: sched.DegradeShed keeps the
-// run's error typed (exec.ErrDegraded) and the refusal queryable
-// through Health, and sched.DegradeBuffer bridges transient outages
-// by acknowledging grants against a bounded in-memory queue that
-// drains through Writer.Heal, tripping to shed if the outage overflows
-// the cap. In every mode the write-ahead invariant holds:
-// no grant is ever acknowledged whose record cannot reach the log.
-// All three errors (ErrStall, ErrJournalDown, ErrDegraded) are
-// errors.Is-distinguishable, and the gate's live posture — mode,
-// queue depth, shed/buffered/dropped counters, failover promotions,
-// heals — surfaces through Health() and the engine's
-// Metrics.Gate.Health.
+// accepts one softer stance: sched.DegradeShed keeps the run's error
+// typed (exec.ErrDegraded) and the refusal queryable through Health.
+// Both modes refuse from the first failed barrier on, so the
+// write-ahead invariant holds without exception: no grant is ever
+// acknowledged whose record cannot reach the log, and every Result a
+// run returns is durable. A transient outage is bridged below the gate
+// (retries, failover), never by acknowledging against memory. All
+// three errors (ErrStall, ErrJournalDown, ErrDegraded) are
+// errors.Is-distinguishable, and the gate's live posture — mode, the
+// latched error, shed admissions, failover promotions — surfaces
+// through Health() and the engine's Metrics.Gate.Health.
 //
 // Below the gate, wal.FailoverBackend chains ordered backends behind
 // one Backend: when the writer exhausts its retry budget the chain

@@ -3,7 +3,6 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"time"
 )
 
 // ErrJournalDown is returned by RunCtx — instead of, and distinguishable
@@ -16,9 +15,9 @@ import (
 var ErrJournalDown = errors.New("exec: journal down")
 
 // ErrDegraded is returned by RunCtx when the gate entered its shedding
-// degradation mode (sched.DegradeShed, or a buffering gate that
-// tripped): admissions are refused by policy, not by verdict, and the
-// durable log holds a consistent prefix of what the gate admitted.
+// degradation mode (sched.DegradeShed): admissions are refused by
+// policy, not by verdict, and the durable log holds a consistent prefix
+// of what the gate admitted.
 var ErrDegraded = errors.New("exec: gate degraded")
 
 // Mode is a journaled gate's degradation state, as reported in Health.
@@ -33,10 +32,6 @@ const (
 	// ModeShed: the gate sheds admissions after a journal failure and
 	// the run surfaces ErrDegraded (see sched.DegradeShed).
 	ModeShed
-	// ModeBuffering: the journal is down but the gate is bridging the
-	// outage through its bounded admission buffer, draining it once the
-	// journal heals or a standby is promoted (see sched.DegradeBuffer).
-	ModeBuffering
 )
 
 // String renders the mode for logs and test output.
@@ -48,8 +43,6 @@ func (m Mode) String() string {
 		return "fail-stop"
 	case ModeShed:
 		return "shed"
-	case ModeBuffering:
-		return "buffering"
 	default:
 		return fmt.Sprintf("mode(%d)", int(m))
 	}
@@ -66,7 +59,7 @@ type Health struct {
 	// JournalErr is the sticky journal error, nil while healthy.
 	JournalErr error
 	// FailStopLatched reports the strict freeze: the gate refuses every
-	// further grant and only a Heal or resume-from-log clears it.
+	// further grant and only a resume from the log clears it.
 	FailStopLatched bool
 	// Promotions counts standby promotions the journal's failover
 	// backend performed (wal.Stats.Failovers).
@@ -75,19 +68,6 @@ type Health struct {
 	Heals int64
 	// Shed counts admissions refused while degraded.
 	Shed int64
-	// Buffered counts acknowledgments granted against the in-memory
-	// admission buffer during an outage (DegradeBuffer).
-	Buffered int64
-	// Dropped is the number of buffered events abandoned when a
-	// buffering gate tripped to shed (0 while the buffer drains).
-	Dropped int64
-	// Queued is the current depth of the admission buffer.
-	Queued int
-	// OutageAge is how long the current journal outage has been
-	// running (zero while healthy): the age of the sticky error a
-	// frozen gate latched, or of the outage a buffering gate is
-	// bridging.
-	OutageAge time.Duration
 	// Draining reports the gate's drain posture: Drain has begun,
 	// transactions already in flight may finish, and new admissions are
 	// refused with ErrDraining.
@@ -101,12 +81,8 @@ type Health struct {
 // frozen by a journal fail-stop surfaces ErrJournalDown, a shedding
 // gate ErrDegraded — neither wraps ErrStall, so callers can
 // errors.Is-distinguish a storage outage from a scheduling livelock.
-// A stall while the gate is buffering through an outage keeps the
-// ErrStall identity (the gate is still admitting; the stall is a
-// scheduling condition) but carries the outage posture — queue depth
-// and outage age — so the operator sees the journal is down instead
-// of a bare stall. A healthy gate, or a policy that is not a Gate,
-// keeps the original stall error.
+// A healthy running gate, or a policy that is not a Gate, keeps the
+// original stall error.
 func stallCause(g Gate, stall error) error {
 	if g == nil {
 		return stall
@@ -127,10 +103,6 @@ func stallCause(g Gate, stall error) error {
 		return fmt.Errorf("%w: %v", ErrGateClosed, stall)
 	case h.Draining:
 		return fmt.Errorf("%w: unstarted transactions refused during drain: %v", ErrDraining, stall)
-	}
-	if h.Mode == ModeBuffering {
-		return fmt.Errorf("%w (journal outage in progress: buffering, %d queued, down %v: %v)",
-			stall, h.Queued, h.OutageAge.Round(time.Millisecond), h.JournalErr)
 	}
 	return stall
 }

@@ -134,15 +134,14 @@ func cancelPlan(rng *rand.Rand, leg string) fault.Plan {
 	}}}
 }
 
-func degradeModeFromName(name string) sched.DegradeMode {
-	switch name {
-	case "shed":
-		return sched.DegradeShed
-	case "buffer":
-		return sched.DegradeBuffer
-	default:
-		return sched.DegradeFailStop
+// degradeModeFromName parses a case's Mode: a name modeName prints.
+func degradeModeFromName(name string) (sched.DegradeMode, bool) {
+	for _, m := range chaosModes {
+		if modeName(m) == name {
+			return m, true
+		}
 	}
+	return 0, false
 }
 
 // RunCancelTrial draws one seeded cancel case and runs it. A non-nil
@@ -192,15 +191,22 @@ func verifyResume(fb *wal.FailoverBackend, partition []state.ItemSet, rec *recor
 // RunCancelCase runs one cancel case end to end; it also re-runs a
 // dumped case exactly (the workload, inner policy, and journal layout
 // are all derived from Seed; the plan carries the armed point). A
-// non-nil error is always a *CancelFailure carrying the case.
+// non-nil error is always a *CancelFailure carrying the case; a case
+// naming an unknown Leg or Mode is refused before anything runs.
 func RunCancelCase(c CancelCase) (CancelRecord, error) {
-	rng := rand.New(rand.NewSource(c.Seed))
-	w := chaosWorkload(rng, c.Seed)
-	mode := degradeModeFromName(c.Mode)
 	rec := CancelRecord{CancelCase: c}
 	fail := func(format string, args ...any) (CancelRecord, error) {
 		return rec, &CancelFailure{Case: c, Reason: fmt.Sprintf(format, args...)}
 	}
+	if _, ok := cancelPoints[c.Leg]; !ok {
+		return fail("unknown leg %q", c.Leg)
+	}
+	mode, ok := degradeModeFromName(c.Mode)
+	if !ok {
+		return fail("unknown mode %q", c.Mode)
+	}
+	rng := rand.New(rand.NewSource(c.Seed))
+	w := chaosWorkload(rng, c.Seed)
 
 	inj := fault.NewInjector(c.Plan)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -234,7 +240,7 @@ func RunCancelCase(c CancelCase) (CancelRecord, error) {
 		res, runErr = eng.ExecuteBatchCtx(ctx, w.Programs)
 		gateMon = mon
 		health = gate.Health()
-	default: // tick
+	case "tick":
 		mon := core.NewMonitor(w.DataSets)
 		gate := sched.NewOptimisticCertifyOver(mon, sched.NewRandom(int64(rng.Int31())), nil)
 		gate.AttachJournal(tap, sched.WithDegradeMode(mode))
@@ -285,11 +291,12 @@ func RunCancelCase(c CancelCase) (CancelRecord, error) {
 		}
 	}
 
-	// No lost journaled admission: with a healthy journal and an empty
-	// queue, the certifier state must equal a fresh replay of the
-	// absorbed stream (cancel plans inject no journal faults, so this
-	// holds on every trial).
-	if health.Mode == exec.ModeOK && health.Queued == 0 {
+	// No lost journaled admission: with a healthy journal, the
+	// certifier state must equal a fresh replay of the absorbed stream
+	// (cancel plans inject no journal faults, so this holds on every
+	// trial).
+	completedClean := health.Mode == exec.ModeOK
+	if completedClean {
 		ref := replayReference(w.DataSets, tap.events)
 		if err := sameCertState("settled gate vs absorbed replay", gateMon, ref, conjuncts); err != nil {
 			return fail("%v", err)
@@ -298,7 +305,6 @@ func RunCancelCase(c CancelCase) (CancelRecord, error) {
 
 	// Durability: recovery and Resume from the surviving backend must
 	// both agree with the absorbed stream.
-	completedClean := health.Mode == exec.ModeOK && health.Queued == 0
 	seq, derr := verifyDurable(fb, jw, tap, w.DataSets, completedClean)
 	rec.RecoveredSeq = seq
 	if derr != nil {
@@ -382,13 +388,13 @@ func runCancelDrainLeg(c CancelCase, rec CancelRecord, w *gen.Workload, mode sch
 
 	// No lost journaled admission across the drain: monitor vs
 	// absorbed stream, then recovery and Resume vs the same stream.
-	if h.Mode == exec.ModeOK && h.Queued == 0 {
+	completedClean := h.Mode == exec.ModeOK
+	if completedClean {
 		ref := replayReference(w.DataSets, tap.events)
 		if err := sameCertState("drained gate vs absorbed replay", mon, ref, len(w.DataSets)); err != nil {
 			return fail("%v", err)
 		}
 	}
-	completedClean := h.Mode == exec.ModeOK && h.Queued == 0
 	seq, verr := verifyDurable(fb, jw, tap, w.DataSets, completedClean)
 	rec.RecoveredSeq = seq
 	if verr != nil {

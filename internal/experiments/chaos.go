@@ -33,8 +33,8 @@ import (
 //     exec.ErrJournalDown or exec.ErrDegraded — never a silent wrong
 //     answer, never a bare stall.
 //   - Liveness: a plan whose rules are all transient always drains to
-//     completion (retry budgets, failover promotion, or buffered
-//     healing absorb every glitch).
+//     completion (retry budgets and failover promotion absorb every
+//     glitch).
 //
 // Plans are plain data; a failing trial surfaces its plan as JSON so
 // the exact schedule of faults can be replayed (see ChaosFailure).
@@ -64,10 +64,7 @@ type ChaosRecord struct {
 	Injected int64 `json:"injected"`
 	// Durability counters at the end of the trial.
 	Failovers int64 `json:"failovers"`
-	Heals     int64 `json:"heals"`
 	Shed      int64 `json:"shed"`
-	Buffered  int64 `json:"buffered"`
-	Dropped   int64 `json:"dropped"`
 	// Events is the absorbed lifecycle-event count; RecoveredSeq is the
 	// durable prefix recovery found on the surviving backend.
 	Events       int    `json:"events"`
@@ -107,9 +104,7 @@ func (f *ChaosFailure) PlanJSON() []byte {
 // advanced), in absorption order. The recorded stream is the trial's
 // durability oracle: any durable prefix recovery finds must replay to
 // the same certifier state as the stream's own prefix. Events the
-// writer refused (fail-stop, un-absorbed appends) are not recorded —
-// if the gate's buffered mode later re-feeds them through a healed
-// writer they are recorded at absorption, exactly once.
+// writer refused (fail-stop, un-absorbed appends) are not recorded.
 type recordingJournal struct {
 	w      *wal.Writer
 	events []core.Event
@@ -143,12 +138,11 @@ func (r *recordingJournal) LogCompact(reclaimed []int, stats core.CompactStats, 
 	r.absorb(core.Event{Kind: core.EventCompact}, func() { r.w.LogCompact(reclaimed, stats, ops) })
 }
 
-// The rest of sched.Journal forwards to the writer, so a gate heals,
-// reports, cuts its drain snapshot and closes through the tap.
+// The rest of sched.Journal forwards to the writer, so a gate
+// barriers, syncs, reports, cuts its drain snapshot and closes through
+// the tap.
 func (r *recordingJournal) Barrier() error     { return r.w.Barrier() }
 func (r *recordingJournal) Sync() error        { return r.w.Sync() }
-func (r *recordingJournal) Heal() error        { return r.w.Heal() }
-func (r *recordingJournal) LoggedSeq() uint64  { return r.w.LoggedSeq() }
 func (r *recordingJournal) Stats() wal.Stats   { return r.w.Stats() }
 func (r *recordingJournal) CutSnapshot() error { return r.w.CutSnapshot() }
 func (r *recordingJournal) Close() error       { return r.w.Close() }
@@ -225,20 +219,16 @@ func replayReference(partition []state.ItemSet, events []core.Event) *core.Monit
 var chaosCases = []string{"clean", "transient-primary", "persistent-primary", "total-outage"}
 
 // chaosModes are the degradation modes trials rotate through.
-var chaosModes = []sched.DegradeMode{sched.DegradeFailStop, sched.DegradeShed, sched.DegradeBuffer}
+var chaosModes = []sched.DegradeMode{sched.DegradeFailStop, sched.DegradeShed}
 
 func modeName(m sched.DegradeMode) string {
-	switch m {
-	case sched.DegradeShed:
+	if m == sched.DegradeShed {
 		return "shed"
-	case sched.DegradeBuffer:
-		return "buffer"
-	default:
-		return "fail-stop"
 	}
+	return "fail-stop"
 }
 
-// chaosPlan builds the trial's fault plan for the drawn case and mode.
+// chaosPlan builds the trial's fault plan for the drawn case.
 // The generator respects the liveness obligations the writer's budgets
 // actually provide, so "transient plan ⇒ run drains" is a theorem the
 // differential can assert rather than a hope:
@@ -246,16 +236,14 @@ func modeName(m sched.DegradeMode) string {
 //   - Tick faults are always transient (a skipped tick re-picks the
 //     same pending set; a persistent tick fault is pure starvation).
 //   - Transient sync glitches stay within the writer's retry budget
-//     (maxRetries = 1 ⇒ windows of 1) unless the gate buffers, whose
-//     Heal bridges arbitrary transient windows.
+//     (maxRetries = 1 ⇒ windows of 1).
 //   - Transient write/torn faults (no retry — they trigger failover)
 //     are drawn at most once per trial on the primary only, so the
-//     single standby absorbs them; buffered gates may also draw wider
-//     sync windows.
+//     single standby absorbs them.
 //   - Persistent faults start From ≥ 3 on the primary (genesis always
 //     succeeds; the trial starts) and From 1 on the standby (the
 //     resync after promotion fails immediately — total outage).
-func chaosPlan(rng *rand.Rand, caseName string, mode sched.DegradeMode, tickSite, commitSite string, withCommit bool) fault.Plan {
+func chaosPlan(rng *rand.Rand, caseName, tickSite, commitSite string, withCommit bool) fault.Plan {
 	var rules []fault.Rule
 	addTick := func() {
 		n := rng.Intn(3)
@@ -294,40 +282,23 @@ func chaosPlan(rng *rand.Rand, caseName string, mode sched.DegradeMode, tickSite
 	addCommit()
 	switch caseName {
 	case "transient-primary":
-		if mode == sched.DegradeBuffer {
-			// Heal bridges any transient window: draw wide sync outages
-			// and write glitches freely.
-			rules = append(rules, fault.Rule{
-				Site: "wal/primary", Op: fault.OpSync,
-				From: int64(3 + rng.Intn(30)), Count: int64(1 + rng.Intn(6)),
-				Kind: fault.KindError, Msg: "transient sync outage",
-			})
+		// Retry budget (1 retry) absorbs 1-wide sync windows without
+		// failover; one write/torn glitch burns the single standby.
+		rules = append(rules, fault.Rule{
+			Site: "wal/primary", Op: fault.OpSync,
+			From: int64(3 + rng.Intn(30)), Count: 1,
+			Kind: fault.KindError, Msg: "sync glitch",
+		})
+		if rng.Intn(2) == 0 {
+			kind := fault.KindError
 			if rng.Intn(2) == 0 {
-				rules = append(rules, fault.Rule{
-					Site: "wal/primary", Op: fault.OpWrite,
-					From: int64(3 + rng.Intn(30)), Count: 1,
-					Kind: fault.KindTorn, Msg: "torn write",
-				})
+				kind = fault.KindTorn
 			}
-		} else {
-			// Retry budget (1 retry) absorbs 1-wide sync windows without
-			// failover; one write/torn glitch burns the single standby.
 			rules = append(rules, fault.Rule{
-				Site: "wal/primary", Op: fault.OpSync,
+				Site: "wal/primary", Op: fault.OpWrite,
 				From: int64(3 + rng.Intn(30)), Count: 1,
-				Kind: fault.KindError, Msg: "sync glitch",
+				Kind: kind, Msg: "write glitch",
 			})
-			if rng.Intn(2) == 0 {
-				kind := fault.KindError
-				if rng.Intn(2) == 0 {
-					kind = fault.KindTorn
-				}
-				rules = append(rules, fault.Rule{
-					Site: "wal/primary", Op: fault.OpWrite,
-					From: int64(3 + rng.Intn(30)), Count: 1,
-					Kind: kind, Msg: "write glitch",
-				})
-			}
 		}
 	case "persistent-primary":
 		op := fault.OpSync
@@ -426,7 +397,7 @@ func RunChaosTrial(seed int64) (ChaosRecord, error) {
 	caseName := chaosCases[rng.Intn(len(chaosCases))]
 	mode := chaosModes[rng.Intn(len(chaosModes))]
 	w := chaosWorkload(rng, seed)
-	plan := chaosPlan(rng, caseName, mode, "gate", "engine", leg == "batch")
+	plan := chaosPlan(rng, caseName, "gate", "engine", leg == "batch")
 	rec := ChaosRecord{
 		Seed: seed, Leg: leg, Case: caseName, Mode: modeName(mode),
 		Rules: len(plan.Rules), Transient: plan.Transient(),
@@ -444,10 +415,6 @@ func RunChaosTrial(seed int64) (ChaosRecord, error) {
 		return fail("journal construction refused: %v", err)
 	}
 
-	bufferCap := 16
-	if caseName == "total-outage" {
-		bufferCap = 4 // force the buffered gate to trip, not mask the outage
-	}
 	start := time.Now()
 	var runErr error
 	var gateMon, twinMon certState
@@ -466,7 +433,7 @@ func RunChaosTrial(seed int64) (ChaosRecord, error) {
 		}
 		mon := core.NewMonitor(w.DataSets)
 		gate := sched.NewOptimisticCertifyOver(mon, &sched.Serial{}, nil)
-		gate.AttachJournal(tap, sched.WithDegradeMode(mode), sched.WithBufferCap(bufferCap))
+		gate.AttachJournal(tap, sched.WithDegradeMode(mode))
 		eng := exec.NewParallelEngine(exec.ParallelConfig{
 			Initial: w.Initial, Gate: gate, Workers: 2 + rng.Intn(3),
 		})
@@ -495,7 +462,7 @@ func RunChaosTrial(seed int64) (ChaosRecord, error) {
 		}
 		mon := core.NewMonitor(w.DataSets)
 		gate := sched.NewOptimisticCertifyOver(mon, sched.NewRandom(inner), nil)
-		gate.AttachJournal(tap, sched.WithDegradeMode(mode), sched.WithBufferCap(bufferCap))
+		gate.AttachJournal(tap, sched.WithDegradeMode(mode))
 		gate.SetFaultInjector(inj, "gate")
 		res, rerr := exec.RunCtx(context.TODO(), exec.Config{
 			Programs: w.Programs, Initial: w.Initial, Policy: gate, DataSets: w.DataSets,
@@ -512,8 +479,7 @@ func RunChaosTrial(seed int64) (ChaosRecord, error) {
 	rec.WallNs = time.Since(start).Nanoseconds()
 	rec.Injected = inj.Fired()
 	st := jw.Stats()
-	rec.Failovers, rec.Heals = st.Failovers, st.Heals
-	rec.Shed, rec.Buffered, rec.Dropped = health.Shed, health.Buffered, health.Dropped
+	rec.Failovers, rec.Shed = st.Failovers, health.Shed
 	rec.Events = len(tap.events)
 
 	switch {
@@ -548,8 +514,8 @@ func RunChaosTrial(seed int64) (ChaosRecord, error) {
 
 	// Durability differential: recovery from the surviving backend must
 	// agree with the absorbed stream; a cleanly completed run (journal
-	// healthy, nothing still buffered) must be durable in full.
-	completedClean := runErr == nil && health.Mode == exec.ModeOK && health.Queued == 0
+	// healthy) must be durable in full.
+	completedClean := runErr == nil && health.Mode == exec.ModeOK
 	seq, derr := verifyDurable(fb, jw, tap, w.DataSets, completedClean)
 	rec.RecoveredSeq = seq
 	if derr != nil {
@@ -564,7 +530,7 @@ func RunChaosTrial(seed int64) (ChaosRecord, error) {
 func ChaosStudy(trials int, seed int64) (*sim.Table, []ChaosRecord, error) {
 	records := make([]ChaosRecord, 0, trials)
 	counts := map[string]int{}
-	var failovers, heals, injected int64
+	var failovers, injected int64
 	for i := 0; i < trials; i++ {
 		rec, err := RunChaosTrial(seed + int64(i))
 		if err != nil {
@@ -573,14 +539,13 @@ func ChaosStudy(trials int, seed int64) (*sim.Table, []ChaosRecord, error) {
 		records = append(records, rec)
 		counts[rec.Outcome]++
 		failovers += rec.Failovers
-		heals += rec.Heals
 		injected += rec.Injected
 	}
 	tab := &sim.Table{
 		Title:   fmt.Sprintf("ROBUST1 — chaos differential (%d seeded plans)", trials),
 		Columns: []string{"outcome", "trials"},
 		Notes: []string{
-			fmt.Sprintf("injected faults: %d; failover promotions: %d; heals: %d", injected, failovers, heals),
+			fmt.Sprintf("injected faults: %d; failover promotions: %d", injected, failovers),
 			"every completed trial schedule- and verdict-identical to its uninjected twin",
 			"every durable prefix verdict-identical to the absorbed-stream reference replay",
 		},

@@ -3,6 +3,7 @@ package sched_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -11,6 +12,8 @@ import (
 	"pwsr/internal/fault"
 	"pwsr/internal/gen"
 	"pwsr/internal/sched"
+	"pwsr/internal/state"
+	"pwsr/internal/txn"
 	"pwsr/internal/wal"
 )
 
@@ -63,84 +66,74 @@ func TestDegradeShedSurfacesTyped(t *testing.T) {
 	}
 }
 
-// TestDegradeBufferBridgesTransientOutage pins the buffering mode's
-// liveness: an outage that outlasts the writer's retry budget latches
-// the writer's fail-stop, but the gate bridges it — acknowledging
-// against the bounded queue and healing the writer — and the run
-// completes with every admission durable: recovery from the backend is
-// verdict-identical to the gate's monitor.
-func TestDegradeBufferBridgesTransientOutage(t *testing.T) {
-	w := gen.MustGenerate(gen.Config{
-		Conjuncts: 2, Programs: 4, MovesPerProgram: 3, Style: gen.StyleFixed, Seed: 601,
-	})
-	// Sync occurrences 2..4 fail: the first post-genesis barrier burns
-	// its one retry and fail-stops the writer; the gate's Heal rebases
-	// once the window passes.
-	jw, mem := brokenWriter(t, wal.Options{GroupEvery: 1, SnapshotEvery: -1, MaxRetries: 1},
-		fault.Rule{Op: fault.OpSync, From: 2, Count: 3, Kind: fault.KindError, Msg: "transient outage"})
-	mon := core.NewMonitor(w.DataSets)
-	gate := sched.NewOptimisticCertifyOver(mon, sched.NewRandom(2), nil)
-	gate.AttachJournal(jw, sched.WithDegradeMode(sched.DegradeBuffer), sched.WithBufferCap(16))
-	_, err := exec.RunCtx(context.Background(), exec.Config{
-		Programs: w.Programs, Initial: w.Initial, Policy: gate, DataSets: w.DataSets,
-	})
-	if err != nil {
-		t.Fatalf("buffered gate did not bridge the outage: %v", err)
+// TestDrainFailsWhenJournalRefuses pins Drain's durability verdict: a
+// drain whose journal refuses a record — an admission's, or the final
+// compact pass's — returns the gate's typed refusal (exec.ErrJournalDown
+// under fail-stop, exec.ErrDegraded under shed), cuts no snapshot, and
+// leaves the gate draining with the latch in Health; a healthy journal
+// drains to nil and a snapshot.
+func TestDrainFailsWhenJournalRefuses(t *testing.T) {
+	modes := []struct {
+		mode sched.DegradeMode
+		want exec.Mode
+		err  error
+	}{
+		{sched.DegradeFailStop, exec.ModeFailStop, exec.ErrJournalDown},
+		{sched.DegradeShed, exec.ModeShed, exec.ErrDegraded},
 	}
-	if jw.Stats().Heals == 0 {
-		t.Fatal("outage bridged without a heal")
+	// Three single-write admissions, then the drain's compact record,
+	// which with GroupEvery 1 is backend write 7.
+	faults := []struct {
+		name     string
+		from     int64 // first failing backend write; 0 = none
+		admitted int   // admissions acknowledged before the fault
+	}{
+		{"none", 0, 3},
+		{"at-admission", 4, 1},
+		{"at-compact", 7, 3},
 	}
-	h := gate.Health()
-	if h.Mode != exec.ModeOK || h.Queued != 0 {
-		t.Fatalf("health after bridge = %+v, want drained ModeOK", h)
-	}
-	if h.Heals == 0 {
-		t.Fatal("health did not surface the heal count")
-	}
-	if err := jw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec, _, err := wal.Recover(mem, w.DataSets)
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	requireSameCertState(t, "buffered gate", rec, mon, len(w.DataSets))
-}
-
-// TestDegradeBufferTripsToShed pins the buffering mode's bound: a
-// persistent outage overflows the admission queue past its cap, and
-// the gate trips to shed — dropping the queue, latching the sticky
-// error, and surfacing exec.ErrDegraded — rather than buffering an
-// unbounded exposure.
-func TestDegradeBufferTripsToShed(t *testing.T) {
-	w := gen.MustGenerate(gen.Config{
-		Conjuncts: 2, Programs: 4, MovesPerProgram: 3, Style: gen.StyleFixed, Seed: 601,
-	})
-	jw, _ := brokenWriter(t, wal.Options{GroupEvery: 1, SnapshotEvery: -1, MaxRetries: 1},
-		fault.Rule{Op: fault.OpSync, From: 2, Count: 0, Kind: fault.KindError, Msg: "device gone"})
-	gate := sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(2), nil)
-	gate.AttachJournal(jw, sched.WithDegradeMode(sched.DegradeBuffer), sched.WithBufferCap(2))
-	_, err := exec.RunCtx(context.Background(), exec.Config{
-		Programs: w.Programs, Initial: w.Initial, Policy: gate, DataSets: w.DataSets,
-	})
-	if !errors.Is(err, exec.ErrDegraded) {
-		t.Fatalf("err=%v, want ErrDegraded after the buffer tripped", err)
-	}
-	h := gate.Health()
-	if h.Mode != exec.ModeShed {
-		t.Fatalf("health = %+v, want tripped-to-shed", h)
-	}
-	if h.Buffered == 0 {
-		t.Fatal("gate tripped without ever buffering")
-	}
-	if h.Dropped == 0 {
-		t.Fatal("trip did not account the dropped queue")
-	}
-	if h.Queued != 0 {
-		t.Fatalf("queue survived the trip: %+v", h)
-	}
-	if gate.JournalErr() == nil {
-		t.Fatal("tripped gate did not latch the journal error")
+	for _, m := range modes {
+		for _, f := range faults {
+			t.Run(fmt.Sprintf("%v/%s", m.want, f.name), func(t *testing.T) {
+				var rules []fault.Rule
+				if f.from > 0 {
+					rules = append(rules, fault.Rule{Op: fault.OpWrite, From: f.from, Kind: fault.KindError, Msg: "dead"})
+				}
+				jw, _ := brokenWriter(t, wal.Options{GroupEvery: 1, SnapshotEvery: -1}, rules...)
+				gate := sched.NewOptimisticCertify([]state.ItemSet{state.NewItemSet("a")}, &sched.Serial{}, nil)
+				gate.AttachJournal(jw, sched.WithDegradeMode(m.mode))
+				admitted := 0
+				for id := 1; id <= 3; id++ {
+					if gate.AdmitTxn([]txn.Op{txn.W(id, "a", int64(id))}) == nil {
+						admitted++
+					}
+				}
+				if admitted != f.admitted {
+					t.Fatalf("admitted %d of 3, want %d", admitted, f.admitted)
+				}
+				snaps := jw.Stats().Snapshots
+				err := gate.Drain(context.Background())
+				h := gate.Health()
+				if !h.Draining || len(gate.Monitor().InFlightTxnIDs()) != 0 {
+					t.Fatalf("post-drain posture: draining=%v in-flight=%v", h.Draining, gate.Monitor().InFlightTxnIDs())
+				}
+				if f.from == 0 {
+					if err != nil || h.Mode != exec.ModeOK || jw.Stats().Snapshots == snaps {
+						t.Fatalf("clean drain: err=%v mode=%v snapshots %d -> %d", err, h.Mode, snaps, jw.Stats().Snapshots)
+					}
+					return
+				}
+				if !errors.Is(err, m.err) {
+					t.Fatalf("drain = %v, want %v", err, m.err)
+				}
+				if h.Mode != m.want || h.JournalErr == nil {
+					t.Fatalf("health = %v/%v, want %v with the latched cause", h.Mode, h.JournalErr, m.want)
+				}
+				if got := jw.Stats().Snapshots; got != snaps {
+					t.Fatalf("refused drain cut a snapshot (snapshots %d -> %d)", snaps, got)
+				}
+			})
+		}
 	}
 }
 

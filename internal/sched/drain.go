@@ -57,7 +57,10 @@ func (g *OptimisticCertify) SetDrainPolicy(p DrainPolicy) {
 
 // Drain implements exec.Gate: refuse new transactions, settle the
 // in-flight ones per the drain policy (wait or abort), flush the
-// journal barrier, run a final compact pass, and cut a snapshot. The
+// journal barrier, run a final compact pass, and cut a snapshot. A
+// journal that has refused any record, the compact pass's included,
+// fails the drain with the gate's typed refusal (exec.ErrJournalDown,
+// or exec.ErrDegraded for a shedding gate) and no snapshot is cut. The
 // gate mutex is released while waiting so the engine's tick loop
 // (TxnFinished, Pick) can make progress. ctx bounds the whole sequence:
 // on expiry the unfinished remainder is retracted — the same monitor
@@ -119,13 +122,14 @@ func (g *OptimisticCertify) Drain(ctx context.Context) error {
 			g.mu.Lock()
 		}
 	}
-	if err := g.jn.drainFlush(ctx, &g.mu); err != nil && drainErr == nil {
-		drainErr = err
-	}
+	// One ack after the final compact pass covers every record before
+	// it too: the journal's barrier error is sticky.
 	mon.Compact()
 	g.memo.global++
-	g.jn.ack()
-	if drainErr == nil && !g.jn.frozen() && g.jn.journal != nil {
+	if !g.jn.ack() && drainErr == nil {
+		drainErr = fmt.Errorf("sched: drain: %w", g.jn.refusalErr())
+	}
+	if drainErr == nil && g.jn.journal != nil {
 		if err := g.jn.journal.CutSnapshot(); err != nil {
 			drainErr = fmt.Errorf("sched: drain: snapshot cut: %w", err)
 		}

@@ -13,7 +13,7 @@
 // the one contract the engines assert, once, when a run or engine
 // starts, victim selection and abort notices included. Downstream, it
 // asks one complete Journal of its write-ahead log (the sink, Barrier,
-// Sync, Heal, LoggedSeq, CutSnapshot, Stats and Close) and one
+// Sync, CutSnapshot, Stats and Close) and one
 // Certifier of its monitor; neither is probed for optional methods. The
 // inner policy only picks among the admissible requests: it is told of
 // finishes, never of aborts or cancels. A caller that wants a gate that

@@ -14,7 +14,7 @@ import (
 
 // scriptedJournal is a journal whose Barrier returns a scripted
 // sequence of results (the last repeats) and counts how often it was
-// probed — the fixture for the single-probe health contract. The rest
+// probed — the fixture for the latch-only health contract. The rest
 // of sched.Journal does nothing.
 type scriptedJournal struct {
 	calls int
@@ -26,8 +26,6 @@ func (j *scriptedJournal) LogCommit(txnID int)                                  
 func (j *scriptedJournal) LogRetract(txnID int)                                   {}
 func (j *scriptedJournal) LogCompact(reclaimed []int, s core.CompactStats, n int) {}
 func (j *scriptedJournal) Sync() error                                            { return nil }
-func (j *scriptedJournal) Heal() error                                            { return nil }
-func (j *scriptedJournal) LoggedSeq() uint64                                      { return 0 }
 func (j *scriptedJournal) CutSnapshot() error                                     { return nil }
 func (j *scriptedJournal) Stats() wal.Stats                                       { return wal.Stats{} }
 func (j *scriptedJournal) Close() error                                           { return nil }
@@ -40,36 +38,33 @@ func (j *scriptedJournal) Barrier() error {
 	return j.errs[i]
 }
 
-// TestHealthProbesBarrierOnce pins the bugfix in journaled.health():
-// the mode decision and the reported error must come from one Barrier
-// observation. The scripted journal fails on the first probe and heals
-// on the second — double-probing would have classified the gate as
-// buffering while reporting a nil journal error.
-func TestHealthProbesBarrierOnce(t *testing.T) {
+// TestHealthReadsLatchesOnly pins journaled.health(): Health reads the
+// gate's latch and never probes the journal. Over a journal whose
+// Barrier fails, a fail-stop gate reports ok until an ack refuses, and
+// fail-stop with that ack's error after; only the ack probes. The
+// journal is the monitor's sink itself, with no gate hop between.
+func TestHealthReadsLatchesOnly(t *testing.T) {
 	jerr := errors.New("transient device error")
-	j := &scriptedJournal{errs: []error{jerr, nil}}
-	partition := []state.ItemSet{state.NewItemSet("x")}
-	gate := sched.NewOptimisticCertify(partition, &sched.Serial{}, nil)
-	gate.AttachJournal(j, sched.WithDegradeMode(sched.DegradeBuffer))
+	j := &scriptedJournal{errs: []error{jerr}}
+	mon := core.NewMonitor([]state.ItemSet{state.NewItemSet("x")})
+	gate := sched.NewOptimisticCertifyOver(mon, &sched.Serial{}, nil)
+	gate.AttachJournal(j)
+	if mon.Sink() != core.LifecycleSink(j) {
+		t.Fatalf("monitor sink = %T, want the journal itself", mon.Sink())
+	}
 
+	if h := gate.Health(); j.calls != 0 || h.Mode != exec.ModeOK || h.JournalErr != nil {
+		t.Fatalf("Health before any ack = %v/%v after %d Barrier calls, want ok/nil after 0", h.Mode, h.JournalErr, j.calls)
+	}
+	if err := gate.AdmitTxn([]txn.Op{txn.W(1, "x", 1)}); !errors.Is(err, exec.ErrJournalDown) {
+		t.Fatalf("AdmitTxn over a failing barrier = %v, want ErrJournalDown", err)
+	}
 	h := gate.Health()
 	if j.calls != 1 {
-		t.Fatalf("Health probed the barrier %d times, want exactly 1", j.calls)
+		t.Fatalf("%d Barrier calls, want exactly the ack's 1", j.calls)
 	}
-	if h.Mode != exec.ModeBuffering {
-		t.Fatalf("Mode = %v, want buffering (the probe's error decided the mode)", h.Mode)
-	}
-	if !errors.Is(h.JournalErr, jerr) {
-		t.Fatalf("JournalErr = %v, want the same observation's error %v", h.JournalErr, jerr)
-	}
-
-	// The second snapshot sees the healed barrier: consistent again.
-	h = gate.Health()
-	if j.calls != 2 {
-		t.Fatalf("second Health probed %d times total, want 2", j.calls)
-	}
-	if h.Mode != exec.ModeOK || h.JournalErr != nil {
-		t.Fatalf("healed Health = %v/%v, want ok with nil error", h.Mode, h.JournalErr)
+	if h.Mode != exec.ModeFailStop || !h.FailStopLatched || !errors.Is(h.JournalErr, jerr) {
+		t.Fatalf("Health after the refused ack = %+v, want fail-stop with %v", h, jerr)
 	}
 }
 

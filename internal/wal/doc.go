@@ -116,9 +116,8 @@
 // engine surfaces exec.ErrJournalDown rather than acknowledging
 // grants that can no longer be made durable. The degradation is
 // deliberate: a certifier that cannot log must not admit. (The gate
-// can opt into softer policies — typed shedding or bounded buffering
-// with Heal — via sched.WithDegradeMode; the invariant that no grant
-// is acknowledged un-journaled holds in every mode.)
+// can opt into typed shedding via sched.WithDegradeMode; the invariant
+// that no grant is acknowledged un-journaled holds in both modes.)
 //
 // # Failover and healing
 //
@@ -133,8 +132,8 @@
 // the sticky Demoted/Promoted events are queryable through
 // FailoverBackend.Events and counted in Stats.Failovers. Writer.Heal
 // performs the same mirror rebase in place for a fail-stopped writer
-// whose device came back (counted in Stats.Heals); the buffering
-// degradation mode in sched drives it. Recovery needs no special
+// whose device came back (counted in Stats.Heals); no certification
+// gate calls it. Recovery needs no special
 // failover handling — it reads whichever backend survived, and the
 // mirror rebase guarantees the surviving log is a byte prefix of the
 // logical stream. The chaos differential (`make chaos`) exercises

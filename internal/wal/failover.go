@@ -177,8 +177,8 @@ func (w *Writer) rebaseLocked() error {
 // active segment is rebuilt on the current target from the mirror,
 // which holds every event the writer absorbed, and on success the
 // sticky error is cleared. Events emitted while fail-stopped were not
-// absorbed and did not advance the sequence, so the caller (sched's
-// buffered degradation mode) re-feeds them and the log has no gap.
+// absorbed and did not advance the sequence, so a caller that wants
+// them logged re-feeds them and the log has no gap.
 // Healing a healthy writer is a no-op; a target that is still failing
 // leaves the fail-stop in place and returns it.
 func (w *Writer) Heal() error {

@@ -269,8 +269,8 @@ var (
 	// fail-stop degradation mode: the gate refuses to acknowledge
 	// grants it cannot make durable.
 	ErrJournalDown = exec.ErrJournalDown
-	// ErrDegraded is a gate shedding admissions by policy (DegradeShed,
-	// or DegradeBuffer after its bounded queue tripped).
+	// ErrDegraded is a gate shedding admissions by policy after a
+	// journal failure (the DegradeShed mode).
 	ErrDegraded = exec.ErrDegraded
 	// ErrReadOnlyWrite is a transaction declared read-only
 	// (RunConfig.ReadOnly / ParallelRunConfig.ReadOnly) whose program
@@ -328,10 +328,10 @@ const (
 // the remainder. See exec.Gate for the whole contract.
 type Gate = exec.Gate
 
-// Health is a journaled gate's live degradation posture: current mode,
-// queue depth, shed/buffered/dropped admission counts, failover
-// promotions, and heals. Policies that journal expose it (and it rides
-// in Metrics.Gate.Health).
+// Health is a journaled gate's live degradation posture: current mode
+// and latched journal error, shed admissions, failover promotions, and
+// the drain posture. Policies that journal expose it (and it rides in
+// Metrics.Gate.Health).
 type Health = exec.Health
 
 // NewScript returns the scripted policy (fixed grant order).
