@@ -68,7 +68,7 @@ endef
 # race detector at pinned GOMAXPROCS=1 and 8, plus the journaled-gate
 # tests in sched, TestAcknowledgedCommitsDurable among them (a returned
 # run's commits survive a machine crash).
-CRASH_SCHED_RUN := TestDurableGateJournalsAndRecovers|TestOptimisticDurableGateRecovers|TestResumeCertifyContinues|TestJournalFailStop|TestDegrade|TestTickInjection|TestAcknowledgedCommitsDurable
+CRASH_SCHED_RUN := TestDurableGateJournalsAndRecovers|TestOptimisticDurableGateRecovers|TestResumeCertifyContinues|TestJournalFailStop|TestTickInjection|TestAcknowledgedCommitsDurable
 .PHONY: crash-matrix
 crash-matrix:
 	$(call listguard,$(CRASH_SCHED_RUN),./internal/sched)

@@ -203,22 +203,21 @@
 // sweep; `make crash-matrix` runs the wal crash differential under the
 // race detector at both pinned widths.
 //
-// # Degradation modes and failover
+// # Fail-stop and failover
 //
-// A journaled gate's behaviour when its storage dies is a policy, not
-// an accident. sched.AttachJournal defaults to fail-stop — the gate
-// stops granting and the engine surfaces exec.ErrJournalDown — and
-// accepts one softer stance: sched.DegradeShed keeps the run's error
-// typed (exec.ErrDegraded) and the refusal queryable through Health.
-// Both modes refuse from the first failed barrier on, so the
-// write-ahead invariant holds without exception: no grant is ever
-// acknowledged whose record cannot reach the log, and every Result a
-// run returns is durable. A transient outage is bridged below the gate
-// (retries, failover), never by acknowledging against memory. All
-// three errors (ErrStall, ErrJournalDown, ErrDegraded) are
-// errors.Is-distinguishable, and the gate's live posture — mode, the
-// latched error, shed admissions, failover promotions — surfaces
-// through Health() and the engine's Metrics.Gate.Health.
+// A journaled gate has one response when its storage dies: fail-stop.
+// The first record the journal refuses — a grant's barrier, a settle's
+// sync, a drain's compact record or snapshot cut — latches the error,
+// the gate stops granting, and the engine surfaces exec.ErrJournalDown.
+// So the write-ahead invariant holds without exception: no grant is
+// ever acknowledged whose record cannot reach the log, and every
+// Result a run returns is durable. A transient outage is bridged below
+// the gate (retries, failover), never by acknowledging against memory.
+// The three ways a run stops short are errors.Is-distinguishable:
+// ErrStall (scheduling), ErrJournalDown (storage) and
+// ErrCanceled/ErrDeadline (the caller's context). The gate's live
+// posture (the latched error, failover promotions, the drain posture)
+// surfaces through Health() and the engine's Metrics.Gate.Health.
 //
 // Below the gate, wal.FailoverBackend chains ordered backends behind
 // one Backend: when the writer exhausts its retry budget the chain
@@ -270,7 +269,7 @@
 // out. Close is the terminal latch (ErrGateClosed) and releases the
 // journal; a closing wal.Writer interrupts any retry backoff in
 // progress rather than sleeping out the schedule. The posture —
-// Draining, Closed, plus the degradation mode and counters — rides
+// Draining, Closed, plus the latched journal error — rides
 // in Health(). `make cancel-matrix` runs the ROBUST2 differential:
 // seeded trials arm one deterministic cancel at every point class
 // (admission ticks, journal writes and syncs, commit turns, drain

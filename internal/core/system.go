@@ -102,11 +102,9 @@
 //
 // What happens when the sink's storage fails is the gate's policy,
 // not the certifier's: the monitor keeps applying events and
-// mirroring them; the gate decides whether to stop granting
-// (fail-stop), shed with a typed error, or buffer admissions against
-// a bounded queue until the journal heals or fails over — see
-// sched.AttachJournal's degradation modes and the wal package comment
-// on failover. The certifier's contribution to that story is that its
+// mirroring them; the gate stops granting (fail-stop) once a record
+// cannot reach the log — see sched.AttachJournal and the wal package
+// comment on failover. The certifier's contribution to that story is that its
 // event stream is replayable: any durable prefix of the mirrored
 // stream rebuilds a verdict-identical monitor, which is the oracle
 // the chaos differential (internal/experiments, `make chaos`) checks

@@ -8,8 +8,8 @@ import (
 
 // Typed lifecycle errors. They are deliberately distinct from every
 // certification outcome: a canceled or deadline-expired run is not a
-// stall (ErrStall) and not an outage (ErrJournalDown/ErrDegraded) —
-// callers route on errors.Is without ambiguity.
+// stall (ErrStall) and not an outage (ErrJournalDown) — callers route
+// on errors.Is without ambiguity.
 var (
 	// ErrCanceled reports that a run, batch, or drain was cut short by
 	// context cancellation. In-flight transactions were aborted through

@@ -14,60 +14,19 @@ import (
 // from the log).
 var ErrJournalDown = errors.New("exec: journal down")
 
-// ErrDegraded is returned by RunCtx when the gate entered its shedding
-// degradation mode (sched.DegradeShed): admissions are refused by
-// policy, not by verdict, and the durable log holds a consistent prefix
-// of what the gate admitted.
-var ErrDegraded = errors.New("exec: gate degraded")
-
-// Mode is a journaled gate's degradation state, as reported in Health.
-type Mode int
-
-const (
-	// ModeOK: the journal is healthy (or no journal is attached).
-	ModeOK Mode = iota
-	// ModeFailStop: the journal failed and the gate froze — the
-	// default, strictest degradation (see sched.DegradeFailStop).
-	ModeFailStop
-	// ModeShed: the gate sheds admissions after a journal failure and
-	// the run surfaces ErrDegraded (see sched.DegradeShed).
-	ModeShed
-)
-
-// String renders the mode for logs and test output.
-func (m Mode) String() string {
-	switch m {
-	case ModeOK:
-		return "ok"
-	case ModeFailStop:
-		return "fail-stop"
-	case ModeShed:
-		return "shed"
-	default:
-		return fmt.Sprintf("mode(%d)", int(m))
-	}
-}
-
 // Health is the durability-health summary a journaled gate reports:
-// its degradation mode, the sticky journal error (if any), and the
-// failover/degradation counters. The engine copies it into Metrics at
-// the end of a run and consults it to reclassify stalls caused by a
-// frozen gate as ErrJournalDown/ErrDegraded.
+// the sticky journal error (if any), the failover counter, and the
+// lifecycle posture. The engine copies it into Metrics at the end of a
+// run and consults it to reclassify a stall caused by a frozen gate as
+// ErrJournalDown.
 type Health struct {
-	// Mode is the gate's current degradation state.
-	Mode Mode
-	// JournalErr is the sticky journal error, nil while healthy.
+	// JournalErr is the sticky journal error that froze the gate, nil
+	// while healthy. A frozen gate refuses every further grant and only
+	// a resume from the log clears it.
 	JournalErr error
-	// FailStopLatched reports the strict freeze: the gate refuses every
-	// further grant and only a resume from the log clears it.
-	FailStopLatched bool
 	// Promotions counts standby promotions the journal's failover
 	// backend performed (wal.Stats.Failovers).
 	Promotions int64
-	// Heals counts journal fail-stops cleared by heal (wal.Stats.Heals).
-	Heals int64
-	// Shed counts admissions refused while degraded.
-	Shed int64
 	// Draining reports the gate's drain posture: Drain has begun,
 	// transactions already in flight may finish, and new admissions are
 	// refused with ErrDraining.
@@ -78,24 +37,20 @@ type Health struct {
 }
 
 // stallCause reclassifies a stall through the gate's Stats health: a gate
-// frozen by a journal fail-stop surfaces ErrJournalDown, a shedding
-// gate ErrDegraded — neither wraps ErrStall, so callers can
-// errors.Is-distinguish a storage outage from a scheduling livelock.
-// A healthy running gate, or a policy that is not a Gate, keeps the
-// original stall error.
+// frozen by a journal fail-stop surfaces ErrJournalDown, which does not
+// wrap ErrStall, so callers can errors.Is-distinguish a storage outage
+// from a scheduling livelock. A healthy running gate, or a policy that
+// is not a Gate, keeps the original stall error.
 func stallCause(g Gate, stall error) error {
 	if g == nil {
 		return stall
 	}
 	h := g.Stats().Health
-	switch h.Mode {
-	case ModeFailStop:
+	if h.JournalErr != nil {
 		return fmt.Errorf("%w: %v", ErrJournalDown, h.JournalErr)
-	case ModeShed:
-		return fmt.Errorf("%w: %v", ErrDegraded, h.JournalErr)
 	}
-	// Lifecycle posture is checked after the outage modes: a frozen
-	// journal explains a stall regardless of drain state, but a healthy
+	// Lifecycle posture is checked after the outage: a frozen journal
+	// explains a stall regardless of drain state, but a healthy
 	// draining/closed gate refusing new work is a lifecycle condition,
 	// not a scheduling livelock.
 	switch {

@@ -43,13 +43,13 @@ func (p *stalledPolicy) Stats() exec.GateStats                          { return
 // running gate stays a bare ErrStall: no outage or lifecycle posture is
 // read into it.
 func TestStallCarriesBufferingPosture(t *testing.T) {
-	pol := &stalledPolicy{h: exec.Health{Mode: exec.ModeOK}}
+	pol := &stalledPolicy{}
 	_, err := exec.RunCtx(context.Background(), exec.Config{
 		Programs: map[int]*program.Program{1: program.MustParse("program T1 {\n  let v := x;\n}\n")},
 		Initial:  state.Ints(map[string]int64{"x": 0}),
 		Policy:   pol,
 	})
-	if !errors.Is(err, exec.ErrStall) || errors.Is(err, exec.ErrJournalDown) || errors.Is(err, exec.ErrDegraded) {
+	if !errors.Is(err, exec.ErrStall) || errors.Is(err, exec.ErrJournalDown) {
 		t.Fatalf("healthy stall = %v, want a bare ErrStall", err)
 	}
 }

@@ -42,15 +42,14 @@ import (
 // artifacts and pwsrfuzz -mode cancel).
 
 // CancelCase is one replayable cancel trial: the seed that derives the
-// workload and journal, the pipeline leg, the gate's degradation mode,
-// and the fault plan carrying the armed cancel point.
+// workload and journal, the pipeline leg, and the fault plan carrying
+// the armed cancel point.
 type CancelCase struct {
 	Seed int64 `json:"seed"`
 	// Leg is "tick" (tick engine + optimistic gate), "batch"
 	// (block-parallel engine + batch admission), or "drain" (a gate
 	// with planted live transactions drained under a deadline).
 	Leg  string     `json:"leg"`
-	Mode string     `json:"mode"`
 	Plan fault.Plan `json:"plan"`
 }
 
@@ -134,24 +133,16 @@ func cancelPlan(rng *rand.Rand, leg string) fault.Plan {
 	}}}
 }
 
-// degradeModeFromName parses a case's Mode: a name modeName prints.
-func degradeModeFromName(name string) (sched.DegradeMode, bool) {
-	for _, m := range chaosModes {
-		if modeName(m) == name {
-			return m, true
-		}
-	}
-	return 0, false
-}
-
 // RunCancelTrial draws one seeded cancel case and runs it. A non-nil
 // error is always a *CancelFailure.
 func RunCancelTrial(seed int64) (CancelRecord, error) {
 	rng := rand.New(rand.NewSource(seed))
 	leg := cancelLegs[rng.Intn(len(cancelLegs))]
-	mode := chaosModes[rng.Intn(len(chaosModes))]
+	// The draw that once picked a degradation mode: kept so every seed's
+	// stream, and so every trial, replays as before.
+	rng.Intn(2)
 	plan := cancelPlan(rng, leg)
-	return RunCancelCase(CancelCase{Seed: seed, Leg: leg, Mode: modeName(mode), Plan: plan})
+	return RunCancelCase(CancelCase{Seed: seed, Leg: leg, Plan: plan})
 }
 
 // cancelTypedErr checks the cancellation error contract: nil, or an
@@ -192,7 +183,7 @@ func verifyResume(fb *wal.FailoverBackend, partition []state.ItemSet, rec *recor
 // dumped case exactly (the workload, inner policy, and journal layout
 // are all derived from Seed; the plan carries the armed point). A
 // non-nil error is always a *CancelFailure carrying the case; a case
-// naming an unknown Leg or Mode is refused before anything runs.
+// naming an unknown Leg is refused before anything runs.
 func RunCancelCase(c CancelCase) (CancelRecord, error) {
 	rec := CancelRecord{CancelCase: c}
 	fail := func(format string, args ...any) (CancelRecord, error) {
@@ -200,10 +191,6 @@ func RunCancelCase(c CancelCase) (CancelRecord, error) {
 	}
 	if _, ok := cancelPoints[c.Leg]; !ok {
 		return fail("unknown leg %q", c.Leg)
-	}
-	mode, ok := degradeModeFromName(c.Mode)
-	if !ok {
-		return fail("unknown mode %q", c.Mode)
 	}
 	rng := rand.New(rand.NewSource(c.Seed))
 	w := chaosWorkload(rng, c.Seed)
@@ -220,7 +207,7 @@ func RunCancelCase(c CancelCase) (CancelRecord, error) {
 	start := time.Now()
 
 	if c.Leg == "drain" {
-		return runCancelDrainLeg(c, rec, w, mode, inj, ctx, fb, jw, tap, rng, start)
+		return runCancelDrainLeg(c, rec, w, inj, ctx, fb, jw, tap, rng, start)
 	}
 
 	var runErr error
@@ -232,7 +219,7 @@ func RunCancelCase(c CancelCase) (CancelRecord, error) {
 	case "batch":
 		mon := core.NewMonitor(w.DataSets)
 		gate := sched.NewOptimisticCertifyOver(mon, &sched.Serial{}, nil)
-		gate.AttachJournal(tap, sched.WithDegradeMode(mode))
+		gate.AttachJournal(tap)
 		eng := exec.NewParallelEngine(exec.ParallelConfig{
 			Initial: w.Initial, Gate: gate, Workers: 2 + rng.Intn(3),
 		})
@@ -243,7 +230,7 @@ func RunCancelCase(c CancelCase) (CancelRecord, error) {
 	case "tick":
 		mon := core.NewMonitor(w.DataSets)
 		gate := sched.NewOptimisticCertifyOver(mon, sched.NewRandom(int64(rng.Int31())), nil)
-		gate.AttachJournal(tap, sched.WithDegradeMode(mode))
+		gate.AttachJournal(tap)
 		gate.SetFaultInjector(inj, "gate")
 		res, runErr = exec.RunCtx(ctx, exec.Config{
 			Programs: w.Programs, Initial: w.Initial, Policy: gate, DataSets: w.DataSets,
@@ -295,7 +282,7 @@ func RunCancelCase(c CancelCase) (CancelRecord, error) {
 	// certifier state must equal a fresh replay of the absorbed stream
 	// (cancel plans inject no journal faults, so this holds on every
 	// trial).
-	completedClean := health.Mode == exec.ModeOK
+	completedClean := health.JournalErr == nil
 	if completedClean {
 		ref := replayReference(w.DataSets, tap.events)
 		if err := sameCertState("settled gate vs absorbed replay", gateMon, ref, conjuncts); err != nil {
@@ -322,13 +309,13 @@ func RunCancelCase(c CancelCase) (CancelRecord, error) {
 // terminate promptly with the typed error, retract the unfinished
 // remainder, refuse later admissions with exec.ErrDraining, and leave
 // the journal verdict-identical to the monitor.
-func runCancelDrainLeg(c CancelCase, rec CancelRecord, w *gen.Workload, mode sched.DegradeMode, inj *fault.Injector, ctx context.Context, fb *wal.FailoverBackend, jw *wal.Writer, tap *recordingJournal, rng *rand.Rand, start time.Time) (CancelRecord, error) {
+func runCancelDrainLeg(c CancelCase, rec CancelRecord, w *gen.Workload, inj *fault.Injector, ctx context.Context, fb *wal.FailoverBackend, jw *wal.Writer, tap *recordingJournal, rng *rand.Rand, start time.Time) (CancelRecord, error) {
 	fail := func(format string, args ...any) (CancelRecord, error) {
 		return rec, &CancelFailure{Case: c, Reason: fmt.Sprintf(format, args...)}
 	}
 	mon := core.NewMonitor(w.DataSets)
 	gate := sched.NewOptimisticCertifyOver(mon, &sched.Serial{}, nil)
-	gate.AttachJournal(tap, sched.WithDegradeMode(mode))
+	gate.AttachJournal(tap)
 	gate.SetFaultInjector(inj, "gate")
 
 	// Plant live transactions: reads of one shared item by fresh ids,
@@ -388,7 +375,7 @@ func runCancelDrainLeg(c CancelCase, rec CancelRecord, w *gen.Workload, mode sch
 
 	// No lost journaled admission across the drain: monitor vs
 	// absorbed stream, then recovery and Resume vs the same stream.
-	completedClean := h.Mode == exec.ModeOK
+	completedClean := h.JournalErr == nil
 	if completedClean {
 		ref := replayReference(w.DataSets, tap.events)
 		if err := sameCertState("drained gate vs absorbed replay", mon, ref, len(w.DataSets)); err != nil {

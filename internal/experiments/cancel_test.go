@@ -74,82 +74,66 @@ func TestCancelReplay(t *testing.T) {
 }
 
 // TestCancelCaseRejectsUnknownNames pins RunCancelCase's input
-// contract: a case naming an unknown leg or mode is refused with a
+// contract: a case naming an unknown leg is refused with a
 // *CancelFailure naming the field, never run as some default.
 func TestCancelCaseRejectsUnknownNames(t *testing.T) {
-	for _, tc := range []struct {
-		leg, mode, field string
-	}{
-		{"tick", "buffer", "mode"},
-		{"tick", "", "mode"},
-		{"tock", "fail-stop", "leg"},
-		{"", "shed", "leg"},
-	} {
-		_, err := RunCancelCase(CancelCase{Seed: 3, Leg: tc.leg, Mode: tc.mode})
+	for _, leg := range []string{"tock", ""} {
+		_, err := RunCancelCase(CancelCase{Seed: 3, Leg: leg})
 		var cf *CancelFailure
-		if !errors.As(err, &cf) || !strings.Contains(cf.Reason, "unknown "+tc.field) {
-			t.Errorf("leg %q mode %q: err = %v, want a *CancelFailure naming the %s", tc.leg, tc.mode, err, tc.field)
+		if !errors.As(err, &cf) || !strings.Contains(cf.Reason, "unknown leg") {
+			t.Errorf("leg %q: err = %v, want a *CancelFailure naming the leg", leg, err)
 		}
 	}
 }
 
 // TestDrainUnderOutage pins the drain under a persistent journal
-// outage, in each degradation mode: once the dead failover chain has
-// refused an admission, Drain returns the gate's typed refusal
-// promptly (exec.ErrJournalDown under fail-stop, exec.ErrDegraded under
-// shed), leaves no transaction in flight, and Health surfaces the
-// draining posture.
+// outage: once the dead failover chain has refused an admission, Drain
+// returns exec.ErrJournalDown promptly, leaves no transaction in
+// flight, and Health surfaces the draining posture. The subtest keeps
+// the name of the posture it pins.
 func TestDrainUnderOutage(t *testing.T) {
-	for _, tc := range []struct {
-		mode sched.DegradeMode
-		want error
-	}{
-		{sched.DegradeFailStop, exec.ErrJournalDown},
-		{sched.DegradeShed, exec.ErrDegraded},
-	} {
-		t.Run(modeName(tc.mode), func(t *testing.T) {
-			plan := fault.Plan{Rules: []fault.Rule{
-				{Site: "wal/primary", Op: fault.OpSync, From: 3, Count: 0, Kind: fault.KindError, Msg: "primary dead"},
-				{Site: "wal/standby", Op: fault.OpWrite, From: 1, Count: 0, Kind: fault.KindError, Msg: "standby dead"},
-			}}
-			inj := fault.NewInjector(plan)
-			primary := wal.NewInjectBackend(wal.NewMemBackend(), inj, "wal/primary")
-			standby := wal.NewInjectBackend(wal.NewMemBackend(), inj, "wal/standby")
-			w, err := wal.NewWriter(wal.NewFailoverBackend(primary, standby), wal.Options{GroupEvery: 1, MaxRetries: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer w.Close()
+	t.Run("fail-stop", func(t *testing.T) {
+		plan := fault.Plan{Rules: []fault.Rule{
+			{Site: "wal/primary", Op: fault.OpSync, From: 3, Count: 0, Kind: fault.KindError, Msg: "primary dead"},
+			{Site: "wal/standby", Op: fault.OpWrite, From: 1, Count: 0, Kind: fault.KindError, Msg: "standby dead"},
+		}}
+		inj := fault.NewInjector(plan)
+		primary := wal.NewInjectBackend(wal.NewMemBackend(), inj, "wal/primary")
+		standby := wal.NewInjectBackend(wal.NewMemBackend(), inj, "wal/standby")
+		w, err := wal.NewWriter(wal.NewFailoverBackend(primary, standby), wal.Options{GroupEvery: 1, MaxRetries: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
 
-			partition := []state.ItemSet{state.NewItemSet("a", "b", "c")}
-			gate := sched.NewOptimisticCertify(partition, &sched.Serial{}, nil)
-			gate.AttachJournal(w, sched.WithDegradeMode(tc.mode))
-			items := []string{"a", "b", "c"}
-			refused := false
-			for i := 1; i <= 6 && !refused; i++ {
-				refused = gate.AdmitTxn([]txn.Op{txn.W(i, items[i%len(items)], int64(i))}) != nil
-			}
-			if !refused {
-				t.Fatal("the dead chain never refused an admission — the test is vacuous")
-			}
+		partition := []state.ItemSet{state.NewItemSet("a", "b", "c")}
+		gate := sched.NewOptimisticCertify(partition, &sched.Serial{}, nil)
+		gate.AttachJournal(w)
+		items := []string{"a", "b", "c"}
+		refused := false
+		for i := 1; i <= 6 && !refused; i++ {
+			refused = gate.AdmitTxn([]txn.Op{txn.W(i, items[i%len(items)], int64(i))}) != nil
+		}
+		if !refused {
+			t.Fatal("the dead chain never refused an admission — the test is vacuous")
+		}
 
-			dctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			derr := gate.Drain(dctx)
-			if !errors.Is(derr, tc.want) {
-				t.Fatalf("drain error = %v, want %v", derr, tc.want)
-			}
-			if dctx.Err() != nil {
-				t.Fatal("drain under the outage waited out its deadline")
-			}
-			if live := gate.Monitor().InFlightTxnIDs(); len(live) != 0 {
-				t.Fatalf("drain left in-flight transactions: %v", live)
-			}
-			if h := gate.Health(); !h.Draining {
-				t.Fatalf("post-drain health does not surface draining (health %+v)", h)
-			}
-		})
-	}
+		dctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		derr := gate.Drain(dctx)
+		if !errors.Is(derr, exec.ErrJournalDown) {
+			t.Fatalf("drain error = %v, want ErrJournalDown", derr)
+		}
+		if dctx.Err() != nil {
+			t.Fatal("drain under the outage waited out its deadline")
+		}
+		if live := gate.Monitor().InFlightTxnIDs(); len(live) != 0 {
+			t.Fatalf("drain left in-flight transactions: %v", live)
+		}
+		if h := gate.Health(); !h.Draining {
+			t.Fatalf("post-drain health does not surface draining (health %+v)", h)
+		}
+	})
 }
 
 // TestSnapshotPinnedAcrossDrain pins the reader contract across a

@@ -58,10 +58,10 @@ func (g *OptimisticCertify) SetDrainPolicy(p DrainPolicy) {
 // Drain implements exec.Gate: refuse new transactions, settle the
 // in-flight ones per the drain policy (wait or abort), flush the
 // journal barrier, run a final compact pass, and cut a snapshot. A
-// journal that has refused any record, the compact pass's included,
-// fails the drain with the gate's typed refusal (exec.ErrJournalDown,
-// or exec.ErrDegraded for a shedding gate) and no snapshot is cut. The
-// gate mutex is released while waiting so the engine's tick loop
+// journal that refuses any record, the compact pass's or the snapshot
+// cut's included, latches the gate's fail-stop and fails the drain
+// with exec.ErrJournalDown; after a refused record no snapshot is cut.
+// The gate mutex is released while waiting so the engine's tick loop
 // (TxnFinished, Pick) can make progress. ctx bounds the whole sequence:
 // on expiry the unfinished remainder is retracted — the same monitor
 // state a completed run that aborted them would leave — and the
@@ -123,16 +123,15 @@ func (g *OptimisticCertify) Drain(ctx context.Context) error {
 		}
 	}
 	// One ack after the final compact pass covers every record before
-	// it too: the journal's barrier error is sticky.
+	// it too: the journal's barrier error is sticky. A failed cut
+	// latches like any other refused record.
 	mon.Compact()
 	g.memo.global++
-	if !g.jn.ack() && drainErr == nil {
-		drainErr = fmt.Errorf("sched: drain: %w", g.jn.refusalErr())
+	if g.jn.ack() && drainErr == nil && g.jn.journal != nil {
+		g.jn.jerr = g.jn.journal.CutSnapshot()
 	}
-	if drainErr == nil && g.jn.journal != nil {
-		if err := g.jn.journal.CutSnapshot(); err != nil {
-			drainErr = fmt.Errorf("sched: drain: snapshot cut: %w", err)
-		}
+	if g.jn.frozen() && drainErr == nil {
+		drainErr = fmt.Errorf("sched: drain: %w", g.jn.refusalErr())
 	}
 	return drainErr
 }

@@ -46,66 +46,30 @@ type Healer interface {
 	LoggedSeq() uint64
 }
 
-// DegradeMode selects what a journaled gate does when the journal
-// fails past its own retry and failover budget. See AttachJournal.
-type DegradeMode int
-
-const (
-	// DegradeFailStop (the default) freezes the gate: no further
-	// grants, sacrifices, or batch admissions; the run surfaces
-	// exec.ErrJournalDown. Strictest: nothing is ever acknowledged
-	// that the log cannot replay.
-	DegradeFailStop DegradeMode = iota
-	// DegradeShed keeps the gate responsive but refuses every further
-	// admission by policy: batch admission returns an
-	// exec.ErrDegraded-wrapped error, engine runs surface
-	// exec.ErrDegraded, and the durable log still holds a consistent
-	// prefix of everything acknowledged before the outage.
-	DegradeShed
-)
-
-// JournalOption configures a gate's degradation behavior at
-// AttachJournal time.
-type JournalOption func(*journaled)
-
-// WithDegradeMode selects the gate's response to a journal failure
-// (default DegradeFailStop).
-func WithDegradeMode(m DegradeMode) JournalOption {
-	return func(j *journaled) { j.mode = m }
-}
-
 // journaled is the state the certification gate keeps per attached
-// journal: the journal, its degradation mode and the sticky latch ack
-// sets. All methods run under the owning gate's mutex.
+// journal: the journal and the sticky latch ack sets. All methods run
+// under the owning gate's mutex.
 type journaled struct {
 	journal Journal
-	mode    DegradeMode
-	// jerr is the sticky latch: the journal error that froze
-	// (DegradeFailStop) or tripped (DegradeShed) the gate; nil while
-	// healthy.
+	// jerr is the sticky latch: the journal error that froze the gate;
+	// nil while healthy.
 	jerr error
-	shed int64
 }
 
 // attach installs the journal as the certifier's lifecycle sink. The
 // sink emission order is the monitor's application order, so the log
 // is a faithful replay script; the gate's Barrier calls establish the
 // write-ahead contract on top (see ack).
-func (j *journaled) attach(mon Certifier, journal Journal, opts ...JournalOption) {
+func (j *journaled) attach(mon Certifier, journal Journal) {
 	*j = journaled{journal: journal}
-	for _, o := range opts {
-		o(j)
-	}
 	mon.SetSink(journal)
 }
 
 // ack is the write-ahead barrier a gate runs after mutating the
 // certifier and before acknowledging the mutation to the engine: it
 // returns false when the mutation cannot be made durable, latching the
-// journal error. Under DegradeFailStop the gate then freezes (the run
-// surfaces exec.ErrJournalDown) — a certifier that cannot log must not
-// admit. Under DegradeShed it refuses every further admission
-// (exec.ErrDegraded), counting each refusal.
+// journal error. The gate then freezes and refuses with
+// exec.ErrJournalDown — a certifier that cannot log must not admit.
 func (j *journaled) ack() bool {
 	if j.journal == nil {
 		return true
@@ -113,20 +77,14 @@ func (j *journaled) ack() bool {
 	if j.jerr == nil {
 		j.jerr = j.journal.Barrier()
 	}
-	if j.jerr == nil {
-		return true
-	}
-	if j.mode == DegradeShed {
-		j.shed++
-	}
-	return false
+	return j.jerr == nil
 }
 
 // settle makes every commit acknowledged so far durable: the journal
-// syncs its pending group, and the verdict is ack's — a fail-stop gate
-// reports exec.ErrJournalDown, a shedding one exec.ErrDegraded. A
-// successful sync is ack's true without a barrier probe; a frozen gate
-// reports its refusal without touching the journal.
+// syncs its pending group, and the verdict is ack's (a refusal is
+// exec.ErrJournalDown). A successful sync is ack's true without a
+// barrier probe; a frozen gate reports its refusal without touching
+// the journal.
 func (j *journaled) settle() error {
 	switch {
 	case j.journal == nil:
@@ -139,16 +97,12 @@ func (j *journaled) settle() error {
 }
 
 // frozen reports whether the gate refuses all further admissions: the
-// latch is set, in either mode.
+// latch is set.
 func (j *journaled) frozen() bool { return j.jerr != nil }
 
 // refusalErr is the typed cause a refused admission wraps:
-// exec.ErrDegraded for a shedding gate, exec.ErrJournalDown for the
-// fail-stop latch.
+// exec.ErrJournalDown with the latched error.
 func (j *journaled) refusalErr() error {
-	if j.mode == DegradeShed {
-		return fmt.Errorf("%w: %v", exec.ErrDegraded, j.jerr)
-	}
 	return fmt.Errorf("%w: %v", exec.ErrJournalDown, j.jerr)
 }
 
@@ -156,18 +110,9 @@ func (j *journaled) refusalErr() error {
 // latch alone: it never probes the journal, so a gate reports an
 // outage once an ack has refused on it.
 func (j *journaled) health() exec.Health {
-	h := exec.Health{JournalErr: j.jerr, Shed: j.shed}
-	switch {
-	case j.jerr == nil:
-	case j.mode == DegradeShed:
-		h.Mode = exec.ModeShed
-	default:
-		h.Mode = exec.ModeFailStop
-		h.FailStopLatched = true
-	}
+	h := exec.Health{JournalErr: j.jerr}
 	if j.journal != nil {
-		st := j.journal.Stats()
-		h.Promotions, h.Heals = st.Failovers, st.Heals
+		h.Promotions = j.journal.Stats().Failovers
 	}
 	return h
 }
@@ -193,23 +138,19 @@ func (j *journaled) logStats() exec.LogStats {
 // becomes the certifier's lifecycle sink, so every event the certifier
 // applies is logged, and grants, retractions, commits and batch
 // admissions are acknowledged only after the journal's barrier passes.
-// On journal failure the gate's response is the configured
-// DegradeMode: freeze (default; the run surfaces exec.ErrJournalDown)
-// or shed (exec.ErrDegraded). Attach before the first Pick.
-func (g *OptimisticCertify) AttachJournal(j Journal, opts ...JournalOption) {
-	g.jn.attach(g.memo.mon, j, opts...)
+// On journal failure the gate fails stop: it latches the error, refuses
+// every further admission, and the run surfaces exec.ErrJournalDown.
+// Attach before the first Pick.
+func (g *OptimisticCertify) AttachJournal(j Journal) {
+	g.jn.attach(g.memo.mon, j)
 }
 
 // Journal returns the attached journal, or nil (the gate's Close closes
 // it; Drain does not).
 func (g *OptimisticCertify) Journal() Journal { return g.jn.journal }
 
-// JournalErr returns the sticky journal error that froze or degraded
-// the gate, or nil.
-func (g *OptimisticCertify) JournalErr() error { return g.jn.jerr }
-
-// Health reports the gate's live degradation mode, lifecycle posture,
-// and durability counters (the same value Stats carries).
+// Health reports the gate's latched journal error, failover
+// promotions and lifecycle posture (the same value Stats carries).
 func (g *OptimisticCertify) Health() exec.Health {
 	g.mu.Lock()
 	defer g.mu.Unlock()

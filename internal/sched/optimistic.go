@@ -201,7 +201,7 @@ func (g *OptimisticCertify) Pick(pending []*exec.Request, v *exec.View) int {
 		return exec.PassTick // injected tick fault: skip, re-pick next tick
 	}
 	if g.jn.frozen() || g.lc.closed {
-		return -1 // journal fail-stop or shed, or closed gate: certify nothing further
+		return -1 // journal fail-stop or closed gate: certify nothing further
 	}
 	g.memo.mask(pending, v, &g.lc, g.solo)
 	pick := g.memo.grant(pending, v, g.Inner, &g.jn)
@@ -218,7 +218,7 @@ func (g *OptimisticCertify) Victim(pending []*exec.Request, v *exec.View) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.jn.frozen() {
-		return -1 // journal fail-stop or shed: no sacrifice can be made durable
+		return -1 // journal fail-stop: no sacrifice can be made durable
 	}
 	immune := g.immune(pending, v)
 	immuneIdx := g.candidates(pending, v, immune, false)

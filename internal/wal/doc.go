@@ -112,12 +112,11 @@
 // Err, Stats, Seq) stay responsive throughout. Once retries are
 // exhausted the writer goes fail-stop: the error is sticky (Err,
 // Barrier), every further append is a no-op, and a certification gate
-// wired through sched.AttachJournal stops granting by default, so the
+// wired through sched.AttachJournal stops granting, so the
 // engine surfaces exec.ErrJournalDown rather than acknowledging
 // grants that can no longer be made durable. The degradation is
-// deliberate: a certifier that cannot log must not admit. (The gate
-// can opt into typed shedding via sched.WithDegradeMode; the invariant
-// that no grant is acknowledged un-journaled holds in both modes.)
+// deliberate: a certifier that cannot log must not admit, so no grant
+// is ever acknowledged un-journaled.
 //
 // # Failover and healing
 //

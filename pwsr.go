@@ -265,13 +265,10 @@ var (
 	// ErrStall is a scheduling stall: no pending request is grantable
 	// and the policy cannot resolve it.
 	ErrStall = exec.ErrStall
-	// ErrJournalDown is a latched journal fail-stop under the default
-	// fail-stop degradation mode: the gate refuses to acknowledge
-	// grants it cannot make durable.
+	// ErrJournalDown is a latched journal fail-stop, the gate's one
+	// response to a journal failure: it refuses to acknowledge grants
+	// it cannot make durable.
 	ErrJournalDown = exec.ErrJournalDown
-	// ErrDegraded is a gate shedding admissions by policy after a
-	// journal failure (the DegradeShed mode).
-	ErrDegraded = exec.ErrDegraded
 	// ErrReadOnlyWrite is a transaction declared read-only
 	// (RunConfig.ReadOnly / ParallelRunConfig.ReadOnly) whose program
 	// writes a shared item — the declaration is a contract and the run
@@ -328,9 +325,9 @@ const (
 // the remainder. See exec.Gate for the whole contract.
 type Gate = exec.Gate
 
-// Health is a journaled gate's live degradation posture: current mode
-// and latched journal error, shed admissions, failover promotions, and
-// the drain posture. Policies that journal expose it (and it rides in
+// Health is a journaled gate's live posture: the latched journal error
+// (nil while healthy), failover promotions, and the drain posture.
+// Policies that journal expose it (and it rides in
 // Metrics.Gate.Health).
 type Health = exec.Health
 
