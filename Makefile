@@ -64,9 +64,8 @@ endef
 # crash-matrix is the durability differential: the wal package's
 # crash-recovery tests — TestCrashMatrix kills the log at every byte
 # offset and recovers each prefix, TestGroupFlushFaults fails group
-# flushes at GroupEvery 2 and 16 with and without a standby — under the
-# race detector at pinned GOMAXPROCS=1 and 8, plus the journaled-gate
-# tests in sched, TestAcknowledgedCommitsDurable among them (a returned
+# flushes at GroupEvery 2 and 16 — under the race detector at pinned
+# GOMAXPROCS=1 and 8, plus the journaled-gate tests in sched, TestAcknowledgedCommitsDurable among them (a returned
 # run's commits survive a machine crash).
 CRASH_SCHED_RUN := TestDurableGateJournalsAndRecovers|TestOptimisticDurableGateRecovers|TestResumeCertifyContinues|TestJournalFailStop|TestTickInjection|TestAcknowledgedCommitsDurable
 .PHONY: crash-matrix
@@ -77,8 +76,8 @@ crash-matrix:
 	$(GO) test -race -count=1 -run '$(CRASH_SCHED_RUN)' ./internal/sched
 
 # chaos is the fault-injection differential (ROBUST1): ≥100 seeded
-# randomized fault plans over the full pipeline — gate, journal,
-# failover chain, and block-parallel engine — under the race detector
+# randomized fault plans over the full pipeline — gate, journal on one
+# injected backend, and block-parallel engine — under the race detector
 # at pinned GOMAXPROCS=1 and 8, each trial lockstep-compared against
 # its uninjected twin. A violated obligation dumps the failing
 # fault.Plan as chaos-failed-<seed>.json for exact replay.

@@ -203,7 +203,7 @@
 // sweep; `make crash-matrix` runs the wal crash differential under the
 // race detector at both pinned widths.
 //
-// # Fail-stop and failover
+// # Fail-stop
 //
 // A journaled gate has one response when its storage dies: fail-stop.
 // The first record the journal refuses — a grant's barrier, a settle's
@@ -212,19 +212,16 @@
 // So the write-ahead invariant holds without exception: no grant is
 // ever acknowledged whose record cannot reach the log, and every
 // Result a run returns is durable. A transient outage is bridged below
-// the gate (retries, failover), never by acknowledging against memory.
-// The three ways a run stops short are errors.Is-distinguishable:
+// the gate by the writer's bounded retries, never by acknowledging
+// against memory; past them the fail-stop is final, and the log
+// continues only through wal.Resume from its durable prefix. The
+// three ways a run stops short are errors.Is-distinguishable:
 // ErrStall (scheduling), ErrJournalDown (storage) and
 // ErrCanceled/ErrDeadline (the caller's context). The gate's live
-// posture (the latched error, failover promotions, the drain posture)
-// surfaces through Health() and the engine's Metrics.Gate.Health.
+// posture (the latched error, the drain and close posture) surfaces
+// through Health() and the engine's Metrics.Gate.Health.
 //
-// Below the gate, wal.FailoverBackend chains ordered backends behind
-// one Backend: when the writer exhausts its retry budget the chain
-// promotes the next standby and the writer resynchronizes it from its
-// byte-exact segment mirror, so sequence numbers continue without a
-// gap and recovery reads the survivor like any other log. The
-// internal/fault package is the deterministic injection plane that
+// The internal/fault package is the deterministic injection plane that
 // tests all of this: seeded, occurrence-counted fault plans (JSON
 // round-trippable, replayable) fire at backend writes and syncs,
 // journal barriers, gate ticks, and parallel-engine commit turns.

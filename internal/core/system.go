@@ -104,8 +104,8 @@
 // not the certifier's: the monitor keeps applying events and
 // mirroring them; the gate stops granting (fail-stop) once a record
 // cannot reach the log — see sched.AttachJournal and the wal package
-// comment on failover. The certifier's contribution to that story is that its
-// event stream is replayable: any durable prefix of the mirrored
+// comment on failure handling. The certifier's contribution to that
+// story is that its event stream is replayable: any durable prefix of the mirrored
 // stream rebuilds a verdict-identical monitor, which is the oracle
 // the chaos differential (internal/experiments, `make chaos`) checks
 // after every injected outage.

@@ -10,23 +10,19 @@ import (
 // policy's write-ahead journal latched its fail-stop: the gate froze
 // rather than acknowledge grants it cannot make durable. A stall is a
 // scheduling condition (retune the policy or workload); a downed
-// journal is a storage outage (fix the device, fail over, or resume
-// from the log).
+// journal is a storage outage (fix the device and resume from the
+// log).
 var ErrJournalDown = errors.New("exec: journal down")
 
 // Health is the durability-health summary a journaled gate reports:
-// the sticky journal error (if any), the failover counter, and the
-// lifecycle posture. The engine copies it into Metrics at the end of a
-// run and consults it to reclassify a stall caused by a frozen gate as
-// ErrJournalDown.
+// the sticky journal error (if any) and the lifecycle posture. The
+// engine copies it into Metrics at the end of a run and consults it to
+// reclassify a stall caused by a frozen gate as ErrJournalDown.
 type Health struct {
 	// JournalErr is the sticky journal error that froze the gate, nil
 	// while healthy. A frozen gate refuses every further grant and only
 	// a resume from the log clears it.
 	JournalErr error
-	// Promotions counts standby promotions the journal's failover
-	// backend performed (wal.Stats.Failovers).
-	Promotions int64
 	// Draining reports the gate's drain posture: Drain has begun,
 	// transactions already in flight may finish, and new admissions are
 	// refused with ErrDraining.

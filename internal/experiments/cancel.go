@@ -158,14 +158,14 @@ func cancelTypedErr(err error) error {
 }
 
 // verifyResume closes the cancel trial's durability differential:
-// wal.Resume on the surviving backend must rebuild a monitor
-// verdict-identical to a fresh replay of the absorbed stream cut at
-// the recovered sequence, plus the one Compact pass Resume itself runs
-// before cutting its baseline snapshot.
-func verifyResume(fb *wal.FailoverBackend, partition []state.ItemSet, rec *recordingJournal) (uint64, error) {
-	mon, w2, info, err := wal.Resume(fb, partition, wal.Options{})
+// wal.Resume on the backend must rebuild a monitor verdict-identical
+// to a fresh replay of the absorbed stream cut at the recovered
+// sequence, plus the one Compact pass Resume itself runs before cutting
+// its baseline snapshot.
+func verifyResume(b wal.Backend, partition []state.ItemSet, rec *recordingJournal) (uint64, error) {
+	mon, w2, info, err := wal.Resume(b, partition, wal.Options{})
 	if err != nil {
-		return 0, fmt.Errorf("resume from surviving backend: %v", err)
+		return 0, fmt.Errorf("resume from the backend: %v", err)
 	}
 	defer w2.Close()
 	if info.LastSeq > uint64(len(rec.events)) {
@@ -199,7 +199,7 @@ func RunCancelCase(c CancelCase) (CancelRecord, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	inj.SetCancel(cancel)
-	fb, jw, tap, err := chaosJournal(inj, rng)
+	b, jw, tap, err := chaosJournal(inj, rng)
 	if err != nil {
 		return fail("journal construction refused: %v", err)
 	}
@@ -207,7 +207,7 @@ func RunCancelCase(c CancelCase) (CancelRecord, error) {
 	start := time.Now()
 
 	if c.Leg == "drain" {
-		return runCancelDrainLeg(c, rec, w, inj, ctx, fb, jw, tap, rng, start)
+		return runCancelDrainLeg(c, rec, w, inj, ctx, b, jw, tap, rng, start)
 	}
 
 	var runErr error
@@ -290,14 +290,14 @@ func RunCancelCase(c CancelCase) (CancelRecord, error) {
 		}
 	}
 
-	// Durability: recovery and Resume from the surviving backend must
-	// both agree with the absorbed stream.
-	seq, derr := verifyDurable(fb, jw, tap, w.DataSets, completedClean)
+	// Durability: recovery and Resume from the backend must both agree
+	// with the absorbed stream.
+	seq, derr := verifyDurable(b, jw, tap, w.DataSets, completedClean)
 	rec.RecoveredSeq = seq
 	if derr != nil {
 		return fail("%v", derr)
 	}
-	if _, rerr := verifyResume(fb, w.DataSets, tap); rerr != nil {
+	if _, rerr := verifyResume(b, w.DataSets, tap); rerr != nil {
 		return fail("%v", rerr)
 	}
 	return rec, nil
@@ -309,7 +309,7 @@ func RunCancelCase(c CancelCase) (CancelRecord, error) {
 // terminate promptly with the typed error, retract the unfinished
 // remainder, refuse later admissions with exec.ErrDraining, and leave
 // the journal verdict-identical to the monitor.
-func runCancelDrainLeg(c CancelCase, rec CancelRecord, w *gen.Workload, inj *fault.Injector, ctx context.Context, fb *wal.FailoverBackend, jw *wal.Writer, tap *recordingJournal, rng *rand.Rand, start time.Time) (CancelRecord, error) {
+func runCancelDrainLeg(c CancelCase, rec CancelRecord, w *gen.Workload, inj *fault.Injector, ctx context.Context, b wal.Backend, jw *wal.Writer, tap *recordingJournal, rng *rand.Rand, start time.Time) (CancelRecord, error) {
 	fail := func(format string, args ...any) (CancelRecord, error) {
 		return rec, &CancelFailure{Case: c, Reason: fmt.Sprintf(format, args...)}
 	}
@@ -382,12 +382,12 @@ func runCancelDrainLeg(c CancelCase, rec CancelRecord, w *gen.Workload, inj *fau
 			return fail("%v", err)
 		}
 	}
-	seq, verr := verifyDurable(fb, jw, tap, w.DataSets, completedClean)
+	seq, verr := verifyDurable(b, jw, tap, w.DataSets, completedClean)
 	rec.RecoveredSeq = seq
 	if verr != nil {
 		return fail("%v", verr)
 	}
-	if _, rerr := verifyResume(fb, w.DataSets, tap); rerr != nil {
+	if _, rerr := verifyResume(b, w.DataSets, tap); rerr != nil {
 		return fail("%v", rerr)
 	}
 	return rec, nil

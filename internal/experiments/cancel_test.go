@@ -87,7 +87,7 @@ func TestCancelCaseRejectsUnknownNames(t *testing.T) {
 }
 
 // TestDrainUnderOutage pins the drain under a persistent journal
-// outage: once the dead failover chain has refused an admission, Drain
+// outage: once the dead primary has refused an admission, Drain
 // returns exec.ErrJournalDown promptly, leaves no transaction in
 // flight, and Health surfaces the draining posture. The subtest keeps
 // the name of the posture it pins.
@@ -95,12 +95,9 @@ func TestDrainUnderOutage(t *testing.T) {
 	t.Run("fail-stop", func(t *testing.T) {
 		plan := fault.Plan{Rules: []fault.Rule{
 			{Site: "wal/primary", Op: fault.OpSync, From: 3, Count: 0, Kind: fault.KindError, Msg: "primary dead"},
-			{Site: "wal/standby", Op: fault.OpWrite, From: 1, Count: 0, Kind: fault.KindError, Msg: "standby dead"},
 		}}
-		inj := fault.NewInjector(plan)
-		primary := wal.NewInjectBackend(wal.NewMemBackend(), inj, "wal/primary")
-		standby := wal.NewInjectBackend(wal.NewMemBackend(), inj, "wal/standby")
-		w, err := wal.NewWriter(wal.NewFailoverBackend(primary, standby), wal.Options{GroupEvery: 1, MaxRetries: 1})
+		primary := wal.NewInjectBackend(wal.NewMemBackend(), fault.NewInjector(plan), "wal/primary")
+		w, err := wal.NewWriter(primary, wal.Options{GroupEvery: 1, MaxRetries: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +112,7 @@ func TestDrainUnderOutage(t *testing.T) {
 			refused = gate.AdmitTxn([]txn.Op{txn.W(i, items[i%len(items)], int64(i))}) != nil
 		}
 		if !refused {
-			t.Fatal("the dead chain never refused an admission — the test is vacuous")
+			t.Fatal("the dead primary never refused an admission — the test is vacuous")
 		}
 
 		dctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -27,14 +27,13 @@ import (
 //
 //   - Safety: a run that completes under faults produces the exact
 //     schedule and certifier verdict of its fault-free twin, and every
-//     acknowledged admission is durable on the surviving backend
+//     acknowledged admission is durable on the backend
 //     (recovery replays to the identical certifier state).
 //   - Typed degradation: a run that cannot complete surfaces
 //     exec.ErrJournalDown — never a silent wrong answer, never a bare
 //     stall.
 //   - Liveness: a plan whose rules are all transient always drains to
-//     completion (retry budgets and failover promotion absorb every
-//     glitch).
+//     completion (the retry budget absorbs every glitch).
 //
 // Plans are plain data; a failing trial surfaces its plan as JSON so
 // the exact schedule of faults can be replayed (see ChaosFailure).
@@ -55,15 +54,12 @@ type ChaosRecord struct {
 	// rule is transient (the liveness obligation).
 	Rules     int  `json:"rules"`
 	Transient bool `json:"transient"`
-	// Outcome is "completed", "failover-completed" (completed through
-	// ≥1 standby promotion), or "degraded" (typed refusal).
+	// Outcome is "completed" or "degraded" (typed refusal).
 	Outcome string `json:"outcome"`
 	// Injected counts fault decisions that actually fired.
 	Injected int64 `json:"injected"`
-	// Failovers counts the journal's standby promotions in the trial.
-	Failovers int64 `json:"failovers"`
 	// Events is the absorbed lifecycle-event count; RecoveredSeq is the
-	// durable prefix recovery found on the surviving backend.
+	// durable prefix recovery found on the backend.
 	Events       int    `json:"events"`
 	RecoveredSeq uint64 `json:"recovered_seq"`
 	WallNs       int64  `json:"wall_ns"`
@@ -97,20 +93,20 @@ func (f *ChaosFailure) PlanJSON() []byte {
 }
 
 // recordingJournal wraps the wal writer as the gate's journal and
-// records every lifecycle event the writer absorbs (LoggedSeq
-// advanced), in absorption order. The recorded stream is the trial's
-// durability oracle: any durable prefix recovery finds must replay to
-// the same certifier state as the stream's own prefix. Events the
-// writer refused (fail-stop, un-absorbed appends) are not recorded.
+// records every lifecycle event the writer absorbs (Seq advanced), in
+// absorption order. The recorded stream is the trial's durability
+// oracle: any durable prefix recovery finds must replay to the same
+// certifier state as the stream's own prefix. Events the writer
+// refused (fail-stop, un-absorbed appends) are not recorded.
 type recordingJournal struct {
 	w      *wal.Writer
 	events []core.Event
 }
 
 func (r *recordingJournal) absorb(ev core.Event, emit func()) {
-	before := r.w.LoggedSeq()
+	before := r.w.Seq()
 	emit()
-	if r.w.LoggedSeq() > before {
+	if r.w.Seq() > before {
 		r.events = append(r.events, ev)
 	}
 }
@@ -222,14 +218,13 @@ var chaosCases = []string{"clean", "transient-primary", "persistent-primary", "t
 //
 //   - Tick faults are always transient (a skipped tick re-picks the
 //     same pending set; a persistent tick fault is pure starvation).
-//   - Transient sync glitches stay within the writer's retry budget
-//     (maxRetries = 1 ⇒ windows of 1).
-//   - Transient write/torn faults (no retry — they trigger failover)
-//     are drawn at most once per trial on the primary only, so the
-//     single standby absorbs them.
-//   - Persistent faults start From ≥ 3 on the primary (genesis always
-//     succeeds; the trial starts) and From 1 on the standby (the
-//     resync after promotion fails immediately — total outage).
+//   - Transient sync and write/torn glitches stay within the writer's
+//     retry budget (maxRetries = 1 ⇒ windows of 1): the one retry
+//     re-syncs, or writes the remainder of a torn or failed write. A
+//     write/torn glitch is drawn at most once per trial.
+//   - Persistent faults start From ≥ 3 (genesis always succeeds; the
+//     trial starts). Once one fires the writer fail-stops, since there
+//     is no second device.
 func chaosPlan(rng *rand.Rand, caseName, tickSite, commitSite string, withCommit bool) fault.Plan {
 	var rules []fault.Rule
 	addTick := func() {
@@ -269,8 +264,8 @@ func chaosPlan(rng *rand.Rand, caseName, tickSite, commitSite string, withCommit
 	addCommit()
 	switch caseName {
 	case "transient-primary":
-		// Retry budget (1 retry) absorbs 1-wide sync windows without
-		// failover; one write/torn glitch burns the single standby.
+		// The retry budget (1 retry) absorbs 1-wide sync and write/torn
+		// windows.
 		rules = append(rules, fault.Rule{
 			Site: "wal/primary", Op: fault.OpSync,
 			From: int64(3 + rng.Intn(30)), Count: 1,
@@ -302,10 +297,6 @@ func chaosPlan(rng *rand.Rand, caseName, tickSite, commitSite string, withCommit
 			Site: "wal/primary", Op: fault.OpSync,
 			From: int64(3 + rng.Intn(10)), Count: 0,
 			Kind: fault.KindError, Msg: "primary dead",
-		}, fault.Rule{
-			Site: "wal/standby", Op: fault.OpWrite,
-			From: 1, Count: 0,
-			Kind: fault.KindError, Msg: "standby dead",
 		})
 	}
 	return fault.Plan{Seed: rng.Int63(), Rules: rules}
@@ -322,42 +313,40 @@ func chaosWorkload(rng *rand.Rand, seed int64) *gen.Workload {
 	})
 }
 
-// chaosJournal assembles the injected journal stack: two in-memory
-// backends each behind its own injection site, chained by a
-// FailoverBackend, carrying the writer and the recording tap.
-func chaosJournal(inj *fault.Injector, rng *rand.Rand) (*wal.FailoverBackend, *wal.Writer, *recordingJournal, error) {
-	primary := wal.NewInjectBackend(wal.NewMemBackend(), inj, "wal/primary")
-	standby := wal.NewInjectBackend(wal.NewMemBackend(), inj, "wal/standby")
-	fb := wal.NewFailoverBackend(primary, standby)
+// chaosJournal assembles the injected journal stack: an in-memory
+// backend behind the "wal/primary" injection site, carrying the writer
+// and the recording tap.
+func chaosJournal(inj *fault.Injector, rng *rand.Rand) (wal.Backend, *wal.Writer, *recordingJournal, error) {
+	b := wal.NewInjectBackend(wal.NewMemBackend(), inj, "wal/primary")
 	snapEvery := 0
 	if rng.Intn(2) == 0 {
 		snapEvery = 2 + rng.Intn(3)
 	}
-	w, err := wal.NewWriter(fb, wal.Options{
+	w, err := wal.NewWriter(b, wal.Options{
 		GroupEvery:    1,
 		SnapshotEvery: snapEvery,
 		MaxRetries:    1,
 	})
 	if err != nil {
-		return fb, nil, nil, err
+		return b, nil, nil, err
 	}
-	return fb, w, &recordingJournal{w: w}, nil
+	return b, w, &recordingJournal{w: w}, nil
 }
 
 // verifyDurable closes the trial: whatever recovery finds on the
-// surviving backend must replay to the identical certifier state as
-// the recorded absorbed-event stream cut at the same sequence, and a
+// backend must replay to the identical certifier state as the recorded
+// absorbed-event stream cut at the same sequence, and a
 // cleanly-completed trial must have its entire acknowledged stream
-// durable (strict sequence continuity across any failover).
-func verifyDurable(fb *wal.FailoverBackend, w *wal.Writer, rec *recordingJournal, partition []state.ItemSet, completedClean bool) (uint64, error) {
+// durable.
+func verifyDurable(b wal.Backend, w *wal.Writer, rec *recordingJournal, partition []state.ItemSet, completedClean bool) (uint64, error) {
 	if w.Barrier() == nil {
 		if err := w.Close(); err != nil {
 			return 0, fmt.Errorf("close after healthy run: %v", err)
 		}
 	}
-	m, info, err := wal.Recover(fb, partition)
+	m, info, err := wal.Recover(b, partition)
 	if err != nil {
-		return 0, fmt.Errorf("recovery from surviving backend: %v", err)
+		return 0, fmt.Errorf("recovery from the backend: %v", err)
 	}
 	if info.LastSeq > uint64(len(rec.events)) {
 		return info.LastSeq, fmt.Errorf("recovered %d events but only %d were absorbed", info.LastSeq, len(rec.events))
@@ -396,7 +385,7 @@ func RunChaosTrial(seed int64) (ChaosRecord, error) {
 	}
 
 	inj := fault.NewInjector(plan)
-	fb, jw, tap, err := chaosJournal(inj, rng)
+	b, jw, tap, err := chaosJournal(inj, rng)
 	if err != nil {
 		// Construction refused upfront: nothing was ever acknowledged, so
 		// nothing can be lost — but the generator keeps genesis clean, so
@@ -467,8 +456,6 @@ func RunChaosTrial(seed int64) (ChaosRecord, error) {
 	}
 	rec.WallNs = time.Since(start).Nanoseconds()
 	rec.Injected = inj.Fired()
-	st := jw.Stats()
-	rec.Failovers = st.Failovers
 	rec.Events = len(tap.events)
 
 	switch {
@@ -477,35 +464,27 @@ func RunChaosTrial(seed int64) (ChaosRecord, error) {
 			return fail("%v", err)
 		}
 		rec.Outcome = "completed"
-		if st.Failovers > 0 {
-			rec.Outcome = "failover-completed"
-		}
 		if caseName == "persistent-primary" {
 			// The persistent fault may sit beyond the workload's write
-			// stream and never fire; only a fired fault obligates a
-			// promotion.
-			fired := inj.FiredErrors("wal/primary", fault.OpWrite) + inj.FiredErrors("wal/primary", fault.OpSync)
-			if fired > 0 && (fb.Current() == 0 || st.Failovers == 0) {
-				return fail("persistent primary outage completed without a promotion (current=%d failovers=%d)", fb.Current(), st.Failovers)
+			// stream and never fire; a fired one obligates a fail-stop.
+			if fired := inj.FiredErrors("wal/primary", fault.OpWrite) + inj.FiredErrors("wal/primary", fault.OpSync); fired > 0 {
+				return fail("persistent primary outage completed (%d faults fired)", fired)
 			}
 		}
 	case errors.Is(runErr, exec.ErrJournalDown):
 		if plan.Transient() {
 			return fail("transient-only plan did not drain: %v", runErr)
 		}
-		if caseName != "total-outage" {
-			return fail("case %s should survive via failover, got %v", caseName, runErr)
-		}
 		rec.Outcome = "degraded"
 	default:
 		return fail("untyped failure: %v", runErr)
 	}
 
-	// Durability differential: recovery from the surviving backend must
-	// agree with the absorbed stream; a cleanly completed run (journal
+	// Durability differential: recovery from the backend must agree
+	// with the absorbed stream; a cleanly completed run (journal
 	// healthy) must be durable in full.
 	completedClean := runErr == nil && health.JournalErr == nil
-	seq, derr := verifyDurable(fb, jw, tap, w.DataSets, completedClean)
+	seq, derr := verifyDurable(b, jw, tap, w.DataSets, completedClean)
 	rec.RecoveredSeq = seq
 	if derr != nil {
 		return fail("%v", derr)
@@ -519,7 +498,7 @@ func RunChaosTrial(seed int64) (ChaosRecord, error) {
 func ChaosStudy(trials int, seed int64) (*sim.Table, []ChaosRecord, error) {
 	records := make([]ChaosRecord, 0, trials)
 	counts := map[string]int{}
-	var failovers, injected int64
+	var injected int64
 	for i := 0; i < trials; i++ {
 		rec, err := RunChaosTrial(seed + int64(i))
 		if err != nil {
@@ -527,19 +506,18 @@ func ChaosStudy(trials int, seed int64) (*sim.Table, []ChaosRecord, error) {
 		}
 		records = append(records, rec)
 		counts[rec.Outcome]++
-		failovers += rec.Failovers
 		injected += rec.Injected
 	}
 	tab := &sim.Table{
 		Title:   fmt.Sprintf("ROBUST1 — chaos differential (%d seeded plans)", trials),
 		Columns: []string{"outcome", "trials"},
 		Notes: []string{
-			fmt.Sprintf("injected faults: %d; failover promotions: %d", injected, failovers),
+			fmt.Sprintf("injected faults: %d", injected),
 			"every completed trial schedule- and verdict-identical to its uninjected twin",
 			"every durable prefix verdict-identical to the absorbed-stream reference replay",
 		},
 	}
-	for _, k := range []string{"completed", "failover-completed", "degraded"} {
+	for _, k := range []string{"completed", "degraded"} {
 		tab.AddRow(k, fmt.Sprintf("%d", counts[k]))
 	}
 	return tab, records, nil

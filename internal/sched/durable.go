@@ -39,8 +39,8 @@ type Journal interface {
 
 var _ Journal = (*wal.Writer)(nil)
 
-// Healer is wal.Writer's heal surface, which no gate calls. Kept for
-// benchmark/benchmark_test.go:157 until ROADMAP item 8.
+// Healer names wal.Writer's Heal and LoggedSeq stubs, which no gate
+// calls. Kept for benchmark/benchmark_test.go:157 until ROADMAP item 8.
 type Healer interface {
 	Heal() error
 	LoggedSeq() uint64
@@ -106,17 +106,6 @@ func (j *journaled) refusalErr() error {
 	return fmt.Errorf("%w: %v", exec.ErrJournalDown, j.jerr)
 }
 
-// health snapshots the durability state for exec.Health from the
-// latch alone: it never probes the journal, so a gate reports an
-// outage once an ack has refused on it.
-func (j *journaled) health() exec.Health {
-	h := exec.Health{JournalErr: j.jerr}
-	if j.journal != nil {
-		h.Promotions = j.journal.Stats().Failovers
-	}
-	return h
-}
-
 // logStats surfaces the attached journal's counters (zero without a
 // journal).
 func (j *journaled) logStats() exec.LogStats {
@@ -149,8 +138,10 @@ func (g *OptimisticCertify) AttachJournal(j Journal) {
 // it; Drain does not).
 func (g *OptimisticCertify) Journal() Journal { return g.jn.journal }
 
-// Health reports the gate's latched journal error, failover
-// promotions and lifecycle posture (the same value Stats carries).
+// Health reports the gate's latched journal error and lifecycle
+// posture (the same value Stats carries). It reads the latch alone and
+// never probes the journal, so a gate reports an outage once an ack has
+// refused on it.
 func (g *OptimisticCertify) Health() exec.Health {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -159,9 +150,7 @@ func (g *OptimisticCertify) Health() exec.Health {
 
 // health is Health under the gate mutex.
 func (g *OptimisticCertify) health() exec.Health {
-	h := g.jn.health()
-	h.Draining, h.Closed = g.lc.draining, g.lc.closed
-	return h
+	return exec.Health{JournalErr: g.jn.jerr, Draining: g.lc.draining, Closed: g.lc.closed}
 }
 
 // ResumeCertify recovers a journaled gate from the log on b: the

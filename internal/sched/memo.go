@@ -32,6 +32,10 @@ type verdictMemo struct {
 	adm     []bool
 	allowed []*exec.Request
 	idx     []int
+	// declined reports that the last grant's inner policy picked
+	// nothing from a non-empty admissible set: the stall is the inner
+	// policy's, and Victim declines it.
+	declined bool
 }
 
 // verdict is one request's memoized decision.
@@ -107,7 +111,7 @@ func (m *verdictMemo) epochsOf(item string) []int32 {
 // the choice to the certifier, returning its index in pending,
 // exec.PassTick, or -1: nothing grantable, or a grant not made durable.
 func (m *verdictMemo) grant(pending []*exec.Request, v *exec.View, inner exec.Policy, jn *journaled) int {
-	m.allowed, m.idx = m.allowed[:0], m.idx[:0]
+	m.allowed, m.idx, m.declined = m.allowed[:0], m.idx[:0], false
 	for i, r := range pending {
 		if m.adm[i] {
 			m.allowed = append(m.allowed, r)
@@ -122,6 +126,7 @@ func (m *verdictMemo) grant(pending []*exec.Request, v *exec.View, inner exec.Po
 		return exec.PassTick
 	}
 	if in < 0 || in >= len(m.allowed) {
+		m.declined = true
 		return -1
 	}
 	pick := m.idx[in]

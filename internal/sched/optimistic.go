@@ -100,8 +100,8 @@ func startKey(v *exec.View, id int) int {
 // request is admissible and a victim policy that never declines. A
 // victim policy returning -1 stalls the run where nothing is
 // admissible, and an inner policy that declines admissible requests (a
-// Script whose next transaction is blocked, say) can abort round after
-// round until the engine's abort budget runs out; both return
+// Script whose next transaction is blocked, say) stalls it at once:
+// Victim sacrifices only where nothing was admissible. Both return
 // exec.ErrStall.
 type OptimisticCertify struct {
 	// Inner picks among the admissible requests.
@@ -217,8 +217,11 @@ func (g *OptimisticCertify) Pick(pending []*exec.Request, v *exec.View) int {
 func (g *OptimisticCertify) Victim(pending []*exec.Request, v *exec.View) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.jn.frozen() {
-		return -1 // journal fail-stop: no sacrifice can be made durable
+	if g.jn.frozen() || g.memo.declined {
+		// A journal fail-stop: no sacrifice can be made durable. An
+		// inner policy that declined admissible requests: the stall is
+		// its choice, and the gate does not abort on its behalf.
+		return -1
 	}
 	immune := g.immune(pending, v)
 	immuneIdx := g.candidates(pending, v, immune, false)

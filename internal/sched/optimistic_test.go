@@ -101,6 +101,17 @@ func (o *observed) Observe(op txn.Op) *core.Violation {
 	return o.Certifier.Observe(op)
 }
 
+// abortCounting counts the aborts the engine reports to the gate.
+type abortCounting struct {
+	*sched.OptimisticCertify
+	aborts int
+}
+
+func (g *abortCounting) TxnAborted(id int, v *exec.View) {
+	g.aborts++
+	g.OptimisticCertify.TxnAborted(id, v)
+}
+
 // TestExample2RefusedByTheGate is the paper's Example 2 refutation:
 // PWSR (Definition 2) alone does not preserve the constraint. Of every
 // interleaving of TP1 and TP2, exactly one is PWSR and not strongly
@@ -147,18 +158,45 @@ func TestExample2RefusedByTheGate(t *testing.T) {
 	}
 }
 
-// TestDecliningVictimConsultedOncePerStall: a victim policy that
-// declines is asked once at the stall, not a second time over a phase
-// the gate cleared on its behalf.
-func TestDecliningVictimConsultedOncePerStall(t *testing.T) {
+// TestDeclinedInnerStallsWithoutAborts: an inner policy that declines
+// an admissible request stalls the run at once. Example 2's script
+// wants r2(a), which the delayed-read rule refuses while r1(c) is
+// admissible; the default victim policy is never asked, because
+// sacrificing T2 would leave the script's answer as it was, round after
+// round until the abort budget ran out.
+func TestDeclinedInnerStallsWithoutAborts(t *testing.T) {
 	_, cfg := example2()
+	gate := &abortCounting{OptimisticCertify: sched.NewOptimisticCertify(cfg.DataSets, sched.NewScript(1, 2, 2, 2, 1), nil)}
+	cfg.Policy = gate
+	_, err := exec.RunCtx(context.Background(), cfg)
+	if !errors.Is(err, exec.ErrStall) {
+		t.Fatalf("err = %v, want exec.ErrStall", err)
+	}
+	if gate.aborts != 0 {
+		t.Fatalf("the run aborted %d times for a declined admissible request, want 0", gate.aborts)
+	}
+	if !strings.Contains(err.Error(), "pending [r1(c, ?) r2(a, ?)]") {
+		t.Fatalf("stall %q, want pending [r1(c, ?) r2(a, ?)]", err)
+	}
+}
+
+// TestDecliningVictimConsultedOncePerStall: where nothing is
+// admissible, a victim policy that declines is asked once at the
+// stall, not a second time over a phase the gate cleared on its behalf.
+func TestDecliningVictimConsultedOncePerStall(t *testing.T) {
+	w := gen.MustGenerate(gen.Config{
+		Conjuncts: 1, Programs: 3, MovesPerProgram: 1, Style: gen.StyleFixed, Seed: 0,
+	})
 	calls := 0
 	decline := func(pending []*exec.Request, candidates []int, v *exec.View) int {
 		calls++
 		return -1
 	}
-	cfg.Policy = sched.NewOptimisticCertify(cfg.DataSets, sched.NewScript(1, 2, 2, 2, 1), decline)
-	if _, err := exec.RunCtx(context.Background(), cfg); !errors.Is(err, exec.ErrStall) {
+	_, err := exec.RunCtx(context.Background(), exec.Config{
+		Programs: w.Programs, Initial: w.Initial, DataSets: w.DataSets,
+		Policy: sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(1), decline),
+	})
+	if !errors.Is(err, exec.ErrStall) {
 		t.Fatalf("err = %v, want exec.ErrStall", err)
 	}
 	if calls != 1 {

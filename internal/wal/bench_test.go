@@ -36,8 +36,7 @@ func (f *countedFile) Write(p []byte) (int, error) {
 
 // steadyStream feeds a writer transactions of 64 observes each, every
 // one committed and reclaimed by the compaction pass that follows, so
-// the surviving stream — and, with snapshot cuts, the mirror — stays
-// bounded however long it runs.
+// the surviving stream stays bounded however long it runs.
 type steadyStream struct {
 	w         *wal.Writer
 	i         int
@@ -101,9 +100,9 @@ func BenchmarkWriterAppend(b *testing.B) {
 }
 
 // TestZeroAllocWriterAppend pins the steady-state LogObserve path:
-// appending copies into the mirror and a flush hands the backend a
-// slice of it, so the only allocations are the amortized growth of the
-// mirror, the surviving stream and the backend's storage — under 0.1
+// appending copies into the write buffer and a flush hands the backend
+// the buffer, so the only allocations are the amortized growth of the
+// buffer, the surviving stream and the backend's storage — under 0.1
 // per record with a flush every record and every sixteen alike, where
 // one allocation per flush or per record would show.
 func TestZeroAllocWriterAppend(t *testing.T) {

@@ -28,12 +28,11 @@
 //
 // The Writer is a core.LifecycleSink: each lifecycle event is framed
 // as the monitor applies it, and appending is a memory copy — the
-// frame goes into the writer's mirror of the active segment, which is
-// also its write buffer, and nothing reaches the backend. The only
-// writes to the active segment are the group flush, Sync, Close, a
-// snapshot cut and a failover or Heal rebase; each flush hands the
-// backend everything buffered since the last one in one write and then
-// syncs it. With Options.GroupEvery ≤ 1 every record is flushed as it
+// frame goes into the writer's write buffer, and nothing reaches the
+// backend. The only writes to the active segment are the group flush,
+// Sync, Close and a snapshot cut; each flush hands the backend
+// everything buffered since the last one in one write and then syncs
+// it. With Options.GroupEvery ≤ 1 every record is flushed as it
 // is appended. Above 1 a group is counted in commit records: it
 // flushes once GroupEvery commits are pending (or when
 // Options.GroupWindow expires), and the observe, retract and compact
@@ -54,8 +53,9 @@
 // per-grant barrier for feeders that resume in-flight transactions
 // across a crash. A record's bookkeeping (the surviving stream, the
 // snapshot counters, the cut cadence) is applied before its flush, so
-// an absorbed record is in the mirror and in the next snapshot whatever
-// the flush returns; a fail-stopped writer absorbs nothing further.
+// an absorbed record is in the write buffer and in the next snapshot
+// whatever the flush returns; a fail-stopped writer absorbs nothing
+// further.
 //
 // # Snapshots and retention
 //
@@ -118,26 +118,14 @@
 // deliberate: a certifier that cannot log must not admit, so no grant
 // is ever acknowledged un-journaled.
 //
-// # Failover and healing
+// # One device
 //
-// FailoverBackend chains an ordered list of backends (primary first)
-// behind the Backend interface: when the writer's retry budget is
-// exhausted against the current member, the writer asks the chain to
-// promote the next standby and resynchronizes it from its in-memory
-// mirror — a byte-exact image of the active segment — by recreating
-// the same-named segment, so sequence numbers and compact-point cuts
-// continue without a gap (strict seq continuity across promotion).
-// Promotion is latched: the chain never fails back on its own, and
-// the sticky Demoted/Promoted events are queryable through
-// FailoverBackend.Events and counted in Stats.Failovers. Writer.Heal
-// performs the same mirror rebase in place for a fail-stopped writer
-// whose device came back (counted in Stats.Heals); no certification
-// gate calls it. Recovery needs no special
-// failover handling — it reads whichever backend survived, and the
-// mirror rebase guarantees the surviving log is a byte prefix of the
-// logical stream. The chaos differential (`make chaos`) exercises
-// randomized outage plans over this machinery, lockstep-comparing
-// every run against an uninjected twin.
+// A writer logs to one backend, and its fail-stop is final: nothing
+// clears the sticky error (Heal only reports it). The log continues
+// through Resume on a new writer, from whatever durable prefix the
+// device kept. The chaos differential (`make chaos`) exercises
+// randomized outage plans over this path, lockstep-comparing every
+// run against an uninjected twin.
 //
 // # Lifecycle: cancellation, deadlines, and drain
 //

@@ -54,8 +54,8 @@ func TestTransientSyncErrorsRetried(t *testing.T) {
 
 // TestPersistentSyncErrorFailStop pins the fail-stop degradation: once
 // the retry budget is exhausted the error is sticky, Barrier reports
-// it, and every further append is a no-op — the writer never
-// acknowledges what it cannot make durable.
+// it, and every further append is a no-op that does not advance Seq —
+// the writer never acknowledges what it cannot make durable.
 func TestPersistentSyncErrorFailStop(t *testing.T) {
 	_, b, _ := injected(fault.Rule{Op: fault.OpSync, From: 1, Count: 0, Kind: fault.KindError, Msg: "device gone"})
 	w, err := wal.NewWriter(b, wal.Options{GroupEvery: 1, SnapshotEvery: -1, MaxRetries: 2})
@@ -73,12 +73,15 @@ func TestPersistentSyncErrorFailStop(t *testing.T) {
 	if err := w.Barrier(); err == nil {
 		t.Fatal("Barrier reported healthy after fail-stop")
 	}
-	records := w.Stats().Records
+	records, seq := w.Stats().Records, w.Seq()
 	w.LogObserve(txn.W(1, "x1", 1))
 	w.LogCommit(1)
 	w.LogCompact(nil, core.CompactStats{}, 2)
 	if got := w.Stats().Records; got != records {
 		t.Fatalf("appends after fail-stop recorded: %d -> %d", records, got)
+	}
+	if got := w.Seq(); got != seq {
+		t.Fatalf("Seq=%d after emissions during fail-stop, want %d", got, seq)
 	}
 	if got := w.Stats().Retries; got != 2 {
 		t.Fatalf("Retries=%d, want 2", got)
@@ -209,11 +212,12 @@ func TestSnapshotCutFailureContinues(t *testing.T) {
 // where a fault lands on a flush that carries a whole group of commits
 // and the records between them: a write error, a torn write and a sync
 // error, each transient (inside the retry budget) or persistent (past
-// it), with and without a standby. The stream is long enough for the
-// third flush to happen at g16. A run that ends healthy must close
-// durable in full; a fail-stopped one must recover a prefix
-// verdict-identical to the absorbed stream, short of it by at most the
-// one group whose flush failed: no more than group commit records.
+// it). The stream is long enough for the third flush to happen at g16.
+// A run that ends healthy must close durable in full; a fail-stopped
+// one must recover a prefix verdict-identical to the absorbed stream,
+// short of it by at most the one group whose flush failed: no more
+// than group commit records. The standby=false suffix keeps the
+// subtest names comparable across runs of older revisions.
 func TestGroupFlushFaults(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -227,179 +231,71 @@ func TestGroupFlushFaults(t *testing.T) {
 	for _, group := range []int{2, 16} {
 		for _, sh := range shapes {
 			for _, persistent := range []bool{false, true} {
-				for _, standby := range []bool{false, true} {
-					name := fmt.Sprintf("g%d/%s/persistent=%v/standby=%v", group, sh.name, persistent, standby)
-					t.Run(name, func(t *testing.T) {
-						count := int64(2) // MaxRetries 2 absorbs two failures
-						if persistent {
-							count = 0
-						}
-						inj := fault.NewInjector(fault.Plan{Rules: []fault.Rule{
-							{Site: "wal/primary", Op: sh.op, From: 3, Count: count, Kind: sh.kind, Msg: "device fault"},
-						}})
-						primary, spare := wal.NewMemBackend(), wal.NewMemBackend()
-						var b wal.Backend = wal.NewInjectBackend(primary, inj, "wal/primary")
-						if standby {
-							b = wal.NewFailoverBackend(b, spare)
-						}
-						w, err := wal.NewWriter(b, wal.Options{GroupEvery: group, SnapshotEvery: -1, MaxRetries: 2})
-						if err != nil {
-							t.Fatal(err)
-						}
-						m := core.NewMonitor(walPartition())
-						applied := runWorkload(t, m, w, workloadCfg{
-							seed: 61, nTxns: 4, steps: 720, gated: true, commitPct: 12, retractPct: 5, compactEvery: 10,
-						})
-						if inj.Fired() == 0 {
-							t.Fatal("the fault never fired; retune the workload")
-						}
-						st := w.Stats()
-						if persistent && !standby {
-							if w.Err() == nil {
-								t.Fatal("a persistent fault without a standby did not fail-stop")
-							}
-							if err := w.Close(); err == nil {
-								t.Fatal("Close of a fail-stopped writer reported success")
-							}
-							absorbed := applied[:w.Seq()]
-							rec, info, err := wal.Recover(primary, walPartition())
-							if err != nil {
-								t.Fatalf("recover after fail-stop: %v", err)
-							}
-							if info.LastSeq > uint64(len(absorbed)) {
-								t.Fatalf("LastSeq=%d for %d absorbed events", info.LastSeq, len(absorbed))
-							}
-							lost := 0
-							for _, ev := range absorbed[info.LastSeq:] {
-								if ev.Kind == core.EventCommit {
-									lost++
-								}
-							}
-							if lost > group {
-								t.Fatalf("LastSeq=%d for %d absorbed events lost %d commits, group %d", info.LastSeq, len(absorbed), lost, group)
-							}
-							compareMonitors(t, "fail-stop prefix", rec, newReference(absorbed).at(int(info.LastSeq)), 4)
-							return
-						}
-						if err := w.Err(); err != nil {
-							t.Fatalf("fault was not absorbed: %v", err)
-						}
-						survivor := primary
-						switch {
-						case persistent:
-							if st.Failovers != 1 {
-								t.Fatalf("Failovers=%d, want 1", st.Failovers)
-							}
-							survivor = spare
-						case st.Retries < 2:
-							t.Fatalf("Retries=%d, want >= 2", st.Retries)
-						}
-						if err := w.Close(); err != nil {
-							t.Fatal(err)
-						}
-						rec, info, err := wal.Recover(survivor, walPartition())
-						if err != nil {
-							t.Fatal(err)
-						}
-						if info.LastSeq != uint64(len(applied)) || info.Torn {
-							t.Fatalf("LastSeq=%d torn=%v, want %d and a clean log", info.LastSeq, info.Torn, len(applied))
-						}
-						compareMonitors(t, "closed", rec, m, 4)
+				name := fmt.Sprintf("g%d/%s/persistent=%v/standby=false", group, sh.name, persistent)
+				t.Run(name, func(t *testing.T) {
+					count := int64(2) // MaxRetries 2 absorbs two failures
+					if persistent {
+						count = 0
+					}
+					mem, b, inj := injected(fault.Rule{Op: sh.op, From: 3, Count: count, Kind: sh.kind, Msg: "device fault"})
+					w, err := wal.NewWriter(b, wal.Options{GroupEvery: group, SnapshotEvery: -1, MaxRetries: 2})
+					if err != nil {
+						t.Fatal(err)
+					}
+					m := core.NewMonitor(walPartition())
+					applied := runWorkload(t, m, w, workloadCfg{
+						seed: 61, nTxns: 4, steps: 720, gated: true, commitPct: 12, retractPct: 5, compactEvery: 10,
 					})
-				}
+					if inj.Fired() == 0 {
+						t.Fatal("the fault never fired; retune the workload")
+					}
+					if persistent {
+						if w.Err() == nil {
+							t.Fatal("a persistent fault did not fail-stop")
+						}
+						if err := w.Close(); err == nil {
+							t.Fatal("Close of a fail-stopped writer reported success")
+						}
+						absorbed := applied[:w.Seq()]
+						rec, info, err := wal.Recover(mem, walPartition())
+						if err != nil {
+							t.Fatalf("recover after fail-stop: %v", err)
+						}
+						if info.LastSeq > uint64(len(absorbed)) {
+							t.Fatalf("LastSeq=%d for %d absorbed events", info.LastSeq, len(absorbed))
+						}
+						lost := 0
+						for _, ev := range absorbed[info.LastSeq:] {
+							if ev.Kind == core.EventCommit {
+								lost++
+							}
+						}
+						if lost > group {
+							t.Fatalf("LastSeq=%d for %d absorbed events lost %d commits, group %d", info.LastSeq, len(absorbed), lost, group)
+						}
+						compareMonitors(t, "fail-stop prefix", rec, newReference(absorbed).at(int(info.LastSeq)), 4)
+						return
+					}
+					if err := w.Err(); err != nil {
+						t.Fatalf("fault was not absorbed: %v", err)
+					}
+					if st := w.Stats(); st.Retries < 2 {
+						t.Fatalf("Retries=%d, want >= 2", st.Retries)
+					}
+					if err := w.Close(); err != nil {
+						t.Fatal(err)
+					}
+					rec, info, err := wal.Recover(mem, walPartition())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if info.LastSeq != uint64(len(applied)) || info.Torn {
+						t.Fatalf("LastSeq=%d torn=%v, want %d and a clean log", info.LastSeq, info.Torn, len(applied))
+					}
+					compareMonitors(t, "closed", rec, m, 4)
+				})
 			}
 		}
-	}
-}
-
-// TestFailedFlushKeepsSnapshotStream is the regression test for a
-// group flush that fails past the retry bound with no standby. The
-// record that closed the group is in the mirror (LoggedSeq counts it,
-// Heal writes it), so its bookkeeping — the surviving stream, and for
-// a compact record the counter block and the cut cadence — must be
-// applied too; otherwise the first snapshot cut after Heal writes a
-// stream that disagrees with the log. Each variant fails the flush
-// that a different record kind closes: a commit through the group of
-// two commits it completes, a compact through the flush its snapshot
-// cut begins with, an observe and a retract through an explicit Sync
-// (only commits fill a group). The recovered monitor must match the
-// live one, and keep matching through one more compaction pass (a
-// commit missing from the snapshot shows only there).
-func TestFailedFlushKeepsSnapshotStream(t *testing.T) {
-	type step struct {
-		kind byte // 'o' observe W(txn, item), 'c' commit, 'r' retract, 'k' compact, 'y' sync, 's' cut, 'h' heal
-		txn  int
-		item string
-	}
-	o := func(id int, item string) step { return step{kind: 'o', txn: id, item: item} }
-	c := func(id int) step { return step{kind: 'c', txn: id} }
-	r := func(id int) step { return step{kind: 'r', txn: id} }
-	k, y, s, h := step{kind: 'k'}, step{kind: 'y'}, step{kind: 's'}, step{kind: 'h'}
-	for _, v := range []struct {
-		name string
-		from int64 // first failing sync; it fails twice, past MaxRetries 1
-		plan []step
-	}{
-		{"observe", 1, []step{o(1, "x0"), o(2, "x0"), y, h, c(1), k}},
-		{"commit", 1, []step{o(2, "x0"), o(1, "x0"), o(3, "x1"), c(3), c(1), h, k, c(2)}},
-		{"retract", 1, []step{o(1, "x0"), r(1), y, h, o(2, "x1"), c(2), k}},
-		{"compact", 1, []step{o(1, "x0"), c(1), o(2, "x1"), k, h, s}},
-	} {
-		t.Run(v.name, func(t *testing.T) {
-			mem, b, _ := injected(fault.Rule{Op: fault.OpSync, From: v.from, Count: 2, Kind: fault.KindError, Msg: "controller reset"})
-			w, err := wal.NewWriter(b, wal.Options{GroupEvery: 2, SnapshotEvery: 1, MaxRetries: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := core.NewMonitor(walPartition())
-			m.SetAutoCompact(0)
-			m.SetSink(w)
-			for _, st := range v.plan {
-				switch st.kind {
-				case 'o':
-					m.Observe(txn.W(st.txn, st.item, 1))
-				case 'c':
-					m.Commit(st.txn)
-				case 'r':
-					m.Retract(st.txn)
-				case 'k':
-					m.Compact()
-				case 'y':
-					if err := w.Sync(); err == nil {
-						t.Fatal("the failing sync reported success")
-					}
-				case 's':
-					if err := w.CutSnapshot(); err != nil {
-						t.Fatalf("cut: %v", err)
-					}
-				case 'h':
-					if w.Err() == nil {
-						t.Fatal("the failing group flush did not fail-stop")
-					}
-					if err := w.Heal(); err != nil {
-						t.Fatalf("heal: %v", err)
-					}
-				}
-			}
-			m.SetSink(nil)
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if st := w.Stats(); st.Heals != 1 || st.Snapshots == 0 {
-				t.Fatalf("Heals=%d Snapshots=%d, want one heal and a cut after it", st.Heals, st.Snapshots)
-			}
-			rec, info, err := wal.Recover(mem, walPartition())
-			if err != nil {
-				t.Fatalf("recover: %v", err)
-			}
-			if info.LastSeq != w.Seq() {
-				t.Fatalf("LastSeq=%d, want %d", info.LastSeq, w.Seq())
-			}
-			compareMonitors(t, "recovered", rec, m, 3)
-			rec.Compact()
-			m.Compact()
-			compareMonitors(t, "after one more pass", rec, m, 3)
-		})
 	}
 }
 

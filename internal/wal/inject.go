@@ -21,8 +21,8 @@ type InjectBackend struct {
 	// injects nothing.
 	Inj *fault.Injector
 	// Site labels this backend's points in the plan (e.g.
-	// "wal/primary", "wal/standby1"), so a failover chain's members are
-	// injected independently.
+	// "wal/primary"), so backends sharing one injector are injected
+	// independently.
 	Site string
 }
 

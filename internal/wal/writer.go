@@ -117,14 +117,6 @@ type Stats struct {
 	// CutFailures counts snapshot cuts abandoned on a fresh-segment
 	// error (the writer continues on the old segment; see doc.go).
 	CutFailures int64
-	// Failovers counts successful promotions onto a standby backend:
-	// the active segment was re-established (mirror replay + sync) on
-	// the next chain member after the previous target failed past the
-	// retry bound (see FailoverBackend).
-	Failovers int64
-	// Heals counts fail-stops cleared by Heal — the backend came back
-	// and the active segment was rebuilt on it from the mirror.
-	Heals int64
 	// RecoveryReplays is the number of events replayed to build this
 	// writer's monitor (set by Resume; 0 for a fresh log).
 	RecoveryReplays int64
@@ -186,18 +178,12 @@ type Writer struct {
 	// compactsSinceCut drives the SnapshotEvery cadence.
 	compactsSinceCut int
 
-	// mirror is the byte-exact in-memory image of the active segment
-	// and its write buffer: the genesis header or surviving snapshot it
-	// begins with, plus every frame appended since. Appending frames a
-	// record here; mirror[flushed:] is what the next flush writes.
-	// Failover replays the whole mirror onto a promoted standby, and
-	// Heal onto a recovered backend — the re-established segment is
-	// byte-identical to the one the failed target was supposed to hold,
-	// so every recovery invariant (compact-point cuts, strict sequence
-	// continuity) carries over unchanged. Its size is bounded by the
-	// snapshot cadence, like live.
-	mirror  []byte
-	flushed int
+	// tail is the write buffer: every frame appended since the last
+	// flush (the genesis header too, until the first one), which the
+	// next flush hands the backend in one write. A flush or a snapshot
+	// cut empties it and keeps its capacity; a snapshot cut also builds
+	// its section in it.
+	tail []byte
 	// rng is the splitmix64 state behind backoff jitter (timing-only;
 	// a fixed seed keeps the writer allocation-free and deterministic
 	// to construct).
@@ -229,7 +215,7 @@ func NewWriter(b Backend, opts Options) (*Writer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: create genesis segment: %w", err)
 	}
-	return &Writer{b: b, opts: opts, seg: f, lastSync: time.Now(), stopc: make(chan struct{}), mirror: []byte(segMagic)}, nil
+	return &Writer{b: b, opts: opts, seg: f, lastSync: time.Now(), stopc: make(chan struct{}), tail: []byte(segMagic)}, nil
 }
 
 // Err returns the sticky fail-stop error, or nil.
@@ -306,8 +292,8 @@ func (w *Writer) logTxn(kind byte, evKind core.EventKind, txnID int) {
 // block is latched for the next snapshot header, and — on the
 // SnapshotEvery cadence — a snapshot segment is cut. The stream, the
 // counters and the cadence are updated before the group flush, so the
-// record is in the mirror and in the next snapshot whatever the flush
-// returns; the cut follows the flush.
+// record is in the write buffer and in the next snapshot whatever the
+// flush returns; the cut follows the flush.
 func (w *Writer) LogCompact(reclaimed []int, stats core.CompactStats, ops int) {
 	w.opMu.Lock()
 	defer w.opMu.Unlock()
@@ -381,7 +367,7 @@ func (w *Writer) Sync() error {
 	if w.err != nil {
 		return w.err
 	}
-	if w.flushed < len(w.mirror) {
+	if len(w.tail) > 0 {
 		w.flushLocked()
 	}
 	return w.err
@@ -439,13 +425,14 @@ func (w *Writer) Close() error {
 	return err
 }
 
-// appendLocked frames the payload into the mirror. It does no backend
-// I/O: the record reaches the active segment with the next flush.
+// appendLocked frames the payload into the write buffer. It does no
+// backend I/O: the record reaches the active segment with the next
+// flush.
 func (w *Writer) appendLocked(payload []byte) {
-	n := len(w.mirror)
-	w.mirror = appendFrame(w.mirror, payload)
+	n := len(w.tail)
+	w.tail = appendFrame(w.tail, payload)
 	w.stats.Records++
-	w.stats.LogBytes += int64(len(w.mirror) - n)
+	w.stats.LogBytes += int64(len(w.tail) - n)
 }
 
 // groupLocked applies the group-commit policy after an append's
@@ -462,20 +449,17 @@ func (w *Writer) groupLocked(commit bool) {
 	}
 }
 
-// flushLocked writes the buffered tail of the mirror to the active
-// segment in one backend write and syncs it, each with bounded
-// retries. On exhaustion it attempts a failover — a successful rebase
-// writes and syncs the whole mirror on the promoted target, so there
-// is nothing left to flush — and goes fail-stop only when that too is
-// impossible.
+// flushLocked writes the write buffer to the active segment in one
+// backend write and syncs it, each with bounded retries, and goes
+// fail-stop on exhaustion.
 func (w *Writer) flushLocked() {
-	if err := w.writeAllTo(w.seg, w.mirror[w.flushed:]); err != nil {
-		w.failoverLocked(fmt.Errorf("write: %w", err))
+	if err := w.writeAllTo(w.seg, w.tail); err != nil {
+		w.failLocked(fmt.Errorf("write: %w", err))
 		return
 	}
-	w.flushed = len(w.mirror)
+	w.tail = w.tail[:0]
 	if err := w.syncTo(w.seg); err != nil {
-		w.failoverLocked(fmt.Errorf("sync: %w", err))
+		w.failLocked(fmt.Errorf("sync: %w", err))
 		return
 	}
 	w.commits = 0
@@ -610,8 +594,10 @@ func (w *Writer) cutLocked() {
 		w.stats.CutFailures++
 		return
 	}
-	buf := make([]byte, 0, 64+len(w.live)*24)
-	buf = append(buf, segMagic...)
+	// The flush above emptied the write buffer; the section is built in
+	// it and the buffer is emptied again whether or not the cut holds.
+	buf := append(w.tail, segMagic...)
+	defer func() { w.tail = buf[:0] }()
 	hdr := w.counters
 	hdr.eventCount = len(w.live)
 	w.payload = appendSnapBegin(w.payload[:0], w.seq, hdr)
@@ -646,8 +632,6 @@ func (w *Writer) cutLocked() {
 		w.seg.Close()
 	}
 	w.seg = f
-	w.mirror = buf
-	w.flushed = len(buf)
 	oldIdx := w.segIndex
 	w.segIndex = newIdx
 	w.commits = 0
@@ -680,3 +664,13 @@ func segIndexOf(name string) (int, bool) {
 	}
 	return idx, true
 }
+
+// Heal returns the sticky fail-stop error: a fail-stopped writer stays
+// down, and only Resume on a new writer continues the log. Kept for
+// benchmark/benchmark_test.go:157, which asserts sched.Healer on the
+// traced journal, until ROADMAP item 8.
+func (w *Writer) Heal() error { return w.Err() }
+
+// LoggedSeq returns Seq. Kept for benchmark/benchmark_test.go:157, which
+// asserts sched.Healer on the traced journal, until ROADMAP item 8.
+func (w *Writer) LoggedSeq() uint64 { return w.Seq() }

@@ -326,7 +326,7 @@ const (
 type Gate = exec.Gate
 
 // Health is a journaled gate's live posture: the latched journal error
-// (nil while healthy), failover promotions, and the drain posture.
+// (nil while healthy) and the drain and close posture.
 // Policies that journal expose it (and it rides in
 // Metrics.Gate.Health).
 type Health = exec.Health
@@ -377,8 +377,9 @@ var (
 // is retracted from the monitor and restarted by the engine. The gate
 // is cascadeless (delayed reads), so its schedules are PWSR and DR by
 // construction — for correct programs, strongly correct by Theorem 2.
-// A run stalls only when the victim policy declines or an inner policy
-// that declines admissible requests drives it into the abort budget.
+// A run stalls only when the victim policy declines or the inner policy
+// declines admissible requests; the gate sacrifices no victim for the
+// latter.
 func NewOptimisticCertify(partition []ItemSet, inner Policy, victim VictimPolicy) Gate {
 	return sched.NewOptimisticCertify(partition, inner, victim)
 }
