@@ -213,7 +213,9 @@ test:
 # against a from-scratch recomputation at every Pick, under both victim
 # policies).
 # The raced ./... pass also runs TestTickDecisionsPinned (root package):
-# the optimistic gate's exact decision totals on hot-tick's shape, so a
+# the optimistic gate's exact decision totals on hot-tick's shape and
+# its stall census beside them (stalls, solo stalls, stalls resolved by
+# their delayed-read blocker, delayed-read and certifier denials), so a
 # gate optimisation that changes a grant, probe or victim fails here.
 # So does TestLifecycleAssertedOnce: exec, sched and the facade hold
 # exactly two capability type assertions (Gate in RunCtx and in

@@ -33,14 +33,15 @@ func (g *victimCounter) Victim(pending []*exec.Request, v *exec.View) int {
 // TestTickDecisionsPinned pins the optimistic gate's decisions on
 // hot-tick's shape: 64 rounds of BenchmarkTickAbortRestart's stream, whose
 // totals — commits, aborts, wasted and granted operations, Admissible
-// probes and Victim calls — are fixed by the seeds. A change that only
-// makes the gate faster leaves every total equal. A change that alters a
-// decision on purpose updates the golden values here and names the
-// decision it changed.
+// probes and Victim calls — are fixed by the seeds, and so is the gate's
+// stall census beside them. A change that only makes the gate faster
+// leaves every total equal. A change that alters a decision on purpose
+// updates the golden values here and names the decision it changed.
 func TestTickDecisionsPinned(t *testing.T) {
 	const rounds = 64
 	type totals struct{ committed, aborts, wasted, granted, probes, victims int }
-	want := totals{committed: 3072, aborts: 5374, wasted: 5293, granted: 15671, probes: 78722, victims: 5374}
+	want := totals{committed: 3072, aborts: 1947, wasted: 3054, granted: 13432, probes: 75403, victims: 1947}
+	wantCensus := exec.StallStats{Stalls: 1947, SoloStalls: 32, BlockerVictims: 508, DelayedReadDenials: 12812, CertifierDenials: 28242}
 	s := newAbortRestartStream()
 	mon := &probeCounter{Certifier: s.mon}
 	gate := &victimCounter{OptimisticCertify: sched.NewOptimisticCertifyOver(mon, sched.NewRandom(1), sched.VictimYoungest)}
@@ -58,5 +59,8 @@ func TestTickDecisionsPinned(t *testing.T) {
 	got.probes, got.victims = mon.probes, gate.calls
 	if got != want {
 		t.Fatalf("decision totals over %d rounds = %+v, want %+v", rounds, got, want)
+	}
+	if census := gate.Stats().Stalls; census != wantCensus {
+		t.Fatalf("stall census over %d rounds = %+v, want %+v", rounds, census, wantCensus)
 	}
 }

@@ -60,11 +60,12 @@
 //     asserts this), fail-stop semantics when the device dies, and
 //     Resume to continue a certifier across a restart (internal/wal).
 //
-// The certification gate (pwsr.NewOptimisticCertify) resolves stalls
-// by aborting a victim chosen by a pluggable policy, youngest or
-// fewest-ops; it is cascadeless, so its schedules are PWSR and
-// delayed-read by construction and Theorem 2 applies to every completed
-// run of correct programs. Independent engine
+// The certification gate (pwsr.NewOptimisticCertify) resolves a stall
+// by aborting its blocker — the live writer the immune transaction's
+// delayed read waits on — or else a victim chosen by a pluggable
+// policy, youngest or fewest-ops; it is cascadeless, so its schedules
+// are PWSR and delayed-read by construction and Theorem 2 applies to
+// every completed run of correct programs. Independent engine
 // runs may execute concurrently, each pwsr.Run on its own goroutine
 // with its own policy: policies are stateful, so one value must not be
 // handed to two concurrent runs. The gate commits

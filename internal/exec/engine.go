@@ -330,13 +330,32 @@ type LogStats struct {
 	RecoveryReplays int64
 }
 
+// StallStats is a certifying gate's stall census over its life: how
+// often nothing was grantable and how those stalls were resolved, and
+// which rule decided each verdict against a request.
+type StallStats struct {
+	// Stalls counts Victim calls: ticks where the gate granted nothing.
+	Stalls int
+	// SoloStalls counts the stalls met while a transaction was solo.
+	SoloStalls int
+	// BlockerVictims counts the stalls resolved by sacrificing the live
+	// writer the immune transaction's delayed read waits on.
+	BlockerVictims int
+	// DelayedReadDenials and CertifierDenials count the verdicts decided
+	// against a request by the delayed-read rule and by the certifier's
+	// Admissible probe; a verdict standing from tick to tick counts once.
+	DelayedReadDenials int
+	CertifierDenials   int
+}
+
 // GateStats is one snapshot of a certifying gate's counters: the
-// certifier's lifecycle counters, the journal's counters, and the
-// gate's health.
+// certifier's lifecycle counters, the journal's counters, the gate's
+// health and its stall census.
 type GateStats struct {
 	Compact CompactStats
 	Log     LogStats
 	Health  Health
+	Stalls  StallStats
 }
 
 // Gate is a certifying policy's whole contract with the engines; the

@@ -117,6 +117,7 @@ func TestGateStatsMatchesParts(t *testing.T) {
 				RecoveryReplays: ws.RecoveryReplays,
 			},
 			Health: g.Health(),
+			Stalls: g.memo.census,
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("after %s: Stats() = %+v, want the parts %+v", stage, got, want)

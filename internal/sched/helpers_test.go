@@ -11,9 +11,10 @@ import (
 
 func stateInt(v int64) state.Value { return state.Int(v) }
 
-// NeverAbort is the victim policy of a gate that never aborts: it
-// declines every stall, so a run stalls (exec.ErrStall) where nothing
-// is admissible. Exported for the external test package.
+// NeverAbort is the victim policy that declines every stall it is
+// consulted on, so a run stalls (exec.ErrStall) where nothing is
+// admissible and no blocker of the immune transaction is a candidate.
+// Exported for the external test package.
 func NeverAbort([]*exec.Request, []int, *exec.View) int { return -1 }
 
 // mustPrograms builds two transactions contending on an item u that

@@ -36,6 +36,9 @@ type verdictMemo struct {
 	// nothing from a non-empty admissible set: the stall is the inner
 	// policy's, and Victim declines it.
 	declined bool
+	// census is the gate's stall census: mask counts the denials,
+	// Victim the stalls.
+	census exec.StallStats
 }
 
 // verdict is one request's memoized decision.
@@ -52,7 +55,7 @@ type verdict struct {
 // exclusivity (0 = none) first, then the verdict in the request's slot —
 // reset to undecided when it was decided for another transaction, action
 // or item — re-decided in place when stale: the delayed-read rule, then
-// the certifier.
+// the certifier, each denial counted in the census.
 func (m *verdictMemo) mask(pending []*exec.Request, v *exec.View, lc *lifecycle, solo int) {
 	if m.epoch == nil {
 		partition := m.mon.Partition()
@@ -89,8 +92,15 @@ func (m *verdictMemo) mask(pending []*exec.Request, v *exec.View, lc *lifecycle,
 				stamp += m.epoch[c]
 			}
 			if stamp != e.stamp {
-				e.stamp = stamp
-				e.ok = !delayedReadBlocked(r, v) && m.mon.Admissible(requestOp(r))
+				e.stamp, e.ok = stamp, false
+				switch {
+				case delayedReadBlocked(r, v):
+					m.census.DelayedReadDenials++
+				case !m.mon.Admissible(requestOp(r)):
+					m.census.CertifierDenials++
+				default:
+					e.ok = true
+				}
 			}
 			ok = e.ok
 		}

@@ -112,6 +112,19 @@ func (a *maskAudit) Pick(pending []*exec.Request, v *exec.View) int {
 	return choice
 }
 
+// Victim passes the stall to the gate and counts the sacrifices of the
+// live writer the immune transaction's read waits on, found afresh.
+func (a *maskAudit) Victim(pending []*exec.Request, v *exec.View) int {
+	immune := a.immune(pending, v)
+	i := a.OptimisticCertify.Victim(pending, v)
+	for _, r := range pending {
+		if i >= 0 && r.TxnID == immune && delayedReadBlocked(r, v) && v.LastWriter[r.Entity] == pending[i].TxnID {
+			a.hazards["stall resolved by a delayed-read blocker"]++
+		}
+	}
+	return i
+}
+
 // meddleGate is the audit's hazard injection: between ticks it admits a
 // whole foreign writer through AdmitTxn, and plants and later retracts
 // an uncommitted one through the certifier Monitor() hands out (the
@@ -210,6 +223,7 @@ func TestVerdictMemoMatchesFreshMask(t *testing.T) {
 		"request changed under one id", "compaction between ticks",
 		"AdmitTxn interleaved with ticks", "direct mutation through Monitor()",
 		"commit of a delayed-read blocker", "retract of a writer", "solo enter/leave",
+		"stall resolved by a delayed-read blocker",
 	}
 	for name, seen := range hazards {
 		if aborts[name] == 0 {

@@ -14,7 +14,9 @@ import (
 // of the eligible candidates (non-immune, abortable per
 // View.AbortClosure), and the engine view, and returns one of the
 // candidate indices, or -1 to decline: the run stalls (exec.ErrStall).
-// The gate consults it once per stall.
+// The gate consults it once per stall the blocker rule leaves open (see
+// OptimisticCertify): a stall whose immune transaction waits on a
+// candidate's write sacrifices that writer without asking.
 type VictimPolicy func(pending []*exec.Request, candidates []int, v *exec.View) int
 
 // VictimYoungest picks the candidate whose transaction started latest
@@ -81,33 +83,44 @@ func startKey(v *exec.View, id int) int {
 // the paper's Example 2 is a PWSR schedule that loses consistency, and
 // the delayed-read rule is what refuses it.
 //
+// A stall is resolved by its blocker where it has one. One pending
+// transaction is immune: the solo transaction (below), else the
+// most-aborted one. When the immune transaction's read is delayed by a
+// live writer that is a victim candidate, that writer is the sacrifice:
+// aborting anyone else would leave the immune transaction where it was,
+// and a transaction uninvolved in a conflict should not pay for it
+// (Kuznetsov & Peri's locality argument). Otherwise the victim policy
+// chooses among the candidates.
+//
 // Aborts are bounded by two mechanisms. Within a stall, victims
 // rotate: no transaction is sacrificed twice in one "phase" (the
-// streak since the last granted operation), so a phase lasts at most
-// one abort per live transaction — and a fully refreshed population
-// has erased every write and holds only fresh monitor nodes, leaving
-// some request necessarily grantable. Across stalls, a transaction
-// whose abort count reaches the solo threshold (4) escalates to solo
-// mode: the gate grants only that transaction until it finishes. A solo
-// transaction always completes — no other transaction receives grants,
-// so it never acquires outgoing conflict edges (every operation stays
-// admissible) and any frozen writer blocking one of its delayed reads
-// is aborted by the rotation — and each solo episode retires one
-// transaction, so runs terminate instead of thrashing (the classic
-// optimistic livelock, two transactions endlessly sacrificing each
-// other, escalates to solo after a bounded number of round trips).
-// Both arguments assume an inner policy that picks whenever some
-// request is admissible and a victim policy that never declines. A
-// victim policy returning -1 stalls the run where nothing is
-// admissible, and an inner policy that declines admissible requests (a
-// Script whose next transaction is blocked, say) stalls it at once:
-// Victim sacrifices only where nothing was admissible. Both return
-// exec.ErrStall.
+// streak since the last granted operation) — a blocker is a candidate,
+// so this holds whichever rule chose it — and a phase lasts at most
+// one abort per live transaction: a fully refreshed population has
+// erased every write and holds only fresh monitor nodes, leaving some
+// request necessarily grantable. Across stalls, every abort counts, and
+// a transaction whose abort count reaches the solo threshold (4)
+// escalates to solo mode: the gate grants only that transaction until
+// it finishes. A solo transaction always completes — no other
+// transaction receives grants, so it never acquires outgoing conflict
+// edges (every operation stays admissible) and any frozen writer
+// blocking one of its delayed reads is aborted directly, as its
+// blocker — and each solo episode retires one transaction, so runs
+// terminate instead of thrashing (the classic optimistic livelock, two
+// transactions endlessly sacrificing each other, escalates to solo
+// after a bounded number of round trips). Both arguments assume an
+// inner policy that picks whenever some request is admissible and a
+// victim policy that never declines. A victim policy returning -1
+// stalls the run where nothing is admissible and the blocker rule
+// leaves the stall open, and an inner policy that declines admissible
+// requests (a Script whose next transaction is blocked, say) stalls it
+// at once: Victim sacrifices only where nothing was admissible. Both
+// return exec.ErrStall.
 type OptimisticCertify struct {
 	// Inner picks among the admissible requests.
 	Inner exec.Policy
-	// VictimSelect selects the sacrifice at a stall; nil means
-	// VictimYoungest.
+	// VictimSelect selects the sacrifice at a stall the blocker rule
+	// leaves open; nil means VictimYoungest.
 	VictimSelect VictimPolicy
 
 	// mu serializes the gate's entry points so batch admissions from a
@@ -151,8 +164,8 @@ type OptimisticCertify struct {
 var _ exec.Gate = (*OptimisticCertify)(nil)
 
 // NewOptimisticCertify returns a certification gate over the conjunct
-// partition. victim selects the sacrifice policy (nil =
-// VictimYoungest).
+// partition. victim selects the sacrifice at a stall no blocker
+// resolves (nil = VictimYoungest).
 func NewOptimisticCertify(partition []state.ItemSet, inner exec.Policy, victim VictimPolicy) *OptimisticCertify {
 	return NewOptimisticCertifyOver(core.NewMonitor(partition), inner, victim)
 }
@@ -213,10 +226,17 @@ func (g *OptimisticCertify) Pick(pending []*exec.Request, v *exec.View) int {
 
 // Victim implements exec.Gate: choose a sacrifice among the abortable
 // pending transactions not yet sacrificed this phase, sparing the
-// immune (most-aborted) transaction until it is the only choice left.
+// immune (solo or most-aborted) transaction until it is the only choice
+// left. Where the immune transaction's read waits on a live writer that
+// is a candidate, that writer is the sacrifice; otherwise VictimSelect
+// chooses.
 func (g *OptimisticCertify) Victim(pending []*exec.Request, v *exec.View) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	g.memo.census.Stalls++
+	if g.solo != 0 && v.Live[g.solo] {
+		g.memo.census.SoloStalls++
+	}
 	if g.jn.frozen() || g.memo.declined {
 		// A journal fail-stop: no sacrifice can be made durable. An
 		// inner policy that declined admissible requests: the stall is
@@ -233,13 +253,34 @@ func (g *OptimisticCertify) Victim(pending []*exec.Request, v *exec.View) int {
 		g.phase = g.phase[:0]
 		immuneIdx = g.candidates(pending, v, immune, true)
 	}
-	switch {
-	case len(g.memo.idx) == 0:
+	if len(g.memo.idx) == 0 {
 		return immuneIdx
-	case g.VictimSelect != nil:
+	}
+	if b := g.blocker(pending, v, immune); b >= 0 {
+		g.memo.census.BlockerVictims++
+		return b
+	}
+	if g.VictimSelect != nil {
 		return g.VictimSelect(pending, g.memo.idx, v)
 	}
 	return VictimYoungest(pending, g.memo.idx, v)
+}
+
+// blocker returns the candidate index of the live writer the immune
+// transaction's pending read waits on under the delayed-read rule, or
+// -1 when its request is not so delayed or that writer is no candidate.
+// Sacrificing anyone else leaves the immune transaction where it was.
+func (g *OptimisticCertify) blocker(pending []*exec.Request, v *exec.View, immune int) int {
+	for _, r := range pending {
+		if r.TxnID == immune && delayedReadBlocked(r, v) {
+			for _, c := range g.memo.idx {
+				if pending[c].TxnID == v.LastWriter[r.Entity] {
+					return c
+				}
+			}
+		}
+	}
+	return -1
 }
 
 // candidates fills g.memo.idx with the victim candidates among the
@@ -387,5 +428,6 @@ func (g *OptimisticCertify) Stats() exec.GateStats {
 		},
 		Log:    g.jn.logStats(),
 		Health: g.health(),
+		Stalls: g.memo.census,
 	}
 }

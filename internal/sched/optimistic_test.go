@@ -47,9 +47,9 @@ func TestCertifySchedulesArePWSR(t *testing.T) {
 }
 
 // TestCertifyBlocksCycleClosingOp drives the lost-update interleaving
-// against a gate that never aborts: the write that would close the
-// cycle must be filtered out, forcing the inner policy to see only
-// admissible requests.
+// against a gate whose victim policy declines: the write that would
+// close the cycle must be filtered out, forcing the inner policy to see
+// only admissible requests.
 func TestCertifyBlocksCycleClosingOp(t *testing.T) {
 	w := gen.MustGenerate(gen.Config{
 		Conjuncts: 1, Programs: 2, Style: gen.StyleFixed, Seed: 7,
@@ -101,14 +101,14 @@ func (o *observed) Observe(op txn.Op) *core.Violation {
 	return o.Certifier.Observe(op)
 }
 
-// abortCounting counts the aborts the engine reports to the gate.
-type abortCounting struct {
+// abortRecording records the aborts the engine reports to the gate.
+type abortRecording struct {
 	*sched.OptimisticCertify
-	aborts int
+	aborted []int
 }
 
-func (g *abortCounting) TxnAborted(id int, v *exec.View) {
-	g.aborts++
+func (g *abortRecording) TxnAborted(id int, v *exec.View) {
+	g.aborted = append(g.aborted, id)
 	g.OptimisticCertify.TxnAborted(id, v)
 }
 
@@ -166,14 +166,14 @@ func TestExample2RefusedByTheGate(t *testing.T) {
 // round until the abort budget ran out.
 func TestDeclinedInnerStallsWithoutAborts(t *testing.T) {
 	_, cfg := example2()
-	gate := &abortCounting{OptimisticCertify: sched.NewOptimisticCertify(cfg.DataSets, sched.NewScript(1, 2, 2, 2, 1), nil)}
+	gate := &abortRecording{OptimisticCertify: sched.NewOptimisticCertify(cfg.DataSets, sched.NewScript(1, 2, 2, 2, 1), nil)}
 	cfg.Policy = gate
 	_, err := exec.RunCtx(context.Background(), cfg)
 	if !errors.Is(err, exec.ErrStall) {
 		t.Fatalf("err = %v, want exec.ErrStall", err)
 	}
-	if gate.aborts != 0 {
-		t.Fatalf("the run aborted %d times for a declined admissible request, want 0", gate.aborts)
+	if len(gate.aborted) != 0 {
+		t.Fatalf("the run aborted %v for a declined admissible request, want nothing", gate.aborted)
 	}
 	if !strings.Contains(err.Error(), "pending [r1(c, ?) r2(a, ?)]") {
 		t.Fatalf("stall %q, want pending [r1(c, ?) r2(a, ?)]", err)
@@ -201,6 +201,49 @@ func TestDecliningVictimConsultedOncePerStall(t *testing.T) {
 	}
 	if calls != 1 {
 		t.Fatalf("the victim policy was consulted %d times for one stall, want 1", calls)
+	}
+}
+
+// TestStallResolvedByItsBlocker: the immune transaction's read waits on
+// an old live writer, and younger bystanders are pending. The script
+// grants w2(x), w3(y) and w4(z), and then nothing is grantable: r1(x)
+// waits on T2, r2(y) on T3, r3(z) on T4 and r4(x) on T2. T1, the immune
+// transaction, can move only once T2's write is gone, so T2 is the
+// sacrifice — once, without consulting the victim policy, which would
+// pick the youngest, T4 — and the script's remaining grants 1 4 3 2 2
+// complete the run.
+func TestStallResolvedByItsBlocker(t *testing.T) {
+	consulted := 0
+	youngest := func(pending []*exec.Request, candidates []int, v *exec.View) int {
+		consulted++
+		return sched.VictimYoungest(pending, candidates, v)
+	}
+	partition := []state.ItemSet{state.NewItemSet("x"), state.NewItemSet("y"), state.NewItemSet("z")}
+	gate := &abortRecording{OptimisticCertify: sched.NewOptimisticCertify(partition, sched.NewScript(2, 3, 4, 1, 4, 3, 2, 2), youngest)}
+	initial := state.Ints(map[string]int64{"x": 0, "y": 0, "z": 0})
+	res, err := exec.RunCtx(context.Background(), exec.Config{
+		Programs: map[int]*program.Program{
+			1: program.MustParse(`program P1 { let t := x; }`),
+			2: program.MustParse(`program P2 { x := 1; let t := y; }`),
+			3: program.MustParse(`program P3 { y := 1; let t := z; }`),
+			4: program.MustParse(`program P4 { z := 1; let t := x; }`),
+		},
+		Initial: initial, Policy: gate, DataSets: partition, MaxAborts: 8,
+	})
+	if fmt.Sprint(gate.aborted) != "[2]" {
+		t.Fatalf("sacrificed %v (err %v), want [2]: T2 alone blocks the immune T1", gate.aborted, err)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if consulted != 0 {
+		t.Fatalf("the victim policy was consulted %d times for a stall its blocker resolves, want 0", consulted)
+	}
+	if c := gate.Stats().Stalls; c.Stalls != 1 || c.BlockerVictims != 1 {
+		t.Fatalf("census %+v, want one stall, resolved by its blocker", c)
+	}
+	if err := res.Schedule.ConsistentValues(initial); err != nil {
+		t.Fatalf("surviving schedule does not replay: %v", err)
 	}
 }
 

@@ -357,12 +357,15 @@ func NewPW2PL() Policy { return sched.NewPW2PL() }
 func NewDegree2() Policy { return sched.NewDegree2() }
 
 // VictimPolicy selects which transaction the certification gate
-// sacrifices at a stall; -1 declines, and the run stalls.
+// sacrifices at a stall its blocker rule leaves open; -1 declines, and
+// the run stalls.
 type VictimPolicy = sched.VictimPolicy
 
 // Victim-selection policies for NewOptimisticCertify.
 var (
-	// VictimYoungest sacrifices the latest-started candidate.
+	// VictimYoungest sacrifices the latest-started candidate — the
+	// default, consulted where the immune transaction waits on no
+	// candidate's write.
 	VictimYoungest VictimPolicy = sched.VictimYoungest
 	// VictimFewestOps sacrifices the candidate with the least granted
 	// work.
@@ -373,13 +376,15 @@ var (
 // operations are filtered through an online Monitor so the inner policy
 // only ever sees operations whose admission keeps every conjunct's
 // projection serializable, and stalls are resolved by sacrificing a
-// victim (selected by the victim policy; nil = VictimYoungest), which
-// is retracted from the monitor and restarted by the engine. The gate
-// is cascadeless (delayed reads), so its schedules are PWSR and DR by
+// victim, which is retracted from the monitor and restarted by the
+// engine: the live writer the immune (solo or most-aborted)
+// transaction's delayed read waits on where it is a candidate, else the
+// victim policy's choice (nil = VictimYoungest). The gate is
+// cascadeless (delayed reads), so its schedules are PWSR and DR by
 // construction — for correct programs, strongly correct by Theorem 2.
-// A run stalls only when the victim policy declines or the inner policy
-// declines admissible requests; the gate sacrifices no victim for the
-// latter.
+// A run stalls only when the victim policy declines a stall no blocker
+// resolves or the inner policy declines admissible requests; the gate
+// sacrifices no victim for the latter.
 func NewOptimisticCertify(partition []ItemSet, inner Policy, victim VictimPolicy) Gate {
 	return sched.NewOptimisticCertify(partition, inner, victim)
 }
