@@ -51,13 +51,15 @@ bench:
 bench-wal:
 	$(GO) run ./cmd/pwsrbench -section wal -out BENCH_wal.json
 
-# listguard fails unless every alternative of the -run alternation $(1)
-# matches a test of package $(2) (`go test -list`), so a renamed test
-# cannot drop silently out of a matrix leg.
+# listguard fails unless every alternative of the -run, -bench or -fuzz
+# alternation $(1) matches a test, benchmark or fuzz target of the
+# packages $(2) (`go test -list`), so a renamed one cannot drop silently
+# out of a leg: `go test` runs nothing for a pattern that matches
+# nothing, and exits 0.
 define listguard
-	@tests=$$($(GO) test -list '.*' $(2) | grep '^Test'); \
+	@tests=$$($(GO) test -list '.*' $(2) | grep -E '^(Test|Benchmark|Fuzz)'); \
 	for alt in $$(echo '$(1)' | tr '|' ' '); do \
-		echo "$$tests" | grep -qE -- "$$alt" || { echo "$(2): -run alternative $$alt matches no test" >&2; exit 1; }; \
+		echo "$$tests" | grep -qE -- "$$alt" || { echo "$(2): alternative $$alt matches nothing" >&2; exit 1; }; \
 	done
 endef
 
@@ -80,7 +82,8 @@ crash-matrix:
 # injected backend, and block-parallel engine — under the race detector
 # at pinned GOMAXPROCS=1 and 8, each trial lockstep-compared against
 # its uninjected twin. A violated obligation dumps the failing
-# fault.Plan as chaos-failed-<seed>.json for exact replay.
+# fault.Plan as chaos-failed-<seed>.json for reading; no code reads it
+# back, and RunChaosTrial(seed) is the replay.
 CHAOS_RUN := TestChaos
 .PHONY: chaos
 chaos:
@@ -94,8 +97,9 @@ chaos:
 # detector at pinned GOMAXPROCS=1 and 8, plus the drain-deadline and
 # pinned-snapshot-across-drain obligations and the gate/engine/wal
 # lifecycle unit tests. A violated obligation dumps the failing case
-# as cancel-failed-<seed>.json (replay with pwsrfuzz -mode cancel);
-# the checked-in corpus replays through the same differential.
+# as cancel-failed-<seed>.json; moved under
+# internal/experiments/testdata/cancel, it replays in TestCancelReplay
+# with the rest of that corpus.
 CANCEL_EXPERIMENTS_RUN := TestCancel|TestDrain|TestSnapshotPinnedAcrossDrain
 CANCEL_SCHED_RUN := TestDrain|TestClose|TestGateSharedByTickAndBatchEngines
 CANCEL_EXEC_RUN := TestCancel|TestRunCtx|TestExecuteBatchCtx
@@ -111,22 +115,15 @@ cancel-matrix:
 	$(GO) test -race -count=1 -run '$(CANCEL_SCHED_RUN)' ./internal/sched
 	$(GO) test -race -count=1 -run '$(CANCEL_EXEC_RUN)' ./internal/exec
 	$(GO) test -race -count=1 -run '$(CANCEL_WAL_RUN)' ./internal/wal
-	$(GO) run ./cmd/pwsrfuzz -mode cancel -trials 60 -seed 7
-
-# bench-chaos regenerates the ROBUST1 record: the 200-plan chaos
-# differential with per-trial outcomes written to BENCH_chaos.json.
-.PHONY: bench-chaos
-bench-chaos:
-	$(GO) run ./cmd/pwsrbench -section chaos -out BENCH_chaos.json
 
 # bench-refresh regenerates every checked-in machine-readable
-# benchmark artifact (PERF7 and PERF9 plus the monitor stream and the
-# ROBUST1 chaos band) and prints a fingerprint line per file — sha256
-# and the recorded host_cpus — so a refresh PR shows at a glance what
-# was re-recorded and at what parallelism. The bench-refresh CI job
-# runs it and uploads the files as an artifact for check-in.
+# benchmark artifact (PERF7 and PERF9 plus the monitor stream) and
+# prints a fingerprint line per file — sha256 and the recorded
+# host_cpus — so a refresh PR shows at a glance what was re-recorded
+# and at what parallelism. The bench-refresh CI job runs it and uploads
+# the files as an artifact for check-in.
 .PHONY: bench-refresh
-bench-refresh: bench bench-chaos
+bench-refresh: bench
 	@echo "--- BENCH_*.json fingerprints ---"
 	@for f in BENCH_*.json; do \
 		cpus=$$(grep -m1 -o '"host_cpus": *[0-9]*' $$f | grep -o '[0-9]*' || echo '?'); \
@@ -243,30 +240,45 @@ test:
 # resident transactions) and the journal's append path
 # (TestZeroAllocWriterAppend: under 0.1 allocations per record), and the
 # next two lines run the PERF14–PERF18 and PERF20 benchmark families once
-# so they cannot rot. The pwsrfuzz line is the multiversion read path's
-# fuzz sweep: the pwsrfuzz mvread corpus plus 200 randomized trials
-# re-proving the bypass obligations (its raced differentials,
-# TestMVRead* and TestVersionedStore*, ride in the pinned exec passes).
+# so they cannot rot. The line after them is the multiversion read
+# path's sweep: TestMVReadDifferentialTick without -short, so its 200
+# seeded workloads (seeds 7..206) re-prove the bypass obligations once
+# without the race detector (its raced differentials, TestMVRead* and
+# TestVersionedStore*, ride in the pinned exec passes, where -short
+# skips the sweep).
 # The two native fuzz legs after it run 15 seconds each: FuzzParse (the
 # program parser's print/re-parse round trip) and FuzzInterpForms (the
 # interpreter's statement forms, Run and a suspended Machine against the
 # reference interpreter); their checked-in seed corpora also replay in
 # every plain go test.
+# Every -run, -bench and -fuzz list of those lines is guarded first
+# (listguard), since a pattern that matches nothing passes silently.
 # The chaos smoke (a fixed 40-seed band of the ROBUST1 fault
 # differential, deterministic by construction) also rides in the raced
 # `./...` pass; the full randomized matrix lives in `make chaos`.
+CHECK_ALLOC_RUN := TestZeroAlloc|TestTickEngineAllocs|TestBatchEngineAllocs|TestInterpRunAllocs
+CHECK_BENCH := BenchmarkAdmitSequence|BenchmarkInterpRun|BenchmarkTickAbortRestart|BenchmarkTickRound|BenchmarkBatchRound
+CHECK_WAL_BENCH := BenchmarkWriterAppend
+CHECK_MVREAD_RUN := ^TestMVReadDifferentialTick$$
+CHECK_FUZZ_PARSE := ^FuzzParse$$
+CHECK_FUZZ_FORMS := ^FuzzInterpForms$$
 .PHONY: check
 check:
+	$(call listguard,$(CHECK_ALLOC_RUN),./internal/core ./internal/wal)
+	$(call listguard,$(CHECK_BENCH),.)
+	$(call listguard,$(CHECK_WAL_BENCH),./internal/wal)
+	$(call listguard,$(CHECK_MVREAD_RUN),./internal/exec)
+	$(call listguard,$(CHECK_FUZZ_PARSE)|$(CHECK_FUZZ_FORMS),./internal/program)
 	$(GO) vet ./...
 	$(GO) test -race -short ./...
 	GOMAXPROCS=1 $(GO) test -race -short -count=1 ./internal/core ./internal/sched ./internal/exec ./internal/wal
 	GOMAXPROCS=8 $(GO) test -race -short -count=1 ./internal/core ./internal/sched ./internal/exec ./internal/wal
-	$(GO) test -run 'TestZeroAlloc|TestTickEngineAllocs|TestBatchEngineAllocs|TestInterpRunAllocs' -count=1 ./internal/core ./internal/wal
-	$(GO) test . -run '^$$' -bench 'BenchmarkAdmitSequence|BenchmarkInterpRun|BenchmarkTickAbortRestart|BenchmarkTickRound|BenchmarkBatchRound' -benchtime=1x
-	$(GO) test ./internal/wal -run '^$$' -bench 'BenchmarkWriterAppend' -benchtime=1x
-	$(GO) run ./cmd/pwsrfuzz -mode mvread -trials 200 -seed 7
-	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 15s ./internal/program
-	$(GO) test -run '^$$' -fuzz '^FuzzInterpForms$$' -fuzztime 15s ./internal/program
+	$(GO) test -run '$(CHECK_ALLOC_RUN)' -count=1 ./internal/core ./internal/wal
+	$(GO) test . -run '^$$' -bench '$(CHECK_BENCH)' -benchtime=1x
+	$(GO) test ./internal/wal -run '^$$' -bench '$(CHECK_WAL_BENCH)' -benchtime=1x
+	$(GO) test -run '$(CHECK_MVREAD_RUN)' -count=1 ./internal/exec
+	$(GO) test -run '^$$' -fuzz '$(CHECK_FUZZ_PARSE)' -fuzztime 15s ./internal/program
+	$(GO) test -run '^$$' -fuzz '$(CHECK_FUZZ_FORMS)' -fuzztime 15s ./internal/program
 
 # soak is the long-run bounded-memory test: ≥ 1M operations through a
 # single OptimisticCertify gate with the transaction lifecycle on,

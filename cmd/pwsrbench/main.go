@@ -15,13 +15,10 @@
 //   - PERF9   — durable certification study: the same admission
 //     stream unjournaled and write-ahead-journaled across backends
 //     and group-commit windows, plus the recovery cost of each
-//     written log (section "wal"),
-//   - ROBUST1 — the chaos differential: seeded fault plans over the
-//     full pipeline, each compared against its uninjected twin
-//     (section "chaos").
+//     written log (section "wal").
 //
 // `-out FILE` writes the records of the one selected section as JSON —
-// only "compact", "wal" and "chaos" have records, and the
+// only "compact" and "wal" have records, and the
 // Makefile keeps them in BENCH_<section>.json. Every file carries the
 // host fingerprint: go version, GOOS/GOARCH, host_cpus
 // (runtime.NumCPU) and gomaxprocs at process start. An unknown
@@ -68,10 +65,10 @@ func main() {
 }
 
 // sections lists the -section values.
-var sections = []string{"all", "examples", "theorems", "exhaustive", "figures", "perf", "compact", "wal", "chaos"}
+var sections = []string{"all", "examples", "theorems", "exhaustive", "figures", "perf", "compact", "wal"}
 
 // outSections lists the sections whose records -out can write.
-var outSections = []string{"compact", "wal", "chaos"}
+var outSections = []string{"compact", "wal"}
 
 // benchOpts carries the parsed command line into run.
 type benchOpts struct {
@@ -158,15 +155,6 @@ type compactBenchFile struct {
 	TotalOps int                            `json:"total_ops"`
 	Window   int                            `json:"window"`
 	Records  []experiments.CompactionRecord `json:"records"`
-}
-
-// chaosBenchFile is the JSON record set written for the ROBUST1 chaos
-// differential: one record per seeded fault plan.
-type chaosBenchFile struct {
-	hostMeta
-	Seed    int64                     `json:"seed"`
-	Trials  int                       `json:"trials"`
-	Records []experiments.ChaosRecord `json:"records"`
 }
 
 func run(o benchOpts) error {
@@ -317,25 +305,6 @@ func run(o benchOpts) error {
 			hostMeta: currentHostMeta(),
 			Seed:     seed,
 			Steps:    steps,
-			Records:  records,
-		}); err != nil {
-			return err
-		}
-	}
-	if all || section == "chaos" {
-		chaosTrials := 200
-		if quick {
-			chaosTrials = 50
-		}
-		tab, records, err := experiments.ChaosStudy(chaosTrials, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(tab.Render())
-		if err := writeRecords(o.out, "ROBUST1", len(records), chaosBenchFile{
-			hostMeta: currentHostMeta(),
-			Seed:     seed,
-			Trials:   chaosTrials,
 			Records:  records,
 		}); err != nil {
 			return err

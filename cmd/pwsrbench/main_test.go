@@ -8,9 +8,9 @@ import (
 )
 
 // TestRunRejectsBadArgs pins the argument check: an unknown section —
-// including the deleted "parallel" and "hotpath" — -out with a section
-// that writes no records, and a negative trial count fail before
-// anything runs: no file is written.
+// including the deleted "parallel", "hotpath" and "chaos" — -out with
+// a section that writes no records, and a negative trial count fail
+// before anything runs: no file is written.
 func TestRunRejectsBadArgs(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "records.json")
 	for _, tc := range []struct {
@@ -20,6 +20,7 @@ func TestRunRejectsBadArgs(t *testing.T) {
 		{benchOpts{section: "bogus"}, "unknown -section"},
 		{benchOpts{section: "parallel"}, "unknown -section"},
 		{benchOpts{section: "hotpath"}, "unknown -section"},
+		{benchOpts{section: "chaos"}, "unknown -section"},
 		{benchOpts{section: "all", out: out}, "-out needs"},
 		{benchOpts{section: "examples", out: out}, "-out needs"},
 		{benchOpts{section: "theorems", trials: -3}, "-trials"},

@@ -200,9 +200,10 @@
 // concurrency-sensitive packages again at GOMAXPROCS=1 and 8 (the
 // parallel engine's and the multiversion read path's differentials
 // among them), then the zero-allocation hot-path pins (TestZeroAlloc*)
-// without the race detector, then the pwsrfuzz multiversion-read
-// sweep; `make crash-matrix` runs the wal crash differential under the
-// race detector at both pinned widths.
+// without the race detector, then the multiversion-read differential's
+// 200-seed sweep (TestMVReadDifferentialTick without -short); `make
+// crash-matrix` runs the wal crash differential under the race
+// detector at both pinned widths.
 //
 // # Fail-stop
 //
@@ -229,9 +230,10 @@
 // `make chaos` runs the ROBUST1 differential — randomized fault plans
 // over the full pipeline, each trial lockstep-compared against its
 // uninjected twin for schedule, verdict, and durable-prefix equality
-// — under the race detector at pinned GOMAXPROCS=1 and 8; a failing
-// trial dumps its plan as a replayable chaos-failed-<seed>.json
-// artifact.
+// — under the race detector at pinned GOMAXPROCS=1 and 8. A failing
+// trial dumps its plan as a chaos-failed-<seed>.json artifact for
+// reading; no code reads it back, and RunChaosTrial of its seed is the
+// replay.
 //
 // # Lifecycle: cancellation, deadlines, and drain
 //
@@ -272,8 +274,9 @@
 // seeded trials arm one deterministic cancel at every point class
 // (admission ticks, journal writes and syncs, commit turns, drain
 // steps) and verify the two invariants plus recovery, raced at
-// pinned GOMAXPROCS=1 and 8; failures dump replayable
-// cancel-failed-<seed>.json cases for pwsrfuzz -mode cancel.
+// pinned GOMAXPROCS=1 and 8; a failure dumps a
+// cancel-failed-<seed>.json case, which replays in TestCancelReplay
+// once moved under internal/experiments/testdata/cancel.
 //
 // # Quick start
 //

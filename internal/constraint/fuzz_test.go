@@ -39,10 +39,8 @@ func FuzzParseFormula(f *testing.F) {
 // FuzzParseIC checks the integrity-constraint pipeline end to end: a
 // parsed IC must round-trip through its rendered conjunction with the
 // same conjunct decomposition, and the derived structure (items,
-// disjointness, partition) must be internally consistent. This is the
-// native testing.F home of the round-trip checking the cmd/pwsrfuzz
-// harness samples at workload granularity; the seed corpus is checked
-// in under testdata/fuzz/FuzzParseIC.
+// disjointness, partition) must be internally consistent. The seed
+// corpus is checked in under testdata/fuzz/FuzzParseIC.
 func FuzzParseIC(f *testing.F) {
 	for _, seed := range []string{
 		"a = b",

@@ -130,12 +130,18 @@ func TestLifecycleContractPanics(t *testing.T) {
 	mustPanic("reference Retract after Commit", func() { r.Retract(1) })
 }
 
-// lifeStep is one step of a generated transaction-lifecycle script.
+// lifeStep is one step of a transaction-lifecycle script.
 type lifeStep struct {
 	kind string // "observe" | "commit" | "retract" | "compact"
 	op   txn.Op // kind == "observe"
 	txn  int    // kind == "commit" | "retract"
 }
+
+func observe(o txn.Op) lifeStep { return lifeStep{kind: "observe", op: o} }
+func commit(id int) lifeStep    { return lifeStep{kind: "commit", txn: id} }
+func retract(id int) lifeStep   { return lifeStep{kind: "retract", txn: id} }
+
+var compactPass = lifeStep{kind: "compact"}
 
 // randomLifecycle generates a random Observe/Commit/Retract/Compact
 // interleaving that respects the lifecycle contract: committed
@@ -171,10 +177,10 @@ func randomLifecycle(rng *rand.Rand, steps, txns int, items []string, rolling bo
 			if rng.Intn(2) == 0 {
 				o = txn.W(o.Txn, o.Entity, val)
 			}
-			script = append(script, lifeStep{kind: "observe", op: o})
+			script = append(script, observe(o))
 		case r < 80:
 			if k := active(); k >= 0 {
-				script = append(script, lifeStep{kind: "commit", txn: pool[k]})
+				script = append(script, commit(pool[k]))
 				pool[k] = 0
 				if rolling {
 					pool[k], next = next, next+1
@@ -182,185 +188,240 @@ func randomLifecycle(rng *rand.Rand, steps, txns int, items []string, rolling bo
 			}
 		case r < 88:
 			if k := active(); k >= 0 {
-				script = append(script, lifeStep{kind: "retract", txn: pool[k]})
+				script = append(script, retract(pool[k]))
 			}
 		default:
-			script = append(script, lifeStep{kind: "compact"})
+			script = append(script, compactPass)
 		}
 	}
 	return script
 }
 
-// sameStats asserts two lifecycle counter snapshots agree.
-func sameStats(t *testing.T, trial int, label string, got, want core.CompactStats) {
+// randomLifecycleCase draws a partition over one to six items
+// (overlapping conjuncts when overlap is set) and a lifecycle script
+// over it, four times longer when rolling.
+func randomLifecycleCase(rng *rand.Rand, overlap, rolling bool) ([]state.ItemSet, []lifeStep) {
+	items := make([]string, 1+rng.Intn(6))
+	for i := range items {
+		items[i] = fmt.Sprintf("x%d", i)
+	}
+	partition := randomPartition(rng, items, overlap)
+	txns := 2 + rng.Intn(5)
+	steps := 20 + rng.Intn(80)
+	if rolling {
+		steps *= 4
+	}
+	return partition, randomLifecycle(rng, steps, txns, items, rolling)
+}
+
+// lifecycleTally counts what lifecycle differentials exercised:
+// violating scripts, reclaiming compactions, and node slots a pass
+// reclaimed that a later observation was handed again (a Spares count
+// that falls across an observation).
+type lifecycleTally struct {
+	violations, reclaims, reusedSlots int
+}
+
+// lifecycleDifferential replays one script through the compacting
+// Monitor, the ReferenceMonitor rebuild spec, and an uncompacted
+// Monitor fed the same operations and retractions (commits ignored),
+// all with automatic compaction off so every pass is explicit. The
+// compacting monitor and the reference must stay in identical states —
+// verdicts, flagged operations, op counts, live-transaction counts and
+// lifecycle counters — and the uncompacted monitor must reach the same
+// verdict at every step, with its extra edges all incident to committed
+// transactions. A rolling script is gated like a certifier's stream: a
+// denied requester is aborted, so the script runs to its end.
+func lifecycleDifferential(t *testing.T, name string, partition []state.ItemSet, script []lifeStep, rolling bool, tally *lifecycleTally) {
 	t.Helper()
-	if got != want {
-		t.Fatalf("trial %d: %s stats %+v, want %+v", trial, label, got, want)
+	cm := core.NewMonitor(partition)
+	cm.SetAutoCompact(0)
+	ref := core.NewReferenceMonitor(partition)
+	un := core.NewMonitor(partition)
+	un.SetAutoCompact(0)
+	committed := make(map[int]bool)
+	for _, st := range script {
+		if st.kind == "observe" {
+			// Probe parity first: a certifier would preflight.
+			ok := cm.Admissible(st.op)
+			if want := un.Admissible(st.op); ok != want {
+				t.Fatalf("%s: Admissible(%v) = %v (compacting) vs %v (uncompacted)", name, st.op, ok, want)
+			}
+			if rolling && !ok {
+				st = retract(st.op.Txn)
+			}
+		}
+		switch st.kind {
+		case "observe":
+			spares := cm.Spares()
+			vCm := cm.Observe(st.op)
+			if cm.Spares() < spares {
+				tally.reusedSlots++
+			}
+			vRef := ref.Observe(st.op)
+			vUn := un.Observe(st.op)
+			if (vCm == nil) != (vRef == nil) || (vCm == nil) != (vUn == nil) {
+				t.Fatalf("%s: verdict split at %v: compacting %v, reference %v, uncompacted %v",
+					name, st.op, vCm, vRef, vUn)
+			}
+			if vCm != nil {
+				tally.violations++
+				if vCm.Conjunct != vRef.Conjunct || vCm.Op != vRef.Op {
+					t.Fatalf("%s: flagged C%d %v (compacting) vs C%d %v (reference)",
+						name, vCm.Conjunct, vCm.Op, vRef.Conjunct, vRef.Op)
+				}
+				if vCm.Conjunct != vUn.Conjunct || vCm.Op != vUn.Op {
+					t.Fatalf("%s: flagged C%d %v (compacting) vs C%d %v (uncompacted)",
+						name, vCm.Conjunct, vCm.Op, vUn.Conjunct, vUn.Op)
+				}
+				validLifecycleCycle(t, name, un, vUn)
+				// Sticky across the whole stack.
+				if o := txn.R(1, st.op.Entity, 0); cm.Admissible(o) || un.Admissible(o) {
+					t.Fatalf("%s: violated monitor still admits", name)
+				}
+				return
+			}
+		case "commit":
+			cm.Commit(st.txn)
+			ref.Commit(st.txn)
+			committed[st.txn] = true
+		case "retract":
+			cm.Retract(st.txn)
+			ref.Retract(st.txn)
+			un.Retract(st.txn)
+		case "compact":
+			nCm := cm.Compact()
+			nRef := ref.Compact()
+			if nCm > 0 {
+				tally.reclaims++
+			}
+			if nCm != nRef {
+				t.Fatalf("%s: Compact reclaimed %d (compacting) vs %d (reference)", name, nCm, nRef)
+			}
+		}
+
+		// State parity after every step.
+		if cm.Ops() != ref.Ops() || cm.Ops() != un.Ops() {
+			t.Fatalf("%s: ops %d (compacting) vs %d (reference) vs %d (uncompacted)",
+				name, cm.Ops(), ref.Ops(), un.Ops())
+		}
+		if cm.LiveTxns() != ref.LiveTxns() {
+			t.Fatalf("%s: live %d (compacting) vs %d (reference)", name, cm.LiveTxns(), ref.LiveTxns())
+		}
+		if un.LiveTxns() < cm.LiveTxns() {
+			t.Fatalf("%s: uncompacted live %d below compacting live %d", name, un.LiveTxns(), cm.LiveTxns())
+		}
+		if got, want := cm.CompactStats(), ref.CompactStats(); got != want {
+			t.Fatalf("%s: stats %+v, reference %+v", name, got, want)
+		}
+		for e := range partition {
+			// The reference draws edges from every historical writer
+			// where Monitor draws the reachability-preserving frontier
+			// subset, so edge SETS are compared only among the
+			// frontier-based monitors; the reference pins verdicts,
+			// counters, and removability (reachability is identical
+			// across the two edge drawings).
+			cmEdges := cm.ConflictEdges(e)
+			unEdges := un.ConflictEdges(e)
+			for _, edge := range unEdges {
+				if !slices.Contains(cmEdges, edge) && !committed[edge[0]] && !committed[edge[1]] {
+					t.Fatalf("%s: conjunct %d edge %v dropped without a committed endpoint", name, e, edge)
+				}
+			}
+			for _, edge := range cmEdges {
+				if !slices.Contains(unEdges, edge) {
+					t.Fatalf("%s: conjunct %d compacted edge %v absent from the uncompacted monitor", name, e, edge)
+				}
+			}
+		}
 	}
 }
 
-// TestCompactDifferential is the tentpole's safety net: random
-// Observe/Commit/Retract/Compact interleavings must leave the
-// compacting Monitor and the ReferenceMonitor rebuild spec in identical
-// states — verdicts, flagged operations, op counts, live-transaction
-// counts, and lifecycle counters — while an uncompacted Monitor fed the
-// same operations and retractions (commits ignored) must reach the
-// same verdict at every step, with its extra edges all incident to
-// committed transactions. Every other trial is a long rolling stream
-// of fresh transactions, gated like a certifier's (a denied requester
-// is aborted), so what a pass reclaims — node slots with their lists,
-// conjunct lists — is handed out again to later transactions; the test
-// counts those hand-outs (a Spares count that falls across an
-// observation) and fails as vacuous unless they occurred often.
+// lifecycleScripts are the lifecycle shapes the differential must
+// always see, whatever the random sweep happens to draw.
+var lifecycleScripts = []struct {
+	name      string
+	partition []state.ItemSet
+	script    []lifeStep
+}{
+	// T1 finishes and is reclaimed, then the live transactions close a
+	// genuine cycle: the violation fires at the same operation and
+	// conjunct with and without compaction.
+	{"commit-before-violation", []state.ItemSet{state.NewItemSet("a", "b")}, []lifeStep{
+		observe(txn.W(1, "a", 1)), observe(txn.R(2, "a", 1)), commit(1), compactPass,
+		observe(txn.W(3, "a", 2)), observe(txn.R(2, "a", 2)),
+	}},
+	// T2 is retracted before T1 commits, compaction reclaims T1 from
+	// the repaired graphs, and T2 restarts against the compacted state:
+	// frontier repair and physical removal compose.
+	{"compact-across-retract", []state.ItemSet{state.NewItemSet("a", "b"), state.NewItemSet("c")}, []lifeStep{
+		observe(txn.W(1, "a", 1)), observe(txn.R(2, "a", 1)), observe(txn.W(2, "c", 1)), retract(2),
+		commit(1), compactPass,
+		observe(txn.W(3, "a", 2)), observe(txn.R(2, "a", 2)), observe(txn.W(2, "b", 1)), observe(txn.R(3, "c", 0)),
+	}},
+	// T2 commits while live T1 still reaches it, so compaction must
+	// retain T2 (it can still join a cycle T1 closes); once T1 commits
+	// the whole region is reclaimed and fresh traffic starts from an
+	// empty graph.
+	{"pinned-by-live-ancestor", []state.ItemSet{state.NewItemSet("a")}, []lifeStep{
+		observe(txn.W(1, "a", 1)), observe(txn.R(2, "a", 1)), commit(2), compactPass,
+		commit(1), compactPass, observe(txn.W(3, "a", 2)), observe(txn.R(4, "a", 2)),
+	}},
+	// Eight singleton conjuncts: transactions whose operations live in
+	// different conjuncts commit out of id order, moving the compaction
+	// watermark across conjunct boundaries between admissions.
+	{"watermark-across-conjuncts", []state.ItemSet{
+		state.NewItemSet("x0"), state.NewItemSet("x1"), state.NewItemSet("x2"), state.NewItemSet("x3"),
+		state.NewItemSet("x4"), state.NewItemSet("x5"), state.NewItemSet("x6"), state.NewItemSet("x7"),
+	}, []lifeStep{
+		observe(txn.W(1, "x0", 1)), observe(txn.W(1, "x7", 1)), observe(txn.R(2, "x0", 1)), observe(txn.W(3, "x3", 1)),
+		commit(3), compactPass, commit(1), compactPass,
+		observe(txn.R(4, "x7", 1)), observe(txn.W(2, "x4", 1)), commit(2), commit(4), compactPass,
+	}},
+}
+
+// TestCompactDifferential is the commit-and-compact safety net: the
+// named lifecycle shapes, then 160 random scripts, through
+// lifecycleDifferential. Every other random script is a long rolling
+// stream of fresh transactions, so what a pass reclaims — node slots
+// with their lists, conjunct lists — is handed out again to later
+// transactions; the sweep fails as vacuous unless that, violations and
+// reclaiming passes all occurred often.
 func TestCompactDifferential(t *testing.T) {
+	for _, c := range lifecycleScripts {
+		lifecycleDifferential(t, c.name, c.partition, c.script, false, &lifecycleTally{})
+	}
 	rng := rand.New(rand.NewSource(91))
-	violations, reclaims := 0, 0
-	reusedSlots := 0
+	var tally lifecycleTally
 	for trial := 0; trial < 160; trial++ {
-		nItems := 1 + rng.Intn(6)
-		items := make([]string, nItems)
-		for i := range items {
-			items[i] = fmt.Sprintf("x%d", i)
-		}
-		partition := randomPartition(rng, items, trial%3 == 0)
-		txns := 2 + rng.Intn(5)
 		rolling := trial%2 == 1
-		steps := 20 + rng.Intn(80)
-		if rolling {
-			steps *= 4
-		}
-		script := randomLifecycle(rng, steps, txns, items, rolling)
+		partition, script := randomLifecycleCase(rng, trial%3 == 0, rolling)
+		lifecycleDifferential(t, fmt.Sprintf("trial %d", trial), partition, script, rolling, &tally)
+	}
+	if tally.violations < 15 {
+		t.Fatalf("only %d violating trials; differential coverage too thin", tally.violations)
+	}
+	if tally.reclaims < 30 {
+		t.Fatalf("only %d reclaiming compactions; differential coverage too thin", tally.reclaims)
+	}
+	if tally.reusedSlots < 100 {
+		t.Fatalf("recycling too thin: %d recycled slots handed out", tally.reusedSlots)
+	}
+	t.Logf("%d violating trials, %d reclaiming passes; %d recycled slots handed out",
+		tally.violations, tally.reclaims, tally.reusedSlots)
+}
 
-		cm := core.NewMonitor(partition)
-		cm.SetAutoCompact(0)
-		ref := core.NewReferenceMonitor(partition)
-		un := core.NewMonitor(partition)
-		un.SetAutoCompact(0)
-		committed := make(map[int]bool)
-		var trace []string
-
-		violated := false
-	stepLoop:
-		for _, st := range script {
-			if st.kind == "observe" {
-				// Probe parity first: a certifier would preflight. A
-				// rolling stream is gated like a certifier's: a denied
-				// requester is aborted, so the stream runs to its end.
-				ok := cm.Admissible(st.op)
-				if want := un.Admissible(st.op); ok != want {
-					t.Fatalf("trial %d: Admissible(%v) = %v (compacting) vs %v (uncompacted)", trial, st.op, ok, want)
-				}
-				if rolling && !ok {
-					st = lifeStep{kind: "retract", txn: st.op.Txn}
-				}
-			}
-			switch st.kind {
-			case "observe":
-				trace = append(trace, st.op.String())
-			case "commit", "retract":
-				trace = append(trace, fmt.Sprintf("%s %d", st.kind, st.txn))
-			default:
-				trace = append(trace, st.kind)
-			}
-			switch st.kind {
-			case "observe":
-				spares := cm.Spares()
-				vCm := cm.Observe(st.op)
-				if cm.Spares() < spares {
-					reusedSlots++
-				}
-				vRef := ref.Observe(st.op)
-				vUn := un.Observe(st.op)
-				if (vCm == nil) != (vRef == nil) || (vCm == nil) != (vUn == nil) {
-					t.Fatalf("trial %d: verdict split at %v: compacting %v, reference %v, uncompacted %v",
-						trial, st.op, vCm, vRef, vUn)
-				}
-				if vCm != nil {
-					violations++
-					if vCm.Conjunct != vRef.Conjunct || vCm.Op != vRef.Op {
-						t.Fatalf("trial %d: flagged C%d %v (compacting) vs C%d %v (reference)",
-							trial, vCm.Conjunct, vCm.Op, vRef.Conjunct, vRef.Op)
-					}
-					if vCm.Conjunct != vUn.Conjunct || vCm.Op != vUn.Op {
-						t.Fatalf("trial %d: flagged C%d %v (compacting) vs C%d %v (uncompacted)",
-							trial, vCm.Conjunct, vCm.Op, vUn.Conjunct, vUn.Op)
-					}
-					validLifecycleCycle(t, trial, un, vUn)
-					violated = true
-					break stepLoop
-				}
-			case "commit":
-				cm.Commit(st.txn)
-				ref.Commit(st.txn)
-				committed[st.txn] = true
-			case "retract":
-				cm.Retract(st.txn)
-				ref.Retract(st.txn)
-				un.Retract(st.txn)
-			case "compact":
-				nCm := cm.Compact()
-				nRef := ref.Compact()
-				if nCm > 0 {
-					reclaims++
-				}
-				if nCm != nRef {
-					t.Fatalf("trial %d: Compact reclaimed %d (compacting) vs %d (reference)", trial, nCm, nRef)
-				}
-			}
-
-			// State parity after every step.
-			if cm.Ops() != ref.Ops() || cm.Ops() != un.Ops() {
-				t.Fatalf("trial %d: ops %d (compacting) vs %d (reference) vs %d (uncompacted)",
-					trial, cm.Ops(), ref.Ops(), un.Ops())
-			}
-			if cm.LiveTxns() != ref.LiveTxns() {
-				t.Fatalf("trial %d: live %d (compacting) vs %d (reference)", trial, cm.LiveTxns(), ref.LiveTxns())
-			}
-			if un.LiveTxns() < cm.LiveTxns() {
-				t.Fatalf("trial %d: uncompacted live %d below compacting live %d", trial, un.LiveTxns(), cm.LiveTxns())
-			}
-			sameStats(t, trial, "reference", ref.CompactStats(), cm.CompactStats())
-			for e := range partition {
-				// The reference draws edges from every historical
-				// writer where Monitor draws the reachability-preserving
-				// frontier subset, so edge SETS are compared only among
-				// the frontier-based monitors; the reference pins
-				// verdicts, counters, and removability (reachability is
-				// identical across the two edge drawings).
-				cmEdges := cm.ConflictEdges(e)
-				for _, edge := range un.ConflictEdges(e) {
-					if slices.Contains(cmEdges, edge) {
-						continue
-					}
-					if !committed[edge[0]] && !committed[edge[1]] {
-						t.Fatalf("trial %d: conjunct %d edge %v dropped without a committed endpoint", trial, e, edge)
-					}
-				}
-				for _, edge := range cmEdges {
-					if !slices.Contains(un.ConflictEdges(e), edge) {
-						t.Fatalf("trial %d: conjunct %d compacted edge %v absent from the uncompacted monitor", trial, e, edge)
-					}
-				}
-			}
-		}
-		if violated {
-			// Sticky across the whole stack.
-			o := txn.R(1, items[0], 0)
-			if cm.Admissible(o) || un.Admissible(o) {
-				t.Fatalf("trial %d: violated monitor still admits", trial)
-			}
-		}
-	}
-	if violations < 15 {
-		t.Fatalf("only %d violating trials; differential coverage too thin", violations)
-	}
-	if reclaims < 30 {
-		t.Fatalf("only %d reclaiming compactions; differential coverage too thin", reclaims)
-	}
-	if reusedSlots < 100 {
-		t.Fatalf("recycling too thin: %d recycled slots handed out", reusedSlots)
-	}
-	t.Logf("%d violating trials, %d reclaiming passes; %d recycled slots handed out", violations, reclaims, reusedSlots)
+// FuzzCommitCompact runs lifecycleDifferential over the random script
+// a fuzzed seed draws; plain go test replays the four seeds below.
+func FuzzCommitCompact(f *testing.F) {
+	f.Add(int64(1), false, false)
+	f.Add(int64(2), true, false)
+	f.Add(int64(3), false, true)
+	f.Add(int64(4), true, true)
+	f.Fuzz(func(t *testing.T, seed int64, overlap, rolling bool) {
+		partition, script := randomLifecycleCase(rand.New(rand.NewSource(seed)), overlap, rolling)
+		lifecycleDifferential(t, fmt.Sprintf("seed %d", seed), partition, script, rolling, &lifecycleTally{})
+	})
 }
 
 // validLifecycleCycle checks a reported witness cycle against the
@@ -370,11 +431,11 @@ func TestCompactDifferential(t *testing.T) {
 // cycle must be an edge the uncompacted monitor holds — except edges
 // into the violating transaction, which the flagged (unrecorded,
 // sticky) operation would have drawn.
-func validLifecycleCycle(t *testing.T, trial int, un *core.Monitor, v *core.Violation) {
+func validLifecycleCycle(t *testing.T, name string, un *core.Monitor, v *core.Violation) {
 	t.Helper()
 	cycle := v.Cycle
 	if len(cycle) < 3 || cycle[0] != cycle[len(cycle)-1] {
-		t.Fatalf("trial %d: malformed cycle %v", trial, cycle)
+		t.Fatalf("%s: malformed cycle %v", name, cycle)
 	}
 	edges := un.ConflictEdges(v.Conjunct)
 	for i := 0; i+1 < len(cycle); i++ {
@@ -383,7 +444,7 @@ func validLifecycleCycle(t *testing.T, trial int, un *core.Monitor, v *core.Viol
 			continue // the edge the flagged operation would draw
 		}
 		if !slices.Contains(edges, pair) {
-			t.Fatalf("trial %d: cycle %v: %d -> %d is not a surviving conflict edge", trial, cycle, pair[0], pair[1])
+			t.Fatalf("%s: cycle %v: %d -> %d is not a surviving conflict edge", name, cycle, pair[0], pair[1])
 		}
 	}
 }

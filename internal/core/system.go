@@ -39,8 +39,8 @@
 // still sit on a cycle that live transaction closes. Violations are
 // sticky across compaction, and the ReferenceMonitor carries the
 // rebuild-from-surviving-history specification the differential tests
-// (TestCompactDifferential, pwsrfuzz -mode compact, FuzzCommitCompact)
-// replay against.
+// replay against: TestCompactDifferential and the native fuzz target
+// FuzzCommitCompact.
 //
 // The same observation makes whole-transaction admission unconditional.
 // A fresh transaction — holding no observed operation — has no

@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
@@ -101,89 +102,183 @@ func requireReadersUntouched(t *testing.T, ctx string, res *exec.Result, ro map[
 	}
 }
 
-// TestMVReadDifferentialTick is the tick-engine lockstep differential:
-// for generated workloads under the abort-capable optimistic gate, a
-// mixed run with declared readers must
-// leave the read-write sub-schedule, final state, abort counts, and
-// gate verdict byte-identical to the reader-free twin — the readers
-// are invisible to the gate — while the combined spliced schedule
-// re-checks PWSR with the batch checker and replays
-// value-consistently. A third run pushing the same readers through the
-// gate as ordinary transactions is the contrast baseline: it must
-// still complete PWSR with an equal final state, but its readers enjoy
-// no immunity.
+// mvreadTick is the tick-engine lockstep differential for one
+// workload: under the abort-capable optimistic gate (inner policy
+// seeded by gateSeed), a mixed run with declared readers beginning at
+// begins (ids 101, 102, ...) must leave the read-write sub-schedule,
+// final state, abort counts, and gate verdict byte-identical to the
+// reader-free twin — the readers are invisible to the gate — while the
+// combined spliced schedule re-checks PWSR with the batch checker and
+// replays value-consistently. The replay is the aborted-writes oracle:
+// an expunged writer's value appears in no committed schedule, so a
+// snapshot that ever exposed one cannot replay. It returns the mixed
+// run's result.
+func mvreadTick(t *testing.T, name string, w *gen.Workload, begins []int, gateSeed int64) *exec.Result {
+	t.Helper()
+	mixed, ro := withReaders(w.Programs, sortedItems(w.Initial), len(begins))
+	roBegin := make(map[int]int, len(begins))
+	for i, b := range begins {
+		roBegin[101+i] = b
+	}
+	gateFor := func() *sched.OptimisticCertify {
+		return sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(gateSeed), nil)
+	}
+
+	gateB := gateFor()
+	resB, err := exec.RunCtx(context.Background(), exec.Config{
+		Programs: w.Programs, Initial: w.Initial, Policy: gateB, DataSets: w.DataSets,
+	})
+	if err != nil {
+		t.Fatalf("%s: reader-free run: %v", name, err)
+	}
+
+	gateA := gateFor()
+	resA, err := exec.RunCtx(context.Background(), exec.Config{
+		Programs: mixed, Initial: w.Initial, Policy: gateA, DataSets: w.DataSets,
+		ReadOnly: ro, ROBegin: roBegin,
+	})
+	if err != nil {
+		t.Fatalf("%s: mixed run: %v", name, err)
+	}
+
+	requireReadersUntouched(t, name, resA, ro)
+	checkSchedulePositions(t, resA.Schedule) // spliced readers renumber what follows
+	checkSchedulePositions(t, resB.Schedule)
+	if got, want := rwProjection(resA.Schedule, ro).String(), resB.Schedule.String(); got != want {
+		t.Fatalf("%s: readers perturbed the RW schedule\nmixed RW: %s\nrw-only:  %s", name, got, want)
+	}
+	if !resA.Final.Equal(resB.Final) {
+		t.Fatalf("%s: final state diverged", name)
+	}
+	if resA.Metrics.Aborts != resB.Metrics.Aborts || resA.Metrics.Ticks != resB.Metrics.Ticks {
+		t.Fatalf("%s: aborts/ticks diverged: %d/%d vs %d/%d",
+			name, resA.Metrics.Aborts, resA.Metrics.Ticks, resB.Metrics.Aborts, resB.Metrics.Ticks)
+	}
+	if a, b := gateA.Monitor().Ops(), gateB.Monitor().Ops(); a != b {
+		t.Fatalf("%s: gate saw %d ops with readers, %d without — readers leaked into the gate", name, a, b)
+	}
+	if !core.CheckPWSR(resA.Schedule, w.DataSets).PWSR {
+		t.Fatalf("%s: combined schedule not PWSR:\n%s", name, resA.Schedule)
+	}
+	if err := resA.Schedule.ConsistentValues(w.Initial); err != nil {
+		t.Fatalf("%s: combined schedule does not replay (a snapshot exposed uncommitted effects?): %v\n%s",
+			name, err, resA.Schedule)
+	}
+	return resA
+}
+
+// mvreadCases are the read-path shapes mvreadTick must always see; the
+// gate's inner policy is seeded with the workload's seed.
+var mvreadCases = []struct {
+	name   string
+	cfg    gen.Config
+	begins []int
+}{
+	// Writers abort and restart under the optimistic gate (the fixture
+	// TestMVReadNeverObservesAbortedWrites pins) while readers beginning
+	// at spread ticks snapshot mid-run prefixes around the expunges.
+	{"aborting-optimistic-writers", gen.Config{Conjuncts: 1, Programs: 3, MovesPerProgram: 1, Style: gen.StyleFixed}, []int{0, 2, 4, 6, 8, 10}},
+	// A reader at tick 0 reads the initial state; one beginning beyond
+	// the run's last tick is served the full final prefix.
+	{"begin-zero-and-beyond-end", gen.Config{Conjuncts: 2, Programs: 3, MovesPerProgram: 2, Style: gen.StyleOrdered, Seed: 5}, []int{0, 1 << 30}},
+	// Readers sharing one begin tick snapshot the same sealed prefix and
+	// splice at the same anchor, in whatever relative order.
+	{"coincident-readers-one-anchor", gen.Config{Conjuncts: 1, Programs: 4, MovesPerProgram: 2, Style: gen.StyleConditional, Seed: 23}, []int{3, 3, 3, 3}},
+	// Readers spread across three conjuncts while the sealed prefix
+	// advances steadily.
+	{"spread-readers", gen.Config{Conjuncts: 3, Programs: 4, MovesPerProgram: 2, Style: gen.StyleConditional, Seed: 11}, []int{1, 3, 5, 7}},
+}
+
+// TestMVReadDifferentialTick runs mvreadTick over six generated
+// workloads with readers at ticks 0, 4 and beyond the run — each with
+// a contrast run pushing the same readers through the gate as ordinary
+// transactions, which must still complete PWSR with an equal final
+// state but gives its readers no immunity — then over
+// mvreadCases, then — unless -short, so `make check` runs it once
+// without the race detector — over a sweep of seeds 7..206, each
+// drawing a small workload and two to five reader begins in [0, 16).
 func TestMVReadDifferentialTick(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		w := gen.MustGenerate(gen.Config{
 			Conjuncts: 2 + trial%3, Programs: 4 + trial%3, MovesPerProgram: 2,
 			Style: gen.Style(trial % 3), Seed: int64(7700 + trial),
 		})
-		items := sortedItems(w.Initial)
-		mixed, ro := withReaders(w.Programs, items, 3)
-		begins := map[int]int{101: 0, 102: 4, 103: 1 << 30}
-		gateFor := func() *sched.OptimisticCertify {
-			return sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(int64(31*trial)), nil)
-		}
-		ctx := fmt.Sprintf("trial %d", trial)
-
-		gateB := gateFor()
-		resB, err := exec.RunCtx(context.Background(), exec.Config{
-			Programs: w.Programs, Initial: w.Initial, Policy: gateB, DataSets: w.DataSets,
-		})
-		if err != nil {
-			t.Fatalf("%s: reader-free run: %v", ctx, err)
-		}
-
-		gateA := gateFor()
-		resA, err := exec.RunCtx(context.Background(), exec.Config{
-			Programs: mixed, Initial: w.Initial, Policy: gateA, DataSets: w.DataSets,
-			ReadOnly: ro, ROBegin: begins,
-		})
-		if err != nil {
-			t.Fatalf("%s: mixed run: %v", ctx, err)
-		}
-
-		requireReadersUntouched(t, ctx, resA, ro)
-		checkSchedulePositions(t, resA.Schedule) // spliced readers renumber what follows
-		checkSchedulePositions(t, resB.Schedule)
-		if got, want := rwProjection(resA.Schedule, ro).String(), resB.Schedule.String(); got != want {
-			t.Fatalf("%s: readers perturbed the RW schedule\nmixed RW: %s\nrw-only:  %s", ctx, got, want)
-		}
-		if !resA.Final.Equal(resB.Final) {
-			t.Fatalf("%s: final state diverged", ctx)
-		}
-		if resA.Metrics.Aborts != resB.Metrics.Aborts || resA.Metrics.Ticks != resB.Metrics.Ticks {
-			t.Fatalf("%s: aborts/ticks diverged: %d/%d vs %d/%d",
-				ctx, resA.Metrics.Aborts, resA.Metrics.Ticks, resB.Metrics.Aborts, resB.Metrics.Ticks)
-		}
-		if a, b := gateA.Monitor().Ops(), gateB.Monitor().Ops(); a != b {
-			t.Fatalf("%s: gate saw %d ops with readers, %d without — readers leaked into the gate", ctx, a, b)
-		}
-		if !core.CheckPWSR(resA.Schedule, w.DataSets).PWSR {
-			t.Fatalf("%s: combined schedule not PWSR:\n%s", ctx, resA.Schedule)
-		}
-		if err := resA.Schedule.ConsistentValues(w.Initial); err != nil {
-			t.Fatalf("%s: combined schedule does not replay: %v\n%s", ctx, err, resA.Schedule)
-		}
+		name := fmt.Sprintf("trial %d", trial)
+		resA := mvreadTick(t, name, w, []int{0, 4, 1 << 30}, int64(31*trial))
 
 		// Contrast run: the same readers as ordinary gated
-		// transactions. Completes (abort-capable gate) with the same
-		// final state — readers write nothing — but through the gate
-		// they are ordinary certification traffic.
-		gateC := gateFor()
+		// transactions. On these fixtures it completes (abort-capable
+		// gate) with the same final state — readers write nothing — but
+		// through the gate they are ordinary certification traffic.
+		mixed, _ := withReaders(w.Programs, sortedItems(w.Initial), 3)
 		resC, err := exec.RunCtx(context.Background(), exec.Config{
-			Programs: mixed, Initial: w.Initial, Policy: gateC, DataSets: w.DataSets,
+			Programs: mixed, Initial: w.Initial, DataSets: w.DataSets,
+			Policy: sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(int64(31*trial)), nil),
 		})
 		if err != nil {
-			t.Fatalf("%s: through-gate run: %v", ctx, err)
+			t.Fatalf("%s: through-gate run: %v", name, err)
 		}
 		if !resC.Final.Equal(resA.Final) {
-			t.Fatalf("%s: through-gate final state diverged from bypass", ctx)
+			t.Fatalf("%s: through-gate final state diverged from bypass", name)
 		}
 		if !core.CheckPWSR(resC.Schedule, w.DataSets).PWSR {
-			t.Fatalf("%s: through-gate schedule not PWSR", ctx)
+			t.Fatalf("%s: through-gate schedule not PWSR", name)
 		}
 	}
+	for _, c := range mvreadCases {
+		mvreadTick(t, c.name, gen.MustGenerate(c.cfg), c.begins, c.cfg.Seed)
+	}
+	if testing.Short() {
+		return
+	}
+	for seed := int64(7); seed <= 206; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		w := gen.MustGenerate(gen.Config{
+			Conjuncts:       1 + rng.Intn(3),
+			Programs:        3 + rng.Intn(2),
+			MovesPerProgram: 1 + rng.Intn(2),
+			Style:           gen.Style(rng.Intn(3)),
+			Seed:            seed,
+		})
+		var begins []int
+		for n := 2 + rng.Intn(4); n > 0; n-- {
+			begins = append(begins, rng.Intn(16))
+		}
+		mvreadTick(t, fmt.Sprintf("seed %d", seed), w, begins, seed)
+	}
+}
+
+// FuzzMVRead runs mvreadTick over a fuzzed workload shape and reader
+// begins, one begin tick per byte (255 stands for a tick beyond the
+// run); plain go test replays mvreadCases as its seeds.
+func FuzzMVRead(f *testing.F) {
+	for _, c := range mvreadCases {
+		begins := make([]byte, len(c.begins))
+		for i, b := range c.begins {
+			begins[i] = byte(min(b, 255))
+		}
+		f.Add(uint8(c.cfg.Conjuncts), uint8(c.cfg.Programs), uint8(c.cfg.MovesPerProgram), uint8(c.cfg.Style), c.cfg.Seed, begins)
+	}
+	f.Fuzz(func(t *testing.T, conjuncts, programs, moves, style uint8, seed int64, begins []byte) {
+		if conjuncts > 4 || programs > 6 || moves > 4 || len(begins) == 0 || len(begins) > 8 {
+			t.Skip("outside the case bounds")
+		}
+		w, err := gen.Generate(gen.Config{
+			Conjuncts: int(conjuncts), Programs: int(programs), MovesPerProgram: int(moves),
+			Style: gen.Style(style % 3), Seed: seed,
+		})
+		if err != nil {
+			t.Skip() // a shape the generator rejects
+		}
+		ticks := make([]int, len(begins))
+		for i, b := range begins {
+			ticks[i] = int(b)
+			if b == 255 {
+				ticks[i] = 1 << 30
+			}
+		}
+		mvreadTick(t, "fuzz", w, ticks, seed)
+	})
 }
 
 // TestMVReadNeverObservesAbortedWrites is the satellite regression for

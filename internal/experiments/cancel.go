@@ -38,8 +38,9 @@ import (
 //     verdict-identical monitor.
 //
 // Cases are plain data (CancelCase), JSON round-trippable so a failing
-// point replays exactly (see TestCancelMatrix's cancel-failed-*.json
-// artifacts and pwsrfuzz -mode cancel).
+// point replays exactly: TestCancelMatrix dumps cancel-failed-*.json
+// artifacts, and TestCancelReplay replays every case checked in under
+// testdata/cancel.
 
 // CancelCase is one replayable cancel trial: the seed that derives the
 // workload and journal, the pipeline leg, and the fault plan carrying
@@ -83,7 +84,7 @@ func (f *CancelFailure) Error() string {
 }
 
 // CaseJSON renders the failing case as indented JSON (the CI
-// artifact's payload, and pwsrfuzz's corpus format).
+// artifact's payload, and the format of testdata/cancel).
 func (f *CancelFailure) CaseJSON() []byte {
 	data, err := json.MarshalIndent(struct {
 		Reason string `json:"reason"`

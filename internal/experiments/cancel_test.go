@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -24,9 +26,10 @@ import (
 // journal writes and syncs, commit turns, drain steps) and check the
 // typed-error, no-partial-grant, and no-lost-admission obligations. A
 // violated obligation dumps the replayable case as
-// cancel-failed-<seed>.json (replay with pwsrfuzz -mode cancel).
+// cancel-failed-<seed>.json; moved under testdata/cancel, it replays in
+// TestCancelReplay.
 func TestCancelMatrix(t *testing.T) {
-	const trials = 60
+	const trials = 66
 	counts := map[string]int{}
 	for i := 0; i < trials; i++ {
 		seed := int64(1 + i)
@@ -54,9 +57,10 @@ func TestCancelMatrix(t *testing.T) {
 	}
 }
 
-// TestCancelReplay pins the replay contract the corpus and the failure
-// artifacts rely on: re-running a drawn case yields the identical
-// record.
+// TestCancelReplay pins the replay contract the failure artifacts rely
+// on — re-running a drawn case yields the identical record — then
+// replays every case checked in under testdata/cancel through the same
+// differential.
 func TestCancelReplay(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rec1, err := RunCancelTrial(seed)
@@ -69,6 +73,23 @@ func TestCancelReplay(t *testing.T) {
 		}
 		if rec1.Outcome != rec2.Outcome || rec1.Events != rec2.Events {
 			t.Fatalf("replay of seed %d diverged: %+v vs %+v", seed, rec1, rec2)
+		}
+	}
+	corpus, err := filepath.Glob(filepath.Join("testdata", "cancel", "*.json"))
+	if err != nil || len(corpus) == 0 {
+		t.Fatalf("no cancel cases under testdata/cancel (%v)", err)
+	}
+	for _, path := range corpus {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var c CancelCase
+		if err := json.Unmarshal(data, &c); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if _, err := RunCancelCase(c); err != nil {
+			t.Fatalf("%s: %v", path, err)
 		}
 	}
 }

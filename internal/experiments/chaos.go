@@ -13,7 +13,6 @@ import (
 	"pwsr/internal/fault"
 	"pwsr/internal/gen"
 	"pwsr/internal/sched"
-	"pwsr/internal/sim"
 	"pwsr/internal/state"
 	"pwsr/internal/txn"
 	"pwsr/internal/wal"
@@ -35,38 +34,27 @@ import (
 //   - Liveness: a plan whose rules are all transient always drains to
 //     completion (the retry budget absorbs every glitch).
 //
-// Plans are plain data; a failing trial surfaces its plan as JSON so
-// the exact schedule of faults can be replayed (see ChaosFailure).
+// A seed fully determines a trial — the workload, the fault plan and
+// the gate's inner policy — so RunChaosTrial(seed) is the replay of a
+// failure; the plan a failing trial dumps (see ChaosFailure) is for
+// reading, and no code reads it back.
 
-// ChaosRecord is one chaos trial's summary, in the machine-readable
-// shape cmd/pwsrbench writes to BENCH_chaos.json.
+// ChaosRecord is one chaos trial's summary.
 type ChaosRecord struct {
-	// Seed drives the workload, the fault plan, and the gate's inner
-	// policy; a seed fully determines the trial.
-	Seed int64 `json:"seed"`
 	// Leg is "tick" (tick engine + optimistic gate) or "batch"
 	// (block-parallel engine + optimistic batch gate).
-	Leg string `json:"leg"`
+	Leg string
 	// Case names the fault shape: "clean", "transient-primary",
 	// "persistent-primary", or "total-outage".
-	Case string `json:"case"`
-	// Rules is the plan's rule count; Transient reports whether every
-	// rule is transient (the liveness obligation).
-	Rules     int  `json:"rules"`
-	Transient bool `json:"transient"`
+	Case string
 	// Outcome is "completed" or "degraded" (typed refusal).
-	Outcome string `json:"outcome"`
-	// Injected counts fault decisions that actually fired.
-	Injected int64 `json:"injected"`
-	// Events is the absorbed lifecycle-event count; RecoveredSeq is the
-	// durable prefix recovery found on the backend.
-	Events       int    `json:"events"`
-	RecoveredSeq uint64 `json:"recovered_seq"`
-	WallNs       int64  `json:"wall_ns"`
+	Outcome string
 }
 
-// ChaosFailure is a failed trial: the reason plus the exact fault plan,
-// JSON-dumpable so the failure replays bit-for-bit.
+// ChaosFailure is a failed trial: the reason plus the fault plan the
+// seed drew. The plan is dumped as JSON to show which faults fired
+// where; replaying the failure is RunChaosTrial(Seed), since no code
+// reads a dumped plan back.
 type ChaosFailure struct {
 	Seed   int64
 	Reason string
@@ -79,7 +67,7 @@ func (f *ChaosFailure) Error() string {
 }
 
 // PlanJSON renders the failing plan as indented JSON (the CI
-// artifact's payload).
+// artifact's payload, for reading).
 func (f *ChaosFailure) PlanJSON() []byte {
 	data, err := json.MarshalIndent(struct {
 		Seed   int64      `json:"seed"`
@@ -376,10 +364,7 @@ func RunChaosTrial(seed int64) (ChaosRecord, error) {
 	rng.Intn(2)
 	w := chaosWorkload(rng, seed)
 	plan := chaosPlan(rng, caseName, "gate", "engine", leg == "batch")
-	rec := ChaosRecord{
-		Seed: seed, Leg: leg, Case: caseName,
-		Rules: len(plan.Rules), Transient: plan.Transient(),
-	}
+	rec := ChaosRecord{Leg: leg, Case: caseName}
 	fail := func(format string, args ...any) (ChaosRecord, error) {
 		return rec, &ChaosFailure{Seed: seed, Reason: fmt.Sprintf(format, args...), Plan: plan}
 	}
@@ -393,7 +378,6 @@ func RunChaosTrial(seed int64) (ChaosRecord, error) {
 		return fail("journal construction refused: %v", err)
 	}
 
-	start := time.Now()
 	var runErr error
 	var gateMon, twinMon certState
 	var health exec.Health
@@ -454,9 +438,6 @@ func RunChaosTrial(seed int64) (ChaosRecord, error) {
 			}
 		}
 	}
-	rec.WallNs = time.Since(start).Nanoseconds()
-	rec.Injected = inj.Fired()
-	rec.Events = len(tap.events)
 
 	switch {
 	case runErr == nil:
@@ -484,41 +465,8 @@ func RunChaosTrial(seed int64) (ChaosRecord, error) {
 	// with the absorbed stream; a cleanly completed run (journal
 	// healthy) must be durable in full.
 	completedClean := runErr == nil && health.JournalErr == nil
-	seq, derr := verifyDurable(b, jw, tap, w.DataSets, completedClean)
-	rec.RecoveredSeq = seq
-	if derr != nil {
-		return fail("%v", derr)
+	if _, err := verifyDurable(b, jw, tap, w.DataSets, completedClean); err != nil {
+		return fail("%v", err)
 	}
 	return rec, nil
-}
-
-// ChaosStudy runs trials seeded seed..seed+trials-1 and aggregates the
-// outcomes. The first violated obligation aborts the study with a
-// *ChaosFailure.
-func ChaosStudy(trials int, seed int64) (*sim.Table, []ChaosRecord, error) {
-	records := make([]ChaosRecord, 0, trials)
-	counts := map[string]int{}
-	var injected int64
-	for i := 0; i < trials; i++ {
-		rec, err := RunChaosTrial(seed + int64(i))
-		if err != nil {
-			return nil, records, err
-		}
-		records = append(records, rec)
-		counts[rec.Outcome]++
-		injected += rec.Injected
-	}
-	tab := &sim.Table{
-		Title:   fmt.Sprintf("ROBUST1 — chaos differential (%d seeded plans)", trials),
-		Columns: []string{"outcome", "trials"},
-		Notes: []string{
-			fmt.Sprintf("injected faults: %d", injected),
-			"every completed trial schedule- and verdict-identical to its uninjected twin",
-			"every durable prefix verdict-identical to the absorbed-stream reference replay",
-		},
-	}
-	for _, k := range []string{"completed", "degraded"} {
-		tab.AddRow(k, fmt.Sprintf("%d", counts[k]))
-	}
-	return tab, records, nil
 }

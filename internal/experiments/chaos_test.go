@@ -9,7 +9,7 @@ import (
 
 // dumpChaosFailure writes the failing trial's plan as a JSON artifact
 // next to the test binary's working directory (uploaded by the chaos
-// CI job) and returns the path.
+// CI job) for reading; the replay is RunChaosTrial of its seed.
 func dumpChaosFailure(t *testing.T, err error) {
 	t.Helper()
 	var cf *ChaosFailure
@@ -29,18 +29,18 @@ func dumpChaosFailure(t *testing.T, err error) {
 // (verified by the coverage assertion), each trial lockstep-compared
 // against its uninjected twin.
 func TestChaosSmoke(t *testing.T) {
-	outcomes := map[string]bool{}
+	seen := map[string]bool{}
 	for seed := int64(1); seed <= 40; seed++ {
 		rec, err := RunChaosTrial(seed)
 		if err != nil {
 			dumpChaosFailure(t, err)
 			t.Fatal(err)
 		}
-		outcomes[rec.Outcome] = true
+		seen[rec.Leg], seen[rec.Case], seen[rec.Outcome] = true, true, true
 	}
-	for _, want := range []string{"completed", "degraded"} {
-		if !outcomes[want] {
-			t.Fatalf("smoke band never produced outcome %q; retune the seed band", want)
+	for _, want := range append([]string{"tick", "batch", "completed", "degraded"}, chaosCases...) {
+		if !seen[want] {
+			t.Fatalf("smoke band never produced %q; retune the seed band", want)
 		}
 	}
 }
@@ -48,7 +48,7 @@ func TestChaosSmoke(t *testing.T) {
 // TestChaosDifferential is the ROBUST1 acceptance run: ≥100 seeded
 // randomized fault plans over the full pipeline (make chaos runs it
 // under -race at GOMAXPROCS=1 and 8). Every violated obligation dumps
-// its plan as a replayable artifact.
+// its plan as an artifact; its seed replays it.
 func TestChaosDifferential(t *testing.T) {
 	trials := int64(120)
 	if testing.Short() {
@@ -60,29 +60,5 @@ func TestChaosDifferential(t *testing.T) {
 			dumpChaosFailure(t, err)
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestChaosStudyAggregates pins the pwsrbench section's plumbing: the
-// study runs clean over a small band and the table accounts every
-// trial.
-func TestChaosStudyAggregates(t *testing.T) {
-	tab, records, err := ChaosStudy(12, 1)
-	if err != nil {
-		dumpChaosFailure(t, err)
-		t.Fatal(err)
-	}
-	if len(records) != 12 {
-		t.Fatalf("study returned %d records, want 12", len(records))
-	}
-	total := 0
-	for _, rec := range records {
-		if rec.Outcome == "" {
-			t.Fatalf("record without outcome: %+v", rec)
-		}
-		total++
-	}
-	if tab.Title == "" || len(tab.Rows) != 2 {
-		t.Fatalf("malformed study table: %+v", tab)
 	}
 }

@@ -3,6 +3,9 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"pwsr/internal/gen"
+	"pwsr/internal/sched"
 )
 
 func TestTheorem1Validation(t *testing.T) {
@@ -32,6 +35,28 @@ func TestTheorem2Validation(t *testing.T) {
 	if c.Violations != 0 {
 		t.Fatalf("Theorem 2 violated on seeds %v", c.ViolationSeeds)
 	}
+
+	// The one-pair family behind the same delayed-read gate: the
+	// necessity campaigns' population, with the hypothesis restored.
+	one := &Campaign{Positive: true}
+	for seed := int64(200); seed < 260; seed++ {
+		w, err := gen.Example2Family(1, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := runTrial(w, &sched.DelayedRead{Inner: sched.NewRandom(seed)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		one.observe(Theorem2, o, seed)
+	}
+	if one.HypothesisMet == 0 {
+		t.Fatal("no PWSR∧DR trials in the one-pair family; population vacuous")
+	}
+	if one.Violations != 0 {
+		t.Fatalf("Theorem 2 violated by the one-pair family on seeds %v", one.ViolationSeeds)
+	}
+	t.Logf("one-pair family: %d of 60 hypothesis-met, %d stalls", one.HypothesisMet, one.Stalls)
 }
 
 func TestTheorem3Validation(t *testing.T) {
