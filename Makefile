@@ -103,7 +103,7 @@ chaos:
 CANCEL_EXPERIMENTS_RUN := TestCancel|TestDrain|TestSnapshotPinnedAcrossDrain
 CANCEL_SCHED_RUN := TestDrain|TestClose|TestGateSharedByTickAndBatchEngines
 CANCEL_EXEC_RUN := TestCancel|TestRunCtx|TestExecuteBatchCtx
-CANCEL_WAL_RUN := TestCloseInterruptsBackoff
+CANCEL_WAL_RUN := TestCloseAfterFailStop
 .PHONY: cancel-matrix
 cancel-matrix:
 	$(call listguard,$(CANCEL_EXPERIMENTS_RUN),./internal/experiments)

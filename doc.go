@@ -267,8 +267,8 @@
 // it always terminates within its context's deadline, retracting the
 // unfinished remainder and returning the typed error when time runs
 // out. Close is the terminal latch (ErrGateClosed) and releases the
-// journal; a closing wal.Writer interrupts any retry backoff in
-// progress rather than sleeping out the schedule. The posture —
+// journal, whose writer retries without sleeping, so closing waits on
+// no backoff. The posture —
 // Draining, Closed, plus the latched journal error — rides
 // in Health(). `make cancel-matrix` runs the ROBUST2 differential:
 // seeded trials arm one deterministic cancel at every point class

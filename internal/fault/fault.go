@@ -1,7 +1,7 @@
 // Package fault is the deterministic fault-injection plane: a seeded,
 // schedule-deterministic injector that any layer consults at its
-// injection points (backend writes and syncs, journal barriers, gate
-// ticks, commit turns) to decide whether this particular occurrence
+// injection points (backend writes and syncs, gate ticks, commit
+// turns, drain steps) to decide whether this particular occurrence
 // fails, stalls, or tears.
 //
 // The model is counter-based, not time-based: every injection point is
@@ -32,8 +32,6 @@ const (
 	OpWrite Op = "write"
 	// OpSync is a backend segment fsync.
 	OpSync Op = "sync"
-	// OpBarrier is a journal write-ahead barrier check.
-	OpBarrier Op = "barrier"
 	// OpTick is a scheduler gate tick (one Pick call).
 	OpTick Op = "tick"
 	// OpCommit is a block-parallel engine commit turn.
@@ -218,10 +216,6 @@ func (in *Injector) FiredCancels(site string, op Op) int64 {
 	defer in.mu.Unlock()
 	return in.canceledAt[Point{Site: site, Op: op}]
 }
-
-// Plan returns the injector's plan (shared backing array; treat as
-// read-only).
-func (in *Injector) Plan() Plan { return in.plan }
 
 // Fired returns how many decisions carried an injected fault (error or
 // latency) so far.

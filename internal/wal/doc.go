@@ -34,9 +34,9 @@
 // everything buffered since the last one in one write and then syncs
 // it. With Options.GroupEvery ≤ 1 every record is flushed as it
 // is appended. Above 1 a group is counted in commit records: it
-// flushes once GroupEvery commits are pending (or when
-// Options.GroupWindow expires), and the observe, retract and compact
-// records in between ride along.
+// flushes once GroupEvery commits are pending, and the observe,
+// retract and compact records in between ride along; no timer flushes
+// a quiet stream, because every acknowledgment point syncs (below).
 //
 // Durability is owed at acknowledgment, not at grant. A certification
 // gate calls Barrier after observing a granted operation and before
@@ -97,20 +97,16 @@
 //
 // # Failure handling
 //
-// Backend write and sync errors are retried with bounded backoff:
-// attempt n sleeps a uniformly jittered duration in [d/2, d] with
-// d = min(RetryBackoff×(n+1), RetryBackoffMax), so concurrent writers
-// recovering from a shared outage don't stampede the device in
-// lockstep, and a generous linear ramp cannot grow into unbounded
-// admission stalls (Options.MaxRetries, Options.RetryBackoff,
-// Options.RetryBackoffMax). A short write retries the remaining
-// bytes, which can only leave a torn tail that recovery already
-// tolerates. Retry sleeps happen off the writer's state lock: during
-// an outage only the feeding goroutine (and mutators queued behind
-// the operation lock) stalls, for at most the bounded total retry
-// latency before fail-stop, while the inspection methods (Barrier,
-// Err, Stats, Seq) stay responsive throughout. Once retries are
-// exhausted the writer goes fail-stop: the error is sticky (Err,
+// A failed backend write or sync — on the active segment or on a
+// snapshot cut's fresh segment — is retried at once, up to
+// Options.MaxRetries times; the writer never sleeps. A short write
+// retries the remaining bytes, which can only leave a torn tail that
+// recovery already tolerates. The writer holds its one lock for the
+// whole of every operation, retries included, so no other operation
+// can interleave with a partially written frame. Once retries are
+// exhausted on the active segment the writer goes fail-stop (a
+// snapshot cut whose fresh segment fails is abandoned instead, and the
+// writer continues on the active segment): the error is sticky (Err,
 // Barrier), every further append is a no-op, and a certification gate
 // wired through sched.AttachJournal stops granting, so the
 // engine surfaces exec.ErrJournalDown rather than acknowledging
@@ -129,17 +125,13 @@
 //
 // # Lifecycle: cancellation, deadlines, and drain
 //
-// Barrier never blocks — it reports the sticky fail-stop error and
-// neither writes nor syncs — so it takes no context. Close interrupts
-// a retry backoff that is sleeping: the
-// stalled operation fails fast wrapping ErrWriterClosing instead of
-// holding shutdown behind the remaining jittered sleeps (a zero
-// RetryBackoff never sleeps, so Close's own final flush keeps its
-// whole retry budget against a torn write), and the
-// sticky fail-stop error keeps ErrWriterClosing in its chain so a
-// close-interrupted outage is errors.Is-distinguishable from one that
-// exhausted its retries. CutSnapshot forces a segment rotation whose
-// snapshot captures the current replay state; a draining gate calls
+// Barrier neither writes nor syncs — it reports the sticky fail-stop
+// error, waiting at most for the operation in progress — so it takes
+// no context. No operation sleeps, so none needs interrupting: Close
+// waits at most for the operation in progress and its immediate
+// retries, flushes with the whole retry budget, and on a fail-stopped
+// writer returns the sticky error without writing. CutSnapshot forces
+// a segment rotation whose snapshot captures the current replay state; a draining gate calls
 // it last, so recovery after a clean drain collapses to the snapshot
 // alone. Because the write-ahead contract acknowledges no grant
 // before its record is absorbed, a cancellation at any point leaves

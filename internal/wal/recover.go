@@ -268,18 +268,12 @@ func recoverState(b Backend, partition []state.ItemSet) (*core.Monitor, []liveEv
 		case core.EventObserve, core.EventCommit:
 			live = append(live, liveEvent{seq: rec.seq, ev: rec.ev})
 		case core.EventRetract:
-			live = dropLiveEvents(live, func(id int) bool { return id == rec.ev.Txn })
+			live = dropTxns(live, []int{rec.ev.Txn})
 		case core.EventCompact:
 			cp := slices.Clone(rec.reclaimed)
 			slices.Sort(cp)
 			recorded = append(recorded, cp)
-			if len(rec.reclaimed) > 0 {
-				gone := make(map[int]bool, len(rec.reclaimed))
-				for _, id := range rec.reclaimed {
-					gone[id] = true
-				}
-				live = dropLiveEvents(live, func(id int) bool { return gone[id] })
-			}
+			live = dropTxns(live, cp)
 		}
 		info.LastSeq = rec.seq
 	}
@@ -302,19 +296,6 @@ func recoverState(b Backend, partition []state.ItemSet) (*core.Monitor, []liveEv
 		}
 	}
 	return m, live, maxIdx, info, nil
-}
-
-// dropLiveEvents filters a surviving stream (Recover-side twin of
-// Writer.dropLive).
-func dropLiveEvents(live []liveEvent, gone func(txnID int) bool) []liveEvent {
-	kept := live[:0]
-	for _, le := range live {
-		if !gone(eventTxn(le.ev)) {
-			kept = append(kept, le)
-		}
-	}
-	clear(live[len(kept):])
-	return kept
 }
 
 // Resume recovers the log and returns both the rebuilt monitor and a
@@ -346,14 +327,7 @@ func Resume(b Backend, partition []state.ItemSet, opts Options) (*core.Monitor, 
 	m.Compact()
 	m.SetSink(prev)
 	for _, reclaimed := range tap.compacts {
-		if len(reclaimed) == 0 {
-			continue
-		}
-		gone := make(map[int]bool, len(reclaimed))
-		for _, id := range reclaimed {
-			gone[id] = true
-		}
-		live = dropLiveEvents(live, func(id int) bool { return gone[id] })
+		live = dropTxns(live, reclaimed)
 	}
 	st := m.CompactStats()
 	w := &Writer{
@@ -362,7 +336,6 @@ func Resume(b Backend, partition []state.ItemSet, opts Options) (*core.Monitor, 
 		segIndex: maxIdx,
 		seq:      info.LastSeq,
 		live:     live,
-		stopc:    make(chan struct{}),
 		counters: snapHeader{
 			ops:           m.Ops(),
 			compactions:   st.Compactions,

@@ -1,21 +1,12 @@
 package wal
 
 import (
-	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"pwsr/internal/core"
 	"pwsr/internal/txn"
 )
-
-// ErrWriterClosing marks operations cut short because Close interrupted
-// a retry backoff: instead of sleeping out the jittered schedule
-// against a failing backend, the writer abandons the retry immediately.
-// The sticky fail-stop error wraps it, so callers can errors.Is-tell a
-// close-interrupted outage from one that exhausted its retries.
-var ErrWriterClosing = errors.New("wal: writer closing")
 
 // segSuffix is the segment file extension.
 const segSuffix = ".wal"
@@ -39,37 +30,14 @@ type Options struct {
 	// crash loses at most the unreported tail — up to one group of
 	// GroupEvery commits whose run has not yet returned.
 	GroupEvery int
-	// GroupWindow, when positive, bounds the group-commit latency: an
-	// append also flushes when this much time passed since the last
-	// sync, so a quiet stream does not hold records unsynced
-	// indefinitely.
-	GroupWindow time.Duration
 	// SnapshotEvery cuts a snapshot segment every this many compaction
 	// passes (0 = every pass; negative = never cut, the log grows as
 	// one segment).
 	SnapshotEvery int
-	// MaxRetries bounds the retry attempts for a failed backend write
+	// MaxRetries bounds the immediate retries of a failed backend write
 	// or sync before the writer goes fail-stop (0 = default 3;
 	// negative = no retries).
 	MaxRetries int
-	// RetryBackoff is the base sleep between retry attempts: attempt n
-	// sleeps a uniformly jittered duration in [d/2, d], where
-	// d = min(RetryBackoff×(n+1), RetryBackoffMax). The jitter
-	// decorrelates the retry schedules of independent writers pounding
-	// a shared failing device (a synchronized retry storm re-spikes the
-	// device exactly when it is trying to come back), while the d/2
-	// floor keeps the total retry latency predictable to within 2×.
-	// The sleep happens off the writer's state lock: during a backend
-	// outage only the feeding goroutine (and any concurrent mutator,
-	// which queues behind the operation lock) stalls, and Barrier, Err,
-	// Stats, and Seq stay responsive throughout. Size MaxRetries ×
-	// RetryBackoff for the stall the admission path can tolerate.
-	RetryBackoff time.Duration
-	// RetryBackoffMax caps a single backoff sleep, so a generous
-	// MaxRetries cannot grow the linear schedule into multi-second
-	// admission stalls (0 = default 16×RetryBackoff; negative =
-	// uncapped).
-	RetryBackoffMax time.Duration
 	// Retain keeps superseded segments instead of deleting them after
 	// a successful snapshot cut (the crash matrix uses this to sweep
 	// crash points across the whole history).
@@ -85,18 +53,6 @@ func (o Options) maxRetries() int {
 		return 0
 	default:
 		return o.MaxRetries
-	}
-}
-
-// retryBackoffMax returns the normalized backoff cap (0 = uncapped).
-func (o Options) retryBackoffMax() time.Duration {
-	switch {
-	case o.RetryBackoffMax == 0:
-		return 16 * o.RetryBackoff
-	case o.RetryBackoffMax < 0:
-		return 0
-	default:
-		return o.RetryBackoffMax
 	}
 }
 
@@ -147,15 +103,9 @@ func eventTxn(ev core.Event) int {
 // stream itself must be fed from one goroutine at a time (see
 // core.LifecycleSink).
 type Writer struct {
-	// opMu serializes the mutating entry points (the lifecycle sink
-	// methods, Sync, Close) and is always acquired before mu. Holding
-	// it across a whole operation is what lets backoff release mu and
-	// sleep off the state lock: no other mutator can retire the segment
-	// under a partially written frame, while the inspection methods
-	// (Err, Stats, Seq, Barrier), which take only mu, stay responsive
-	// during a backend outage.
-	opMu sync.Mutex
-	// mu guards the writer state below.
+	// mu guards the writer state below and is held for the whole of
+	// every operation, backend I/O and retries included: no mutator can
+	// retire the segment under a partially written frame.
 	mu   sync.Mutex
 	b    Backend
 	opts Options
@@ -164,7 +114,6 @@ type Writer struct {
 	segIndex int
 	seq      uint64
 	commits  int // commit records appended since the last sync
-	lastSync time.Time
 	err      error
 	stats    Stats
 
@@ -184,16 +133,6 @@ type Writer struct {
 	// cut empties it and keeps its capacity; a snapshot cut also builds
 	// its section in it.
 	tail []byte
-	// rng is the splitmix64 state behind backoff jitter (timing-only;
-	// a fixed seed keeps the writer allocation-free and deterministic
-	// to construct).
-	rng uint64
-
-	// stopc is closed by Close before it queues on the operation lock,
-	// so a backoff sleeping out a backend outage wakes immediately
-	// instead of holding Close behind the full jittered schedule.
-	stopc    chan struct{}
-	stopOnce sync.Once
 
 	// payload is encoding scratch, reused across records.
 	payload []byte
@@ -215,7 +154,7 @@ func NewWriter(b Backend, opts Options) (*Writer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: create genesis segment: %w", err)
 	}
-	return &Writer{b: b, opts: opts, seg: f, lastSync: time.Now(), stopc: make(chan struct{}), tail: []byte(segMagic)}, nil
+	return &Writer{b: b, opts: opts, seg: f, tail: []byte(segMagic)}, nil
 }
 
 // Err returns the sticky fail-stop error, or nil.
@@ -241,8 +180,6 @@ func (w *Writer) Seq() uint64 {
 
 // LogObserve implements core.LifecycleSink.
 func (w *Writer) LogObserve(o txn.Op) {
-	w.opMu.Lock()
-	defer w.opMu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
@@ -266,8 +203,6 @@ func (w *Writer) LogRetract(txnID int) {
 }
 
 func (w *Writer) logTxn(kind byte, evKind core.EventKind, txnID int) {
-	w.opMu.Lock()
-	defer w.opMu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
@@ -280,7 +215,7 @@ func (w *Writer) logTxn(kind byte, evKind core.EventKind, txnID int) {
 		// A retracted transaction's history is as if it never ran: its
 		// events leave the surviving stream (only observes — a
 		// committed transaction cannot be retracted).
-		w.dropLive(func(id int) bool { return id == txnID })
+		w.live = dropTxns(w.live, []int{txnID})
 	} else {
 		w.live = append(w.live, liveEvent{seq: w.seq, ev: core.Event{Kind: evKind, Txn: txnID}})
 	}
@@ -295,8 +230,6 @@ func (w *Writer) logTxn(kind byte, evKind core.EventKind, txnID int) {
 // record is in the write buffer and in the next snapshot whatever the
 // flush returns; the cut follows the flush.
 func (w *Writer) LogCompact(reclaimed []int, stats core.CompactStats, ops int) {
-	w.opMu.Lock()
-	defer w.opMu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
@@ -305,13 +238,7 @@ func (w *Writer) LogCompact(reclaimed []int, stats core.CompactStats, ops int) {
 	w.seq++
 	w.payload = appendCompact(w.payload[:0], w.seq, reclaimed)
 	w.appendLocked(w.payload)
-	if len(reclaimed) > 0 {
-		gone := make(map[int]bool, len(reclaimed))
-		for _, id := range reclaimed {
-			gone[id] = true
-		}
-		w.dropLive(func(id int) bool { return gone[id] })
-	}
+	w.live = dropTxns(w.live, reclaimed)
 	w.counters = snapHeader{
 		ops:           ops,
 		compactions:   stats.Compactions,
@@ -329,16 +256,26 @@ func (w *Writer) LogCompact(reclaimed []int, stats core.CompactStats, ops int) {
 	}
 }
 
-// dropLive filters the surviving stream in place.
-func (w *Writer) dropLive(gone func(txnID int) bool) {
-	kept := w.live[:0]
-	for _, le := range w.live {
-		if !gone(eventTxn(le.ev)) {
+// dropTxns removes every event of the transactions ids from a
+// surviving stream, in place: the one filter for a retract and a
+// compaction pass, whether the writer applies it or recovery replays
+// it.
+func dropTxns(live []liveEvent, ids []int) []liveEvent {
+	if len(ids) == 0 {
+		return live
+	}
+	gone := make(map[int]bool, len(ids))
+	for _, id := range ids {
+		gone[id] = true
+	}
+	kept := live[:0]
+	for _, le := range live {
+		if !gone[eventTxn(le.ev)] {
 			kept = append(kept, le)
 		}
 	}
-	clear(w.live[len(kept):])
-	w.live = kept
+	clear(live[len(kept):])
+	return kept
 }
 
 // Barrier reports whether everything acknowledged so far can still be
@@ -360,8 +297,6 @@ func (w *Writer) Barrier() error {
 // acknowledgment point without paying for the ones a group flush or a
 // snapshot cut already covered.
 func (w *Writer) Sync() error {
-	w.opMu.Lock()
-	defer w.opMu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
@@ -380,8 +315,6 @@ func (w *Writer) Sync() error {
 // descriptive error when the cut was abandoned on a fresh-segment
 // failure (the active segment stays intact either way).
 func (w *Writer) CutSnapshot() error {
-	w.opMu.Lock()
-	defer w.opMu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
@@ -398,18 +331,9 @@ func (w *Writer) CutSnapshot() error {
 	return nil
 }
 
-// Close flushes and closes the active segment. The writer must not be
-// used afterwards. Closing interrupts any retry backoff in progress
-// (the stalled operation fails fast wrapping ErrWriterClosing) rather
-// than waiting a backend outage's jittered schedule out.
+// Close flushes and closes the active segment and returns the sticky
+// fail-stop error, if any. The writer must not be used afterwards.
 func (w *Writer) Close() error {
-	w.stopOnce.Do(func() {
-		if w.stopc != nil {
-			close(w.stopc)
-		}
-	})
-	w.opMu.Lock()
-	defer w.opMu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err == nil {
@@ -437,14 +361,12 @@ func (w *Writer) appendLocked(payload []byte) {
 
 // groupLocked applies the group-commit policy after an append's
 // bookkeeping (commit marks a commit record): with GroupEvery ≤ 1
-// every record is flushed; above it, a full group of commits (or an
-// expired GroupWindow) is.
+// every record is flushed; above it, a full group of commits is.
 func (w *Writer) groupLocked(commit bool) {
 	if commit {
 		w.commits++
 	}
-	if w.opts.GroupEvery <= 1 || w.commits >= w.opts.GroupEvery ||
-		(w.opts.GroupWindow > 0 && time.Since(w.lastSync) >= w.opts.GroupWindow) {
+	if w.opts.GroupEvery <= 1 || w.commits >= w.opts.GroupEvery {
 		w.flushLocked()
 	}
 }
@@ -463,10 +385,9 @@ func (w *Writer) flushLocked() {
 		return
 	}
 	w.commits = 0
-	w.lastSync = time.Now()
 }
 
-// syncTo syncs f, retrying a failed sync with bounded backoff.
+// syncTo syncs f, retrying a failed sync up to the retry bound.
 func (w *Writer) syncTo(f File) error {
 	for attempt := 0; ; attempt++ {
 		err := f.Sync()
@@ -478,14 +399,11 @@ func (w *Writer) syncTo(f File) error {
 			return err
 		}
 		w.stats.Retries++
-		if w.backoff(attempt) {
-			return fmt.Errorf("%w (%w)", err, ErrWriterClosing)
-		}
 	}
 }
 
 // writeAllTo writes p to f completely, retrying the remainder of a
-// short or failed write with bounded backoff; an empty p writes
+// short or failed write up to the retry bound; an empty p writes
 // nothing. A final failure can leave a torn tail on f — exactly the
 // state recovery tolerates.
 func (w *Writer) writeAllTo(f File, p []byte) error {
@@ -502,64 +420,8 @@ func (w *Writer) writeAllTo(f File, p []byte) error {
 			return err
 		}
 		w.stats.Retries++
-		if w.backoff(attempt) {
-			return fmt.Errorf("%w (%w)", err, ErrWriterClosing)
-		}
 	}
 	return nil
-}
-
-// backoff sleeps between retry attempts: linear in the attempt
-// number, capped at Options.RetryBackoffMax, jittered into [d/2, d]
-// (zero RetryBackoff retries immediately). The sleep happens with
-// w.mu released — the inspection methods must stay responsive during
-// a backend outage — while the caller's hold on opMu keeps every
-// other mutator out, so nothing can retire the segment under the
-// partially written frame, and w.err cannot be set by anyone else:
-// fail-stop ordering (error latched before the operation returns) is
-// preserved. Callers must hold mu (and, once the writer is shared,
-// opMu).
-//
-// The sleep is interruptible: Close closes stopc before queuing on the
-// operation lock, and backoff returns true the moment it fires — the
-// caller abandons the retry (fail fast, wrapping ErrWriterClosing)
-// instead of making Close wait out the capped jittered schedule. A
-// zero RetryBackoff does not sleep, so there is nothing to interrupt:
-// the retry budget holds, Close's own final flush included.
-func (w *Writer) backoff(attempt int) (interrupted bool) {
-	if w.opts.RetryBackoff <= 0 {
-		return false
-	}
-	d := w.opts.RetryBackoff * time.Duration(attempt+1)
-	if max := w.opts.retryBackoffMax(); max > 0 && d > max {
-		d = max
-	}
-	// splitmix64 step; timing-only randomness, so the fixed seed is
-	// deliberate.
-	w.rng += 0x9e3779b97f4a7c15
-	z := w.rng
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	if half := d / 2; half > 0 {
-		d = half + time.Duration(z%uint64(half+1))
-	}
-	w.mu.Unlock()
-	if w.stopc == nil {
-		time.Sleep(d)
-	} else {
-		t := time.NewTimer(d)
-		select {
-		case <-w.stopc:
-			interrupted = true
-		case <-t.C:
-		}
-		t.Stop()
-	}
-	w.mu.Lock()
-	return interrupted
 }
 
 // failLocked records the sticky fail-stop error: every further append
@@ -575,10 +437,11 @@ func (w *Writer) failLocked(err error) {
 // boundary must be durable before anything supersedes it), the next
 // segment is created and seeded with the surviving stream between
 // snapshot-begin/end records, synced, and the superseded segments are
-// deleted (unless Options.Retain). A failure on the fresh segment
-// abandons the cut and continues on the active segment — the old
-// log is intact, so losing a snapshot is losing an optimization, not
-// durability; only active-segment failures are fail-stop.
+// deleted (unless Options.Retain). A failed create, or a fresh-segment
+// write or sync that fails past the retry bound, abandons the cut and
+// continues on the active segment — the old log is intact, so losing
+// a snapshot is losing an optimization, not durability; only
+// active-segment failures are fail-stop.
 func (w *Writer) cutLocked() {
 	w.compactsSinceCut = 0
 	if w.seg != nil {
@@ -619,13 +482,12 @@ func (w *Writer) cutLocked() {
 		w.stats.CutFailures++
 		return
 	}
-	if err := f.Sync(); err != nil {
+	if err := w.syncTo(f); err != nil {
 		f.Close()
 		w.b.Remove(name)
 		w.stats.CutFailures++
 		return
 	}
-	w.stats.Fsyncs++
 	w.stats.LogBytes += int64(len(buf))
 	w.stats.Snapshots++
 	if w.seg != nil {
@@ -635,7 +497,6 @@ func (w *Writer) cutLocked() {
 	oldIdx := w.segIndex
 	w.segIndex = newIdx
 	w.commits = 0
-	w.lastSync = time.Now()
 	if !w.opts.Retain {
 		names, err := w.b.List()
 		if err != nil {
