@@ -51,71 +51,6 @@ bench:
 bench-wal:
 	$(GO) run ./cmd/pwsrbench -section wal -out BENCH_wal.json
 
-# listguard fails unless every alternative of the -run, -bench or -fuzz
-# alternation $(1) matches a test, benchmark or fuzz target of the
-# packages $(2) (`go test -list`), so a renamed one cannot drop silently
-# out of a leg: `go test` runs nothing for a pattern that matches
-# nothing, and exits 0.
-define listguard
-	@tests=$$($(GO) test -list '.*' $(2) | grep -E '^(Test|Benchmark|Fuzz)'); \
-	for alt in $$(echo '$(1)' | tr '|' ' '); do \
-		echo "$$tests" | grep -qE -- "$$alt" || { echo "$(2): alternative $$alt matches nothing" >&2; exit 1; }; \
-	done
-endef
-
-# crash-matrix is the durability differential: the wal package's
-# crash-recovery tests — TestCrashMatrix kills the log at every byte
-# offset and recovers each prefix, TestGroupFlushFaults fails group
-# flushes at GroupEvery 2 and 16 — under the race detector at pinned
-# GOMAXPROCS=1 and 8, plus the journaled-gate tests in sched, TestAcknowledgedCommitsDurable among them (a returned
-# run's commits survive a machine crash).
-CRASH_SCHED_RUN := TestDurableGateJournalsAndRecovers|TestOptimisticDurableGateRecovers|TestResumeCertifyContinues|TestJournalFailStop|TestTickInjection|TestAcknowledgedCommitsDurable
-.PHONY: crash-matrix
-crash-matrix:
-	$(call listguard,$(CRASH_SCHED_RUN),./internal/sched)
-	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/wal
-	GOMAXPROCS=8 $(GO) test -race -count=1 ./internal/wal
-	$(GO) test -race -count=1 -run '$(CRASH_SCHED_RUN)' ./internal/sched
-
-# chaos is the fault-injection differential (ROBUST1): ≥100 seeded
-# randomized fault plans over the full pipeline — gate, journal on one
-# injected backend, and block-parallel engine — under the race detector
-# at pinned GOMAXPROCS=1 and 8, each trial lockstep-compared against
-# its uninjected twin. A violated obligation dumps the failing
-# fault.Plan as chaos-failed-<seed>.json for reading; no code reads it
-# back, and RunChaosTrial(seed) is the replay.
-CHAOS_RUN := TestChaos
-.PHONY: chaos
-chaos:
-	$(call listguard,$(CHAOS_RUN),./internal/experiments)
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run '$(CHAOS_RUN)' ./internal/experiments
-	GOMAXPROCS=8 $(GO) test -race -count=1 -run '$(CHAOS_RUN)' ./internal/experiments
-
-# cancel-matrix is the cancellation differential (ROBUST2): seeded
-# trials arm one deterministic cancel point each — admission ticks,
-# journal writes and syncs, commit turns, drain steps — under the race
-# detector at pinned GOMAXPROCS=1 and 8, plus the drain-deadline and
-# pinned-snapshot-across-drain obligations and the gate/engine/wal
-# lifecycle unit tests. A violated obligation dumps the failing case
-# as cancel-failed-<seed>.json; moved under
-# internal/experiments/testdata/cancel, it replays in TestCancelReplay
-# with the rest of that corpus.
-CANCEL_EXPERIMENTS_RUN := TestCancel|TestDrain|TestSnapshotPinnedAcrossDrain
-CANCEL_SCHED_RUN := TestDrain|TestClose|TestGateSharedByTickAndBatchEngines
-CANCEL_EXEC_RUN := TestCancel|TestRunCtx|TestExecuteBatchCtx
-CANCEL_WAL_RUN := TestCloseAfterFailStop
-.PHONY: cancel-matrix
-cancel-matrix:
-	$(call listguard,$(CANCEL_EXPERIMENTS_RUN),./internal/experiments)
-	$(call listguard,$(CANCEL_SCHED_RUN),./internal/sched)
-	$(call listguard,$(CANCEL_EXEC_RUN),./internal/exec)
-	$(call listguard,$(CANCEL_WAL_RUN),./internal/wal)
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run '$(CANCEL_EXPERIMENTS_RUN)' ./internal/experiments
-	GOMAXPROCS=8 $(GO) test -race -count=1 -run '$(CANCEL_EXPERIMENTS_RUN)' ./internal/experiments
-	$(GO) test -race -count=1 -run '$(CANCEL_SCHED_RUN)' ./internal/sched
-	$(GO) test -race -count=1 -run '$(CANCEL_EXEC_RUN)' ./internal/exec
-	$(GO) test -race -count=1 -run '$(CANCEL_WAL_RUN)' ./internal/wal
-
 # bench-refresh regenerates every checked-in machine-readable
 # benchmark artifact (PERF7 and PERF9 plus the monitor stream) and
 # prints a fingerprint line per file — sha256 and the recorded
@@ -194,91 +129,48 @@ loc:
 test:
 	$(GO) test ./...
 
-# check is the CI gate: static analysis plus the full test suite under
-# the race detector (the gates' locking, the lifecycle commit/compact
-# paths, and the engines' abort/restart and worker handoffs are the
-# concurrency-sensitive code), then the
-# concurrency-sensitive packages again at pinned GOMAXPROCS=1 and
-# GOMAXPROCS=8 — the former serializes every interleaving (catching
-# logic that only works by accident of parallelism), the latter widens
-# the schedule space beyond the host's default. The pinned-width core
-# runs include the commit-and-compact lifecycle differential
-# (TestCompactDifferential), which is not -short-gated; -short on the race passes skips only the 1M-op
-# soak (that lives in `make soak` and in the un-raced tier-1 suite).
-# The raced sched legs include the verdict memo's soundness
-# differential (TestVerdictMemoMatchesFreshMask: the memoized mask
-# against a from-scratch recomputation at every Pick, under both victim
-# policies).
-# The raced ./... pass also runs TestTickDecisionsPinned (root package):
-# the optimistic gate's exact decision totals on hot-tick's shape and
-# its stall census beside them (stalls, solo stalls, stalls resolved by
-# their delayed-read blocker, delayed-read and certifier denials), so a
-# gate optimisation that changes a grant, probe or victim fails here.
-# So does TestLifecycleAssertedOnce: exec, sched and the facade hold
-# exactly two capability type assertions (Gate in RunCtx and in
-# NewParallelEngine), and the gate probes neither its inner policy nor
-# its journal.
-# The final leg re-runs the TestZeroAlloc*, TestTickEngineAllocs,
-# TestBatchEngineAllocs and TestInterpRunAllocs pins without the race
-# detector (whose instrumentation allocates, so the pins self-skip
-# under -race): an
-# allocation regression on the steady-state Observe/Admissible hot
-# path, a gate tick
-# (TestZeroAllocGatePick, which also pins that an unchanged pending set
-# is not re-probed, and TestZeroAllocDelayedReadPick), victim
-# selection (TestZeroAllocVictim), the tick engine's grant path
-# (TestTickEngineAllocs), a victim's abort, restart and re-park
-# (TestZeroAllocTickRestart), a batch round's cost (TestBatchEngineAllocs:
-# a constant per batch, nothing per transaction or operation, with and
-# without a gate compacting inside the window), whole-transaction
-# admission with its compaction passes (TestZeroAllocFreshAdmission: at
-# most 0.25 per transaction) or the interpreter's
-# one-slot-array-per-Run state (TestInterpRunAllocs) fails
-# CI here, not just benchmarks. That leg also carries the monitor's
-# cost-shape pin (TestZeroAllocAdmitLiveSetIndependent:
-# whole-transaction admission allocates the same with 16 and with 4096
-# resident transactions) and the journal's append path
-# (TestZeroAllocWriterAppend: under 0.1 allocations per record), and the
-# next two lines run the PERF14–PERF18 and PERF20 benchmark families once
-# so they cannot rot. The line after them is the multiversion read
-# path's sweep: TestMVReadDifferentialTick without -short, so its 200
-# seeded workloads (seeds 7..206) re-prove the bypass obligations once
-# without the race detector (its raced differentials, TestMVRead* and
-# TestVersionedStore*, ride in the pinned exec passes, where -short
-# skips the sweep).
-# The two native fuzz legs after it run 15 seconds each: FuzzParse (the
-# program parser's print/re-parse round trip) and FuzzInterpForms (the
-# interpreter's statement forms, Run and a suspended Machine against the
-# reference interpreter); their checked-in seed corpora also replay in
-# every plain go test.
-# Every -run, -bench and -fuzz list of those lines is guarded first
-# (listguard), since a pattern that matches nothing passes silently.
-# The chaos smoke (a fixed 40-seed band of the ROBUST1 fault
-# differential, deterministic by construction) also rides in the raced
-# `./...` pass; the full randomized matrix lives in `make chaos`.
-CHECK_ALLOC_RUN := TestZeroAlloc|TestTickEngineAllocs|TestBatchEngineAllocs|TestInterpRunAllocs
-CHECK_BENCH := BenchmarkAdmitSequence|BenchmarkInterpRun|BenchmarkTickAbortRestart|BenchmarkTickRound|BenchmarkBatchRound
-CHECK_WAL_BENCH := BenchmarkWriterAppend
-CHECK_MVREAD_RUN := ^TestMVReadDifferentialTick$$
-CHECK_FUZZ_PARSE := ^FuzzParse$$
-CHECK_FUZZ_FORMS := ^FuzzInterpForms$$
+# check is the CI gate, and it runs whole suites, never lists, so a new
+# test joins it by existing:
+# - gofmt and vet;
+# - the suite once without the race detector, whose instrumentation
+#   allocates: the TestZeroAlloc* and *Allocs pins self-skip under
+#   -race and run here, beside the 200-seed sweep of
+#   TestMVReadDifferentialTick and the sched soak;
+# - the suite under the race detector (the gates' locking, the
+#   lifecycle commit/compact paths, the journal and the engines'
+#   abort/restart and worker handoffs are the concurrency-sensitive
+#   code);
+# - the concurrency-sensitive packages raced again at pinned
+#   GOMAXPROCS=1, which serializes every interleaving, and 8, which
+#   widens the schedule space beyond the host's. Among them are wal's
+#   crash differential (TestCrashMatrix kills the log at every byte
+#   offset), the sched journaled-gate tests, and experiments' chaos
+#   (ROBUST1) and cancel (ROBUST2) differentials. A failing chaos
+#   trial dumps chaos-failed-<seed>.json and a failing cancel case
+#   cancel-failed-<seed>.json, which replays in TestCancelReplay once
+#   moved under internal/experiments/testdata/cancel;
+# - every benchmark in the module once, so none can rot;
+# - every native fuzz target that `go test -list` finds, 15 seconds
+#   each. `go test -fuzz` passes when its pattern matches nothing, so
+#   the loop fails if it finds no target at all.
+# -short is never set: nothing here skips the long differentials.
 .PHONY: check
 check:
-	$(call listguard,$(CHECK_ALLOC_RUN),./internal/core ./internal/wal)
-	$(call listguard,$(CHECK_BENCH),.)
-	$(call listguard,$(CHECK_WAL_BENCH),./internal/wal)
-	$(call listguard,$(CHECK_MVREAD_RUN),./internal/exec)
-	$(call listguard,$(CHECK_FUZZ_PARSE)|$(CHECK_FUZZ_FORMS),./internal/program)
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists files that need formatting:" >&2; echo "$$unformatted" >&2; exit 1; fi
 	$(GO) vet ./...
-	$(GO) test -race -short ./...
-	GOMAXPROCS=1 $(GO) test -race -short -count=1 ./internal/core ./internal/sched ./internal/exec ./internal/wal
-	GOMAXPROCS=8 $(GO) test -race -short -count=1 ./internal/core ./internal/sched ./internal/exec ./internal/wal
-	$(GO) test -run '$(CHECK_ALLOC_RUN)' -count=1 ./internal/core ./internal/wal
-	$(GO) test . -run '^$$' -bench '$(CHECK_BENCH)' -benchtime=1x
-	$(GO) test ./internal/wal -run '^$$' -bench '$(CHECK_WAL_BENCH)' -benchtime=1x
-	$(GO) test -run '$(CHECK_MVREAD_RUN)' -count=1 ./internal/exec
-	$(GO) test -run '^$$' -fuzz '$(CHECK_FUZZ_PARSE)' -fuzztime 15s ./internal/program
-	$(GO) test -run '^$$' -fuzz '$(CHECK_FUZZ_FORMS)' -fuzztime 15s ./internal/program
+	$(GO) test -count=1 ./...
+	$(GO) test -race -count=1 ./...
+	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/core ./internal/sched ./internal/exec ./internal/wal ./internal/experiments
+	GOMAXPROCS=8 $(GO) test -race -count=1 ./internal/core ./internal/sched ./internal/exec ./internal/wal ./internal/experiments
+	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
+	@targets=$$($(GO) test -list '^Fuzz' ./... | awk '/^Fuzz/ { f[n++] = $$1 } /^ok/ { for (i = 0; i < n; i++) print $$2, f[i]; n = 0 }'); \
+	[ -n "$$targets" ] || { echo "go test -list '^Fuzz' ./... found no fuzz target" >&2; exit 1; }; \
+	echo "$$targets" | while read pkg fuzz; do \
+		echo "$(GO) test -run '^\$$' -fuzz '^$$fuzz\$$' -fuzztime 15s $$pkg"; \
+		$(GO) test -run '^$$' -fuzz "^$$fuzz\$$" -fuzztime 15s $$pkg || exit 1; \
+	done || exit 1; \
+	echo "fuzzed $$(echo "$$targets" | wc -l) targets"
 
 # soak is the long-run bounded-memory test: ≥ 1M operations through a
 # single OptimisticCertify gate with the transaction lifecycle on,

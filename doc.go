@@ -195,15 +195,15 @@
 // regenerates the PERF9 durability study alone through `pwsrbench
 // -section wal -out BENCH_wal.json`; every file opens with the host's
 // go/goos/goarch/host_cpus/gomaxprocs fingerprint so a timing is never
-// mistaken for one taken on other hardware). `make check`
-// runs `go vet` plus the full suite under the race detector, then the
-// concurrency-sensitive packages again at GOMAXPROCS=1 and 8 (the
-// parallel engine's and the multiversion read path's differentials
-// among them), then the zero-allocation hot-path pins (TestZeroAlloc*)
-// without the race detector, then the multiversion-read differential's
-// 200-seed sweep (TestMVReadDifferentialTick without -short); `make
-// crash-matrix` runs the wal crash differential under the race
-// detector at both pinned widths.
+// mistaken for one taken on other hardware). `make check` is the one
+// test gate, and it runs whole suites, never lists and never -short:
+// gofmt and `go vet`, the full suite without the race detector (the
+// zero-allocation hot-path pins run only there) and with it, the
+// concurrency-sensitive packages (core, sched, exec, wal, experiments)
+// raced again at GOMAXPROCS=1 and 8 — the wal crash differential, the
+// parallel engine's and the multiversion read path's differentials and
+// the chaos and cancel differentials among them — then every benchmark
+// once and every native fuzz target for 15 seconds.
 //
 // # Fail-stop
 //
@@ -227,10 +227,11 @@
 // tests all of this: seeded, occurrence-counted fault plans (JSON
 // round-trippable, replayable) fire at backend writes and syncs,
 // journal barriers, gate ticks, and parallel-engine commit turns.
-// `make chaos` runs the ROBUST1 differential — randomized fault plans
-// over the full pipeline, each trial lockstep-compared against its
-// uninjected twin for schedule, verdict, and durable-prefix equality
-// — under the race detector at pinned GOMAXPROCS=1 and 8. A failing
+// TestChaosDifferential is the ROBUST1 differential — randomized fault
+// plans over the full pipeline, each trial lockstep-compared against
+// its uninjected twin for schedule, verdict, and durable-prefix
+// equality — and `make check` runs it under the race detector at
+// pinned GOMAXPROCS=1 and 8. A failing
 // trial dumps its plan as a chaos-failed-<seed>.json artifact for
 // reading; no code reads it back, and RunChaosTrial of its seed is the
 // replay.
@@ -270,11 +271,11 @@
 // journal, whose writer retries without sleeping, so closing waits on
 // no backoff. The posture —
 // Draining, Closed, plus the latched journal error — rides
-// in Health(). `make cancel-matrix` runs the ROBUST2 differential:
-// seeded trials arm one deterministic cancel at every point class
-// (admission ticks, journal writes and syncs, commit turns, drain
-// steps) and verify the two invariants plus recovery, raced at
-// pinned GOMAXPROCS=1 and 8; a failure dumps a
+// in Health(). TestCancelMatrix is the ROBUST2 differential: seeded
+// trials arm one deterministic cancel at every point class (admission
+// ticks, journal writes and syncs, commit turns, drain steps) and
+// verify the two invariants plus recovery, and `make check` runs it
+// raced at pinned GOMAXPROCS=1 and 8; a failure dumps a
 // cancel-failed-<seed>.json case, which replays in TestCancelReplay
 // once moved under internal/experiments/testdata/cancel.
 //

@@ -107,8 +107,8 @@
 // comment on failure handling. The certifier's contribution to that
 // story is that its event stream is replayable: any durable prefix of the mirrored
 // stream rebuilds a verdict-identical monitor, which is the oracle
-// the chaos differential (internal/experiments, `make chaos`) checks
-// after every injected outage.
+// internal/experiments' chaos differential checks after every
+// injected outage.
 package core
 
 import (

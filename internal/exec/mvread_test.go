@@ -194,8 +194,7 @@ var mvreadCases = []struct {
 // a contrast run pushing the same readers through the gate as ordinary
 // transactions, which must still complete PWSR with an equal final
 // state but gives its readers no immunity — then over
-// mvreadCases, then — unless -short, so `make check` runs it once
-// without the race detector — over a sweep of seeds 7..206, each
+// mvreadCases, then — unless -short — over a sweep of seeds 7..206, each
 // drawing a small workload and two to five reader begins in [0, 16).
 func TestMVReadDifferentialTick(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {

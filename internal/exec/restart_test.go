@@ -213,6 +213,61 @@ func TestEngineAbortRestoresSurvivingWrite(t *testing.T) {
 	}
 }
 
+// youngestAfter grants the transactions of first in order, one request
+// each, and from then on always the youngest pending request.
+type youngestAfter struct {
+	first []int
+}
+
+func (y *youngestAfter) Pick(pending []*exec.Request, v *exec.View) int {
+	if len(y.first) == 0 {
+		return len(pending) - 1 // pending is sorted by transaction id
+	}
+	for i, r := range pending {
+		if r.TxnID == y.first[0] {
+			y.first = y.first[1:]
+			return i
+		}
+	}
+	return -1
+}
+
+func (y *youngestAfter) TxnFinished(int, *exec.View) {}
+
+// TestEngineAbortRestoresLiveWriter is Kuznetsov and Peri's
+// non-interference for a rollback onto a live writer: T2 overwrites the
+// x of T1, which is still live, and is aborted. The undo must give x
+// back to T1 as its last writer, not to nobody, or the delayed-read gate
+// lets T3 read T1's uncommitted 5 and the schedule is not DR.
+func TestEngineAbortRestoresLiveWriter(t *testing.T) {
+	programs := map[int]*program.Program{
+		1: program.MustParse(`program A { x := 5; p := 1; }`),
+		2: program.MustParse(`program B { x := 7; q := q + 1; }`),
+		3: program.MustParse(`program C { y := x; }`),
+	}
+	initial := state.Ints(map[string]int64{"x": 1, "y": 0, "p": 0, "q": 0})
+	// w1(x, 5), w2(x, 7); the forced stall aborts T2. From then on the
+	// youngest request the gate allows goes first, so r3(x) runs the
+	// moment the gate stops delaying it.
+	pol := &forcedRestart{
+		Policy: &sched.DelayedRead{Inner: &youngestAfter{first: []int{1, 2}}},
+		victim: 2, after: 2, t: t,
+	}
+	res, err := exec.RunCtx(context.Background(), exec.Config{Programs: programs, Initial: initial, Policy: pol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Metrics.Aborts; got != 1 {
+		t.Fatalf("Aborts = %d, want 1\n%s", got, res.Schedule)
+	}
+	if !res.Schedule.IsDelayedRead() {
+		t.Fatalf("schedule is not DR: the abort forgot T1 as x's live writer\n%s", res.Schedule)
+	}
+	if err := res.Schedule.ConsistentValues(initial); err != nil {
+		t.Fatalf("schedule does not replay: %v\n%s", err, res.Schedule)
+	}
+}
+
 // TestEngineAbortCascades aborts a writer whose value another live
 // transaction has read: the reader's attempt consumed erased state, so
 // it must abort and restart too.

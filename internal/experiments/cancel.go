@@ -139,9 +139,6 @@ func cancelPlan(rng *rand.Rand, leg string) fault.Plan {
 func RunCancelTrial(seed int64) (CancelRecord, error) {
 	rng := rand.New(rand.NewSource(seed))
 	leg := cancelLegs[rng.Intn(len(cancelLegs))]
-	// The draw that once picked a degradation mode: kept so every seed's
-	// stream, and so every trial, replays as before.
-	rng.Intn(2)
 	plan := cancelPlan(rng, leg)
 	return RunCancelCase(CancelCase{Seed: seed, Leg: leg, Plan: plan})
 }

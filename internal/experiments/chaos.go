@@ -359,9 +359,6 @@ func RunChaosTrial(seed int64) (ChaosRecord, error) {
 		leg = "batch"
 	}
 	caseName := chaosCases[rng.Intn(len(chaosCases))]
-	// The draw that once picked a degradation mode: kept so every seed's
-	// stream, and so every trial, replays as before.
-	rng.Intn(2)
 	w := chaosWorkload(rng, seed)
 	plan := chaosPlan(rng, caseName, "gate", "engine", leg == "batch")
 	rec := ChaosRecord{Leg: leg, Case: caseName}

@@ -24,8 +24,8 @@ func dumpChaosFailure(t *testing.T, err error) {
 	t.Logf("failing fault plan written to %s", path)
 }
 
-// TestChaosSmoke is the deterministic chaos slice `make check` runs:
-// a fixed band of seeds covering every leg, fault case and outcome
+// TestChaosSmoke is the deterministic chaos slice that every go test
+// runs, -short included: a fixed band of seeds covering every leg, fault case and outcome
 // (verified by the coverage assertion), each trial lockstep-compared
 // against its uninjected twin.
 func TestChaosSmoke(t *testing.T) {
@@ -46,7 +46,7 @@ func TestChaosSmoke(t *testing.T) {
 }
 
 // TestChaosDifferential is the ROBUST1 acceptance run: ≥100 seeded
-// randomized fault plans over the full pipeline (make chaos runs it
+// randomized fault plans over the full pipeline (make check runs it
 // under -race at GOMAXPROCS=1 and 8). Every violated obligation dumps
 // its plan as an artifact; its seed replays it.
 func TestChaosDifferential(t *testing.T) {

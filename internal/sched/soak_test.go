@@ -13,9 +13,8 @@ import (
 )
 
 // soakTargetOps is the operation volume the long-run soak streams
-// through a single OptimisticCertify gate (`make soak` runs it; the
-// test is skipped under -short so `make check`'s race passes stay
-// fast).
+// through a single OptimisticCertify gate (`make soak` runs it alone;
+// the test is skipped under -short).
 const soakTargetOps = 1_000_000
 
 // TestSoakOptimisticCertifyBoundedMemory is the long-lived-service

@@ -119,9 +119,9 @@
 // A writer logs to one backend, and its fail-stop is final: nothing
 // clears the sticky error (Heal only reports it). The log continues
 // through Resume on a new writer, from whatever durable prefix the
-// device kept. The chaos differential (`make chaos`) exercises
-// randomized outage plans over this path, lockstep-comparing every
-// run against an uninjected twin.
+// device kept. The chaos differential (internal/experiments'
+// TestChaosDifferential) exercises randomized outage plans over this
+// path, lockstep-comparing every run against an uninjected twin.
 //
 // # Lifecycle: cancellation, deadlines, and drain
 //
@@ -140,7 +140,7 @@
 // last sync — with GroupEvery ≤ 1 none, above it at most one group of
 // commits that no returned run reported: Resume rebuilds a
 // verdict-identical monitor whether the run completed, was cancelled,
-// or crashed (the cancel matrix, `make cancel-matrix`, sweeps
+// or crashed (internal/experiments' TestCancelMatrix sweeps
 // deterministic cancel points across admissions, barriers, commit
 // turns, and drain steps to pin this).
 package wal
