@@ -5,19 +5,7 @@ import (
 
 	"pwsr/internal/exec"
 	"pwsr/internal/sched"
-	"pwsr/internal/txn"
 )
-
-// probeCounter counts the certifier's Admissible probes.
-type probeCounter struct {
-	sched.Certifier
-	probes int
-}
-
-func (c *probeCounter) Admissible(o txn.Op) bool {
-	c.probes++
-	return c.Certifier.Admissible(o)
-}
 
 // victimCounter counts the gate's Victim calls.
 type victimCounter struct {
@@ -32,19 +20,18 @@ func (g *victimCounter) Victim(pending []*exec.Request, v *exec.View) int {
 
 // TestTickDecisionsPinned pins the optimistic gate's decisions on
 // hot-tick's shape: 64 rounds of BenchmarkTickAbortRestart's stream, whose
-// totals — commits, aborts, wasted and granted operations, Admissible
-// probes and Victim calls — are fixed by the seeds, and so is the gate's
-// stall census beside them. A change that only makes the gate faster
+// totals — commits, aborts, wasted and granted operations and Victim
+// calls — are fixed by the seeds, and so is the gate's stall census
+// beside them, the certifier's Admissible probes included. A change that only makes the gate faster
 // leaves every total equal. A change that alters a decision on purpose
 // updates the golden values here and names the decision it changed.
 func TestTickDecisionsPinned(t *testing.T) {
 	const rounds = 64
-	type totals struct{ committed, aborts, wasted, granted, probes, victims int }
-	want := totals{committed: 3072, aborts: 1947, wasted: 3054, granted: 13432, probes: 75403, victims: 1947}
-	wantCensus := exec.StallStats{Stalls: 1947, SoloStalls: 32, BlockerVictims: 508, DelayedReadDenials: 12812, CertifierDenials: 28242}
+	type totals struct{ committed, aborts, wasted, granted, victims int }
+	want := totals{committed: 3072, aborts: 1947, wasted: 3054, granted: 13432, victims: 1947}
+	wantCensus := exec.StallStats{Stalls: 1947, SoloStalls: 32, BlockerVictims: 508, DelayedReadDenials: 12812, CertifierDenials: 28242, Probes: 75403}
 	s := newAbortRestartStream()
-	mon := &probeCounter{Certifier: s.mon}
-	gate := &victimCounter{OptimisticCertify: sched.NewOptimisticCertifyOver(mon, sched.NewRandom(1), sched.VictimYoungest)}
+	gate := &victimCounter{OptimisticCertify: sched.NewOptimisticCertifyOver(s.mon, sched.NewRandom(1), sched.VictimYoungest)}
 	var got totals
 	for i := 0; i < rounds; i++ {
 		res, err := s.round(gate)
@@ -56,7 +43,7 @@ func TestTickDecisionsPinned(t *testing.T) {
 		got.wasted += res.Metrics.WastedOps
 		got.granted += res.Metrics.Ticks
 	}
-	got.probes, got.victims = mon.probes, gate.calls
+	got.victims = gate.calls
 	if got != want {
 		t.Fatalf("decision totals over %d rounds = %+v, want %+v", rounds, got, want)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"pwsr/internal/core"
 	"pwsr/internal/exec"
+	"pwsr/internal/exec/exectest"
 	"pwsr/internal/gen"
 	"pwsr/internal/program"
 	"pwsr/internal/sched"
@@ -443,15 +444,16 @@ type passPolicy struct{}
 func (passPolicy) Pick([]*exec.Request, *exec.View) int { return exec.PassTick }
 func (passPolicy) TxnFinished(int, *exec.View)          {}
 
-// countingMonitor is a certifier that counts its Admissible calls.
+// countingMonitor is a certifier that counts the gate's AdmissibleItem
+// probes.
 type countingMonitor struct {
 	*core.Monitor
 	admissible int
 }
 
-func (c *countingMonitor) Admissible(o txn.Op) bool {
+func (c *countingMonitor) AdmissibleItem(txnID int, a txn.Action, item int32) bool {
 	c.admissible++
-	return c.Monitor.Admissible(o)
+	return c.Monitor.AdmissibleItem(txnID, a, item)
 }
 
 // TestZeroAllocGatePick is TestZeroAllocGateTick one layer up: a real
@@ -465,16 +467,13 @@ func TestZeroAllocGatePick(t *testing.T) {
 	mon, _ := zeroAllocMonitor(t)
 	m := &countingMonitor{Monitor: mon}
 	gate := sched.NewOptimisticCertifyOver(m, passPolicy{}, nil)
-	v := &exec.View{
-		Live:       map[int]bool{1: true, 2: true, 3: true},
-		Finished:   map[int]bool{},
-		LastWriter: map[string]int{"x": 1, "y": 1, "u": 1, "v": 1},
-	}
 	pending := []*exec.Request{
 		{TxnID: 1, Slot: 0, Action: txn.ActionWrite, Entity: "y"},
 		{TxnID: 2, Slot: 1, Action: txn.ActionRead, Entity: "x"}, // delayed: T1 wrote x and is live
 		{TxnID: 3, Slot: 2, Action: txn.ActionWrite, Entity: "u"},
 	}
+	v := exectest.View(map[int]bool{1: true, 2: true, 3: true}, map[int]bool{},
+		map[string]int{"x": 1, "y": 1, "u": 1, "v": 1}, pending...)
 	gate.Pick(pending, v)
 	first := m.admissible
 	if first == 0 {
@@ -496,12 +495,12 @@ func TestZeroAllocDelayedReadPick(t *testing.T) {
 		t.Skip("allocation accounting is unreliable under -race")
 	}
 	gate := &sched.DelayedRead{Inner: &sched.RoundRobin{}}
-	v := &exec.View{Finished: map[int]bool{}, LastWriter: map[string]int{"x": 1}}
 	pending := []*exec.Request{
 		{TxnID: 1, Action: txn.ActionWrite, Entity: "y"},
 		{TxnID: 2, Action: txn.ActionRead, Entity: "x"}, // delayed
 		{TxnID: 3, Action: txn.ActionRead, Entity: "u"},
 	}
+	v := exectest.View(nil, map[int]bool{}, map[string]int{"x": 1}, pending...)
 	allocs := testing.AllocsPerRun(500, func() {
 		if i := gate.Pick(pending, v); i != 0 && i != 2 {
 			t.Fatalf("Pick = %d, want an undelayed request", i)

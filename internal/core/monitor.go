@@ -260,18 +260,27 @@ func (m *Monitor) touch(d int32, e int32) {
 // — see Commit). CheckedObserve returns the error instead.
 func (m *Monitor) Observe(o txn.Op) *Violation { return m.observe(&o) }
 
-// observe is the pointer-based body of Observe: an operation is 72
+// ObserveItem is Observe for an operation on item, the id Item returned
+// for o.Entity: the certification gate resolves the name once per
+// pending request, not once per grant.
+func (m *Monitor) ObserveItem(o txn.Op, item int32) *Violation { return m.observeItem(&o, item) }
+
+// observe is the pointer-based form of Observe: an operation is 72
 // bytes, so the batch paths feed schedule entries without copying.
-func (m *Monitor) observe(o *txn.Op) *Violation {
-	v := m.admit(o)
+func (m *Monitor) observe(o *txn.Op) *Violation { return m.observeItem(o, m.itemID(o.Entity)) }
+
+// observeItem is the body of Observe and ObserveItem.
+func (m *Monitor) observeItem(o *txn.Op, item int32) *Violation {
+	v := m.admit(o, item)
 	if m.sink != nil {
 		m.sink.LogObserve(*o)
 	}
 	return v
 }
 
-// admit applies one operation without consulting the lifecycle sink.
-func (m *Monitor) admit(o *txn.Op) *Violation {
+// admit applies one operation on item without consulting the lifecycle
+// sink.
+func (m *Monitor) admit(o *txn.Op, item int32) *Violation {
 	d := m.txnID(o.Txn)
 	if m.committedB[d] {
 		panic(&LifecycleError{Verb: "Observe", Txn: o.Txn, Reason: "operation for a committed transaction"})
@@ -285,7 +294,6 @@ func (m *Monitor) admit(o *txn.Op) *Violation {
 	if m.violation != nil {
 		return m.violation
 	}
-	item := m.itemID(o.Entity)
 	for k := m.conjOff[item]; k < m.conjOff[item+1]; k++ {
 		e := m.conjFlat[k]
 		m.touch(d, e)
@@ -300,33 +308,47 @@ func (m *Monitor) admit(o *txn.Op) *Violation {
 // Admissible reports whether admitting o now would keep every
 // conjunct's projection serializable. It performs the reachability
 // checks of Observe without recording the operation — no conflict
-// edge, frontier entry, or interning is committed — so a scheduler can
-// probe several pending operations before granting one. Like Observe
-// it reuses per-graph search scratch and must not be called
-// concurrently; the monitor is a single-goroutine certifier. After a
-// violation nothing is admissible.
+// edge, frontier entry, or transaction is committed; only the item's
+// name is interned, as Item does — so a scheduler can probe several
+// pending operations before granting one. Like Observe it reuses
+// per-graph search scratch and must not be called concurrently; the
+// monitor is a single-goroutine certifier. After a violation nothing is
+// admissible.
 //
 // Every call runs the reachability checks afresh. The sched gates keep
 // a verdict memo in front of it and re-probe a pending request only
 // when something moved in its item's conjuncts.
 func (m *Monitor) Admissible(o txn.Op) bool {
+	return m.AdmissibleItem(o.Txn, o.Action, m.itemID(o.Entity))
+}
+
+// Item returns the monitor's id for the named item, interning it on
+// first sight as Observe does, and the conjuncts whose data sets hold
+// it, ascending (none for an item outside every conjunct). Ids are
+// dense from 0 and fixed for the monitor's life; the caller must not
+// modify the list.
+func (m *Monitor) Item(name string) (int32, []int32) {
+	id := m.itemID(name)
+	lo, hi := m.conjOff[id], m.conjOff[id+1]
+	return id, m.conjFlat[lo:hi:hi]
+}
+
+// AdmissibleItem is Admissible for action a of transaction txnID on
+// item, the id Item returned for its name.
+func (m *Monitor) AdmissibleItem(txnID int, a txn.Action, item int32) bool {
 	if m.violation != nil {
 		return false
-	}
-	item, ok := m.items.Lookup(o.Entity)
-	if !ok {
-		return true // never-seen item: no conjunct graph has state on it
 	}
 	lo, hi := m.conjOff[item], m.conjOff[item+1]
 	if lo == hi {
 		return true // item outside every conjunct: ignored per Definition 2
 	}
-	dense, ok := m.txnLookup(o.Txn)
+	dense, ok := m.txnLookup(txnID)
 	if !ok {
 		return true // never-seen transaction: a brand-new node cannot close a cycle
 	}
 	for k := lo; k < hi; k++ {
-		if !m.graphs[m.conjFlat[k]].admissible(dense, o.Action, m.conjSlot[k]) {
+		if !m.graphs[m.conjFlat[k]].admissible(dense, a, m.conjSlot[k]) {
 			return false
 		}
 	}

@@ -90,8 +90,8 @@
 // package-level pool of run states (runState): the per-transaction slab,
 // each Machine keeping its slot array; the schedule arena and its
 // owners; the id, runnable, parked and pending lists; the erasure
-// scratch; and the View's Live, Finished and LastWriter maps. A run
-// resets everything it takes before using it and relies on nothing
+// scratch; and the View's maps and item tables, with each slot table. A
+// run resets everything it takes before using it and relies on nothing
 // having been cleaned up after the run before, so a state a panicking
 // program abandoned is as good as any. A Result never points into a run
 // state, so a later round cannot change an earlier Result. Declared
@@ -123,7 +123,10 @@ type Request struct {
 	TxnID int
 	// Slot is the attempt's index in the run's id-ascending slab, fixed
 	// across its requests and restarts: a cache index, nothing more.
-	Slot   int
+	Slot int
+	// Item is Entity's index in View.Items: a key within the run (one
+	// name, one Item), meaningless in another run.
+	Item   int32
 	Action txn.Action
 	Entity string
 	Value  state.Value // proposed value, for writes
@@ -169,9 +172,10 @@ type View struct {
 	Live map[int]bool
 	// Finished reports transactions that have completed.
 	Finished map[int]bool
-	// LastWriter maps each item to the transaction that last wrote it
-	// (0 = initial state). Used by the delayed-read gate.
-	LastWriter map[string]int
+	// Items names the run's items by Request.Item; LastWriter holds the
+	// transaction that last wrote each (0 = initial state).
+	Items      []string
+	LastWriter []int
 	// DataSets is the conjunct partition d1, …, dl (for predicate-wise
 	// policies; may be nil).
 	DataSets []state.ItemSet
@@ -184,6 +188,7 @@ type View struct {
 	// (Config.Programs); access caches its answers.
 	programs map[int]*program.Program
 	access   map[int]AccessDecl
+	index    map[string]int32 // an item's name → its index in Items
 }
 
 // proc returns the run state of transaction id (at id − procs[0].id when
@@ -343,9 +348,11 @@ type StallStats struct {
 	BlockerVictims int
 	// DelayedReadDenials and CertifierDenials count the verdicts decided
 	// against a request by the delayed-read rule and by the certifier's
-	// Admissible probe; a verdict standing from tick to tick counts once.
+	// Admissible probe, of which there were Probes; a verdict standing
+	// from tick to tick counts once.
 	DelayedReadDenials int
 	CertifierDenials   int
+	Probes             int
 }
 
 // GateStats is one snapshot of a certifying gate's counters: the
@@ -548,6 +555,9 @@ type proc struct {
 	m    program.Machine
 	tm   *TxnMetrics
 	req  Request
+	// items maps a program slot (program.Request.Slot) to its Request.Item
+	// plus one (0 = unresolved), so a name is looked up once per run.
+	items []int32
 
 	// parkedAt is the clock at which req parked: the transaction has
 	// waited Clock − parkedAt ticks when req leaves the pending list.
@@ -566,15 +576,27 @@ type proc struct {
 	self     [1]int // backs the singleton AbortClosure
 }
 
-// step runs p's attempt to its next operation, filed in req, and
-// reports whether there is one; false with a nil error is the end of the
-// program.
-func (p *proc) step() (bool, error) {
+// step runs p's attempt to its next operation, filed in req with its
+// item resolved in v, and reports whether there is one; false with a nil
+// error is the end of the program.
+func (p *proc) step(v *View) (bool, error) {
 	r, err := p.m.Step()
 	if r == nil {
 		return false, err
 	}
-	p.req = Request{TxnID: p.id, Slot: p.slot, Action: r.Action, Entity: r.Item, Value: r.Value}
+	if n := int(r.Slot) + 1; n > len(p.items) {
+		p.items = append(p.items, make([]int32, n-len(p.items))...)
+	}
+	if p.items[r.Slot] == 0 {
+		id, ok := v.index[r.Item]
+		if !ok { // first sight in the run: no last writer yet
+			id = int32(len(v.Items))
+			v.index[r.Item] = id
+			v.Items, v.LastWriter = append(v.Items, r.Item), append(v.LastWriter, 0)
+		}
+		p.items[r.Slot] = id + 1
+	}
+	p.req = Request{TxnID: p.id, Slot: p.slot, Item: p.items[r.Slot] - 1, Action: r.Action, Entity: r.Item, Value: r.Value}
 	return true, nil
 }
 
@@ -582,8 +604,8 @@ func (p *proc) step() (bool, error) {
 // the package comment on what a round allocates): the per-transaction
 // slab, the schedule arena with each operation's owner, the id,
 // runnable, parked and pending lists, eraseAttempts' undo scratch, and
-// the maps behind the View. RunCtx takes one from runStates for the
-// length of a run.
+// the maps and item tables behind the View. RunCtx takes one from
+// runStates for the length of a run.
 type runState struct {
 	ids              []int
 	procs            []proc
@@ -591,9 +613,11 @@ type runState struct {
 	list             []*Request
 	ops              []txn.Op
 	owners           []*proc
-	undo             []string
+	undo             []int32
 	live, finished   map[int]bool
-	lastWriter       map[string]int
+	index            map[string]int32
+	items            []string
+	lastWriter       []int
 }
 
 // runStates recycles run states across RunCtx calls, whether made one
@@ -691,19 +715,21 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 	tms := make([]TxnMetrics, len(ids)+len(roList))
 	metrics := Metrics{PerTxn: make(map[int]*TxnMetrics, len(tms))}
 	if rs.live == nil {
-		rs.live, rs.finished, rs.lastWriter = make(map[int]bool), make(map[int]bool), make(map[string]int)
+		rs.live, rs.finished, rs.index = make(map[int]bool), make(map[int]bool), make(map[string]int32)
 	}
 	clear(rs.live)
 	clear(rs.finished)
-	clear(rs.lastWriter)
+	clear(rs.index)
 	v := &View{
 		Store:      cfg.Initial.Clone(),
 		Live:       rs.live,
 		Finished:   rs.finished,
-		LastWriter: rs.lastWriter,
+		Items:      rs.items[:0],
+		LastWriter: rs.lastWriter[:0],
 		DataSets:   cfg.DataSets,
 		procs:      procs,
 		programs:   cfg.Programs,
+		index:      rs.index,
 	}
 	// runnable are the attempts to resume at the next gather, ascending
 	// by id: every program at first, then the one just granted or the
@@ -718,7 +744,7 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 		metrics.PerTxn[id] = &tms[i]
 		p := &procs[i]
 		p.id, p.slot, p.tm, p.parkedAt, p.first, p.erasing, p.live = id, i, &tms[i], 0, 0, false, true
-		p.readFrom, p.readers = p.readFrom[:0], p.readers[:0]
+		p.readFrom, p.readers, p.items = p.readFrom[:0], p.readers[:0], p.items[:0]
 		p.m.Init(interp, cfg.Programs[id])
 		v.Live[id] = true
 		runnable = append(runnable, p)
@@ -734,6 +760,7 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 	defer func() {
 		rs.runnable, rs.parked, rs.list = runnable, parked, list
 		rs.ops, rs.owners, rs.undo = ops, owners, undo
+		rs.items, rs.lastWriter = v.Items, v.LastWriter
 	}()
 
 	maxAborts := cfg.MaxAborts
@@ -886,7 +913,7 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 	// fails the run.
 	gather := func() error {
 		for _, p := range runnable {
-			if more, err := p.step(); err != nil {
+			if more, err := p.step(v); err != nil {
 				return fmt.Errorf("exec: T%d: %w", p.id, err)
 			} else if more {
 				park(p)
@@ -931,7 +958,7 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 				p.tm.WastedOps++
 				p.tm.Ops--
 				if o.Action == txn.ActionWrite {
-					undo = append(undo, o.Entity)
+					undo = append(undo, v.index[o.Entity])
 				}
 				continue
 			}
@@ -949,19 +976,19 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 		// Undo their store effects: each such item falls back to its
 		// latest surviving write, or to the initial state.
 		for _, item := range undo {
-			i := len(ops) - 1
-			for i >= 0 && (ops[i].Action != txn.ActionWrite || ops[i].Entity != item) {
+			i, name := len(ops)-1, v.Items[item]
+			for i >= 0 && (ops[i].Action != txn.ActionWrite || ops[i].Entity != name) {
 				i--
 			}
 			if i >= 0 {
-				v.Store.Set(item, ops[i].Value)
+				v.Store.Set(name, ops[i].Value)
 				v.LastWriter[item] = ops[i].Txn
 				continue
 			}
-			if val, had := cfg.Initial.Get(item); had {
-				v.Store.Set(item, val)
+			if val, had := cfg.Initial.Get(name); had {
+				v.Store.Set(name, val)
 			} else {
-				delete(v.Store, item)
+				delete(v.Store, name)
 			}
 			v.LastWriter[item] = 0
 		}
@@ -1153,7 +1180,7 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 			}
 			// Record reads-from so aborts can cascade to transactions
 			// that consumed a victim's written value.
-			if w := v.LastWriter[op.Entity]; w != 0 && w != p.id {
+			if w := v.LastWriter[p.req.Item]; w != 0 && w != p.id {
 				if wp := v.proc(w); !slices.Contains(p.readFrom, wp) {
 					p.readFrom = append(p.readFrom, wp)
 					wp.readers = append(wp.readers, p)
@@ -1163,7 +1190,7 @@ func (rs *runState) run(ctx context.Context, cfg Config) (*Result, error) {
 			p.m.Deliver(val, nil)
 		case txn.ActionWrite:
 			v.Store.Set(op.Entity, p.req.Value)
-			v.LastWriter[op.Entity] = p.id
+			v.LastWriter[p.req.Item] = p.id
 			op.Value = p.req.Value
 		}
 		if mv != nil {

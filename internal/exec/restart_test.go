@@ -29,9 +29,11 @@ type forcedRestart struct {
 	after   int
 	granted int
 	aborted []int
-	// t, when set, audits the view's per-transaction op index after
-	// every abort and at every Pick (see checkOpIndex).
-	t *testing.T
+	// t, when set, audits the view's per-transaction op index and its
+	// replay over initial after every abort and at every Pick (see
+	// checkOpIndex and checkViewReplay).
+	t       *testing.T
+	initial state.DB
 }
 
 // checkOpIndex requires View.FirstOp and View.OpCount, which the engine
@@ -63,6 +65,41 @@ func checkOpIndex(t *testing.T, v *exec.View) {
 	}
 }
 
+// checkViewReplay requires the view's Store and its LastWriter, indexed
+// by run item and kept in place by the engine's grants and erasures, to
+// equal a replay of v.Ops over initial, every item the schedule writes
+// to be in Items, and each pending request's Item to index its own name.
+func checkViewReplay(t *testing.T, v *exec.View, initial state.DB, pending []*exec.Request) {
+	t.Helper()
+	store, writer := initial.Clone(), make(map[string]int)
+	for _, o := range v.Ops {
+		if o.Action == txn.ActionWrite {
+			store.Set(o.Entity, o.Value)
+			writer[o.Entity] = o.Txn
+		}
+	}
+	if !v.Store.Equal(store) {
+		t.Fatalf("Store = %s; the schedule replays to %s\n%v", v.Store, store, v.Ops)
+	}
+	if len(v.LastWriter) != len(v.Items) {
+		t.Fatalf("LastWriter holds %d entries for %d items", len(v.LastWriter), len(v.Items))
+	}
+	for i, name := range v.Items {
+		if v.LastWriter[i] != writer[name] {
+			t.Fatalf("LastWriter[%d] (%s) = T%d; the schedule says T%d\n%v", i, name, v.LastWriter[i], writer[name], v.Ops)
+		}
+		delete(writer, name)
+	}
+	if len(writer) > 0 {
+		t.Fatalf("written items %v are missing from Items %v", writer, v.Items)
+	}
+	for _, r := range pending {
+		if int(r.Item) >= len(v.Items) || v.Items[r.Item] != r.Entity {
+			t.Fatalf("%s carries Item %d of Items %v", r, r.Item, v.Items)
+		}
+	}
+}
+
 // checkSchedulePositions requires a Result's schedule — copied out of
 // the engine's recycled arena as it stands, not renumbered — to be
 // numbered densely from 0 and clipped to its length.
@@ -82,6 +119,7 @@ func checkSchedulePositions(t *testing.T, s *txn.Schedule) {
 func (f *forcedRestart) Pick(pending []*exec.Request, v *exec.View) int {
 	if f.t != nil {
 		checkOpIndex(f.t, v)
+		checkViewReplay(f.t, v, f.initial, pending)
 	}
 	if f.granted == f.after && len(f.aborted) == 0 {
 		return -1
@@ -106,6 +144,7 @@ func (f *forcedRestart) TxnAborted(id int, v *exec.View) {
 	f.aborted = append(f.aborted, id)
 	if f.t != nil {
 		checkOpIndex(f.t, v)
+		checkViewReplay(f.t, v, f.initial, nil)
 	}
 }
 
@@ -123,7 +162,7 @@ func TestRestartSeesNothingOfErasedAttempt(t *testing.T) {
 	initial := state.Ints(map[string]int64{"x": 0, "y": 0, "z": 0})
 	// Round-robin grants r1(x, 0), w2(x, 100), w1(y, 1); the forced
 	// stall then aborts T1, parked on r1(z).
-	pol := &forcedRestart{Policy: &sched.RoundRobin{}, victim: 1, after: 3, t: t}
+	pol := &forcedRestart{Policy: &sched.RoundRobin{}, victim: 1, after: 3, t: t, initial: initial}
 	res, err := exec.RunCtx(context.Background(), exec.Config{Programs: programs, Initial: initial, Policy: pol})
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +239,7 @@ func TestEngineAbortRestoresSurvivingWrite(t *testing.T) {
 	initial := state.Ints(map[string]int64{"x": 1, "y": 0, "q": 0})
 	// w1(x,5) finishes T1, w2(x,7); the forced stall aborts T2; T3 then
 	// reads x and must see T1's 5 before T2's second attempt runs.
-	pol := &forcedRestart{Policy: sched.NewScript(1, 2, 3, 3, 2, 2, 2), victim: 2, after: 2, t: t}
+	pol := &forcedRestart{Policy: sched.NewScript(1, 2, 3, 3, 2, 2, 2), victim: 2, after: 2, t: t, initial: initial}
 	res, err := exec.RunCtx(context.Background(), exec.Config{Programs: programs, Initial: initial, Policy: pol})
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +290,7 @@ func TestEngineAbortRestoresLiveWriter(t *testing.T) {
 	// moment the gate stops delaying it.
 	pol := &forcedRestart{
 		Policy: &sched.DelayedRead{Inner: &youngestAfter{first: []int{1, 2}}},
-		victim: 2, after: 2, t: t,
+		victim: 2, after: 2, t: t, initial: initial,
 	}
 	res, err := exec.RunCtx(context.Background(), exec.Config{Programs: programs, Initial: initial, Policy: pol})
 	if err != nil {
@@ -279,7 +318,7 @@ func TestEngineAbortCascades(t *testing.T) {
 	initial := state.Ints(map[string]int64{"x": 1, "y": 0, "z": 0})
 	// Round-robin grants w1(x,5), r2(x,5); aborting T1 must cascade to
 	// T2, which read the erased 5.
-	pol := &forcedRestart{Policy: &sched.RoundRobin{}, victim: 1, after: 2, t: t}
+	pol := &forcedRestart{Policy: &sched.RoundRobin{}, victim: 1, after: 2, t: t, initial: initial}
 	res, err := exec.RunCtx(context.Background(), exec.Config{Programs: programs, Initial: initial, Policy: pol})
 	if err != nil {
 		t.Fatal(err)
@@ -389,6 +428,7 @@ func (a *alwaysAbort) Victim(pending []*exec.Request, v *exec.View) int { return
 type waitLedger struct {
 	exec.Gate
 	t         *testing.T
+	initial   state.DB
 	passEvery int
 	picks     int
 	waits     map[int]int
@@ -397,6 +437,7 @@ type waitLedger struct {
 
 func (l *waitLedger) Pick(pending []*exec.Request, v *exec.View) int {
 	checkOpIndex(l.t, v)
+	checkViewReplay(l.t, v, l.initial, pending)
 	l.picks++
 	choice := exec.PassTick
 	if l.picks%l.passEvery != 0 {
@@ -414,6 +455,7 @@ func (l *waitLedger) Pick(pending []*exec.Request, v *exec.View) int {
 
 func (l *waitLedger) TxnAborted(id int, v *exec.View) {
 	checkOpIndex(l.t, v)
+	checkViewReplay(l.t, v, l.initial, nil)
 	l.Gate.TxnAborted(id, v)
 }
 func (l *waitLedger) TxnFinished(id int, v *exec.View) {
@@ -446,6 +488,7 @@ func TestEngineIdenticalAcrossRunsAndProcs(t *testing.T) {
 	run := func() outcome {
 		ledger := &waitLedger{
 			t:         t,
+			initial:   w.Initial,
 			Gate:      sched.NewOptimisticCertify(w.DataSets, sched.NewRandom(5), nil),
 			passEvery: 7,
 			waits:     make(map[int]int),

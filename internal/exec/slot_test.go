@@ -20,6 +20,7 @@ import (
 type slotAudit struct {
 	nopGate
 	t       *testing.T
+	initial state.DB
 	rr      sched.RoundRobin
 	rank    map[int]int // id → its index among the run's ids, ascending
 	seen    map[int]int // id → the slot its first request carried
@@ -46,6 +47,7 @@ func (a *slotAudit) check(pending []*exec.Request, v *exec.View) {
 		a.seen[r.TxnID] = r.Slot
 	}
 	checkOpIndex(a.t, v)
+	checkViewReplay(a.t, v, a.initial, pending)
 	for id := range a.rank {
 		wantClosure, wantOK := referenceClosure(v, id)
 		closure, ok := v.AbortClosure(id)
@@ -123,12 +125,12 @@ func TestRequestSlots(t *testing.T) {
 	for _, ids := range [][]int{{1, 2, 3, 4, 5, 6, 7, 8}, {3, 7, 8, 20, 41}} {
 		t.Run(fmt.Sprint(ids), func(t *testing.T) {
 			programs := make(map[int]*program.Program, len(ids))
-			a := &slotAudit{t: t, rank: make(map[int]int), seen: make(map[int]int)}
+			initial := state.Ints(map[string]int64{"a": 0, "b": 0, "c": 0})
+			a := &slotAudit{t: t, initial: initial, rank: make(map[int]int), seen: make(map[int]int)}
 			for i, id := range ids {
 				programs[id] = program.MustParse(fmt.Sprintf("program T%d { let t := %c; %c := t + %d; c := c + 1; }", id, 'a'+id%2, 'b'-id%2, id))
 				a.rank[id] = i
 			}
-			initial := state.Ints(map[string]int64{"a": 0, "b": 0, "c": 0})
 			res, err := exec.RunCtx(context.Background(), exec.Config{Programs: programs, Initial: initial, Policy: a, MaxAborts: 64})
 			if err != nil {
 				t.Fatal(err)

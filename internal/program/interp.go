@@ -91,7 +91,10 @@ const (
 type Request struct {
 	Action txn.Action
 	Item   string
-	Value  state.Value // the value to write
+	// Slot is Item's slot in the program's frame: the same for every
+	// request of the program that names Item, and unique to it.
+	Slot  int32
+	Value state.Value // the value to write
 }
 
 // block is one entry of a Machine's control stack: a statement list in
@@ -264,7 +267,7 @@ func (m *Machine) lookup(v *constraint.Var) (state.Value, error) {
 				// the one the first stopped at.
 				return state.Value{}, m.failed
 			}
-			m.wait, m.req = v.Slot, Request{Action: txn.ActionRead, Item: v.Name}
+			m.wait, m.req = v.Slot, Request{Action: txn.ActionRead, Item: v.Name, Slot: v.Slot}
 			return state.Value{}, errSuspend
 		}
 		val, err := m.acc.Read(v.Name)
@@ -362,7 +365,7 @@ func (m *Machine) Step() (*Request, error) {
 			}
 			s.val, s.state = v, s.state|slotWritten
 			if m.acc == nil {
-				m.req = Request{Action: txn.ActionWrite, Item: n.Target, Value: v}
+				m.req = Request{Action: txn.ActionWrite, Item: n.Target, Slot: n.slot, Value: v}
 				return &m.req, nil
 			}
 			if err := m.acc.Write(n.Target, v); err != nil {

@@ -53,9 +53,9 @@
 //
 // A certification gate decides every pending request at every tick but
 // re-decides only what moved. A verdict — the delayed-read rule, then
-// Certifier.Admissible — reads only the conflict graphs of the conjuncts
-// its item belongs to and, in the view, that item's last writer and
-// whether it finished. PWSR is predicate-wise (Definition 2: each
+// Certifier.AdmissibleItem — reads only the conflict graphs of the
+// conjuncts its item belongs to and, in the view, that item's last
+// writer and whether it finished. PWSR is predicate-wise (Definition 2: each
 // conjunct's projection is certified on its own), so a grant, abort or
 // commit inside other conjuncts cannot change it, and the rule is exact:
 // every conjunct has a monotone epoch (items outside every conjunct
@@ -68,11 +68,13 @@
 // compaction pass, a drain's retractions, a caller handed Monitor(), a
 // new run's view — moves a global epoch under every stamp. Verdicts sit
 // in a table indexed by the request's run slot (exec.Request.Slot),
-// tagged with the transaction, action and item they decided, and are
-// re-decided in place; the slot is only a cache index, so a wrong or
-// shared one costs re-probes, never a decision. Posture, solo and the
-// journal's freeze are compares made every tick. No option turns the
-// memo off.
+// keyed by the transaction, action and item (exec.Request.Item) they
+// decided, and are re-decided in place; the slot is only a cache index,
+// so a wrong or shared one costs re-probes, never a decision. The item,
+// unlike the slot, is a key (one name in one run; a new view clears the
+// table), resolved once through Certifier.Item, which interns it. Posture,
+// solo and the journal's freeze are compares made every tick. No option
+// turns the memo off.
 package sched
 
 import (

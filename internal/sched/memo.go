@@ -14,16 +14,15 @@ import (
 // nothing), and holds the reused per-tick scratch.
 type verdictMemo struct {
 	mon     Certifier
-	epoch   []uint64           // one counter per conjunct, then the outside-every-conjunct counter
-	global  uint64             // part of every stamp; ≥ 1 once in use, so stamp 0 means undecided
-	passes  int                // the certifier's compaction passes as of the last commit
-	epochs  map[string][]int32 // partition item → the counters its verdicts depend on, built once
-	outside []int32            // the counters of every other item: the outside one alone
+	epoch   []uint64 // one counter per conjunct, then the outside-every-conjunct counter
+	global  uint64   // part of every stamp; ≥ 1 once in use, so stamp 0 means undecided
+	passes  int      // the certifier's compaction passes as of the last commit
+	outside []int32  // the counters of an item outside every conjunct: the outside one alone
 	// touched maps a transaction to the counters of its granted items;
 	// spare recycles the lists.
 	touched map[int][]int32
 	spare   [][]int32
-	view    *exec.View // LastWriter and Finished belong to one run's view
+	view    *exec.View // Items, LastWriter and Finished belong to one run's view
 
 	// table holds the verdicts by run slot (exec.Request.Slot); adm,
 	// allowed and idx, the tick's mask and admissible requests, follow
@@ -36,37 +35,32 @@ type verdictMemo struct {
 	// nothing from a non-empty admissible set: the stall is the inner
 	// policy's, and Victim declines it.
 	declined bool
-	// census is the gate's stall census: mask counts the denials,
-	// Victim the stalls.
+	// census is the gate's stall census: mask counts the probes and
+	// denials, Victim the stalls.
 	census exec.StallStats
 }
 
-// verdict is one request's memoized decision.
+// verdict is one request's memoized decision, keyed by transaction,
+// action and exec.Request.Item, with the certifier's id of the item and
+// the epoch counters it depends on (a zero verdict has none).
 type verdict struct {
-	txn    int
-	entity string
-	epochs []int32
-	stamp  uint64
-	action txn.Action
-	ok     bool
+	txn      int
+	item, id int32
+	epochs   []int32
+	stamp    uint64
+	action   txn.Action
+	ok       bool
 }
 
 // mask fills m.adm for the pending requests: lifecycle posture and solo
-// exclusivity (0 = none) first, then the verdict in the request's slot —
-// reset to undecided when it was decided for another transaction, action
-// or item — re-decided in place when stale: the delayed-read rule, then
-// the certifier, each denial counted in the census.
+// exclusivity (0 = none) first, then the verdict in the request's slot
+// (see entry), re-decided in place when stale: the delayed-read rule,
+// then the certifier, each probe and denial counted in the census.
 func (m *verdictMemo) mask(pending []*exec.Request, v *exec.View, lc *lifecycle, solo int) {
 	if m.epoch == nil {
-		partition := m.mon.Partition()
-		m.epoch = make([]uint64, len(partition)+1)
-		m.epochs = make(map[string][]int32)
-		for e, d := range partition {
-			for item := range d {
-				m.epochs[item] = append(m.epochs[item], int32(e))
-			}
-		}
-		m.outside = []int32{int32(len(partition))}
+		n := len(m.mon.Partition())
+		m.epoch = make([]uint64, n+1)
+		m.outside = []int32{int32(n)}
 		m.touched = make(map[int][]int32)
 		m.global++
 	}
@@ -74,32 +68,25 @@ func (m *verdictMemo) mask(pending []*exec.Request, v *exec.View, lc *lifecycle,
 		m.view = v
 		m.global++
 		clear(m.touched) // a failed run never settles its transactions
+		clear(m.table)   // run item ids mean nothing in another run
 	}
 	m.adm = m.adm[:0]
 	for _, r := range pending {
 		ok := !lc.blocked(r.TxnID) && (solo == 0 || r.TxnID == solo)
 		if ok {
-			s := max(r.Slot, 0)
-			if s >= len(m.table) {
-				m.table = append(m.table, make([]verdict, s+1-len(m.table))...)
-			}
-			e := &m.table[s]
-			if e.txn != r.TxnID || e.action != r.Action || e.entity != r.Entity {
-				*e = verdict{txn: r.TxnID, action: r.Action, entity: r.Entity, epochs: m.epochsOf(r.Entity)}
-			}
+			e := m.entry(r)
 			stamp := m.global
 			for _, c := range e.epochs {
 				stamp += m.epoch[c]
 			}
 			if stamp != e.stamp {
 				e.stamp, e.ok = stamp, false
-				switch {
-				case delayedReadBlocked(r, v):
+				if delayedReadBlocked(r, v) {
 					m.census.DelayedReadDenials++
-				case !m.mon.Admissible(requestOp(r)):
-					m.census.CertifierDenials++
-				default:
+				} else if m.census.Probes++; m.mon.AdmissibleItem(r.TxnID, r.Action, e.id) {
 					e.ok = true
+				} else {
+					m.census.CertifierDenials++
 				}
 			}
 			ok = e.ok
@@ -108,13 +95,26 @@ func (m *verdictMemo) mask(pending []*exec.Request, v *exec.View, lc *lifecycle,
 	}
 }
 
-// epochsOf returns the epoch counters an item's verdicts depend on: its
-// conjuncts', or the shared outside one.
-func (m *verdictMemo) epochsOf(item string) []int32 {
-	if s, ok := m.epochs[item]; ok {
-		return s
+// entry returns the verdict in r's slot, reset to undecided when it was
+// decided for another transaction, action or item; only a new item is
+// resolved through the certifier, the one name lookup a request costs.
+func (m *verdictMemo) entry(r *exec.Request) *verdict {
+	s := max(r.Slot, 0)
+	if s >= len(m.table) {
+		m.table = append(m.table, make([]verdict, s+1-len(m.table))...)
 	}
-	return m.outside
+	e := &m.table[s]
+	if e.epochs == nil || e.item != r.Item {
+		id, epochs := m.mon.Item(r.Entity)
+		if len(epochs) == 0 {
+			epochs = m.outside
+		}
+		*e = verdict{item: r.Item, id: id, epochs: epochs}
+	}
+	if e.txn != r.TxnID || e.action != r.Action {
+		e.txn, e.action, e.stamp = r.TxnID, r.Action, 0
+	}
+	return e
 }
 
 // grant lets inner choose among the requests the mask passed and commits
@@ -140,19 +140,20 @@ func (m *verdictMemo) grant(pending []*exec.Request, v *exec.View, inner exec.Po
 		return -1
 	}
 	pick := m.idx[in]
-	m.mon.Observe(requestOp(pending[pick]))
-	id := pending[pick].TxnID
-	t, ok := m.touched[id]
+	r := pending[pick]
+	e := m.entry(r)
+	m.mon.ObserveItem(txn.Op{Txn: r.TxnID, Action: r.Action, Entity: r.Entity, Value: r.Value, Pos: -1}, e.id)
+	t, ok := m.touched[r.TxnID]
 	if n := len(m.spare); !ok && n > 0 {
 		t, m.spare = m.spare[n-1], m.spare[:n-1]
 	}
-	for _, c := range m.epochsOf(pending[pick].Entity) {
+	for _, c := range e.epochs {
 		m.epoch[c]++
 		if !slices.Contains(t, c) {
 			t = append(t, c)
 		}
 	}
-	m.touched[id] = t
+	m.touched[r.TxnID] = t
 	if !jn.ack() {
 		return -1 // grant not durable: refuse it and freeze the gate
 	}
@@ -181,10 +182,4 @@ func (m *verdictMemo) commit(id int) {
 		m.global++
 	}
 	m.settle(id)
-}
-
-// requestOp views a pending request as an operation for the monitor,
-// which ignores values and positions.
-func requestOp(r *exec.Request) txn.Op {
-	return txn.Op{Txn: r.TxnID, Action: r.Action, Entity: r.Entity, Value: r.Value, Pos: -1}
 }

@@ -10,6 +10,7 @@ import (
 
 	"pwsr/internal/core"
 	"pwsr/internal/exec"
+	"pwsr/internal/exec/exectest"
 	"pwsr/internal/fault"
 	"pwsr/internal/gen"
 	"pwsr/internal/program"
@@ -80,13 +81,13 @@ func (a *maskAudit) Pick(pending []*exec.Request, v *exec.View) int {
 	for i, r := range pending {
 		open := !a.lc.blocked(r.TxnID) && (solo == 0 || r.TxnID == solo)
 		delayed := delayedReadBlocked(r, v)
-		fresh[i] = open && !delayed && mon.Admissible(requestOp(r))
+		fresh[i] = open && !delayed && mon.Admissible(txn.Op{Txn: r.TxnID, Action: r.Action, Entity: r.Entity})
 		if open {
 			a.open++
 		}
 		seen := auditSeen{action: r.Action, entity: r.Entity}
 		if delayed {
-			seen.blocker = v.LastWriter[r.Entity]
+			seen.blocker = v.LastWriter[r.Item]
 		}
 		now[r.TxnID] = seen
 		if p, ok := a.prev[r.TxnID]; ok {
@@ -95,7 +96,7 @@ func (a *maskAudit) Pick(pending []*exec.Request, v *exec.View) int {
 				a.hazards["request changed under one id"]++
 			case p.blocker != 0 && v.Finished[p.blocker]:
 				a.hazards["commit of a delayed-read blocker"]++
-			case p.blocker != 0 && v.LastWriter[r.Entity] != p.blocker:
+			case p.blocker != 0 && v.LastWriter[r.Item] != p.blocker:
 				a.hazards["retract of a writer"]++
 			}
 		}
@@ -118,7 +119,7 @@ func (a *maskAudit) Victim(pending []*exec.Request, v *exec.View) int {
 	immune := a.immune(pending, v)
 	i := a.OptimisticCertify.Victim(pending, v)
 	for _, r := range pending {
-		if i >= 0 && r.TxnID == immune && delayedReadBlocked(r, v) && v.LastWriter[r.Entity] == pending[i].TxnID {
+		if i >= 0 && r.TxnID == immune && delayedReadBlocked(r, v) && v.LastWriter[r.Item] == pending[i].TxnID {
 			a.hazards["stall resolved by a delayed-read blocker"]++
 		}
 	}
@@ -314,20 +315,29 @@ func TestVerdictMemoSlotIsOnlyACacheIndex(t *testing.T) {
 	}
 }
 
-// countingCertifier counts Admissible probes, and per item when probes
-// is set.
+// countingCertifier counts the gate's AdmissibleItem probes, and per
+// item name when probes is set (names maps the ids Item handed out).
 type countingCertifier struct {
 	Certifier
 	calls  int
 	probes map[string]int
+	names  map[int32]string
 }
 
-func (c *countingCertifier) Admissible(o txn.Op) bool {
+func (c *countingCertifier) Item(name string) (int32, []int32) {
+	id, conjuncts := c.Certifier.Item(name)
+	if c.probes != nil {
+		c.names[id] = name
+	}
+	return id, conjuncts
+}
+
+func (c *countingCertifier) AdmissibleItem(txnID int, a txn.Action, item int32) bool {
 	c.calls++
 	if c.probes != nil {
-		c.probes[o.Entity]++
+		c.probes[c.names[item]]++
 	}
-	return c.Certifier.Admissible(o)
+	return c.Certifier.AdmissibleItem(txnID, a, item)
 }
 
 // TestGrantReprobesOnlyItsConjunct pins the count the memo's gain rests
@@ -335,16 +345,14 @@ func (c *countingCertifier) Admissible(o txn.Op) bool {
 // nothing about the requests pending on conjunct B, and conversely.
 func TestGrantReprobesOnlyItsConjunct(t *testing.T) {
 	partition := []state.ItemSet{state.NewItemSet("a1", "a2"), state.NewItemSet("b1", "b2")}
-	mon := &countingCertifier{Certifier: core.NewMonitor(partition), probes: make(map[string]int)}
+	mon := &countingCertifier{Certifier: core.NewMonitor(partition), probes: make(map[string]int), names: make(map[int32]string)}
 	gate := NewOptimisticCertifyOver(mon, NewScript(1, 2), nil)
-	v := &exec.View{
-		Live:       map[int]bool{1: true, 2: true, 3: true},
-		Finished:   map[int]bool{},
-		LastWriter: map[string]int{},
-	}
 	req := func(id int, a txn.Action, item string) *exec.Request {
 		return &exec.Request{TxnID: id, Slot: id - 1, Action: a, Entity: item, Value: stateInt(1)}
 	}
+	w1a1, r2b1, w3b2 := req(1, txn.ActionWrite, "a1"), req(2, txn.ActionRead, "b1"), req(3, txn.ActionWrite, "b2")
+	w1a2, r2b2 := req(1, txn.ActionWrite, "a2"), req(2, txn.ActionRead, "b2")
+	v := exectest.View(map[int]bool{1: true, 2: true, 3: true}, map[int]bool{}, nil, w1a1, r2b1, w3b2, w1a2, r2b2)
 	tick := func(want int, wantProbes map[string]int, pending ...*exec.Request) {
 		t.Helper()
 		clear(mon.probes)
@@ -356,20 +364,16 @@ func TestGrantReprobesOnlyItsConjunct(t *testing.T) {
 		}
 	}
 	// First sight: every request is decided.
-	tick(0, map[string]int{"a1": 1, "b1": 1, "b2": 1},
-		req(1, txn.ActionWrite, "a1"), req(2, txn.ActionRead, "b1"), req(3, txn.ActionWrite, "b2"))
-	v.LastWriter["a1"] = 1 // the engine applies the grant
+	tick(0, map[string]int{"a1": 1, "b1": 1, "b2": 1}, w1a1, r2b1, w3b2)
+	v.LastWriter[w1a1.Item] = 1 // the engine applies the grant
 	// The grant was in A: only T1's new request is probed, B's verdicts stand.
-	tick(1, map[string]int{"a2": 1},
-		req(1, txn.ActionWrite, "a2"), req(2, txn.ActionRead, "b1"), req(3, txn.ActionWrite, "b2"))
+	tick(1, map[string]int{"a2": 1}, w1a2, r2b1, w3b2)
 	// The grant was in B: T2's new request and T3's standing one are
 	// re-decided, T1's verdict in A stands. The script is exhausted, so
 	// nothing is granted.
-	tick(-1, map[string]int{"b2": 2},
-		req(1, txn.ActionWrite, "a2"), req(2, txn.ActionRead, "b2"), req(3, txn.ActionWrite, "b2"))
+	tick(-1, map[string]int{"b2": 2}, w1a2, r2b2, w3b2)
 	// Nothing moved: a tick costs no probe at all.
-	tick(-1, map[string]int{},
-		req(1, txn.ActionWrite, "a2"), req(2, txn.ActionRead, "b2"), req(3, txn.ActionWrite, "b2"))
+	tick(-1, map[string]int{}, w1a2, r2b2, w3b2)
 }
 
 // TestVerdictMemoNewView: the delayed-read half of a verdict reads the
@@ -378,40 +382,75 @@ func TestGrantReprobesOnlyItsConjunct(t *testing.T) {
 func TestVerdictMemoNewView(t *testing.T) {
 	gate := NewOptimisticCertify([]state.ItemSet{state.NewItemSet("a")}, &RoundRobin{}, nil)
 	pending := []*exec.Request{{TxnID: 1, Action: txn.ActionRead, Entity: "a"}}
-	dirty := &exec.View{Live: map[int]bool{1: true, 7: true}, Finished: map[int]bool{}, LastWriter: map[string]int{"a": 7}}
+	dirty := exectest.View(map[int]bool{1: true, 7: true}, map[int]bool{}, map[string]int{"a": 7}, pending...)
 	if got := gate.Pick(pending, dirty); got != -1 {
 		t.Fatalf("Pick = %d, want -1: T7's write of a is live", got)
 	}
-	clean := &exec.View{Live: map[int]bool{1: true}, Finished: map[int]bool{}, LastWriter: map[string]int{}}
+	clean := exectest.View(map[int]bool{1: true}, map[int]bool{}, nil, pending...)
 	if got := gate.Pick(pending, clean); got != 0 {
 		t.Fatalf("Pick = %d under a view without T7's write, want 0", got)
 	}
 }
 
-// TestVerdictMemoOutsideItemsBounded: the memo's item table holds the
-// partition's items and nothing else — every item outside the partition
+// TestVerdictMemoItemIdsPerRun: a Request.Item names an item within its
+// run only. T1's request in slot 0 carries Item 0 in both runs below,
+// naming b (outside every conjunct) in the first and a in the second,
+// where T1's write would close the cycle 1→2→1; a verdict whose
+// certifier id outlived the first run would wave the write through.
+func TestVerdictMemoItemIdsPerRun(t *testing.T) {
+	partition := []state.ItemSet{state.NewItemSet("a", "c")}
+	mon := core.NewMonitor(partition)
+	for _, o := range []txn.Op{txn.W(1, "c", 1), txn.R(2, "c", 1), txn.R(2, "a", 0)} {
+		mon.Observe(o)
+	}
+	gate := NewOptimisticCertifyOver(mon, &RoundRobin{}, NeverAbort)
+	live := map[int]bool{1: true, 2: true}
+	first := []*exec.Request{{TxnID: 1, Action: txn.ActionRead, Entity: "b"}}
+	if got := gate.Pick(first, exectest.View(live, map[int]bool{}, nil, first...)); got != 0 {
+		t.Fatalf("Pick = %d for a read outside every conjunct, want 0", got)
+	}
+	second := []*exec.Request{{TxnID: 1, Action: txn.ActionWrite, Entity: "a", Value: stateInt(1)}}
+	if got := gate.Pick(second, exectest.View(live, map[int]bool{}, nil, second...)); got != -1 {
+		t.Fatalf("Pick = %d for w1(a), which closes 1→2→1 in conjunct C1; want -1", got)
+	}
+	if v := mon.Violation(); v != nil {
+		t.Fatalf("the gate granted a cycle: %v", v)
+	}
+}
+
+// TestVerdictMemoOutsideItemsBounded: the memo keeps no per-item table
+// — its verdicts sit by run slot, and every item outside the partition
 // shares one epoch counter — so a gate fed a stream of fresh item names
-// outside every conjunct does not grow it.
+// outside every conjunct does not grow with it.
 func TestVerdictMemoOutsideItemsBounded(t *testing.T) {
 	partition := []state.ItemSet{state.NewItemSet("a1", "a2"), state.NewItemSet("a2", "b1")}
 	gate := NewOptimisticCertify(partition, &RoundRobin{}, nil)
-	v := &exec.View{Live: map[int]bool{}, Finished: map[int]bool{}, LastWriter: map[string]int{}}
 	const fresh = 1000
+	reqs := make([]*exec.Request, fresh+1)
+	for i := 1; i <= fresh; i++ {
+		reqs[i] = &exec.Request{TxnID: i, Action: txn.ActionRead, Entity: fmt.Sprintf("o%d", i)}
+	}
+	reqs[0] = &exec.Request{TxnID: fresh + 1, Action: txn.ActionRead, Entity: "a2"}
+	v := exectest.View(map[int]bool{}, map[int]bool{}, nil, reqs...)
+	var outside []int32
 	for i := 1; i <= fresh; i++ {
 		v.Live[i] = true
-		pending := []*exec.Request{{TxnID: i, Action: txn.ActionRead, Entity: fmt.Sprintf("o%d", i)}}
-		if got := gate.Pick(pending, v); got != 0 {
+		if got := gate.Pick(reqs[i:i+1], v); got != 0 {
 			t.Fatalf("Pick = %d for a read outside every conjunct, want 0", got)
 		}
+		got := gate.memo.entry(reqs[i]).epochs
+		if i == 1 {
+			outside = got
+		}
+		if &got[0] != &outside[0] || !slices.Equal(got, []int32{2}) {
+			t.Fatalf("o%d uses epochs %v, want the one shared slice of the outside counter [2] (o1's %v)", i, got, outside)
+		}
 	}
-	if got := len(gate.memo.epochs); got != 3 {
-		t.Fatalf("item table holds %d entries after %d fresh outside items, want the partition's 3", got, fresh)
+	if got := len(gate.memo.table); got != 1 {
+		t.Fatalf("verdict table holds %d entries after %d fresh outside items in slot 0, want 1", got, fresh)
 	}
-	if got := gate.memo.epochsOf("a2"); !slices.Equal(got, []int32{0, 1}) {
+	if got := gate.memo.entry(reqs[0]).epochs; !slices.Equal(got, []int32{0, 1}) {
 		t.Fatalf("epochs of a2 = %v, want both conjuncts [0 1]", got)
-	}
-	if a, b := gate.memo.epochsOf("o1"), gate.memo.epochsOf("o2"); &a[0] != &b[0] || a[0] != 2 {
-		t.Fatalf("outside items use epochs %v and %v, want one shared slice of the outside counter 2", a, b)
 	}
 }
 

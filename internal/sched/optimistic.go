@@ -274,7 +274,7 @@ func (g *OptimisticCertify) blocker(pending []*exec.Request, v *exec.View, immun
 	for _, r := range pending {
 		if r.TxnID == immune && delayedReadBlocked(r, v) {
 			for _, c := range g.memo.idx {
-				if pending[c].TxnID == v.LastWriter[r.Entity] {
+				if pending[c].TxnID == v.LastWriter[r.Item] {
 					return c
 				}
 			}

@@ -96,9 +96,9 @@ type observed struct {
 	ops []string
 }
 
-func (o *observed) Observe(op txn.Op) *core.Violation {
+func (o *observed) ObserveItem(op txn.Op, item int32) *core.Violation {
 	o.ops = append(o.ops, op.String())
-	return o.Certifier.Observe(op)
+	return o.Certifier.ObserveItem(op, item)
 }
 
 // abortRecording records the aborts the engine reports to the gate.

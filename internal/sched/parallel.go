@@ -9,11 +9,14 @@ import (
 // Certifier abstracts the online PWSR monitor the certification gate
 // consults; core.Monitor implements it.
 type Certifier interface {
-	// Observe admits one operation, returning the sticky first
-	// violation.
+	// Item, ObserveItem and AdmissibleItem are the gate's path: an
+	// item's id and conjuncts (see core.Monitor.Item), then grant and probe.
+	Item(name string) (int32, []int32)
+	ObserveItem(o txn.Op, item int32) *core.Violation
+	AdmissibleItem(txnID int, a txn.Action, item int32) bool
+	// Observe and Admissible, which the gate never calls, are kept for
+	// benchmark/trace.go:285 and :295 until ROADMAP item 8.
 	Observe(o txn.Op) *core.Violation
-	// Admissible reports whether admitting o now would keep every
-	// conjunct's projection serializable, without recording it.
 	Admissible(o txn.Op) bool
 	// AdmitSequence admits one fresh transaction's whole operation
 	// sequence, which cannot be denied: false comes only with a

@@ -140,8 +140,8 @@ func delayedReadBlocked(r *exec.Request, v *exec.View) bool {
 	if r.Action != txn.ActionRead {
 		return false
 	}
-	w, ok := v.LastWriter[r.Entity]
-	return ok && w != 0 && w != r.TxnID && !v.Finished[w]
+	w := v.LastWriter[r.Item]
+	return w != 0 && w != r.TxnID && !v.Finished[w]
 }
 
 // Pick implements exec.Policy.
