@@ -145,10 +145,10 @@ test:
 #   widens the schedule space beyond the host's. Among them are wal's
 #   crash differential (TestCrashMatrix kills the log at every byte
 #   offset), the sched journaled-gate tests, and experiments' chaos
-#   (ROBUST1) and cancel (ROBUST2) differentials. A failing chaos
-#   trial dumps chaos-failed-<seed>.json and a failing cancel case
-#   cancel-failed-<seed>.json, which replays in TestCancelReplay once
-#   moved under internal/experiments/testdata/cancel;
+#   (ROBUST1) and cancel (ROBUST2) differentials. A failing trial
+#   dumps <chaos|cancel>-failed-<seed>.json; a cancel dump replays in
+#   TestCancelReplay once moved under internal/experiments/testdata/cancel,
+#   a chaos dump's seed is its replay;
 # - every benchmark in the module once, so none can rot;
 # - every native fuzz target that `go test -list` finds, 15 seconds
 #   each. `go test -fuzz` passes when its pattern matches nothing, so

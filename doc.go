@@ -227,14 +227,16 @@
 // tests all of this: seeded, occurrence-counted fault plans (JSON
 // round-trippable, replayable) fire at backend writes and syncs,
 // journal barriers, gate ticks, and parallel-engine commit turns.
-// TestChaosDifferential is the ROBUST1 differential — randomized fault
-// plans over the full pipeline, each trial lockstep-compared against
-// its uninjected twin for schedule, verdict, and durable-prefix
-// equality — and `make check` runs it under the race detector at
-// pinned GOMAXPROCS=1 and 8. A failing
-// trial dumps its plan as a chaos-failed-<seed>.json artifact for
-// reading; no code reads it back, and RunChaosTrial of its seed is the
-// replay.
+// internal/experiments runs the two differentials on one seeded trial
+// harness: a trial builds the journaled pipeline, runs it on either
+// engine, and ends with the same journal check — the absorbed event
+// stream replayed, recovered and, for cancel trials, resumed, each
+// verdict-identical. TestChaosDifferential is ROBUST1: randomized fault
+// plans, each trial lockstep-compared against its uninjected twin for
+// schedule, verdict, and durable-prefix equality. `make check` runs
+// both differentials under the race detector at pinned GOMAXPROCS=1
+// and 8. A failing trial dumps as <chaos|cancel>-failed-<seed>.json. A
+// chaos dump is for reading: RunChaosTrial of its seed is the replay.
 //
 // # Lifecycle: cancellation, deadlines, and drain
 //
@@ -261,23 +263,23 @@
 // memory until its group of commits fills.
 //
 // The gate shuts down in two stages. Drain (every Gate has it)
-// stops new admissions — refused with ErrDraining — then settles
-// in-flight transactions per the DrainPolicy (DrainWait lets them
-// finish, DrainAbort retracts them immediately), flushes the journal
-// barrier, runs a final compact pass, and cuts a recovery snapshot;
-// it always terminates within its context's deadline, retracting the
-// unfinished remainder and returning the typed error when time runs
-// out. Close is the terminal latch (ErrGateClosed) and releases the
+// stops new admissions — refused with ErrDraining — then waits for
+// in-flight transactions to finish, flushes the journal barrier, runs
+// a final compact pass, and cuts a recovery snapshot; it always
+// terminates within its context's deadline, retracting the unfinished
+// remainder and returning the typed error when the context ends (a
+// drain under an already-cancelled context retracts them at once).
+// Close is the terminal latch (ErrGateClosed) and releases the
 // journal, whose writer retries without sleeping, so closing waits on
 // no backoff. The posture —
 // Draining, Closed, plus the latched journal error — rides
-// in Health(). TestCancelMatrix is the ROBUST2 differential: seeded
-// trials arm one deterministic cancel at every point class (admission
-// ticks, journal writes and syncs, commit turns, drain steps) and
-// verify the two invariants plus recovery, and `make check` runs it
-// raced at pinned GOMAXPROCS=1 and 8; a failure dumps a
-// cancel-failed-<seed>.json case, which replays in TestCancelReplay
-// once moved under internal/experiments/testdata/cancel.
+// in Health(). TestCancelMatrix is the ROBUST2 differential on the
+// same trial harness: seeded trials arm one deterministic cancel at
+// every point class (admission ticks, journal writes and syncs, commit
+// turns, drain steps) and verify the two invariants plus recovery and
+// resume. A cancel trial replays from its JSON: a dumped
+// cancel-failed-<seed>.json replays in TestCancelReplay once moved
+// under internal/experiments/testdata/cancel.
 //
 // # Quick start
 //

@@ -384,10 +384,10 @@ type GateStats struct {
 //     every grant it holds for a transaction the engine erased without
 //     a restart — the run was cancelled, or failed on a program error —
 //     leaving the state a completed run that aborted it would leave.
-//   - Drain stops new admissions, settles the in-flight transactions
-//     per the drain policy, flushes the journal, compacts and cuts a
-//     snapshot. It returns nil when complete, or an ErrCanceled- or
-//     ErrDeadline-wrapped error naming the remainder when ctx ends first.
+//   - Drain stops new admissions, waits for the in-flight transactions
+//     to finish, flushes the journal, compacts and cuts a snapshot. It
+//     returns nil when complete, or an ErrCanceled- or ErrDeadline-
+//     wrapped error naming the remainder when ctx ends first.
 //   - CompactWatermark is the highest transaction id compaction has
 //     reclaimed (0 before any); ParallelEngine anchors its store's
 //     version GC to it (VersionedStore.SetRetainFloor).

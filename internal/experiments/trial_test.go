@@ -22,29 +22,100 @@ import (
 	"pwsr/internal/wal"
 )
 
+// requireTrial returns a check that fails the test on a trial's error,
+// first dumping a *TrialFailure as <kind>-failed-<seed>.json (the CI
+// artifact). A cancel dump replays in TestCancelReplay once moved under
+// testdata/cancel; a chaos dump is for reading, and its seed replays.
+func requireTrial(t *testing.T, kind string) func(TrialRecord, error) TrialRecord {
+	return func(rec TrialRecord, err error) TrialRecord {
+		t.Helper()
+		var tf *TrialFailure
+		if errors.As(err, &tf) {
+			name := fmt.Sprintf("%s-failed-%d.json", kind, tf.Seed)
+			if werr := os.WriteFile(name, tf.JSON(), 0o644); werr == nil {
+				t.Logf("failing trial dumped to %s", name)
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+}
+
+// TestChaosSmoke is the deterministic chaos slice: a fixed band of
+// seeds covering every leg, fault case and outcome (verified by the
+// coverage assertion), each trial lockstep-compared against its
+// uninjected twin.
+func TestChaosSmoke(t *testing.T) {
+	seen := map[string]bool{}
+	for seed := int64(1); seed <= 40; seed++ {
+		rec := requireTrial(t, "chaos")(RunChaosTrial(seed))
+		seen[rec.Leg], seen[rec.Case], seen[rec.Outcome] = true, true, true
+	}
+	for _, want := range append([]string{"tick", "batch", "completed", "degraded"}, chaosCases...) {
+		if !seen[want] {
+			t.Fatalf("smoke band never produced %q; retune the seed band", want)
+		}
+	}
+}
+
+// TestChaosDifferential is the ROBUST1 acceptance run: ≥100 seeded
+// randomized fault plans over the full pipeline (make check runs it
+// under -race at GOMAXPROCS=1 and 8).
+func TestChaosDifferential(t *testing.T) {
+	trials := int64(120)
+	if testing.Short() {
+		trials = 30
+	}
+	for seed := int64(1000); seed < 1000+trials; seed++ {
+		requireTrial(t, "chaos")(RunChaosTrial(seed))
+	}
+}
+
+// TestTrialSeedsPinned pins what a few seeds draw, as read before the
+// chaos and cancel harnesses shared one trial: every leg, chaos case
+// and outcome. A harness edit that reorders an rng draw fails a named
+// row instead of silently running other trials under the same seeds.
+func TestTrialSeedsPinned(t *testing.T) {
+	for _, row := range []struct {
+		kind string
+		seed int64
+		want string // leg/case/outcome fired events recovered-seq
+	}{
+		{"chaos", 1, "tick/total-outage/degraded fired=2 events=4 seq=4"},
+		{"chaos", 2, "tick/persistent-primary/degraded fired=4 events=8 seq=8"},
+		{"chaos", 3, "tick/transient-primary/completed fired=2 events=40 seq=40"},
+		{"chaos", 4, "tick/clean/completed fired=2 events=86 seq=86"},
+		{"chaos", 11, "batch/total-outage/degraded fired=2 events=12 seq=12"},
+		{"chaos", 15, "batch/clean/completed fired=0 events=36 seq=36"},
+		{"cancel", 4, "tick//canceled fired=1 events=10 seq=10"},
+		{"cancel", 2, "batch//canceled fired=1 events=18 seq=18"},
+		{"cancel", 56, "batch//completed fired=0 events=36 seq=36"},
+		{"cancel", 15, "drain//canceled fired=1 events=9 seq=9"},
+	} {
+		t.Run(fmt.Sprintf("%s-%d", row.kind, row.seed), func(t *testing.T) {
+			run := RunChaosTrial
+			if row.kind == "cancel" {
+				run = RunCancelTrial
+			}
+			rec := requireTrial(t, row.kind)(run(row.seed))
+			got := fmt.Sprintf("%s/%s/%s fired=%d events=%d seq=%d", rec.Leg, rec.Case, rec.Outcome, rec.Fired, rec.Events, rec.RecoveredSeq)
+			if got != row.want {
+				t.Errorf("seed %d drew %s, want %s", row.seed, got, row.want)
+			}
+		})
+	}
+}
+
 // TestCancelMatrix is the cancel-at-every-point differential: seeded
 // trials arm one deterministic cancel point each (admission ticks,
 // journal writes and syncs, commit turns, drain steps) and check the
-// typed-error, no-partial-grant, and no-lost-admission obligations. A
-// violated obligation dumps the replayable case as
-// cancel-failed-<seed>.json; moved under testdata/cancel, it replays in
-// TestCancelReplay.
+// typed-error, no-partial-grant, and no-lost-admission obligations.
 func TestCancelMatrix(t *testing.T) {
-	const trials = 66
 	counts := map[string]int{}
-	for i := 0; i < trials; i++ {
-		seed := int64(1 + i)
-		rec, err := RunCancelTrial(seed)
-		if err != nil {
-			var cf *CancelFailure
-			if errors.As(err, &cf) {
-				name := fmt.Sprintf("cancel-failed-%d.json", cf.Case.Seed)
-				if werr := os.WriteFile(name, cf.CaseJSON(), 0o644); werr == nil {
-					t.Logf("replayable case dumped to %s", name)
-				}
-			}
-			t.Fatal(err)
-		}
+	for seed := int64(1); seed <= 66; seed++ {
+		rec := requireTrial(t, "cancel")(RunCancelTrial(seed))
 		counts[rec.Leg+"/"+rec.Outcome]++
 	}
 	// The sweep must actually exercise cancellation on every leg — a
@@ -59,36 +130,33 @@ func TestCancelMatrix(t *testing.T) {
 }
 
 // TestCancelReplay pins the replay contract the failure artifacts rely
-// on — re-running a drawn case yields the identical record, wall time
-// aside — then replays every case checked in under testdata/cancel
-// through the same differential.
+// on — re-running a drawn trial yields the identical record — then
+// replays every trial checked in under testdata/cancel through the same
+// differential.
 func TestCancelReplay(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rec1, err := RunCancelTrial(seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec2, err := RunCancelCase(rec1.CancelCase)
+		rec2, err := RunCancelCase(rec1.Trial)
 		if err != nil {
 			t.Fatalf("replay of seed %d failed: %v", seed, err)
 		}
-		// Everything but the wall time must replay: the outcome, the
-		// fired decisions, the absorbed events and the recovered prefix.
-		rec1.WallNs, rec2.WallNs = 0, 0
 		if !reflect.DeepEqual(rec1, rec2) {
 			t.Fatalf("replay of seed %d diverged: %+v vs %+v", seed, rec1, rec2)
 		}
 	}
 	corpus, err := filepath.Glob(filepath.Join("testdata", "cancel", "*.json"))
 	if err != nil || len(corpus) == 0 {
-		t.Fatalf("no cancel cases under testdata/cancel (%v)", err)
+		t.Fatalf("no cancel trials under testdata/cancel (%v)", err)
 	}
 	for _, path := range corpus {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var c CancelCase
+		var c Trial
 		if err := json.Unmarshal(data, &c); err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
@@ -99,14 +167,14 @@ func TestCancelReplay(t *testing.T) {
 }
 
 // TestCancelCaseRejectsUnknownNames pins RunCancelCase's input
-// contract: a case naming an unknown leg is refused with a
-// *CancelFailure naming the field, never run as some default.
+// contract: a trial naming an unknown leg is refused with a
+// *TrialFailure naming the field, never run as some default.
 func TestCancelCaseRejectsUnknownNames(t *testing.T) {
 	for _, leg := range []string{"tock", ""} {
-		_, err := RunCancelCase(CancelCase{Seed: 3, Leg: leg})
-		var cf *CancelFailure
-		if !errors.As(err, &cf) || !strings.Contains(cf.Reason, "unknown leg") {
-			t.Errorf("leg %q: err = %v, want a *CancelFailure naming the leg", leg, err)
+		_, err := RunCancelCase(Trial{Seed: 3, Leg: leg})
+		var tf *TrialFailure
+		if !errors.As(err, &tf) || !strings.Contains(tf.Reason, "unknown leg") {
+			t.Errorf("leg %q: err = %v, want a *TrialFailure naming the leg", leg, err)
 		}
 	}
 }

@@ -13,8 +13,10 @@
 // or GOMAXPROCS. Persistent rules (Count ≤ 0) never stop matching:
 // they model a dead device rather than a glitch.
 //
-// Plans are plain data (JSON round-trippable), so a failing chaos trial
-// can dump its plan as an artifact and be replayed exactly.
+// Plans are plain data (JSON round-trippable), so a failing trial can
+// dump its plan as an artifact. Only a cancel trial replays from that
+// JSON (experiments.RunCancelCase); a chaos trial replays from its seed,
+// and its dumped plan is for reading.
 package fault
 
 import (

@@ -57,10 +57,10 @@ func TestDrainCommittedResidentsDontBlock(t *testing.T) {
 	}
 }
 
-// TestDrainWaitsForInFlight pins the DrainWait policy: the drain
-// blocks while uncommitted transactions are live and completes as
-// soon as they settle — here through the same TxnCanceled retraction
-// path an engine cancellation takes.
+// TestDrainWaitsForInFlight pins the drain's wait: it blocks while
+// uncommitted transactions are live and completes as soon as they
+// settle — here through the same TxnCanceled retraction path an engine
+// cancellation takes.
 func TestDrainWaitsForInFlight(t *testing.T) {
 	gate := NewOptimisticCertify(drainPartition(), &Serial{}, nil)
 	gate.Monitor().Observe(txn.R(1, "a", 0))
@@ -118,26 +118,29 @@ func TestDrainDeadlineTyped(t *testing.T) {
 	}
 }
 
-// TestDrainAbortPolicy pins DrainAbort: in-flight transactions are
-// retracted immediately and the drain returns without waiting.
-func TestDrainAbortPolicy(t *testing.T) {
+// TestDrainCanceledRetractsAtOnce pins a drain under an
+// already-cancelled context: in-flight transactions are retracted
+// immediately, the verdict holds, and the drain returns
+// exec.ErrCanceled without waiting.
+func TestDrainCanceledRetractsAtOnce(t *testing.T) {
 	gate := NewOptimisticCertify(drainPartition(), &Serial{}, nil)
-	gate.SetDrainPolicy(DrainAbort)
 	gate.Monitor().Observe(txn.R(1, "a", 0))
 	gate.Monitor().Observe(txn.W(2, "b", 1))
 
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 	start := time.Now()
-	if err := gate.Drain(context.Background()); err != nil {
-		t.Fatalf("abort drain: %v", err)
+	if err := gate.Drain(ctx); !errors.Is(err, exec.ErrCanceled) {
+		t.Fatalf("cancelled drain = %v, want exec.ErrCanceled", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("abort drain waited %v", elapsed)
+		t.Fatalf("cancelled drain waited %v", elapsed)
 	}
 	if live := gate.Monitor().InFlightTxnIDs(); len(live) != 0 {
-		t.Fatalf("abort drain left in-flight transactions: %v", live)
+		t.Fatalf("cancelled drain left in-flight transactions: %v", live)
 	}
 	if !gate.Monitor().PWSR() {
-		t.Fatal("verdict violated by abort drain")
+		t.Fatal("verdict violated by cancelled drain")
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"pwsr/internal/core"
 	"pwsr/internal/exec"
-	"pwsr/internal/state"
 	"pwsr/internal/wal"
 )
 
@@ -151,20 +150,4 @@ func (g *OptimisticCertify) Health() exec.Health {
 // health is Health under the gate mutex.
 func (g *OptimisticCertify) health() exec.Health {
 	return exec.Health{JournalErr: g.jn.jerr, Draining: g.lc.draining, Closed: g.lc.closed}
-}
-
-// ResumeCertify recovers a journaled gate from the log on b: the
-// monitor is rebuilt to the durable prefix's exact verdict state, the
-// journal resumes with a fresh baseline snapshot, and the returned gate
-// continues certification where the crashed gate's durable prefix
-// ended. victim selects the sacrifice policy (nil = VictimYoungest).
-// Returns recovery info for inspection.
-func ResumeCertify(b wal.Backend, partition []state.ItemSet, opts wal.Options, inner exec.Policy, victim VictimPolicy) (*OptimisticCertify, *wal.Info, error) {
-	mon, w, info, err := wal.Resume(b, partition, opts)
-	if err != nil {
-		return nil, info, err
-	}
-	gate := NewOptimisticCertifyOver(mon, inner, victim)
-	gate.AttachJournal(w)
-	return gate, info, nil
 }

@@ -112,8 +112,8 @@ func requireDurableGateRecovers(t *testing.T, every int) {
 }
 
 // TestResumeCertifyContinues crashes a journaled gate between two
-// workload phases: phase one's log is resumed into a fresh gate
-// (sched.ResumeCertify), phase two runs on the resumed gate with fresh
+// workload phases: phase one's log is resumed (wal.Resume) into a
+// fresh gate over the rebuilt monitor, phase two runs on the resumed gate with fresh
 // transaction ids, and the final log must recover to the resumed
 // gate's end state — certification continuity across a restart.
 func TestResumeCertifyContinues(t *testing.T) {
@@ -136,10 +136,12 @@ func TestResumeCertifyContinues(t *testing.T) {
 	}
 	// Simulate the crash: the process is gone, the backend remains.
 	// (No Close — whatever the barriers made durable is the log.)
-	resumed, info, err := sched.ResumeCertify(b, w.DataSets, opts, sched.NewRandom(1), nil)
+	resumedMon, w2, info, err := wal.Resume(b, w.DataSets, opts)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
+	resumed := sched.NewOptimisticCertifyOver(resumedMon, sched.NewRandom(1), nil)
+	resumed.AttachJournal(w2)
 	if info.LastSeq == 0 {
 		t.Fatal("resume found an empty durable prefix")
 	}
@@ -147,7 +149,6 @@ func TestResumeCertifyContinues(t *testing.T) {
 	// the crashed gate's monitor so the lineages stay comparable.
 	mon.SetSink(nil)
 	mon.Compact()
-	resumedMon := resumed.Monitor().(*core.Monitor) // what wal.Resume rebuilt
 	requireSameCertState(t, "resumed gate", resumedMon, mon, len(w.DataSets))
 
 	// Phase two: the same programs under fresh transaction ids.
@@ -160,7 +161,7 @@ func TestResumeCertifyContinues(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := resumed.Journal().(*wal.Writer).Close(); err != nil {
+	if err := w2.Close(); err != nil {
 		t.Fatal(err)
 	}
 	rec, _, err := wal.Recover(b, w.DataSets)

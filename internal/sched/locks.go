@@ -27,11 +27,10 @@
 // batch commit turn, so a cancelled run or batch never reaches the gate
 // and a refused admission leaves no trace. The gate shuts down in
 // two stages. Drain stops new transactions (refusals carry
-// exec.ErrDraining), settles in-flight ones per the DrainPolicy —
-// DrainWait lets them finish, DrainAbort retracts them immediately —
-// then flushes the journal barrier, runs a final compact pass, and
-// cuts a recovery snapshot; it always terminates within its context's
-// deadline, retracting the unfinished remainder when time runs out.
+// exec.ErrDraining), waits for in-flight ones to finish, then flushes
+// the journal barrier, runs a final compact pass, and cuts a recovery
+// snapshot; it always terminates within its context's deadline,
+// retracting the unfinished remainder when the context ends.
 // Close is the terminal latch (exec.ErrGateClosed) and releases the
 // journal. The posture rides in Health().Draining/Closed.
 //

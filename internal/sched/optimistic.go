@@ -173,8 +173,7 @@ func NewOptimisticCertify(partition []state.ItemSet, inner exec.Policy, victim V
 // NewOptimisticCertifyOver returns the certification gate over an
 // explicit certifier — the recovery path: rebuild the monitor with
 // wal.Resume, then gate new traffic over it with the resumed journal
-// attached (ResumeCertify does both). victim selects the sacrifice
-// policy (nil = VictimYoungest).
+// attached. victim selects the sacrifice policy (nil = VictimYoungest).
 func NewOptimisticCertifyOver(mon Certifier, inner exec.Policy, victim VictimPolicy) *OptimisticCertify {
 	return &OptimisticCertify{
 		Inner:        inner,

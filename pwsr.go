@@ -300,25 +300,10 @@ var (
 	ErrGateClosed = exec.ErrGateClosed
 )
 
-// DrainPolicy selects what a gate's Drain does with in-flight
-// transactions: DrainWait lets them finish (bounded by the drain
-// context), DrainAbort retracts them immediately.
-type DrainPolicy = sched.DrainPolicy
-
-// Drain policies for the certification gate.
-const (
-	// DrainWait lets in-flight transactions run to completion before
-	// the gate quiesces; at the drain context's deadline the
-	// unfinished remainder is retracted and a typed error returned.
-	DrainWait = sched.DrainWait
-	// DrainAbort retracts every in-flight transaction immediately.
-	DrainAbort = sched.DrainAbort
-)
-
 // Gate is the certification gate (NewOptimisticCertify): a Policy for
 // Run and a BatchGate for RunParallel that names victims at stalls, is
-// told of aborted and cancelled attempts, and drains gracefully — Drain stops new
-// admissions, settles in-flight transactions per the drain policy,
+// told of aborted and cancelled attempts, and drains gracefully — Drain
+// stops new admissions, waits for in-flight transactions to finish,
 // flushes the journal barrier, runs a final compact pass, and cuts a
 // recovery snapshot, always within the context's deadline, returning
 // nil on a complete drain or a typed ErrCanceled/ErrDeadline error on
